@@ -119,6 +119,19 @@ impl Encoder {
         self.put_bytes(s.as_bytes());
     }
 
+    /// Writes whatever `body` encodes as a **frame**: a fixed-width
+    /// little-endian u64 byte length, then the bytes. The length is
+    /// back-patched into this same buffer once `body` returns, so a
+    /// frame costs eight bytes and no second buffer. A reader can step
+    /// over a frame without decoding it ([`Decoder::get_framed`]).
+    pub fn put_framed(&mut self, body: impl FnOnce(&mut Encoder)) {
+        let at = self.buf.len();
+        self.put_u64(0);
+        body(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    }
+
     /// Writes a tagged [`Value`].
     pub fn put_value(&mut self, v: &Value) {
         match v {
@@ -253,6 +266,16 @@ impl<'a> Decoder<'a> {
     /// Reads a length-prefixed byte slice.
     pub fn get_bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.get_varint()? as usize;
+        self.take(len)
+    }
+
+    /// Reads one frame written by [`Encoder::put_framed`] and returns
+    /// its bytes undecoded. A length beyond the remaining input is an
+    /// error.
+    pub fn get_framed(&mut self) -> Result<&'a [u8]> {
+        let len = self.get_u64()?;
+        let len = usize::try_from(len)
+            .map_err(|_| Error::Codec(format!("frame length {len} exceeds address space")))?;
         self.take(len)
     }
 
@@ -423,6 +446,34 @@ mod tests {
         assert!(e.is_empty());
         e.put_str("first");
         assert_eq!(e.as_bytes(), &first[..]);
+    }
+
+    #[test]
+    fn frames_nest_skip_and_reject_hostile_lengths() {
+        let mut e = Encoder::new();
+        e.put_u8(9);
+        e.put_framed(|e| {
+            e.put_str("outer");
+            e.put_framed(|e| e.put_u32(7));
+        });
+        e.put_framed(|_| {});
+        e.put_u8(1);
+        let bytes = e.finish();
+        let mut d = Decoder::new(&bytes);
+        assert_eq!(d.get_u8().unwrap(), 9);
+        let mut outer = Decoder::new(d.get_framed().unwrap());
+        assert_eq!(outer.get_str().unwrap(), "outer");
+        assert_eq!(Decoder::new(outer.get_framed().unwrap()).get_u32().unwrap(), 7);
+        assert!(outer.is_exhausted());
+        assert!(d.get_framed().unwrap().is_empty());
+        assert_eq!(d.get_u8().unwrap(), 1);
+        // A length past the input (or past usize) is an error.
+        for len in [2u64, u64::MAX] {
+            let mut e = Encoder::new();
+            e.put_u64(len);
+            e.put_u8(0);
+            assert!(Decoder::new(&e.finish()).get_framed().is_err());
+        }
     }
 
     #[test]

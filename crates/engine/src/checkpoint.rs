@@ -6,8 +6,35 @@
 //!
 //! Since v4 a checkpoint is *incremental*: an epoch's image is either a
 //! **base** (full EE state) or a **delta** (only the tables, streams,
-//! and windows dirtied since the previous epoch). Recovery restores the
-//! chain's base and applies deltas in epoch order. The manifest is the
+//! and windows dirtied since the previous epoch). A delta is
+//! **table-granular**: a table one row of which changed is written
+//! again whole — rows, index definitions, row-id counter. So within a
+//! chain a later image of a table supersedes every earlier one
+//! outright, and recovery restores by the rule **the newest image
+//! wins**: it decodes, once, the last image of each table in the chain
+//! and never decodes the ones before it
+//! ([`crate::ee::ExecutionEngine::restore_chain`]).
+//!
+//! # EE image layout (v5)
+//!
+//! ```text
+//! base  := catalog:bytes  sections       catalog = a storage snapshot image (v2),
+//!                                        itself a sequence of table frames
+//! delta := ntables:varint  table-frame*  sections
+//! table-frame := len:u64  table-image    (sstore_storage::snapshot)
+//! sections := nstreams:varint (name:str  stream-state  high:0|1 i64)*
+//!             nwindows:varint  window-slot*
+//! ```
+//!
+//! Every table image, in a base and in a delta alike, is preceded by
+//! its byte length; that is what lets restore step over a superseded
+//! image in O(1). Stream and window sections carry bookkeeping (pending
+//! batch ids, staged tuples), are small, and are not framed: restore
+//! decodes them in chain order and a later one overwrites an earlier.
+//! Everything is in name order, so the bytes do not depend on id
+//! assignment.
+//!
+//! The manifest is the
 //! commit point of the whole scheme: it records the live epoch chain
 //! and the per-partition log floor (last LSN covered), is written via
 //! the atomic-rename path, and everything it does *not* reference —
@@ -29,7 +56,8 @@ const MAGIC: u32 = 0x5353_434B; // "SSCK"
 // v3: EE image carries per-stream event-time high marks and tagged
 // (tuple vs. time) window sections. Older images are rejected loudly.
 // v4: incremental checkpoints — images carry a base/delta kind tag.
-const VERSION: u32 = 4;
+// v5: every table image inside the EE image is length-framed.
+const VERSION: u32 = 5;
 
 /// Whether an image is a full base or an incremental delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1060,33 +1060,63 @@ impl ExecutionEngine {
     // ------------------------------------------------------------------
 
     /// Serializes all partition state (tables, stream bookkeeping,
-    /// window staging) into a **base** checkpoint image. Stream and
-    /// window sections are keyed by name and ordered by name, so the
-    /// byte layout is independent of id assignment. Clears the dirty
-    /// set: the image adopts everything.
+    /// window staging) into a **base** checkpoint image: the catalog
+    /// image as one byte string, then the stream and window sections.
+    /// Everything is keyed by name and ordered by name, so the byte
+    /// layout is independent of id assignment. Clears the dirty set:
+    /// the image adopts everything.
     pub fn checkpoint(&mut self) -> Result<Vec<u8>> {
         if self.in_txn {
             return Err(Error::InvalidState("checkpoint during transaction".into()));
         }
         self.dirty.fill(false);
         let mut e = Encoder::with_capacity(4096);
-        let cat = snapshot::encode_catalog(&self.catalog);
-        e.put_bytes(&cat);
-        let mut snames: Vec<(&str, TableId)> = self
-            .streams
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_some())
-            .map(|(i, _)| {
-                let id = TableId(i as u32);
-                (&**self.ids.table_name(id), id)
-            })
+        e.put_bytes(&snapshot::encode_catalog(&self.catalog));
+        self.encode_sections(&mut e, &self.names_where(|_| true));
+        Ok(e.finish())
+    }
+
+    /// Serializes only the state dirtied since the last image into a
+    /// **delta** checkpoint: dirty catalog tables (any kind — each
+    /// whole: its rows, indexes, and row-id counter, as one frame),
+    /// dirty streams' bookkeeping, and dirty windows' staging. Clears
+    /// the dirty set. Recovery restores the newest image of everything
+    /// in a chain ([`ExecutionEngine::restore_chain`]).
+    pub fn checkpoint_delta(&mut self) -> Result<Vec<u8>> {
+        if self.in_txn {
+            return Err(Error::InvalidState("checkpoint during transaction".into()));
+        }
+        let names = self.names_where(|id| self.dirty[id.index()]);
+        let mut e = Encoder::with_capacity(1024);
+        e.put_varint(names.len() as u64);
+        for &(_, id) in &names {
+            snapshot::encode_table_image(&mut e, self.catalog.get(id));
+        }
+        self.encode_sections(&mut e, &names);
+        self.dirty.fill(false);
+        Ok(e.finish())
+    }
+
+    /// The tables `keep` selects, as `(name, id)` in name order.
+    fn names_where(&self, keep: impl Fn(TableId) -> bool) -> Vec<(&str, TableId)> {
+        let mut names: Vec<(&str, TableId)> = (0..self.ids.table_count())
+            .map(|i| TableId(i as u32))
+            .filter(|&id| keep(id))
+            .map(|id| (&**self.ids.table_name(id), id))
             .collect();
-        snames.sort();
-        e.put_varint(snames.len() as u64);
-        for (name, id) in snames {
+        names.sort();
+        names
+    }
+
+    /// Writes the stream section and the window section of an image
+    /// for the streams and windows among `names`.
+    fn encode_sections(&self, e: &mut Encoder, names: &[(&str, TableId)]) {
+        let streams: Vec<_> =
+            names.iter().filter(|(_, id)| self.streams[id.index()].is_some()).collect();
+        e.put_varint(streams.len() as u64);
+        for &&(name, id) in &streams {
             e.put_str(name);
-            self.streams[id.index()].as_ref().expect("stream present").encode(&mut e);
+            self.streams[id.index()].as_ref().expect("stream present").encode(e);
             // Event-time high mark (watermark input): recovery must
             // reconverge watermarks deterministically, and replay alone
             // cannot rebuild high marks for rows inside the snapshot.
@@ -1098,170 +1128,94 @@ impl ExecutionEngine {
                 None => e.put_u8(0),
             }
         }
-        let mut wnames: Vec<(&str, TableId)> = self
-            .windows
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.is_some())
-            .map(|(i, _)| {
-                let id = TableId(i as u32);
-                (&**self.ids.table_name(id), id)
-            })
-            .collect();
-        wnames.sort();
-        e.put_varint(wnames.len() as u64);
-        for (_, id) in wnames {
-            self.windows[id.index()].as_ref().expect("window present").encode(&mut e);
+        let windows: Vec<_> =
+            names.iter().filter_map(|(_, id)| self.windows[id.index()].as_ref()).collect();
+        e.put_varint(windows.len() as u64);
+        for w in windows {
+            w.encode(e);
         }
-        Ok(e.finish())
     }
 
-    /// Serializes only the state dirtied since the last image into a
-    /// **delta** checkpoint: dirty catalog tables (any kind — their
-    /// rows, indexes, and row-id counter), dirty streams' bookkeeping,
-    /// and dirty windows' staging. Clears the dirty set. Recovery
-    /// restores a base and applies deltas in epoch order
-    /// ([`ExecutionEngine::restore_chain`]).
-    pub fn checkpoint_delta(&mut self) -> Result<Vec<u8>> {
-        if self.in_txn {
-            return Err(Error::InvalidState("checkpoint during transaction".into()));
-        }
-        // Name order throughout, like the base image: byte layout is
-        // independent of id assignment.
-        let mut names: Vec<(&str, TableId)> = self
-            .dirty
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| **d)
-            .map(|(i, _)| {
-                let id = TableId(i as u32);
-                (&**self.ids.table_name(id), id)
-            })
-            .collect();
-        names.sort();
-        let mut e = Encoder::with_capacity(1024);
-        e.put_varint(names.len() as u64);
-        for &(_, id) in &names {
-            snapshot::encode_table_image(&mut e, self.catalog.get(id));
-        }
-        let dirty_streams: Vec<(&str, TableId)> = names
-            .iter()
-            .copied()
-            .filter(|(_, id)| self.streams[id.index()].is_some())
-            .collect();
-        e.put_varint(dirty_streams.len() as u64);
-        for (name, id) in dirty_streams {
-            e.put_str(name);
-            self.streams[id.index()].as_ref().expect("stream present").encode(&mut e);
-            match self.stream_high[id.index()] {
-                Some(h) => {
-                    e.put_u8(1);
-                    e.put_i64(h);
-                }
-                None => e.put_u8(0),
-            }
-        }
-        let dirty_windows: Vec<TableId> = names
-            .iter()
-            .filter(|(_, id)| self.windows[id.index()].is_some())
-            .map(|&(_, id)| id)
-            .collect();
-        e.put_varint(dirty_windows.len() as u64);
-        for id in dirty_windows {
-            self.windows[id.index()].as_ref().expect("window present").encode(&mut e);
-        }
-        self.dirty.fill(false);
-        Ok(e.finish())
-    }
-
-    /// Applies one delta image on top of the current state: each table
-    /// image replaces its table **in place** (preserving the dense
-    /// [`TableId`] — compiled plans address by id), stream and window
-    /// sections overwrite their bookkeeping.
-    pub fn apply_delta(&mut self, bytes: &[u8]) -> Result<()> {
+    /// Restores partition state from an epoch chain: a base image
+    /// followed by its deltas, oldest first. **The newest image wins**:
+    /// one pass over the chain finds, for every table, the last frame
+    /// that carries it, stepping over each superseded frame by its
+    /// length; only the winners are decoded, once each. Stream and
+    /// window sections are not framed (they hold bookkeeping, not
+    /// rows), so they are decoded in chain order and a later one
+    /// overwrites an earlier one — the same rule. The result is the
+    /// state a restore of the base followed by applying each delta in
+    /// turn would give. Nothing is adopted unless the whole chain
+    /// decodes.
+    ///
+    /// Compiled statements remain valid: the restored schemas and
+    /// indexes are identical to the app's definitions, and tables are
+    /// re-installed under their original [`TableId`]s (images name
+    /// tables; ids come from the install-time interning).
+    pub fn restore_chain(&mut self, images: &[Vec<u8>]) -> Result<()> {
         if self.in_txn {
             return Err(Error::InvalidState("restore during transaction".into()));
         }
-        let mut d = Decoder::new(bytes);
-        let nt = d.get_varint()? as usize;
-        for _ in 0..nt {
-            let table = snapshot::decode_table_image(&mut d)?;
-            self.catalog.replace_table(table)?;
-        }
-        let ns = d.get_varint()? as usize;
-        for _ in 0..ns {
-            let name = d.get_str()?;
-            let state = StreamState::decode(&mut d)?;
-            let high = match d.get_u8()? {
-                0 => None,
-                1 => Some(d.get_i64()?),
-                t => {
-                    return Err(Error::Codec(format!(
-                        "stream {name}: bad high-mark tag {t} in delta"
-                    )))
-                }
-            };
-            let id = self.table_id(&name)?;
-            self.streams[id.index()] = Some(state);
-            self.stream_high[id.index()] = high;
-        }
-        let nw = d.get_varint()? as usize;
-        for _ in 0..nw {
-            let w = WindowSlot::decode(&mut d)?;
-            let id = self.table_id(w.name())?;
-            self.windows[id.index()] = Some(w);
-        }
-        if !d.is_exhausted() {
-            return Err(Error::Codec("trailing bytes in EE delta".into()));
-        }
-        Ok(())
-    }
-
-    /// Restores from an epoch chain: a base image followed by its
-    /// deltas, oldest first.
-    pub fn restore_chain(&mut self, images: &[Vec<u8>]) -> Result<()> {
         let Some((base, deltas)) = images.split_first() else {
             return Err(Error::InvalidState("empty checkpoint chain".into()));
         };
-        self.restore(base)?;
-        for delta in deltas {
-            self.apply_delta(delta)?;
+        let n = self.ids.table_count();
+        let mut newest: Vec<Option<snapshot::TableFrame<'_>>> = vec![None; n];
+        let mut sections = Sections {
+            streams: (0..n).map(|_| None).collect(),
+            stream_high: vec![None; n],
+            windows: (0..n).map(|_| None).collect(),
+        };
+        let mut skipped = 0u64;
+
+        let mut d = Decoder::new(base);
+        for frame in snapshot::catalog_frames(d.get_bytes()?)? {
+            let id = self.ids.table_id(&frame.name).ok_or_else(|| {
+                Error::Codec(format!("checkpoint image contains unknown table {}", frame.name))
+            })?;
+            if newest[id.index()].replace(frame).is_some() {
+                return Err(Error::Codec("checkpoint image repeats a table".into()));
+            }
         }
+        if let Some(i) = newest.iter().position(Option::is_none) {
+            let name = self.ids.table_name(TableId(i as u32));
+            return Err(Error::Codec(format!("checkpoint image is missing table {name}")));
+        }
+        self.decode_sections(&mut d, &mut sections)?;
+        for delta in deltas {
+            let mut d = Decoder::new(delta);
+            for _ in 0..d.get_varint()? {
+                let frame = snapshot::TableFrame::read(&mut d)?;
+                let id = self.table_id(&frame.name)?;
+                newest[id.index()] = Some(frame);
+                skipped += 1;
+            }
+            self.decode_sections(&mut d, &mut sections)?;
+        }
+
+        // Re-install in id order so every table keeps its interned id.
+        let mut catalog = Catalog::new();
+        for frame in newest.iter().flatten() {
+            catalog.install_table(frame.decode()?)?;
+        }
+        use std::sync::atomic::Ordering::Relaxed;
+        self.metrics.restore_images_decoded.fetch_add(n as u64, Relaxed);
+        self.metrics.restore_images_skipped.fetch_add(skipped, Relaxed);
+        self.catalog = catalog;
+        self.streams = sections.streams;
+        self.stream_high = sections.stream_high;
+        self.windows = sections.windows;
+        // State now equals the chain: the next delta is relative to it.
+        self.dirty.fill(false);
         Ok(())
     }
 
-    /// Restores partition state from a checkpoint image. Compiled
-    /// statements remain valid: the restored schemas and indexes are
-    /// identical to the app's definitions, and tables are re-installed
-    /// under their original [`TableId`]s (the snapshot stores tables by
-    /// name; ids are reassigned from the install-time interning).
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<()> {
-        if self.in_txn {
-            return Err(Error::InvalidState("restore during transaction".into()));
-        }
-        let mut d = Decoder::new(bytes);
-        let cat_bytes = d.get_bytes()?;
-        let mut decoded = snapshot::decode_catalog(cat_bytes)?;
-        // Re-install in id order so every table keeps its interned id.
-        let mut catalog = Catalog::new();
-        for i in 0..self.ids.table_count() {
-            let name = self.ids.table_name(TableId(i as u32)).to_string();
-            let table = decoded.drop_table(&name).map_err(|_| {
-                Error::Codec(format!("checkpoint image is missing table {name}"))
-            })?;
-            catalog.install_table(table)?;
-        }
-        if !decoded.is_empty() {
-            return Err(Error::Codec("checkpoint image contains unknown tables".into()));
-        }
-
-        let n = self.ids.table_count();
-        let mut streams: Vec<Option<StreamState>> = (0..n).map(|_| None).collect();
-        let mut stream_high: Vec<Option<i64>> = vec![None; n];
-        let ns = d.get_varint()? as usize;
-        for _ in 0..ns {
+    /// Reads the stream section and the window section that end an
+    /// image into `into`, overwriting what an older image put there.
+    fn decode_sections(&self, d: &mut Decoder<'_>, into: &mut Sections) -> Result<()> {
+        for _ in 0..d.get_varint()? {
             let name = d.get_str()?;
-            let state = StreamState::decode(&mut d)?;
+            let state = StreamState::decode(d)?;
             let high = match d.get_u8()? {
                 0 => None,
                 1 => Some(d.get_i64()?),
@@ -1272,27 +1226,28 @@ impl ExecutionEngine {
                 }
             };
             let id = self.table_id(&name)?;
-            streams[id.index()] = Some(state);
-            stream_high[id.index()] = high;
+            into.streams[id.index()] = Some(state);
+            into.stream_high[id.index()] = high;
         }
-        let mut windows: Vec<Option<WindowSlot>> = (0..n).map(|_| None).collect();
-        let nw = d.get_varint()? as usize;
-        for _ in 0..nw {
-            let w = WindowSlot::decode(&mut d)?;
+        for _ in 0..d.get_varint()? {
+            let w = WindowSlot::decode(d)?;
             let id = self.table_id(w.name())?;
-            windows[id.index()] = Some(w);
+            into.windows[id.index()] = Some(w);
         }
         if !d.is_exhausted() {
             return Err(Error::Codec("trailing bytes in EE checkpoint".into()));
         }
-        self.catalog = catalog;
-        self.streams = streams;
-        self.stream_high = stream_high;
-        self.windows = windows;
-        // State now equals the image: the next delta is relative to it.
-        self.dirty.fill(false);
         Ok(())
     }
+}
+
+/// The id-indexed stream and window state a checkpoint chain resolves
+/// to, gathered while the chain is read and adopted only if all of it
+/// decodes.
+struct Sections {
+    streams: Vec<Option<StreamState>>,
+    stream_high: Vec<Option<i64>>,
+    windows: Vec<Option<WindowSlot>>,
 }
 
 fn push_group(groups: &mut Vec<(TableId, Vec<RowId>)>, table: TableId, row: RowId) {
@@ -1485,7 +1440,7 @@ mod tests {
             let ids = Arc::new(AppIds::build(&app).unwrap());
             ExecutionEngine::install(&app, ids, Arc::new(EngineMetrics::new())).unwrap()
         };
-        ee2.restore(&image).unwrap();
+        ee2.restore_chain(std::slice::from_ref(&image)).unwrap();
         assert_eq!(ee2.table_len("w").unwrap(), 3);
         assert_eq!(ee2.table_len("slides_seen").unwrap(), 2);
         assert_eq!(ee2.stream_pending("arrivals").unwrap(), vec![BatchId(1)]);
@@ -1752,7 +1707,7 @@ mod tests {
             let ids = Arc::new(AppIds::build(&app).unwrap());
             ExecutionEngine::install(&app, ids, Arc::new(EngineMetrics::new())).unwrap()
         };
-        ee2.restore(&image).unwrap();
+        ee2.restore_chain(std::slice::from_ref(&image)).unwrap();
         assert_eq!(ee2.checkpoint().unwrap(), image, "restore → checkpoint is stable");
         assert_eq!(ee2.table_len("tw").unwrap(), 1);
         // The restored engine continues sliding off the restored
@@ -1762,6 +1717,222 @@ mod tests {
         let s2 = feed(&mut ee2, &map2, 2, &[(61, 4)]);
         run_slides(&mut ee2, 2, &s2);
         assert_eq!(ee.checkpoint().unwrap(), ee2.checkpoint().unwrap());
+    }
+
+    // ---- checkpoint chains: newest image wins -----------------------------
+
+    /// Tables written at different rates, an event-timed input stream, an
+    /// output stream whose batches stay pending, a tuple window and a
+    /// time window: every kind of section a checkpoint image holds.
+    fn chain_restore_app() -> App {
+        let kv = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+        let timed = Schema::of(&[("ts", DataType::Int), ("v", DataType::Int)]);
+        let index = |name: &str, col, kind, unique| sstore_storage::IndexDef {
+            name: name.into(),
+            key_columns: vec![col],
+            kind,
+            unique,
+        };
+        App::builder()
+            .stream_timed("arrivals", timed.clone(), "ts")
+            .stream("out", simple_schema())
+            .table_indexed(
+                "a",
+                kv,
+                vec![
+                    index("a_pk", 0, sstore_storage::IndexKind::Hash, true),
+                    index("a_by_v", 1, sstore_storage::IndexKind::BTree, false),
+                ],
+            )
+            .table("b", simple_schema())
+            .table("c", simple_schema())
+            .window("wt", "p", simple_schema(), 3, 2)
+            .time_window("tw", "p", timed, "ts", 30, 30, 10)
+            .proc(
+                "p",
+                &[
+                    ("ins_a", "INSERT INTO a (k, v) VALUES (?, ?)"),
+                    ("upd_a", "UPDATE a SET v = ? WHERE k = ?"),
+                    ("del_a", "DELETE FROM a WHERE k = ?"),
+                    ("ins_b", "INSERT INTO b (v) VALUES (?)"),
+                    ("ins_c", "INSERT INTO c (v) VALUES (?)"),
+                    ("ins_wt", "INSERT INTO wt (v) VALUES (?)"),
+                    ("ins_tw", "INSERT INTO tw (ts, v) VALUES (?, ?)"),
+                    ("ins_out", "INSERT INTO out (v) VALUES (?)"),
+                ],
+                &["out"],
+                |_| Ok(()),
+            )
+            .proc("sink", &[], &[], |_| Ok(()))
+            .pe_trigger("arrivals", "p")
+            .pe_trigger("out", "sink")
+            .build()
+            .unwrap()
+    }
+
+    /// One transaction of the chain workload: `(statement, k, v, abort)`.
+    type ChainTxn = (u8, i64, i64, bool);
+
+    /// Runs `txn` as batch `batch`; a refused statement (a duplicate
+    /// key) aborts it, as does the abort flag.
+    fn run_chain_txn(ee: &mut ExecutionEngine, map: &ProcStmtMap, batch: u64, txn: ChainTxn) {
+        let (stmt, k, v, abort) = txn;
+        let (k, v) = (Value::Int(k), Value::Int(v));
+        let p = &map["p"];
+        ee.begin(Some(BatchId(batch))).unwrap();
+        let done = match stmt {
+            0 | 1 => ee.exec(p["ins_a"], &[k, v]),
+            2 => ee.exec(p["upd_a"], &[v, k]),
+            3 => ee.exec(p["del_a"], &[k]),
+            4 => ee.exec(p["ins_b"], &[v]),
+            5 => ee.exec(p["ins_c"], &[v]),
+            6 => ee.exec(p["ins_wt"], &[v]),
+            7 => ee.exec(p["ins_out"], &[v]),
+            _ => {
+                // An event-timed arrival (ts = 12·k) staged into the
+                // time window, as the border procedure would.
+                let ts = Value::Int(12 * k.as_int().unwrap());
+                let arrivals = ee.table_id("arrivals").unwrap();
+                ee.emit(arrivals, vec![Tuple::new(vec![ts.clone(), v.clone()])]).unwrap();
+                ee.exec(p["ins_tw"], &[ts, v])
+            }
+        };
+        if abort || done.is_err() {
+            ee.abort().unwrap();
+            return;
+        }
+        let slides = ee.commit().unwrap().slides;
+        run_slides(ee, batch, &slides);
+    }
+
+    /// The restore `restore_chain` replaced, kept as its oracle: decode
+    /// the base whole, then every delta in chain order, each table image
+    /// replacing its table in place.
+    fn restore_sequential(ee: &mut ExecutionEngine, images: &[Vec<u8>]) {
+        let n = ee.ids.table_count();
+        let mut sections = Sections {
+            streams: (0..n).map(|_| None).collect(),
+            stream_high: vec![None; n],
+            windows: (0..n).map(|_| None).collect(),
+        };
+        let mut d = Decoder::new(&images[0]);
+        let mut decoded = snapshot::decode_catalog(d.get_bytes().unwrap()).unwrap();
+        let mut catalog = Catalog::new();
+        for i in 0..n {
+            let table = decoded.drop_table(ee.ids.table_name(TableId(i as u32))).unwrap();
+            catalog.install_table(table).unwrap();
+        }
+        ee.decode_sections(&mut d, &mut sections).unwrap();
+        for delta in &images[1..] {
+            let mut d = Decoder::new(delta);
+            for _ in 0..d.get_varint().unwrap() {
+                let table = snapshot::TableFrame::read(&mut d).unwrap().decode().unwrap();
+                catalog.replace_table(table).unwrap();
+            }
+            ee.decode_sections(&mut d, &mut sections).unwrap();
+        }
+        ee.catalog = catalog;
+        ee.streams = sections.streams;
+        ee.stream_high = sections.stream_high;
+        ee.windows = sections.windows;
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Over random chains (a base and up to five deltas, each after a
+        /// random run of committed and aborted transactions): restoring
+        /// by newest-image-wins, restoring by the old sequential apply
+        /// and the live engine all hold byte-equal state, and exactly the
+        /// delta frames were stepped over.
+        #[test]
+        fn newest_wins_restore_equals_sequential_apply(
+            rounds in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0u8..9, 0i64..12, 0i64..40, proptest::prelude::any::<u8>()),
+                    0..7,
+                ),
+                1..7,
+            ),
+        ) {
+            let app = chain_restore_app();
+            let (mut live, map) = ee(&app);
+            let mut images = Vec::new();
+            let mut batch = 0;
+            for txns in &rounds {
+                for &(stmt, k, v, abort) in txns {
+                    batch += 1;
+                    run_chain_txn(&mut live, &map, batch, (stmt, k, v, abort % 5 == 0));
+                }
+                images.push(if images.is_empty() {
+                    live.checkpoint().unwrap()
+                } else {
+                    live.checkpoint_delta().unwrap()
+                });
+            }
+            let delta_frames: u64 = images[1..]
+                .iter()
+                .map(|d| Decoder::new(d).get_varint().unwrap())
+                .sum();
+
+            let (mut newest, _) = ee(&app);
+            newest.restore_chain(&images).unwrap();
+            let (mut sequential, _) = ee(&app);
+            restore_sequential(&mut sequential, &images);
+            let state = live.checkpoint().unwrap();
+            proptest::prop_assert_eq!(&newest.checkpoint().unwrap(), &state);
+            proptest::prop_assert_eq!(&sequential.checkpoint().unwrap(), &state);
+            let m = &newest.metrics;
+            proptest::prop_assert_eq!(EngineMetrics::get(&m.restore_images_decoded), 7);
+            proptest::prop_assert_eq!(EngineMetrics::get(&m.restore_images_skipped), delta_frames);
+        }
+    }
+
+    #[test]
+    fn corrupt_chain_images_are_errors_and_leave_state_alone() {
+        let app = chain_restore_app();
+        let (mut live, map) = ee(&app);
+        for (batch, txn) in [(0, 1, 1, false), (8, 1, 5, false), (6, 0, 2, false)].into_iter().enumerate() {
+            run_chain_txn(&mut live, &map, batch as u64 + 1, txn);
+        }
+        let base = live.checkpoint().unwrap();
+        run_chain_txn(&mut live, &map, 9, (0, 2, 2, false));
+        run_chain_txn(&mut live, &map, 10, (8, 4, 6, false));
+        let delta = live.checkpoint_delta().unwrap();
+
+        let (mut ee2, _) = ee(&app);
+        let fresh = ee2.checkpoint().unwrap();
+        // Every truncation of either image is an error.
+        for cut in 0..delta.len() {
+            assert!(ee2.restore_chain(&[base.clone(), delta[..cut].to_vec()]).is_err(), "delta cut {cut}");
+        }
+        for cut in (0..base.len()).step_by(3) {
+            assert!(ee2.restore_chain(&[base[..cut].to_vec()]).is_err(), "base cut {cut}");
+        }
+        // A chain that starts with a delta; an empty chain.
+        assert!(ee2.restore_chain(std::slice::from_ref(&delta)).is_err());
+        assert!(ee2.restore_chain(&[]).is_err());
+        // None of the failures adopted anything: only a whole chain does.
+        ee2.dirty.fill(true);
+        assert_eq!(ee2.checkpoint().unwrap(), fresh);
+        // Every single-byte corruption of the delta's header region (its
+        // table count, first frame length and first table header): never
+        // a panic or an allocation abort (some are simply another valid
+        // image). A hostile count or frame length is an error.
+        for at in 0..40 {
+            for v in 0..=255u8 {
+                let mut bad = delta.clone();
+                bad[at] = v;
+                let _ = ee2.restore_chain(&[base.clone(), bad]);
+            }
+        }
+        for at in [0, 8] {
+            let mut bad = delta.clone();
+            bad[at] = 0x7f;
+            assert!(ee2.restore_chain(&[base.clone(), bad]).is_err(), "byte {at}");
+        }
+        ee2.restore_chain(&[base, delta]).unwrap();
+        assert_eq!(ee2.checkpoint().unwrap(), live.checkpoint().unwrap());
     }
 
     #[test]

@@ -208,7 +208,7 @@ impl Engine {
     pub(crate) fn start_with(
         config: EngineConfig,
         app: App,
-        bootstrap: Option<Bootstrap>,
+        mut bootstrap: Option<Bootstrap>,
     ) -> Result<Engine> {
         let metrics = Arc::new(EngineMetrics::new());
         let ids = Arc::new(AppIds::build(&app)?);
@@ -250,17 +250,24 @@ impl Engine {
                 proc_stmts,
                 metrics.clone(),
             )?;
-            let part = PartitionHandle::new(txs[p].clone(), join);
-            if let Some(b) = &bootstrap {
-                if let Some(chain) = &b.images[p] {
-                    let (tx, rx) = bounded(1);
-                    part.tx
-                        .send(PartitionMsg::Restore(chain.clone(), tx))
-                        .map_err(|_| Error::InvalidState("partition died during restore".into()))?;
-                    rx.recv().map_err(|_| Error::InvalidState("restore reply lost".into()))??;
-                }
-            }
-            partitions.push(part);
+            partitions.push(PartitionHandle::new(txs[p].clone(), join));
+        }
+        // Every partition restores its own chain on its own thread:
+        // hand each its images (moved, not copied), then wait for all,
+        // so restore wall time is the slowest partition's, as replay's
+        // is.
+        let images = bootstrap.as_mut().map(|b| std::mem::take(&mut b.images)).unwrap_or_default();
+        let mut restoring = Vec::new();
+        for (part, chain) in partitions.iter().zip(images) {
+            let Some(chain) = chain else { continue };
+            let (tx, rx) = bounded(1);
+            part.tx
+                .send(PartitionMsg::Restore(chain, tx))
+                .map_err(|_| Error::InvalidState("partition died during restore".into()))?;
+            restoring.push(rx);
+        }
+        for rx in restoring {
+            rx.recv().map_err(|_| Error::InvalidState("restore reply lost".into()))??;
         }
 
         let mut counters = vec![0u64; ids.table_count()];

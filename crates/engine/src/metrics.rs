@@ -210,6 +210,9 @@ pub struct LogLifecycleSnapshot {
     pub gc_segments_deleted: u64,
     /// Replay wall time of the last recovery (max over partitions).
     pub recovery_replay_ms: u64,
+    /// Checkpoint-chain restore wall time of the last recovery (max
+    /// over partitions).
+    pub recovery_restore_ms: u64,
 }
 
 /// Counters for one engine instance.
@@ -309,6 +312,16 @@ pub struct EngineMetrics {
     /// per-partition logs (gauge; the max over partitions, since they
     /// replay in parallel — the RTO contribution of replay).
     pub recovery_replay_ms: AtomicU64,
+    /// Wall-clock milliseconds the last recovery spent restoring
+    /// checkpoint chains (gauge; the max over partitions, which restore
+    /// concurrently — the RTO contribution of restore).
+    pub recovery_restore_ms: AtomicU64,
+    /// Table images checkpoint-chain restores decoded, summed over
+    /// partitions (one per table per restore: the newest in its chain).
+    pub restore_images_decoded: AtomicU64,
+    /// Table images checkpoint-chain restores stepped over undecoded
+    /// because a later image in the chain superseded them.
+    pub restore_images_skipped: AtomicU64,
     /// Per-class queue-wait / execution / end-to-end histograms.
     pub latency: LatencyStats,
     /// Execution trace of committed TEs, recorded only when
@@ -416,6 +429,7 @@ impl EngineMetrics {
             checkpoint_bytes: Self::get(&self.checkpoint_bytes),
             gc_segments_deleted: Self::get(&self.gc_segments_deleted),
             recovery_replay_ms: Self::get(&self.recovery_replay_ms),
+            recovery_restore_ms: Self::get(&self.recovery_restore_ms),
         }
     }
 
@@ -450,6 +464,9 @@ impl EngineMetrics {
         self.checkpoint_bytes.store(0, Ordering::Relaxed);
         self.gc_segments_deleted.store(0, Ordering::Relaxed);
         self.recovery_replay_ms.store(0, Ordering::Relaxed);
+        self.recovery_restore_ms.store(0, Ordering::Relaxed);
+        self.restore_images_decoded.store(0, Ordering::Relaxed);
+        self.restore_images_skipped.store(0, Ordering::Relaxed);
         self.shed_by_origin.lock().clear();
         self.latency.clear();
         self.trace.lock().clear();
@@ -541,12 +558,14 @@ mod tests {
         m.checkpoint_bytes.store(128, Ordering::Relaxed);
         m.gc_segments_deleted.fetch_add(2, Ordering::Relaxed);
         m.recovery_replay_ms.store(17, Ordering::Relaxed);
+        m.recovery_restore_ms.store(5, Ordering::Relaxed);
         let s = m.log_lifecycle();
         assert_eq!(s.log_segments, 3);
         assert_eq!(s.log_bytes, 4096);
         assert_eq!(s.checkpoint_bytes, 128);
         assert_eq!(s.gc_segments_deleted, 2);
         assert_eq!(s.recovery_replay_ms, 17);
+        assert_eq!(s.recovery_restore_ms, 5);
         m.reset();
         assert_eq!(m.log_lifecycle(), LogLifecycleSnapshot::default());
     }

@@ -537,7 +537,12 @@ impl PartitionRuntime {
                 let _ = reply.send(out);
             }
             PartitionMsg::Restore(chain, reply) => {
-                let _ = reply.send(self.ee.restore(chain));
+                let start = Instant::now();
+                let out = self.ee.restore(chain);
+                self.metrics
+                    .recovery_restore_ms
+                    .fetch_max(start.elapsed().as_millis() as u64, std::sync::atomic::Ordering::Relaxed);
+                let _ = reply.send(out);
             }
             PartitionMsg::TruncateLog { covered, reply } => {
                 let _ = reply.send(self.do_truncate_log(covered));

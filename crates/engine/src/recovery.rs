@@ -50,6 +50,7 @@ use crate::checkpoint::{read_checkpoint_on, read_manifest_on, CheckpointFile, Ch
 use crate::config::{EngineConfig, RecoveryMode};
 use crate::engine::{Bootstrap, Engine};
 use crate::log::{CommandLog, LogKind, LogRecord};
+use crate::metrics::EngineMetrics;
 use crate::partition::{Invocation, TxnRequest, ADHOC_PROC};
 
 /// Outcome statistics of a recovery run (for tests and Figure 9b).
@@ -60,6 +61,18 @@ pub struct RecoveryReport {
     /// Interior transactions re-derived via PE triggers (weak mode and
     /// dangling-batch firing).
     pub triggers_fired: usize,
+    /// Wall-clock milliseconds restoring checkpoint chains took (the
+    /// slowest partition; they restore concurrently).
+    pub restore_ms: u64,
+    /// Wall-clock milliseconds replaying the log suffix took (the
+    /// slowest partition).
+    pub replay_ms: u64,
+    /// Table images decoded, over all partitions: one per table, the
+    /// newest in its chain.
+    pub table_images_decoded: u64,
+    /// Table images a later image in the chain superseded, stepped
+    /// over without decoding.
+    pub table_images_skipped: u64,
 }
 
 /// Recovers an engine from the checkpoint + command log in
@@ -224,7 +237,13 @@ pub fn recover(config: EngineConfig, app: App) -> Result<(Engine, RecoveryReport
         }),
     )?;
 
-    let mut report = RecoveryReport::default();
+    let m = engine.metrics();
+    let mut report = RecoveryReport {
+        restore_ms: EngineMetrics::get(&m.recovery_restore_ms),
+        table_images_decoded: EngineMetrics::get(&m.restore_images_decoded),
+        table_images_skipped: EngineMetrics::get(&m.restore_images_skipped),
+        ..RecoveryReport::default()
+    };
     match config.recovery {
         RecoveryMode::Strong => {
             // Replay everything, triggers off, one confirmed round trip
@@ -244,6 +263,7 @@ pub fn recover(config: EngineConfig, app: App) -> Result<(Engine, RecoveryReport
             engine.drain()?;
         }
     }
+    report.replay_ms = EngineMetrics::get(&m.recovery_replay_ms);
     Ok((engine, report))
 }
 

@@ -240,6 +240,11 @@ impl Session<'_> {
                 sstore_engine::metrics::EngineMetrics::get(counter),
             ));
         }
+        // What the last recovery cost, by half: restoring the checkpoint
+        // chain and replaying the log suffix (zero on a fresh start).
+        let durability = em.log_lifecycle();
+        entries.push(("engine.recovery.replay_ms".to_owned(), durability.recovery_replay_ms));
+        entries.push(("engine.recovery.restore_ms".to_owned(), durability.recovery_restore_ms));
         for p in 0..self.engine.partitions() {
             entries.push((
                 format!("engine.admission.p{p}.available"),

@@ -394,6 +394,9 @@ fn tenant_metrics_are_separated_at_the_edge() {
     // Engine-side view is present in the same response.
     assert!(get("engine.admission.p0.available") as usize <= 64);
     assert!(entries.iter().any(|(k, _)| k == "engine.class.border.count"));
+    // Both halves of recovery time, side by side (a fresh start: zero).
+    assert_eq!(get("engine.recovery.replay_ms"), 0);
+    assert_eq!(get("engine.recovery.restore_ms"), 0);
     // Latency histograms recorded per tenant (p99 exists once counted).
     assert!(get("tenant.gold.e2e_p99_us") > 0);
 }

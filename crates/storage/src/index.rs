@@ -9,11 +9,12 @@
 //! An index never owns tuples — it maps key value vectors to [`RowId`]s
 //! and is maintained by [`Table`](crate::table::Table) mutation paths.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use sstore_common::hash::FxHashMap;
-use sstore_common::{RowId, Value};
+use sstore_common::{Error, Result, RowId, Value};
 
 /// Physical index kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,15 +43,95 @@ impl IndexDef {
     pub fn key_of(&self, values: &[Value]) -> Vec<Value> {
         self.key_columns.iter().map(|&i| values[i].clone()).collect()
     }
+
+    /// The error a second row under one key of this (unique) index is.
+    pub(crate) fn violation(&self, key: &[Value]) -> Error {
+        let parts: Vec<String> = key.iter().map(ToString::to_string).collect();
+        Error::UniqueViolation { index: self.name.clone(), key: parts.join(",") }
+    }
+}
+
+/// The rows carrying one key, in insertion order. Most keys carry one
+/// row (every key of a unique index does), so that case is held inline
+/// and costs no allocation; `Many` always holds at least two.
+#[derive(Debug, Clone)]
+pub enum Postings {
+    /// Exactly one row.
+    One(RowId),
+    /// Two or more rows.
+    Many(Vec<RowId>),
+}
+
+impl Postings {
+    fn as_slice(&self) -> &[RowId] {
+        match self {
+            Postings::One(row) => std::slice::from_ref(row),
+            Postings::Many(rows) => rows,
+        }
+    }
+
+    fn push(&mut self, row: RowId) {
+        match self {
+            Postings::One(first) => *self = Postings::Many(vec![*first, row]),
+            Postings::Many(rows) => rows.push(row),
+        }
+    }
+}
+
+/// Removes `row` from the postings a map lookup found. Returns whether
+/// the row was there and whether the key is now empty (the caller owns
+/// the map and drops the key).
+fn remove_posting(slot: Option<&mut Postings>, row: RowId) -> (bool, bool) {
+    let Some(slot) = slot else { return (false, false) };
+    match slot {
+        Postings::One(only) => (*only == row, *only == row),
+        Postings::Many(rows) => {
+            let Some(pos) = rows.iter().position(|&r| r == row) else {
+                return (false, false);
+            };
+            rows.swap_remove(pos);
+            if let [last] = rows[..] {
+                *slot = Postings::One(last);
+            }
+            (true, false)
+        }
+    }
+}
+
+/// Sorts `count` `(key, row)` pairs and groups them into one entry per
+/// distinct key, ascending. The sort is stable, so the rows under a key
+/// stay in arrival order.
+fn sorted_run<K: Ord>(
+    def: &IndexDef,
+    count: usize,
+    keyed: impl Iterator<Item = (K, RowId)>,
+    into_key: impl Fn(K) -> Vec<Value>,
+) -> Result<Vec<(Vec<Value>, Postings)>> {
+    let mut sorted: Vec<(K, RowId)> = Vec::with_capacity(count);
+    sorted.extend(keyed);
+    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut run = Vec::new();
+    let mut sorted = sorted.into_iter().peekable();
+    while let Some((key, row)) = sorted.next() {
+        let mut postings = Postings::One(row);
+        while let Some((_, next)) = sorted.next_if(|(k, _)| *k == key) {
+            if def.unique {
+                return Err(def.violation(&into_key(key)));
+            }
+            postings.push(next);
+        }
+        run.push((into_key(key), postings));
+    }
+    Ok(run)
 }
 
 /// The physical index payload.
 #[derive(Debug, Clone)]
 pub enum IndexData {
     /// Hash-backed.
-    Hash(FxHashMap<Vec<Value>, Vec<RowId>>),
+    Hash(FxHashMap<Vec<Value>, Postings>),
     /// B-tree-backed.
-    BTree(BTreeMap<Vec<Value>, Vec<RowId>>),
+    BTree(BTreeMap<Vec<Value>, Postings>),
 }
 
 /// An index: definition plus payload.
@@ -71,6 +152,53 @@ impl Index {
         Index { def, data }
     }
 
+    /// Builds an index over `count` existing rows in one pass — the one
+    /// "index from rows" routine, shared by snapshot bulk load and
+    /// [`Table::create_index`](crate::table::Table::create_index)'s
+    /// backfill. A hash index is reserved to the row count up front; a
+    /// B-tree is built bottom-up from one sorted run instead of by
+    /// `count` root-to-leaf inserts. Rows under one key keep the order
+    /// they arrive in. A second row under one key of a unique index is
+    /// an [`Error::UniqueViolation`].
+    pub fn build<'r>(
+        def: IndexDef,
+        count: usize,
+        rows: impl Iterator<Item = (RowId, &'r [Value])>,
+    ) -> Result<Self> {
+        let data = match def.kind {
+            IndexKind::Hash => {
+                let mut m = FxHashMap::with_capacity_and_hasher(count, Default::default());
+                for (row, values) in rows {
+                    match m.entry(def.key_of(values)) {
+                        Entry::Vacant(slot) => {
+                            slot.insert(Postings::One(row));
+                        }
+                        Entry::Occupied(slot) if def.unique => {
+                            return Err(def.violation(slot.key()));
+                        }
+                        Entry::Occupied(mut slot) => slot.get_mut().push(row),
+                    }
+                }
+                IndexData::Hash(m)
+            }
+            IndexKind::BTree => {
+                // A one-column key — most are — sorts as the bare value:
+                // no allocation per row and nothing to chase per
+                // comparison; only distinct keys become vectors.
+                let run = match def.key_columns[..] {
+                    [col] => {
+                        sorted_run(&def, count, rows.map(|(row, v)| (v[col].clone(), row)), |k| vec![k])
+                    }
+                    _ => sorted_run(&def, count, rows.map(|(row, v)| (def.key_of(v), row)), |k| k),
+                }?;
+                // `from_iter` on a sorted, duplicate-free run is std's
+                // bulk build: leaves are filled left to right.
+                IndexData::BTree(BTreeMap::from_iter(run))
+            }
+        };
+        Ok(Index { def, data })
+    }
+
     /// Number of distinct keys currently indexed.
     pub fn distinct_keys(&self) -> usize {
         match &self.data {
@@ -86,11 +214,11 @@ impl Index {
 
     /// Rows carrying exactly `key` (empty slice if none).
     pub fn get(&self, key: &[Value]) -> &[RowId] {
-        static EMPTY: [RowId; 0] = [];
         match &self.data {
-            IndexData::Hash(m) => m.get(key).map_or(&EMPTY[..], Vec::as_slice),
-            IndexData::BTree(m) => m.get(key).map_or(&EMPTY[..], Vec::as_slice),
+            IndexData::Hash(m) => m.get(key),
+            IndexData::BTree(m) => m.get(key),
         }
+        .map_or(&[], Postings::as_slice)
     }
 
     /// Ordered range scan (B-tree only; hash indexes return an empty
@@ -102,9 +230,10 @@ impl Index {
     ) -> Vec<(Vec<Value>, Vec<RowId>)> {
         match &self.data {
             IndexData::Hash(_) => Vec::new(),
-            IndexData::BTree(m) => {
-                m.range::<Vec<Value>, _>((lo, hi)).map(|(k, v)| (k.clone(), v.clone())).collect()
-            }
+            IndexData::BTree(m) => m
+                .range::<Vec<Value>, _>((lo, hi))
+                .map(|(k, v)| (k.clone(), v.as_slice().to_vec()))
+                .collect(),
         }
     }
 
@@ -112,43 +241,31 @@ impl Index {
     /// checked uniqueness; this is pure maintenance.
     pub fn insert(&mut self, key: Vec<Value>, row: RowId) {
         match &mut self.data {
-            IndexData::Hash(m) => m.entry(key).or_default().push(row),
-            IndexData::BTree(m) => m.entry(key).or_default().push(row),
+            IndexData::Hash(m) => {
+                m.entry(key).and_modify(|p| p.push(row)).or_insert(Postings::One(row));
+            }
+            IndexData::BTree(m) => {
+                m.entry(key).and_modify(|p| p.push(row)).or_insert(Postings::One(row));
+            }
         }
     }
 
     /// Removes a `(key, row)` pair. Returns whether the pair was found.
     pub fn remove(&mut self, key: &[Value], row: RowId) -> bool {
-        fn remove_from(rows: &mut Vec<RowId>, row: RowId) -> bool {
-            if let Some(pos) = rows.iter().position(|&r| r == row) {
-                rows.swap_remove(pos);
-                true
-            } else {
-                false
-            }
-        }
         match &mut self.data {
             IndexData::Hash(m) => {
-                if let Some(rows) = m.get_mut(key) {
-                    let found = remove_from(rows, row);
-                    if rows.is_empty() {
-                        m.remove(key);
-                    }
-                    found
-                } else {
-                    false
+                let (found, emptied) = remove_posting(m.get_mut(key), row);
+                if emptied {
+                    m.remove(key);
                 }
+                found
             }
             IndexData::BTree(m) => {
-                if let Some(rows) = m.get_mut(key) {
-                    let found = remove_from(rows, row);
-                    if rows.is_empty() {
-                        m.remove(key);
-                    }
-                    found
-                } else {
-                    false
+                let (found, emptied) = remove_posting(m.get_mut(key), row);
+                if emptied {
+                    m.remove(key);
                 }
+                found
             }
         }
     }
@@ -163,10 +280,10 @@ impl Index {
 
     /// Iterates all `(key, rows)` pairs. B-tree iterates in key order;
     /// hash order is unspecified.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = (&Vec<Value>, &Vec<RowId>)> + '_> {
+    pub fn iter(&self) -> Box<dyn Iterator<Item = (&Vec<Value>, &[RowId])> + '_> {
         match &self.data {
-            IndexData::Hash(m) => Box::new(m.iter()),
-            IndexData::BTree(m) => Box::new(m.iter()),
+            IndexData::Hash(m) => Box::new(m.iter().map(|(k, v)| (k, v.as_slice()))),
+            IndexData::BTree(m) => Box::new(m.iter().map(|(k, v)| (k, v.as_slice()))),
         }
     }
 }

@@ -7,8 +7,29 @@
 //! their row ids, so the restored partition continues the exact id
 //! sequence).
 //!
-//! The image is framed with a magic header and version so stale or
-//! foreign files fail loudly instead of deserializing garbage.
+//! # Layout (version 2)
+//!
+//! ```text
+//! catalog image := magic:u32  version:u32  ntables:varint  table-frame*
+//! table-frame   := len:u64  table-image            (len = bytes of table-image)
+//! table-image   := name:str  kind:u8  schema  next_row_id:u64
+//!                  nindexes:varint  index-def*
+//!                  nrows:varint  (row_id:u64  tuple)*     rows in row-id order
+//! index-def     := name:str  kind:u8  unique:u8  ncols:varint  col:varint*
+//! ```
+//!
+//! The magic and version make stale or foreign files fail loudly
+//! instead of deserializing garbage; version 1 (unframed tables) is
+//! rejected. Each table image is a **frame**: its byte length comes
+//! first, back-patched by the one encoder that writes the image, so a
+//! reader that only wants some tables — checkpoint-chain restore, which
+//! keeps the newest image of each table — reads a frame's name
+//! ([`TableFrame`]) and steps over the rest without decoding it.
+//!
+//! Decoding trusts nothing the image says about sizes: every count is
+//! bounded by the bytes that remain before anything is reserved from
+//! it. A table is rebuilt by [`Table::bulk_load`] — rows appended in id
+//! order, each index built in one pass — not row by row.
 
 use sstore_common::codec::{Decoder, Encoder};
 use sstore_common::{Error, Result, RowId};
@@ -18,7 +39,7 @@ use crate::index::{IndexDef, IndexKind};
 use crate::table::{Table, TableKind};
 
 const MAGIC: u32 = 0x5353_4E41; // "SSNA" — S-Store 'N'apshot
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Serializes a catalog to a self-contained byte image.
 pub fn encode_catalog(catalog: &Catalog) -> Vec<u8> {
@@ -27,52 +48,80 @@ pub fn encode_catalog(catalog: &Catalog) -> Vec<u8> {
     e.put_u32(VERSION);
     e.put_varint(catalog.len() as u64);
     for table in catalog.iter() {
-        encode_table(&mut e, table);
+        encode_table_image(&mut e, table);
     }
     e.finish()
 }
 
-/// Serializes one table (name, kind, schema, indexes, rows) into an
-/// existing encoder — the unit of an incremental-checkpoint delta,
-/// which carries only the tables dirtied since the previous image.
+/// Serializes one table (name, kind, schema, indexes, rows) as a frame
+/// into an existing encoder — the unit of a catalog image and of an
+/// incremental-checkpoint delta, which carries only the tables dirtied
+/// since the previous image. Read back with [`TableFrame::read`].
 pub fn encode_table_image(e: &mut Encoder, table: &Table) {
-    encode_table(e, table);
-}
-
-/// Decodes one table serialized by [`encode_table_image`].
-pub fn decode_table_image(d: &mut Decoder<'_>) -> Result<Table> {
-    decode_table(d)
-}
-
-fn encode_table(e: &mut Encoder, table: &Table) {
-    e.put_str(table.name());
-    e.put_u8(table.kind().tag());
-    e.put_schema(table.schema());
-    e.put_u64(table.peek_next_row_id().raw());
-    let defs = table.index_defs();
-    e.put_varint(defs.len() as u64);
-    for d in &defs {
-        e.put_str(&d.name);
-        e.put_u8(match d.kind {
-            IndexKind::Hash => 0,
-            IndexKind::BTree => 1,
-        });
-        e.put_u8(u8::from(d.unique));
-        e.put_varint(d.key_columns.len() as u64);
-        for &c in &d.key_columns {
-            e.put_varint(c as u64);
+    e.put_framed(|e| {
+        e.put_str(table.name());
+        e.put_u8(table.kind().tag());
+        e.put_schema(table.schema());
+        e.put_u64(table.peek_next_row_id().raw());
+        let defs = table.index_defs();
+        e.put_varint(defs.len() as u64);
+        for d in &defs {
+            e.put_str(&d.name);
+            e.put_u8(match d.kind {
+                IndexKind::Hash => 0,
+                IndexKind::BTree => 1,
+            });
+            e.put_u8(u8::from(d.unique));
+            e.put_varint(d.key_columns.len() as u64);
+            for &c in &d.key_columns {
+                e.put_varint(c as u64);
+            }
         }
+        // scan_ordered yields exactly the live rows.
+        e.put_varint(table.len() as u64);
+        for (id, t) in table.scan_ordered() {
+            e.put_u64(id.raw());
+            e.put_tuple(t);
+        }
+    });
+}
+
+/// One table image, located but not decoded: its name and its bytes.
+#[derive(Debug, Clone)]
+pub struct TableFrame<'a> {
+    /// The table's name (lower-cased, as stored).
+    pub name: String,
+    image: &'a [u8],
+}
+
+impl<'a> TableFrame<'a> {
+    /// Reads the next frame written by [`encode_table_image`], leaving
+    /// `d` just past it. Costs the name, not the rows.
+    pub fn read(d: &mut Decoder<'a>) -> Result<Self> {
+        let image = d.get_framed()?;
+        let name = Decoder::new(image).get_str()?;
+        Ok(TableFrame { name, image })
     }
-    // scan_ordered yields exactly the live rows.
-    e.put_varint(table.len() as u64);
-    for (id, t) in table.scan_ordered() {
-        e.put_u64(id.raw());
-        e.put_tuple(t);
+
+    /// Decodes the table.
+    pub fn decode(&self) -> Result<Table> {
+        let mut d = Decoder::new(self.image);
+        let table = decode_table(&mut d)?;
+        if !d.is_exhausted() {
+            return Err(Error::Codec(format!(
+                "{} trailing bytes in the image of table {}",
+                d.remaining(),
+                self.name
+            )));
+        }
+        Ok(table)
     }
 }
 
-/// Restores a catalog from a byte image produced by [`encode_catalog`].
-pub fn decode_catalog(bytes: &[u8]) -> Result<Catalog> {
+/// The table frames of an image produced by [`encode_catalog`], in
+/// image (name) order, with the header and the framing checked and no
+/// table decoded.
+pub fn catalog_frames(bytes: &[u8]) -> Result<Vec<TableFrame<'_>>> {
     let mut d = Decoder::new(bytes);
     let magic = d.get_u32()?;
     if magic != MAGIC {
@@ -82,11 +131,10 @@ pub fn decode_catalog(bytes: &[u8]) -> Result<Catalog> {
     if version != VERSION {
         return Err(Error::Codec(format!("unsupported snapshot version {version}")));
     }
-    let ntables = d.get_varint()? as usize;
-    let mut catalog = Catalog::new();
+    let ntables = bounded_count(&mut d, 8, "table")?;
+    let mut frames = Vec::with_capacity(ntables);
     for _ in 0..ntables {
-        let table = decode_table(&mut d)?;
-        catalog.install_table(table)?;
+        frames.push(TableFrame::read(&mut d)?);
     }
     if !d.is_exhausted() {
         return Err(Error::Codec(format!(
@@ -94,7 +142,27 @@ pub fn decode_catalog(bytes: &[u8]) -> Result<Catalog> {
             d.remaining()
         )));
     }
+    Ok(frames)
+}
+
+/// Restores a catalog from a byte image produced by [`encode_catalog`].
+pub fn decode_catalog(bytes: &[u8]) -> Result<Catalog> {
+    let mut catalog = Catalog::new();
+    for frame in catalog_frames(bytes)? {
+        catalog.install_table(frame.decode()?)?;
+    }
     Ok(catalog)
+}
+
+/// Reads a count the image supplies and bounds it by the input left:
+/// each counted item takes at least `min_bytes`, so a larger count is
+/// corruption — and must be caught here, before it sizes a reservation.
+fn bounded_count(d: &mut Decoder<'_>, min_bytes: usize, what: &str) -> Result<usize> {
+    let n = d.get_varint()?;
+    if n > (d.remaining() / min_bytes) as u64 {
+        return Err(Error::Codec(format!("{what} count {n} exceeds input")));
+    }
+    Ok(n as usize)
 }
 
 fn decode_table(d: &mut Decoder<'_>) -> Result<Table> {
@@ -102,9 +170,11 @@ fn decode_table(d: &mut Decoder<'_>) -> Result<Table> {
     let kind = TableKind::from_tag(d.get_u8()?)?;
     let schema = d.get_schema()?;
     let next_row_id = d.get_u64()?;
-    let mut table = Table::new(name, kind, schema);
 
-    let nindexes = d.get_varint()? as usize;
+    // An index definition is at least a name length, two tags and a
+    // column count.
+    let nindexes = bounded_count(d, 4, "index")?;
+    let mut indexes = Vec::with_capacity(nindexes);
     for _ in 0..nindexes {
         let iname = d.get_str()?;
         let ikind = match d.get_u8()? {
@@ -113,29 +183,19 @@ fn decode_table(d: &mut Decoder<'_>) -> Result<Table> {
             t => return Err(Error::Codec(format!("unknown index kind tag {t}"))),
         };
         let unique = d.get_u8()? != 0;
-        let ncols = d.get_varint()? as usize;
-        if ncols > d.remaining() {
-            return Err(Error::Codec("index key column count exceeds input".into()));
-        }
+        let ncols = bounded_count(d, 1, "index key column")?;
         let mut key_columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             key_columns.push(d.get_varint()? as usize);
         }
-        table
-            .create_index(IndexDef { name: iname, key_columns, kind: ikind, unique })
-            .map_err(|e| Error::Codec(format!("rebuilding index failed: {e}")))?;
+        indexes.push(IndexDef { name: iname, key_columns, kind: ikind, unique });
     }
 
-    let nrows = d.get_varint()? as usize;
-    for _ in 0..nrows {
-        let id = RowId(d.get_u64()?);
-        let tuple = d.get_tuple()?;
-        table
-            .insert_with_id(id, tuple)
-            .map_err(|e| Error::Codec(format!("restoring row failed: {e}")))?;
-    }
-    table.advance_row_id_counter(next_row_id);
-    Ok(table)
+    // A row is at least eight id bytes and one arity byte.
+    let nrows = bounded_count(d, 9, "row")?;
+    let rows = (0..nrows).map(|_| Ok((RowId(d.get_u64()?), d.get_tuple()?)));
+    Table::bulk_load(name, kind, schema, next_row_id, indexes, nrows, rows)
+        .map_err(|e| Error::Codec(format!("rebuilding table failed: {e}")))
 }
 
 #[cfg(test)]
@@ -240,10 +300,92 @@ mod tests {
     #[test]
     fn truncation_anywhere_is_an_error_not_a_panic() {
         let bytes = encode_catalog(&sample_catalog());
-        // Probe a spread of cut points (every byte would be slow in debug).
-        for cut in (0..bytes.len()).step_by(7) {
+        for cut in 0..bytes.len() {
             assert!(decode_catalog(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    /// Offset of the first row of the first table ("s1", one Int
+    /// column, no indexes, one row): everything before it is header.
+    fn first_row_offset(bytes: &[u8]) -> usize {
+        let mut d = Decoder::new(bytes);
+        d.get_u32().unwrap();
+        d.get_u32().unwrap();
+        d.get_varint().unwrap();
+        d.get_u64().unwrap(); // frame length
+        assert_eq!(d.get_str().unwrap(), "s1");
+        d.get_u8().unwrap();
+        d.get_schema().unwrap();
+        d.get_u64().unwrap();
+        assert_eq!(d.get_varint().unwrap(), 0);
+        assert_eq!(d.get_varint().unwrap(), 1);
+        d.position()
+    }
+
+    #[test]
+    fn corrupt_header_bytes_never_panic_and_hostile_counts_are_errors() {
+        let bytes = encode_catalog(&sample_catalog());
+        let header = first_row_offset(&bytes);
+        // Any single corrupted byte: decode returns (some corruptions —
+        // a letter of a name — are simply another valid image).
+        for at in 0..header {
+            for v in 0..=255u8 {
+                let mut b = bytes.clone();
+                b[at] = v;
+                let _ = decode_catalog(&b);
+            }
+        }
+        // Counts and lengths the image supplies, made huge: each must
+        // be refused before anything is reserved from it. In order:
+        // table count, frame length (top byte), index count, row count.
+        for (at, v) in [(8, 0x7f), (9 + 7, 0x7f), (header - 2, 0x7f), (header - 1, 0x7f)] {
+            let mut b = bytes.clone();
+            b[at] = v;
+            assert!(decode_catalog(&b).is_err(), "byte {at} = {v:#x}");
+        }
+        // Multi-byte varints too: a row count of u64::MAX spliced in.
+        let mut b = bytes[..header - 1].to_vec();
+        b.extend_from_slice(&[0xff; 9]);
+        b.push(0x01);
+        b.extend_from_slice(&bytes[header..]);
+        assert!(decode_catalog(&b).is_err());
+    }
+
+    #[test]
+    fn duplicate_keys_and_row_ids_are_codec_errors() {
+        // Two rows under one key of a unique index, and a repeated row
+        // id: images no encoder writes, found while the table is built.
+        let mut c = Catalog::new();
+        let t = c.create_table("t", TableKind::Base, Schema::of(&[("k", DataType::Int)])).unwrap();
+        t.insert(tuple![1i64]).unwrap();
+        t.insert(tuple![2i64]).unwrap();
+        for kind in [IndexKind::Hash, IndexKind::BTree] {
+            let mut dup = c.clone();
+            let t = dup.table_mut("t").unwrap();
+            t.update(RowId(1), tuple![1i64]).unwrap();
+            let mut bytes = encode_catalog(&dup);
+            // Declare the unique index in the image only: splice an
+            // index definition in place of the zero index count.
+            let at = bytes.len() - (1 + 2 * (8 + 1 + 1 + 8)) - 1;
+            assert_eq!(bytes[at], 0, "index count");
+            let mut e = Encoder::new();
+            e.put_varint(1);
+            e.put_str("u");
+            e.put_u8(if kind == IndexKind::Hash { 0 } else { 1 });
+            e.put_u8(1);
+            e.put_varint(1);
+            e.put_varint(0);
+            bytes.splice(at..=at, e.finish());
+            let len = (bytes.len() - 17) as u64;
+            bytes[9..17].copy_from_slice(&len.to_le_bytes());
+            let err = decode_catalog(&bytes).unwrap_err();
+            assert!(matches!(&err, Error::Codec(m) if m.contains("unique")), "{kind:?}: {err}");
+        }
+        let mut bytes = encode_catalog(&c);
+        let second_id = bytes.len() - (8 + 1 + 1 + 8);
+        bytes[second_id] = 0; // row id 1 → 0, repeating the first
+        let err = decode_catalog(&bytes).unwrap_err();
+        assert!(matches!(&err, Error::Codec(m) if m.contains("repeats")), "{err}");
     }
 
     #[test]

@@ -100,6 +100,54 @@ impl Table {
         }
     }
 
+    /// Builds a table from `count` rows in one pass — what snapshot
+    /// decode uses in place of [`Table::new`], [`Table::create_index`]
+    /// and one [`Table::insert_with_id`] per row. `rows` must arrive in
+    /// strictly ascending row-id order (the order [`Table::scan_ordered`],
+    /// hence the snapshot encoder, yields them in), so the slot vector,
+    /// the id map and the order index are reserved once and filled by
+    /// append, with nothing on the free list; each index is then built
+    /// in one pass over the loaded rows. `count` is reserved before any
+    /// row is read: the caller bounds it by its input. Fails on the
+    /// first `Err` row, a row that does not fit the schema, a repeated
+    /// or descending row id, or an index that cannot be built. The
+    /// row-id counter ends at `next_row_id` or one past the last row,
+    /// whichever is higher.
+    pub fn bulk_load(
+        name: impl Into<String>,
+        kind: TableKind,
+        schema: Schema,
+        next_row_id: u64,
+        indexes: Vec<IndexDef>,
+        count: usize,
+        rows: impl Iterator<Item = Result<(RowId, Tuple)>>,
+    ) -> Result<Table> {
+        let mut t = Table::new(name, kind, schema);
+        t.slots.reserve_exact(count);
+        t.by_id.reserve(count);
+        t.order.reserve_exact(count);
+        for row in rows {
+            let (id, tuple) = row?;
+            t.schema.validate(tuple.values())?;
+            if t.order.last().is_some_and(|&(last, _)| last >= id.raw()) {
+                return Err(Error::Internal(format!(
+                    "row id {id} repeats or descends in the rows loaded into {}",
+                    t.name
+                )));
+            }
+            let slot = t.slots.len() as u32;
+            t.slots.push(Some(Row { id, tuple }));
+            t.by_id.insert(id, slot);
+            t.order.push((id.raw(), slot));
+        }
+        t.live = t.slots.len();
+        t.next_row_id = t.order.last().map_or(next_row_id, |&(last, _)| next_row_id.max(last + 1));
+        for def in indexes {
+            t.create_index(def)?;
+        }
+        Ok(t)
+    }
+
     /// Table name (lower-cased).
     pub fn name(&self) -> &str {
         &self.name
@@ -136,9 +184,9 @@ impl Table {
     }
 
     /// Fast-forwards the row-id counter so it will issue at least `next`
-    /// (never rewinds). Snapshot restore uses this to reproduce the
-    /// pre-checkpoint id sequence exactly, even when trailing rows had
-    /// been deleted before the checkpoint.
+    /// (never rewinds): a table rebuilt row by row continues the id
+    /// sequence of the one it copies even when that one's trailing
+    /// rows had been deleted.
     pub fn advance_row_id_counter(&mut self, next: u64) {
         if self.next_row_id < next {
             self.next_row_id = next;
@@ -163,18 +211,8 @@ impl Table {
                 self.schema.arity()
             )));
         }
-        let mut ix = Index::new(def);
-        for row in self.slots.iter().flatten() {
-            let key = ix.def.key_of(row.tuple.values());
-            if ix.def.unique && ix.contains_key(&key) {
-                return Err(Error::UniqueViolation {
-                    index: ix.def.name.clone(),
-                    key: format_key(&key),
-                });
-            }
-            ix.insert(key, row.id);
-        }
-        self.indexes.push(ix);
+        let rows = self.slots.iter().flatten().map(|row| (row.id, row.tuple.values()));
+        self.indexes.push(Index::build(def, self.live, rows)?);
         Ok(())
     }
 
@@ -228,8 +266,8 @@ impl Table {
     }
 
     /// Re-inserts a tuple under a caller-chosen id. Used by undo (abort
-    /// restores a deleted row under its original id) and by snapshot
-    /// loading. Fails if the id is currently live.
+    /// restores a deleted row under its original id). Fails if the id
+    /// is currently live.
     pub fn insert_with_id(&mut self, id: RowId, tuple: Tuple) -> Result<()> {
         self.insert_at(id, tuple)?;
         if self.next_row_id <= id.raw() {
@@ -250,10 +288,7 @@ impl Table {
         for ix in &self.indexes {
             let key = ix.def.key_of(tuple.values());
             if ix.def.unique && ix.contains_key(&key) {
-                return Err(Error::UniqueViolation {
-                    index: ix.def.name.clone(),
-                    key: format_key(&key),
-                });
+                return Err(ix.def.violation(&key));
             }
             keys.push(key);
         }
@@ -345,10 +380,7 @@ impl Table {
                 continue;
             }
             if ix.def.unique && ix.contains_key(&new_key) {
-                return Err(Error::UniqueViolation {
-                    index: ix.def.name.clone(),
-                    key: format_key(&new_key),
-                });
+                return Err(ix.def.violation(&new_key));
             }
             changed.push(Some((old_key, new_key)));
         }
@@ -471,11 +503,6 @@ impl<'t> ScanChunks<'t> {
 
 fn row_not_found(table: &str, id: RowId) -> Error {
     Error::not_found("row", format!("{id} in table {table}"))
-}
-
-fn format_key(key: &[Value]) -> String {
-    let parts: Vec<String> = key.iter().map(ToString::to_string).collect();
-    parts.join(",")
 }
 
 #[cfg(test)]

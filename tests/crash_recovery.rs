@@ -467,3 +467,196 @@ fn repeated_checkpoints_keep_disk_bounded() {
     }
     engine.shutdown();
 }
+
+// ---- checkpoint chains: the newest image of each table wins ------------
+
+/// `feed(k, ts, v)` → `apply` writes table `a` (a unique hash and a
+/// B-tree index) every batch and stages each row into a tuple window
+/// and a time window; `b` and `c` are written only by OLTP calls, so a
+/// test decides which deltas carry them.
+fn chain_app() -> sstore::engine::App {
+    use sstore::common::{DataType, Schema};
+    use sstore::storage::{IndexDef, IndexKind};
+    let feed = Schema::of(&[("k", DataType::Int), ("ts", DataType::Int), ("v", DataType::Int)]);
+    let one = Schema::of(&[("v", DataType::Int)]);
+    // An OLTP procedure that appends its parameter to `table`.
+    fn touch(b: sstore::engine::AppBuilder, table: &str) -> sstore::engine::AppBuilder {
+        let sql = format!("INSERT INTO {table} (v) VALUES (?)");
+        b.proc(&format!("touch_{table}"), &[("ins", &sql)], &[], |ctx| {
+            let v = ctx.params()[0].clone();
+            ctx.sql("ins", &[v]).map(|_| ())
+        })
+    }
+    let b = sstore::engine::App::builder()
+        .stream_partitioned_timed("feed", feed.clone(), "k", "ts")
+        .table_indexed(
+            "a",
+            feed,
+            vec![
+                IndexDef { name: "a_pk".into(), key_columns: vec![0, 1], kind: IndexKind::Hash, unique: true },
+                IndexDef { name: "a_by_v".into(), key_columns: vec![2], kind: IndexKind::BTree, unique: false },
+            ],
+        )
+        .table("b", one.clone())
+        .table("c", one.clone())
+        .window("recent", "apply", one, 4, 2)
+        .time_window(
+            "pane",
+            "apply",
+            Schema::of(&[("ts", DataType::Int), ("v", DataType::Int)]),
+            "ts",
+            30,
+            30,
+            10,
+        )
+        .proc(
+            "apply",
+            &[
+                ("ins_a", "INSERT INTO a (k, ts, v) VALUES (?, ?, ?)"),
+                ("ins_recent", "INSERT INTO recent (v) VALUES (?)"),
+                ("ins_pane", "INSERT INTO pane (ts, v) VALUES (?, ?)"),
+            ],
+            &[],
+            |ctx| {
+                for r in ctx.input().to_vec() {
+                    let (k, ts, v) = (r.get(0).clone(), r.get(1).clone(), r.get(2).clone());
+                    ctx.sql("ins_a", &[k, ts.clone(), v.clone()])?;
+                    ctx.sql("ins_recent", std::slice::from_ref(&v))?;
+                    ctx.sql("ins_pane", &[ts, v])?;
+                }
+                Ok(())
+            },
+        )
+        .pe_trigger("feed", "apply");
+    touch(touch(b, "b"), "c").build().unwrap()
+}
+
+/// One round of input: keys 0..8 (both partitions), event times
+/// `20·round + k` — so extents of the 30 ms time window close every
+/// other round and something is always staged.
+fn feed_round(engine: &Engine, round: i64) {
+    let rows = (0..8i64).map(|k| tuple![k, 20 * round + k, 100 * round + k]).collect();
+    engine.ingest("feed", rows).unwrap();
+    engine.drain().unwrap();
+}
+
+fn touch(engine: &Engine, table: &str, v: i64) {
+    for p in 0..engine.partitions() {
+        engine.call_at(p, &format!("touch_{table}"), vec![v.into()]).unwrap();
+    }
+}
+
+/// The whole state of every partition, as bytes: checkpoints until a
+/// round writes base images (the chain restarts at one epoch) and
+/// returns their EE images — every table's rows under their row ids,
+/// index definitions, row-id counters, stream bookkeeping and high
+/// marks, window contents and staging. Checkpointing changes none of
+/// that, so two engines in equal states yield equal bytes.
+fn full_state(engine: &Engine) -> Vec<Vec<u8>> {
+    use sstore::engine::checkpoint::{read_checkpoint, read_manifest_on};
+    let config = engine.config();
+    loop {
+        engine.checkpoint().unwrap();
+        let chain = read_manifest_on(config.vfs.as_ref(), &config.manifest_path())
+            .unwrap()
+            .unwrap()
+            .epochs;
+        if let [base] = chain[..] {
+            return (0..engine.partitions())
+                .map(|p| read_checkpoint(&config.checkpoint_path(p, base)).unwrap().unwrap().ee_image)
+                .collect();
+        }
+    }
+}
+
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for e in std::fs::read_dir(from).unwrap().flatten() {
+        std::fs::copy(e.path(), to.join(e.file_name())).unwrap();
+    }
+}
+
+/// Runs the chain workload — `c` written before the base only, `b`
+/// before the base and again in delta 2, `a`, the stream and both
+/// windows every round — through a base and four deltas plus an
+/// uncheckpointed tail, and "crashes" by copying the data directory.
+/// Returns the config of the copy and the pre-crash state.
+fn crash_after_base_and_four_deltas(mode: RecoveryMode) -> (EngineConfig, Vec<Vec<u8>>) {
+    let config = cfg(mode).with_delta_chain_max(5);
+    let engine = Engine::start(config.clone(), chain_app()).unwrap();
+    touch(&engine, "b", 1);
+    touch(&engine, "c", 1);
+    for round in 0..5 {
+        feed_round(&engine, round);
+        if round == 2 {
+            touch(&engine, "b", 2);
+        }
+        engine.checkpoint().unwrap(); // epoch 1 = base, 2..=5 = deltas 1..=4
+    }
+    feed_round(&engine, 5); // the log suffix recovery replays
+    engine.flush_logs().unwrap();
+    let crashed = config.clone().with_data_dir(config.data_dir.with_extension("crashed"));
+    copy_dir(&config.data_dir, &crashed.data_dir);
+    let before = full_state(&engine);
+    engine.shutdown();
+    (crashed, before)
+}
+
+/// Per partition the chain holds six tables; each delta carries `a`,
+/// `feed`, `recent` and `pane` (written every round), and delta 2
+/// carries `b` as well.
+const CHAIN_TABLES: u64 = 6;
+const EVERY_ROUND_TABLES: u64 = 4;
+
+#[test]
+fn chain_restore_decodes_each_table_once_and_recovers_the_pre_crash_state() {
+    for mode in [RecoveryMode::Strong, RecoveryMode::Weak] {
+        let (crashed, before) = crash_after_base_and_four_deltas(mode);
+        let (recovered, report) = recover(crashed, chain_app()).unwrap();
+        // a (and the stream and the windows): decoded once, the four
+        // older images skipped; b: once, one skipped; c: once.
+        assert_eq!(report.table_images_decoded, 2 * CHAIN_TABLES, "{mode:?}");
+        assert_eq!(report.table_images_skipped, 2 * (4 * EVERY_ROUND_TABLES + 1), "{mode:?}");
+        assert!(report.records_replayed > 0, "{mode:?}: the tail replays");
+        let lifecycle = recovered.metrics().log_lifecycle();
+        assert_eq!(lifecycle.recovery_restore_ms, report.restore_ms);
+        assert_eq!(lifecycle.recovery_replay_ms, report.replay_ms);
+
+        // Index lookups and window contents, through SQL …
+        let mut seen = 0;
+        for p in 0..2 {
+            let hit = recovered.query(p, "SELECT v FROM a WHERE k = 3 AND ts = 43", vec![]).unwrap();
+            seen += hit.rows.len();
+            let by_v = recovered.query(p, "SELECT k FROM a WHERE v >= 500", vec![]).unwrap();
+            assert!(!by_v.rows.is_empty(), "{mode:?}: replayed tail rows are indexed");
+            let recent = recovered.query(p, "SELECT v FROM recent", vec![]).unwrap();
+            assert_eq!(recent.rows.len(), 4, "{mode:?}: tuple window holds its size");
+            let b = recovered.query(p, "SELECT v FROM b ORDER BY v", vec![]).unwrap();
+            assert_eq!(b.rows, vec![tuple![1i64], tuple![2i64]], "{mode:?}");
+            let c = recovered.query(p, "SELECT v FROM c", vec![]).unwrap();
+            assert_eq!(c.rows, vec![tuple![1i64]], "{mode:?}");
+        }
+        assert_eq!(seen, 1, "{mode:?}: key (3, 43) lives on exactly one partition");
+        // … and everything else (row ids, counters, staging, stream
+        // high marks), byte for byte.
+        assert_eq!(full_state(&recovered), before, "{mode:?}");
+        recovered.shutdown();
+    }
+}
+
+/// The manifest names base + four deltas, but delta 3's file is gone on
+/// one partition of two: resolution runs over the surviving prefix
+/// (base, delta 1, delta 2) on *both* partitions, and the log rebuilds
+/// the rest.
+#[test]
+fn torn_chain_resolves_over_the_surviving_prefix() {
+    for mode in [RecoveryMode::Strong, RecoveryMode::Weak] {
+        let (crashed, before) = crash_after_base_and_four_deltas(mode);
+        std::fs::remove_file(crashed.checkpoint_path(1, 4)).unwrap();
+        let (recovered, report) = recover(crashed, chain_app()).unwrap();
+        assert_eq!(report.table_images_decoded, 2 * CHAIN_TABLES, "{mode:?}");
+        assert_eq!(report.table_images_skipped, 2 * (2 * EVERY_ROUND_TABLES + 1), "{mode:?}");
+        assert_eq!(full_state(&recovered), before, "{mode:?}: converges by log replay");
+        recovered.shutdown();
+    }
+}
