@@ -8,7 +8,11 @@
 //! reports the `columnar_batches` metric, proving the fast path is
 //! actually wired into the ad-hoc read path (bench_smoke asserts it is
 //! non-zero). Results are equality-checked between executors on every
-//! case before timing counts.
+//! case before timing counts. A third stage times voter's two
+//! leaderboard-refresh SELECTs against a bare scan of the same rows, in
+//! one interleaved loop, and reports the ratios: what the output edge
+//! (grouping, ordering, limiting) costs on top of reading the rows is a
+//! property of the code, and bench_smoke bounds it.
 //!
 //! Usage: `cargo run --release -p sstore-bench --bin colscan [rows] [reps]`
 
@@ -116,6 +120,53 @@ fn engine_stage() -> (u64, usize) {
     (batches, queries)
 }
 
+/// Edge stage: voter's `fill_trend` and `fill_top` SELECTs over a
+/// 100-row window and a 500-row counts table, each beside a COUNT(*) that
+/// reads the same rows. Returns the four medians in µs, in the order
+/// (count over the window, trend, filtered count over the counts, top).
+fn edge_stage() -> [f64; 4] {
+    let rounds = 2000;
+    let mut c = Catalog::new();
+    let counts = c
+        .create_table(
+            "vote_counts",
+            TableKind::Base,
+            Schema::of(&[("contestant", DataType::Int), ("cnt", DataType::Int)]),
+        )
+        .unwrap();
+    for i in 0..500i64 {
+        counts.insert(Tuple::new(vec![Value::Int(i + 1), Value::Int(i * 7919 % 4001)])).unwrap();
+    }
+    let window = c
+        .create_table("w_trend", TableKind::Window, Schema::of(&[("contestant", DataType::Int)]))
+        .unwrap();
+    for i in 0..100i64 {
+        // Skewed like votes: about 60 distinct contestants in 100 rows.
+        window.insert(Tuple::new(vec![Value::Int(1 + (i * i * 31) % 97 % 500)])).unwrap();
+    }
+    let plans: Vec<BoundStatement> = [
+        "SELECT COUNT(*) FROM w_trend",
+        "SELECT 'trend', contestant, COUNT(*) FROM w_trend \
+         GROUP BY contestant ORDER BY COUNT(*) DESC, contestant LIMIT 3",
+        "SELECT COUNT(*) FROM vote_counts WHERE cnt > 2000",
+        "SELECT 'top', contestant, cnt FROM vote_counts ORDER BY cnt DESC, contestant LIMIT 3",
+    ]
+    .iter()
+    .map(|sql| Planner::new(&c).plan_sql(sql).unwrap())
+    .collect();
+    let mut us: [Vec<f64>; 4] = Default::default();
+    for round in 0..rounds + rounds / 10 {
+        for (samples, plan) in us.iter_mut().zip(&plans) {
+            let BoundStatement::Select(s) = plan else { unreachable!("all four are SELECTs") };
+            let t = time_us(|| run_select_columnar(&c, s, &[]).unwrap());
+            if round >= rounds / 10 {
+                samples.push(t);
+            }
+        }
+    }
+    us.map(median)
+}
+
 fn main() {
     let rows: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(100_000);
     let reps: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(9);
@@ -160,6 +211,17 @@ fn main() {
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"min_speedup\": {min_speedup:.2},");
     let _ = writeln!(json, "  \"group_min_speedup\": {group_min_speedup:.2},");
+
+    let [count_window, trend, count_filtered, top] = edge_stage();
+    let (trend_ratio, top_ratio) = (trend / count_window, top / count_filtered);
+    eprintln!(
+        "edge stage: trend {trend:.2}us = {trend_ratio:.1}x COUNT(*) over the window ({count_window:.2}us), \
+         top {top:.2}us = {top_ratio:.1}x a filtered COUNT(*) over the counts ({count_filtered:.2}us)"
+    );
+    let _ = writeln!(
+        json,
+        "  \"edge\": {{ \"count_window_us\": {count_window:.2}, \"trend_us\": {trend:.2}, \"trend_ratio\": {trend_ratio:.2}, \"count_filtered_us\": {count_filtered:.2}, \"top_us\": {top:.2}, \"top_ratio\": {top_ratio:.2} }},"
+    );
 
     let (batches, queries) = engine_stage();
     eprintln!("engine stage: {batches} columnar batches over {queries} ad-hoc SELECTs");

@@ -1032,6 +1032,12 @@ impl ExecutionEngine {
         Ok(self.catalog.table(name)?.len())
     }
 
+    /// Access-path counters of a table (how many equality lookups an
+    /// index answered, how many fell back to a scan).
+    pub fn table_stats(&self, name: &str) -> Result<&sstore_storage::stats::TableStats> {
+        Ok(self.catalog.table(name)?.stats())
+    }
+
     /// Pending (uncommitted-to-downstream) batches on a stream.
     pub fn stream_pending(&self, name: &str) -> Result<Vec<BatchId>> {
         let id = self.table_id(name)?;

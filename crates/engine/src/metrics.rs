@@ -324,15 +324,56 @@ pub struct EngineMetrics {
     pub restore_images_skipped: AtomicU64,
     /// Per-class queue-wait / execution / end-to-end histograms.
     pub latency: LatencyStats,
+    /// Per stored procedure, indexed by `ProcId`: executions and their
+    /// summed execution time, over all partitions (empty unless built
+    /// with [`EngineMetrics::for_procs`]).
+    procs: Vec<ProcStats>,
     /// Execution trace of committed TEs, recorded only when
     /// [`crate::config::EngineConfig::trace`] is on.
     pub trace: Mutex<Vec<TraceEvent>>,
+}
+
+/// One stored procedure's execution counters (relaxed, like the rest).
+#[derive(Debug)]
+struct ProcStats {
+    name: String,
+    count: AtomicU64,
+    exec_ns: AtomicU64,
 }
 
 impl EngineMetrics {
     /// Fresh zeroed metrics.
     pub fn new() -> Self {
         EngineMetrics::default()
+    }
+
+    /// Fresh zeroed metrics that also keep per-procedure execution
+    /// counters; `names` in `ProcId` (declaration) order.
+    pub fn for_procs(names: impl IntoIterator<Item = String>) -> Self {
+        let procs = names
+            .into_iter()
+            .map(|name| ProcStats { name, count: AtomicU64::new(0), exec_ns: AtomicU64::new(0) })
+            .collect();
+        EngineMetrics { procs, ..EngineMetrics::default() }
+    }
+
+    /// Records one execution of `proc` (dispatch to done, commit or
+    /// abort). Ad-hoc SQL has no procedure and is not recorded here.
+    #[inline]
+    pub fn record_proc(&self, proc: sstore_common::ProcId, exec: Duration) {
+        if let Some(p) = self.procs.get(proc.index()) {
+            p.count.fetch_add(1, Ordering::Relaxed);
+            p.exec_ns.fetch_add(exec.as_nanos() as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// `(name, executions, summed execution time in µs)` per stored
+    /// procedure, in declaration order.
+    pub fn proc_stats(&self) -> Vec<(String, u64, u64)> {
+        self.procs
+            .iter()
+            .map(|p| (p.name.clone(), Self::get(&p.count), Self::get(&p.exec_ns) / 1_000))
+            .collect()
     }
 
     /// Relaxed increment helper.
@@ -468,6 +509,10 @@ impl EngineMetrics {
         self.restore_images_decoded.store(0, Ordering::Relaxed);
         self.restore_images_skipped.store(0, Ordering::Relaxed);
         self.shed_by_origin.lock().clear();
+        for p in &self.procs {
+            p.count.store(0, Ordering::Relaxed);
+            p.exec_ns.store(0, Ordering::Relaxed);
+        }
         self.latency.clear();
         self.trace.lock().clear();
     }

@@ -806,6 +806,7 @@ impl PartitionRuntime {
         // request — keep them out of the latency histograms.
         if !replay {
             self.metrics.record_latency(class, admitted_at, dispatched_at, done_at);
+            self.metrics.record_proc(proc, done_at.saturating_duration_since(dispatched_at));
         }
         match outcome {
             Ok(out) => {

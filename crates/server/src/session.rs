@@ -222,6 +222,11 @@ impl Session<'_> {
         for (origin, n) in em.sheds_by_origin() {
             entries.push((format!("engine.shed.{origin}"), n));
         }
+        // Where a workflow's time goes, one stored procedure at a time.
+        for (name, count, exec_us) in em.proc_stats() {
+            entries.push((format!("engine.proc.{name}.count"), count));
+            entries.push((format!("engine.proc.{name}.exec_us"), exec_us));
+        }
         // Vectorized read path: batches processed (total and over
         // window extents), per-reason row-wise fallbacks, and the
         // ad-hoc plan cache — so "the fast path silently un-wired" is

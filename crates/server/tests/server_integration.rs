@@ -394,6 +394,12 @@ fn tenant_metrics_are_separated_at_the_edge() {
     // Engine-side view is present in the same response.
     assert!(get("engine.admission.p0.available") as usize <= 64);
     assert!(entries.iter().any(|(k, _)| k == "engine.class.border.count"));
+    // Per-procedure executions and time: eleven batches went through
+    // `absorb`, nothing called `note`, ad-hoc SQL is not a procedure.
+    assert_eq!(get("engine.proc.absorb.count"), 11);
+    assert!(get("engine.proc.absorb.exec_us") > 0);
+    assert_eq!(get("engine.proc.note.count"), 0);
+    assert_eq!(get("engine.proc.note.exec_us"), 0);
     // Both halves of recovery time, side by side (a fresh start: zero).
     assert_eq!(get("engine.recovery.replay_ms"), 0);
     assert_eq!(get("engine.recovery.restore_ms"), 0);

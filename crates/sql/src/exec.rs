@@ -8,20 +8,22 @@
 //! them back, which is exactly H-Store's semantics (a failed SQL
 //! statement aborts the surrounding transaction).
 //!
-//! Determinism: scans iterate in row-id order and grouping uses ordered
-//! maps, so identical inputs produce identical outputs — a prerequisite
-//! for command-log replay producing identical state (§3.2.5).
+//! Determinism: scans iterate in row-id order and the SELECT output edge
+//! (`edge.rs`, shared with the columnar executor; its module docs
+//! state the ordering contract) emits groups in ascending key order and
+//! breaks ORDER BY ties by arrival, so identical inputs produce identical
+//! outputs — a prerequisite for command-log replay producing identical
+//! state (§3.2.5).
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashSet};
 
 use sstore_common::hash::FxHashMap;
 
-use sstore_common::{Error, Result, RowId, TableId, Tuple, Value};
+use sstore_common::{Result, RowId, TableId, Tuple, Value};
 use sstore_storage::{Catalog, Table};
 
-use crate::ast::{AggFunc, SortOrder};
-use crate::expr::{AggSpec, BoundExpr, EvalCtx};
+use crate::edge::{Edge, Groups};
+use crate::expr::{BoundExpr, EvalCtx};
 use crate::plan::{Access, BoundScan, BoundSelect, BoundStatement};
 
 /// One physical mutation performed by a statement.
@@ -91,16 +93,22 @@ pub fn execute(
     match stmt {
         BoundStatement::Select(s) => run_select(catalog, s, params),
         BoundStatement::Insert(i) => {
-            let mut rows_to_insert: Vec<Vec<Value>> = Vec::new();
+            let mut rows_to_insert: Vec<Tuple> = Vec::new();
             let schema_arity = catalog.get(i.table).schema().arity();
             if let Some(sel) = &i.select {
-                let result = run_select_rows(catalog, sel, params)?;
-                for out in result {
-                    let mut full = vec![Value::Null; schema_arity];
-                    for (v, &pos) in out.into_values().into_iter().zip(&i.select_positions) {
-                        full[pos] = v;
-                    }
-                    rows_to_insert.push(full);
+                // A SELECT that fills every column in schema order has
+                // already built the row to insert.
+                let whole_row = i.select_positions.iter().copied().eq(0..schema_arity);
+                for out in run_select_rows(catalog, sel, params)? {
+                    rows_to_insert.push(if whole_row {
+                        out
+                    } else {
+                        let mut full = vec![Value::Null; schema_arity];
+                        for (v, &pos) in out.into_values().into_iter().zip(&i.select_positions) {
+                            full[pos] = v;
+                        }
+                        Tuple::new(full)
+                    });
                 }
             } else {
                 let ctx = EvalCtx { row: &[], params, aggs: &[] };
@@ -112,13 +120,13 @@ pub fn execute(
                             None => Value::Null,
                         });
                     }
-                    rows_to_insert.push(full);
+                    rows_to_insert.push(Tuple::new(full));
                 }
             }
             let table = catalog.get_mut(i.table);
             let mut n = 0;
-            for values in rows_to_insert {
-                let id = table.insert(Tuple::new(values))?;
+            for tuple in rows_to_insert {
+                let id = table.insert(tuple)?;
                 effects.push(Effect::Insert { table: i.table, row: id });
                 n += 1;
             }
@@ -256,7 +264,9 @@ pub fn run_select_rows(catalog: &Catalog, s: &BoundSelect, params: &[Value]) -> 
 
 /// The row-at-a-time SELECT pipeline. Public as the differential-test
 /// oracle for the columnar executor; normal callers go through
-/// [`run_select_rows`], which dispatches between the two.
+/// [`run_select_rows`], which dispatches between the two. Scan, joins and
+/// WHERE are its own; grouping, ORDER BY and LIMIT are `edge.rs`'s,
+/// fed a row at a time.
 pub fn run_select_rows_rowwise(
     catalog: &Catalog,
     s: &BoundSelect,
@@ -340,384 +350,41 @@ pub fn run_select_rows_rowwise(
         rows = kept;
     }
 
-    // 4. Aggregation or plain projection.
-    let mut out: Vec<(Vec<Value>, Tuple)> = Vec::new(); // (sort keys, output row)
+    // 4. The output edge: grouping, ordering, limiting (`crate::edge`).
+    let mut edge = Edge::new(s, params);
     if s.grouped {
-        let mut groups = Groups::new(&s.group_by);
+        let mut groups = Groups::new(s, rows.len());
+        let mut key = Vec::with_capacity(s.group_by.len());
         for row in &rows {
             let ctx = EvalCtx { row, params, aggs: &[] };
-            groups.feed_row(s, &ctx)?;
+            // A bare-column key is looked up in place: no clone on a hit.
+            let key: &[Value] = match s.group_by.as_slice() {
+                [BoundExpr::Column(c)] if *c < row.len() => std::slice::from_ref(&row[*c]),
+                exprs => {
+                    key.clear();
+                    for g in exprs {
+                        key.push(g.eval(&ctx)?);
+                    }
+                    &key
+                }
+            };
+            let slot = groups.slot_of(key);
+            groups.feed_row(slot, &ctx)?;
         }
-        finish_groups(groups, s, params, &mut out)?;
+        groups.finish(&mut edge)?;
     } else {
         for row in &rows {
-            let ctx = EvalCtx { row, params, aggs: &[] };
-            out.push(project_one(s, &ctx)?);
+            edge.offer_ctx(&EvalCtx { row, params, aggs: &[] }, Some(row))?;
         }
     }
-
-    // 5. ORDER BY + LIMIT.
-    Ok(sort_and_limit(out, s))
-}
-
-/// Ordered (deterministic) grouping state. The single-column key case is
-/// kept out of `Vec` keys: looking up a group costs no per-row key
-/// allocation, and for the common bare-column key no clone on group hits
-/// either — the key is cloned only when a new group is created.
-pub(crate) enum Groups {
-    /// Exactly one group-by expression.
-    Single(BTreeMap<Value, Vec<AggAcc>>),
-    /// Zero (implicit aggregation) or several group-by expressions.
-    Multi(BTreeMap<Vec<Value>, Vec<AggAcc>>),
-}
-
-impl Groups {
-    pub(crate) fn new(group_by: &[BoundExpr]) -> Groups {
-        if group_by.len() == 1 {
-            Groups::Single(BTreeMap::new())
-        } else {
-            Groups::Multi(BTreeMap::new())
-        }
-    }
-
-    /// Accumulates one input row into its group.
-    pub(crate) fn feed_row(&mut self, s: &BoundSelect, ctx: &EvalCtx<'_>) -> Result<()> {
-        let accs = match self {
-            Groups::Single(m) => {
-                if let BoundExpr::Column(c) = &s.group_by[0] {
-                    let key = ctx
-                        .row
-                        .get(*c)
-                        .ok_or_else(|| Error::Eval(format!("column index {c} out of range")))?;
-                    if !m.contains_key(key) {
-                        m.insert(key.clone(), new_accs(&s.aggs));
-                    }
-                    m.get_mut(key).expect("group just ensured")
-                } else {
-                    let key = s.group_by[0].eval(ctx)?;
-                    m.entry(key).or_insert_with(|| new_accs(&s.aggs))
-                }
-            }
-            Groups::Multi(m) => {
-                let mut key = Vec::with_capacity(s.group_by.len());
-                for g in &s.group_by {
-                    key.push(g.eval(ctx)?);
-                }
-                m.entry(key).or_insert_with(|| new_accs(&s.aggs))
-            }
-        };
-        for (acc, spec) in accs.iter_mut().zip(&s.aggs) {
-            acc.feed(spec, ctx)?;
-        }
-        Ok(())
-    }
-}
-
-fn new_accs(aggs: &[AggSpec]) -> Vec<AggAcc> {
-    aggs.iter().map(AggAcc::new).collect()
-}
-
-/// Finalizes every group: aggregate results, HAVING, projections, sort
-/// keys. `BTreeMap` iteration makes the output order deterministic
-/// (group keys ascending under [`Value::cmp_total`]) for both key
-/// layouts. Implicit aggregation over zero rows still yields one group.
-pub(crate) fn finish_groups(
-    groups: Groups,
-    s: &BoundSelect,
-    params: &[Value],
-    out: &mut Vec<(Vec<Value>, Tuple)>,
-) -> Result<()> {
-    match groups {
-        Groups::Single(m) => {
-            for (key, accs) in m {
-                finish_one(std::slice::from_ref(&key), accs, s, params, out)?;
-            }
-        }
-        Groups::Multi(mut m) => {
-            if m.is_empty() && s.group_by.is_empty() {
-                m.insert(Vec::new(), new_accs(&s.aggs));
-            }
-            for (key, accs) in m {
-                finish_one(&key, accs, s, params, out)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-fn finish_one(
-    key: &[Value],
-    accs: Vec<AggAcc>,
-    s: &BoundSelect,
-    params: &[Value],
-    out: &mut Vec<(Vec<Value>, Tuple)>,
-) -> Result<()> {
-    let agg_values: Vec<Value> =
-        accs.into_iter().zip(&s.aggs).map(|(acc, spec)| acc.finish_for(spec)).collect();
-    let ctx = EvalCtx { row: key, params, aggs: &agg_values };
-    if let Some(h) = &s.having {
-        if !h.eval_predicate(&ctx)? {
-            return Ok(());
-        }
-    }
-    out.push(project_one(s, &ctx)?);
-    Ok(())
-}
-
-/// Evaluates one output row: projections plus ORDER BY sort keys.
-pub(crate) fn project_one(s: &BoundSelect, ctx: &EvalCtx<'_>) -> Result<(Vec<Value>, Tuple)> {
-    let mut output = Vec::with_capacity(s.projections.len());
-    for p in &s.projections {
-        output.push(p.eval(ctx)?);
-    }
-    let mut sort_key = Vec::with_capacity(s.order_by.len());
-    for (e, _) in &s.order_by {
-        sort_key.push(e.eval(ctx)?);
-    }
-    Ok((sort_key, Tuple::new(output)))
-}
-
-/// ORDER BY (stable, so equal keys keep input order) + LIMIT. With both
-/// an ORDER BY and a LIMIT smaller than the input, a bounded heap
-/// ([`top_k`]) replaces the full sort; the two produce identical rows.
-pub(crate) fn sort_and_limit(out: Vec<(Vec<Value>, Tuple)>, s: &BoundSelect) -> Vec<Tuple> {
-    if s.order_by.is_empty() {
-        let mut rows_out: Vec<Tuple> = out.into_iter().map(|(_, t)| t).collect();
-        if let Some(limit) = s.limit {
-            rows_out.truncate(limit as usize);
-        }
-        return rows_out;
-    }
-    let dirs: Vec<SortOrder> = s.order_by.iter().map(|(_, d)| *d).collect();
-    match s.limit {
-        Some(k) if (k as usize) < out.len() => top_k(out, &dirs, k as usize),
-        _ => full_sort(out, &dirs, s.limit),
-    }
-}
-
-/// One ORDER BY key comparison under the per-key sort directions
-/// ([`Value::cmp_total`], so NULLs and NaNs are totally ordered).
-fn key_cmp(a: &[Value], b: &[Value], dirs: &[SortOrder]) -> std::cmp::Ordering {
-    for ((va, vb), dir) in a.iter().zip(b).zip(dirs) {
-        let ord = va.cmp_total(vb);
-        let ord = match dir {
-            SortOrder::Asc => ord,
-            SortOrder::Desc => ord.reverse(),
-        };
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-fn full_sort(mut out: Vec<(Vec<Value>, Tuple)>, dirs: &[SortOrder], limit: Option<u64>) -> Vec<Tuple> {
-    out.sort_by(|(a, _), (b, _)| key_cmp(a, b, dirs));
-    let mut rows_out: Vec<Tuple> = out.into_iter().map(|(_, t)| t).collect();
-    if let Some(limit) = limit {
-        rows_out.truncate(limit as usize);
-    }
-    rows_out
-}
-
-/// ORDER BY + LIMIT k with a bounded max-heap: keeps the k smallest
-/// entries under (sort key, input position), O(n log k) instead of
-/// O(n log n) and never holding more than k+1 entries' worth of heap.
-///
-/// Output-identical to the stable full sort + truncate: stable sort's
-/// order *is* the total order (key, then input position), so the first
-/// k rows of the stable sort are exactly the k smallest entries of that
-/// total order, emitted ascending.
-fn top_k(out: Vec<(Vec<Value>, Tuple)>, dirs: &[SortOrder], k: usize) -> Vec<Tuple> {
-    let mut tk = TopK::new(dirs, k);
-    for (key, tuple) in out {
-        tk.push_with(key, move || tuple);
-    }
-    tk.finish()
-}
-
-struct Entry<'d> {
-    key: Vec<Value>,
-    seq: usize,
-    tuple: Tuple,
-    dirs: &'d [SortOrder],
-}
-impl Ord for Entry<'_> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        key_cmp(&self.key, &other.key, self.dirs).then(self.seq.cmp(&other.seq))
-    }
-}
-impl PartialOrd for Entry<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl PartialEq for Entry<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for Entry<'_> {}
-
-/// Streaming form of [`top_k`], usable mid-scan: the caller offers each
-/// row's sort key and a closure that builds its output tuple, and the
-/// closure only runs when the row actually enters the current top K —
-/// rows that don't qualify never materialize their output. The sequence
-/// counter advances on every offer, so ties resolve exactly as the
-/// stable full sort would.
-pub(crate) struct TopK<'d> {
-    dirs: &'d [SortOrder],
-    k: usize,
-    seq: usize,
-    heap: std::collections::BinaryHeap<Entry<'d>>,
-}
-
-impl<'d> TopK<'d> {
-    pub(crate) fn new(dirs: &'d [SortOrder], k: usize) -> Self {
-        TopK { dirs, k, seq: 0, heap: std::collections::BinaryHeap::new() }
-    }
-
-    pub(crate) fn push_with(&mut self, key: Vec<Value>, tuple: impl FnOnce() -> Tuple) {
-        let seq = self.seq;
-        self.seq += 1;
-        if self.k == 0 {
-            return;
-        }
-        if self.heap.len() == self.k {
-            // Max-heap: the root is the current worst of the best k.
-            let worst = self.heap.peek().expect("non-empty heap");
-            if key_cmp(&key, &worst.key, self.dirs).then(seq.cmp(&worst.seq)).is_ge() {
-                return;
-            }
-            self.heap.pop();
-        }
-        self.heap.push(Entry { key, seq, tuple: tuple(), dirs: self.dirs });
-    }
-
-    pub(crate) fn finish(self) -> Vec<Tuple> {
-        self.heap.into_sorted_vec().into_iter().map(|e| e.tuple).collect()
-    }
-}
-
-/// Streaming aggregate accumulator. Fields are crate-visible so the
-/// vectorized executor's typed loops can accumulate into the same state
-/// the row path uses — both finish through [`AggAcc::finish_for`].
-#[derive(Debug)]
-pub(crate) struct AggAcc {
-    pub(crate) count: u64,
-    pub(crate) sum_i: i64,
-    pub(crate) sum_f: f64,
-    pub(crate) saw_float: bool,
-    pub(crate) min: Option<Value>,
-    pub(crate) max: Option<Value>,
-    pub(crate) distinct: Option<HashSet<Value>>,
-}
-
-impl AggAcc {
-    pub(crate) fn new(spec: &AggSpec) -> AggAcc {
-        AggAcc {
-            count: 0,
-            sum_i: 0,
-            sum_f: 0.0,
-            saw_float: false,
-            min: None,
-            max: None,
-            distinct: if spec.distinct { Some(HashSet::new()) } else { None },
-        }
-    }
-
-    pub(crate) fn feed(&mut self, spec: &AggSpec, ctx: &EvalCtx<'_>) -> Result<()> {
-        let v = match &spec.arg {
-            Some(e) => {
-                let v = e.eval(ctx)?;
-                if v.is_null() {
-                    return Ok(()); // SQL aggregates skip NULL inputs
-                }
-                v
-            }
-            None => {
-                // COUNT(*): count the row, no value needed.
-                self.count += 1;
-                return Ok(());
-            }
-        };
-        self.feed_value(spec, v)
-    }
-
-    /// Accumulates one already-evaluated, non-NULL argument value.
-    pub(crate) fn feed_value(&mut self, spec: &AggSpec, v: Value) -> Result<()> {
-        if let Some(seen) = &mut self.distinct {
-            if !seen.insert(v.clone()) {
-                return Ok(());
-            }
-        }
-        self.count += 1;
-        match spec.func {
-            AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => match &v {
-                Value::Int(i) => {
-                    self.sum_i = self.sum_i.checked_add(*i).ok_or_else(|| {
-                        Error::Eval("integer overflow in SUM".into())
-                    })?;
-                    self.sum_f += *i as f64;
-                }
-                Value::Float(f) => {
-                    self.saw_float = true;
-                    self.sum_f += f;
-                }
-                other => {
-                    return Err(Error::Eval(format!("SUM/AVG over non-numeric {other}")));
-                }
-            },
-            AggFunc::Min => {
-                if self.min.as_ref().is_none_or(|m| v.cmp_total(m).is_lt()) {
-                    self.min = Some(v);
-                }
-            }
-            AggFunc::Max => {
-                if self.max.as_ref().is_none_or(|m| v.cmp_total(m).is_gt()) {
-                    self.max = Some(v);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Finalizes the accumulator for the spec it was fed with.
-    /// SUM/AVG/MIN/MAX over zero (non-NULL) inputs yield NULL; COUNT
-    /// yields 0.
-    pub(crate) fn finish_for(self, spec: &AggSpec) -> Value {
-        match spec.func {
-            AggFunc::Count => Value::Int(self.count as i64),
-            AggFunc::Sum => {
-                if self.count == 0 {
-                    Value::Null
-                } else if self.saw_float {
-                    // Canonicalized NaN: the running sum's payload is
-                    // codegen-dependent once two NaNs meet.
-                    Value::float(self.sum_f)
-                } else {
-                    Value::Int(self.sum_i)
-                }
-            }
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::float(self.sum_f / self.count as f64)
-                }
-            }
-            AggFunc::Min => self.min.unwrap_or(Value::Null),
-            AggFunc::Max => self.max.unwrap_or(Value::Null),
-        }
-    }
+    edge.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::Planner;
-    use sstore_common::{tuple, DataType, Schema};
+    use sstore_common::{tuple, DataType, Error, Schema};
     use sstore_storage::index::IndexDef;
     use sstore_storage::{IndexKind, TableKind};
 
@@ -909,6 +576,32 @@ mod tests {
         assert_eq!(r.rows_affected, 3);
         assert_eq!(fx.len(), 3);
         assert_eq!(c.table("top").unwrap().len(), 3);
+        // A SELECT that fills every column in schema order is inserted
+        // as it stands; a partial or reordered column list is scattered
+        // into a full-width row, NULL elsewhere.
+        let whole = q(&mut c, "SELECT id, cnt FROM top ORDER BY id", &[]).rows;
+        assert_eq!(whole, vec![tuple![1i64, 3i64], tuple![2i64, 2i64], tuple![3i64, 1i64]]);
+        c.create_table(
+            "wide",
+            TableKind::Base,
+            Schema::new(vec![
+                sstore_common::Column::nullable("a", DataType::Int),
+                sstore_common::Column::nullable("b", DataType::Int),
+                sstore_common::Column::nullable("c", DataType::Int),
+            ])
+            .unwrap(),
+        )
+        .unwrap();
+        let r = q(&mut c, "INSERT INTO wide (c, a) SELECT id, cnt FROM top WHERE id < 3", &[]);
+        assert_eq!(r.rows_affected, 2);
+        let rows = q(&mut c, "SELECT a, b, c FROM wide ORDER BY c", &[]).rows;
+        assert_eq!(
+            rows,
+            vec![
+                Tuple::new(vec![Value::Int(3), Value::Null, Value::Int(1)]),
+                Tuple::new(vec![Value::Int(2), Value::Null, Value::Int(2)]),
+            ]
+        );
     }
 
     #[test]

@@ -26,14 +26,16 @@
 //! falling back to per-row [`expr::BoundExpr`] evaluation for shapes the
 //! fast paths don't cover. Joins, index point lookups, and every DML
 //! statement stay on the row executor. Results are bit-identical to the
-//! row path (same row-id scan order, same ordered grouping), so
-//! command-log replay is unaffected; set `SSTORE_NO_COLUMNAR=1` to
+//! row path (same row-id scan order, and one output edge — grouping,
+//! ORDER BY, LIMIT — shared by both), so command-log replay is
+//! unaffected; set `SSTORE_NO_COLUMNAR=1` to
 //! force the row path (used for before/after benchmarking).
 //!
 //! [`Catalog`]: sstore_storage::Catalog
 
 pub mod ast;
 pub mod batch;
+mod edge;
 pub mod exec;
 pub mod expr;
 pub mod lexer;

@@ -13,9 +13,10 @@
 //! replay must reproduce identical state, and the differential proptest
 //! in `tests/prop_columnar.rs` pins it):
 //!
-//! * scans walk the same row-id order, grouping uses the same ordered
-//!   [`Groups`] maps, and sorting/LIMIT share the row path's code, so
-//!   successful results are bit-identical;
+//! * scans walk the same row-id order, and grouping, ORDER BY and LIMIT
+//!   are the row path's own code — the output edge in `edge.rs`,
+//!   whose module docs state the ordering contract once for both
+//!   executors — so successful results are bit-identical;
 //! * predicate fast paths reproduce 3VL exactly, including Kleene
 //!   short-circuit *error* behavior: `AND`'s right side is only
 //!   evaluated where the left is not FALSE (`OR`: not TRUE), mirrored
@@ -35,17 +36,16 @@
 //!   column kernels — typed Int/Float arithmetic loops with the row
 //!   path's checked-overflow and division-error behavior, row-wise
 //!   fallback for everything else;
-//! * **hash group-by** ([`HashGroups`]): group keys are interned into
-//!   dense accumulator slots through a hash map during the scan (in
-//!   ascending row order, preserving float accumulation order), then
-//!   poured into the row path's ordered [`Groups`] maps at the output
-//!   edge, so HAVING, projection, and emission order are byte-for-byte
-//!   the row path's ([`Value`]'s `Hash` is consistent with its
-//!   `cmp_total`-based `Eq`, so the hash map merges exactly the keys the
-//!   BTreeMap would);
-//! * **top-K** lives in [`crate::exec::sort_and_limit`] (shared with the
-//!   row path): ORDER BY + LIMIT k keeps a bounded heap instead of
-//!   sorting everything.
+//! * **hash group-by**: a key pass (`intern_keys`) interns each
+//!   selected row's group key into a dense slot of the edge's
+//!   `Groups` (a single Int key as a raw `i64`), then one typed loop
+//!   per aggregate (`feed_aggs`) walks the batch's (row, slot) pairs
+//!   in ascending row order, preserving float accumulation order;
+//! * **top-K**: ORDER BY keys stay in the sort kernels' outputs and are
+//!   compared there against the worst row the edge still holds
+//!   (`VOut::cmp_at`); a row copies its keys out only when it is kept,
+//!   and its output is built from the scanned row when the scan ends,
+//!   if its projections cannot fail (`Edge::late`).
 //!
 //! The one intentional divergence: when several subexpressions would
 //! each raise a runtime error, batch-at-a-time evaluation may surface a
@@ -63,13 +63,14 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-use sstore_common::hash::FxHashMap;
-use sstore_common::{DataType, Error, Result, Tuple, Value};
+use sstore_common::{Column, DataType, Error, Result, Tuple, Value};
 use sstore_storage::{Catalog, TableKind};
 
-use crate::ast::{AggFunc, BinOp, SortOrder};
-use crate::batch::{self, Col, ColumnarBatch, FallbackReason, NullMask, SelVec, BATCH_CAPACITY};
-use crate::exec::{finish_groups, sort_and_limit, AggAcc, Groups, TopK};
+use crate::ast::{AggFunc, BinOp};
+use crate::batch::{
+    self, Col, ColI64, ColumnarBatch, FallbackReason, NullMask, SelVec, BATCH_CAPACITY,
+};
+use crate::edge::{extreme_of, offer_extreme, AccCol, Edge, Groups, Out, SortKeys};
 use crate::expr::{value_to_truth, AggSpec, BoundExpr, EvalCtx};
 use crate::plan::{Access, BoundSelect};
 
@@ -149,25 +150,25 @@ enum FastAgg<'s> {
     /// typed accumulation loops.
     NumCol(usize),
     /// Everything else: the argument runs through an expression kernel,
-    /// then per-selected-row [`AggAcc::feed_value`] (which also handles
+    /// then per-selected-row [`AccCol::feed`] (which also handles
     /// DISTINCT) — the same eval → NULL-skip → feed sequence as the row
-    /// path's [`AggAcc::feed`].
+    /// path's [`Groups::feed_row`].
     Generic(EKernel<'s>),
 }
 
-fn classify_agg<'s>(spec: &'s AggSpec, dtypes: &[DataType]) -> FastAgg<'s> {
+fn classify_agg<'s>(spec: &'s AggSpec, cols: &[Column]) -> FastAgg<'s> {
     match &spec.arg {
         None => FastAgg::CountStar,
-        Some(BoundExpr::Column(c)) if !spec.distinct && *c < dtypes.len() => match spec.func {
+        Some(BoundExpr::Column(c)) if !spec.distinct && *c < cols.len() => match spec.func {
             AggFunc::Count => FastAgg::CountCol(*c),
             AggFunc::Sum | AggFunc::Avg | AggFunc::Min | AggFunc::Max
-                if matches!(dtypes[*c], DataType::Int | DataType::Float) =>
+                if matches!(cols[*c].dtype, DataType::Int | DataType::Float) =>
             {
                 FastAgg::NumCol(*c)
             }
-            _ => FastAgg::Generic(compile_expr(spec.arg.as_ref().unwrap(), dtypes)),
+            _ => FastAgg::Generic(compile_expr(spec.arg.as_ref().unwrap(), cols)),
         },
-        Some(arg) => FastAgg::Generic(compile_expr(arg, dtypes)),
+        Some(arg) => FastAgg::Generic(compile_expr(arg, cols)),
     }
 }
 
@@ -179,9 +180,9 @@ pub fn run_select_columnar(
 ) -> Result<Vec<Tuple>> {
     let table = catalog.get(s.from.table);
     let windowed = table.kind() == TableKind::Window;
-    let dtypes: Vec<DataType> = table.schema().columns().iter().map(|c| c.dtype).collect();
+    let cols = table.schema().columns();
 
-    let pred = s.where_pred.as_ref().map(|p| compile_pred(p, &dtypes));
+    let pred = s.where_pred.as_ref().map(|p| compile_pred(p, cols));
 
     // Aggregate strategies; implicit aggregation (no GROUP BY) gets the
     // typed accumulators, grouped queries hash-intern keys per batch and
@@ -189,28 +190,34 @@ pub fn run_select_columnar(
     let implicit = s.grouped && s.group_by.is_empty();
     let grouped = s.grouped && !implicit;
     let fast_aggs: Vec<FastAgg> = if implicit {
-        s.aggs.iter().map(|a| classify_agg(a, &dtypes)).collect()
+        s.aggs.iter().map(|a| classify_agg(a, cols)).collect()
     } else {
         Vec::new()
     };
 
     // Grouped queries: kernels for the group keys and aggregate
     // arguments (`None` = COUNT(*)). Non-aggregate queries: kernels for
-    // the projections and sort keys. (A grouped query's projections and
-    // ORDER BY are bound against the group-key row + aggregate results,
-    // not table columns, so they must NOT be compiled here — they run in
-    // `finish_groups` exactly as on the row path.)
+    // the sort keys, and for the projections unless the edge builds
+    // output rows from the scanned row. (A grouped query's projections
+    // and ORDER BY are bound against the group-key row + aggregate
+    // results, not table columns, so they must NOT be compiled here —
+    // they run in `Groups::finish` exactly as on the row path.)
+    let mut edge = Edge::new(s, params);
+    let late = edge.late();
     let key_kernels: Vec<EKernel> =
-        if grouped { s.group_by.iter().map(|e| compile_expr(e, &dtypes)).collect() } else { Vec::new() };
+        if grouped { s.group_by.iter().map(|e| compile_expr(e, cols)).collect() } else { Vec::new() };
     let agg_kernels: Vec<Option<EKernel>> = if grouped {
-        s.aggs.iter().map(|a| a.arg.as_ref().map(|e| compile_expr(e, &dtypes))).collect()
+        s.aggs.iter().map(|a| a.arg.as_ref().map(|e| compile_expr(e, cols))).collect()
     } else {
         Vec::new()
     };
-    let proj_kernels: Vec<EKernel> =
-        if !s.grouped { s.projections.iter().map(|e| compile_expr(e, &dtypes)).collect() } else { Vec::new() };
+    let proj_kernels: Vec<EKernel> = if !s.grouped && !late {
+        s.projections.iter().map(|e| compile_expr(e, cols)).collect()
+    } else {
+        Vec::new()
+    };
     let sort_kernels: Vec<EKernel> = if !s.grouped {
-        s.order_by.iter().map(|(e, _)| compile_expr(e, &dtypes)).collect()
+        s.order_by.iter().map(|(e, _)| compile_expr(e, cols)).collect()
     } else {
         Vec::new()
     };
@@ -238,22 +245,18 @@ pub fn run_select_columnar(
     }
     wanted.sort_unstable();
     wanted.dedup();
+    let dtypes: Vec<DataType> =
+        if wanted.is_empty() { Vec::new() } else { cols.iter().map(|c| c.dtype).collect() };
 
-    let mut out: Vec<(Vec<Value>, Tuple)> = Vec::new();
-    let mut accs: Vec<AggAcc> = if implicit { s.aggs.iter().map(AggAcc::new).collect() } else { Vec::new() };
-    let mut hash_groups = if grouped { Some(HashGroups::new()) } else { None };
-    // ORDER BY + LIMIT without grouping: feed a bounded heap during the
-    // scan so rows outside the current top K never build their output
-    // tuple. Identical rows to sort_and_limit (same heap, same
-    // tie-stability sequence).
-    let dirs: Vec<SortOrder> = s.order_by.iter().map(|(_, d)| *d).collect();
-    let mut topk = match s.limit {
-        Some(k) if !s.grouped && !s.order_by.is_empty() => Some(TopK::new(&dirs, k as usize)),
-        _ => None,
-    };
+    let mut groups = Groups::new(s, table.len());
+    // Reused per batch: (row, slot) of every selected row, a key row
+    // being interned, the predicate's truth vector.
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    let mut key: Vec<Value> = Vec::new();
+    let mut truth: Vec<u8> = Vec::new();
 
     let mut cursor = table.scan_chunks();
-    let mut rows: Vec<&[Value]> = Vec::with_capacity(BATCH_CAPACITY);
+    let mut rows: Vec<&[Value]> = Vec::with_capacity(table.len().min(BATCH_CAPACITY));
     loop {
         rows.clear();
         if !cursor.next_chunk(BATCH_CAPACITY, &mut rows) {
@@ -268,29 +271,24 @@ pub fn run_select_columnar(
         // WHERE → selection bitmap.
         let mut sel = SelVec::all(rows.len());
         if let Some(p) = &pred {
-            let mut truth = vec![T_FALSE; rows.len()];
+            truth.clear();
+            truth.resize(rows.len(), T_FALSE);
             eval_pred(p, &b, &rows, params, &sel, &mut truth)?;
-            let mut filtered = SelVec::none(rows.len());
-            for i in sel.iter_ones() {
-                if truth[i] == T_TRUE {
-                    filtered.set(i);
+            for (i, t) in truth.iter().enumerate() {
+                if *t != T_TRUE {
+                    sel.clear(i);
                 }
             }
-            sel = filtered;
         }
 
         if implicit {
             let selected = sel.count() as u64;
-            for ((acc, spec), fa) in accs.iter_mut().zip(&s.aggs).zip(&fast_aggs) {
+            for ((acc, spec), fa) in groups.accs.iter_mut().zip(&s.aggs).zip(&fast_aggs) {
                 match fa {
-                    FastAgg::CountStar => acc.count += selected,
+                    FastAgg::CountStar => acc.counts()[0] += selected,
                     FastAgg::CountCol(c) => {
                         let col = b.col(*c).expect("count column materialized");
-                        for i in sel.iter_ones() {
-                            if !col.is_null(i) {
-                                acc.count += 1;
-                            }
-                        }
+                        acc.counts()[0] += sel.iter_ones().filter(|&i| !col.is_null(i)).count() as u64;
                     }
                     FastAgg::NumCol(c) => {
                         let col = b.col(*c).expect("agg column materialized");
@@ -302,14 +300,14 @@ pub fn run_select_columnar(
                             for i in sel.iter_ones() {
                                 let v = arg.value_at(i);
                                 if !v.is_null() {
-                                    acc.feed_value(spec, v)?;
+                                    acc.feed(spec.func, 0, v)?;
                                 }
                             }
                         }
                     }
                 }
             }
-        } else if let Some(g) = &mut hash_groups {
+        } else if grouped {
             if sel.any() {
                 let kouts: Vec<VOut> = key_kernels
                     .iter()
@@ -319,7 +317,8 @@ pub fn run_select_columnar(
                     .iter()
                     .map(|ok| ok.as_ref().map(|k| eval_kernel(k, &b, &rows, params, &sel)).transpose())
                     .collect::<Result<_>>()?;
-                g.feed_batch(&s.aggs, &kouts, &aouts, &sel)?;
+                intern_keys(&mut groups, &kouts, &sel, &mut key, &mut pairs);
+                feed_aggs(&mut groups.accs, &s.aggs, &aouts, &pairs)?;
             }
         } else if sel.any() {
             let pouts: Vec<VOut> = proj_kernels
@@ -330,143 +329,68 @@ pub fn run_select_columnar(
                 .iter()
                 .map(|k| eval_kernel(k, &b, &rows, params, &sel))
                 .collect::<Result<_>>()?;
-            if let Some(tk) = &mut topk {
-                for i in sel.iter_ones() {
-                    let sort_key: Vec<Value> = souts.iter().map(|o| o.value_at(i)).collect();
-                    tk.push_with(sort_key, || {
-                        Tuple::new(pouts.iter().map(|o| o.value_at(i)).collect::<Vec<_>>())
-                    });
-                }
-            } else {
-                for i in sel.iter_ones() {
-                    let sort_key: Vec<Value> = souts.iter().map(|o| o.value_at(i)).collect();
-                    let tuple = Tuple::new(pouts.iter().map(|o| o.value_at(i)).collect::<Vec<_>>());
-                    out.push((sort_key, tuple));
-                }
+            // Sort keys are compared where the kernels left them; a row
+            // copies them out, and builds its output, only if it is kept.
+            for i in sel.iter_ones() {
+                edge.offer(&KeysAt { outs: &souts, i }, || {
+                    Ok(if late {
+                        Out::Row(rows[i])
+                    } else {
+                        Out::Built(Tuple::new(pouts.iter().map(|o| o.value_at(i)).collect()))
+                    })
+                })?;
             }
         }
     }
 
-    if let Some(tk) = topk {
-        return Ok(tk.finish());
+    if s.grouped {
+        groups.finish(&mut edge)?;
     }
-    if implicit {
-        let mut m = std::collections::BTreeMap::new();
-        m.insert(Vec::new(), accs);
-        finish_groups(Groups::Multi(m), s, params, &mut out)?;
-    } else if let Some(g) = hash_groups {
-        finish_groups(g.into_groups(s.group_by.len()), s, params, &mut out)?;
-    }
-    Ok(sort_and_limit(out, s))
+    edge.finish()
 }
 
 /// Typed SUM/AVG/MIN/MAX accumulation over the selected rows of an
-/// Int/Float column. Iteration is in ascending row order, so float sums
-/// and integer-overflow points match the row path exactly.
-fn accumulate_num(acc: &mut AggAcc, func: AggFunc, col: &Col, sel: &SelVec) -> Result<()> {
-    match col {
-        Col::I64(c) => match func {
-            AggFunc::Sum | AggFunc::Avg => {
-                for i in sel.iter_ones() {
-                    if c.nulls.get(i) {
-                        continue;
-                    }
-                    let v = c.values[i];
-                    acc.count += 1;
-                    acc.sum_i = acc
-                        .sum_i
-                        .checked_add(v)
-                        .ok_or_else(|| Error::Eval("integer overflow in SUM".into()))?;
-                    acc.sum_f += v as f64;
+/// Int/Float column into slot 0 (implicit aggregation). Iteration is in
+/// ascending row order, so float sums and integer-overflow points match
+/// the row path exactly.
+fn accumulate_num(acc: &mut AccCol, func: AggFunc, col: &Col, sel: &SelVec) -> Result<()> {
+    let want = extreme_of(func);
+    match (col, func) {
+        (_, AggFunc::Count) => unreachable!("COUNT(col) classified as CountCol"),
+        (Col::I64(c), AggFunc::Sum | AggFunc::Avg) => {
+            let sum = &mut acc.sums()[0];
+            for i in sel.iter_ones().filter(|&i| !c.nulls.get(i)) {
+                sum.add_int(c.values[i])?;
+            }
+        }
+        (Col::F64(c), AggFunc::Sum | AggFunc::Avg) => {
+            let sum = &mut acc.sums()[0];
+            for i in sel.iter_ones().filter(|&i| !c.nulls.get(i)) {
+                sum.add_float(c.values[i]);
+            }
+        }
+        (Col::I64(c), AggFunc::Min | AggFunc::Max) => {
+            let mut best: Option<i64> = None;
+            for i in sel.iter_ones().filter(|&i| !c.nulls.get(i)) {
+                if best.is_none_or(|b| c.values[i].cmp(&b) == want) {
+                    best = Some(c.values[i]);
                 }
             }
-            AggFunc::Min => {
-                let mut best: Option<i64> = None;
-                for i in sel.iter_ones() {
-                    if c.nulls.get(i) {
-                        continue;
-                    }
-                    let v = c.values[i];
-                    if best.is_none_or(|b| v < b) {
-                        best = Some(v);
-                    }
-                }
-                if let Some(v) = best {
-                    let v = Value::Int(v);
-                    if acc.min.as_ref().is_none_or(|m| v.cmp_total(m).is_lt()) {
-                        acc.min = Some(v);
-                    }
+            if let Some(v) = best {
+                offer_extreme(&mut acc.extremes()[0], Value::Int(v), want);
+            }
+        }
+        (Col::F64(c), AggFunc::Min | AggFunc::Max) => {
+            let mut best: Option<f64> = None;
+            for i in sel.iter_ones().filter(|&i| !c.nulls.get(i)) {
+                if best.is_none_or(|b| c.values[i].total_cmp(&b) == want) {
+                    best = Some(c.values[i]);
                 }
             }
-            AggFunc::Max => {
-                let mut best: Option<i64> = None;
-                for i in sel.iter_ones() {
-                    if c.nulls.get(i) {
-                        continue;
-                    }
-                    let v = c.values[i];
-                    if best.is_none_or(|b| v > b) {
-                        best = Some(v);
-                    }
-                }
-                if let Some(v) = best {
-                    let v = Value::Int(v);
-                    if acc.max.as_ref().is_none_or(|m| v.cmp_total(m).is_gt()) {
-                        acc.max = Some(v);
-                    }
-                }
+            if let Some(v) = best {
+                offer_extreme(&mut acc.extremes()[0], Value::Float(v), want);
             }
-            AggFunc::Count => unreachable!("COUNT(col) classified as CountCol"),
-        },
-        Col::F64(c) => match func {
-            AggFunc::Sum | AggFunc::Avg => {
-                for i in sel.iter_ones() {
-                    if c.nulls.get(i) {
-                        continue;
-                    }
-                    acc.count += 1;
-                    acc.saw_float = true;
-                    acc.sum_f += c.values[i];
-                }
-            }
-            AggFunc::Min => {
-                let mut best: Option<f64> = None;
-                for i in sel.iter_ones() {
-                    if c.nulls.get(i) {
-                        continue;
-                    }
-                    let v = c.values[i];
-                    if best.is_none_or(|b| v.total_cmp(&b).is_lt()) {
-                        best = Some(v);
-                    }
-                }
-                if let Some(v) = best {
-                    let v = Value::Float(v);
-                    if acc.min.as_ref().is_none_or(|m| v.cmp_total(m).is_lt()) {
-                        acc.min = Some(v);
-                    }
-                }
-            }
-            AggFunc::Max => {
-                let mut best: Option<f64> = None;
-                for i in sel.iter_ones() {
-                    if c.nulls.get(i) {
-                        continue;
-                    }
-                    let v = c.values[i];
-                    if best.is_none_or(|b| v.total_cmp(&b).is_gt()) {
-                        best = Some(v);
-                    }
-                }
-                if let Some(v) = best {
-                    let v = Value::Float(v);
-                    if acc.max.as_ref().is_none_or(|m| v.cmp_total(m).is_gt()) {
-                        acc.max = Some(v);
-                    }
-                }
-            }
-            AggFunc::Count => unreachable!("COUNT(col) classified as CountCol"),
-        },
+        }
         _ => unreachable!("NumCol only classified for Int/Float columns"),
     }
     Ok(())
@@ -513,23 +437,23 @@ fn canonicalize_nan(f: f64) -> f64 {
     }
 }
 
-fn compile_expr<'s>(e: &'s BoundExpr, dtypes: &[DataType]) -> EKernel<'s> {
+fn compile_expr<'s>(e: &'s BoundExpr, cols: &[Column]) -> EKernel<'s> {
     if e.is_row_independent() {
         return EKernel::Const(e);
     }
     match e {
-        BoundExpr::Column(c) if *c < dtypes.len() => EKernel::Col(*c),
+        BoundExpr::Column(c) if *c < cols.len() => EKernel::Col(*c),
         BoundExpr::Binary { op, lhs, rhs } if is_arith(*op) => EKernel::Arith {
             op: *op,
-            lhs: Box::new(compile_expr(lhs, dtypes)),
-            rhs: Box::new(compile_expr(rhs, dtypes)),
+            lhs: Box::new(compile_expr(lhs, cols)),
+            rhs: Box::new(compile_expr(rhs, cols)),
             expr: e,
         },
         BoundExpr::Neg(inner) => {
-            EKernel::Unary { abs: false, inner: Box::new(compile_expr(inner, dtypes)), expr: e }
+            EKernel::Unary { abs: false, inner: Box::new(compile_expr(inner, cols)), expr: e }
         }
         BoundExpr::Abs(inner) => {
-            EKernel::Unary { abs: true, inner: Box::new(compile_expr(inner, dtypes)), expr: e }
+            EKernel::Unary { abs: true, inner: Box::new(compile_expr(inner, cols)), expr: e }
         }
         _ => EKernel::RowWise(e),
     }
@@ -582,6 +506,44 @@ impl VOut<'_> {
             VOut::Scalar(v) => v.clone(),
             VOut::Vals(v) => v[i].clone(),
         }
+    }
+
+    /// `self.value_at(i).cmp_total(other)`, typed where both sides are:
+    /// no text value is built, and Int against Int is an integer compare.
+    #[inline]
+    fn cmp_at(&self, i: usize, other: &Value) -> std::cmp::Ordering {
+        match (self, other) {
+            (VOut::Borrowed(Col::I64(c)), Value::Int(x)) if !c.nulls.get(i) => c.values[i].cmp(x),
+            (VOut::Ints(v, n), Value::Int(x)) if !n.get(i) => v[i].cmp(x),
+            (VOut::Borrowed(Col::Str(c)), Value::Text(t)) if !c.nulls.get(i) => {
+                c.values[i].as_str().cmp(t)
+            }
+            // Text against anything else orders by type rank alone.
+            (VOut::Borrowed(Col::Str(c)), _) if !c.nulls.get(i) => {
+                Value::Text(String::new()).cmp_total(other)
+            }
+            (VOut::Scalar(v), _) => v.cmp_total(other),
+            (VOut::Vals(v), _) => v[i].cmp_total(other),
+            // Floats, booleans, NULLs and mixed numerics cost nothing
+            // to build.
+            _ => self.value_at(i).cmp_total(other),
+        }
+    }
+}
+
+/// Row `i`'s ORDER BY keys, read from the sort kernels' outputs.
+struct KeysAt<'a, 'b> {
+    outs: &'a [VOut<'b>],
+    i: usize,
+}
+
+impl SortKeys for KeysAt<'_, '_> {
+    #[inline]
+    fn cmp_key(&self, j: usize, kept: &Value) -> std::cmp::Ordering {
+        self.outs[j].cmp_at(self.i, kept)
+    }
+    fn key(&self, j: usize) -> Value {
+        self.outs[j].value_at(self.i)
     }
 }
 
@@ -829,332 +791,122 @@ fn arith_float<'a>(
 // Hash group-by
 // ----------------------------------------------------------------------
 
-/// Group-key interning map. The variant is chosen on first use from the
-/// key kernel's output kind and never changes: a kernel's output kind
-/// depends only on column dtypes and statement constants, both fixed
-/// for the statement's lifetime, so every batch takes the same arm (the
-/// `unreachable!`s below enforce it).
-enum KeyMap {
-    Unset,
-    /// Single Int-typed key: raw `i64` hashing, NULL key in its own
-    /// slot.
-    Int { map: FxHashMap<i64, usize>, null_slot: Option<usize> },
-    /// Single key of any other kind. [`Value`]'s `Hash` is consistent
-    /// with its `cmp_total`-based `Eq` (`Int(1) == Float(1.0)`, both
-    /// hash as the same f64 bits), so this map merges exactly the keys
-    /// the row path's BTreeMap merges.
-    Single(FxHashMap<Value, usize>),
-    /// Several group-by expressions.
-    Multi(FxHashMap<Vec<Value>, usize>),
-}
-
-/// Hash-based GROUP BY accumulation. Keys are interned into dense slots
-/// during the scan; aggregates accumulate per slot in ascending row
-/// order (so float sums and overflow points match the row path); at the
-/// output edge the slots pour into the row path's ordered [`Groups`]
-/// maps, making HAVING, projection, and emission order byte-for-byte
-/// the row path's. Like the row path, the *first-seen* key value is the
-/// group's representative (`Int(1)` then `Float(1.0)` keeps `Int(1)`).
-struct HashGroups {
-    map: KeyMap,
-    /// Interned key per slot (single-key queries use `keys[slot][0]`).
-    keys: Vec<Vec<Value>>,
-    accs: Vec<Vec<AggAcc>>,
-    /// Reused multi-key probe buffer; cloned only on new-group insert.
-    scratch: Vec<Value>,
-    /// Reused per-batch (row, slot) pairs: the key pass interns every
-    /// selected row's group, then the aggregate pass runs one typed loop
-    /// per aggregate over these pairs (column-at-a-time accumulation).
-    pairs: Vec<(u32, u32)>,
-}
-
-impl HashGroups {
-    fn new() -> Self {
-        HashGroups {
-            map: KeyMap::Unset,
-            keys: Vec::new(),
-            accs: Vec::new(),
-            scratch: Vec::new(),
-            pairs: Vec::new(),
+/// The key pass of hash GROUP BY: interns every selected row's group key
+/// ([`Groups`]: dense slots, first-seen key kept) and leaves one
+/// (row, slot) pair per row in `pairs`, in ascending row order. A single
+/// Int-typed key hashes as a raw `i64`; anything else as a key row built
+/// in the reused `key` buffer. Which of the two a statement takes depends
+/// only on column dtypes and statement constants, so it never changes
+/// between batches ([`Groups::finish`] asserts it).
+fn intern_keys(
+    groups: &mut Groups<'_>,
+    kouts: &[VOut<'_>],
+    sel: &SelVec,
+    key: &mut Vec<Value>,
+    pairs: &mut Vec<(u32, u32)>,
+) {
+    pairs.clear();
+    if let [VOut::Ints(kv, kn)] | [VOut::Borrowed(Col::I64(ColI64 { values: kv, nulls: kn }))] = kouts
+    {
+        for i in sel.iter_ones() {
+            let slot = groups.slot_of_int((!kn.get(i)).then(|| kv[i]));
+            pairs.push((i as u32, slot as u32));
         }
+        return;
     }
-
-    fn new_slot(keys: &mut Vec<Vec<Value>>, accs: &mut Vec<Vec<AggAcc>>, key: Vec<Value>, aggs: &[AggSpec]) -> usize {
-        let slot = keys.len();
-        keys.push(key);
-        accs.push(aggs.iter().map(AggAcc::new).collect());
-        slot
-    }
-
-    fn feed_batch(
-        &mut self,
-        aggs: &[AggSpec],
-        kouts: &[VOut<'_>],
-        aouts: &[Option<VOut<'_>>],
-        sel: &SelVec,
-    ) -> Result<()> {
-        self.pairs.clear();
-        if kouts.len() == 1 {
-            if let Some((kv, kn)) = int_key_view(&kouts[0]) {
-                if matches!(self.map, KeyMap::Unset) {
-                    self.map = KeyMap::Int { map: FxHashMap::default(), null_slot: None };
-                }
-                let KeyMap::Int { map, null_slot } = &mut self.map else {
-                    unreachable!("group-key kernel changed output kind across batches")
-                };
-                for i in sel.iter_ones() {
-                    let slot = if kn.get(i) {
-                        *null_slot.get_or_insert_with(|| {
-                            Self::new_slot(&mut self.keys, &mut self.accs, vec![Value::Null], aggs)
-                        })
-                    } else {
-                        let k = kv[i];
-                        match map.get(&k) {
-                            Some(&slot) => slot,
-                            None => {
-                                let slot = Self::new_slot(
-                                    &mut self.keys,
-                                    &mut self.accs,
-                                    vec![Value::Int(k)],
-                                    aggs,
-                                );
-                                map.insert(k, slot);
-                                slot
-                            }
-                        }
-                    };
-                    self.pairs.push((i as u32, slot as u32));
-                }
-            } else {
-                if matches!(self.map, KeyMap::Unset) {
-                    self.map = KeyMap::Single(FxHashMap::default());
-                }
-                let KeyMap::Single(map) = &mut self.map else {
-                    unreachable!("group-key kernel changed output kind across batches")
-                };
-                for i in sel.iter_ones() {
-                    let key = kouts[0].value_at(i);
-                    let slot = match map.get(&key) {
-                        Some(&slot) => slot,
-                        None => {
-                            let slot = Self::new_slot(
-                                &mut self.keys,
-                                &mut self.accs,
-                                vec![key.clone()],
-                                aggs,
-                            );
-                            map.insert(key, slot);
-                            slot
-                        }
-                    };
-                    self.pairs.push((i as u32, slot as u32));
-                }
-            }
-        } else {
-            if matches!(self.map, KeyMap::Unset) {
-                self.map = KeyMap::Multi(FxHashMap::default());
-            }
-            let KeyMap::Multi(map) = &mut self.map else {
-                unreachable!("multi-key query with single-key map")
-            };
-            for i in sel.iter_ones() {
-                self.scratch.clear();
-                for k in kouts {
-                    self.scratch.push(k.value_at(i));
-                }
-                let slot = match map.get(self.scratch.as_slice()) {
-                    Some(&slot) => slot,
-                    None => {
-                        let slot = Self::new_slot(
-                            &mut self.keys,
-                            &mut self.accs,
-                            self.scratch.clone(),
-                            aggs,
-                        );
-                        map.insert(self.scratch.clone(), slot);
-                        slot
-                    }
-                };
-                self.pairs.push((i as u32, slot as u32));
-            }
-        }
-        feed_aggs(&mut self.accs, aggs, aouts, &self.pairs)
-    }
-
-    /// Pours the hash slots into the row path's ordered maps. Slot
-    /// order is first-seen order; the BTreeMap re-establishes the
-    /// ascending `cmp_total` emission order. Keys are unique by
-    /// construction (the hash map interned them under the same `Eq`),
-    /// so no insert overwrites.
-    fn into_groups(self, group_by_len: usize) -> Groups {
-        if group_by_len == 1 {
-            Groups::Single(
-                self.keys
-                    .into_iter()
-                    .zip(self.accs)
-                    .map(|(mut k, a)| (k.pop().expect("single-key slot"), a))
-                    .collect(),
-            )
-        } else {
-            Groups::Multi(self.keys.into_iter().zip(self.accs).collect())
-        }
-    }
-}
-
-/// Int-typed view of a single group-key output, if it has one.
-fn int_key_view<'v>(out: &'v VOut<'_>) -> Option<(&'v [i64], &'v NullMask)> {
-    match out {
-        VOut::Ints(v, n) => Some((v, n)),
-        VOut::Borrowed(Col::I64(c)) => Some((&c.values, &c.nulls)),
-        _ => None,
+    for i in sel.iter_ones() {
+        key.clear();
+        key.extend(kouts.iter().map(|k| k.value_at(i)));
+        pairs.push((i as u32, groups.slot_of(key) as u32));
     }
 }
 
 /// Column-at-a-time aggregate accumulation: one pass over the batch's
 /// (row, slot) pairs per aggregate, in ascending row order (so float
 /// sums and integer-overflow points per group match the row path
-/// exactly). Numeric argument kernels feed typed loops straight into
-/// the accumulator fields [`AggAcc::feed_value`] would update; anything
-/// else goes through `feed_value` itself. The only observable
-/// difference from the row path's row-at-a-time feed is *which* of
-/// several erroring (row, aggregate) pairs surfaces its error within a
-/// batch — error presence always matches, since both paths touch the
-/// same pairs up to the first error.
+/// exactly). Numeric argument kernels feed typed loops straight into the
+/// aggregate's accumulator vector; anything else goes through
+/// [`AccCol::feed`]. The only observable difference from the row path's
+/// row-at-a-time feed is *which* of several erroring (row, aggregate)
+/// pairs surfaces its error within a batch — error presence always
+/// matches, since both paths touch the same pairs up to the first error.
 fn feed_aggs(
-    accs: &mut [Vec<AggAcc>],
+    accs: &mut [AccCol],
     aggs: &[AggSpec],
     aouts: &[Option<VOut<'_>>],
     pairs: &[(u32, u32)],
 ) -> Result<()> {
-    for (j, (spec, out)) in aggs.iter().zip(aouts).enumerate() {
+    for ((acc, spec), out) in accs.iter_mut().zip(aggs).zip(aouts) {
         let Some(o) = out else {
             // COUNT(*): count the row, no value needed.
+            let counts = acc.counts();
             for &(_, slot) in pairs {
-                accs[slot as usize][j].count += 1;
+                counts[slot as usize] += 1;
             }
             continue;
         };
         let side = if spec.distinct { None } else { num_side(o) };
-        match side {
+        match (side, spec.func) {
             // NULL argument: SQL aggregates skip every row.
-            Some(NumSide::ConstNull) => {}
-            Some(side) if side.is_int() => match spec.func {
-                AggFunc::Count => {
-                    for &(i, slot) in pairs {
-                        if side.int_at(i as usize).is_some() {
-                            accs[slot as usize][j].count += 1;
-                        }
-                    }
+            (Some(NumSide::ConstNull), _) => {}
+            (Some(side), AggFunc::Count) => {
+                let counts = acc.counts();
+                for &(i, slot) in pairs {
+                    counts[slot as usize] += u64::from(side.f64_at(i as usize).is_some());
                 }
-                AggFunc::Sum | AggFunc::Avg => {
-                    for &(i, slot) in pairs {
-                        if let Some(v) = side.int_at(i as usize) {
-                            let acc = &mut accs[slot as usize][j];
-                            acc.count += 1;
-                            acc.sum_i = acc
-                                .sum_i
-                                .checked_add(v)
-                                .ok_or_else(|| Error::Eval("integer overflow in SUM".into()))?;
-                            acc.sum_f += v as f64;
-                        }
-                    }
-                }
-                AggFunc::Min => {
+            }
+            (Some(side), AggFunc::Sum | AggFunc::Avg) => {
+                let sums = acc.sums();
+                if side.is_int() {
                     for &(i, slot) in pairs {
                         if let Some(v) = side.int_at(i as usize) {
-                            let acc = &mut accs[slot as usize][j];
-                            acc.count += 1;
-                            match &mut acc.min {
-                                Some(Value::Int(m)) => {
-                                    if v < *m {
-                                        *m = v;
-                                    }
-                                }
-                                None => acc.min = Some(Value::Int(v)),
-                                _ => unreachable!("int aggregate column fed non-int minimum"),
-                            }
+                            sums[slot as usize].add_int(v)?;
                         }
                     }
-                }
-                AggFunc::Max => {
-                    for &(i, slot) in pairs {
-                        if let Some(v) = side.int_at(i as usize) {
-                            let acc = &mut accs[slot as usize][j];
-                            acc.count += 1;
-                            match &mut acc.max {
-                                Some(Value::Int(m)) => {
-                                    if v > *m {
-                                        *m = v;
-                                    }
-                                }
-                                None => acc.max = Some(Value::Int(v)),
-                                _ => unreachable!("int aggregate column fed non-int maximum"),
-                            }
-                        }
-                    }
-                }
-            },
-            Some(side) => match spec.func {
-                AggFunc::Count => {
-                    for &(i, slot) in pairs {
-                        if side.f64_at(i as usize).is_some() {
-                            accs[slot as usize][j].count += 1;
-                        }
-                    }
-                }
-                AggFunc::Sum | AggFunc::Avg => {
+                } else {
                     for &(i, slot) in pairs {
                         if let Some(v) = side.f64_at(i as usize) {
-                            let acc = &mut accs[slot as usize][j];
-                            acc.count += 1;
-                            acc.saw_float = true;
-                            acc.sum_f += v;
+                            sums[slot as usize].add_float(v);
                         }
                     }
                 }
-                AggFunc::Min => {
-                    for &(i, slot) in pairs {
-                        if let Some(v) = side.f64_at(i as usize) {
-                            let acc = &mut accs[slot as usize][j];
-                            acc.count += 1;
-                            match &mut acc.min {
-                                Some(Value::Float(m)) => {
-                                    if v.total_cmp(m).is_lt() {
-                                        *m = v;
-                                    }
+            }
+            // The running extreme of a typed column is compared in place;
+            // `offer_extreme` only sees a slot's first value.
+            (Some(side), AggFunc::Min | AggFunc::Max) => {
+                let (best, want) = (acc.extremes(), extreme_of(spec.func));
+                for &(i, slot) in pairs {
+                    let best = &mut best[slot as usize];
+                    if side.is_int() {
+                        match (side.int_at(i as usize), &mut *best) {
+                            (Some(v), Some(Value::Int(m))) => {
+                                if v.cmp(m) == want {
+                                    *m = v;
                                 }
-                                None => acc.min = Some(Value::Float(v)),
-                                _ => unreachable!("float aggregate column fed non-float minimum"),
                             }
+                            (Some(v), _) => offer_extreme(best, Value::Int(v), want),
+                            (None, _) => {}
                         }
-                    }
-                }
-                AggFunc::Max => {
-                    for &(i, slot) in pairs {
-                        if let Some(v) = side.f64_at(i as usize) {
-                            let acc = &mut accs[slot as usize][j];
-                            acc.count += 1;
-                            match &mut acc.max {
-                                Some(Value::Float(m)) => {
-                                    if v.total_cmp(m).is_gt() {
-                                        *m = v;
-                                    }
+                    } else {
+                        match (side.f64_at(i as usize), &mut *best) {
+                            (Some(v), Some(Value::Float(m))) => {
+                                if v.total_cmp(m) == want {
+                                    *m = v;
                                 }
-                                None => acc.max = Some(Value::Float(v)),
-                                _ => unreachable!("float aggregate column fed non-float maximum"),
                             }
+                            (Some(v), _) => offer_extreme(best, Value::Float(v), want),
+                            (None, _) => {}
                         }
                     }
                 }
-            },
+            }
             // DISTINCT, text/bool columns, row-wise fallback outputs:
-            // the same eval → NULL-skip → feed_value sequence as the row
-            // path's `AggAcc::feed`.
-            None => {
+            // the same eval → NULL-skip → feed sequence as the row path.
+            (None, _) => {
                 for &(i, slot) in pairs {
                     let v = o.value_at(i as usize);
                     if !v.is_null() {
-                        accs[slot as usize][j].feed_value(spec, v)?;
+                        acc.feed(spec.func, slot as usize, v)?;
                     }
                 }
             }
@@ -1204,45 +956,47 @@ fn flip(op: BinOp) -> BinOp {
     }
 }
 
-fn compile_pred<'s>(e: &'s BoundExpr, dtypes: &[DataType]) -> PredNode<'s> {
+fn compile_pred<'s>(e: &'s BoundExpr, cols: &[Column]) -> PredNode<'s> {
     match e {
         BoundExpr::Binary { op: BinOp::And, lhs, rhs } => PredNode::And(
-            Box::new(compile_pred(lhs, dtypes)),
-            Box::new(compile_pred(rhs, dtypes)),
+            Box::new(compile_pred(lhs, cols)),
+            Box::new(compile_pred(rhs, cols)),
         ),
         BoundExpr::Binary { op: BinOp::Or, lhs, rhs } => PredNode::Or(
-            Box::new(compile_pred(lhs, dtypes)),
-            Box::new(compile_pred(rhs, dtypes)),
+            Box::new(compile_pred(lhs, cols)),
+            Box::new(compile_pred(rhs, cols)),
         ),
-        BoundExpr::Not(inner) => PredNode::Not(Box::new(compile_pred(inner, dtypes))),
+        BoundExpr::Not(inner) => PredNode::Not(Box::new(compile_pred(inner, cols))),
         BoundExpr::Binary { op, lhs, rhs } if is_cmp(*op) => {
             if let BoundExpr::Column(c) = &**lhs {
-                if *c < dtypes.len() && rhs.is_row_independent() {
+                if *c < cols.len() && rhs.is_row_independent() {
                     return PredNode::Cmp { col: *c, op: *op, rhs };
                 }
             }
             if let BoundExpr::Column(c) = &**rhs {
-                if *c < dtypes.len() && lhs.is_row_independent() {
+                if *c < cols.len() && lhs.is_row_independent() {
                     return PredNode::Cmp { col: *c, op: flip(*op), rhs: lhs };
                 }
             }
             PredNode::RowWise(e)
         }
         BoundExpr::IsNull { expr, negated } => match &**expr {
-            BoundExpr::Column(c) if *c < dtypes.len() => {
+            BoundExpr::Column(c) if *c < cols.len() => {
                 PredNode::NullTest { col: *c, negated: *negated }
             }
             _ => PredNode::RowWise(e),
         },
         BoundExpr::Between { expr, lo, hi, negated } => match &**expr {
             BoundExpr::Column(c)
-                if *c < dtypes.len() && lo.is_row_independent() && hi.is_row_independent() =>
+                if *c < cols.len() && lo.is_row_independent() && hi.is_row_independent() =>
             {
                 PredNode::Between { col: *c, lo, hi, negated: *negated }
             }
             _ => PredNode::RowWise(e),
         },
-        BoundExpr::Column(c) if dtypes.get(*c) == Some(&DataType::Bool) => PredNode::BoolCol(*c),
+        BoundExpr::Column(c) if cols.get(*c).is_some_and(|col| col.dtype == DataType::Bool) => {
+            PredNode::BoolCol(*c)
+        }
         _ => PredNode::RowWise(e),
     }
 }

@@ -105,20 +105,48 @@ const TEXTS: &[&str] = &["", "a", "b", "ab", "zz", "a b"];
 /// Generates the case for `seed`. Deterministic: the same seed always
 /// produces the identical case.
 pub fn generate(seed: u64) -> Case {
+    generate_shape(seed, false)
+}
+
+/// The large-table mode: the first table holds 1 100–2 500 rows, so its
+/// scans cross the columnar batch boundary (1 024 rows) once or twice and
+/// ORDER BY … LIMIT survivors, group slots and tie-breaks have to outlive
+/// a batch. SELECTs all read that table, and ORDER BY with a small LIMIT
+/// and GROUP BY are weighted up. It has no unique index and is populated
+/// by clean multi-row INSERTs (a 50-row statement with the usual 4 % of
+/// wrong-typed values would nearly always fail whole), and DELETEs keep
+/// to the small tables so it stays large.
+pub fn generate_large(seed: u64) -> Case {
+    generate_shape(seed, true)
+}
+
+fn generate_shape(seed: u64, large: bool) -> Case {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5351_4c46_555a_5a00); // "SQLFUZZ"
     let g = &mut rng;
 
-    let tables = gen_tables(g);
+    let mut tables = gen_tables(g);
+    if large {
+        tables[0].indexes.retain(|ix| !ix.unique);
+    }
     let mut stmts = Vec::new();
 
     // Population: the first table is big enough to clear the columnar
     // cutoff (64 rows); the rest stay small so joins don't explode.
     for (ti, _t) in tables.iter().enumerate() {
-        let rows = if ti == 0 { 70 + range(g, 70) } else { range(g, 21) };
+        let big = large && ti == 0;
+        let rows = match ti {
+            0 if large => 1100 + range(g, 1401),
+            0 => 70 + range(g, 70),
+            _ => range(g, 21),
+        };
         let mut pending = rows;
         while pending > 0 {
-            let chunk = 1 + range(g, 3).min(pending - 1);
-            stmts.push(gen_insert_values(g, &tables, ti, chunk));
+            let chunk = if big {
+                (32 + range(g, 33)).min(pending)
+            } else {
+                1 + range(g, 3).min(pending - 1)
+            };
+            stmts.push(gen_insert_values(g, &tables, ti, chunk, big));
             pending -= chunk;
         }
     }
@@ -126,20 +154,23 @@ pub fn generate(seed: u64) -> Case {
     let actions = 24 + range(g, 25);
     for _ in 0..actions {
         let roll = range(g, 100);
-        let stmt = if roll < 55 {
-            gen_select(g, &tables)
-        } else if roll < 70 {
+        // Cumulative shares of SELECT, INSERT, UPDATE, DELETE; the rest
+        // is invalid on purpose.
+        let [sel, ins, upd, del] = if large { [75, 82, 88, 94] } else { [55, 70, 82, 94] };
+        let stmt = if roll < sel {
+            gen_select(g, &tables, large)
+        } else if roll < ins {
             let ti = range(g, tables.len());
-            if roll < 58 && tables.len() > 1 {
+            if roll < sel + 3 && tables.len() > 1 {
                 gen_insert_select(g, &tables, ti)
             } else {
                 let n = 1 + range(g, 3);
-                gen_insert_values(g, &tables, ti, n)
+                gen_insert_values(g, &tables, ti, n, false)
             }
-        } else if roll < 82 {
+        } else if roll < upd {
             gen_update(g, &tables)
-        } else if roll < 94 {
-            gen_delete(g, &tables)
+        } else if roll < del {
+            gen_delete(g, &tables, large)
         } else {
             gen_invalid(g, &tables)
         };
@@ -431,7 +462,15 @@ fn gen_comparison(g: &mut StdRng, scope: &ExprScope<'_>, params: &mut Vec<Value>
 // Statements
 // ----------------------------------------------------------------------
 
-fn gen_insert_values(g: &mut StdRng, tables: &[TableSpec], ti: usize, nrows: usize) -> Stmt {
+/// `clean` rows name every column and hold no wrong-typed value, so a
+/// many-row statement does not fail as a whole.
+fn gen_insert_values(
+    g: &mut StdRng,
+    tables: &[TableSpec],
+    ti: usize,
+    nrows: usize,
+    clean: bool,
+) -> Stmt {
     let t = &tables[ti];
     let arity = t.schema.arity();
     let has_unique = t.indexes.iter().any(|ix| ix.unique);
@@ -439,7 +478,7 @@ fn gen_insert_values(g: &mut StdRng, tables: &[TableSpec], ti: usize, nrows: usi
 
     // Mostly full-column inserts; sometimes a partial column list
     // (missing columns become NULL — a SchemaViolation when NOT NULL).
-    let cols: Vec<usize> = if range(g, 10) < 8 {
+    let cols: Vec<usize> = if clean || range(g, 10) < 8 {
         (0..arity).collect()
     } else {
         let keep = 1 + range(g, arity);
@@ -459,7 +498,7 @@ fn gen_insert_values(g: &mut StdRng, tables: &[TableSpec], ti: usize, nrows: usi
         for &ci in &cols {
             let col = t.schema.column(ci);
             // Wrong-type values at low probability: SchemaViolation parity.
-            let v = if range(g, 25) == 0 {
+            let v = if !clean && range(g, 25) == 0 {
                 gen_value(g, DataType::Text, false, false)
             } else {
                 gen_value(g, col.dtype, col.nullable, ci == 0 && has_unique)
@@ -589,8 +628,8 @@ fn gen_update(g: &mut StdRng, tables: &[TableSpec]) -> Stmt {
     }
 }
 
-fn gen_delete(g: &mut StdRng, tables: &[TableSpec]) -> Stmt {
-    let ti = range(g, tables.len());
+fn gen_delete(g: &mut StdRng, tables: &[TableSpec], large: bool) -> Stmt {
+    let ti = if large { 1 + range(g, tables.len() - 1) } else { range(g, tables.len()) };
     let t = &tables[ti];
     let mut params = Vec::new();
     let scope = ExprScope { entries: vec![(t.name.as_str(), &t.schema)], qualify: false };
@@ -605,14 +644,15 @@ fn gen_delete(g: &mut StdRng, tables: &[TableSpec]) -> Stmt {
     }
 }
 
-fn gen_select(g: &mut StdRng, tables: &[TableSpec]) -> Stmt {
+fn gen_select(g: &mut StdRng, tables: &[TableSpec], large: bool) -> Stmt {
     let mut params = Vec::new();
-    let ti = range(g, tables.len());
+    let ti = if large { 0 } else { range(g, tables.len()) };
     let base = &tables[ti];
 
     // Joins: mostly none (single-table scans are the columnar surface),
     // sometimes one or two against the *small* tables.
     let njoins = match range(g, 10) {
+        _ if large => 0,
         0..=6 => 0,
         7..=8 => 1,
         _ => 2.min(tables.len() - 1),
@@ -686,7 +726,7 @@ fn gen_select(g: &mut StdRng, tables: &[TableSpec]) -> Stmt {
         None
     };
 
-    let grouped = range(g, 10) < 3;
+    let grouped = range(g, 10) < if large { 5 } else { 3 };
     let (items, group_by, having) = if grouped {
         gen_grouped_head(g, &scope, &mut params)
     } else {
@@ -695,7 +735,7 @@ fn gen_select(g: &mut StdRng, tables: &[TableSpec]) -> Stmt {
 
     // ORDER BY: bare columns / aliases / group keys / aggregates.
     let mut order_by = Vec::new();
-    if range(g, 10) < 5 {
+    if range(g, 10) < if large { 9 } else { 5 } {
         let nkeys = 1 + range(g, 2);
         for _ in 0..nkeys {
             let expr = if grouped {
@@ -722,7 +762,8 @@ fn gen_select(g: &mut StdRng, tables: &[TableSpec]) -> Stmt {
     }
 
     // LIMIT: small values engage the bounded top-K heap.
-    let limit = if range(g, 10) < 5 { Some(range(g, 12) as u64) } else { None };
+    let limit =
+        if range(g, 10) < if large { 8 } else { 5 } { Some(range(g, 12) as u64) } else { None };
 
     Stmt {
         stmt: Statement::Select(Select {
@@ -935,6 +976,38 @@ mod tests {
         assert_eq!(a.script(), b.script());
         let c = generate(43);
         assert_ne!(a.script(), c.script());
+    }
+
+    #[test]
+    fn large_cases_hold_a_table_past_one_batch_and_lean_on_the_edge() {
+        let (mut selects, mut ordered_limited, mut grouped) = (0, 0, 0);
+        for seed in 0..10 {
+            let case = generate_large(seed);
+            assert_eq!(case.script(), generate_large(seed).script());
+            assert!(case.tables[0].indexes.iter().all(|ix| !ix.unique));
+            let mut populated = 0;
+            for s in &case.stmts {
+                match &s.stmt {
+                    Statement::Insert(Insert { table, source: InsertSource::Values(rows), .. })
+                        if table == "t0" && rows.len() >= 32 =>
+                    {
+                        populated += rows.len();
+                    }
+                    // (The deliberately invalid SELECTs pick any table.)
+                    Statement::Select(sel) if sel.from.name == "t0" => {
+                        assert!(sel.joins.is_empty());
+                        selects += 1;
+                        ordered_limited += usize::from(!sel.order_by.is_empty() && sel.limit.is_some());
+                        grouped += usize::from(!sel.group_by.is_empty());
+                    }
+                    Statement::Delete(d) => assert_ne!(d.table, "t0"),
+                    _ => {}
+                }
+            }
+            assert!((1100..=2500).contains(&populated), "seed {seed}: {populated} rows");
+        }
+        assert!(ordered_limited * 2 > selects, "{ordered_limited} of {selects} SELECTs order and limit");
+        assert!(grouped * 3 > selects, "{grouped} of {selects} SELECTs group");
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! sqlfuzz --seeds 500 --start 100 # sweep seeds 100..600
 //! sqlfuzz --seed 42               # replay exactly one seed
 //! sqlfuzz --seeds 100000 --time-box 60
+//! sqlfuzz --large --seeds 200     # large-table mode (gen::generate_large)
 //! SQLFUZZ_SEED=42 sqlfuzz        # env form of --seed
 //! ```
 //!
@@ -15,7 +16,7 @@
 use std::time::{Duration, Instant};
 
 use sqlfuzz::driver::run_case;
-use sqlfuzz::gen::generate;
+use sqlfuzz::gen::{generate, generate_large};
 use sqlfuzz::shrink::shrink;
 
 struct Opts {
@@ -24,6 +25,7 @@ struct Opts {
     single: Option<u64>,
     time_box: Option<Duration>,
     no_shrink: bool,
+    large: bool,
 }
 
 fn parse_opts() -> Result<Opts, String> {
@@ -33,6 +35,7 @@ fn parse_opts() -> Result<Opts, String> {
         single: None,
         time_box: None,
         no_shrink: false,
+        large: false,
     };
     if let Ok(s) = std::env::var("SQLFUZZ_SEED") {
         let n = s.parse().map_err(|_| format!("bad SQLFUZZ_SEED: {s}"))?;
@@ -52,10 +55,11 @@ fn parse_opts() -> Result<Opts, String> {
             "--seed" => opts.single = Some(num("--seed")?),
             "--time-box" => opts.time_box = Some(Duration::from_secs(num("--time-box")?)),
             "--no-shrink" => opts.no_shrink = true,
+            "--large" => opts.large = true,
             "--help" | "-h" => {
                 println!(
                     "usage: sqlfuzz [--seeds N] [--start N] [--seed N] \
-                     [--time-box SECS] [--no-shrink]"
+                     [--time-box SECS] [--no-shrink] [--large]"
                 );
                 std::process::exit(0);
             }
@@ -91,7 +95,7 @@ fn main() {
                 return;
             }
         }
-        let case = generate(seed);
+        let case = if opts.large { generate_large(seed) } else { generate(seed) };
         let Some(div) = run_case(&case) else {
             ran += 1;
             if ran % 100 == 0 {
@@ -120,7 +124,10 @@ fn main() {
         eprintln!("\n--- minimal repro (seed {seed}) ---");
         eprintln!("{}", minimal.script());
         eprintln!("--- end repro ---");
-        eprintln!("replay with: SQLFUZZ_SEED={seed} cargo run -p sqlfuzz --release");
+        eprintln!(
+            "replay with: SQLFUZZ_SEED={seed} cargo run -p sqlfuzz --release{}",
+            if opts.large { " -- --large" } else { "" }
+        );
         std::process::exit(1);
     }
     println!(

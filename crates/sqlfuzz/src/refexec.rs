@@ -1083,7 +1083,7 @@ fn compute_agg(
             if count == 0 {
                 Value::Null
             } else if saw_float {
-                // Canonicalized NaN, mirroring AggAcc::finish_for.
+                // Canonicalized NaN, mirroring the engine (`AccCol::finish` in sql/src/edge.rs).
                 Value::float(sum_f)
             } else {
                 Value::Int(sum_i)

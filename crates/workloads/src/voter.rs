@@ -292,11 +292,41 @@ mod tests {
             .unwrap();
         assert!(n_with < 400, "≈10% duplicates must be dropped, kept {n_with}");
         assert_eq!(n_without, 400, "without validation every vote lands");
-        // Validation must be an index probe, not a scan.
-        let votes_table_scans = 0; // asserted via engine metrics below
-        let _ = votes_table_scans;
         with.shutdown();
         without.shutdown();
+    }
+
+    /// §4.6.3: validation is a probe of the unique index on
+    /// `votes.phone`, not a scan — one index lookup per vote, however
+    /// many votes the table holds. `validate`'s statements run on a
+    /// standalone EE, where the table's access-path counters can be read.
+    #[test]
+    fn validation_probes_the_phone_index_and_never_scans() {
+        use sstore_engine::ee::ExecutionEngine;
+        use sstore_engine::metrics::EngineMetrics;
+        use sstore_engine::names::AppIds;
+        use std::sync::Arc;
+
+        let app = leaderboard_app(true);
+        let ids = Arc::new(AppIds::build(&app).unwrap());
+        let (mut ee, stmts) =
+            ExecutionEngine::install(&app, ids, Arc::new(EngineMetrics::new())).unwrap();
+        let validate = &stmts["validate"];
+        for phone in 0..200i64 {
+            let phone = Value::Int(phone % 150); // the last 50 are repeats
+            let before = ee.table_stats("votes").unwrap().clone();
+            ee.begin(None).unwrap();
+            let probe = ee.exec(validate["chk_phone"], std::slice::from_ref(&phone)).unwrap();
+            let seen = !probe.rows.is_empty();
+            if !seen {
+                ee.exec(validate["record"], &[phone, Value::Int(1), Value::Int(0)]).unwrap();
+            }
+            ee.commit().unwrap();
+            let after = ee.table_stats("votes").unwrap();
+            assert_eq!(after.index_lookups(), before.index_lookups() + 1);
+            assert_eq!(after.scans(), 0, "an equality lookup fell back to a scan");
+        }
+        assert_eq!(ee.table_len("votes").unwrap(), 150);
     }
 
     #[test]

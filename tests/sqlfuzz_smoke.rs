@@ -5,7 +5,7 @@
 //! `scripts/bench_smoke.sh`).
 
 use sqlfuzz::driver::run_case;
-use sqlfuzz::gen::generate;
+use sqlfuzz::gen::{generate, generate_large};
 
 /// Seeds chosen to include past bug-finding neighborhoods (1113: index
 /// key-expression errors; 1210: NaN payload bits; 2603: large Int/Float
@@ -25,6 +25,20 @@ fn fuzz_corpus_smoke_has_no_divergences() {
         }
     }
     assert!(stmts >= 200, "smoke corpus too small: {stmts} statements");
+}
+
+/// The large-table mode: one table of 1 100–2 500 rows, so every scan of
+/// it crosses the columnar batch boundary, under ORDER BY + LIMIT and
+/// GROUP BY mostly.
+#[test]
+fn fuzz_large_table_smoke_has_no_divergences() {
+    for seed in [0u64, 1, 2, 3] {
+        if let Some(d) = run_case(&generate_large(seed)) {
+            panic!(
+                "divergence at large seed {seed}: {d}\nreplay: SQLFUZZ_SEED={seed} cargo run -p sqlfuzz -- --large"
+            );
+        }
+    }
 }
 
 #[test]
