@@ -210,8 +210,7 @@ impl Engine {
         app: App,
         mut bootstrap: Option<Bootstrap>,
     ) -> Result<Engine> {
-        let metrics =
-            Arc::new(EngineMetrics::for_procs(app.procs.iter().map(|p| p.name.clone())));
+        let metrics = Arc::new(EngineMetrics::new());
         let ids = Arc::new(AppIds::build(&app)?);
         let mut partitions = Vec::with_capacity(config.partitions);
         let triggers_enabled = bootstrap.as_ref().is_none_or(|b| b.triggers_enabled);

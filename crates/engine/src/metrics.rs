@@ -10,12 +10,15 @@
 //! without locking the hot path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use sstore_common::hash::FxHashMap;
+use sstore_common::ProcId;
 
 use crate::admission::TxnClass;
+use crate::names::AppIds;
 use crate::workflow::TraceEvent;
 
 /// Number of log-scale buckets per histogram. Bucket `i` holds
@@ -325,9 +328,9 @@ pub struct EngineMetrics {
     /// Per-class queue-wait / execution / end-to-end histograms.
     pub latency: LatencyStats,
     /// Per stored procedure, indexed by `ProcId`: executions and their
-    /// summed execution time, over all partitions (empty unless built
-    /// with [`EngineMetrics::for_procs`]).
-    procs: Vec<ProcStats>,
+    /// summed execution time, over all partitions. Sized from the
+    /// application's procedures by the first execution recorded.
+    procs: OnceLock<Vec<ProcStats>>,
     /// Execution trace of committed TEs, recorded only when
     /// [`crate::config::EngineConfig::trace`] is on.
     pub trace: Mutex<Vec<TraceEvent>>,
@@ -347,31 +350,32 @@ impl EngineMetrics {
         EngineMetrics::default()
     }
 
-    /// Fresh zeroed metrics that also keep per-procedure execution
-    /// counters; `names` in `ProcId` (declaration) order.
-    pub fn for_procs(names: impl IntoIterator<Item = String>) -> Self {
-        let procs = names
-            .into_iter()
-            .map(|name| ProcStats { name, count: AtomicU64::new(0), exec_ns: AtomicU64::new(0) })
-            .collect();
-        EngineMetrics { procs, ..EngineMetrics::default() }
-    }
-
-    /// Records one execution of `proc` (dispatch to done, commit or
-    /// abort). Ad-hoc SQL has no procedure and is not recorded here.
+    /// Records one execution of `proc`, a stored procedure of `ids`
+    /// (dispatch to done, commit or abort). Ad-hoc SQL has no procedure;
+    /// the partition does not record it here.
     #[inline]
-    pub fn record_proc(&self, proc: sstore_common::ProcId, exec: Duration) {
-        if let Some(p) = self.procs.get(proc.index()) {
-            p.count.fetch_add(1, Ordering::Relaxed);
-            p.exec_ns.fetch_add(exec.as_nanos() as u64, Ordering::Relaxed);
-        }
+    pub fn record_proc(&self, ids: &AppIds, proc: ProcId, exec: Duration) {
+        let procs = self.procs.get_or_init(|| {
+            (0..ids.proc_count() as u32)
+                .map(|i| ProcStats {
+                    name: ids.proc_name(ProcId(i)).to_string(),
+                    count: AtomicU64::new(0),
+                    exec_ns: AtomicU64::new(0),
+                })
+                .collect()
+        });
+        let p = &procs[proc.index()];
+        p.count.fetch_add(1, Ordering::Relaxed);
+        p.exec_ns.fetch_add(exec.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// `(name, executions, summed execution time in µs)` per stored
-    /// procedure, in declaration order.
+    /// procedure, in declaration order; empty until one has executed.
     pub fn proc_stats(&self) -> Vec<(String, u64, u64)> {
         self.procs
-            .iter()
+            .get()
+            .into_iter()
+            .flatten()
             .map(|p| (p.name.clone(), Self::get(&p.count), Self::get(&p.exec_ns) / 1_000))
             .collect()
     }
@@ -509,7 +513,7 @@ impl EngineMetrics {
         self.restore_images_decoded.store(0, Ordering::Relaxed);
         self.restore_images_skipped.store(0, Ordering::Relaxed);
         self.shed_by_origin.lock().clear();
-        for p in &self.procs {
+        for p in self.procs.get().into_iter().flatten() {
             p.count.store(0, Ordering::Relaxed);
             p.exec_ns.store(0, Ordering::Relaxed);
         }

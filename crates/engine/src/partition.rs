@@ -806,7 +806,10 @@ impl PartitionRuntime {
         // request — keep them out of the latency histograms.
         if !replay {
             self.metrics.record_latency(class, admitted_at, dispatched_at, done_at);
-            self.metrics.record_proc(proc, done_at.saturating_duration_since(dispatched_at));
+            if proc != ADHOC_PROC {
+                let exec = done_at.saturating_duration_since(dispatched_at);
+                self.metrics.record_proc(&self.ids, proc, exec);
+            }
         }
         match outcome {
             Ok(out) => {
