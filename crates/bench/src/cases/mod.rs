@@ -1,0 +1,224 @@
+//! The cases `sstore-bench` runs, one function each, and the registry
+//! the driver, the smoke run and the tests all read.
+
+use sstore_engine::Engine;
+
+use crate::Bound::{AtLeast, AtMost};
+use crate::{DataDir, Gate, Params, Report};
+
+mod colscan;
+mod edge;
+mod figures;
+mod recovery;
+mod throughput;
+mod timewindow;
+
+/// One subcommand.
+pub struct Case {
+    /// Its name on the command line.
+    pub name: &'static str,
+    /// Runs it; engines put their data under the [`DataDir`].
+    pub run: fn(&Params, &DataDir) -> Report,
+    /// Gates evaluated on the report after every run. Each is a count
+    /// invariant or an in-run ratio; EXPERIMENTS.md ("Smoke gates")
+    /// lists what each one measured when its bound was set.
+    pub gates: &'static [Gate],
+}
+
+/// Contestants the voter cases seed: as many as `perfbench`'s voter
+/// workloads, so a figure here and `engine.partition.p1_inproc_per_s`
+/// there are the same work — and enough that the show's eliminations
+/// (one per 1 000 votes) outlast a run.
+const CONTESTANTS: usize = 500;
+
+/// Nine in ten offered votes must be recorded: a show that has
+/// collapsed to its winner rejects nearly every vote in one statement,
+/// and the run would time that.
+const VOTES_ACCEPTED: Gate = Gate { num: "accepted_frac", den: None, bound: AtLeast(0.9) };
+
+/// Votes the voter application has recorded so far.
+fn accepted_votes(engine: &Engine) -> f64 {
+    let n = engine.query(0, "SELECT n FROM total_votes", vec![]).expect("total_votes");
+    n.scalar().and_then(|v| v.as_int().ok()).unwrap_or(0) as f64
+}
+
+/// Every case, in `--help` order.
+pub const CASES: &[Case] = &[
+    Case { name: "fig5", run: figures::fig5, gates: &[] },
+    Case { name: "fig6", run: figures::fig6, gates: &[] },
+    Case { name: "fig7", run: figures::fig7, gates: &[] },
+    Case { name: "fig8", run: figures::fig8, gates: &[VOTES_ACCEPTED] },
+    Case { name: "fig9a", run: figures::fig9a, gates: &[] },
+    Case { name: "fig9b", run: figures::fig9b, gates: &[] },
+    Case { name: "fig10", run: figures::fig10, gates: &[VOTES_ACCEPTED] },
+    Case { name: "fig11", run: figures::fig11, gates: &[] },
+    Case { name: "ablation-scheduler", run: figures::ablation_scheduler, gates: &[] },
+    Case {
+        name: "hotpath",
+        run: throughput::hotpath,
+        gates: &[
+            VOTES_ACCEPTED,
+            // Fig. 5's claim at n = 10: the chain inside the EE beats
+            // the same chain as one PE→EE statement per stage.
+            Gate { num: "ee_chain10_channel", den: Some("ee_chain10_hstore"), bound: AtLeast(3.5) },
+        ],
+    },
+    Case {
+        name: "scaling",
+        run: throughput::scaling,
+        // One core cannot scale (0.95–1.03 there, 1.1–1.7 on two cores);
+        // two partitions must not cost a third of it.
+        gates: &[Gate { num: "ee_chain10_p2", den: Some("ee_chain10_p1"), bound: AtLeast(0.7) }],
+    },
+    Case {
+        name: "colscan",
+        run: colscan::colscan,
+        gates: &[
+            // Columnar beats row-wise: on filter + count, and on the
+            // worst of the five GROUP BY shapes.
+            Gate {
+                num: "filter_count_rowwise_us",
+                den: Some("filter_count_columnar_us"),
+                bound: AtLeast(2.0),
+            },
+            Gate { num: "group_min_speedup", den: None, bound: AtLeast(1.2) },
+            // What the output edge costs on top of reading the rows:
+            // GROUP BY + top-3 over a 100-row window against COUNT(*)
+            // over it, ORDER BY + LIMIT 3 over 500 rows against a
+            // filtered COUNT(*) over them.
+            Gate { num: "trend_us", den: Some("count_window_us"), bound: AtMost(10.0) },
+            Gate { num: "top_us", den: Some("count_filtered_us"), bound: AtMost(3.0) },
+            // Ad-hoc SELECTs through the engine run columnar.
+            Gate { num: "engine_columnar_batches", den: None, bound: AtLeast(1.0) },
+        ],
+    },
+    Case {
+        name: "timewindow",
+        run: timewindow::timewindow,
+        gates: &[
+            // Staging, watermarks, slide transactions and the trigger
+            // cost a bounded share of what the bare inserts run at.
+            Gate { num: "tuples_per_sec", den: Some("plain_tuples_per_sec"), bound: AtLeast(0.2) },
+            // Slides and late drops fire, and slide triggers scan
+            // their extents columnar.
+            Gate { num: "window_slides", den: None, bound: AtLeast(1.0) },
+            Gate { num: "late_dropped", den: None, bound: AtLeast(1.0) },
+            Gate { num: "windowed_columnar_batches", den: None, bound: AtLeast(1.0) },
+        ],
+    },
+    Case {
+        name: "overload",
+        run: edge::overload,
+        gates: &[
+            // Shed fires at 10×, in-flight work never exceeds the
+            // credits, and goodput plateaus.
+            Gate { num: "x10_shed", den: None, bound: AtLeast(1.0) },
+            Gate { num: "max_in_flight", den: Some("credits"), bound: AtMost(1.0) },
+            Gate { num: "x10_goodput_bps", den: Some("peak_goodput_bps"), bound: AtLeast(0.5) },
+            // A batch admitted behind a full window of credits waits
+            // for all of them: p99 ≈ credits × service time, and only
+            // a queue growing past the credits takes it further.
+            Gate { num: "x10_e2e_p99_us", den: Some("credit_window_us"), bound: AtMost(2.0) },
+        ],
+    },
+    Case {
+        name: "server",
+        run: edge::server,
+        gates: &[
+            Gate { num: "x10_shed", den: None, bound: AtLeast(1.0) },
+            Gate { num: "max_in_flight", den: Some("credits"), bound: AtMost(1.0) },
+            // The plateau and the tail are gated at 5×, not 10×: with
+            // 64 sessions on a host of one or two cores, ten times
+            // capacity in instant rejections takes the partition's CPU
+            // and goodput follows the scheduler (0.2–1.0 of the 1×
+            // figure run to run). That is reported; a property of the
+            // code it is not.
+            Gate { num: "x5_goodput_bps", den: Some("x1_goodput_bps"), bound: AtLeast(0.45) },
+            // A session's answer is an admission or an instant
+            // rejection, so its tail must stay a fraction of the time
+            // a full window of credits takes to serve.
+            Gate { num: "x5_rtt_p99_us", den: Some("credit_window_us"), bound: AtMost(0.4) },
+        ],
+    },
+    Case {
+        name: "recovery",
+        run: recovery::recovery,
+        gates: &[
+            // GC deleted covered segments; recovery from what is left
+            // takes a fraction of replaying the same longest history.
+            Gate { num: "seg_segments_gced", den: None, bound: AtLeast(1.0) },
+            Gate { num: "seg_recover_ms", den: Some("full_recover_ms"), bound: AtMost(0.2) },
+            // Restore cost tracks the state, not the chain: base + 4
+            // deltas against a base-only image of the same state.
+            Gate { num: "chained_ms", den: Some("base_only_ms"), bound: AtMost(1.5) },
+        ],
+    },
+];
+
+/// The cases `sstore-bench smoke` runs and the length it runs each at.
+pub const SMOKE: &[(&str, Params)] = &[
+    ("hotpath", Params { secs: Some(0.9), scale: 1.0 }),
+    ("colscan", Params { secs: None, scale: 0.5 }),
+    ("timewindow", Params { secs: Some(0.9), scale: 1.0 }),
+    ("scaling", Params { secs: Some(0.6), scale: 0.5 }),
+    ("overload", Params { secs: Some(0.4), scale: 1.0 }),
+    ("server", Params { secs: Some(0.4), scale: 1.0 }),
+    ("recovery", Params { secs: None, scale: 1.0 }),
+];
+
+/// The case called `name`.
+pub fn find(name: &str) -> Option<&'static Case> {
+    CASES.iter().find(|c| c.name == name)
+}
+
+/// Runs `case`, evaluates its gates, and removes the data it wrote —
+/// unless a check failed: then that directory stays and is named.
+pub fn run(case: &Case, params: &Params) -> Report {
+    let dir = DataDir::new(case.name);
+    let mut report = (case.run)(params, &dir);
+    report.apply(case.gates);
+    if !report.passed() {
+        dir.keep();
+        eprintln!("{}: a check failed; its data is kept in {}", case.name, dir.root().display());
+    }
+    report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every gate bites: a report whose gated value sits on the wrong
+    /// side of the bound fails it, one on the right side passes, and
+    /// one without the rows fails naming them.
+    #[test]
+    fn every_gate_fails_on_the_wrong_side_of_its_bound() {
+        for g in CASES.iter().flat_map(|c| c.gates) {
+            let (bound, wrong, right) = match g.bound {
+                AtLeast(b) => (b, b * 0.99 - 0.01, b),
+                AtMost(b) => (b, b * 1.01 + 0.01, b),
+            };
+            let with = |value: f64| {
+                let mut r = Report::new("t", &[]);
+                // Denominator 2: the numerator carries the ratio.
+                r.row(g.num, if g.den.is_some() { value * 2.0 } else { value }, "");
+                if let Some(den) = g.den {
+                    r.row(den, 2.0, "");
+                }
+                g.eval(&r)
+            };
+            assert!(!with(wrong).pass, "{}: {wrong} passed a bound of {bound}", g.num);
+            assert!(with(right).pass, "{}: {right} failed a bound of {bound}", g.num);
+            let missing = g.eval(&Report::new("t", &[]));
+            assert!(!missing.pass && missing.detail.contains(g.num), "{missing:?}");
+        }
+    }
+
+    #[test]
+    fn smoke_names_cases_that_have_gates() {
+        for (name, _) in SMOKE {
+            assert!(!find(name).expect("a case").gates.is_empty(), "{name} has no gate");
+        }
+        assert!(find("nope").is_none());
+    }
+}

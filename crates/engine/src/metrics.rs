@@ -3,7 +3,7 @@
 //!
 //! Shared between partition threads and the caller via `Arc`; all hot
 //! counters are relaxed atomics (they feed throughput reports, not
-//! synchronization). Latency is recorded into fixed-size, log-bucketed
+//! synchronization). Latency is recorded into fixed-size, log-linear
 //! histograms — one per ([`TxnClass`], [`LatencyKind`]) pair — so the
 //! per-transaction cost is two `Instant::now()` calls and three relaxed
 //! increments, and a `p50/p95/p99` snapshot is available at any time
@@ -21,31 +21,41 @@ use crate::admission::TxnClass;
 use crate::names::AppIds;
 use crate::workflow::TraceEvent;
 
-/// Number of log-scale buckets per histogram. Bucket `i` holds
-/// durations in `[2^(i-1), 2^i)` nanoseconds (bucket 0 holds 0 ns);
-/// the last bucket absorbs everything above `2^(BUCKETS-2)` ns
-/// (≈ 4.6 minutes) — far beyond any sane transaction latency.
-pub const LATENCY_BUCKETS: usize = 40;
+/// Linear sub-buckets per octave, as a bit count: 8 per power of two.
+const SUB_BITS: u32 = 3;
+const SUBS: u64 = 1 << SUB_BITS;
 
-/// One fixed-size, log-bucketed latency histogram. Recording is a
-/// single relaxed `fetch_add`; quantiles are computed from a bucket
-/// snapshot and reported as the bucket's upper bound (a ≤2×
-/// overestimate, monotone across quantiles by construction).
+/// Buckets per histogram: 37 groups of 8. Group 0 holds 0–7 ns one
+/// value per bucket; group `g ≥ 1` splits the octave
+/// `[2^(g+2), 2^(g+3))` ns into 8 equal sub-buckets, so a bucket is at
+/// most an eighth as wide as its lower bound. The last bucket also
+/// absorbs everything from `2^39` ns (≈ 9 minutes) up — far beyond any
+/// sane transaction latency.
+pub const LATENCY_BUCKETS: usize = 37 << SUB_BITS;
+
+/// One fixed-size, log-linear latency histogram. Recording is a single
+/// relaxed `fetch_add`; quantiles are computed from a bucket snapshot
+/// and reported as the largest value the bucket holds — at most 12.5 %
+/// above the true sample, exact below 16 ns, monotone across quantiles
+/// by construction.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
 }
 
-/// Count + quantiles of one histogram at a point in time.
+/// Count + quantiles of one histogram at a point in time. Each quantile
+/// is the largest value of the bucket its rank falls in (≤ 12.5 % above
+/// the sample of that rank; samples clamped into the last bucket
+/// report `2^39 − 1` ns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Samples recorded.
     pub count: u64,
-    /// Median (bucket upper bound).
+    /// Median.
     pub p50: Duration,
-    /// 95th percentile (bucket upper bound).
+    /// 95th percentile.
     pub p95: Duration,
-    /// 99th percentile (bucket upper bound).
+    /// 99th percentile.
     pub p99: Duration,
 }
 
@@ -56,22 +66,29 @@ impl Default for LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// Bucket index for a duration: `0` for 0 ns, else the bit width
-    /// of the nanosecond count, clamped into range.
+    /// Bucket index for a duration: the nanosecond count itself below
+    /// 8, else octave group and the three bits after the leading one,
+    /// clamped into range.
     #[inline]
     fn bucket_of(d: Duration) -> usize {
         let nanos = d.as_nanos().min(u128::from(u64::MAX)) as u64;
-        ((64 - nanos.leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
+        if nanos < SUBS {
+            return nanos as usize;
+        }
+        let shift = 63 - nanos.leading_zeros() - SUB_BITS;
+        let sub = (nanos >> shift) & (SUBS - 1);
+        ((u64::from(shift + 1) << SUB_BITS | sub) as usize).min(LATENCY_BUCKETS - 1)
     }
 
-    /// Upper bound of a bucket, the value quantiles report.
+    /// Largest unclamped value bucket `i` holds, the value quantiles
+    /// report.
     #[inline]
     fn bucket_upper(i: usize) -> Duration {
-        if i == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_nanos(1u64 << i)
+        let (group, sub) = ((i as u64) >> SUB_BITS, (i as u64) & (SUBS - 1));
+        if group == 0 {
+            return Duration::from_nanos(sub);
         }
+        Duration::from_nanos(((SUBS + sub + 1) << (group - 1)) - 1)
     }
 
     /// Records one sample (relaxed; safe from any thread).
@@ -85,7 +102,9 @@ impl LatencyHistogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// Count and p50/p95/p99 from one consistent bucket read.
+    /// Count and p50/p95/p99 from one read of the buckets: the sample
+    /// of rank `⌈q·count⌉`, reported as its bucket's largest value (see
+    /// [`HistogramSnapshot`]); all zero when nothing was recorded.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
         let total: u64 = counts.iter().sum();
@@ -257,8 +276,8 @@ pub struct EngineMetrics {
     /// not vectorized (joins, index point lookups).
     pub columnar_fallback_shape: AtomicU64,
     /// SELECT dispatches that stayed row-wise because the
-    /// `SSTORE_NO_COLUMNAR` kill-switch (or its programmatic override)
-    /// is on. Non-zero in production means the fast path is off.
+    /// `force_rowwise` kill-switch is on. Non-zero in production means
+    /// the fast path is off.
     pub columnar_fallback_disabled: AtomicU64,
     /// Ad-hoc plan-cache hits: `query_at`/`prepare` served an already
     /// bound `Arc<BoundStatement>` for the same SQL text.
@@ -440,7 +459,9 @@ impl EngineMetrics {
             .record(done_at.saturating_duration_since(admitted_at));
     }
 
-    /// Latency snapshot for one class.
+    /// Latency snapshot for one class: a [`HistogramSnapshot`] per
+    /// [`LatencyKind`], each at the histogram's ≤ 12.5 % resolution, so
+    /// two snapshots' quantiles can be compared as a ratio.
     pub fn class_latency(&self, class: TxnClass) -> ClassLatency {
         ClassLatency {
             class,
@@ -540,25 +561,28 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_log_scale_and_quantiles_ordered() {
+    fn histogram_buckets_are_log_linear_and_quantiles_ordered() {
         let h = LatencyHistogram::default();
         // 89 fast samples, 9 medium, 2 slow: the p50 rank (50) sits in
         // the fast bucket, p95 (rank 95) in the medium one, p99 (rank
         // 99) in the slow one.
         for _ in 0..89 {
-            h.record(Duration::from_nanos(800)); // bucket 10 (≤1024ns)
+            h.record(Duration::from_nanos(800)); // [768, 832) ns
         }
         for _ in 0..9 {
-            h.record(Duration::from_micros(100)); // ≈ bucket 17
+            h.record(Duration::from_micros(100));
         }
-        h.record(Duration::from_millis(50)); // ≈ bucket 26
+        h.record(Duration::from_millis(50));
         h.record(Duration::from_millis(50));
         let s = h.snapshot();
         assert_eq!(s.count, 100);
-        assert_eq!(s.p50, Duration::from_nanos(1024));
+        assert_eq!(s.p50, Duration::from_nanos(831));
         assert!(s.p50 <= s.p95 && s.p95 <= s.p99, "quantiles must be ordered: {s:?}");
-        assert!(s.p95 >= Duration::from_micros(100) && s.p95 < Duration::from_millis(1));
-        assert!(s.p99 >= Duration::from_millis(50));
+        // Each quantile is at or above its sample, by at most an eighth.
+        for (got, sample) in [(s.p95, 100_000u64), (s.p99, 50_000_000)] {
+            let got = got.as_nanos() as u64;
+            assert!(got >= sample && got <= sample + sample / 8, "{got} vs {sample}");
+        }
         h.clear();
         let s = h.snapshot();
         assert_eq!(s.count, 0);
@@ -573,7 +597,15 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count, 2);
         assert_eq!(s.p50, Duration::ZERO);
-        assert_eq!(s.p99, Duration::from_nanos(1u64 << (LATENCY_BUCKETS - 1)));
+        assert_eq!(s.p99, Duration::from_nanos((1 << 39) - 1), "clamped into the last bucket");
+        // Small values are exact; every bucket boundary maps back to itself.
+        for ns in (0..64).chain([1023, 1024, 1025, (1 << 39) - 1]) {
+            let upper = LatencyHistogram::bucket_upper(LatencyHistogram::bucket_of(
+                Duration::from_nanos(ns),
+            ));
+            let upper = upper.as_nanos() as u64;
+            assert!(upper >= ns && upper <= ns + ns / 8, "{ns} reported as {upper}");
+        }
     }
 
     #[test]

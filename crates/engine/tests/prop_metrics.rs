@@ -1,10 +1,11 @@
 //! Satellite properties for the latency histograms: quantile snapshots
-//! are monotone (p50 ≤ p95 ≤ p99) for ANY sample distribution, and
-//! `reset()` composes with concurrent recording — snapshots taken
+//! are monotone (p50 ≤ p95 ≤ p99) for ANY sample distribution and at
+//! most 12.5 % above the true quantile, `reset()` zeroes everything
+//! public, and it composes with concurrent recording — snapshots taken
 //! while recorders and resetters race stay well-formed and nothing
 //! panics or is left behind once the recorders stop.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -32,6 +33,30 @@ proptest! {
         prop_assert_eq!(h.snapshot().count, 0);
     }
 
+    /// A reported quantile is the true one (the sample of rank
+    /// ⌈q·n⌉) or at most an eighth above it — fine enough that a tail
+    /// gate can be a ratio.
+    #[test]
+    fn quantiles_are_within_an_eighth_above_the_true_ones(
+        samples in proptest::collection::vec(0u64..1 << 39, 1..300),
+    ) {
+        let h = LatencyHistogram::default();
+        for &ns in &samples {
+            h.record(Duration::from_nanos(ns));
+        }
+        let mut sorted = samples.clone();
+        sorted.sort_unstable();
+        let s = h.snapshot();
+        for (q, got) in [(0.50, s.p50), (0.95, s.p95), (0.99, s.p99)] {
+            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            let (truth, got) = (sorted[rank - 1], got.as_nanos() as u64);
+            prop_assert!(
+                got >= truth && got <= truth + truth / 8,
+                "q{}: reported {} for true {}", q, got, truth
+            );
+        }
+    }
+
     /// Per-class accounting through EngineMetrics stays monotone too
     /// (the three kinds share one recording call).
     #[test]
@@ -51,6 +76,41 @@ proptest! {
             prop_assert!(s.p50 <= s.p95 && s.p95 <= s.p99, "non-monotone: {:?}", s);
         }
     }
+}
+
+/// `reset()` zeroes every public counter, the per-procedure counters,
+/// the latency histograms, the shed map and the trace — benchmark
+/// phases read deltas from zero and rely on it.
+#[test]
+fn reset_clears_every_public_counter_histogram_and_shed() {
+    fn counters(m: &EngineMetrics) -> [&AtomicU64; 31] {
+        [
+            &m.txns_committed, &m.txns_aborted, &m.workflows_completed, &m.log_records,
+            &m.log_flushes, &m.ee_round_trips, &m.pe_trigger_fires, &m.ee_trigger_fires,
+            &m.columnar_batches, &m.columnar_window_batches, &m.columnar_fallback_small,
+            &m.columnar_fallback_shape, &m.columnar_fallback_disabled, &m.adhoc_plan_hits,
+            &m.adhoc_plan_misses, &m.exchange_sends_started, &m.exchange_sends,
+            &m.exchange_batches, &m.exchange_dups_dropped, &m.window_slides,
+            &m.window_late_merged, &m.window_late_dropped, &m.shed_batches, &m.log_segments,
+            &m.log_bytes, &m.checkpoint_bytes, &m.gc_segments_deleted, &m.recovery_replay_ms,
+            &m.recovery_restore_ms, &m.restore_images_decoded, &m.restore_images_skipped,
+        ]
+    }
+    let m = EngineMetrics::new();
+    counters(&m).iter().for_each(|c| EngineMetrics::bump(c));
+    m.bump_shed("reqs");
+    let t0 = Instant::now();
+    m.record_latency(TxnClass::Border, t0, t0 + Duration::from_micros(5), t0 + Duration::from_micros(9));
+    assert!(counters(&m).iter().all(|c| EngineMetrics::get(c) >= 1));
+    assert_eq!(m.latency_snapshot().len(), 1);
+    assert_eq!(m.sheds_by_origin(), vec![("reqs".to_string(), 1)]);
+
+    m.reset();
+    let left: Vec<u64> = counters(&m).iter().map(|c| EngineMetrics::get(c)).collect();
+    assert!(left.iter().all(|&n| n == 0), "reset left a counter: {left:?}");
+    assert!(m.latency_snapshot().is_empty(), "reset left latency samples");
+    assert!(m.sheds_by_origin().is_empty(), "reset left the shed map");
+    assert_eq!(m.shed_for("reqs"), 0);
 }
 
 /// `reset()` racing concurrent recorders: no panic, every snapshot

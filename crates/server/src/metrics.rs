@@ -4,8 +4,8 @@
 //! is where those become per-*tenant*: every session carries the
 //! tenant tag from its `Hello`, and the session loop records each
 //! request's end-to-end latency (frame decoded → response encoded)
-//! into that tenant's [`LatencyHistogram`] — the same 40-bucket
-//! log-scale histogram the engine uses, so percentiles are comparable
+//! into that tenant's [`LatencyHistogram`] — the same log-linear
+//! histogram the engine uses, so percentiles are comparable
 //! across layers. Shed rejections ([`Error::Overloaded`] leaving as
 //! wire code 11) are counted per tenant too: "which tenant is driving
 //! the overload" is the first question an operator asks.

@@ -365,8 +365,7 @@ pub enum FallbackReason {
     /// Shape the vectorized executor does not handle (joins, index
     /// point lookups).
     Shape,
-    /// The `SSTORE_NO_COLUMNAR` kill-switch (or the in-process
-    /// [`crate::vexec::force_rowwise`] override) is on.
+    /// The in-process [`crate::vexec::force_rowwise`] kill-switch is on.
     Disabled,
 }
 

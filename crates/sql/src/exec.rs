@@ -253,7 +253,7 @@ pub fn run_select(catalog: &Catalog, s: &BoundSelect, params: &[Value]) -> Resul
 ///
 /// Single-table full scans dispatch to the vectorized columnar executor
 /// ([`crate::vexec`]); joins and index point lookups (and everything
-/// when `SSTORE_NO_COLUMNAR=1` is set) run the row-at-a-time pipeline.
+/// under [`crate::vexec::force_rowwise`]) run the row-at-a-time pipeline.
 /// Both produce bit-identical results.
 pub fn run_select_rows(catalog: &Catalog, s: &BoundSelect, params: &[Value]) -> Result<Vec<Tuple>> {
     if crate::vexec::use_columnar(catalog, s) {

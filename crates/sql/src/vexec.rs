@@ -53,15 +53,14 @@
 //! still fail the statement, and a failed SELECT has no effects to
 //! undo).
 //!
-//! `SSTORE_NO_COLUMNAR=1` (read once per process) disables dispatch;
-//! [`force_rowwise`] does the same programmatically so benchmarks and
-//! tests can interleave before/after runs in one process. Fallback
+//! [`force_rowwise`] disables dispatch, so benchmarks and the
+//! differential tests can interleave both executors in one process
+//! (the row pipeline is the differential reference). Fallback
 //! decisions are counted per reason (see [`batch::FallbackReason`]) so
 //! the engine can tell "fast path un-wired" from "workload is
 //! row-wise".
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
 use sstore_common::{Column, DataType, Error, Result, Tuple, Value};
 use sstore_storage::{Catalog, TableKind};
@@ -79,24 +78,18 @@ const T_FALSE: u8 = 0;
 const T_TRUE: u8 = 1;
 const T_NULL: u8 = 2;
 
-/// Process-wide programmatic kill-switch, OR'd with the env var.
+/// Process-wide kill-switch, set by [`force_rowwise`].
 static FORCE_ROWWISE: AtomicBool = AtomicBool::new(false);
 
-/// True when the columnar path is disabled via `SSTORE_NO_COLUMNAR`
-/// (any non-empty value except `0`; read once per process) or via
-/// [`force_rowwise`].
+/// True when the columnar path is disabled via [`force_rowwise`].
 pub fn disabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    *DISABLED
-        .get_or_init(|| std::env::var("SSTORE_NO_COLUMNAR").is_ok_and(|v| !v.is_empty() && v != "0"))
-        || FORCE_ROWWISE.load(Ordering::Relaxed)
+    FORCE_ROWWISE.load(Ordering::Relaxed)
 }
 
-/// Turns the row-wise kill-switch on or off for this process. The env
-/// var is read once per process, so in-process A/B runs (benchmarks,
-/// the columnar-on/off differential tests) flip this instead. Either
-/// choice yields bit-identical results; only the instruction path
-/// differs.
+/// Turns the row-wise kill-switch on or off for this process, for
+/// in-process A/B runs (benchmarks, the columnar-on/off differential
+/// tests). Either choice yields bit-identical results; only the
+/// instruction path differs.
 pub fn force_rowwise(on: bool) {
     FORCE_ROWWISE.store(on, Ordering::SeqCst);
 }
