@@ -8,7 +8,9 @@
 //! counts. Then voter's two leaderboard-refresh SELECTs against a bare
 //! scan of the same rows, in one interleaved loop: what the output edge
 //! (grouping, ordering, limiting) costs on top of reading the rows is a
-//! property of the code, and a gate bounds it. Last, a full engine
+//! property of the code, and a gate bounds it — and the top-3 once more
+//! over the same rows with the voter app's B-tree declared, where the
+//! planner must walk the index instead. Last, a full engine
 //! answering ad-hoc SELECTs through `query_at`, whose
 //! `columnar_batches` metric proves the fast path is wired into the
 //! ad-hoc read path.
@@ -19,11 +21,12 @@ use std::time::Instant;
 use sstore_common::{Column, DataType, Schema, Tuple, Value};
 use sstore_engine::metrics::EngineMetrics;
 use sstore_engine::{App, EngineConfig};
-use sstore_sql::exec::run_select_rows_rowwise;
+use sstore_sql::exec::{run_select_rows, run_select_rows_rowwise};
 use sstore_sql::plan::{BoundSelect, BoundStatement};
 use sstore_sql::vexec::run_select_columnar;
 use sstore_sql::Planner;
-use sstore_storage::{Catalog, TableKind};
+use sstore_storage::index::IndexDef;
+use sstore_storage::{Catalog, IndexKind, TableKind};
 
 use crate::{interleaved, start, DataDir, Params, Report};
 
@@ -97,19 +100,31 @@ fn time_us(f: impl FnOnce() -> Vec<Tuple>) -> f64 {
 
 /// Edge stage: voter's `fill_trend` and `fill_top` SELECTs over a
 /// 100-row window and a 500-row counts table, each beside a COUNT(*)
-/// that reads the same rows; the four medians, in µs.
+/// that reads the same rows, and `fill_top` over a copy of the counts
+/// with the app's B-tree on `(cnt, contestant)`; the five medians, in µs.
 fn edge_stage(report: &mut Report, rounds: usize) {
     let mut c = Catalog::new();
-    let counts = c
-        .create_table(
-            "vote_counts",
-            TableKind::Base,
-            Schema::of(&[("contestant", DataType::Int), ("cnt", DataType::Int)]),
-        )
-        .unwrap();
-    for i in 0..500i64 {
-        counts.insert(Tuple::new(vec![Value::Int(i + 1), Value::Int(i * 7919 % 4001)])).unwrap();
+    for name in ["vote_counts", "vote_counts_ix"] {
+        let counts = c
+            .create_table(
+                name,
+                TableKind::Base,
+                Schema::of(&[("contestant", DataType::Int), ("cnt", DataType::Int)]),
+            )
+            .unwrap();
+        for i in 0..500i64 {
+            counts.insert(Tuple::new(vec![Value::Int(i + 1), Value::Int(i * 7919 % 4001)])).unwrap();
+        }
     }
+    c.table_mut("vote_counts_ix")
+        .unwrap()
+        .create_index(IndexDef {
+            name: "by_cnt".into(),
+            key_columns: vec![1, 0],
+            kind: IndexKind::BTree,
+            unique: false,
+        })
+        .unwrap();
     let window = c
         .create_table("w_trend", TableKind::Window, Schema::of(&[("contestant", DataType::Int)]))
         .unwrap();
@@ -129,9 +144,16 @@ fn edge_stage(report: &mut Report, rounds: usize) {
             "top_us",
             "SELECT 'top', contestant, cnt FROM vote_counts ORDER BY cnt DESC, contestant LIMIT 3",
         ),
+        (
+            "top_indexed_us",
+            "SELECT 'top', contestant, cnt FROM vote_counts_ix ORDER BY cnt DESC, contestant LIMIT 3",
+        ),
     ]
     .map(|(name, sql)| (name, plan(&c, sql)));
-    let run = |i: usize| time_us(|| run_select_columnar(&c, &plans[i].1, &[]).unwrap());
+    // Through the dispatch, as the engine runs them: columnar for the
+    // scans (both tables are past the cutoff), the walk for the last.
+    let run = |i: usize| time_us(|| run_select_rows(&c, &plans[i].1, &[]).unwrap());
+    assert_eq!(run_select_rows(&c, &plans[3].1, &[]), run_select_rows(&c, &plans[4].1, &[]));
     interleaved(rounds / 10, plans.len(), run); // warm-up
     for ((name, _), us) in plans.iter().zip(interleaved(rounds, plans.len(), run)) {
         report.row(*name, us, "us");

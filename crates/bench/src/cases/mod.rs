@@ -88,6 +88,9 @@ pub const CASES: &[Case] = &[
             // filtered COUNT(*) over them.
             Gate { num: "trend_us", den: Some("count_window_us"), bound: AtMost(10.0) },
             Gate { num: "top_us", den: Some("count_filtered_us"), bound: AtMost(3.0) },
+            // The same top-3 with a B-tree on (cnt, contestant): the
+            // planner walks four index entries instead of 500 rows.
+            Gate { num: "top_indexed_us", den: Some("top_us"), bound: AtMost(0.5) },
             // Ad-hoc SELECTs through the engine run columnar.
             Gate { num: "engine_columnar_batches", den: None, bound: AtLeast(1.0) },
         ],

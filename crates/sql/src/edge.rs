@@ -15,7 +15,16 @@
 //!
 //! * Candidates arrive in scan order (row-id order; for groups, ascending
 //!   group key under [`Value::cmp_total`], multi-column keys
-//!   lexicographically) and take a sequence number on arrival.
+//!   lexicographically) and take a sequence number on arrival. Rows may
+//!   instead arrive in index order (`exec.rs`'s ordered walk), provided
+//!   rows equal on the indexed prefix of the ORDER BY arrive contiguously
+//!   and in row-id order. Every clause below survives that: two rows
+//!   tied on the prefix — the only rows whose sequence numbers the next
+//!   clause can reach — take them in the order a scan would give, and
+//!   the rows a walk stops short of order after every row already held,
+//!   so a scan would not have kept them either. A walk is planned only
+//!   where the last clause has nothing that can fail to evaluate per
+//!   row (bare-column keys, late projections, no WHERE).
 //! * The result is ordered by the ORDER BY keys, each under `cmp_total`
 //!   in its own direction (so NULL is lowest: first ascending, last
 //!   descending; NaNs order by `f64::total_cmp`; Int and Float compare
@@ -113,6 +122,19 @@ fn cmp_kept(s: &BoundSelect, keys: &[Value], a: &Kept<'_>, b: &Kept<'_>) -> Orde
     a.seq.cmp(&b.seq)
 }
 
+/// True when no projection of `s` can fail — each is a literal, a column
+/// of the row (group key, for a grouped statement) or an aggregate
+/// result — so output rows need building only for the rows returned.
+pub(crate) fn late_projections(s: &BoundSelect) -> bool {
+    let row_arity = if s.grouped { s.group_by.len() } else { s.input_arity };
+    s.projections.iter().all(|p| match p {
+        BoundExpr::Literal(_) => true,
+        BoundExpr::Column(c) => *c < row_arity,
+        BoundExpr::AggRef(a) => *a < s.aggs.len(),
+        _ => false,
+    })
+}
+
 fn project(s: &BoundSelect, ctx: &EvalCtx<'_>) -> Result<Tuple> {
     let mut output = Vec::with_capacity(s.projections.len());
     for p in &s.projections {
@@ -123,13 +145,7 @@ fn project(s: &BoundSelect, ctx: &EvalCtx<'_>) -> Result<Tuple> {
 
 impl<'r> Edge<'r> {
     pub(crate) fn new(s: &'r BoundSelect, params: &'r [Value]) -> Self {
-        let row_arity = if s.grouped { s.group_by.len() } else { s.input_arity };
-        let late = s.projections.iter().all(|p| match p {
-            BoundExpr::Literal(_) => true,
-            BoundExpr::Column(c) => *c < row_arity,
-            BoundExpr::AggRef(a) => *a < s.aggs.len(),
-            _ => false,
-        });
+        let late = late_projections(s);
         let limit = s.limit.map_or(usize::MAX, |l| usize::try_from(l).unwrap_or(usize::MAX));
         Edge {
             s,
@@ -148,6 +164,12 @@ impl<'r> Edge<'r> {
     /// ([`Out::Row`]), so the caller need not evaluate projections.
     pub(crate) fn late(&self) -> bool {
         self.late
+    }
+
+    /// True once `LIMIT` candidates are held: from here on a candidate
+    /// gets in only by ordering before one of them.
+    pub(crate) fn is_full(&self) -> bool {
+        self.kept.len() >= self.limit
     }
 
     fn sift_down(&mut self, mut i: usize) {

@@ -8,7 +8,9 @@
 //! them back, which is exactly H-Store's semantics (a failed SQL
 //! statement aborts the surrounding transaction).
 //!
-//! Determinism: scans iterate in row-id order and the SELECT output edge
+//! Determinism: scans iterate in row-id order (an ordered index walk
+//! feeds rows run by run, in row-id order within a run, which the edge's
+//! contract allows) and the SELECT output edge
 //! (`edge.rs`, shared with the columnar executor; its module docs
 //! state the ordering contract) emits groups in ascending key order and
 //! breaks ORDER BY ties by arrival, so identical inputs produce identical
@@ -211,16 +213,14 @@ fn candidate_rows(
     residual: Option<&BoundExpr>,
     params: &[Value],
 ) -> Result<Vec<RowId>> {
+    // Index postings are in row-id order already.
+    let all = || table.scan_ordered().map(|(id, _)| id).collect();
     let mut ids: Vec<RowId> = match &scan.access {
-        Access::FullScan => table.scan_ordered().map(|(id, _)| id).collect(),
         Access::IndexEq { key_cols, key_exprs } => match eval_index_key(key_exprs, params) {
-            Some(key) => {
-                let mut ids = table.lookup_eq(key_cols, &key);
-                ids.sort_unstable();
-                ids
-            }
-            None => table.scan_ordered().map(|(id, _)| id).collect(),
+            Some(key) => table.lookup_eq(key_cols, &key),
+            None => all(),
         },
+        Access::FullScan | Access::IndexOrder { .. } => all(),
     };
     if let Some(pred) = residual {
         let mut kept = Vec::with_capacity(ids.len());
@@ -252,8 +252,9 @@ pub fn run_select(catalog: &Catalog, s: &BoundSelect, params: &[Value]) -> Resul
 /// the per-execution name clone.
 ///
 /// Single-table full scans dispatch to the vectorized columnar executor
-/// ([`crate::vexec`]); joins and index point lookups (and everything
-/// under [`crate::vexec::force_rowwise`]) run the row-at-a-time pipeline.
+/// ([`crate::vexec`]); joins, index point lookups and ordered index
+/// walks (and everything under [`crate::vexec::force_rowwise`]) run the
+/// row-at-a-time pipeline.
 /// Both produce bit-identical results.
 pub fn run_select_rows(catalog: &Catalog, s: &BoundSelect, params: &[Value]) -> Result<Vec<Tuple>> {
     if crate::vexec::use_columnar(catalog, s) {
@@ -272,20 +273,25 @@ pub fn run_select_rows_rowwise(
     s: &BoundSelect,
     params: &[Value],
 ) -> Result<Vec<Tuple>> {
-    // 1. Base scan (borrowed rows).
     let base = catalog.get(s.from.table);
+    if let Access::IndexOrder { index, prefix_len, reverse } = &s.from.access {
+        if let Some(rows) = walk_index_order(base, s, params, index, *prefix_len, *reverse) {
+            return rows;
+        }
+    }
+
+    // 1. Base scan (borrowed rows; index postings are in row-id order).
+    let all = || base.scan_ordered().map(|(_, t)| Cow::Borrowed(t.values())).collect();
     let mut rows: Vec<Cow<'_, [Value]>> = match &s.from.access {
-        Access::FullScan => base.scan_ordered().map(|(_, t)| Cow::Borrowed(t.values())).collect(),
         Access::IndexEq { key_cols, key_exprs } => match eval_index_key(key_exprs, params) {
-            Some(key) => {
-                let mut ids = base.lookup_eq(key_cols, &key);
-                ids.sort_unstable();
-                ids.iter()
-                    .map(|id| Cow::Borrowed(base.get(*id).expect("indexed row is live").values()))
-                    .collect()
-            }
-            None => base.scan_ordered().map(|(_, t)| Cow::Borrowed(t.values())).collect(),
+            Some(key) => base
+                .lookup_eq(key_cols, &key)
+                .iter()
+                .map(|id| Cow::Borrowed(base.get(*id).expect("indexed row is live").values()))
+                .collect(),
+            None => all(),
         },
+        Access::FullScan | Access::IndexOrder { .. } => all(),
     };
 
     // 2. Joins, left-deep. Only here do rows become owned (the
@@ -378,6 +384,71 @@ pub fn run_select_rows_rowwise(
         }
     }
     edge.finish()
+}
+
+/// [`Access::IndexOrder`]: `ORDER BY <index prefix> … LIMIT k` by
+/// walking the index instead of sorting the table. The walk goes run by
+/// run — a run is the rows equal on the first `prefix_len` key columns,
+/// offered to the edge in row-id order, as a scan would meet them — and
+/// stops at the first run boundary where the edge is full (it fills
+/// only there, a run being offered whole): every later row orders after
+/// every row held, on the prefix alone. Within a run the edge decides as
+/// it always does (later ORDER BY keys, then arrival), so the result is
+/// the scan's. `None` if the index is gone or no longer leads with the
+/// ORDER BY columns: the caller scans.
+fn walk_index_order(
+    base: &Table,
+    s: &BoundSelect,
+    params: &[Value],
+    index: &str,
+    prefix_len: usize,
+    reverse: bool,
+) -> Option<Result<Vec<Tuple>>> {
+    let ix = base.index(index)?;
+    let mut cursor = ix.cursor()?;
+    let leads = (0..prefix_len).all(|i| {
+        matches!((ix.def.key_columns.get(i), s.order_by.get(i)),
+            (Some(k), Some((BoundExpr::Column(c), _))) if k == c)
+    });
+    if !leads {
+        return None;
+    }
+    let mut next = || if reverse { cursor.next_back() } else { cursor.next() };
+    let mut edge = Edge::new(s, params);
+    let mut run: Vec<RowId> = Vec::new();
+    let mut visited = 0;
+    let mut entry = next();
+    while let Some((key, ids)) = entry {
+        if edge.is_full() {
+            break;
+        }
+        // A run of one key is that key's postings, in id order; one of
+        // several keys interleaves them.
+        run.extend_from_slice(ids);
+        let mut keys_in_run = 1;
+        loop {
+            entry = next();
+            match entry {
+                Some((k, more)) if k[..prefix_len] == key[..prefix_len] => {
+                    run.extend_from_slice(more);
+                    keys_in_run += 1;
+                }
+                _ => break,
+            }
+        }
+        if keys_in_run > 1 {
+            run.sort_unstable();
+        }
+        visited += run.len();
+        for id in run.drain(..) {
+            let row = base.get(id).expect("indexed row is live").values();
+            if let Err(e) = edge.offer_ctx(&EvalCtx { row, params, aggs: &[] }, Some(row)) {
+                return Some(Err(e));
+            }
+        }
+    }
+    base.stats().record_ordered_visits(visited);
+    Some(edge.finish())
 }
 
 #[cfg(test)]

@@ -2,15 +2,39 @@
 //!
 //! The planner resolves every column name against the catalog, rewrites
 //! grouped queries into (group keys, aggregate specs, post-aggregate
-//! expressions), and chooses access paths: a top-level conjunction of
-//! `column = <row-independent expr>` predicates is matched against the
-//! table's indexes and becomes an index point-lookup ([`Access::IndexEq`]),
-//! mirroring H-Store's planner turning PK probes into index lookups —
-//! the effect the paper leans on in §4.6.3 (vote validation is an index
-//! probe in S-Store but a scan in Spark Streaming).
+//! expressions), and chooses one of three access paths for the base
+//! table:
+//!
+//! * [`Access::FullScan`] — every live row, in row-id order. The default,
+//!   and what every other path falls back to.
+//! * [`Access::IndexEq`] — a top-level conjunction of
+//!   `column = <row-independent expr>` predicates covering an index's
+//!   whole key becomes a point lookup, mirroring H-Store's planner
+//!   turning PK probes into index lookups — the effect the paper leans on
+//!   in §4.6.3 (vote validation is an index probe in S-Store but a scan
+//!   in Spark Streaming). The WHERE stays as a residual filter.
+//! * [`Access::IndexOrder`] — `ORDER BY <indexed columns> LIMIT k` walks
+//!   a B-tree index from one end and stops once `k` rows are certain,
+//!   O(log n + k) instead of a scan and a top-k (the leaderboard refresh
+//!   of §4.6). A SELECT qualifies when **all** of these hold:
+//!   one table, no join, no GROUP BY or aggregate, no WHERE, a LIMIT;
+//!   every ORDER BY key is a bare column; every projection is a bare
+//!   column or a literal (`edge.rs`'s rule for building a row late); and the
+//!   first `prefix_len >= 1` ORDER BY keys, all in one direction, are the
+//!   first `prefix_len` key columns of a B-tree index of the table (the
+//!   longest such prefix wins, the earliest-declared index on a tie).
+//!   Keys past the prefix — a direction change (`cnt DESC, contestant
+//!   ASC` over an index on `(cnt, contestant)` has `prefix_len` 1), an
+//!   unindexed column — and the arrival-order tie-break are still the
+//!   output edge's to decide, run by run (`exec.rs`). The rule is this
+//!   narrow because the walk never reaches most rows: anything the scan
+//!   would have evaluated for them must be unable to fail, or a statement
+//!   that used to fail would now succeed. Bare columns and literals
+//!   cannot fail; proving a WHERE infallible would take a type-aware
+//!   pass over the predicate, so a WHERE disqualifies outright.
 
 use sstore_common::{Error, Result, Schema, TableId};
-use sstore_storage::Catalog;
+use sstore_storage::{Catalog, IndexKind};
 
 use crate::ast::{
     BinOp, ColumnRef, Delete, Expr, Insert, InsertSource, OrderKey, Select, SelectItem, SortOrder,
@@ -30,6 +54,19 @@ pub enum Access {
         key_cols: Vec<usize>,
         /// Key expressions, parallel to `key_cols`.
         key_exprs: Vec<BoundExpr>,
+    },
+    /// Walk a B-tree index in key order, feeding the output edge one run
+    /// of prefix-equal rows at a time, until it holds `LIMIT` rows (the
+    /// module docs state which statements qualify). If the index is gone
+    /// or changed by execution time the statement scans instead.
+    IndexOrder {
+        /// Name of the B-tree index.
+        index: String,
+        /// How many leading ORDER BY keys are the index's leading key
+        /// columns, in one direction (at least 1).
+        prefix_len: usize,
+        /// Walk from the high end (those keys are DESC).
+        reverse: bool,
     },
 }
 
@@ -344,7 +381,7 @@ impl<'a> Planner<'a> {
             order_by.push((bound, *order));
         }
 
-        Ok(BoundSelect {
+        let mut select = BoundSelect {
             from,
             joins,
             where_pred,
@@ -357,6 +394,45 @@ impl<'a> Planner<'a> {
             order_by,
             limit: s.limit,
             input_arity: scope.arity(),
+        };
+        if let Some(ordered) = self.choose_index_order(&select) {
+            select.from.access = ordered;
+        }
+        Ok(select)
+    }
+
+    /// [`Access::IndexOrder`] for `s` if it qualifies (module docs).
+    fn choose_index_order(&self, s: &BoundSelect) -> Option<Access> {
+        if s.limit.is_none()
+            || s.grouped
+            || !s.joins.is_empty()
+            || s.where_pred.is_some()
+            || !crate::edge::late_projections(s)
+        {
+            return None;
+        }
+        let cols: Vec<usize> = s
+            .order_by
+            .iter()
+            .map(|(e, _)| match e {
+                BoundExpr::Column(c) if *c < s.input_arity => Some(*c),
+                _ => None,
+            })
+            .collect::<Option<_>>()?;
+        let dir = s.order_by.first()?.1;
+        let uniform = s.order_by.iter().take_while(|(_, d)| *d == dir).count();
+        let mut best: Option<(String, usize)> = None;
+        for def in self.catalog.get(s.from.table).index_defs() {
+            let prefix_len =
+                def.key_columns.iter().zip(&cols[..uniform]).take_while(|(k, c)| k == c).count();
+            if def.kind == IndexKind::BTree && prefix_len > best.as_ref().map_or(0, |b| b.1) {
+                best = Some((def.name, prefix_len));
+            }
+        }
+        best.map(|(index, prefix_len)| Access::IndexOrder {
+            index,
+            prefix_len,
+            reverse: dir == SortOrder::Desc,
         })
     }
 
@@ -773,6 +849,118 @@ mod tests {
     fn index_not_used_under_or() {
         match plan("SELECT * FROM votes WHERE phone = 1 OR contestant = 2") {
             BoundStatement::Select(s) => assert_eq!(s.from.access, Access::FullScan),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// `scores(player, score, region)` with a B-tree on `(score,
+    /// player)`, a hash index on `region`, and a B-tree on `region`
+    /// declared after it.
+    fn scores() -> Catalog {
+        let mut c = catalog();
+        let t = c
+            .create_table(
+                "scores",
+                TableKind::Base,
+                Schema::of(&[
+                    ("player", DataType::Int),
+                    ("score", DataType::Int),
+                    ("region", DataType::Int),
+                ]),
+            )
+            .unwrap();
+        for (name, key_columns, kind) in [
+            ("by_score", vec![1, 0], IndexKind::BTree),
+            ("region_hash", vec![2], IndexKind::Hash),
+            ("region_tree", vec![2], IndexKind::BTree),
+        ] {
+            t.create_index(IndexDef { name: name.into(), key_columns, kind, unique: false }).unwrap();
+        }
+        c
+    }
+
+    fn access(c: &Catalog, sql: &str) -> Access {
+        match Planner::new(c).plan_sql(sql).unwrap() {
+            BoundStatement::Select(s) => s.from.access,
+            BoundStatement::Insert(i) => i.select.expect("INSERT … SELECT").from.access,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn ordered_walk_chosen_for_order_by_index_prefix_with_limit() {
+        let c = scores();
+        let walk = |index: &str, prefix_len, reverse| Access::IndexOrder {
+            index: index.into(),
+            prefix_len,
+            reverse,
+        };
+        for (sql, want) in [
+            ("SELECT player FROM scores ORDER BY score LIMIT 3", walk("by_score", 1, false)),
+            ("SELECT * FROM scores ORDER BY score DESC LIMIT 1", walk("by_score", 1, true)),
+            ("SELECT 'top', player FROM scores ORDER BY score, player LIMIT 0", walk("by_score", 2, false)),
+            (
+                "SELECT player FROM scores ORDER BY score DESC, player DESC LIMIT 3",
+                walk("by_score", 2, true),
+            ),
+            // A direction change ends the prefix; the rest is the edge's.
+            (
+                "SELECT player FROM scores ORDER BY score DESC, player ASC LIMIT 3",
+                walk("by_score", 1, true),
+            ),
+            // So does a key that is not the index's next column.
+            (
+                "SELECT player FROM scores ORDER BY score, region, player LIMIT 3",
+                walk("by_score", 1, false),
+            ),
+            // The hash index on the same column is no use; the B-tree is.
+            ("SELECT player FROM scores ORDER BY region LIMIT 2", walk("region_tree", 1, false)),
+            // By alias, and as the source of an INSERT.
+            ("SELECT score AS s FROM scores ORDER BY s LIMIT 2", walk("by_score", 1, false)),
+            (
+                "INSERT INTO contestants (id, name) SELECT player, 'x' FROM scores \
+                 ORDER BY score DESC, player LIMIT 3",
+                walk("by_score", 1, true),
+            ),
+        ] {
+            assert_eq!(access(&c, sql), want, "{sql}");
+        }
+    }
+
+    #[test]
+    fn ordered_walk_refused_for_every_shape_outside_the_rule() {
+        let c = scores();
+        for sql in [
+            // No LIMIT: every row is returned anyway.
+            "SELECT player FROM scores ORDER BY score",
+            // No ORDER BY.
+            "SELECT player FROM scores LIMIT 3",
+            // Grouped, explicitly and implicitly.
+            "SELECT score, COUNT(*) FROM scores GROUP BY score ORDER BY score LIMIT 3",
+            "SELECT MAX(score) FROM scores ORDER BY MAX(score) LIMIT 1",
+            // A join.
+            "SELECT s.player FROM scores s JOIN contestants c ON s.player = c.id \
+             ORDER BY s.score LIMIT 3",
+            // A key that is an expression, leading or trailing.
+            "SELECT player FROM scores ORDER BY score + 1 LIMIT 3",
+            "SELECT player FROM scores ORDER BY score, player + 1 LIMIT 3",
+            // The first key is not an index's first column.
+            "SELECT player FROM scores ORDER BY player LIMIT 3",
+            "SELECT player FROM scores ORDER BY player, score LIMIT 3",
+            // A projection that can fail on a row the walk would skip.
+            "SELECT score / player FROM scores ORDER BY score LIMIT 3",
+            "SELECT ? FROM scores ORDER BY score LIMIT 3",
+            // Any WHERE: infallibility is not proven, so none is assumed.
+            "SELECT player FROM scores WHERE region = 1 ORDER BY score LIMIT 3",
+            "SELECT player FROM scores WHERE score > 0 ORDER BY score LIMIT 3",
+            // Only a hash index on the key.
+            "SELECT phone FROM votes ORDER BY phone LIMIT 3",
+        ] {
+            assert!(!matches!(access(&c, sql), Access::IndexOrder { .. }), "{sql}");
+        }
+        // UPDATE and DELETE never walk.
+        match Planner::new(&c).plan_sql("DELETE FROM scores").unwrap() {
+            BoundStatement::Delete(d) => assert_eq!(d.scan.access, Access::FullScan),
             other => panic!("{other:?}"),
         }
     }

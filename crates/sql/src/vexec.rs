@@ -105,8 +105,8 @@ pub const COLUMNAR_MIN_ROWS: usize = 64;
 
 /// True for plans the columnar executor handles: single-table full
 /// scans. Joins stay on the row pipeline, and index point lookups
-/// (the OLTP hot path) are deliberately excluded — batching one or two
-/// rows costs more than it saves.
+/// (the OLTP hot path) and ordered index walks are deliberately
+/// excluded — batching a handful of rows costs more than it saves.
 pub fn eligible(s: &BoundSelect) -> bool {
     s.joins.is_empty() && matches!(s.from.access, Access::FullScan)
 }

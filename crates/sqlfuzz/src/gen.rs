@@ -217,14 +217,16 @@ fn gen_tables(g: &mut StdRng) -> Vec<TableSpec> {
                 unique: true,
             });
         }
-        if ncols > 2 && range(g, 10) < 4 {
+        if ncols > 2 && range(g, 10) < 6 {
+            // Hash, or a B-tree over one or two columns: the kind that
+            // `ORDER BY … LIMIT` can walk (`gen_indexed_top`).
             let col = 1 + range(g, ncols - 1);
-            indexes.push(IndexDef {
-                name: format!("t{ti}_ix{col}"),
-                key_columns: vec![col],
-                kind: IndexKind::Hash,
-                unique: false,
-            });
+            let (kind, key_columns) = match range(g, 3) {
+                0 => (IndexKind::Hash, vec![col]),
+                1 => (IndexKind::BTree, vec![col]),
+                _ => (IndexKind::BTree, vec![col, range(g, ncols)]),
+            };
+            indexes.push(IndexDef { name: format!("t{ti}_ix{col}"), key_columns, kind, unique: false });
         }
         tables.push(TableSpec { name: format!("t{ti}"), schema, indexes });
     }
@@ -648,6 +650,12 @@ fn gen_select(g: &mut StdRng, tables: &[TableSpec], large: bool) -> Stmt {
     let mut params = Vec::new();
     let ti = if large { 0 } else { range(g, tables.len()) };
     let base = &tables[ti];
+    let btrees: Vec<&IndexDef> =
+        base.indexes.iter().filter(|ix| ix.kind == IndexKind::BTree).collect();
+    if !btrees.is_empty() && range(g, 4) == 0 {
+        let index = btrees[range(g, btrees.len())];
+        return gen_indexed_top(g, base, index);
+    }
 
     // Joins: mostly none (single-table scans are the columnar surface),
     // sometimes one or two against the *small* tables.
@@ -775,6 +783,53 @@ fn gen_select(g: &mut StdRng, tables: &[TableSpec], large: bool) -> Stmt {
             having,
             order_by,
             limit,
+        }),
+        params,
+    }
+}
+
+/// `ORDER BY <a B-tree's leading columns> LIMIT 1–5` over one table:
+/// the shape the planner answers by walking `index` instead of sorting
+/// the table, so both must agree on ties, NULLs and where to stop. Most
+/// qualify; the rest carry one clause that must send them back to the
+/// scan (a WHERE, a computed projection) or that ends the walked prefix
+/// early (a direction change, a key from outside the index).
+fn gen_indexed_top(g: &mut StdRng, base: &TableSpec, index: &IndexDef) -> Stmt {
+    let mut params = Vec::new();
+    let scope = ExprScope { entries: vec![(base.name.as_str(), &base.schema)], qualify: false };
+    let flip = |o| if o == SortOrder::Asc { SortOrder::Desc } else { SortOrder::Asc };
+    let order = if range(g, 2) == 0 { SortOrder::Asc } else { SortOrder::Desc };
+    let nkeys = 1 + range(g, index.key_columns.len());
+    let mut order_by: Vec<OrderKey> = index.key_columns[..nkeys]
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| OrderKey {
+            expr: Expr::Column(ColumnRef { table: None, column: base.schema.column(c).name.clone() }),
+            order: if i > 0 && range(g, 4) == 0 { flip(order) } else { order },
+        })
+        .collect();
+    if range(g, 3) == 0 {
+        order_by.push(OrderKey { expr: scope.random_col(g).0, order: flip(order) });
+    }
+    let items = match range(g, 10) {
+        0..=2 => vec![SelectItem::Wildcard],
+        3..=8 => (0..1 + range(g, 3))
+            .map(|_| SelectItem::Expr { expr: scope.random_col(g).0, alias: None })
+            .collect(),
+        _ => gen_plain_items(g, &scope, &mut params),
+    };
+    let where_clause =
+        if range(g, 8) == 0 { Some(gen_bool(g, &scope, &mut params, 1)) } else { None };
+    Stmt {
+        stmt: Statement::Select(Select {
+            items,
+            from: TableRef { name: base.name.clone(), alias: None },
+            joins: vec![],
+            where_clause,
+            group_by: vec![],
+            having: None,
+            order_by,
+            limit: Some(1 + range(g, 5) as u64),
         }),
         params,
     }
@@ -1030,8 +1085,11 @@ mod tests {
         // otherwise the fuzzer silently stops covering its targets.
         let (mut joins, mut grouped, mut null_in, mut desc, mut with_params) =
             (false, false, false, false, false);
+        let mut indexed_tops = 0;
         for seed in 0..40 {
-            for s in generate(seed).stmts {
+            let case = generate(seed);
+            indexed_tops += index_walks(&case);
+            for s in case.stmts {
                 if let Statement::Select(sel) = &s.stmt {
                     joins |= !sel.joins.is_empty();
                     grouped |= !sel.group_by.is_empty();
@@ -1048,5 +1106,25 @@ mod tests {
         assert!(null_in, "no NULL-seeded IN lists generated");
         assert!(desc, "no DESC sort keys generated");
         assert!(with_params, "no parameterized statements generated");
+        assert!(indexed_tops >= 20, "{indexed_tops} SELECTs planned as an ordered index walk");
+        let large: usize = (0..40).map(|seed| index_walks(&generate_large(seed))).sum();
+        assert!(large >= 20, "{large} ordered index walks over the large table");
+    }
+
+    /// How many of the case's SELECTs the engine's planner answers by
+    /// walking a B-tree (`Access::IndexOrder`).
+    fn index_walks(case: &Case) -> usize {
+        use sstore_sql::plan::{Access, BoundStatement, Planner};
+        let mut c = sstore_storage::Catalog::new();
+        for t in &case.tables {
+            let table =
+                c.create_table(&t.name, sstore_storage::TableKind::Base, t.schema.clone()).unwrap();
+            t.indexes.iter().for_each(|ix| table.create_index(ix.clone()).unwrap());
+        }
+        let walks = |s: &Stmt| match Planner::new(&c).plan(&s.stmt) {
+            Ok(BoundStatement::Select(sel)) => matches!(sel.from.access, Access::IndexOrder { .. }),
+            _ => false,
+        };
+        case.stmts.iter().filter(|s| walks(s)).count()
     }
 }

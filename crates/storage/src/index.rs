@@ -10,8 +10,7 @@
 //! and is maintained by [`Table`](crate::table::Table) mutation paths.
 
 use std::collections::hash_map::Entry;
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::collections::{btree_map, BTreeMap};
 
 use sstore_common::hash::FxHashMap;
 use sstore_common::{Error, Result, RowId, Value};
@@ -51,9 +50,11 @@ impl IndexDef {
     }
 }
 
-/// The rows carrying one key, in insertion order. Most keys carry one
-/// row (every key of a unique index does), so that case is held inline
-/// and costs no allocation; `Many` always holds at least two.
+/// The rows carrying one key, ascending by [`RowId`] — the order a scan
+/// meets them in, whatever order inserts, deletes and undo restores
+/// happened in. Most keys carry one row (every key of a unique index
+/// does), so that case is held inline and costs no allocation; `Many`
+/// always holds at least two.
 #[derive(Debug, Clone)]
 pub enum Postings {
     /// Exactly one row.
@@ -70,10 +71,19 @@ impl Postings {
         }
     }
 
+    /// Adds `row` in id order: fresh ids are the highest yet, so the
+    /// common case appends; an undo restore or a key-changing update
+    /// finds its place by binary search.
     fn push(&mut self, row: RowId) {
         match self {
-            Postings::One(first) => *self = Postings::Many(vec![*first, row]),
-            Postings::Many(rows) => rows.push(row),
+            Postings::One(first) => *self = Postings::Many(vec![row.min(*first), row.max(*first)]),
+            Postings::Many(rows) => match rows.last() {
+                Some(last) if *last < row => rows.push(row),
+                _ => {
+                    let at = rows.partition_point(|r| *r < row);
+                    rows.insert(at, row);
+                }
+            },
         }
     }
 }
@@ -81,15 +91,14 @@ impl Postings {
 /// Removes `row` from the postings a map lookup found. Returns whether
 /// the row was there and whether the key is now empty (the caller owns
 /// the map and drops the key).
-fn remove_posting(slot: Option<&mut Postings>, row: RowId) -> (bool, bool) {
-    let Some(slot) = slot else { return (false, false) };
+fn remove_posting(slot: &mut Postings, row: RowId) -> (bool, bool) {
     match slot {
         Postings::One(only) => (*only == row, *only == row),
         Postings::Many(rows) => {
-            let Some(pos) = rows.iter().position(|&r| r == row) else {
+            let Ok(pos) = rows.binary_search(&row) else {
                 return (false, false);
             };
-            rows.swap_remove(pos);
+            rows.remove(pos);
             if let [last] = rows[..] {
                 *slot = Postings::One(last);
             }
@@ -98,9 +107,10 @@ fn remove_posting(slot: Option<&mut Postings>, row: RowId) -> (bool, bool) {
     }
 }
 
-/// Sorts `count` `(key, row)` pairs and groups them into one entry per
-/// distinct key, ascending. The sort is stable, so the rows under a key
-/// stay in arrival order.
+/// Sorts `count` `(key, row)` pairs by key, then row id, and groups
+/// them into one entry per distinct key, ascending. Rows need not
+/// arrive in id order ([`Table::create_index`](crate::table::Table::create_index)
+/// backfills in slot order, which reused slots scramble).
 fn sorted_run<K: Ord>(
     def: &IndexDef,
     count: usize,
@@ -109,7 +119,7 @@ fn sorted_run<K: Ord>(
 ) -> Result<Vec<(Vec<Value>, Postings)>> {
     let mut sorted: Vec<(K, RowId)> = Vec::with_capacity(count);
     sorted.extend(keyed);
-    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+    sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
     let mut run = Vec::new();
     let mut sorted = sorted.into_iter().peekable();
     while let Some((key, row)) = sorted.next() {
@@ -157,9 +167,9 @@ impl Index {
     /// [`Table::create_index`](crate::table::Table::create_index)'s
     /// backfill. A hash index is reserved to the row count up front; a
     /// B-tree is built bottom-up from one sorted run instead of by
-    /// `count` root-to-leaf inserts. Rows under one key keep the order
-    /// they arrive in. A second row under one key of a unique index is
-    /// an [`Error::UniqueViolation`].
+    /// `count` root-to-leaf inserts. Rows under one key end up in id
+    /// order whatever order they arrive in. A second row under one key
+    /// of a unique index is an [`Error::UniqueViolation`].
     pub fn build<'r>(
         def: IndexDef,
         count: usize,
@@ -221,19 +231,12 @@ impl Index {
         .map_or(&[], Postings::as_slice)
     }
 
-    /// Ordered range scan (B-tree only; hash indexes return an empty
-    /// vector — the planner never asks them for ranges).
-    pub fn range(
-        &self,
-        lo: Bound<&Vec<Value>>,
-        hi: Bound<&Vec<Value>>,
-    ) -> Vec<(Vec<Value>, Vec<RowId>)> {
+    /// A cursor over every `(key, rows)` entry in key order, walkable
+    /// from either end; `None` for a hash index, which has no order.
+    pub fn cursor(&self) -> Option<Cursor<'_>> {
         match &self.data {
-            IndexData::Hash(_) => Vec::new(),
-            IndexData::BTree(m) => m
-                .range::<Vec<Value>, _>((lo, hi))
-                .map(|(k, v)| (k.clone(), v.as_slice().to_vec()))
-                .collect(),
+            IndexData::Hash(_) => None,
+            IndexData::BTree(m) => Some(Cursor(m.iter())),
         }
     }
 
@@ -251,19 +254,23 @@ impl Index {
     }
 
     /// Removes a `(key, row)` pair. Returns whether the pair was found.
-    pub fn remove(&mut self, key: &[Value], row: RowId) -> bool {
+    /// The key is taken whole so that finding the entry and dropping it
+    /// once empty are one descent, not two.
+    pub fn remove(&mut self, key: Vec<Value>, row: RowId) -> bool {
         match &mut self.data {
             IndexData::Hash(m) => {
-                let (found, emptied) = remove_posting(m.get_mut(key), row);
+                let Entry::Occupied(mut slot) = m.entry(key) else { return false };
+                let (found, emptied) = remove_posting(slot.get_mut(), row);
                 if emptied {
-                    m.remove(key);
+                    slot.remove();
                 }
                 found
             }
             IndexData::BTree(m) => {
-                let (found, emptied) = remove_posting(m.get_mut(key), row);
+                let btree_map::Entry::Occupied(mut slot) = m.entry(key) else { return false };
+                let (found, emptied) = remove_posting(slot.get_mut(), row);
                 if emptied {
-                    m.remove(key);
+                    slot.remove();
                 }
                 found
             }
@@ -277,14 +284,26 @@ impl Index {
             IndexData::BTree(m) => m.clear(),
         }
     }
+}
 
-    /// Iterates all `(key, rows)` pairs. B-tree iterates in key order;
-    /// hash order is unspecified.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = (&Vec<Value>, &[RowId])> + '_> {
-        match &self.data {
-            IndexData::Hash(m) => Box::new(m.iter().map(|(k, v)| (k, v.as_slice()))),
-            IndexData::BTree(m) => Box::new(m.iter().map(|(k, v)| (k, v.as_slice()))),
-        }
+/// A borrowed walk over a B-tree index ([`Index::cursor`]): each entry
+/// is a key and the rows carrying it, ascending by row id, both lent by
+/// the index — nothing is cloned. `next` walks up the key order,
+/// `next_back` down it.
+#[derive(Debug, Clone)]
+pub struct Cursor<'a>(btree_map::Iter<'a, Vec<Value>, Postings>);
+
+impl<'a> Iterator for Cursor<'a> {
+    type Item = (&'a [Value], &'a [RowId]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(k, p)| (k.as_slice(), p.as_slice()))
+    }
+}
+
+impl DoubleEndedIterator for Cursor<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        self.0.next_back().map(|(k, p)| (k.as_slice(), p.as_slice()))
     }
 }
 
@@ -316,35 +335,69 @@ mod tests {
     fn remove_clears_empty_keys() {
         let mut ix = Index::new(def(IndexKind::BTree, false));
         ix.insert(k(1), RowId(10));
-        assert!(ix.remove(&k(1), RowId(10)));
-        assert!(!ix.remove(&k(1), RowId(10)));
+        assert!(ix.remove(k(1), RowId(10)));
+        assert!(!ix.remove(k(1), RowId(10)));
         assert_eq!(ix.distinct_keys(), 0);
         assert!(!ix.contains_key(&k(1)));
     }
 
     #[test]
-    fn btree_range_scan_is_ordered() {
+    fn cursor_walks_key_order_from_either_end() {
         let mut ix = Index::new(def(IndexKind::BTree, false));
         for v in [5i64, 1, 3, 2, 4] {
             ix.insert(k(v), RowId(v as u64));
         }
-        let lo = k(2);
-        let hi = k(4);
-        let got: Vec<i64> = ix
-            .range(Bound::Included(&lo), Bound::Included(&hi))
-            .into_iter()
-            .map(|(key, _)| key[0].as_int().unwrap())
-            .collect();
-        assert_eq!(got, vec![2, 3, 4]);
+        let keys = |c: &mut dyn Iterator<Item = (&[Value], &[RowId])>| -> Vec<i64> {
+            c.map(|(key, _)| key[0].as_int().unwrap()).collect()
+        };
+        assert_eq!(keys(&mut ix.cursor().unwrap()), vec![1, 2, 3, 4, 5]);
+        assert_eq!(keys(&mut ix.cursor().unwrap().rev()), vec![5, 4, 3, 2, 1]);
+        // The two ends meet: nothing is yielded twice.
+        let mut c = ix.cursor().unwrap();
+        assert_eq!(c.next().unwrap().1, &[RowId(1)]);
+        assert_eq!(c.next_back().unwrap().1, &[RowId(5)]);
+        assert_eq!(keys(&mut c), vec![2, 3, 4]);
     }
 
     #[test]
-    fn hash_range_scan_is_empty() {
+    fn hash_index_has_no_cursor() {
         let mut ix = Index::new(def(IndexKind::Hash, false));
         ix.insert(k(1), RowId(1));
-        let lo = k(0);
-        let hi = k(9);
-        assert!(ix.range(Bound::Included(&lo), Bound::Included(&hi)).is_empty());
+        assert!(ix.cursor().is_none());
+    }
+
+    #[test]
+    fn postings_stay_in_row_id_order() {
+        for kind in [IndexKind::Hash, IndexKind::BTree] {
+            let mut ix = Index::new(def(kind, false));
+            for r in [4u64, 9, 2, 7, 5] {
+                ix.insert(k(1), RowId(r));
+            }
+            assert_eq!(ix.get(&k(1)), [2, 4, 5, 7, 9].map(RowId));
+            // A delete in the middle closes the gap; a restore of the
+            // same id (undo) lands where it was.
+            assert!(ix.remove(k(1), RowId(4)));
+            assert!(!ix.remove(k(1), RowId(4)));
+            assert_eq!(ix.get(&k(1)), [2, 5, 7, 9].map(RowId));
+            ix.insert(k(1), RowId(4));
+            assert_eq!(ix.get(&k(1)), [2, 4, 5, 7, 9].map(RowId));
+            for r in [2u64, 4, 5, 7] {
+                assert!(ix.remove(k(1), RowId(r)));
+            }
+            assert_eq!(ix.get(&k(1)), &[RowId(9)]);
+        }
+    }
+
+    #[test]
+    fn build_orders_postings_by_row_id_whatever_the_arrival_order() {
+        let rows: Vec<(RowId, [Value; 1])> =
+            [(7u64, 1i64), (3, 2), (5, 1), (1, 1), (2, 2)].map(|(r, v)| (RowId(r), [Value::Int(v)])).into();
+        for kind in [IndexKind::Hash, IndexKind::BTree] {
+            let ix =
+                Index::build(def(kind, false), rows.len(), rows.iter().map(|(r, v)| (*r, &v[..]))).unwrap();
+            assert_eq!(ix.get(&k(1)), [1, 5, 7].map(RowId));
+            assert_eq!(ix.get(&k(2)), [2, 3].map(RowId));
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@ pub struct TableStats {
     updates: Cell<u64>,
     index_lookups: Cell<u64>,
     scans: Cell<u64>,
+    ordered_visits: Cell<u64>,
 }
 
 impl TableStats {
@@ -46,6 +47,19 @@ impl TableStats {
     /// Equality lookups answered by a full scan.
     pub fn scans(&self) -> u64 {
         self.scans.get()
+    }
+
+    /// Rows fetched by ordered index walks (`ORDER BY <indexed columns>
+    /// LIMIT k`): a walk that stops early visits about `k` of them, one
+    /// that could not visits the table.
+    pub fn ordered_visits(&self) -> u64 {
+        self.ordered_visits.get()
+    }
+
+    /// Counts `rows` more rows fetched by an ordered index walk (the
+    /// walk is the executor's, over [`Index::cursor`](crate::index::Index::cursor)).
+    pub fn record_ordered_visits(&self, rows: usize) {
+        self.ordered_visits.set(self.ordered_visits.get() + rows as u64);
     }
 
     pub(crate) fn record_insert(&self) {
@@ -75,6 +89,7 @@ impl TableStats {
         self.updates.set(0);
         self.index_lookups.set(0);
         self.scans.set(0);
+        self.ordered_visits.set(0);
     }
 }
 
@@ -91,6 +106,8 @@ mod tests {
         s.record_update();
         s.record_index_lookup();
         s.record_scan();
+        s.record_ordered_visits(3);
+        assert_eq!(s.ordered_visits(), 3);
         assert_eq!(s.inserts(), 2);
         assert_eq!(s.deletes(), 1);
         assert_eq!(s.updates(), 1);
@@ -99,5 +116,6 @@ mod tests {
         s.reset();
         assert_eq!(s.inserts(), 0);
         assert_eq!(s.scans(), 0);
+        assert_eq!(s.ordered_visits(), 0);
     }
 }

@@ -353,8 +353,7 @@ impl Table {
         self.live -= 1;
         self.stale += 1;
         for ix in &mut self.indexes {
-            let key = ix.def.key_of(row.tuple.values());
-            ix.remove(&key, id);
+            ix.remove(ix.def.key_of(row.tuple.values()), id);
         }
         self.maybe_compact_order();
         self.stats.record_delete();
@@ -366,29 +365,21 @@ impl Table {
     pub fn update(&mut self, id: RowId, new: Tuple) -> Result<Tuple> {
         self.schema.validate(new.values())?;
         let slot = *self.by_id.get(&id).ok_or_else(|| row_not_found(&self.name, id))?;
-        // Compute each index's (old, new) key pair exactly once; keys
-        // that don't change are dropped immediately (`None`), so
-        // untouched indexes cost two key extractions and no writes.
-        let old_tuple = &self.slots[slot as usize].as_ref().expect("live slot").tuple;
-        let mut changed: Vec<Option<(Vec<Value>, Vec<Value>)>> =
-            Vec::with_capacity(self.indexes.len());
-        for ix in &self.indexes {
-            let old_key = ix.def.key_of(old_tuple.values());
+        // An index is touched only if one of its key columns changed,
+        // and keys are built for those alone: an update that leaves a
+        // key where it was costs that index a few value compares. Every
+        // unique check passes before any index moves.
+        let old = self.slots[slot as usize].as_ref().expect("live slot").tuple.values();
+        let moved = |ix: &Index| ix.def.key_columns.iter().any(|&c| old[c] != new.values()[c]);
+        for ix in self.indexes.iter().filter(|ix| ix.def.unique && moved(ix)) {
             let new_key = ix.def.key_of(new.values());
-            if old_key == new_key {
-                changed.push(None);
-                continue;
-            }
-            if ix.def.unique && ix.contains_key(&new_key) {
+            if ix.contains_key(&new_key) {
                 return Err(ix.def.violation(&new_key));
             }
-            changed.push(Some((old_key, new_key)));
         }
-        for (ix, keys) in self.indexes.iter_mut().zip(changed) {
-            if let Some((old_key, new_key)) = keys {
-                ix.remove(&old_key, id);
-                ix.insert(new_key, id);
-            }
+        for ix in self.indexes.iter_mut().filter(|ix| moved(ix)) {
+            ix.remove(ix.def.key_of(old), id);
+            ix.insert(ix.def.key_of(new.values()), id);
         }
         let row = self.slots[slot as usize].as_mut().expect("live slot");
         let old = std::mem::replace(&mut row.tuple, new);
@@ -453,14 +444,15 @@ impl Table {
     }
 
     /// Point lookup through an index on `cols` if one exists, otherwise
-    /// a filtered scan. Returns live row ids carrying `key` on `cols`.
+    /// a filtered scan. Returns live row ids carrying `key` on `cols`, in
+    /// row-id order either way.
     pub fn lookup_eq(&self, cols: &[usize], key: &[Value]) -> Vec<RowId> {
         if let Some(ix) = self.index_on(cols) {
             self.stats.record_index_lookup();
             return ix.get(key).to_vec();
         }
         self.stats.record_scan();
-        self.scan()
+        self.scan_ordered()
             .filter(|(_, t)| {
                 cols.iter().zip(key).all(|(&c, k)| t.get(c).cmp_total(k) == std::cmp::Ordering::Equal)
             })
@@ -613,6 +605,28 @@ mod tests {
     }
 
     #[test]
+    fn update_moves_only_the_indexes_whose_key_changed_and_none_on_a_collision() {
+        let mut t = people();
+        let by_name =
+            IndexDef { name: "by_name".into(), key_columns: vec![1], kind: IndexKind::BTree, unique: false };
+        t.create_index(by_name).unwrap();
+        t.create_index(pk()).unwrap();
+        let a = t.insert(tuple![1i64, "a"]).unwrap();
+        let b = t.insert(tuple![2i64, "b"]).unwrap();
+        // `by_name` (checked first) would move, `pk` collides: neither does.
+        assert!(matches!(t.update(b, tuple![1i64, "z"]), Err(Error::UniqueViolation { .. })));
+        assert_eq!(t.get(b).unwrap(), &tuple![2i64, "b"]);
+        assert_eq!(t.lookup_eq(&[1], &[Value::Text("b".into())]), vec![b]);
+        assert!(t.lookup_eq(&[1], &[Value::Text("z".into())]).is_empty());
+        assert_eq!(t.lookup_eq(&[0], &[Value::Int(1)]), vec![a]);
+        // A rename moves `by_name` alone; `a` joins `b` under its key, in id order.
+        t.update(b, tuple![2i64, "q"]).unwrap();
+        t.update(a, tuple![1i64, "q"]).unwrap();
+        assert_eq!(t.lookup_eq(&[1], &[Value::Text("q".into())]), vec![a, b]);
+        assert_eq!(t.lookup_eq(&[0], &[Value::Int(2)]), vec![b]);
+    }
+
+    #[test]
     fn create_index_backfills_and_detects_collisions() {
         let mut t = people();
         t.insert(tuple![1i64, "a"]).unwrap();
@@ -640,10 +654,12 @@ mod tests {
     #[test]
     fn lookup_eq_falls_back_to_scan() {
         let mut t = people();
-        t.insert(tuple![1i64, "a"]).unwrap();
-        t.insert(tuple![2i64, "a"]).unwrap();
-        let hits = t.lookup_eq(&[1], &[Value::Text("a".into())]);
-        assert_eq!(hits.len(), 2);
+        let gone = t.insert(tuple![0i64, "x"]).unwrap();
+        let a = t.insert(tuple![1i64, "a"]).unwrap();
+        t.delete(gone).unwrap();
+        let b = t.insert(tuple![2i64, "a"]).unwrap(); // reuses the first slot
+        // Row-id order, not slot order, as an index would answer.
+        assert_eq!(t.lookup_eq(&[1], &[Value::Text("a".into())]), vec![a, b]);
         assert!(t.stats().scans() >= 1);
     }
 

@@ -10,8 +10,6 @@
 //! its row ids have gaps and its row-id counter runs ahead of the
 //! highest live id.
 
-use std::ops::Bound;
-
 use proptest::prelude::*;
 use sstore_common::{Column, DataType, RowId, Schema, Tuple, Value};
 use sstore_storage::index::IndexDef;
@@ -123,12 +121,13 @@ fn assert_same(bulk: &Table, reference: &Table) -> Result<(), TestCaseError> {
         keys.push(def.key_columns.iter().map(|_| Value::Null).collect());
         for key in &keys {
             prop_assert_eq!(b.get(key), r.get(key), "index {} key {:?}", def.name, key);
+            prop_assert!(b.get(key).windows(2).all(|w| w[0] < w[1]), "rows under {:?} not in id order", key);
         }
-        // Whole-span range: keys in order, rows under each in order.
-        // (A hash index answers no ranges, on both sides.)
+        // The whole walk: keys in order, rows under each in id order.
+        // (A hash index has no cursor, on both sides.)
         prop_assert_eq!(
-            b.range(Bound::Unbounded, Bound::Unbounded),
-            r.range(Bound::Unbounded, Bound::Unbounded)
+            b.cursor().map(|c| c.collect::<Vec<_>>()),
+            r.cursor().map(|c| c.collect::<Vec<_>>())
         );
     }
     Ok(())

@@ -74,12 +74,23 @@ pub fn leaderboard_app(validate_phones: bool) -> App {
         .table_indexed(
             "vote_counts",
             Schema::of(&[("contestant", DataType::Int), ("cnt", DataType::Int)]),
-            vec![IndexDef {
-                name: "vote_counts_pk".into(),
-                key_columns: vec![0],
-                kind: IndexKind::Hash,
-                unique: true,
-            }],
+            vec![
+                IndexDef {
+                    name: "vote_counts_pk".into(),
+                    key_columns: vec![0],
+                    kind: IndexKind::Hash,
+                    unique: true,
+                },
+                // The leaderboards' order: `fill_top`, `fill_bottom` and
+                // `lowest` walk it from one end instead of sorting every
+                // contestant to keep three.
+                IndexDef {
+                    name: "vote_counts_by_cnt".into(),
+                    key_columns: vec![1, 0],
+                    kind: IndexKind::BTree,
+                    unique: false,
+                },
+            ],
         )
         .table(
             "leaderboard",
@@ -327,6 +338,44 @@ mod tests {
             assert_eq!(after.scans(), 0, "an equality lookup fell back to a scan");
         }
         assert_eq!(ee.table_len("votes").unwrap(), 150);
+    }
+
+    /// The leaderboard refresh walks `vote_counts_by_cnt` from one end:
+    /// with every count distinct, `fill_top` fetches the three rows it
+    /// returns (and reads one index entry past them), not all 500.
+    #[test]
+    fn leaderboard_refresh_walks_the_count_index() {
+        use sstore_engine::ee::ExecutionEngine;
+        use sstore_engine::metrics::EngineMetrics;
+        use sstore_engine::names::AppIds;
+        use std::sync::Arc;
+
+        let app = leaderboard_app(true);
+        let ids = Arc::new(AppIds::build(&app).unwrap());
+        let (mut ee, stmts) =
+            ExecutionEngine::install(&app, ids, Arc::new(EngineMetrics::new())).unwrap();
+        ee.begin(None).unwrap();
+        for id in 1..=500i64 {
+            ee.exec(stmts["seed"]["ins_cnt"], &[Value::Int(id)]).unwrap();
+            for _ in 0..id * 7 % 500 {
+                ee.exec(stmts["maintain"]["bump"], &[Value::Int(id)]).unwrap();
+            }
+        }
+        for (proc, stmt, returned) in
+            [("maintain", "fill_top", 3), ("maintain", "fill_bottom", 3), ("delete_lowest", "lowest", 1)]
+        {
+            let before = ee.table_stats("vote_counts").unwrap().ordered_visits();
+            ee.exec(stmts[proc][stmt], &[]).unwrap();
+            let visited = ee.table_stats("vote_counts").unwrap().ordered_visits() - before;
+            assert!((1..=4).contains(&visited), "{stmt} visited {visited} rows to return {returned}");
+        }
+        let top = ee.query("SELECT contestant, cnt FROM leaderboard WHERE kind = 'top'", &[]).unwrap();
+        let mut want: Vec<(i64, i64)> = (1..=500).map(|id| (id * 7 % 500, id)).collect();
+        want.sort_unstable_by_key(|&(cnt, _)| std::cmp::Reverse(cnt));
+        let want: Vec<Tuple> =
+            want[..3].iter().map(|&(cnt, id)| Tuple::new(vec![Value::Int(id), Value::Int(cnt)])).collect();
+        assert_eq!(top.rows, want);
+        ee.commit().unwrap();
     }
 
     #[test]

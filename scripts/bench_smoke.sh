@@ -49,7 +49,9 @@ run_corpus "chaos longrun" "zero oracle divergences" -p chaos -- --seeds 100 --s
 
 # Seeded random SQL through four engine configurations (columnar on/off
 # x fresh vs post-crash) against the naive reference executor: rows
-# bit-exactly, errors by wire code. Replay with
+# bit-exactly, errors by wire code. Where a table has a B-tree, a
+# quarter of its SELECTs are ORDER BY <index prefix> LIMIT 1-5, which
+# the planner answers by walking the index. Replay with
 # SQLFUZZ_SEED=<seed> cargo run -p sqlfuzz --release [-- --large].
 echo "== sqlfuzz smoke (2000 seeds) =="
 run_corpus "sqlfuzz" "seeds clean in" -p sqlfuzz -- --seeds 2000 --time-box 120
