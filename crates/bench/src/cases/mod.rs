@@ -88,6 +88,9 @@ pub const CASES: &[Case] = &[
             // filtered COUNT(*) over them.
             Gate { num: "trend_us", den: Some("count_window_us"), bound: AtMost(10.0) },
             Gate { num: "top_us", den: Some("count_filtered_us"), bound: AtMost(3.0) },
+            // The same trend statement over the window with its derived
+            // group index: read off ~60 groups, not folded from 100 rows.
+            Gate { num: "trend_maintained_us", den: Some("trend_us"), bound: AtMost(0.5) },
             // The same top-3 with a B-tree on (cnt, contestant): the
             // planner walks four index entries instead of 500 rows.
             Gate { num: "top_indexed_us", den: Some("top_us"), bound: AtMost(0.5) },

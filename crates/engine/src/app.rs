@@ -16,8 +16,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use sstore_common::{Error, Result, Schema};
-use sstore_sql::ast::{InsertSource, Select, Statement};
+use sstore_sql::ast::{Delete, InsertSource, Select, Statement, Update};
 use sstore_storage::index::IndexDef;
+use sstore_storage::GroupIndexDef;
 
 use crate::procedure::ProcCtx;
 use crate::trigger::{EeTriggerDef, PeTriggerDef};
@@ -36,6 +37,11 @@ pub struct TableDef {
     pub schema: Schema,
     /// Secondary indexes.
     pub indexes: Vec<IndexDef>,
+    /// Group indexes. The engine derives a window's from the statements
+    /// registered against it ([`crate::ee::build_catalog`]); a base table
+    /// carries only what a harness that builds its `TableDef`s by hand
+    /// lists here (sqlfuzz). No builder method sets this.
+    pub group_indexes: Vec<GroupIndexDef>,
 }
 
 /// A stream (§2: state kind (iii)), implemented as a time-varying table.
@@ -200,14 +206,14 @@ pub struct AppBuilder {
 
 impl AppBuilder {
     /// Adds a public shared table.
-    pub fn table(mut self, name: &str, schema: Schema) -> Self {
-        self.app.tables.push(TableDef { name: name.to_ascii_lowercase(), schema, indexes: Vec::new() });
-        self
+    pub fn table(self, name: &str, schema: Schema) -> Self {
+        self.table_indexed(name, schema, Vec::new())
     }
 
     /// Adds a table with secondary indexes.
     pub fn table_indexed(mut self, name: &str, schema: Schema, indexes: Vec<IndexDef>) -> Self {
-        self.app.tables.push(TableDef { name: name.to_ascii_lowercase(), schema, indexes });
+        let group_indexes = Vec::new();
+        self.app.tables.push(TableDef { name: name.to_ascii_lowercase(), schema, indexes, group_indexes });
         self
     }
 
@@ -649,6 +655,13 @@ impl AppBuilder {
                         }
                     }
                 }
+                if let Statement::Update(Update { table, .. }) | Statement::Delete(Delete { table, .. }) =
+                    &stmt
+                {
+                    if window_owner.contains_key(table.as_str()) {
+                        return Err(window_is_append_only(table));
+                    }
+                }
             }
         }
 
@@ -656,6 +669,15 @@ impl AppBuilder {
         app.workflow().validate()?;
         Ok(app)
     }
+}
+
+/// The error an `UPDATE` or `DELETE` aimed at a window is: a window's
+/// rows leave by expiry alone, which is the engine's to decide — its
+/// bookkeeping lists them by row id.
+pub(crate) fn window_is_append_only(window: &str) -> Error {
+    Error::StreamViolation(format!(
+        "window {window} is append-only through SQL: UPDATE and DELETE are rejected, rows leave by expiry"
+    ))
 }
 
 /// All table names referenced by a statement (FROM, JOIN, INSERT/UPDATE/
@@ -755,6 +777,17 @@ mod tests {
             .proc("intruder", &[("q", "SELECT * FROM w")], &[], |_| Ok(()));
         let r = b.build();
         assert!(matches!(r, Err(Error::StreamViolation(_))));
+    }
+
+    #[test]
+    fn update_and_delete_on_a_window_rejected_even_for_its_owner() {
+        for sql in ["DELETE FROM w WHERE v = ?", "UPDATE w SET v = v + 1"] {
+            let r = App::builder()
+                .window("w", "owner_sp", schema(), 3, 1)
+                .proc("owner_sp", &[("ins", "INSERT INTO w (v) VALUES (?)"), ("q", sql)], &[], |_| Ok(()))
+                .build();
+            assert!(matches!(&r, Err(Error::StreamViolation(m)) if m.contains("append-only")), "{sql}: {r:?}");
+        }
     }
 
     #[test]

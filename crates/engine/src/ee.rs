@@ -30,6 +30,14 @@
 //! Internal mutations (activation/expiry/GC) append undo effects but do
 //! not re-enter the cascade, so the cascade terminates.
 //!
+//! A window's group indexes (derived in [`build_catalog`]) are maintained
+//! by the storage layer inside those same table mutations; nothing in
+//! this file touches them. The arrival round trip — the SQL insert puts
+//! the tuple in the window table, the cascade deletes it into staging,
+//! a slide inserts it back — therefore touches an index twice before the
+//! tuple counts, by design: staging stays "not in the table", the one
+//! rule that makes staged tuples invisible to every access path.
+//!
 //! [`BoundaryMode::Inline`]: crate::config::BoundaryMode::Inline
 //! [`BoundaryMode::Channel`]: crate::config::BoundaryMode::Channel
 
@@ -39,12 +47,12 @@ use std::sync::Arc;
 use sstore_common::codec::{Decoder, Encoder};
 use sstore_common::{BatchId, Error, Result, RowId, TableId, Tuple, Value};
 use sstore_sql::exec::{execute, undo_effect, Effect};
-use sstore_sql::plan::BoundStatement;
+use sstore_sql::plan::{group_index_shape, BoundInsert, BoundStatement};
 use sstore_sql::{Planner, QueryResult};
 use sstore_storage::snapshot;
 use sstore_storage::{Catalog, TableKind};
 
-use crate::app::{App, Windowing};
+use crate::app::{window_is_append_only, App, WindowDef, Windowing};
 use crate::metrics::EngineMetrics;
 use crate::names::AppIds;
 use crate::stream::StreamState;
@@ -252,6 +260,9 @@ pub(crate) fn build_catalog(app: &App, ids: &AppIds) -> Result<Catalog> {
         for ix in &t.indexes {
             table.create_index(ix.clone())?;
         }
+        for def in &t.group_indexes {
+            table.create_group_index(def.clone())?;
+        }
         check(catalog.id_of(&t.name).expect("just created"), &t.name)?;
     }
     for s in &app.streams {
@@ -262,7 +273,48 @@ pub(crate) fn build_catalog(app: &App, ids: &AppIds) -> Result<Catalog> {
         catalog.create_table(w.name(), TableKind::Window, w.schema.clone())?;
         check(catalog.id_of(w.name()).expect("just created"), w.name())?;
     }
+    derive_group_indexes(app, &mut catalog)?;
     Ok(catalog)
+}
+
+/// Gives every overlapping window (`slide < size`) one group index per
+/// distinct grouped SELECT shape registered against it that an index can
+/// answer ([`group_index_shape`]). Every statement that can run against a
+/// window is registered with the app (§3.2.2 scoping), so the engine
+/// derives the indexes; nobody declares them. A tumbling window gets
+/// none: its slide replaces every row, and maintaining the aggregate
+/// would cost what re-reading the extent does. A statement that does not
+/// plan is skipped here — compiling it reports the error.
+fn derive_group_indexes(app: &App, catalog: &mut Catalog) -> Result<()> {
+    // `slide < size`: a slide replaces part of the extent, not all of it.
+    let tumbles = |w: &WindowDef| match &w.windowing {
+        Windowing::Tuple(spec) => spec.is_tumbling(),
+        Windowing::Time(spec) => spec.is_tumbling(),
+    };
+    let sliding: Vec<&str> = app.windows.iter().filter(|w| !tumbles(w)).map(|w| w.name()).collect();
+    if sliding.is_empty() {
+        return Ok(());
+    }
+    let registered = app
+        .procs
+        .iter()
+        .flat_map(|p| p.statements.iter().map(|(_, sql)| sql))
+        .chain(app.ee_triggers.iter().flat_map(|t| &t.sql));
+    for sql in registered {
+        let select = match Planner::new(catalog).plan_sql(sql) {
+            Ok(BoundStatement::Select(s)) => s,
+            Ok(BoundStatement::Insert(BoundInsert { select: Some(s), .. })) => *s,
+            _ => continue,
+        };
+        let table = catalog.get(select.from.table);
+        if !sliding.contains(&table.name()) {
+            continue;
+        }
+        if let Some(def) = group_index_shape(&select, table.schema()) {
+            catalog.get_mut(select.from.table).create_group_index(def)?;
+        }
+    }
+    Ok(())
 }
 
 impl ExecutionEngine {
@@ -593,6 +645,14 @@ impl ExecutionEngine {
         if !self.in_txn {
             return Err(Error::InvalidState("exec outside transaction".into()));
         }
+        let rewritten = match bound {
+            BoundStatement::Update(u) => Some(u.scan.table),
+            BoundStatement::Delete(d) => Some(d.scan.table),
+            _ => None,
+        };
+        if let Some(w) = rewritten.filter(|t| self.windows[t.index()].is_some()) {
+            return Err(window_is_append_only(self.ids.table_name(w)));
+        }
         let start = self.effects.len();
         let result = execute(&mut self.catalog, bound, params, &mut self.effects)
             .and_then(|r| {
@@ -812,18 +872,26 @@ impl ExecutionEngine {
             };
             let Some(outcome) = w.next_slide() else { break };
             let expired = w.take_expired(outcome.expire);
-            for id in &expired {
-                self.table_delete(window, *id)?;
-            }
             let restaged = outcome.activated.clone();
-            let mut new_ids = Vec::with_capacity(outcome.activated.len());
-            for t in outcome.activated {
-                new_ids.push(self.table_insert(window, t)?);
-            }
-            let activated = new_ids.len();
+            let swapped = (|| -> Result<Vec<RowId>> {
+                for id in &expired {
+                    self.table_delete(window, *id)?;
+                }
+                outcome.activated.into_iter().map(|t| self.table_insert(window, t)).collect()
+            })();
             let Some(WindowSlot::Tuple(w)) = self.windows[window.index()].as_mut() else {
                 unreachable!("variant is stable");
             };
+            let new_ids = match swapped {
+                Ok(ids) => ids,
+                // A failed slide leaves the window's bookkeeping as it
+                // found it; the rows it did move are the abort's to undo.
+                Err(e) => {
+                    w.undo_slide(expired, 0, restaged);
+                    return Err(e);
+                }
+            };
+            let activated = new_ids.len();
             w.record_activation(new_ids);
             self.window_undo.push(WindowUndo::Slid { window, expired, activated, restaged });
             for sid in trig.iter() {
@@ -1013,12 +1081,23 @@ impl ExecutionEngine {
     // Out-of-transaction services
     // ------------------------------------------------------------------
 
+    /// The partition's tables (tests: plans, access-path counters,
+    /// [`Table::verify_group_indexes`](sstore_storage::Table::verify_group_indexes)).
+    pub fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
     /// Runs an ad-hoc read-only query (tests, examples, H-Store-mode
     /// clients inspecting results). Mutating statements are rejected.
+    /// This is the inspection path, so it checks derived state before
+    /// trusting it: the queried table's group indexes are recomputed and
+    /// compared first, which is how chaos and the crash tests — every
+    /// `Engine::query` lands here — would notice one that drifted.
     pub fn query(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
         let bound = Planner::new(&self.catalog).plan_sql(sql)?;
         match bound {
             BoundStatement::Select(s) => {
+                self.catalog.get(s.from.table).verify_group_indexes()?;
                 let r = sstore_sql::exec::run_select(&self.catalog, &s, params);
                 self.note_columnar_batches();
                 r
@@ -1200,9 +1279,15 @@ impl ExecutionEngine {
         }
 
         // Re-install in id order so every table keeps its interned id.
+        // Group indexes are in no image: each table takes its
+        // predecessor's definitions and rebuilds them from its rows.
         let mut catalog = Catalog::new();
         for frame in newest.iter().flatten() {
-            catalog.install_table(frame.decode()?)?;
+            let mut table = frame.decode()?;
+            for def in self.catalog.table(table.name())?.group_index_defs() {
+                table.create_group_index(def.clone())?;
+            }
+            catalog.install_table(table)?;
         }
         use std::sync::atomic::Ordering::Relaxed;
         self.metrics.restore_images_decoded.fetch_add(n as u64, Relaxed);
@@ -1426,6 +1511,105 @@ mod tests {
         assert_eq!(ee.table_len("slides_seen").unwrap(), 1);
         let r = ee.query("SELECT v FROM w ORDER BY v", &[]).unwrap();
         assert_eq!(r.rows.len(), 3);
+    }
+
+    #[test]
+    fn overlapping_windows_get_the_group_indexes_their_statements_can_use() {
+        use sstore_storage::GroupIndexDef;
+        let kv = || Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+        let app = App::builder()
+            .stream("arrivals", kv())
+            .table("out", Schema::of(&[("k", DataType::Int), ("n", DataType::Int)]))
+            .window("sliding", "wproc", kv(), 4, 1)
+            .window("tumbling", "wproc", kv(), 4, 4)
+            .proc(
+                "wproc",
+                &[
+                    ("by_k", "SELECT k, COUNT(*), SUM(v) FROM sliding GROUP BY k"),
+                    ("again", "SELECT k, SUM(v) FROM sliding GROUP BY k HAVING COUNT(*) > 1 LIMIT 2"),
+                    ("lowest", "SELECT k, MIN(v) FROM sliding GROUP BY k"),
+                    ("t_by_k", "SELECT k, COUNT(*) FROM tumbling GROUP BY k"),
+                    ("base", "SELECT k, COUNT(*) FROM out GROUP BY k"),
+                ],
+                &[],
+                |_| Ok(()),
+            )
+            .ee_trigger("sliding", &["INSERT INTO out (k, n) SELECT 0, COUNT(*) FROM sliding"])
+            .build()
+            .unwrap();
+        let (mut ee, _) = ee(&app);
+        let defs = |ee: &ExecutionEngine, t: &str| -> Vec<GroupIndexDef> {
+            ee.catalog().table(t).unwrap().group_index_defs().cloned().collect()
+        };
+        // One per distinct shape; MIN derives none.
+        let want = vec![
+            GroupIndexDef { key_columns: vec![0], agg_columns: vec![1] },
+            GroupIndexDef { key_columns: vec![], agg_columns: vec![] },
+        ];
+        assert_eq!(defs(&ee, "sliding"), want);
+        assert!(defs(&ee, "tumbling").is_empty(), "a tumbling window replaces every row");
+        assert!(defs(&ee, "out").is_empty(), "base tables derive none");
+        // A restore swaps the catalog in; the indexes come back, rebuilt.
+        let image = ee.checkpoint().unwrap();
+        ee.restore_chain(std::slice::from_ref(&image)).unwrap();
+        assert_eq!(defs(&ee, "sliding"), want);
+        assert_eq!(ee.checkpoint().unwrap(), image, "and are in no image");
+    }
+
+    /// The §3.2.2 window of the regression: `DELETE FROM w` by its owner
+    /// used to leave `active` listing a row the table no longer held.
+    #[test]
+    fn windows_are_append_only_through_sql() {
+        let app = window_app();
+        let (mut ee, map) = ee(&app);
+        let ins = map["wproc"]["ins"];
+        ee.begin(Some(BatchId(1))).unwrap();
+        for v in 1..=3 {
+            ee.exec(ins, &[Value::Int(v)]).unwrap();
+        }
+        for sql in ["DELETE FROM w WHERE v = 2", "UPDATE w SET v = 9"] {
+            let adhoc = Planner::new(ee.catalog()).plan_sql(sql).unwrap();
+            let err = ee.exec_bound(&adhoc, &[]).unwrap_err();
+            assert!(matches!(&err, Error::StreamViolation(m) if m.contains("append-only")), "{err}");
+        }
+        // Nothing was touched: the next arrival slides as ever.
+        ee.exec(ins, &[Value::Int(4)]).unwrap();
+        ee.commit().unwrap();
+        let r = ee.query("SELECT v FROM w ORDER BY v", &[]).unwrap();
+        assert_eq!(r.rows, vec![tuple![2i64], tuple![3i64], tuple![4i64]]);
+    }
+
+    #[test]
+    fn a_failed_slide_leaves_the_window_as_it_found_it() {
+        let app = window_app();
+        let (mut ee, map) = ee(&app);
+        let ins = map["wproc"]["ins"];
+        let w = ee.table_id("w").unwrap();
+        ee.begin(Some(BatchId(1))).unwrap();
+        for v in 1..=3 {
+            ee.exec(ins, &[Value::Int(v)]).unwrap();
+        }
+        ee.commit().unwrap();
+        let state = |ee: &ExecutionEngine| match &ee.windows[w.index()] {
+            Some(WindowSlot::Tuple(ws)) => (ws.active_rows().collect::<Vec<_>>(), ws.staged_len()),
+            _ => unreachable!(),
+        };
+        let before = state(&ee);
+        // Take the oldest active row from under the window (no SQL can
+        // any more): the next slide cannot expire it.
+        let oldest = before.0[0];
+        let gone = ee.catalog.get_mut(w).delete(oldest).unwrap();
+        ee.begin(Some(BatchId(2))).unwrap();
+        let err = ee.exec(ins, &[Value::Int(4)]).unwrap_err();
+        assert!(matches!(err, Error::NotFound { .. }), "{err}");
+        ee.abort().unwrap();
+        assert_eq!(state(&ee), before, "active and staging as the failed slide found them");
+        // With the row back the same arrival slides.
+        ee.catalog.get_mut(w).insert_with_id(oldest, gone).unwrap();
+        ee.begin(Some(BatchId(3))).unwrap();
+        ee.exec(ins, &[Value::Int(4)]).unwrap();
+        ee.commit().unwrap();
+        assert_eq!(ee.query("SELECT SUM(v) FROM w", &[]).unwrap().rows, vec![tuple![9i64]]);
     }
 
     #[test]

@@ -22,10 +22,21 @@
 //!   active extent when within `allowed_lateness_ms`, else counted and
 //!   dropped.
 //!
+//! Aggregates over a window: the state machines here only say which rows
+//! enter and leave. A sliding window's grouped statements are answered
+//! from group indexes on its table (`sstore_storage::group`, attached by
+//! `ee.rs::build_catalog`), and those are maintained where every other
+//! index is — inside the table's insert and delete — so activation,
+//! expiry, late merges and every undo keep them current without this
+//! module or the EE knowing they exist.
+//!
 //! Window scoping (§3.2.2): a window belongs to one stored procedure;
 //! registration-time checks in [`crate::app`] reject SQL from any other
 //! procedure referencing it, and PE triggers cannot be attached to
-//! windows (the API has no way to express it).
+//! windows (the API has no way to express it). Through SQL a window is
+//! append-only, its owner included: rows leave by expiry, which lists
+//! them by row id, so `UPDATE` and `DELETE` are rejected at registration
+//! and at execution.
 //!
 //! [`TableKind::Window`]: sstore_storage::TableKind::Window
 

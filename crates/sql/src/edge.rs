@@ -24,7 +24,11 @@
 //!   the rows a walk stops short of order after every row already held,
 //!   so a scan would not have kept them either. A walk is planned only
 //!   where the last clause has nothing that can fail to evaluate per
-//!   row (bare-column keys, late projections, no WHERE).
+//!   row (bare-column keys, late projections, no WHERE). Groups may be
+//!   offered from a maintained group index instead of a scan
+//!   ([`Edge::offer_group`]), provided they arrive in ascending key order
+//!   and the key type has one representation per equality class (Int,
+//!   Text, Bool — not Float, where `1.0` and an Int `1` share a group).
 //! * The result is ordered by the ORDER BY keys, each under `cmp_total`
 //!   in its own direction (so NULL is lowest: first ascending, last
 //!   descending; NaNs order by `f64::total_cmp`; Int and Float compare
@@ -93,6 +97,8 @@ pub(crate) struct Edge<'r> {
     limit: usize,
     /// No projection can fail, so output rows are built on demand.
     late: bool,
+    /// Every ORDER BY key is a bare reference ([`RefKeys`]).
+    ref_keys: bool,
     seq: usize,
     heaped: bool,
     kept: Vec<Kept<'r>>,
@@ -126,13 +132,43 @@ fn cmp_kept(s: &BoundSelect, keys: &[Value], a: &Kept<'_>, b: &Kept<'_>) -> Orde
 /// of the row (group key, for a grouped statement) or an aggregate
 /// result — so output rows need building only for the rows returned.
 pub(crate) fn late_projections(s: &BoundSelect) -> bool {
+    s.projections.iter().all(|p| is_ref(s, p))
+}
+
+/// True when `e` only names a value the candidate already holds (or a
+/// literal): reading it cannot fail and builds nothing.
+fn is_ref(s: &BoundSelect, e: &BoundExpr) -> bool {
     let row_arity = if s.grouped { s.group_by.len() } else { s.input_arity };
-    s.projections.iter().all(|p| match p {
+    match e {
         BoundExpr::Literal(_) => true,
         BoundExpr::Column(c) => *c < row_arity,
         BoundExpr::AggRef(a) => *a < s.aggs.len(),
         _ => false,
-    })
+    }
+}
+
+/// ORDER BY keys that are all [`is_ref`]: compared where they sit, cloned
+/// only for a candidate that is kept.
+struct RefKeys<'a, 'c>(&'a BoundSelect, &'a EvalCtx<'c>);
+
+impl RefKeys<'_, '_> {
+    fn at(&self, j: usize) -> &Value {
+        match &self.0.order_by[j].0 {
+            BoundExpr::Literal(v) => v,
+            BoundExpr::Column(c) => &self.1.row[*c],
+            BoundExpr::AggRef(a) => &self.1.aggs[*a],
+            _ => unreachable!("checked by is_ref"),
+        }
+    }
+}
+
+impl SortKeys for RefKeys<'_, '_> {
+    fn cmp_key(&self, j: usize, kept: &Value) -> Ordering {
+        self.at(j).cmp_total(kept)
+    }
+    fn key(&self, j: usize) -> Value {
+        self.at(j).clone()
+    }
 }
 
 fn project(s: &BoundSelect, ctx: &EvalCtx<'_>) -> Result<Tuple> {
@@ -152,6 +188,7 @@ impl<'r> Edge<'r> {
             params,
             limit,
             late,
+            ref_keys: s.order_by.iter().all(|(e, _)| is_ref(s, e)),
             seq: 0,
             heaped: false,
             kept: Vec::new(),
@@ -242,18 +279,33 @@ impl<'r> Edge<'r> {
     pub(crate) fn offer_ctx(&mut self, ctx: &EvalCtx<'_>, row: Option<&'r [Value]>) -> Result<()> {
         let s = self.s;
         let built = if self.late { None } else { Some(project(s, ctx)?) };
+        let out = || match (built, row) {
+            (Some(t), _) => Ok(Out::Built(t)),
+            (None, Some(r)) => Ok(Out::Row(r)),
+            (None, None) => project(s, ctx).map(Out::Built),
+        };
+        if self.ref_keys {
+            return self.offer(&RefKeys(s, ctx), out);
+        }
         let mut keys = std::mem::take(&mut self.key_buf);
         keys.clear();
         for (e, _) in &s.order_by {
             keys.push(e.eval(ctx)?);
         }
-        self.offer(keys.as_slice(), || match (built, row) {
-            (Some(t), _) => Ok(Out::Built(t)),
-            (None, Some(r)) => Ok(Out::Row(r)),
-            (None, None) => project(s, ctx).map(Out::Built),
-        })?;
+        self.offer(keys.as_slice(), out)?;
         self.key_buf = keys;
         Ok(())
+    }
+
+    /// Offers one finished group — its key and aggregate results — if it
+    /// passes HAVING. Groups come in ascending key order, from
+    /// [`Groups::finish`] or from a maintained group index (`exec.rs`).
+    pub(crate) fn offer_group(&mut self, key: &[Value], aggs: &[Value]) -> Result<()> {
+        let ctx = EvalCtx { row: key, params: self.params, aggs };
+        match &self.s.having {
+            Some(h) if !h.eval_predicate(&ctx)? => Ok(()),
+            _ => self.offer_ctx(&ctx, None),
+        }
     }
 
     /// The result rows, in order.
@@ -557,18 +609,14 @@ impl<'s> Groups<'s> {
             self.any.is_empty() || (self.ints.is_empty() && self.null_slot.is_none()),
             "group-key kernel changed output kind across batches"
         );
-        let (s, params) = (self.s, edge.params);
+        let s = self.s;
         let mut aggs = Vec::with_capacity(s.aggs.len());
         let mut emit = |key: &[Value], slot: u32| -> Result<()> {
             aggs.clear();
             aggs.extend(
                 self.accs.iter_mut().zip(&s.aggs).map(|(a, sp)| a.finish(sp.func, slot as usize)),
             );
-            let ctx = EvalCtx { row: key, params, aggs: &aggs };
-            match &s.having {
-                Some(h) if !h.eval_predicate(&ctx)? => Ok(()),
-                _ => edge.offer_ctx(&ctx, None),
-            }
+            edge.offer_group(key, &aggs)
         };
         if s.group_by.is_empty() {
             return emit(&[], 0);

@@ -22,8 +22,9 @@ use std::borrow::Cow;
 use sstore_common::hash::FxHashMap;
 
 use sstore_common::{Result, RowId, TableId, Tuple, Value};
-use sstore_storage::{Catalog, Table};
+use sstore_storage::{Catalog, GroupAcc, GroupIndexDef, Table};
 
+use crate::ast::AggFunc;
 use crate::edge::{Edge, Groups};
 use crate::expr::{BoundExpr, EvalCtx};
 use crate::plan::{Access, BoundScan, BoundSelect, BoundStatement};
@@ -92,12 +93,23 @@ pub fn execute(
     params: &[Value],
     effects: &mut Vec<Effect>,
 ) -> Result<QueryResult> {
+    // A statement about to read a group index tells it so: that is how
+    // the index learns how often it is read (`storage::group`).
+    let refreshed = |catalog: &mut Catalog, s: &BoundSelect| {
+        if let Access::GroupIndex(def) = &s.from.access {
+            catalog.get_mut(s.from.table).refresh_group_index(def);
+        }
+    };
     match stmt {
-        BoundStatement::Select(s) => run_select(catalog, s, params),
+        BoundStatement::Select(s) => {
+            refreshed(catalog, s);
+            run_select(catalog, s, params)
+        }
         BoundStatement::Insert(i) => {
             let mut rows_to_insert: Vec<Tuple> = Vec::new();
             let schema_arity = catalog.get(i.table).schema().arity();
             if let Some(sel) = &i.select {
+                refreshed(catalog, sel);
                 // A SELECT that fills every column in schema order has
                 // already built the row to insert.
                 let whole_row = i.select_positions.iter().copied().eq(0..schema_arity);
@@ -220,7 +232,7 @@ fn candidate_rows(
             Some(key) => table.lookup_eq(key_cols, &key),
             None => all(),
         },
-        Access::FullScan | Access::IndexOrder { .. } => all(),
+        Access::FullScan | Access::IndexOrder { .. } | Access::GroupIndex(_) => all(),
     };
     if let Some(pred) = residual {
         let mut kept = Vec::with_capacity(ids.len());
@@ -251,12 +263,18 @@ pub fn run_select(catalog: &Catalog, s: &BoundSelect, params: &[Value]) -> Resul
 /// column names are not needed (INSERT ... SELECT, EE triggers), saving
 /// the per-execution name clone.
 ///
-/// Single-table full scans dispatch to the vectorized columnar executor
-/// ([`crate::vexec`]); joins, index point lookups and ordered index
-/// walks (and everything under [`crate::vexec::force_rowwise`]) run the
-/// row-at-a-time pipeline.
-/// Both produce bit-identical results.
+/// A statement planned to read a group index does, if the index can
+/// answer ([`read_group_index`]). Otherwise single-table full scans
+/// dispatch to the vectorized columnar executor ([`crate::vexec`]);
+/// joins, index point lookups and ordered index walks (and everything
+/// under [`crate::vexec::force_rowwise`]) run the row-at-a-time pipeline.
+/// All produce bit-identical results.
 pub fn run_select_rows(catalog: &Catalog, s: &BoundSelect, params: &[Value]) -> Result<Vec<Tuple>> {
+    if let Access::GroupIndex(def) = &s.from.access {
+        if let Some(rows) = read_group_index(catalog.get(s.from.table), s, params, def) {
+            return rows;
+        }
+    }
     if crate::vexec::use_columnar(catalog, s) {
         return crate::vexec::run_select_columnar(catalog, s, params);
     }
@@ -291,7 +309,7 @@ pub fn run_select_rows_rowwise(
                 .collect(),
             None => all(),
         },
-        Access::FullScan | Access::IndexOrder { .. } => all(),
+        Access::FullScan | Access::IndexOrder { .. } | Access::GroupIndex(_) => all(),
     };
 
     // 2. Joins, left-deep. Only here do rows become owned (the
@@ -449,6 +467,61 @@ fn walk_index_order(
     }
     base.stats().record_ordered_visits(visited);
     Some(edge.finish())
+}
+
+/// [`Access::GroupIndex`]: a grouped SELECT read off the table's group
+/// index instead of folded from its rows. The index yields the groups in
+/// ascending key order; each one's aggregate results are built from its
+/// maintained counts and sums and offered to the edge exactly as
+/// [`Groups::finish`] offers a scanned group, so HAVING, projections,
+/// ORDER BY and LIMIT — and the order their errors surface in — are the
+/// scan's. `None` sends the caller to the scan: the table does not carry
+/// the index, or some group's summed magnitudes pass `i64::MAX`, the only
+/// case where the scan's checked running SUM can overflow at some row.
+fn read_group_index(
+    base: &Table,
+    s: &BoundSelect,
+    params: &[Value],
+    def: &GroupIndexDef,
+) -> Option<Result<Vec<Tuple>>> {
+    let current = || base.group_index(def).and_then(|ix| ix.groups());
+    // Per aggregate: `None` for COUNT(*), else its column's accumulator.
+    let cols: Vec<Option<usize>> = s
+        .aggs
+        .iter()
+        .map(|a| match &a.arg {
+            None => Some(None),
+            Some(BoundExpr::Column(c)) => def.agg_columns.iter().position(|k| k == c).map(Some),
+            Some(_) => None,
+        })
+        .collect::<Option<_>>()?;
+    // The Σ|v| guard, over every tracked column (one only counted may
+    // send a statement to the scan it did not need; none misses one).
+    let fits = |acc: &GroupAcc| acc.cols.iter().all(|c| i64::try_from(c.abs).is_ok());
+    if !def.agg_columns.is_empty() && !current()?.all(|(_, acc)| fits(acc)) {
+        return None;
+    }
+    let mut edge = Edge::new(s, params);
+    let mut aggs = Vec::with_capacity(cols.len());
+    let mut offer = |key: &[Value], acc: &GroupAcc| {
+        aggs.clear();
+        aggs.extend(s.aggs.iter().zip(&cols).map(|(spec, col)| match col.map(|i| &acc.cols[i]) {
+            None => Value::Int(acc.rows as i64),
+            Some(c) if spec.func == AggFunc::Count => Value::Int(c.non_null as i64),
+            Some(c) if c.non_null == 0 => Value::Null,
+            Some(c) => Value::Int(c.sum as i64),
+        }));
+        edge.offer_group(key, &aggs)
+    };
+    let mut groups = current()?.peekable();
+    // Aggregation without GROUP BY yields one group over no rows too: the
+    // index holds none for it, and the scan of an empty table is free.
+    if s.group_by.is_empty() && groups.peek().is_none() {
+        return None;
+    }
+    let offered = groups.try_for_each(|(key, acc)| offer(key, acc));
+    base.stats().record_group_read();
+    Some(offered.and_then(|()| edge.finish()))
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //!
 //! The planner resolves every column name against the catalog, rewrites
 //! grouped queries into (group keys, aggregate specs, post-aggregate
-//! expressions), and chooses one of three access paths for the base
+//! expressions), and chooses one of four access paths for the base
 //! table:
 //!
 //! * [`Access::FullScan`] — every live row, in row-id order. The default,
@@ -32,13 +32,43 @@
 //!   that used to fail would now succeed. Bare columns and literals
 //!   cannot fail; proving a WHERE infallible would take a type-aware
 //!   pass over the predicate, so a WHERE disqualifies outright.
+//! * [`Access::GroupIndex`] — a grouped SELECT is read off a group index
+//!   the table maintains (`storage::group`; the engine attaches them to
+//!   sliding windows), so `GROUP BY` over a window costs the groups, not
+//!   the rows. A SELECT qualifies ([`group_index_shape`]) when **all** of
+//!   these hold, each for a reason:
+//!   - one table, no join, no WHERE — the index counts every live row;
+//!   - every GROUP BY key is a bare column of Int, Text or Bool type (or
+//!     there is no GROUP BY: the zero-key index, which yields its one
+//!     group over zero rows too). A group is represented by the first key
+//!     value the scan saw (`edge.rs`); these types have one representation
+//!     per equality class, so any row's key is that value. Float has not
+//!     (`-0.0`/`0.0`, NaN payloads), and which row came first is exactly
+//!     what an index that forgets rows cannot say;
+//!   - every aggregate is `COUNT(*)`, `COUNT(col)` or `SUM(Int col)`, not
+//!     DISTINCT — the ones a leaving row can be subtracted from exactly.
+//!     MIN/MAX and DISTINCT are not invertible; AVG and a Float SUM add
+//!     floats in scan order (`SumAcc` keeps a float shadow even of Int
+//!     sums, for AVG), and float addition does not commute bit for bit;
+//!   - the table carries a group index over exactly those keys (in GROUP
+//!     BY order) and those aggregate columns.
+//!
+//!   HAVING, projections, ORDER BY and LIMIT run per group in the output
+//!   edge whichever way the groups were produced, so they do not matter
+//!   here. One thing the scan does per *row* remains: its running SUM is
+//!   checked, and fails at the row where a prefix overflows `i64` even if
+//!   the total fits. The index keeps Σ|v| per summed column; while that
+//!   fits an `i64` no prefix in any order can have overflowed, and when it
+//!   does not — or the index is missing, or behind its table — the
+//!   execution falls back to the scan (`exec.rs`), so an error surfaces
+//!   exactly when it did.
 
-use sstore_common::{Error, Result, Schema, TableId};
-use sstore_storage::{Catalog, IndexKind};
+use sstore_common::{DataType, Error, Result, Schema, TableId};
+use sstore_storage::{Catalog, GroupIndexDef, IndexKind};
 
 use crate::ast::{
-    BinOp, ColumnRef, Delete, Expr, Insert, InsertSource, OrderKey, Select, SelectItem, SortOrder,
-    Statement, Update,
+    AggFunc, BinOp, ColumnRef, Delete, Expr, Insert, InsertSource, OrderKey, Select, SelectItem,
+    SortOrder, Statement, Update,
 };
 use crate::expr::{AggSpec, BoundExpr, EvalCtx};
 
@@ -68,6 +98,11 @@ pub enum Access {
         /// Walk from the high end (those keys are DESC).
         reverse: bool,
     },
+    /// Read the groups off the table's group index with this definition
+    /// (the module docs state which statements qualify). If the table
+    /// does not carry it at execution time, or a group's integer sum
+    /// could have overflowed on the way, the statement scans instead.
+    GroupIndex(GroupIndexDef),
 }
 
 /// A bound base-table scan.
@@ -398,6 +433,12 @@ impl<'a> Planner<'a> {
         if let Some(ordered) = self.choose_index_order(&select) {
             select.from.access = ordered;
         }
+        let base = self.catalog.get(table_id);
+        if let Some(def) = group_index_shape(&select, base.schema()) {
+            if base.group_index(&def).is_some() {
+                select.from.access = Access::GroupIndex(def);
+            }
+        }
         Ok(select)
     }
 
@@ -573,6 +614,38 @@ impl<'a> Planner<'a> {
         let access = self.choose_access(table_id, where_pred.as_ref());
         Ok(BoundDelete { scan: BoundScan { table: table_id, access }, where_pred })
     }
+}
+
+/// The group index that would answer `s`, a SELECT over a table of
+/// `schema`, if `s` is a shape one can answer (module docs, "GroupIndex").
+/// The planner asks whether the table carries it; the engine asks which
+/// ones to attach to a window.
+pub fn group_index_shape(s: &BoundSelect, schema: &Schema) -> Option<GroupIndexDef> {
+    if !s.grouped || !s.joins.is_empty() || s.where_pred.is_some() {
+        return None;
+    }
+    let column = |e: &BoundExpr| match e {
+        BoundExpr::Column(c) if *c < schema.arity() => Some((*c, schema.column(*c).dtype)),
+        _ => None,
+    };
+    let mut def = GroupIndexDef { key_columns: Vec::new(), agg_columns: Vec::new() };
+    for key in &s.group_by {
+        match column(key)? {
+            (c, DataType::Int | DataType::Text | DataType::Bool) => def.key_columns.push(c),
+            _ => return None,
+        }
+    }
+    for agg in &s.aggs {
+        let Some(arg) = &agg.arg else { continue }; // COUNT(*): the group's rows
+        match (agg.func, column(arg)?) {
+            _ if agg.distinct => return None,
+            (AggFunc::Count, (c, _)) | (AggFunc::Sum, (c, DataType::Int)) => def.agg_columns.push(c),
+            _ => return None,
+        }
+    }
+    def.agg_columns.sort_unstable();
+    def.agg_columns.dedup();
+    Some(def)
 }
 
 fn default_name(expr: &Expr, i: usize) -> String {
@@ -963,6 +1036,103 @@ mod tests {
             BoundStatement::Delete(d) => assert_eq!(d.scan.access, Access::FullScan),
             other => panic!("{other:?}"),
         }
+    }
+
+    /// `w(a Int, b Int, f Float, s Text, ok Bool)` carrying group
+    /// indexes for `GROUP BY a` (alone, and tracking `b`), `GROUP BY s,
+    /// ok` tracking `a` and `f`, and the zero-key index tracking `b`.
+    fn grouped() -> Catalog {
+        let mut c = catalog();
+        let t = c
+            .create_table(
+                "w",
+                TableKind::Window,
+                Schema::of(&[
+                    ("a", DataType::Int),
+                    ("b", DataType::Int),
+                    ("f", DataType::Float),
+                    ("s", DataType::Text),
+                    ("ok", DataType::Bool),
+                ]),
+            )
+            .unwrap();
+        for (key_columns, agg_columns) in
+            [(vec![0], vec![]), (vec![0], vec![1]), (vec![3, 4], vec![0, 2]), (vec![], vec![1])]
+        {
+            t.create_group_index(GroupIndexDef { key_columns, agg_columns }).unwrap();
+        }
+        c
+    }
+
+    #[test]
+    fn group_index_chosen_for_every_shape_it_can_answer() {
+        let c = grouped();
+        let read = |key_columns: &[usize], agg_columns: &[usize]| {
+            Access::GroupIndex(GroupIndexDef {
+                key_columns: key_columns.to_vec(),
+                agg_columns: agg_columns.to_vec(),
+            })
+        };
+        for (sql, want) in [
+            ("SELECT a, COUNT(*) FROM w GROUP BY a", read(&[0], &[])),
+            ("SELECT a FROM w GROUP BY a", read(&[0], &[])),
+            // HAVING, ORDER BY, LIMIT and computed outputs are the edge's.
+            (
+                "SELECT 'trend', a, COUNT(*) * 2 FROM w GROUP BY a HAVING COUNT(*) > ? \
+                 ORDER BY COUNT(*) DESC, a LIMIT 3",
+                read(&[0], &[]),
+            ),
+            ("SELECT a, SUM(b), COUNT(b), COUNT(*) FROM w GROUP BY a", read(&[0], &[1])),
+            ("SELECT a, COUNT(b) FROM w GROUP BY a ORDER BY SUM(b)", read(&[0], &[1])),
+            // Text and Bool keys; COUNT over a Float column counts non-NULLs.
+            ("SELECT s, ok, SUM(a), COUNT(f) FROM w GROUP BY s, ok", read(&[3, 4], &[0, 2])),
+            // No GROUP BY at all: the zero-key index.
+            ("SELECT SUM(b), COUNT(*) FROM w", read(&[], &[1])),
+            // As the source of an INSERT.
+            (
+                "INSERT INTO contestants (id, name) SELECT a, 'x' FROM w GROUP BY a LIMIT 1",
+                read(&[0], &[]),
+            ),
+        ] {
+            assert_eq!(access(&c, sql), want, "{sql}");
+        }
+    }
+
+    #[test]
+    fn group_index_refused_for_every_shape_outside_the_rule() {
+        let c = grouped();
+        for sql in [
+            // Any WHERE: the index counts every row.
+            "SELECT a, COUNT(*) FROM w WHERE b > 0 GROUP BY a",
+            "SELECT SUM(b) FROM w WHERE a = 1",
+            // A join.
+            "SELECT w.a, COUNT(*) FROM w JOIN contestants c ON w.a = c.id GROUP BY w.a",
+            // An expression key; a Float key (1.0 and an Int 1 would share a group).
+            "SELECT a % 2, COUNT(*) FROM w GROUP BY a % 2",
+            "SELECT f, COUNT(*) FROM w GROUP BY f",
+            // Aggregates that cannot be taken back when a row leaves, or
+            // whose result depends on the order rows were added in.
+            "SELECT a, MIN(b) FROM w GROUP BY a",
+            "SELECT a, MAX(b), COUNT(*) FROM w GROUP BY a",
+            "SELECT a, AVG(b) FROM w GROUP BY a",
+            "SELECT a, COUNT(DISTINCT b) FROM w GROUP BY a",
+            "SELECT s, ok, SUM(f) FROM w GROUP BY s, ok",
+            "SELECT a, SUM(b + 1) FROM w GROUP BY a",
+            "SELECT a, COUNT(b + 1) FROM w GROUP BY a",
+            // A shape an index could answer, but not one this table carries:
+            // other keys, the same keys in another order, other columns.
+            "SELECT b, COUNT(*) FROM w GROUP BY b",
+            "SELECT ok, s, SUM(a), COUNT(f) FROM w GROUP BY ok, s",
+            "SELECT a, SUM(b), COUNT(s) FROM w GROUP BY a",
+            "SELECT s, ok, SUM(a) FROM w GROUP BY s, ok",
+            "SELECT COUNT(*) FROM w",
+            // Not grouped at all.
+            "SELECT a FROM w ORDER BY a LIMIT 3",
+        ] {
+            assert_eq!(access(&c, sql), Access::FullScan, "{sql}");
+        }
+        // The same statements over a table with no group index scan.
+        assert_eq!(access(&c, "SELECT contestant, COUNT(*) FROM votes GROUP BY contestant"), Access::FullScan);
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub const COLUMNAR_MIN_ROWS: usize = 64;
 /// (the OLTP hot path) and ordered index walks are deliberately
 /// excluded — batching a handful of rows costs more than it saves.
 pub fn eligible(s: &BoundSelect) -> bool {
-    s.joins.is_empty() && matches!(s.from.access, Access::FullScan)
+    s.joins.is_empty() && matches!(s.from.access, Access::FullScan | Access::GroupIndex(_))
 }
 
 /// Dispatch decision for [`crate::exec::run_select_rows`]: an eligible

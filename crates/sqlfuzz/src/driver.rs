@@ -89,7 +89,13 @@ fn build_app(tables: &[TableSpec]) -> App {
     for t in tables {
         b = b.table_indexed(&t.name, t.schema.clone(), t.indexes.clone());
     }
-    b.build().expect("generated app is well-formed")
+    // Group indexes have no builder method — the engine derives them for
+    // windows — so a base table's are put where it looks for them.
+    let mut app = b.build().expect("generated app is well-formed");
+    for (def, t) in app.tables.iter_mut().zip(tables) {
+        def.group_indexes = t.group_indexes.clone();
+    }
+    app
 }
 
 fn config(sim: &SimVfs) -> EngineConfig {

@@ -29,7 +29,7 @@ use sstore_sql::ast::{
     SelectItem, SortOrder, Statement, TableRef, Update,
 };
 use sstore_storage::index::IndexDef;
-use sstore_storage::IndexKind;
+use sstore_storage::{GroupIndexDef, IndexKind};
 
 use crate::render::render_stmt;
 
@@ -43,6 +43,9 @@ pub struct TableSpec {
     /// Secondary indexes (the engine builds them; the reference ignores
     /// them except for unique-constraint checks).
     pub indexes: Vec<IndexDef>,
+    /// Group indexes (the engine maintains them and answers matching
+    /// GROUP BYs from them; the reference has never heard of them).
+    pub group_indexes: Vec<GroupIndexDef>,
 }
 
 /// One statement with its bound parameters.
@@ -85,6 +88,9 @@ impl Case {
                     ix.name,
                     ix.key_columns
                 ));
+            }
+            for def in &t.group_indexes {
+                out.push_str(&format!(" [group index on {:?} tracking {:?}]", def.key_columns, def.agg_columns));
             }
             out.push('\n');
         }
@@ -228,7 +234,20 @@ fn gen_tables(g: &mut StdRng) -> Vec<TableSpec> {
             };
             indexes.push(IndexDef { name: format!("t{ti}_ix{col}"), key_columns, kind, unique: false });
         }
-        tables.push(TableSpec { name: format!("t{ti}"), schema, indexes });
+        // Two tables in three carry a group index over their first one
+        // or two Int/Text/Bool columns (one in four past the first table:
+        // over none), tracking up to two columns, so a GROUP BY on its keys
+        // is answered from it (`gen_grouped_head`) while INSERTs, UPDATEs
+        // and DELETEs churn it.
+        let mut group_indexes = Vec::new();
+        if range(g, 3) > 0 {
+            let nkeys = if ti == 0 || range(g, 4) > 0 { 1 + range(g, 2) } else { 0 };
+            let groupable = |c: &usize| schema.column(*c).dtype != DataType::Float;
+            let key_columns = (0..ncols).filter(groupable).take(nkeys).collect();
+            let agg_columns = (0..ncols).filter(|_| range(g, 3) == 0).take(2).collect();
+            group_indexes.push(GroupIndexDef { key_columns, agg_columns });
+        }
+        tables.push(TableSpec { name: format!("t{ti}"), schema, indexes, group_indexes });
     }
     tables
 }
@@ -656,11 +675,18 @@ fn gen_select(g: &mut StdRng, tables: &[TableSpec], large: bool) -> Stmt {
         let index = btrees[range(g, btrees.len())];
         return gen_indexed_top(g, base, index);
     }
+    // One SELECT in four over a table with a group index groups by its
+    // keys and aggregates its tracked columns — the shape the planner
+    // reads off the index — so index and reference must agree on every
+    // group, NULL keys and sums at the edge of `i64` included, whatever
+    // churn came before. No join; and one in ten carries a WHERE, which
+    // must send it back to the scan.
+    let indexed = base.group_indexes.first().filter(|_| range(g, 4) == 0);
 
     // Joins: mostly none (single-table scans are the columnar surface),
     // sometimes one or two against the *small* tables.
     let njoins = match range(g, 10) {
-        _ if large => 0,
+        _ if large || indexed.is_some() => 0,
         0..=6 => 0,
         7..=8 => 1,
         _ => 2.min(tables.len() - 1),
@@ -728,15 +754,15 @@ fn gen_select(g: &mut StdRng, tables: &[TableSpec], large: bool) -> Stmt {
         })
         .collect();
 
-    let where_clause = if range(g, 10) < 7 {
+    let where_clause = if range(g, 10) < if indexed.is_some() { 1 } else { 7 } {
         Some(gen_bool(g, &scope, &mut params, 2))
     } else {
         None
     };
 
-    let grouped = range(g, 10) < if large { 5 } else { 3 };
+    let grouped = indexed.is_some() || range(g, 10) < if large { 5 } else { 3 };
     let (items, group_by, having) = if grouped {
-        gen_grouped_head(g, &scope, &mut params)
+        gen_grouped_head(g, &scope, &mut params, indexed)
     } else {
         (gen_plain_items(g, &scope, &mut params), vec![], None)
     };
@@ -860,14 +886,35 @@ fn gen_plain_items(
 
 /// SELECT list + GROUP BY + HAVING for a grouped query. Select items
 /// reuse the group-key expressions verbatim (the planner matches group
-/// keys by whole-expression AST equality) plus aggregates.
+/// keys by whole-expression AST equality) plus aggregates. With
+/// `indexed`, the keys are that group index's and the aggregates are
+/// COUNT or SUM over exactly its tracked columns (now and then a MIN
+/// beside them, which no index answers).
 fn gen_grouped_head(
     g: &mut StdRng,
     scope: &ExprScope<'_>,
     params: &mut Vec<Value>,
+    indexed: Option<&GroupIndexDef>,
 ) -> (Vec<SelectItem>, Vec<Expr>, Option<Expr>) {
-    let nkeys = 1 + range(g, 2);
-    let mut group_by = Vec::with_capacity(nkeys);
+    let base = scope.entries[0].1;
+    let col = |c: usize| Expr::Column(ColumnRef { table: None, column: base.column(c).name.clone() });
+    let agg = |func, c| Expr::Aggregate { func, arg: Some(Box::new(col(c))), distinct: false };
+    let mut fixed_aggs = Vec::new();
+    for &c in indexed.map_or(&[][..], |def| &def.agg_columns) {
+        let summable = base.column(c).dtype == DataType::Int && range(g, 3) > 0;
+        fixed_aggs.push(agg(if summable { AggFunc::Sum } else { AggFunc::Count }, c));
+    }
+    if indexed.is_some() {
+        if fixed_aggs.is_empty() || range(g, 2) == 0 {
+            fixed_aggs.push(Expr::Aggregate { func: AggFunc::Count, arg: None, distinct: false });
+        }
+        if range(g, 10) == 0 {
+            fixed_aggs.push(agg(AggFunc::Min, 0));
+        }
+    }
+    let nkeys = if indexed.is_some() { 0 } else { 1 + range(g, 2) };
+    let mut group_by: Vec<Expr> =
+        indexed.map_or(Vec::new(), |def| def.key_columns.iter().map(|&c| col(c)).collect());
     for _ in 0..nkeys {
         let key = if range(g, 10) < 7 {
             scope.random_col(g).0
@@ -893,12 +940,14 @@ fn gen_grouped_head(
         .map(|k| SelectItem::Expr { expr: k.clone(), alias: None })
         .collect();
 
-    let naggs = 1 + range(g, 3);
+    let naggs = if indexed.is_some() { fixed_aggs.len() } else { 1 + range(g, 3) };
     let mut agg_exprs = Vec::with_capacity(naggs);
     for i in 0..naggs {
         let func = [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max]
             [range(g, 5)];
-        let agg = if func == AggFunc::Count && range(g, 3) == 0 {
+        let agg = if let Some(fixed) = fixed_aggs.get(i) {
+            fixed.clone()
+        } else if func == AggFunc::Count && range(g, 3) == 0 {
             Expr::Aggregate { func, arg: None, distinct: false }
         } else {
             let arg = if range(g, 10) < 7 {
@@ -1023,6 +1072,7 @@ fn range(g: &mut StdRng, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sstore_sql::plan::Access;
 
     #[test]
     fn generation_is_deterministic() {
@@ -1109,22 +1159,34 @@ mod tests {
         assert!(indexed_tops >= 20, "{indexed_tops} SELECTs planned as an ordered index walk");
         let large: usize = (0..40).map(|seed| index_walks(&generate_large(seed))).sum();
         assert!(large >= 20, "{large} ordered index walks over the large table");
+        let reads = |access: &Access| matches!(access, Access::GroupIndex(_));
+        let grouped: usize = (0..40).map(|seed| planned(&generate(seed), reads)).sum();
+        assert!(grouped >= 20, "{grouped} SELECTs planned to read a group index");
+        let large: usize = (0..40).map(|seed| planned(&generate_large(seed), reads)).sum();
+        assert!(large >= 20, "{large} group-index reads over the large table");
     }
 
     /// How many of the case's SELECTs the engine's planner answers by
     /// walking a B-tree (`Access::IndexOrder`).
     fn index_walks(case: &Case) -> usize {
-        use sstore_sql::plan::{Access, BoundStatement, Planner};
+        planned(case, |access| matches!(access, Access::IndexOrder { .. }))
+    }
+
+    /// How many of the case's SELECTs the engine's planner gives an
+    /// access path `wanted` accepts.
+    fn planned(case: &Case, wanted: impl Fn(&Access) -> bool) -> usize {
+        use sstore_sql::plan::{BoundStatement, Planner};
         let mut c = sstore_storage::Catalog::new();
         for t in &case.tables {
             let table =
                 c.create_table(&t.name, sstore_storage::TableKind::Base, t.schema.clone()).unwrap();
             t.indexes.iter().for_each(|ix| table.create_index(ix.clone()).unwrap());
+            t.group_indexes.iter().for_each(|def| table.create_group_index(def.clone()).unwrap());
         }
-        let walks = |s: &Stmt| match Planner::new(&c).plan(&s.stmt) {
-            Ok(BoundStatement::Select(sel)) => matches!(sel.from.access, Access::IndexOrder { .. }),
+        let wanted = |s: &Stmt| match Planner::new(&c).plan(&s.stmt) {
+            Ok(BoundStatement::Select(sel)) => wanted(&sel.from.access),
             _ => false,
         };
-        case.stmts.iter().filter(|s| walks(s)).count()
+        case.stmts.iter().filter(|s| wanted(s)).count()
     }
 }

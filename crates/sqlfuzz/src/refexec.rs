@@ -1281,6 +1281,7 @@ mod tests {
                 kind: IndexKind::Hash,
                 unique: true,
             }],
+            group_indexes: vec![],
         };
         RefDb::new(&[spec])
     }

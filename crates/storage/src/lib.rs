@@ -3,7 +3,8 @@
 //!
 //! A [`Catalog`] names a set of [`Table`]s. Each table is a slotted,
 //! main-memory row store with stable [`RowId`]s, optional hash and
-//! B-tree [`index`]es (unique or multi-valued), and schema enforcement.
+//! B-tree [`index`]es (unique or multi-valued), maintained [`group`]
+//! indexes, and schema enforcement.
 //! [`snapshot`] serializes an entire catalog to bytes — this is the
 //! checkpoint image used by S-Store's recovery modes.
 //!
@@ -15,11 +16,13 @@
 //! [`RowId`]: sstore_common::RowId
 
 pub mod catalog;
+pub mod group;
 pub mod index;
 pub mod snapshot;
 pub mod stats;
 pub mod table;
 
 pub use catalog::Catalog;
+pub use group::{ColAcc, GroupAcc, GroupIndex, GroupIndexDef};
 pub use index::{IndexData, IndexDef, IndexKind};
 pub use table::{ScanChunks, Table, TableKind};

@@ -21,6 +21,7 @@ pub struct TableStats {
     index_lookups: Cell<u64>,
     scans: Cell<u64>,
     ordered_visits: Cell<u64>,
+    group_reads: Cell<u64>,
 }
 
 impl TableStats {
@@ -62,6 +63,17 @@ impl TableStats {
         self.ordered_visits.set(self.ordered_visits.get() + rows as u64);
     }
 
+    /// Grouped SELECTs answered from a group index instead of a scan.
+    pub fn group_reads(&self) -> u64 {
+        self.group_reads.get()
+    }
+
+    /// Counts one grouped SELECT answered from a group index (the read
+    /// is the executor's, over [`GroupIndex::groups`](crate::group::GroupIndex::groups)).
+    pub fn record_group_read(&self) {
+        self.group_reads.set(self.group_reads.get() + 1);
+    }
+
     pub(crate) fn record_insert(&self) {
         self.inserts.set(self.inserts.get() + 1);
     }
@@ -90,6 +102,7 @@ impl TableStats {
         self.index_lookups.set(0);
         self.scans.set(0);
         self.ordered_visits.set(0);
+        self.group_reads.set(0);
     }
 }
 
@@ -107,7 +120,9 @@ mod tests {
         s.record_index_lookup();
         s.record_scan();
         s.record_ordered_visits(3);
+        s.record_group_read();
         assert_eq!(s.ordered_visits(), 3);
+        assert_eq!(s.group_reads(), 1);
         assert_eq!(s.inserts(), 2);
         assert_eq!(s.deletes(), 1);
         assert_eq!(s.updates(), 1);
@@ -117,5 +132,6 @@ mod tests {
         assert_eq!(s.inserts(), 0);
         assert_eq!(s.scans(), 0);
         assert_eq!(s.ordered_visits(), 0);
+        assert_eq!(s.group_reads(), 0);
     }
 }

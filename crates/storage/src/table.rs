@@ -14,6 +14,7 @@
 use sstore_common::hash::FxHashMap;
 use sstore_common::{Error, Result, RowId, Schema, Tuple, Value};
 
+use crate::group::{GroupIndex, GroupIndexDef};
 use crate::index::{Index, IndexDef, IndexKind};
 use crate::stats::TableStats;
 
@@ -67,6 +68,9 @@ pub struct Table {
     free: Vec<u32>,
     by_id: FxHashMap<RowId, u32>,
     indexes: Vec<Index>,
+    /// Maintained `GROUP BY`s ([`crate::group`]): derived state, kept by
+    /// the same mutation paths as `indexes`, encoded in no snapshot.
+    group_indexes: Vec<GroupIndex>,
     next_row_id: u64,
     live: usize,
     /// Row-id-ordered `(row id, slot)` entries, incrementally maintained:
@@ -92,6 +96,7 @@ impl Table {
             free: Vec::new(),
             by_id: FxHashMap::default(),
             indexes: Vec::new(),
+            group_indexes: Vec::new(),
             next_row_id: 0,
             live: 0,
             order: Vec::new(),
@@ -253,6 +258,51 @@ impl Table {
         found
     }
 
+    /// Attaches a group index, built from the live rows; a definition
+    /// the table already carries is left as it is.
+    pub fn create_group_index(&mut self, def: GroupIndexDef) -> Result<()> {
+        if let Some(c) = def.key_columns.iter().chain(&def.agg_columns).find(|&&c| c >= self.schema.arity()) {
+            let name = &self.name;
+            return Err(Error::Plan(format!("group index on {name} references column {c}, out of range")));
+        }
+        if self.group_index(&def).is_none() {
+            let rows = self.slots.iter().flatten().map(|row| row.tuple.values());
+            self.group_indexes.push(GroupIndex::build(def, rows));
+        }
+        Ok(())
+    }
+
+    /// The group index with exactly this definition, if attached.
+    pub fn group_index(&self, def: &GroupIndexDef) -> Option<&GroupIndex> {
+        self.group_indexes.iter().find(|g| g.def == *def)
+    }
+
+    /// Readies that group index for a read ([`GroupIndex::refresh`]):
+    /// what a reader holding the table mutably does first.
+    pub fn refresh_group_index(&mut self, def: &GroupIndexDef) {
+        if let Some(g) = self.group_indexes.iter_mut().find(|g| g.def == *def) {
+            g.refresh(self.live, self.slots.iter().flatten().map(|row| row.tuple.values()));
+        }
+    }
+
+    /// Definitions of the attached group indexes.
+    pub fn group_index_defs(&self) -> impl Iterator<Item = &GroupIndexDef> + '_ {
+        self.group_indexes.iter().map(|g| &g.def)
+    }
+
+    /// Recomputes every group index from the live rows and compares:
+    /// the check chaos and the engine tests run after histories of
+    /// aborts, slides and restores.
+    pub fn verify_group_indexes(&self) -> Result<()> {
+        let rows = || self.slots.iter().flatten().map(|row| row.tuple.values());
+        match self.group_indexes.iter().find(|g| !g.agrees_with(rows())) {
+            Some(g) => {
+                Err(Error::Internal(format!("group index {:?} of {} disagrees with its rows", g.def, self.name)))
+            }
+            None => Ok(()),
+        }
+    }
+
     // ------------------------------------------------------------------
     // Mutations
     // ------------------------------------------------------------------
@@ -295,6 +345,7 @@ impl Table {
         for (ix, key) in self.indexes.iter_mut().zip(keys) {
             ix.insert(key, id);
         }
+        self.group_indexes.iter_mut().for_each(|g| g.apply(tuple.values(), true, self.live));
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some(Row { id, tuple });
@@ -355,6 +406,7 @@ impl Table {
         for ix in &mut self.indexes {
             ix.remove(ix.def.key_of(row.tuple.values()), id);
         }
+        self.group_indexes.iter_mut().for_each(|g| g.apply(row.tuple.values(), false, self.live));
         self.maybe_compact_order();
         self.stats.record_delete();
         Ok(row.tuple)
@@ -381,6 +433,10 @@ impl Table {
             ix.remove(ix.def.key_of(old), id);
             ix.insert(ix.def.key_of(new.values()), id);
         }
+        for g in &mut self.group_indexes {
+            g.apply(old, false, self.live);
+            g.apply(new.values(), true, self.live);
+        }
         let row = self.slots[slot as usize].as_mut().expect("live slot");
         let old = std::mem::replace(&mut row.tuple, new);
         self.stats.record_update();
@@ -398,6 +454,7 @@ impl Table {
         for ix in &mut self.indexes {
             ix.clear();
         }
+        self.group_indexes.iter_mut().for_each(GroupIndex::clear);
     }
 
     // ------------------------------------------------------------------

@@ -343,6 +343,42 @@ mod tests {
         engine.query(p, sql, vec![]).unwrap().scalar().unwrap().as_int().unwrap()
     }
 
+    /// Both slide triggers carry `MIN(ts)`, which no group index keeps
+    /// (it cannot be taken back when a row expires): neither window
+    /// derives one, and every statement is planned as it was without them.
+    #[test]
+    fn neither_window_carries_a_group_index() {
+        use sstore_engine::ee::ExecutionEngine;
+        use sstore_engine::metrics::EngineMetrics;
+        use sstore_engine::names::AppIds;
+        use sstore_sql::plan::{Access, BoundStatement};
+        use sstore_sql::Planner;
+        use std::sync::Arc;
+
+        let app = linear_road_app();
+        let ids = Arc::new(AppIds::build(&app).unwrap());
+        let (ee, _) = ExecutionEngine::install(&app, ids, Arc::new(EngineMetrics::new())).unwrap();
+        for w in ["seg_win", "speed_win"] {
+            assert_eq!(ee.catalog().table(w).unwrap().group_index_defs().count(), 0, "{w}");
+        }
+        let registered = app
+            .procs
+            .iter()
+            .flat_map(|p| p.statements.iter().map(|(_, sql)| sql))
+            .chain(app.ee_triggers.iter().flat_map(|t| &t.sql));
+        for sql in registered {
+            let select = match Planner::new(ee.catalog()).plan_sql(sql).unwrap() {
+                BoundStatement::Select(s) => s,
+                BoundStatement::Insert(i) => match i.select {
+                    Some(s) => *s,
+                    None => continue,
+                },
+                _ => continue,
+            };
+            assert!(!matches!(select.from.access, Access::GroupIndex(_)), "{sql}");
+        }
+    }
+
     #[test]
     fn positions_tolls_and_stats_accumulate() {
         let ticks = 8;

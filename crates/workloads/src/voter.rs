@@ -378,6 +378,57 @@ mod tests {
         ee.commit().unwrap();
     }
 
+    /// `fill_trend` reads the trending board off the group index the
+    /// engine derived for `w_trend`: once the window has filled, every
+    /// refresh is answered from the index and no batch of window rows is
+    /// scanned, and the board is what a scan of the window gives.
+    #[test]
+    fn fill_trend_reads_the_group_index() {
+        use sstore_common::BatchId;
+        use sstore_engine::ee::ExecutionEngine;
+        use sstore_engine::metrics::EngineMetrics;
+        use sstore_engine::names::AppIds;
+        use std::sync::Arc;
+
+        let app = leaderboard_app(true);
+        let ids = Arc::new(AppIds::build(&app).unwrap());
+        let metrics = Arc::new(EngineMetrics::new());
+        let (mut ee, stmts) = ExecutionEngine::install(&app, ids, metrics.clone()).unwrap();
+        let maintain = &stmts["maintain"];
+        let mut gen = VoteGen::new(7, 500, 0);
+        let warm_up = TREND_WINDOW as u64 + 1;
+        for n in 1..=3 * warm_up {
+            if n == warm_up + 1 {
+                ee.table_stats("w_trend").unwrap().reset();
+                metrics.columnar_batches.store(0, Ordering::Relaxed);
+            }
+            ee.begin(Some(BatchId(n))).unwrap();
+            ee.exec(maintain["w_ins"], &[Value::Int(gen.vote().contestant)]).unwrap();
+            ee.exec(maintain["clear_trend"], &[]).unwrap();
+            ee.exec(maintain["fill_trend"], &[]).unwrap();
+            if n > warm_up && n % 7 == 0 {
+                ee.abort().unwrap();
+            } else {
+                ee.commit().unwrap();
+            }
+        }
+        assert_eq!(ee.table_stats("w_trend").unwrap().group_reads(), 2 * warm_up);
+        assert_eq!(EngineMetrics::get(&metrics.columnar_batches), 0, "fill_trend scanned the window");
+        let board = ee
+            .query("SELECT contestant, cnt FROM leaderboard WHERE kind = 'trend' ORDER BY cnt DESC, contestant", &[])
+            .unwrap();
+        // A WHERE keeps the planner off the index: this one scans.
+        let scanned = ee
+            .query(
+                "SELECT contestant, COUNT(*) FROM w_trend WHERE contestant > 0 \
+                 GROUP BY contestant ORDER BY COUNT(*) DESC, contestant LIMIT 3",
+                &[],
+            )
+            .unwrap();
+        assert_eq!(board.rows, scanned.rows);
+        assert_eq!(board.rows.len(), 3);
+    }
+
     #[test]
     fn leaderboards_are_consistent_with_counts() {
         let engine = run(true, 500, 0);

@@ -660,3 +660,59 @@ fn torn_chain_resolves_over_the_surviving_prefix() {
         recovered.shutdown();
     }
 }
+
+/// The trending window's group index is derived state — in no image, in
+/// no log. A voter run checkpointed mid-way and crashed must come back,
+/// in both modes, with the index rebuilt from the restored window and
+/// followed through the replayed votes: it passes recompute-and-compare
+/// (`Engine::query` checks the queried table's indexes before answering),
+/// the statement planned to read it gives what a scan of the window
+/// gives, and the leaderboard `fill_trend` wrote from it is that.
+#[test]
+fn voter_trend_index_is_rebuilt_by_recovery() {
+    use sstore::workloads::gen::VoteGen;
+    use sstore::workloads::voter::{leaderboard_app, seed};
+
+    const TREND: &str = "SELECT contestant, COUNT(*) FROM w_trend \
+                         GROUP BY contestant ORDER BY COUNT(*) DESC, contestant LIMIT 3";
+    // A WHERE keeps the planner off the index: this one scans.
+    const TREND_SCANNED: &str = "SELECT contestant, COUNT(*) FROM w_trend WHERE contestant > 0 \
+                                 GROUP BY contestant ORDER BY COUNT(*) DESC, contestant LIMIT 3";
+    const BOARD: &str = "SELECT contestant, cnt FROM leaderboard WHERE kind = 'trend' \
+                         ORDER BY cnt DESC, contestant";
+    for mode in [RecoveryMode::Strong, RecoveryMode::Weak] {
+        let mut config = cfg(mode);
+        config.partitions = 1;
+        let engine = Engine::start(config.clone(), leaderboard_app(true)).unwrap();
+        seed(&engine, 20).unwrap();
+        let mut gen = VoteGen::new(3, 20, 50);
+        for (i, v) in gen.votes(260).into_iter().enumerate() {
+            engine.ingest("votes_in", vec![v.tuple()]).unwrap();
+            if i == 150 {
+                engine.drain().unwrap();
+                engine.checkpoint().unwrap();
+            }
+        }
+        engine.drain().unwrap();
+        engine.flush_logs().unwrap();
+        let before = engine.query(0, BOARD, vec![]).unwrap().rows;
+        assert_eq!(before.len(), 3);
+        engine.shutdown();
+
+        let (recovered, _) = recover(config, leaderboard_app(true)).unwrap();
+        recovered.drain().unwrap();
+        let trend = recovered.query(0, TREND, vec![]).unwrap().rows;
+        assert_eq!(trend, recovered.query(0, TREND_SCANNED, vec![]).unwrap().rows, "{mode:?}");
+        assert_eq!(recovered.query(0, BOARD, vec![]).unwrap().rows, trend, "{mode:?}");
+        assert_eq!(trend, before, "{mode:?}");
+        // And it keeps following: more votes, same agreement.
+        for v in gen.votes(40) {
+            recovered.ingest("votes_in", vec![v.tuple()]).unwrap();
+        }
+        recovered.drain().unwrap();
+        let trend = recovered.query(0, TREND, vec![]).unwrap().rows;
+        assert_eq!(trend, recovered.query(0, TREND_SCANNED, vec![]).unwrap().rows, "{mode:?}");
+        assert_eq!(recovered.query(0, BOARD, vec![]).unwrap().rows, trend, "{mode:?}");
+        recovered.shutdown();
+    }
+}
