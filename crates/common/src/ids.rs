@@ -64,9 +64,9 @@ id_newtype! {
 }
 
 id_newtype! {
-    /// Stable identifier of a physical row slot within one table.
-    /// Survives updates in place; never reused until the row is deleted
-    /// and its slot recycled.
+    /// Stable identifier of a row within one table: issued in
+    /// ascending order, kept across updates in place, and never issued
+    /// to another row (only undo puts a deleted row back under its id).
     RowId
 }
 

@@ -116,12 +116,6 @@ impl Tuple {
     pub fn push(&mut self, v: Value) {
         Arc::make_mut(&mut self.values).push(v);
     }
-
-    /// Approximate memory footprint, used by table statistics. Shared
-    /// buffers are attributed to every clone.
-    pub fn approx_size(&self) -> usize {
-        std::mem::size_of::<Tuple>() + self.values.iter().map(Value::approx_size).sum::<usize>()
-    }
 }
 
 impl Index<usize> for Tuple {

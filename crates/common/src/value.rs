@@ -261,15 +261,6 @@ impl Value {
             -1e300,
         ]
     }
-
-    /// Heap + inline footprint in bytes, used by table statistics.
-    pub fn approx_size(&self) -> usize {
-        std::mem::size_of::<Value>()
-            + match self {
-                Value::Text(s) => s.capacity(),
-                _ => 0,
-            }
-    }
 }
 
 /// Exact i64-vs-f64 comparison, `a` against `f`.

@@ -1082,22 +1082,25 @@ impl ExecutionEngine {
     // ------------------------------------------------------------------
 
     /// The partition's tables (tests: plans, access-path counters,
-    /// [`Table::verify_group_indexes`](sstore_storage::Table::verify_group_indexes)).
+    /// [`Table::verify`](sstore_storage::Table::verify)).
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
     }
 
     /// Runs an ad-hoc read-only query (tests, examples, H-Store-mode
     /// clients inspecting results). Mutating statements are rejected.
-    /// This is the inspection path, so it checks derived state before
-    /// trusting it: the queried table's group indexes are recomputed and
-    /// compared first, which is how chaos and the crash tests — every
-    /// `Engine::query` lands here — would notice one that drifted.
+    /// Debug builds check the queried table against its rows first
+    /// ([`Table::verify`](sstore_storage::Table::verify)), which is how
+    /// chaos and the crash tests — every `Engine::query` lands here —
+    /// would notice an index or a group index that drifted; release
+    /// builds just answer.
     pub fn query(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
         let bound = Planner::new(&self.catalog).plan_sql(sql)?;
         match bound {
             BoundStatement::Select(s) => {
-                self.catalog.get(s.from.table).verify_group_indexes()?;
+                if cfg!(debug_assertions) {
+                    self.catalog.get(s.from.table).verify()?;
+                }
                 let r = sstore_sql::exec::run_select(&self.catalog, &s, params);
                 self.note_columnar_batches();
                 r

@@ -1086,18 +1086,6 @@ impl Engine {
         Ok(total)
     }
 
-    pub(crate) fn bump_batch_counters(&self, floor: &HashMap<String, u64>) {
-        let mut counters = self.batch_counters.lock();
-        for (name, v) in floor {
-            if let Some(id) = self.ids.table_id(name) {
-                let c = &mut counters[id.index()];
-                if *c < *v {
-                    *c = *v;
-                }
-            }
-        }
-    }
-
     /// Stops all partitions, *propagating* command-log close failures:
     /// a failed final flush/fsync means the log tail was lost, and a
     /// durability-sensitive caller must not mistake that for a clean

@@ -360,16 +360,3 @@ fn replay_record(engine: &Engine, partition: usize, rec: &LogRecord) -> Result<(
         .map(|_| ())
         .map_err(|e| Error::InvalidState(format!("replay of lsn {} failed: {e}", rec.lsn)))
 }
-
-/// Pushes the engine's batch counters past everything seen in a log —
-/// exposed for tests that hand-craft recovery scenarios.
-pub fn advance_counters_past_log(engine: &Engine, records: &[LogRecord]) {
-    let mut floor: HashMap<String, u64> = HashMap::new();
-    for r in records {
-        if let LogKind::Border { stream, batch, .. } = &r.kind {
-            let e = floor.entry(stream.clone()).or_insert(0);
-            *e = (*e).max(batch.raw());
-        }
-    }
-    engine.bump_batch_counters(&floor);
-}

@@ -353,7 +353,7 @@ fn lr_run(rowwise: bool) -> (Vec<sstore_common::Tuple>, u64, u64) {
 }
 
 #[test]
-fn slide_trigger_group_by_identical_columnar_on_and_off() {
+fn slide_trigger_grouping_identical_columnar_on_and_off() {
     let (col_rows, col_batches, _) = lr_run(false);
     let (row_rows, row_batches, row_disabled) = lr_run(true);
     // Two panes × four segments, each group 20 rows.

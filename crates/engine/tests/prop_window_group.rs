@@ -130,7 +130,7 @@ fn check(ee: &mut ExecutionEngine, map: &ProcStmtMap, sh: Shape) -> Result<(), T
             }
         }
         ANSWERED.fetch_add(ee.table_stats(w).unwrap().group_reads() - reads, Ordering::Relaxed);
-        ee.catalog().table(w).unwrap().verify_group_indexes().unwrap();
+        ee.catalog().table(w).unwrap().verify().unwrap();
     }
     Ok(())
 }
@@ -251,7 +251,7 @@ fn a_group_past_the_sum_guard_is_answered_by_the_scan() {
     }
     assert_eq!(arrive_and_sum(&mut ee, 3).unwrap(), Some(Value::Int(24)));
     assert!(reads(&ee) > before + 1);
-    ee.catalog().table("tw").unwrap().verify_group_indexes().unwrap();
+    ee.catalog().table("tw").unwrap().verify().unwrap();
 }
 
 #[test]

@@ -316,12 +316,6 @@ impl ColumnarBatch {
         Ok(ColumnarBatch { len: rows.len(), cols })
     }
 
-    /// Like [`ColumnarBatch::from_rows`], from shared tuples.
-    pub fn from_tuples(tuples: &[Tuple], wanted: &[usize], dtypes: &[DataType]) -> Result<Self> {
-        let rows: Vec<&[Value]> = tuples.iter().map(|t| t.values()).collect();
-        Self::from_rows(&rows, wanted, dtypes)
-    }
-
     /// Number of rows in the batch.
     pub fn len(&self) -> usize {
         self.len

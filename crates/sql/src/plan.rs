@@ -462,16 +462,16 @@ impl<'a> Planner<'a> {
             .collect::<Option<_>>()?;
         let dir = s.order_by.first()?.1;
         let uniform = s.order_by.iter().take_while(|(_, d)| *d == dir).count();
-        let mut best: Option<(String, usize)> = None;
+        let mut best: Option<(&str, usize)> = None;
         for def in self.catalog.get(s.from.table).index_defs() {
             let prefix_len =
                 def.key_columns.iter().zip(&cols[..uniform]).take_while(|(k, c)| k == c).count();
-            if def.kind == IndexKind::BTree && prefix_len > best.as_ref().map_or(0, |b| b.1) {
-                best = Some((def.name, prefix_len));
+            if def.kind == IndexKind::BTree && prefix_len > best.map_or(0, |b| b.1) {
+                best = Some((&def.name, prefix_len));
             }
         }
         best.map(|(index, prefix_len)| Access::IndexOrder {
-            index,
+            index: index.to_owned(),
             prefix_len,
             reverse: dir == SortOrder::Desc,
         })
@@ -491,7 +491,7 @@ impl<'a> Planner<'a> {
             return Access::FullScan;
         }
         // Prefer the index covering the most key columns.
-        let mut best: Option<(Vec<usize>, Vec<BoundExpr>)> = None;
+        let mut best: Option<(&[usize], Vec<BoundExpr>)> = None;
         for def in table.index_defs() {
             let mut exprs = Vec::with_capacity(def.key_columns.len());
             let covered = def.key_columns.iter().all(|kc| {
@@ -505,11 +505,11 @@ impl<'a> Planner<'a> {
             if covered
                 && best.as_ref().is_none_or(|(cols, _)| def.key_columns.len() > cols.len())
             {
-                best = Some((def.key_columns.clone(), exprs));
+                best = Some((&def.key_columns, exprs));
             }
         }
         match best {
-            Some((key_cols, key_exprs)) => Access::IndexEq { key_cols, key_exprs },
+            Some((key_cols, key_exprs)) => Access::IndexEq { key_cols: key_cols.to_vec(), key_exprs },
             None => Access::FullScan,
         }
     }

@@ -187,8 +187,8 @@ proptest! {
         let mut c = Catalog::new();
         let t = c.create_table("t", TableKind::Base, schema()).unwrap();
         // Indexes maintained through the churn, or backfilled after it
-        // (slot order is not id order by then); a unique one the rows
-        // already violate is skipped.
+        // (from a run with tombstones in it by then); a unique one the
+        // rows already violate is skipped.
         if !create_late {
             defs.iter().for_each(|d| t.create_index(d.clone()).unwrap());
         }
@@ -196,7 +196,7 @@ proptest! {
         if create_late {
             defs.iter().for_each(|d| drop(t.create_index(d.clone())));
         }
-        let defs = t.index_defs();
+        let defs: Vec<IndexDef> = t.index_defs().cloned().collect();
         if defs.is_empty() {
             return Ok(());
         }

@@ -55,7 +55,7 @@ impl IndexDef {
 /// happened in. Most keys carry one row (every key of a unique index
 /// does), so that case is held inline and costs no allocation; `Many`
 /// always holds at least two.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Postings {
     /// Exactly one row.
     One(RowId),
@@ -109,8 +109,7 @@ fn remove_posting(slot: &mut Postings, row: RowId) -> (bool, bool) {
 
 /// Sorts `count` `(key, row)` pairs by key, then row id, and groups
 /// them into one entry per distinct key, ascending. Rows need not
-/// arrive in id order ([`Table::create_index`](crate::table::Table::create_index)
-/// backfills in slot order, which reused slots scramble).
+/// arrive in id order (a table's backfill does hand them over so).
 fn sorted_run<K: Ord>(
     def: &IndexDef,
     count: usize,
@@ -136,7 +135,7 @@ fn sorted_run<K: Ord>(
 }
 
 /// The physical index payload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum IndexData {
     /// Hash-backed.
     Hash(FxHashMap<Vec<Value>, Postings>),
@@ -145,7 +144,7 @@ pub enum IndexData {
 }
 
 /// An index: definition plus payload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Index {
     /// Logical definition.
     pub def: IndexDef,

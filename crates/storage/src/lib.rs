@@ -1,10 +1,11 @@
 //! In-memory row storage: the storage half of an H-Store-style
 //! execution engine.
 //!
-//! A [`Catalog`] names a set of [`Table`]s. Each table is a slotted,
-//! main-memory row store with stable [`RowId`]s, optional hash and
-//! B-tree [`index`]es (unique or multi-valued), maintained [`group`]
-//! indexes, and schema enforcement.
+//! A [`Catalog`] names a set of [`Table`]s. Each table is a
+//! main-memory row store — one run of rows in [`RowId`] order
+//! ([`table`]) — with stable row ids, optional hash and B-tree
+//! [`index`]es (unique or multi-valued), maintained [`group`] indexes,
+//! and schema enforcement.
 //! [`snapshot`] serializes an entire catalog to bytes — this is the
 //! checkpoint image used by S-Store's recovery modes.
 //!

@@ -63,9 +63,8 @@ pub fn encode_table_image(e: &mut Encoder, table: &Table) {
         e.put_u8(table.kind().tag());
         e.put_schema(table.schema());
         e.put_u64(table.peek_next_row_id().raw());
-        let defs = table.index_defs();
-        e.put_varint(defs.len() as u64);
-        for d in &defs {
+        e.put_varint(table.index_defs().count() as u64);
+        for d in table.index_defs() {
             e.put_str(&d.name);
             e.put_u8(match d.kind {
                 IndexKind::Hash => 0,
@@ -245,7 +244,7 @@ mod tests {
             assert_eq!(r.schema(), t.schema());
             assert_eq!(r.len(), t.len());
             assert_eq!(r.peek_next_row_id(), t.peek_next_row_id());
-            assert_eq!(r.index_defs(), t.index_defs());
+            assert!(r.index_defs().eq(t.index_defs()));
             let orig_rows: Vec<_> = t.scan_ordered().collect();
             let rest_rows: Vec<_> = r.scan_ordered().collect();
             assert_eq!(orig_rows.len(), rest_rows.len());

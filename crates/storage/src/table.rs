@@ -1,4 +1,5 @@
-//! Slotted in-memory tables with stable row ids and index maintenance.
+//! Main-memory tables: one run of rows in row-id order, and the indexes
+//! kept over it.
 //!
 //! S-Store's central storage trick (§3.2.1–3.2.2) is that *streams and
 //! windows are time-varying H-Store tables*. [`TableKind`] tags a table
@@ -6,12 +7,41 @@
 //! ordinary columns, so one storage structure serves all three kinds of
 //! state and is uniformly checkpointed and recovered.
 //!
-//! Row ids are stable for the lifetime of a row and are re-usable *by
-//! explicit request only* ([`Table::insert_with_id`]) — that is what lets
-//! the transaction undo log restore a deleted row under its original id
-//! so that later undo records remain valid.
+//! # Layout
+//!
+//! A table's rows are **one** double-ended run of `(RowId, Option<Tuple>)`
+//! entries (16 bytes each), ascending by row id; `None` is a tombstone —
+//! a deleted row's place, held so the rows after it need not move.
+//! There is no id map, no free list and no separate order index: the
+//! run *is* the row-id order every scan, snapshot and index build reads,
+//! and a row is found in it by arithmetic (`locate`, below). That
+//! rests on three facts about row ids:
+//!
+//! 1. **Ascending.** [`Table::insert`] draws ids from a counter, so a
+//!    fresh row is pushed on the back of the run.
+//! 2. **Never reissued.** The counter never rewinds (deletes, truncation
+//!    and snapshots all keep it), so an id names one row for ever and
+//!    the only insert below the back is [`Table::insert_with_id`] — the
+//!    undo log restoring a deleted row under its original id, so that
+//!    later undo records remain valid.
+//! 3. **Gaps only shift rows left.** The entry `k` places in carries at
+//!    least the first id plus `k`; an id the run does not hold (an
+//!    aborted insert, a swept tombstone, a gap in a loaded image) moves
+//!    every later row one place towards the front, never back. So row
+//!    `id` sits at or before place `id − first id`, and at most as many
+//!    places before it as the run is missing ids.
+//!
+//! **End trimming.** A delete tombstones its entry in place and then
+//! pops every tombstone off both ends of the run, so neither end ever
+//! holds one. Tables that delete oldest-first (streams, windows) or
+//! delete the row just inserted (an arrival moved to staging, an
+//! aborted insert) therefore never hold a tombstone at all, and both
+//! those deletes and their undo are O(1). Tombstones left in the middle
+//! are swept — the run compacted in place — once they outnumber the
+//! live rows (and sixteen), which keeps scans O(live) amortised.
 
-use sstore_common::hash::FxHashMap;
+use std::collections::{vec_deque, VecDeque};
+
 use sstore_common::{Error, Result, RowId, Schema, Tuple, Value};
 
 use crate::group::{GroupIndex, GroupIndexDef};
@@ -52,10 +82,13 @@ impl TableKind {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Row {
-    id: RowId,
-    tuple: Tuple,
+/// One place in a table's run: a row id and its tuple, or `None` where
+/// the row was deleted and the sweep has not yet come by.
+type Entry = (RowId, Option<Tuple>);
+
+/// The live rows of a run, in row-id order.
+fn live_rows(run: &VecDeque<Entry>) -> impl Iterator<Item = (RowId, &Tuple)> + '_ {
+    run.iter().filter_map(|(id, t)| t.as_ref().map(|t| (*id, t)))
 }
 
 /// A main-memory table.
@@ -64,24 +97,15 @@ pub struct Table {
     name: String,
     kind: TableKind,
     schema: Schema,
-    slots: Vec<Option<Row>>,
-    free: Vec<u32>,
-    by_id: FxHashMap<RowId, u32>,
+    /// Every row, ascending by id, tombstones included (module docs).
+    rows: VecDeque<Entry>,
+    /// Tombstones currently in `rows`.
+    dead: usize,
     indexes: Vec<Index>,
     /// Maintained `GROUP BY`s ([`crate::group`]): derived state, kept by
     /// the same mutation paths as `indexes`, encoded in no snapshot.
     group_indexes: Vec<GroupIndex>,
     next_row_id: u64,
-    live: usize,
-    /// Row-id-ordered `(row id, slot)` entries, incrementally maintained:
-    /// fresh inserts append (row ids are monotone), deletes leave a
-    /// stale entry that the ordered scan filters out and that is swept
-    /// when stale entries outnumber live ones. This keeps
-    /// [`Table::scan_ordered`] a borrow-based O(live) walk instead of a
-    /// collect-and-sort per statement.
-    order: Vec<(u64, u32)>,
-    /// Number of stale (deleted) entries currently in `order`.
-    stale: usize,
     stats: TableStats,
 }
 
@@ -92,15 +116,11 @@ impl Table {
             name: name.into().to_ascii_lowercase(),
             kind,
             schema,
-            slots: Vec::new(),
-            free: Vec::new(),
-            by_id: FxHashMap::default(),
+            rows: VecDeque::new(),
+            dead: 0,
             indexes: Vec::new(),
             group_indexes: Vec::new(),
             next_row_id: 0,
-            live: 0,
-            order: Vec::new(),
-            stale: 0,
             stats: TableStats::default(),
         }
     }
@@ -109,15 +129,13 @@ impl Table {
     /// decode uses in place of [`Table::new`], [`Table::create_index`]
     /// and one [`Table::insert_with_id`] per row. `rows` must arrive in
     /// strictly ascending row-id order (the order [`Table::scan_ordered`],
-    /// hence the snapshot encoder, yields them in), so the slot vector,
-    /// the id map and the order index are reserved once and filled by
-    /// append, with nothing on the free list; each index is then built
-    /// in one pass over the loaded rows. `count` is reserved before any
-    /// row is read: the caller bounds it by its input. Fails on the
-    /// first `Err` row, a row that does not fit the schema, a repeated
-    /// or descending row id, or an index that cannot be built. The
-    /// row-id counter ends at `next_row_id` or one past the last row,
-    /// whichever is higher.
+    /// hence the snapshot encoder, yields them in), so the run is
+    /// reserved once and filled by append; each index is then built in
+    /// one pass over it. `count` is reserved before any row is read:
+    /// the caller bounds it by its input. Fails on the first `Err` row,
+    /// a row that does not fit the schema, a repeated or descending row
+    /// id, or an index that cannot be built. The row-id counter ends at
+    /// `next_row_id` or one past the last row, whichever is higher.
     pub fn bulk_load(
         name: impl Into<String>,
         kind: TableKind,
@@ -128,25 +146,19 @@ impl Table {
         rows: impl Iterator<Item = Result<(RowId, Tuple)>>,
     ) -> Result<Table> {
         let mut t = Table::new(name, kind, schema);
-        t.slots.reserve_exact(count);
-        t.by_id.reserve(count);
-        t.order.reserve_exact(count);
+        t.rows.reserve_exact(count);
         for row in rows {
             let (id, tuple) = row?;
             t.schema.validate(tuple.values())?;
-            if t.order.last().is_some_and(|&(last, _)| last >= id.raw()) {
+            if t.rows.back().is_some_and(|&(last, _)| last >= id) {
                 return Err(Error::Internal(format!(
                     "row id {id} repeats or descends in the rows loaded into {}",
                     t.name
                 )));
             }
-            let slot = t.slots.len() as u32;
-            t.slots.push(Some(Row { id, tuple }));
-            t.by_id.insert(id, slot);
-            t.order.push((id.raw(), slot));
+            t.rows.push_back((id, Some(tuple)));
         }
-        t.live = t.slots.len();
-        t.next_row_id = t.order.last().map_or(next_row_id, |&(last, _)| next_row_id.max(last + 1));
+        t.next_row_id = t.rows.back().map_or(next_row_id, |&(last, _)| next_row_id.max(last.raw() + 1));
         for def in indexes {
             t.create_index(def)?;
         }
@@ -170,12 +182,19 @@ impl Table {
 
     /// Number of live rows.
     pub fn len(&self) -> usize {
-        self.live
+        self.rows.len() - self.dead
     }
 
     /// True when no rows are live.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
+    }
+
+    /// Tombstones the run holds just now: zero for a table that only
+    /// ever deletes its oldest or newest row, at most `len().max(16)`
+    /// for any.
+    pub fn tombstones(&self) -> usize {
+        self.dead
     }
 
     /// Mutation/lookup statistics.
@@ -193,9 +212,7 @@ impl Table {
     /// sequence of the one it copies even when that one's trailing
     /// rows had been deleted.
     pub fn advance_row_id_counter(&mut self, next: u64) {
-        if self.next_row_id < next {
-            self.next_row_id = next;
-        }
+        self.next_row_id = self.next_row_id.max(next);
     }
 
     // ------------------------------------------------------------------
@@ -216,8 +233,8 @@ impl Table {
                 self.schema.arity()
             )));
         }
-        let rows = self.slots.iter().flatten().map(|row| (row.id, row.tuple.values()));
-        self.indexes.push(Index::build(def, self.live, rows)?);
+        let rows = live_rows(&self.rows).map(|(id, t)| (id, t.values()));
+        self.indexes.push(Index::build(def, self.len(), rows)?);
         Ok(())
     }
 
@@ -232,9 +249,9 @@ impl Table {
         Ok(())
     }
 
-    /// All index definitions.
-    pub fn index_defs(&self) -> Vec<IndexDef> {
-        self.indexes.iter().map(|ix| ix.def.clone()).collect()
+    /// All index definitions, in declaration order.
+    pub fn index_defs(&self) -> impl Iterator<Item = &IndexDef> + '_ {
+        self.indexes.iter().map(|ix| &ix.def)
     }
 
     /// Looks up an index by name.
@@ -246,16 +263,8 @@ impl Table {
     /// planner to turn equality predicates into point lookups). Prefers
     /// hash over B-tree when both exist.
     pub fn index_on(&self, cols: &[usize]) -> Option<&Index> {
-        let mut found: Option<&Index> = None;
-        for ix in &self.indexes {
-            if ix.def.key_columns == cols {
-                match ix.def.kind {
-                    IndexKind::Hash => return Some(ix),
-                    IndexKind::BTree => found = Some(ix),
-                }
-            }
-        }
-        found
+        let mut on = self.indexes.iter().filter(|ix| ix.def.key_columns == cols);
+        on.clone().find(|ix| ix.def.kind == IndexKind::Hash).or(on.next_back())
     }
 
     /// Attaches a group index, built from the live rows; a definition
@@ -266,7 +275,7 @@ impl Table {
             return Err(Error::Plan(format!("group index on {name} references column {c}, out of range")));
         }
         if self.group_index(&def).is_none() {
-            let rows = self.slots.iter().flatten().map(|row| row.tuple.values());
+            let rows = live_rows(&self.rows).map(|(_, t)| t.values());
             self.group_indexes.push(GroupIndex::build(def, rows));
         }
         Ok(())
@@ -280,8 +289,9 @@ impl Table {
     /// Readies that group index for a read ([`GroupIndex::refresh`]):
     /// what a reader holding the table mutably does first.
     pub fn refresh_group_index(&mut self, def: &GroupIndexDef) {
+        let live = self.len();
         if let Some(g) = self.group_indexes.iter_mut().find(|g| g.def == *def) {
-            g.refresh(self.live, self.slots.iter().flatten().map(|row| row.tuple.values()));
+            g.refresh(live, live_rows(&self.rows).map(|(_, t)| t.values()));
         }
     }
 
@@ -290,15 +300,29 @@ impl Table {
         self.group_indexes.iter().map(|g| &g.def)
     }
 
-    /// Recomputes every group index from the live rows and compares:
-    /// the check chaos and the engine tests run after histories of
-    /// aborts, slides and restores.
-    pub fn verify_group_indexes(&self) -> Result<()> {
-        let rows = || self.slots.iter().flatten().map(|row| row.tuple.values());
-        match self.group_indexes.iter().find(|g| !g.agrees_with(rows())) {
-            Some(g) => {
-                Err(Error::Internal(format!("group index {:?} of {} disagrees with its rows", g.def, self.name)))
-            }
+    /// Checks everything the table keeps against its rows — the oracle
+    /// the property tests run after every operation and debug builds of
+    /// the engine run before answering a query: the run is strictly
+    /// id-ascending, below the id counter, with no tombstone at either
+    /// end and `dead` of them inside; every index equals one built
+    /// afresh from the live rows; every group index that claims to be
+    /// current is the fold of them.
+    pub fn verify(&self) -> Result<()> {
+        let ids = || self.rows.iter().map(|(id, _)| id.raw());
+        let ends = [self.rows.front(), self.rows.back()];
+        let rows = || live_rows(&self.rows).map(|(id, t)| (id, t.values()));
+        let rebuilt = |ix: &Index| Index::build(ix.def.clone(), self.len(), rows()).is_ok_and(|fresh| fresh == *ix);
+        let folded = |g: &GroupIndex| g.agrees_with(rows().map(|(_, values)| values));
+        let checks = [
+            (ids().zip(ids().skip(1)).all(|(a, b)| a < b), "the run is not strictly id-ascending"),
+            (ids().all(|id| id < self.next_row_id), "the run reaches the id counter"),
+            (ends.iter().flatten().all(|(_, t)| t.is_some()), "a tombstone sits at an end of the run"),
+            (self.rows.iter().filter(|(_, t)| t.is_none()).count() == self.dead, "the tombstone count is off"),
+            (self.indexes.iter().all(rebuilt), "an index disagrees with the live rows"),
+            (self.group_indexes.iter().all(folded), "a group index disagrees with the live rows"),
+        ];
+        match checks.iter().find(|(holds, _)| !holds) {
+            Some((_, what)) => Err(Error::Internal(format!("table {}: {what}", self.name))),
             None => Ok(()),
         }
     }
@@ -306,6 +330,43 @@ impl Table {
     // ------------------------------------------------------------------
     // Mutations
     // ------------------------------------------------------------------
+
+    /// Where `id` sits in the run (`Ok`: its entry, live or tombstone)
+    /// or would be inserted (`Err`). The row is at or before place
+    /// `id − first id`, and no further before it than the run is
+    /// missing ids (module docs, fact 3): found at that guess when no
+    /// id before it is missing, otherwise by binary search backwards
+    /// over that many places.
+    fn locate(&self, id: RowId) -> std::result::Result<usize, usize> {
+        let (Some(&(first, _)), Some(&(last, _))) = (self.rows.front(), self.rows.back()) else {
+            return Err(0);
+        };
+        if id < first || id > last {
+            return Err(if id < first { 0 } else { self.rows.len() });
+        }
+        let guess = (id.raw() - first.raw()) as usize;
+        let missing = (last.raw() - first.raw()) as usize - (self.rows.len() - 1);
+        let mut hi = guess.min(self.rows.len() - 1);
+        if self.rows[hi].0 == id {
+            return Ok(hi);
+        }
+        // The entry at `hi` is past `id`: find the first that is not before it.
+        let mut lo = guess.saturating_sub(missing);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.rows[mid].0 < id {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        if self.rows[lo].0 == id { Ok(lo) } else { Err(lo) }
+    }
+
+    /// The place of the live row `id`.
+    fn locate_live(&self, id: RowId) -> Option<usize> {
+        self.locate(id).ok().filter(|&at| self.rows[at].1.is_some())
+    }
 
     /// Inserts a tuple, assigning a fresh row id.
     pub fn insert(&mut self, tuple: Tuple) -> Result<RowId> {
@@ -320,15 +381,14 @@ impl Table {
     /// is currently live.
     pub fn insert_with_id(&mut self, id: RowId, tuple: Tuple) -> Result<()> {
         self.insert_at(id, tuple)?;
-        if self.next_row_id <= id.raw() {
-            self.next_row_id = id.raw() + 1;
-        }
+        self.advance_row_id_counter(id.raw() + 1);
         Ok(())
     }
 
     fn insert_at(&mut self, id: RowId, tuple: Tuple) -> Result<()> {
         self.schema.validate(tuple.values())?;
-        if self.by_id.contains_key(&id) {
+        let at = self.locate(id);
+        if at.is_ok_and(|at| self.rows[at].1.is_some()) {
             return Err(Error::Internal(format!("row id {id} already live in {}", self.name)));
         }
         // Compute each index's key once, checking all unique constraints
@@ -345,83 +405,62 @@ impl Table {
         for (ix, key) in self.indexes.iter_mut().zip(keys) {
             ix.insert(key, id);
         }
-        self.group_indexes.iter_mut().for_each(|g| g.apply(tuple.values(), true, self.live));
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(Row { id, tuple });
-                s
+        let live = self.len();
+        self.group_indexes.iter_mut().for_each(|g| g.apply(tuple.values(), true, live));
+        match at {
+            // An undo reached its row's tombstone before the sweep did.
+            Ok(at) => {
+                self.rows[at].1 = Some(tuple);
+                self.dead -= 1;
             }
-            None => {
-                self.slots.push(Some(Row { id, tuple }));
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.by_id.insert(id, slot);
-        self.live += 1;
-        self.order_insert(id, slot);
+            // A fresh id lands on the back and an undone front delete
+            // on the front, both O(1); only an undo whose tombstone was
+            // trimmed or swept from the middle shifts entries.
+            Err(at) => self.rows.insert(at, (id, Some(tuple))),
+        }
         self.stats.record_insert();
         Ok(())
     }
 
-    /// Registers a freshly inserted row in the order index. Fresh ids
-    /// are monotone, so the common case is an O(1) append; only undo's
-    /// [`Table::insert_with_id`] restoring an old id pays the ordered
-    /// insertion.
-    fn order_insert(&mut self, id: RowId, slot: u32) {
-        let raw = id.raw();
-        match self.order.last() {
-            Some(&(last, _)) if last < raw => self.order.push((raw, slot)),
-            None => self.order.push((raw, slot)),
-            Some(_) => match self.order.binary_search_by_key(&raw, |&(r, _)| r) {
-                // A stale entry for this id exists (the row was deleted
-                // and is being restored): refresh it in place.
-                Ok(pos) => {
-                    self.order[pos].1 = slot;
-                    self.stale -= 1;
-                }
-                Err(pos) => self.order.insert(pos, (raw, slot)),
-            },
-        }
-    }
-
-    /// Sweeps stale order entries once they outnumber live rows
-    /// (amortized O(1) per delete).
-    fn maybe_compact_order(&mut self) {
-        if self.stale > self.live.max(16) {
-            let slots = &self.slots;
-            self.order
-                .retain(|&(raw, slot)| matches!(&slots[slot as usize], Some(r) if r.id.raw() == raw));
-            self.stale = 0;
-        }
-    }
-
     /// Deletes a row, returning its tuple.
     pub fn delete(&mut self, id: RowId) -> Result<Tuple> {
-        let slot = *self.by_id.get(&id).ok_or_else(|| row_not_found(&self.name, id))?;
-        let row = self.slots[slot as usize].take().expect("by_id points at a live slot");
-        self.by_id.remove(&id);
-        self.free.push(slot);
-        self.live -= 1;
-        self.stale += 1;
-        for ix in &mut self.indexes {
-            ix.remove(ix.def.key_of(row.tuple.values()), id);
+        let at = self.locate_live(id).ok_or_else(|| row_not_found(&self.name, id))?;
+        let tuple = self.rows[at].1.take().expect("located a live row");
+        self.dead += 1;
+        // Neither end of the run keeps a tombstone (module docs).
+        while self.rows.front().is_some_and(|(_, t)| t.is_none()) {
+            self.rows.pop_front();
+            self.dead -= 1;
         }
-        self.group_indexes.iter_mut().for_each(|g| g.apply(row.tuple.values(), false, self.live));
-        self.maybe_compact_order();
+        while self.rows.back().is_some_and(|(_, t)| t.is_none()) {
+            self.rows.pop_back();
+            self.dead -= 1;
+        }
+        // Sweep the middle once tombstones outnumber live rows
+        // (amortized O(1) per delete).
+        if self.dead > self.len().max(16) {
+            self.rows.retain(|(_, t)| t.is_some());
+            self.dead = 0;
+        }
+        for ix in &mut self.indexes {
+            ix.remove(ix.def.key_of(tuple.values()), id);
+        }
+        let live = self.len();
+        self.group_indexes.iter_mut().for_each(|g| g.apply(tuple.values(), false, live));
         self.stats.record_delete();
-        Ok(row.tuple)
+        Ok(tuple)
     }
 
     /// Replaces a row's tuple in place, returning the old tuple. The row
     /// keeps its id. Unique indexes are re-checked for the new values.
     pub fn update(&mut self, id: RowId, new: Tuple) -> Result<Tuple> {
         self.schema.validate(new.values())?;
-        let slot = *self.by_id.get(&id).ok_or_else(|| row_not_found(&self.name, id))?;
+        let at = self.locate_live(id).ok_or_else(|| row_not_found(&self.name, id))?;
         // An index is touched only if one of its key columns changed,
         // and keys are built for those alone: an update that leaves a
         // key where it was costs that index a few value compares. Every
         // unique check passes before any index moves.
-        let old = self.slots[slot as usize].as_ref().expect("live slot").tuple.values();
+        let old = self.rows[at].1.as_ref().expect("located a live row").values();
         let moved = |ix: &Index| ix.def.key_columns.iter().any(|&c| old[c] != new.values()[c]);
         for ix in self.indexes.iter().filter(|ix| ix.def.unique && moved(ix)) {
             let new_key = ix.def.key_of(new.values());
@@ -433,24 +472,19 @@ impl Table {
             ix.remove(ix.def.key_of(old), id);
             ix.insert(ix.def.key_of(new.values()), id);
         }
+        let live = self.len();
         for g in &mut self.group_indexes {
-            g.apply(old, false, self.live);
-            g.apply(new.values(), true, self.live);
+            g.apply(old, false, live);
+            g.apply(new.values(), true, live);
         }
-        let row = self.slots[slot as usize].as_mut().expect("live slot");
-        let old = std::mem::replace(&mut row.tuple, new);
         self.stats.record_update();
-        Ok(old)
+        Ok(self.rows[at].1.replace(new).expect("located a live row"))
     }
 
     /// Deletes every row, keeping indexes and the row-id counter.
     pub fn truncate(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.by_id.clear();
-        self.live = 0;
-        self.order.clear();
-        self.stale = 0;
+        self.rows.clear();
+        self.dead = 0;
         for ix in &mut self.indexes {
             ix.clear();
         }
@@ -463,32 +497,20 @@ impl Table {
 
     /// Fetches a row by id.
     pub fn get(&self, id: RowId) -> Option<&Tuple> {
-        let slot = *self.by_id.get(&id)?;
-        self.slots[slot as usize].as_ref().map(|r| &r.tuple)
+        self.rows[self.locate(id).ok()?].1.as_ref()
     }
 
     /// True if the row id is live.
     pub fn contains(&self, id: RowId) -> bool {
-        self.by_id.contains_key(&id)
+        self.get(id).is_some()
     }
 
-    /// Iterates live `(RowId, &Tuple)` pairs in slot order (insert order
-    /// for tables that never delete; deterministic regardless).
-    pub fn scan(&self) -> impl Iterator<Item = (RowId, &Tuple)> + '_ {
-        self.slots.iter().filter_map(|s| s.as_ref().map(|r| (r.id, &r.tuple)))
-    }
-
-    /// Like [`Table::scan`] but ordered by row id — streams rely on this
-    /// for tuple arrival order. Borrow-based and O(live) amortized: the
-    /// order index is maintained incrementally by mutations (fresh row
-    /// ids are monotone, so inserts append), not sorted per call.
+    /// Iterates live `(RowId, &Tuple)` pairs in row-id order — insert
+    /// order, which streams rely on for tuple arrival order. One walk
+    /// of the run, skipping tombstones: borrow-based and O(live)
+    /// amortized.
     pub fn scan_ordered(&self) -> impl Iterator<Item = (RowId, &Tuple)> + '_ {
-        self.order.iter().filter_map(move |&(raw, slot)| {
-            match &self.slots[slot as usize] {
-                Some(row) if row.id.raw() == raw => Some((row.id, &row.tuple)),
-                _ => None, // stale entry awaiting compaction
-            }
-        })
+        live_rows(&self.rows)
     }
 
     /// Starts a restartable chunked cursor over live rows in row-id
@@ -497,7 +519,7 @@ impl Table {
     /// value slices, so the executor can materialize columnar batches
     /// without cloning tuples.
     pub fn scan_chunks(&self) -> ScanChunks<'_> {
-        ScanChunks { table: self, pos: 0 }
+        ScanChunks { rest: self.rows.iter() }
     }
 
     /// Point lookup through an index on `cols` if one exists, otherwise
@@ -510,26 +532,18 @@ impl Table {
         }
         self.stats.record_scan();
         self.scan_ordered()
-            .filter(|(_, t)| {
-                cols.iter().zip(key).all(|(&c, k)| t.get(c).cmp_total(k) == std::cmp::Ordering::Equal)
-            })
+            .filter(|(_, t)| cols.iter().zip(key).all(|(&c, k)| t.get(c).cmp_total(k).is_eq()))
             .map(|(id, _)| id)
             .collect()
-    }
-
-    /// Approximate bytes held by live tuples.
-    pub fn approx_bytes(&self) -> usize {
-        self.scan().map(|(_, t)| t.approx_size()).sum()
     }
 }
 
 /// Chunked row-id-ordered cursor over a table's live rows, created by
-/// [`Table::scan_chunks`]. Yields the same rows in the same order as
-/// [`Table::scan_ordered`], `cap` at a time.
+/// [`Table::scan_chunks`]: the walk [`Table::scan_ordered`] makes, `cap`
+/// rows at a time.
 pub struct ScanChunks<'t> {
-    table: &'t Table,
-    /// Next position in the table's order index to examine.
-    pos: usize,
+    /// The part of the table's run not yet examined.
+    rest: vec_deque::Iter<'t, Entry>,
 }
 
 impl<'t> ScanChunks<'t> {
@@ -537,15 +551,7 @@ impl<'t> ScanChunks<'t> {
     /// Returns `false` once the scan is exhausted (nothing appended).
     pub fn next_chunk(&mut self, cap: usize, out: &mut Vec<&'t [Value]>) -> bool {
         let start = out.len();
-        while out.len() - start < cap && self.pos < self.table.order.len() {
-            let (raw, slot) = self.table.order[self.pos];
-            self.pos += 1;
-            if let Some(row) = &self.table.slots[slot as usize] {
-                if row.id.raw() == raw {
-                    out.push(row.tuple.values());
-                }
-            }
-        }
+        out.extend(self.rest.by_ref().filter_map(|(_, t)| t.as_ref()).map(Tuple::values).take(cap));
         out.len() > start
     }
 }
@@ -616,13 +622,54 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_recycled_but_ids_are_not() {
+    fn a_run_entry_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
+    }
+
+    #[test]
+    fn ids_are_never_reissued() {
         let mut t = people();
         let a = t.insert(tuple![1i64, "a"]).unwrap();
         t.delete(a).unwrap();
         let b = t.insert(tuple![2i64, "b"]).unwrap();
-        assert_ne!(a, b);
+        assert!(a < b);
+        t.truncate();
+        assert!(b < t.insert(tuple![3i64, "c"]).unwrap());
         assert_eq!(t.len(), 1);
+        assert!(!t.contains(a) && !t.contains(b));
+    }
+
+    #[test]
+    fn deletes_at_either_end_leave_no_tombstone() {
+        let mut t = people();
+        let ids: Vec<RowId> = (0..6).map(|i| t.insert(tuple![i as i64, "x"]).unwrap()).collect();
+        t.delete(ids[2]).unwrap();
+        t.delete(ids[4]).unwrap();
+        assert_eq!((t.rows.len(), t.dead), (6, 2));
+        // Each end delete takes the tombstones it uncovers with it.
+        t.delete(ids[5]).unwrap();
+        assert_eq!((t.rows.len(), t.dead), (4, 1));
+        t.delete(ids[0]).unwrap();
+        t.delete(ids[1]).unwrap();
+        assert_eq!((t.rows.len(), t.dead), (1, 0));
+        // Undo, newest first: front, front again, then past the end.
+        t.insert_with_id(ids[1], tuple![1i64, "x"]).unwrap();
+        t.insert_with_id(ids[0], tuple![0i64, "x"]).unwrap();
+        t.insert_with_id(ids[5], tuple![5i64, "x"]).unwrap();
+        let got: Vec<RowId> = t.scan_ordered().map(|(id, _)| id).collect();
+        assert_eq!(got, vec![ids[0], ids[1], ids[3], ids[5]]);
+        t.verify().unwrap();
+    }
+
+    #[test]
+    fn locate_finds_rows_behind_gaps_and_says_where_the_missing_would_go() {
+        let rows = [3u64, 4, 9, 10, 11, 40].map(|id| Ok((RowId(id), tuple![id as i64, "x"])));
+        let mut t = Table::bulk_load("t", TableKind::Base, people().schema().clone(), 0, vec![], 6, rows.into_iter())
+            .unwrap();
+        t.delete(RowId(10)).unwrap();
+        let places: Vec<_> = [0, 3, 4, 5, 9, 10, 11, 12, 40, 41].iter().map(|&id| t.locate(RowId(id))).collect();
+        assert_eq!(places, [Err(0), Ok(0), Ok(1), Err(2), Ok(2), Ok(3), Ok(4), Err(5), Ok(5), Err(6)]);
+        assert!(t.get(RowId(10)).is_none() && t.get(RowId(11)).is_some());
     }
 
     #[test]
@@ -690,7 +737,7 @@ mod tests {
         t.insert(tuple![1i64, "b"]).unwrap();
         assert!(t.create_index(pk()).is_err());
         let multi = IndexDef {
-            name: "by_id".into(),
+            name: "multi".into(),
             key_columns: vec![0],
             kind: IndexKind::BTree,
             unique: false,
@@ -714,8 +761,8 @@ mod tests {
         let gone = t.insert(tuple![0i64, "x"]).unwrap();
         let a = t.insert(tuple![1i64, "a"]).unwrap();
         t.delete(gone).unwrap();
-        let b = t.insert(tuple![2i64, "a"]).unwrap(); // reuses the first slot
-        // Row-id order, not slot order, as an index would answer.
+        let b = t.insert(tuple![2i64, "a"]).unwrap();
+        // Row-id order, as an index would answer.
         assert_eq!(t.lookup_eq(&[1], &[Value::Text("a".into())]), vec![a, b]);
         assert!(t.stats().scans() >= 1);
     }
@@ -746,17 +793,17 @@ mod tests {
         let a = t.insert(tuple![1i64, "a"]).unwrap();
         let b = t.insert(tuple![2i64, "b"]).unwrap();
         t.delete(a).unwrap();
-        let c = t.insert(tuple![3i64, "c"]).unwrap(); // reuses a's slot
+        let c = t.insert(tuple![3i64, "c"]).unwrap();
         let ids: Vec<RowId> = t.scan_ordered().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![b, c]);
     }
 
     #[test]
-    fn scan_ordered_survives_restore_and_slot_reuse() {
+    fn scan_ordered_survives_restore() {
         let mut t = people();
         let ids: Vec<RowId> = (0..6).map(|i| t.insert(tuple![i as i64, "x"]).unwrap()).collect();
         // Delete every other row, then restore one of them under its
-        // original id (undo path) — it may land in a recycled slot.
+        // original id (undo path) — it refills its tombstone.
         for &id in ids.iter().step_by(2) {
             t.delete(id).unwrap();
         }

@@ -105,13 +105,11 @@ fn apply(t: &mut Table, op: &Op) -> bool {
 fn assert_same(bulk: &Table, reference: &Table) -> Result<(), TestCaseError> {
     prop_assert_eq!(bulk.len(), reference.len());
     prop_assert_eq!(bulk.peek_next_row_id(), reference.peek_next_row_id());
-    prop_assert_eq!(bulk.index_defs(), reference.index_defs());
-    let rows: Vec<(RowId, Tuple)> = reference.scan().map(|(id, t)| (id, t.clone())).collect();
-    prop_assert_eq!(bulk.scan().map(|(id, t)| (id, t.clone())).collect::<Vec<_>>(), rows.clone());
-    prop_assert_eq!(
-        bulk.scan_ordered().map(|(id, t)| (id, t.clone())).collect::<Vec<_>>(),
-        reference.scan_ordered().map(|(id, t)| (id, t.clone())).collect::<Vec<_>>()
-    );
+    bulk.verify().unwrap();
+    reference.verify().unwrap();
+    prop_assert!(bulk.index_defs().eq(reference.index_defs()));
+    let rows: Vec<(RowId, Tuple)> = reference.scan_ordered().map(|(id, t)| (id, t.clone())).collect();
+    prop_assert_eq!(bulk.scan_ordered().map(|(id, t)| (id, t.clone())).collect::<Vec<_>>(), rows.clone());
     for def in reference.index_defs() {
         let (b, r) = (bulk.index(&def.name).unwrap(), reference.index(&def.name).unwrap());
         prop_assert_eq!(b.distinct_keys(), r.distinct_keys());

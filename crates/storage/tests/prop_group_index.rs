@@ -2,7 +2,7 @@
 //! after any interleaving of insert / update / delete / undo-restore
 //! (`insert_with_id`) / truncate / bulk reload, whether the index was
 //! following the mutations or caught up at a read — checked against an
-//! oracle written here and by `Table::verify_group_indexes`.
+//! oracle written here and by `Table::verify`.
 
 use std::collections::BTreeMap;
 
@@ -137,7 +137,7 @@ proptest! {
                 }
                 Op::Read(i) => t.refresh_group_index(&defs()[*i]),
             }
-            t.verify_group_indexes().unwrap();
+            t.verify().unwrap();
             for def in defs() {
                 // Behind its table, an index says so and claims nothing.
                 if let Some(groups) = t.group_index(&def).unwrap().groups() {

@@ -111,6 +111,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(table.len(), model.len());
+            table.verify().unwrap();
         }
 
         // Final full-state check: scan_ordered == model sorted by id.

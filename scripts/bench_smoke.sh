@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Pre-merge guard: release build, the whole test suite, the chaos and
-# SQL-fuzz corpora, then `sstore-bench smoke` — the gated bench cases at
-# smoke length. Every bench gate is evaluated in Rust on typed values
+# Pre-merge guard: release build, the whole test suite, the benchmark
+# package's own tests, the chaos and SQL-fuzz corpora, then
+# `sstore-bench smoke` — the gated bench cases at smoke length. Every
+# bench gate is evaluated in Rust on typed values
 # (crates/bench/src/cases/mod.rs; EXPERIMENTS.md "Smoke gates" lists
 # them) and is a count invariant or a ratio of two things measured
 # alternately in one process: nothing here parses bench output.
@@ -34,6 +35,13 @@ cargo build --release --workspace
 
 echo "== tests =="
 cargo test -q --workspace
+
+# The benchmark package is outside the workspace and imports engine,
+# SQL and storage names directly; its own tests (a 1/50-size run of all
+# four workloads among them) fail here, not in the pipeline, when a PR
+# renames one. Path dependencies only: builds offline.
+echo "== perfbench tests =="
+cargo test -q --manifest-path perfbench/Cargo.toml
 
 # Seeded fault schedules (crashes at named engine crash points, torn
 # writes, fsync errors) against the model oracle in both recovery
