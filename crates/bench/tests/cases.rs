@@ -335,7 +335,6 @@ const EXPECT: &[Expect] = &[
             "window_slides",
             "late_dropped",
             "grouped_columnar_tuples_per_sec",
-            "grouped_rowwise_tuples_per_sec",
             "windowed_columnar_batches",
         ],
     },

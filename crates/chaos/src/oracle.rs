@@ -65,7 +65,7 @@ pub struct PartitionState {
 struct ModelWindow {
     staging: BTreeMap<i64, Vec<i64>>,
     active: BTreeMap<(i64, u64), i64>,
-    next_seq: u64,
+    arrival_no: u64,
     watermark: Option<i64>,
     next_end: Option<i64>,
     fired: bool,
@@ -100,8 +100,8 @@ impl ModelWindow {
         let wm = self.watermark.unwrap_or(i64::MIN);
         if ts >= active_start && wm.saturating_sub(ts) <= TW_LATENESS {
             // Late merge into the active extent.
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            let seq = self.arrival_no;
+            self.arrival_no += 1;
             self.active.insert((ts, seq), v);
         } else {
             self.late_dropped += 1;
@@ -151,8 +151,8 @@ impl ModelWindow {
             let keys: Vec<i64> = self.staging.range(..e).map(|(k, _)| *k).collect();
             for k in keys {
                 for v in self.staging.remove(&k).expect("key just seen") {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
+                    let seq = self.arrival_no;
+                    self.arrival_no += 1;
                     self.active.insert((k, seq), v);
                 }
             }

@@ -672,8 +672,8 @@ impl AppBuilder {
 }
 
 /// The error an `UPDATE` or `DELETE` aimed at a window is: a window's
-/// rows leave by expiry alone, which is the engine's to decide — its
-/// bookkeeping lists them by row id.
+/// rows leave by expiry alone, which is the engine's to decide — the
+/// oldest rows of the table are the ones a slide expires.
 pub(crate) fn window_is_append_only(window: &str) -> Error {
     Error::StreamViolation(format!(
         "window {window} is append-only through SQL: UPDATE and DELETE are rejected, rows leave by expiry"

@@ -15,7 +15,7 @@
 //! and never decodes the ones before it
 //! ([`crate::ee::ExecutionEngine::restore_chain`]).
 //!
-//! # EE image layout (v5)
+//! # EE image layout (v6)
 //!
 //! ```text
 //! base  := catalog:bytes  sections       catalog = a storage snapshot image (v2),
@@ -29,7 +29,9 @@
 //! Every table image, in a base and in a delta alike, is preceded by
 //! its byte length; that is what lets restore step over a superseded
 //! image in O(1). Stream and window sections carry bookkeeping (pending
-//! batch ids, staged tuples), are small, and are not framed: restore
+//! batch ids; staged tuples and a time window's watermark and extent
+//! cursor — what is *active* in a window is its table's rows, in its
+//! table frame and nowhere else), are small, and are not framed: restore
 //! decodes them in chain order and a later one overwrites an earlier.
 //! Everything is in name order, so the bytes do not depend on id
 //! assignment.
@@ -57,7 +59,10 @@ const MAGIC: u32 = 0x5353_434B; // "SSCK"
 // (tuple vs. time) window sections. Older images are rejected loudly.
 // v4: incremental checkpoints — images carry a base/delta kind tag.
 // v5: every table image inside the EE image is length-framed.
-const VERSION: u32 = 5;
+// v6: window sections hold staging (and a time window's cursor) only:
+// no list of active row ids, no activation or late-tuple counters. A
+// window table's row ids also differ from v5's (staged tuples draw none).
+const VERSION: u32 = 6;
 
 /// Whether an image is a full base or an incremental delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,7 +174,9 @@ pub fn read_checkpoint_on(vfs: &dyn Vfs, path: &Path) -> Result<Option<Checkpoin
     }
     let version = d.get_u32()?;
     if version != VERSION {
-        return Err(Error::Codec(format!("unsupported checkpoint version {version}")));
+        return Err(Error::Codec(format!(
+            "unsupported checkpoint version {version} (this build reads {VERSION})"
+        )));
     }
     let epoch = d.get_u64()?;
     let kind = match d.get_u8()? {

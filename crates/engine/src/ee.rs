@@ -16,27 +16,30 @@
 //!
 //! # Trigger cascade (§3.2.3)
 //!
-//! Only *SQL-originated* inserts fire triggers: after each statement the
-//! EE inspects the effects that statement produced. Inserts into a
-//! window table are converted to window *staging* (the row is removed
-//! from the table — staged tuples are invisible); slides then activate
-//! and expire rows and fire the window's EE triggers. Inserts into a
-//! stream table are labeled with the transaction's batch id; if the
-//! stream has EE triggers they run immediately (inside this same EE
-//! visit, recursively cascading), after which the consumed rows are
-//! garbage-collected automatically. Streams without EE triggers are
+//! Only *SQL-originated* inserts fire triggers. An `INSERT` whose target
+//! is a window never reaches the table: [`ExecutionEngine::exec_bound`]
+//! has the SQL crate build its rows and hands them to the window as
+//! tuples, to be *staged* (no row id, no index touch, no effect — staged
+//! tuples are invisible because they are nowhere a query looks); slides
+//! then activate and expire rows and fire the window's EE triggers.
+//! After every other statement the EE inspects the effects it produced.
+//! Inserts into a stream table are labeled with the transaction's batch
+//! id; if the stream has EE triggers they run immediately (inside this
+//! same EE visit, recursively cascading), after which the consumed rows
+//! are garbage-collected automatically. Streams without EE triggers are
 //! reported to the partition engine at commit for PE-trigger firing.
 //!
 //! Internal mutations (activation/expiry/GC) append undo effects but do
 //! not re-enter the cascade, so the cascade terminates.
 //!
-//! A window's group indexes (derived in [`build_catalog`]) are maintained
-//! by the storage layer inside those same table mutations; nothing in
-//! this file touches them. The arrival round trip — the SQL insert puts
-//! the tuple in the window table, the cascade deletes it into staging,
-//! a slide inserts it back — therefore touches an index twice before the
-//! tuple counts, by design: staging stays "not in the table", the one
-//! rule that makes staged tuples invisible to every access path.
+//! What is active in a window is what its table holds
+//! ([`crate::window`]). A window's group indexes (derived in
+//! [`build_catalog`]) are maintained by the storage layer inside the
+//! table's insert and delete; nothing in this file touches them. A time
+//! window's ordered `(event-ts, row)` set is the one index kept here:
+//! `table_insert`, `table_delete` and the effect-undo loop of
+//! [`ExecutionEngine::abort`] are the only writers of a window table,
+//! and each tells the window.
 //!
 //! [`BoundaryMode::Inline`]: crate::config::BoundaryMode::Inline
 //! [`BoundaryMode::Channel`]: crate::config::BoundaryMode::Channel
@@ -46,11 +49,11 @@ use std::sync::Arc;
 
 use sstore_common::codec::{Decoder, Encoder};
 use sstore_common::{BatchId, Error, Result, RowId, TableId, Tuple, Value};
-use sstore_sql::exec::{execute, undo_effect, Effect};
+use sstore_sql::exec::{execute, insert_rows, undo_effect, Effect};
 use sstore_sql::plan::{group_index_shape, BoundInsert, BoundStatement};
 use sstore_sql::{Planner, QueryResult};
 use sstore_storage::snapshot;
-use sstore_storage::{Catalog, TableKind};
+use sstore_storage::{Catalog, Table, TableKind};
 
 use crate::app::{window_is_append_only, App, WindowDef, Windowing};
 use crate::metrics::EngineMetrics;
@@ -117,9 +120,13 @@ enum StreamUndo {
     },
 }
 
-/// Undo record for window bookkeeping. Tables are undone effect-by-
-/// effect; window staging/active bookkeeping is undone by these
-/// operation-level records — O(ops touched), not O(window size).
+/// Undo record for window bookkeeping: staging and the extent cursor.
+/// A window's rows — and a time window's ordered set over them — are
+/// undone effect-by-effect with the table; these operation-level records
+/// restore the rest, O(ops touched), not O(window size). A record is
+/// pushed as soon as the state machine has moved and before any table
+/// mutation that could fail, so an error leaving mid-slide still aborts
+/// to the window it found.
 #[derive(Debug)]
 enum WindowUndo {
     /// `n` tuples were staged on `window`.
@@ -133,10 +140,6 @@ enum WindowUndo {
     Slid {
         /// Window table.
         window: TableId,
-        /// Expired row ids, oldest first.
-        expired: Vec<RowId>,
-        /// How many rows were activated.
-        activated: usize,
         /// The tuples the slide consumed from staging (to restore).
         restaged: Vec<Tuple>,
     },
@@ -153,28 +156,10 @@ enum WindowUndo {
         /// may lower it).
         prev_next_end: Option<i64>,
     },
-    /// One late tuple was merged into a time window's active extent.
-    TimeMerged {
-        /// Window table.
-        window: TableId,
-        /// The tuple's event timestamp.
-        ts: i64,
-        /// Sequence number assigned to the active entry.
-        seq: u64,
-    },
-    /// One late tuple was counted and dropped by a time window.
-    TimeDropped {
-        /// Window table.
-        window: TableId,
-    },
     /// One watermark-driven slide was applied on a time window.
     TimeSlid {
         /// Window table.
         window: TableId,
-        /// Expired active entries `(ts, seq, row)`.
-        expired: Vec<(i64, u64, RowId)>,
-        /// Keys of the activated entries.
-        activated: Vec<(i64, u64)>,
         /// The `(ts, tuple)` pairs the slide consumed from staging.
         restaged: Vec<(i64, Tuple)>,
         /// Extent cursor before the slide.
@@ -504,11 +489,14 @@ impl ExecutionEngine {
         // (they never rewind) — an aborted insert leaves durable state
         // behind, so the touched tables dirty exactly as on commit.
         self.mark_txn_dirty();
-        for e in self.effects.iter().rev() {
-            undo_effect(&mut self.catalog, e)
+        let mut effects = std::mem::take(&mut self.effects);
+        for e in effects.iter().rev() {
+            self.undo_in_time_window(e)
+                .and_then(|()| undo_effect(&mut self.catalog, e))
                 .map_err(|err| Error::Internal(format!("undo failed: {err}")))?;
         }
-        self.effects.clear();
+        effects.clear();
+        self.effects = effects;
         // Streams: apply operation-level undo newest-first.
         while let Some(u) = self.stream_undo.pop() {
             match u {
@@ -540,36 +528,19 @@ impl ExecutionEngine {
                         w.undo_stage(n);
                     }
                 }
-                WindowUndo::Slid { window, expired, activated, restaged } => {
+                WindowUndo::Slid { window, restaged } => {
                     if let Some(WindowSlot::Tuple(w)) = self.windows[window.index()].as_mut() {
-                        w.undo_slide(expired, activated, restaged);
+                        w.undo_slide(restaged);
                     }
                 }
                 WindowUndo::TimeStaged { window, ts, prev_next_end } => {
                     if let Some(WindowSlot::Time(w)) = self.windows[window.index()].as_mut() {
-                        w.undo_stage(&[ts], prev_next_end);
+                        w.undo_stage(ts, prev_next_end);
                     }
                 }
-                WindowUndo::TimeMerged { window, ts, seq } => {
+                WindowUndo::TimeSlid { window, restaged, prev_next_end, prev_fired } => {
                     if let Some(WindowSlot::Time(w)) = self.windows[window.index()].as_mut() {
-                        w.undo_merge(ts, seq);
-                    }
-                }
-                WindowUndo::TimeDropped { window } => {
-                    if let Some(WindowSlot::Time(w)) = self.windows[window.index()].as_mut() {
-                        w.undo_drop();
-                    }
-                }
-                WindowUndo::TimeSlid {
-                    window,
-                    expired,
-                    activated,
-                    restaged,
-                    prev_next_end,
-                    prev_fired,
-                } => {
-                    if let Some(WindowSlot::Time(w)) = self.windows[window.index()].as_mut() {
-                        w.undo_slide(expired, activated, restaged, prev_next_end, prev_fired);
+                        w.undo_slide(restaged, prev_next_end, prev_fired);
                     }
                 }
             }
@@ -607,8 +578,6 @@ impl ExecutionEngine {
                 WindowUndo::Staged { window, .. }
                 | WindowUndo::Slid { window, .. }
                 | WindowUndo::TimeStaged { window, .. }
-                | WindowUndo::TimeMerged { window, .. }
-                | WindowUndo::TimeDropped { window }
                 | WindowUndo::TimeSlid { window, .. } => *window,
             };
             self.dirty[w.index()] = true;
@@ -653,12 +622,24 @@ impl ExecutionEngine {
         if let Some(w) = rewritten.filter(|t| self.windows[t.index()].is_some()) {
             return Err(window_is_append_only(self.ids.table_name(w)));
         }
-        let start = self.effects.len();
-        let result = execute(&mut self.catalog, bound, params, &mut self.effects)
-            .and_then(|r| {
-                self.cascade(start)?;
-                Ok(r)
-            });
+        let result = match bound {
+            // An arrival: its rows go to the window as tuples, not to the
+            // table — the SQL crate builds them and knows no more.
+            BoundStatement::Insert(i) if self.windows[i.table.index()].is_some() => {
+                insert_rows(&mut self.catalog, i, params).and_then(|rows| {
+                    let rows_affected = rows.len();
+                    self.window_arrival(i.table, rows)?;
+                    Ok(QueryResult { rows_affected, ..QueryResult::default() })
+                })
+            }
+            _ => {
+                let start = self.effects.len();
+                execute(&mut self.catalog, bound, params, &mut self.effects).and_then(|r| {
+                    self.cascade(start)?;
+                    Ok(r)
+                })
+            }
+        };
         self.note_columnar_batches();
         result
     }
@@ -683,9 +664,6 @@ impl ExecutionEngine {
         }
         if c.fallback_shape != 0 {
             self.metrics.columnar_fallback_shape.fetch_add(c.fallback_shape, Relaxed);
-        }
-        if c.fallback_disabled != 0 {
-            self.metrics.columnar_fallback_disabled.fetch_add(c.fallback_disabled, Relaxed);
         }
     }
 
@@ -798,22 +776,22 @@ impl ExecutionEngine {
     }
 
     /// Scans effects `[start..)` for SQL-originated inserts into streams
-    /// and windows, and runs the §3.2.3 trigger cascade on them.
+    /// and runs the §3.2.3 trigger cascade on them. (An insert into a
+    /// window leaves no effect: [`ExecutionEngine::exec_bound`] staged it.)
     fn cascade(&mut self, start: usize) -> Result<()> {
         let end = self.effects.len();
         if start >= end {
             return Ok(());
         }
         let mut stream_groups: Vec<(TableId, Vec<RowId>)> = Vec::new();
-        let mut window_groups: Vec<(TableId, Vec<RowId>)> = Vec::new();
         let mut forgotten: Vec<(TableId, RowId)> = Vec::new();
         for e in &self.effects[start..end] {
             match e {
-                Effect::Insert { table, row } => match self.catalog.get(*table).kind() {
-                    TableKind::Stream => push_group(&mut stream_groups, *table, *row),
-                    TableKind::Window => push_group(&mut window_groups, *table, *row),
-                    TableKind::Base => {}
-                },
+                Effect::Insert { table, row } => {
+                    if self.catalog.get(*table).kind() == TableKind::Stream {
+                        push_group(&mut stream_groups, *table, *row);
+                    }
+                }
                 // A SQL DELETE on a stream table must drop the row from
                 // batch bookkeeping too, or the stream state would leak
                 // dangling row ids.
@@ -832,20 +810,21 @@ impl ExecutionEngine {
                 }
             }
         }
-        for (w, rows) in window_groups {
-            self.window_arrival(w, rows)?;
-        }
         for (s, rows) in stream_groups {
             self.stream_arrival(s, rows)?;
         }
         Ok(())
     }
 
-    /// Converts freshly inserted window rows to staging (tuple windows
-    /// additionally process the count-driven slides they unlock, firing
-    /// on-slide EE triggers; time windows slide only when the
-    /// watermark says so — see [`ExecutionEngine::process_slides`]).
-    fn window_arrival(&mut self, window: TableId, rows: Vec<RowId>) -> Result<()> {
+    /// Stages the rows of an `INSERT INTO <window>`, each checked
+    /// against the window's schema first — as the table would on insert,
+    /// so a bad row fails at its statement, with nothing staged. Tuple
+    /// windows then process the count-driven slides the arrival unlocks,
+    /// firing on-slide EE triggers; time windows slide only when the
+    /// watermark says so — see [`ExecutionEngine::process_slides`].
+    fn window_arrival(&mut self, window: TableId, rows: Vec<Tuple>) -> Result<()> {
+        let schema = self.catalog.get(window).schema();
+        rows.iter().try_for_each(|t| schema.validate(t.values()))?;
         match self.windows[window.index()] {
             Some(WindowSlot::Tuple(_)) => self.tuple_window_arrival(window, rows),
             Some(WindowSlot::Time(_)) => self.time_window_arrival(window, rows),
@@ -853,47 +832,30 @@ impl ExecutionEngine {
         }
     }
 
-    fn tuple_window_arrival(&mut self, window: TableId, rows: Vec<RowId>) -> Result<()> {
-        // Staged tuples leave the table (invisible until activation).
-        let mut staged = Vec::with_capacity(rows.len());
-        for id in rows {
-            staged.push(self.table_delete(window, id)?);
-        }
-        let staged_n = staged.len();
+    fn tuple_window_arrival(&mut self, window: TableId, rows: Vec<Tuple>) -> Result<()> {
         let Some(WindowSlot::Tuple(w)) = self.windows[window.index()].as_mut() else {
             unreachable!("caller dispatched on the tuple variant");
         };
-        w.stage(staged);
-        self.window_undo.push(WindowUndo::Staged { window, n: staged_n });
+        self.window_undo.push(WindowUndo::Staged { window, n: rows.len() });
+        w.stage(rows);
         let trig = self.ee_triggers[window.index()].clone().unwrap_or_else(|| Arc::from([]));
         loop {
+            let active = self.catalog.get(window).len();
             let Some(WindowSlot::Tuple(w)) = self.windows[window.index()].as_mut() else {
                 unreachable!("variant is stable");
             };
-            let Some(outcome) = w.next_slide() else { break };
-            let expired = w.take_expired(outcome.expire);
-            let restaged = outcome.activated.clone();
-            let swapped = (|| -> Result<Vec<RowId>> {
-                for id in &expired {
-                    self.table_delete(window, *id)?;
-                }
-                outcome.activated.into_iter().map(|t| self.table_insert(window, t)).collect()
-            })();
-            let Some(WindowSlot::Tuple(w)) = self.windows[window.index()].as_mut() else {
-                unreachable!("variant is stable");
-            };
-            let new_ids = match swapped {
-                Ok(ids) => ids,
-                // A failed slide leaves the window's bookkeeping as it
-                // found it; the rows it did move are the abort's to undo.
-                Err(e) => {
-                    w.undo_slide(expired, 0, restaged);
-                    return Err(e);
-                }
-            };
-            let activated = new_ids.len();
-            w.record_activation(new_ids);
-            self.window_undo.push(WindowUndo::Slid { window, expired, activated, restaged });
+            let Some(outcome) = w.next_slide(active) else { break };
+            self.window_undo.push(WindowUndo::Slid { window, restaged: outcome.activated.clone() });
+            // The oldest rows are the first of the scan: ids are issued
+            // in activation order.
+            let expired: Vec<RowId> =
+                self.catalog.get(window).scan_ordered().take(outcome.expire).map(|(id, _)| id).collect();
+            for id in expired {
+                self.table_delete(window, id)?;
+            }
+            for t in outcome.activated {
+                self.table_insert(window, t)?;
+            }
             for sid in trig.iter() {
                 EngineMetrics::bump(&self.metrics.ee_trigger_fires);
                 self.exec(*sid, &[])?;
@@ -903,16 +865,14 @@ impl ExecutionEngine {
     }
 
     /// Time-window arrival: each tuple is staged by event timestamp,
-    /// merged into the active extent (late, within lateness), or
-    /// counted and dropped (beyond lateness). No slides fire here —
-    /// only the watermark fires slides, at commit.
-    fn time_window_arrival(&mut self, window: TableId, rows: Vec<RowId>) -> Result<()> {
+    /// merged into the active extent (late, within lateness: the one
+    /// arrival that is a table insert), or counted and dropped (beyond
+    /// lateness). No slides fire here — only the watermark fires
+    /// slides, at commit.
+    fn time_window_arrival(&mut self, window: TableId, rows: Vec<Tuple>) -> Result<()> {
         let ts_col = self.window_ts_col[window.index()]
             .ok_or_else(|| Error::Internal("time window lost its ts column".into()))?;
-        for id in rows {
-            // Staged tuples leave the table (invisible until their
-            // extent fires); merged tuples are re-inserted immediately.
-            let t = self.table_delete(window, id)?;
+        for t in rows {
             let ts = t.event_ts(ts_col).map_err(|e| {
                 Error::StreamViolation(format!(
                     "window {}: bad event timestamp: {e}",
@@ -925,9 +885,7 @@ impl ExecutionEngine {
                     self.ids.table_name(window)
                 )));
             }
-            let Some(WindowSlot::Time(w)) = self.windows[window.index()].as_mut() else {
-                unreachable!("variant is stable");
-            };
+            let w = self.time_window(window);
             match w.classify(ts) {
                 TimeArrival::Staged => {
                     let prev_next_end = w.next_end();
@@ -935,20 +893,10 @@ impl ExecutionEngine {
                     self.window_undo.push(WindowUndo::TimeStaged { window, ts, prev_next_end });
                 }
                 TimeArrival::MergeIntoActive => {
-                    let rid = self.table_insert(window, t)?;
-                    let Some(WindowSlot::Time(w)) = self.windows[window.index()].as_mut()
-                    else {
-                        unreachable!("variant is stable");
-                    };
-                    let seq = w.record_merge(ts, rid);
-                    self.window_undo.push(WindowUndo::TimeMerged { window, ts, seq });
+                    self.table_insert(window, t)?;
                     EngineMetrics::bump(&self.metrics.window_late_merged);
                 }
-                TimeArrival::DroppedLate => {
-                    w.record_drop();
-                    self.window_undo.push(WindowUndo::TimeDropped { window });
-                    EngineMetrics::bump(&self.metrics.window_late_dropped);
-                }
+                TimeArrival::DroppedLate => EngineMetrics::bump(&self.metrics.window_late_dropped),
             }
         }
         Ok(())
@@ -971,29 +919,18 @@ impl ExecutionEngine {
                 ));
             };
             let Some(outcome) = w.next_slide() else { break };
-            let expired = w.take_expired(outcome.expire);
-            for (_, _, row) in &expired {
-                self.table_delete(window, *row)?;
-            }
-            let mut entries = Vec::with_capacity(outcome.activated.len());
-            let mut restaged = Vec::with_capacity(outcome.activated.len());
-            for (ts, t) in outcome.activated {
-                restaged.push((ts, t.clone()));
-                let id = self.table_insert(window, t)?;
-                entries.push((ts, id));
-            }
-            let Some(WindowSlot::Time(w)) = self.windows[window.index()].as_mut() else {
-                unreachable!("variant is stable");
-            };
-            let activated = w.record_activation(entries);
             self.window_undo.push(WindowUndo::TimeSlid {
                 window,
-                expired,
-                activated,
-                restaged,
+                restaged: outcome.activated.clone(),
                 prev_next_end: outcome.prev_next_end,
                 prev_fired: outcome.prev_fired,
             });
+            for (_, row) in outcome.expired {
+                self.table_delete(window, row)?;
+            }
+            for (_, t) in outcome.activated {
+                self.table_insert(window, t)?;
+            }
             EngineMetrics::bump(&self.metrics.window_slides);
             for sid in trig.iter() {
                 EngineMetrics::bump(&self.metrics.ee_trigger_fires);
@@ -1066,15 +1003,56 @@ impl ExecutionEngine {
     // ------------------------------------------------------------------
 
     fn table_insert(&mut self, table: TableId, tuple: Tuple) -> Result<RowId> {
+        let ts = self.window_ts(table, &tuple)?;
         let id = self.catalog.get_mut(table).insert(tuple)?;
         self.effects.push(Effect::Insert { table, row: id });
+        if let Some(ts) = ts {
+            self.time_window(table).row_inserted(ts, id);
+        }
         Ok(id)
     }
 
     fn table_delete(&mut self, table: TableId, row: RowId) -> Result<Tuple> {
         let tuple = self.catalog.get_mut(table).delete(row)?;
         self.effects.push(Effect::Delete { table, row, tuple: tuple.clone() });
+        if let Some(ts) = self.window_ts(table, &tuple)? {
+            self.time_window(table).row_deleted(ts, row);
+        }
         Ok(tuple)
+    }
+
+    /// The event timestamp a time window's ordered set files `tuple`
+    /// under; `None` when `table` is anything else.
+    fn window_ts(&self, table: TableId, tuple: &Tuple) -> Result<Option<i64>> {
+        self.window_ts_col[table.index()].map(|col| tuple.event_ts(col)).transpose()
+    }
+
+    fn time_window(&mut self, window: TableId) -> &mut TimeWindowState {
+        match self.windows[window.index()].as_mut() {
+            Some(WindowSlot::Time(w)) => w,
+            _ => unreachable!("only time windows have a timestamp column"),
+        }
+    }
+
+    /// Keeps a time window's ordered set in step with the undo of `e`
+    /// (which the caller applies next): an undone insert leaves the set,
+    /// an undone delete returns to it.
+    fn undo_in_time_window(&mut self, e: &Effect) -> Result<()> {
+        match e {
+            Effect::Insert { table, row } => {
+                let live = self.catalog.get(*table).get(*row);
+                if let Some(ts) = live.map(|t| self.window_ts(*table, t)).transpose()?.flatten() {
+                    self.time_window(*table).row_deleted(ts, *row);
+                }
+            }
+            Effect::Delete { table, row, tuple } => {
+                if let Some(ts) = self.window_ts(*table, tuple)? {
+                    self.time_window(*table).row_inserted(ts, *row);
+                }
+            }
+            Effect::Update { .. } => {}
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1090,22 +1068,38 @@ impl ExecutionEngine {
     /// Runs an ad-hoc read-only query (tests, examples, H-Store-mode
     /// clients inspecting results). Mutating statements are rejected.
     /// Debug builds check the queried table against its rows first
-    /// ([`Table::verify`](sstore_storage::Table::verify)), which is how
-    /// chaos and the crash tests — every `Engine::query` lands here —
-    /// would notice an index or a group index that drifted; release
-    /// builds just answer.
+    /// ([`Table::verify`](sstore_storage::Table::verify)), and a window
+    /// against its table ([`ExecutionEngine::verify_window`]), which is
+    /// how chaos and the crash tests — every `Engine::query` lands here —
+    /// would notice an index, a group index or a window that drifted;
+    /// release builds just answer.
     pub fn query(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
         let bound = Planner::new(&self.catalog).plan_sql(sql)?;
         match bound {
             BoundStatement::Select(s) => {
                 if cfg!(debug_assertions) {
                     self.catalog.get(s.from.table).verify()?;
+                    self.verify_window(s.from.table)?;
                 }
                 let r = sstore_sql::exec::run_select(&self.catalog, &s, params);
                 self.note_columnar_batches();
                 r
             }
             _ => Err(Error::Plan("ad-hoc statements must be read-only SELECTs".into())),
+        }
+    }
+
+    /// Checks a window against its table ([`WindowState::check`],
+    /// [`TimeWindowState::check`]); any other table passes.
+    pub fn verify_window(&self, table: TableId) -> Result<()> {
+        let rows = self.catalog.get(table);
+        match &self.windows[table.index()] {
+            Some(WindowSlot::Tuple(w)) => w.check(rows.len()),
+            Some(WindowSlot::Time(w)) => {
+                let col = self.window_ts_col[table.index()].expect("a time window has a timestamp column");
+                w.check(event_keys(rows, col)?.into_iter())
+            }
+            None => Ok(()),
         }
     }
 
@@ -1148,7 +1142,7 @@ impl ExecutionEngine {
     // ------------------------------------------------------------------
 
     /// Serializes all partition state (tables, stream bookkeeping,
-    /// window staging) into a **base** checkpoint image: the catalog
+    /// window staging and cursors) into a **base** checkpoint image: the catalog
     /// image as one byte string, then the stream and window sections.
     /// Everything is keyed by name and ordered by name, so the byte
     /// layout is independent of id assignment. Clears the dirty set:
@@ -1167,7 +1161,8 @@ impl ExecutionEngine {
     /// Serializes only the state dirtied since the last image into a
     /// **delta** checkpoint: dirty catalog tables (any kind — each
     /// whole: its rows, indexes, and row-id counter, as one frame),
-    /// dirty streams' bookkeeping, and dirty windows' staging. Clears
+    /// dirty streams' bookkeeping, and dirty windows' staging and cursors
+    /// (what is active in a window is its table frame). Clears
     /// the dirty set. Recovery restores the newest image of everything
     /// in a chain ([`ExecutionEngine::restore_chain`]).
     pub fn checkpoint_delta(&mut self) -> Result<Vec<u8>> {
@@ -1231,7 +1226,9 @@ impl ExecutionEngine {
     /// length; only the winners are decoded, once each. Stream and
     /// window sections are not framed (they hold bookkeeping, not
     /// rows), so they are decoded in chain order and a later one
-    /// overwrites an earlier one — the same rule. The result is the
+    /// overwrites an earlier one — the same rule. A time window's
+    /// ordered set is in no image: like every index it is rebuilt from
+    /// the rows of the table that won. The result is the
     /// state a restore of the base followed by applying each delta in
     /// turn would give. Nothing is adopted unless the whole chain
     /// decodes.
@@ -1295,6 +1292,7 @@ impl ExecutionEngine {
         use std::sync::atomic::Ordering::Relaxed;
         self.metrics.restore_images_decoded.fetch_add(n as u64, Relaxed);
         self.metrics.restore_images_skipped.fetch_add(skipped, Relaxed);
+        rebuild_time_window_sets(&mut sections.windows, &self.window_ts_col, &catalog)?;
         self.catalog = catalog;
         self.streams = sections.streams;
         self.stream_high = sections.stream_high;
@@ -1342,6 +1340,29 @@ struct Sections {
     streams: Vec<Option<StreamState>>,
     stream_high: Vec<Option<i64>>,
     windows: Vec<Option<WindowSlot>>,
+}
+
+/// `(event-ts, row)` of `table`'s live rows, the timestamp read from
+/// column `col`: what a time window's ordered set holds.
+fn event_keys(table: &Table, col: usize) -> Result<Vec<(i64, RowId)>> {
+    table.scan_ordered().map(|(id, t)| Ok((t.event_ts(col)?, id))).collect()
+}
+
+/// Rebuilds every time window's ordered set from the live rows of its
+/// table in `catalog` — the last step of a restore, as an index build is
+/// of a table decode.
+fn rebuild_time_window_sets(
+    windows: &mut [Option<WindowSlot>],
+    ts_cols: &[Option<usize>],
+    catalog: &Catalog,
+) -> Result<()> {
+    for (i, slot) in windows.iter_mut().enumerate() {
+        let (Some(WindowSlot::Time(w)), Some(col)) = (slot, ts_cols[i]) else { continue };
+        let keyed = event_keys(catalog.get(TableId(i as u32)), col)
+            .map_err(|e| Error::Codec(format!("window {}: restored row: {e}", w.spec.name)))?;
+        w.rebuild_active(keyed.into_iter());
+    }
+    Ok(())
 }
 
 fn push_group(groups: &mut Vec<(TableId, Vec<RowId>)>, table: TableId, row: RowId) {
@@ -1582,8 +1603,39 @@ mod tests {
         assert_eq!(r.rows, vec![tuple![2i64], tuple![3i64], tuple![4i64]]);
     }
 
+    fn staged_len(ee: &ExecutionEngine, window: TableId) -> usize {
+        match &ee.windows[window.index()] {
+            Some(WindowSlot::Tuple(w)) => w.staged_len(),
+            Some(WindowSlot::Time(w)) => w.staged_len(),
+            None => panic!("not a window"),
+        }
+    }
+
+    /// A staged tuple is nowhere a query looks: it draws no row id,
+    /// touches no index and leaves no effect.
     #[test]
-    fn a_failed_slide_leaves_the_window_as_it_found_it() {
+    fn a_staged_tuple_never_enters_the_table() {
+        let app = window_app();
+        let (mut ee, map) = ee(&app);
+        let w = ee.table_id("w").unwrap();
+        ee.begin(Some(BatchId(1))).unwrap();
+        let r = ee.exec(map["wproc"]["ins"], &[Value::Int(1)]).unwrap();
+        assert_eq!(r.rows_affected, 1);
+        let table = ee.catalog.get(w);
+        assert_eq!((table.len(), table.tombstones(), table.peek_next_row_id()), (0, 0, RowId(0)));
+        assert_eq!(table.stats().inserts() + table.stats().deletes(), 0);
+        assert!(ee.effects.is_empty(), "{:?}", ee.effects);
+        assert_eq!(staged_len(&ee, w), 1);
+        ee.commit().unwrap();
+        ee.verify_window(w).unwrap();
+    }
+
+    /// Once the table is the active list nothing can list a row the
+    /// table does not hold: with a row taken from under the window the
+    /// next slide expires the now-oldest one, and the window is `size`
+    /// long again.
+    #[test]
+    fn a_tuple_window_cannot_disagree_with_its_table() {
         let app = window_app();
         let (mut ee, map) = ee(&app);
         let ins = map["wproc"]["ins"];
@@ -1593,26 +1645,93 @@ mod tests {
             ee.exec(ins, &[Value::Int(v)]).unwrap();
         }
         ee.commit().unwrap();
-        let state = |ee: &ExecutionEngine| match &ee.windows[w.index()] {
-            Some(WindowSlot::Tuple(ws)) => (ws.active_rows().collect::<Vec<_>>(), ws.staged_len()),
-            _ => unreachable!(),
-        };
-        let before = state(&ee);
-        // Take the oldest active row from under the window (no SQL can
-        // any more): the next slide cannot expire it.
-        let oldest = before.0[0];
-        let gone = ee.catalog.get_mut(w).delete(oldest).unwrap();
+        // No SQL can any more; the test reaches under the EE.
+        let oldest = ee.catalog.get(w).scan_ordered().next().unwrap().0;
+        ee.catalog.get_mut(w).delete(oldest).unwrap();
         ee.begin(Some(BatchId(2))).unwrap();
-        let err = ee.exec(ins, &[Value::Int(4)]).unwrap_err();
-        assert!(matches!(err, Error::NotFound { .. }), "{err}");
-        ee.abort().unwrap();
-        assert_eq!(state(&ee), before, "active and staging as the failed slide found them");
-        // With the row back the same arrival slides.
-        ee.catalog.get_mut(w).insert_with_id(oldest, gone).unwrap();
-        ee.begin(Some(BatchId(3))).unwrap();
-        ee.exec(ins, &[Value::Int(4)]).unwrap();
+        for v in 4..=5 {
+            ee.exec(ins, &[Value::Int(v)]).unwrap();
+        }
         ee.commit().unwrap();
-        assert_eq!(ee.query("SELECT SUM(v) FROM w", &[]).unwrap().rows, vec![tuple![9i64]]);
+        ee.verify_window(w).unwrap();
+        let r = ee.query("SELECT v FROM w ORDER BY v", &[]).unwrap();
+        assert_eq!(r.rows, vec![tuple![3i64], tuple![4i64], tuple![5i64]]);
+    }
+
+    #[test]
+    fn insert_select_into_a_window_stages_exactly_the_selected_rows() {
+        let app = App::builder()
+            .stream("arrivals", simple_schema())
+            .table("src", simple_schema())
+            .window("w", "wproc", simple_schema(), 2, 2)
+            .proc(
+                "wproc",
+                &[
+                    ("seed", "INSERT INTO src (v) VALUES (?)"),
+                    ("copy", "INSERT INTO w (v) SELECT v + 100 FROM src WHERE v > ?"),
+                ],
+                &[],
+                |_| Ok(()),
+            )
+            .build()
+            .unwrap();
+        let (mut ee, map) = ee(&app);
+        let w = ee.table_id("w").unwrap();
+        ee.begin(Some(BatchId(1))).unwrap();
+        for v in 1..=4 {
+            ee.exec(map["wproc"]["seed"], &[Value::Int(v)]).unwrap();
+        }
+        // Rows 2, 3, 4 are selected: two fill the window, one is staged.
+        let r = ee.exec(map["wproc"]["copy"], &[Value::Int(1)]).unwrap();
+        assert_eq!(r.rows_affected, 3);
+        ee.commit().unwrap();
+        assert_eq!(staged_len(&ee, w), 1);
+        let r = ee.query("SELECT v FROM w ORDER BY v", &[]).unwrap();
+        assert_eq!(r.rows, vec![tuple![102i64], tuple![103i64]]);
+        // The staged one is 104: the next arrival tumbles it in.
+        ee.begin(Some(BatchId(2))).unwrap();
+        assert_eq!(ee.exec(map["wproc"]["copy"], &[Value::Int(3)]).unwrap().rows_affected, 1);
+        ee.commit().unwrap();
+        let r = ee.query("SELECT v FROM w ORDER BY v", &[]).unwrap();
+        assert_eq!(r.rows, vec![tuple![104i64], tuple![104i64]]);
+    }
+
+    /// A row the window's schema refuses fails at its statement, as it
+    /// did when the table refused it — and nothing of the statement is
+    /// staged, the rows before the bad one included.
+    #[test]
+    fn a_row_that_fails_the_schema_stages_nothing() {
+        let nullable = Schema::new(vec![sstore_common::Column::nullable("v", DataType::Int)]).unwrap();
+        let app = App::builder()
+            .stream("arrivals", simple_schema())
+            .table("src", nullable)
+            .window("w", "wproc", simple_schema(), 3, 1)
+            .proc(
+                "wproc",
+                &[
+                    ("seed", "INSERT INTO src (v) VALUES (?)"),
+                    ("copy", "INSERT INTO w (v) SELECT v FROM src"),
+                    ("ins", "INSERT INTO w (v) VALUES (?)"),
+                ],
+                &[],
+                |_| Ok(()),
+            )
+            .build()
+            .unwrap();
+        let (mut ee, map) = ee(&app);
+        let w = ee.table_id("w").unwrap();
+        ee.begin(Some(BatchId(1))).unwrap();
+        ee.exec(map["wproc"]["seed"], &[Value::Int(1)]).unwrap();
+        ee.exec(map["wproc"]["seed"], &[Value::Null]).unwrap();
+        let effects = ee.effects.len();
+        for (stmt, params) in [("copy", vec![]), ("ins", vec![Value::Null]), ("ins", vec![Value::Text("x".into())])] {
+            let err = ee.exec(map["wproc"][stmt], &params).unwrap_err();
+            assert!(matches!(err, Error::SchemaViolation(_)), "{stmt}: {err}");
+            assert_eq!(staged_len(&ee, w), 0, "{stmt}");
+            assert_eq!(ee.effects.len(), effects, "{stmt}");
+        }
+        ee.abort().unwrap();
+        ee.verify_window(w).unwrap();
     }
 
     #[test]
@@ -1889,6 +2008,42 @@ mod tests {
         assert_eq!(ee.table_len("src").unwrap(), 0);
     }
 
+    /// One rule for a slide that fails midway: its undo record is
+    /// already on the stack when the error leaves, so the abort restores
+    /// staging, the extent cursor and — through the table's effects —
+    /// the ordered set.
+    #[test]
+    fn a_failed_slide_leaves_the_window_as_it_found_it() {
+        let app = time_window_app();
+        let (mut ee, map) = ee(&app);
+        let tw = ee.table_id("tw").unwrap();
+        let slides = feed(&mut ee, &map, 1, &[(5, 1), (12, 2), (31, 3)]);
+        run_slides(&mut ee, 1, &slides);
+        let slides = feed(&mut ee, &map, 2, &[(40, 4), (61, 5)]);
+        assert_eq!(slides, vec![tw]);
+        let state = |ee: &ExecutionEngine| match &ee.windows[tw.index()] {
+            Some(WindowSlot::Time(w)) => w.clone(),
+            _ => unreachable!(),
+        };
+        let before = state(&ee);
+        assert_eq!((before.staged_len(), before.next_end(), before.active().count()), (3, Some(60), 2));
+        // Take an active row from under the window (no SQL can): the
+        // pending slide cannot expire it.
+        let (_, oldest) = before.active().next().unwrap();
+        let gone = ee.catalog.get_mut(tw).delete(oldest).unwrap();
+        ee.begin(Some(BatchId(2))).unwrap();
+        let err = ee.process_slides(tw).unwrap_err();
+        assert!(matches!(err, Error::NotFound { .. }), "{err}");
+        ee.abort().unwrap();
+        assert_eq!(state(&ee), before, "staging, cursor and set as the failed slide found them");
+        // With the row back the same slide runs.
+        ee.catalog.get_mut(tw).insert_with_id(oldest, gone).unwrap();
+        run_slides(&mut ee, 2, &[tw]);
+        ee.verify_window(tw).unwrap();
+        assert_eq!(ee.query("SELECT SUM(v) FROM tw", &[]).unwrap().rows, vec![tuple![7i64]]);
+        assert_eq!(ee.query("SELECT total FROM sums ORDER BY total", &[]).unwrap().rows, vec![tuple![3i64], tuple![7i64]]);
+    }
+
     #[test]
     fn time_window_checkpoint_roundtrip_preserves_watermark() {
         let app = time_window_app();
@@ -2024,6 +2179,7 @@ mod tests {
             }
             ee.decode_sections(&mut d, &mut sections).unwrap();
         }
+        rebuild_time_window_sets(&mut sections.windows, &ee.window_ts_col, &catalog).unwrap();
         ee.catalog = catalog;
         ee.streams = sections.streams;
         ee.stream_high = sections.stream_high;

@@ -275,10 +275,6 @@ pub struct EngineMetrics {
     /// SELECT dispatches that stayed row-wise because the plan shape is
     /// not vectorized (joins, index point lookups).
     pub columnar_fallback_shape: AtomicU64,
-    /// SELECT dispatches that stayed row-wise because the
-    /// `force_rowwise` kill-switch is on. Non-zero in production means
-    /// the fast path is off.
-    pub columnar_fallback_disabled: AtomicU64,
     /// Ad-hoc plan-cache hits: `query_at`/`prepare` served an already
     /// bound `Arc<BoundStatement>` for the same SQL text.
     pub adhoc_plan_hits: AtomicU64,
@@ -514,7 +510,6 @@ impl EngineMetrics {
         self.columnar_window_batches.store(0, Ordering::Relaxed);
         self.columnar_fallback_small.store(0, Ordering::Relaxed);
         self.columnar_fallback_shape.store(0, Ordering::Relaxed);
-        self.columnar_fallback_disabled.store(0, Ordering::Relaxed);
         self.adhoc_plan_hits.store(0, Ordering::Relaxed);
         self.adhoc_plan_misses.store(0, Ordering::Relaxed);
         self.exchange_sends_started.store(0, Ordering::Relaxed);

@@ -2,15 +2,21 @@
 //! time-based (event-time, watermark-driven).
 //!
 //! A window *is* a table ([`TableKind::Window`]) holding only the
-//! currently *active* tuples — what queries may see. Newly arriving
-//! tuples are **staged** inside the window state (not in the table at
-//! all, which is how "staged tuples are not visible to any queries" is
-//! enforced by construction).
+//! currently *active* tuples — what queries may see — and that table is
+//! the only record of them: a window's state here is its **staging
+//! queue** and, for time windows, its **extent cursor**. Newly arriving
+//! tuples are **staged** inside the window state and never enter the
+//! table until a slide activates them (no row id, no index touch, no
+//! effect), which is how "staged tuples are not visible to any queries"
+//! is enforced by construction.
 //!
 //! * **Tuple-based** ([`WindowState`]): every time `slide` staged
 //!   tuples have accumulated *and* the window can form a full extent,
 //!   the window slides — the oldest `slide` staged tuples become
-//!   active rows, and active rows beyond `size` expire.
+//!   active rows, and active rows beyond `size` expire. Row ids are
+//!   issued in activation order, so "the oldest `n` active rows" are the
+//!   first `n` of the table's scan and the table's `len()` is the active
+//!   count: the state machine is told the length and keeps no list.
 //! * **Time-based** ([`TimeWindowState`]): tuples carry an event
 //!   timestamp; the window covers pane-aligned extents
 //!   `[k·slide, k·slide + size)` of the event-time axis. Staging
@@ -19,8 +25,16 @@
 //!   streams' high marks, advanced at batch commit like a border
 //!   punctuation — passes the end of the next extent. Late tuples
 //!   (behind the extent the window has slid past) are merged into the
-//!   active extent when within `allowed_lateness_ms`, else counted and
-//!   dropped.
+//!   active extent when within `allowed_lateness_ms`, else dropped
+//!   (`EngineMetrics::window_late_{merged,dropped}` count both). Expiry
+//!   is by timestamp, not arrival, so the window keeps an ordered set
+//!   `(event-ts, RowId)` over its table's live rows. That set is an
+//!   **index on the table**, like every other index in this tree: the
+//!   EE keeps it in step wherever it inserts into, deletes from or
+//!   undoes an effect on the table, no checkpoint encodes it, and
+//!   restore rebuilds it from the restored rows. Within one timestamp
+//!   it orders by row id, which is arrival order (ids are issued as rows
+//!   are activated or merged and never reissued).
 //!
 //! Aggregates over a window: the state machines here only say which rows
 //! enter and leave. A sliding window's grouped statements are answered
@@ -34,13 +48,13 @@
 //! registration-time checks in [`crate::app`] reject SQL from any other
 //! procedure referencing it, and PE triggers cannot be attached to
 //! windows (the API has no way to express it). Through SQL a window is
-//! append-only, its owner included: rows leave by expiry, which lists
-//! them by row id, so `UPDATE` and `DELETE` are rejected at registration
-//! and at execution.
+//! append-only, its owner included: rows leave by expiry alone, which is
+//! the engine's to decide, so `UPDATE` and `DELETE` are rejected at
+//! registration and at execution.
 //!
 //! [`TableKind::Window`]: sstore_storage::TableKind::Window
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use sstore_common::codec::{Decoder, Encoder};
 use sstore_common::{Error, Result, RowId, Tuple};
@@ -86,71 +100,57 @@ pub struct SlideOutcome {
     /// Tuples that became active, in arrival order. The EE inserts them
     /// into the window table.
     pub activated: Vec<Tuple>,
-    /// Number of oldest active rows that must expire *after* activation
-    /// (the EE deletes these from the table front).
+    /// Number of oldest active rows that expire — the first this many
+    /// rows of the table's scan, which the EE deletes.
     pub expire: usize,
 }
 
-/// Runtime state of one window.
+/// Runtime state of one tuple window: its staging queue. The active
+/// rows are the backing table's rows, oldest first in row-id order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowState {
     /// The definition.
     pub spec: WindowSpec,
     /// Staged tuples, arrival order, not yet visible.
     staging: VecDeque<Tuple>,
-    /// Row ids of active tuples in the backing table, oldest first.
-    active: VecDeque<RowId>,
-    /// Total tuples ever activated (diagnostics).
-    activated_total: u64,
 }
 
 impl WindowState {
     /// Fresh, empty window.
     pub fn new(spec: WindowSpec) -> Result<Self> {
         spec.validate()?;
-        Ok(WindowState { spec, staging: VecDeque::new(), active: VecDeque::new(), activated_total: 0 })
+        Ok(WindowState { spec, staging: VecDeque::new() })
     }
 
     /// Stages arriving tuples (invisible until a slide activates them).
     /// The caller then loops [`WindowState::next_slide`], applying each
-    /// outcome to the backing table and recording activations, until it
-    /// returns `None`.
+    /// outcome to the backing table, until it returns `None`.
     pub fn stage(&mut self, tuples: impl IntoIterator<Item = Tuple>) {
         self.staging.extend(tuples);
     }
 
-    /// True if enough staged tuples remain to slide again (the EE loops
-    /// `stage_more`/apply until this is false).
-    pub fn can_slide(&self) -> bool {
-        let needed = if self.active.is_empty() { self.spec.size } else { self.spec.slide };
-        self.staging.len() >= needed
+    /// Staged tuples the next slide consumes when the table holds
+    /// `active` rows: a full extent to fill an empty window, one slide
+    /// after that.
+    fn needed(&self, active: usize) -> usize {
+        if active == 0 { self.spec.size } else { self.spec.slide }
     }
 
-    /// Computes the next slide (without new arrivals). Panics never:
-    /// returns `None` when not enough staged tuples.
-    pub fn next_slide(&mut self) -> Option<SlideOutcome> {
-        let needed = if self.active.is_empty() { self.spec.size } else { self.spec.slide };
-        if self.staging.len() < needed {
+    /// True if enough staged tuples remain to slide a window whose
+    /// table holds `active` rows.
+    pub fn can_slide(&self, active: usize) -> bool {
+        self.staging.len() >= self.needed(active)
+    }
+
+    /// Computes the next slide of a window whose table holds `active`
+    /// rows (without new arrivals); `None` when not enough is staged.
+    pub fn next_slide(&mut self, active: usize) -> Option<SlideOutcome> {
+        if !self.can_slide(active) {
             return None;
         }
-        let activated: Vec<Tuple> = self.staging.drain(..needed).collect();
-        let expire = (self.active.len() + activated.len()).saturating_sub(self.spec.size);
+        let activated: Vec<Tuple> = self.staging.drain(..self.needed(active)).collect();
+        let expire = (active + activated.len()).saturating_sub(self.spec.size);
         Some(SlideOutcome { activated, expire })
-    }
-
-    /// Records that the EE inserted activated tuples as these rows.
-    pub fn record_activation(&mut self, rows: impl IntoIterator<Item = RowId>) {
-        for r in rows {
-            self.active.push_back(r);
-            self.activated_total += 1;
-        }
-    }
-
-    /// Pops the `n` oldest active row ids — the EE deletes them from the
-    /// backing table.
-    pub fn take_expired(&mut self, n: usize) -> Vec<RowId> {
-        let n = n.min(self.active.len());
-        self.active.drain(..n).collect()
     }
 
     // ------------------------------------------------------------------
@@ -164,21 +164,13 @@ impl WindowState {
         self.staging.truncate(keep);
     }
 
-    /// Undoes one applied slide: drops the `activated` newest active
-    /// ids, restores `expired` ids to the active front (oldest first, as
-    /// returned by [`WindowState::take_expired`]), and returns the
-    /// `restaged` tuples to the staging front in their original order.
-    pub fn undo_slide(&mut self, expired: Vec<RowId>, activated: usize, restaged: Vec<Tuple>) {
-        for _ in 0..activated {
-            self.active.pop_back();
-        }
-        for id in expired.into_iter().rev() {
-            self.active.push_front(id);
-        }
+    /// Undoes one slide: returns the tuples it consumed to the staging
+    /// front in their original order. The rows it moved are the table's,
+    /// restored by the transaction's effects.
+    pub fn undo_slide(&mut self, restaged: Vec<Tuple>) {
         for t in restaged.into_iter().rev() {
             self.staging.push_front(t);
         }
-        self.activated_total = self.activated_total.saturating_sub(activated as u64);
     }
 
     /// Number of staged (invisible) tuples.
@@ -186,42 +178,36 @@ impl WindowState {
         self.staging.len()
     }
 
-    /// Number of active (visible) tuples.
-    pub fn active_len(&self) -> usize {
-        self.active.len()
+    /// The window ↔ table invariant, given the table's `len()`: never
+    /// more than `size` rows active, and no slide left pending (every
+    /// arrival slides as far as its staging allows before it returns).
+    pub fn check(&self, active: usize) -> Result<()> {
+        let broken = |what: &str| Err(Error::Internal(format!("window {}: {what}", self.spec.name)));
+        if active > self.spec.size {
+            return broken(&format!("{active} active rows in a window of {}", self.spec.size));
+        }
+        if self.can_slide(active) {
+            return broken(&format!("{} tuples staged with a slide pending", self.staging.len()));
+        }
+        Ok(())
     }
 
-    /// Active row ids, oldest first.
-    pub fn active_rows(&self) -> impl Iterator<Item = RowId> + '_ {
-        self.active.iter().copied()
-    }
-
-    /// Total tuples ever activated.
-    pub fn activated_total(&self) -> u64 {
-        self.activated_total
-    }
-
-    /// Serializes staging + active bookkeeping for checkpoints. The
-    /// active tuples themselves live in the table snapshot.
+    /// Serializes the staging queue for checkpoints. The active tuples
+    /// live in the table snapshot, and nowhere else.
     pub fn encode(&self, e: &mut Encoder) {
         e.put_str(&self.spec.name);
         e.put_str(&self.spec.owner);
         e.put_varint(self.spec.size as u64);
         e.put_varint(self.spec.slide as u64);
-        e.put_u64(self.activated_total);
         e.put_varint(self.staging.len() as u64);
         for t in &self.staging {
             e.put_tuple(t);
-        }
-        e.put_varint(self.active.len() as u64);
-        for r in &self.active {
-            e.put_u64(r.raw());
         }
     }
 
     /// Deserializes from a checkpoint. Corruption anywhere inside this
     /// window's section fails with an error *naming the window*, and
-    /// element counts are bounded by the bytes each element must cost
+    /// the staging count is bounded by the bytes each tuple must cost
     /// at minimum — a corrupt count close to the byte length can
     /// neither over-allocate nor fail deep inside tuple decode with a
     /// misleading message.
@@ -233,7 +219,6 @@ impl WindowState {
         let owner = d.get_str().map_err(|_| ctx("owner"))?;
         let size = d.get_varint().map_err(|_| ctx("size"))? as usize;
         let slide = d.get_varint().map_err(|_| ctx("slide"))? as usize;
-        let activated_total = d.get_u64().map_err(|_| ctx("activated_total"))?;
         let nstage = d.get_varint().map_err(|_| ctx("staging count"))? as usize;
         // Every staged tuple costs at least 1 byte (its arity varint)
         // beyond the count itself.
@@ -247,21 +232,9 @@ impl WindowState {
         for i in 0..nstage {
             staging.push_back(d.get_tuple().map_err(|_| ctx(&format!("staged tuple {i}")))?);
         }
-        let nactive = d.get_varint().map_err(|_| ctx("active count"))? as usize;
-        // Every active row id is a fixed 8-byte u64.
-        if nactive.checked_mul(8).is_none_or(|need| need > d.remaining()) {
-            return Err(ctx(&format!(
-                "active count {nactive} needs more than the {} bytes left",
-                d.remaining()
-            )));
-        }
-        let mut active = VecDeque::with_capacity(nactive);
-        for i in 0..nactive {
-            active.push_back(RowId(d.get_u64().map_err(|_| ctx(&format!("active row {i}")))?));
-        }
         let spec = WindowSpec { name, owner, size, slide };
         spec.validate()?;
-        Ok(WindowState { spec, staging, active, activated_total })
+        Ok(WindowState { spec, staging })
     }
 }
 
@@ -361,9 +334,9 @@ pub enum TimeArrival {
     /// Staged (invisible) awaiting a future extent.
     Staged,
     /// Late but within lateness and inside the active extent: the EE
-    /// inserts it into the backing table and records the merge.
+    /// inserts it into the backing table.
     MergeIntoActive,
-    /// Beyond lateness (or below the active extent): counted, dropped.
+    /// Beyond lateness (or below the active extent): dropped.
     DroppedLate,
 }
 
@@ -376,9 +349,9 @@ pub struct TimeSlideOutcome {
     /// order (arrival order within equal timestamps). The EE inserts
     /// them into the window table.
     pub activated: Vec<(i64, Tuple)>,
-    /// Number of oldest active entries that must expire (the EE deletes
-    /// them via [`TimeWindowState::take_expired`]).
-    pub expire: usize,
+    /// The active rows that expire, oldest first: every `(event-ts,
+    /// row)` below the extent's start. The EE deletes them.
+    pub expired: Vec<(i64, RowId)>,
     /// Event-time extent `[start, end)` of the window that fired.
     pub start: i64,
     /// See `start`.
@@ -391,7 +364,8 @@ pub struct TimeSlideOutcome {
     pub prev_fired: bool,
 }
 
-/// Runtime state of one time-based window.
+/// Runtime state of one time-based window: its staging and its extent
+/// cursor, plus the ordered set over its table's rows (module docs).
 ///
 /// Invariant: staging only holds tuples with `ts >= next_end - size`
 /// (tuples that still belong to a future extent). Anything older is
@@ -404,12 +378,11 @@ pub struct TimeWindowState {
     /// Staged tuples keyed by event timestamp (admits out-of-order
     /// arrivals); values in arrival order.
     staging: BTreeMap<i64, Vec<Tuple>>,
-    /// Active rows keyed `(event-ts, seq)` → backing-table row. The
-    /// ordered map gives O(log n) insert/remove and timestamp-ordered
-    /// expiry; `seq` disambiguates equal timestamps in arrival order.
-    active: BTreeMap<(i64, u64), RowId>,
-    /// Next sequence number for active entries.
-    next_seq: u64,
+    /// `(event-ts, row)` of every live row of the backing table: an
+    /// index on it, giving timestamp-ordered expiry in O(log n). Kept
+    /// by [`TimeWindowState::row_inserted`] / [`TimeWindowState::row_deleted`],
+    /// encoded nowhere, rebuilt on restore.
+    active: BTreeSet<(i64, RowId)>,
     /// Partition watermark as of the last [`TimeWindowState::advance_watermark`].
     watermark: Option<i64>,
     /// End of the next extent to fire; `None` until the first tuple.
@@ -418,12 +391,6 @@ pub struct TimeWindowState {
     /// (after which `next_end` can no longer regress to cover earlier
     /// arrivals — they are late).
     fired: bool,
-    /// Tuples dropped as beyond-lateness (metrics + checkpoint).
-    late_dropped: u64,
-    /// Tuples merged late into the active extent.
-    late_merged: u64,
-    /// Total tuples ever activated (diagnostics).
-    activated_total: u64,
 }
 
 impl TimeWindowState {
@@ -433,21 +400,16 @@ impl TimeWindowState {
         Ok(TimeWindowState {
             spec,
             staging: BTreeMap::new(),
-            active: BTreeMap::new(),
-            next_seq: 0,
+            active: BTreeSet::new(),
             watermark: None,
             next_end: None,
             fired: false,
-            late_dropped: 0,
-            late_merged: 0,
-            activated_total: 0,
         })
     }
 
     /// Decides what to do with a tuple whose event timestamp is `ts`.
-    /// Pure — the caller then performs the matching mutation
-    /// ([`TimeWindowState::stage`], [`TimeWindowState::record_merge`],
-    /// [`TimeWindowState::record_drop`]).
+    /// Pure — the caller then stages it ([`TimeWindowState::stage`]),
+    /// inserts it into the table, or drops it.
     pub fn classify(&self, ts: i64) -> TimeArrival {
         let Some(e) = self.next_end else { return TimeArrival::Staged };
         if !self.fired {
@@ -480,16 +442,13 @@ impl TimeWindowState {
         self.staging.entry(ts).or_default().push(t);
     }
 
-    /// Undoes stages of tuples with the given timestamps (newest-first
-    /// within the record), restoring `next_end` as captured before the
-    /// arrival group.
-    pub fn undo_stage(&mut self, keys: &[i64], prev_next_end: Option<i64>) {
-        for ts in keys.iter().rev() {
-            if let Some(bucket) = self.staging.get_mut(ts) {
-                bucket.pop();
-                if bucket.is_empty() {
-                    self.staging.remove(ts);
-                }
+    /// Undoes the newest [`TimeWindowState::stage`] at `ts`, restoring
+    /// `next_end` as captured before it.
+    pub fn undo_stage(&mut self, ts: i64, prev_next_end: Option<i64>) {
+        if let Some(bucket) = self.staging.get_mut(&ts) {
+            bucket.pop();
+            if bucket.is_empty() {
+                self.staging.remove(&ts);
             }
         }
         if !self.fired {
@@ -497,31 +456,21 @@ impl TimeWindowState {
         }
     }
 
-    /// Records a late merge: the EE inserted the tuple as `row`;
-    /// returns the sequence number for the undo record.
-    pub fn record_merge(&mut self, ts: i64, row: RowId) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.active.insert((ts, seq), row);
-        self.late_merged += 1;
-        seq
+    /// The backing table gained `row`, carrying event timestamp `ts`
+    /// (an activation, a late merge, an undone expiry).
+    pub fn row_inserted(&mut self, ts: i64, row: RowId) {
+        self.active.insert((ts, row));
     }
 
-    /// Undoes a [`TimeWindowState::record_merge`].
-    pub fn undo_merge(&mut self, ts: i64, seq: u64) {
-        self.active.remove(&(ts, seq));
-        self.late_merged = self.late_merged.saturating_sub(1);
-        self.next_seq = seq;
+    /// The backing table lost `row` (an expiry, an undone insert).
+    pub fn row_deleted(&mut self, ts: i64, row: RowId) {
+        self.active.remove(&(ts, row));
     }
 
-    /// Counts a beyond-lateness drop.
-    pub fn record_drop(&mut self) {
-        self.late_dropped += 1;
-    }
-
-    /// Undoes a [`TimeWindowState::record_drop`].
-    pub fn undo_drop(&mut self) {
-        self.late_dropped = self.late_dropped.saturating_sub(1);
+    /// Replaces the ordered set with the one over `rows` — the backing
+    /// table's live rows — as restore does.
+    pub fn rebuild_active(&mut self, rows: impl Iterator<Item = (i64, RowId)>) {
+        self.active = rows.collect();
     }
 
     /// Advances the watermark (monotone). Returns true when slide work
@@ -556,7 +505,8 @@ impl TimeWindowState {
     /// extents the watermark has passed fire in order; extents that
     /// would neither activate nor expire anything advance silently.
     /// Returns `None` when the watermark has not passed the next
-    /// boundary (or the window never saw data).
+    /// boundary (or the window never saw data). The expired rows stay
+    /// in the ordered set until the EE deletes them from the table.
     pub fn next_slide(&mut self) -> Option<TimeSlideOutcome> {
         let wm = self.watermark?;
         let entry_end = self.next_end?;
@@ -569,9 +519,9 @@ impl TimeWindowState {
             let s = e - self.spec.size_ms;
             self.fired = true;
             let has_activation = self.staging.range(..e).next().is_some();
-            let expire =
-                self.active.keys().take_while(|(ts, _)| *ts < s).count();
-            if !has_activation && expire == 0 {
+            let expired: Vec<(i64, RowId)> =
+                self.active.iter().take_while(|(ts, _)| *ts < s).copied().collect();
+            if !has_activation && expired.is_empty() {
                 // Trivial extent: no content change, no trigger. Jump
                 // as far as provably nothing happens — but never past
                 // the watermark's own pane: extents beyond the
@@ -600,7 +550,7 @@ impl TimeWindowState {
             self.next_end = Some(e + self.spec.slide_ms);
             return Some(TimeSlideOutcome {
                 activated,
-                expire,
+                expired,
                 start: s,
                 end: e,
                 prev_next_end: entry_end,
@@ -609,56 +559,10 @@ impl TimeWindowState {
         }
     }
 
-    /// Pops the `n` oldest active entries — the EE deletes their rows
-    /// from the backing table. Returns `(ts, seq, row)` for undo.
-    pub fn take_expired(&mut self, n: usize) -> Vec<(i64, u64, RowId)> {
-        let keys: Vec<(i64, u64)> = self.active.keys().take(n).copied().collect();
-        keys.into_iter()
-            .map(|k| {
-                let row = self.active.remove(&k).expect("key just listed");
-                (k.0, k.1, row)
-            })
-            .collect()
-    }
-
-    /// Records that the EE inserted activated tuples as these rows (in
-    /// the [`TimeSlideOutcome::activated`] order). Returns the `(ts,
-    /// seq)` keys assigned, for the undo record.
-    pub fn record_activation(&mut self, entries: Vec<(i64, RowId)>) -> Vec<(i64, u64)> {
-        let mut keys = Vec::with_capacity(entries.len());
-        for (ts, row) in entries {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.active.insert((ts, seq), row);
-            self.activated_total += 1;
-            keys.push((ts, seq));
-        }
-        keys
-    }
-
-    /// Undoes one applied slide: removes the activated entries, restores
-    /// the expired ones, returns the consumed tuples to staging, and
-    /// rewinds the extent cursor.
-    pub fn undo_slide(
-        &mut self,
-        expired: Vec<(i64, u64, RowId)>,
-        activated: Vec<(i64, u64)>,
-        restaged: Vec<(i64, Tuple)>,
-        prev_next_end: i64,
-        prev_fired: bool,
-    ) {
-        // Undo runs newest-first, so the activated entries hold the
-        // highest sequence numbers assigned so far — rewind past them.
-        if let Some(&(_, first_seq)) = activated.first() {
-            self.next_seq = first_seq;
-        }
-        for key in activated {
-            self.active.remove(&key);
-        }
-        self.activated_total = self.activated_total.saturating_sub(restaged.len() as u64);
-        for (ts, seq, row) in expired {
-            self.active.insert((ts, seq), row);
-        }
+    /// Undoes one slide: returns the consumed tuples to staging and
+    /// rewinds the extent cursor. The rows it moved — and with them the
+    /// ordered set — are restored by the transaction's effects.
+    pub fn undo_slide(&mut self, restaged: Vec<(i64, Tuple)>, prev_next_end: i64, prev_fired: bool) {
         for (ts, t) in restaged {
             self.staging.entry(ts).or_default().push(t);
         }
@@ -671,14 +575,9 @@ impl TimeWindowState {
         self.staging.values().map(Vec::len).sum()
     }
 
-    /// Number of active (visible) tuples.
-    pub fn active_len(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Active rows in event-time order.
-    pub fn active_rows(&self) -> impl Iterator<Item = RowId> + '_ {
-        self.active.values().copied()
+    /// `(event-ts, row)` of the active rows, in expiry order.
+    pub fn active(&self) -> impl Iterator<Item = (i64, RowId)> + '_ {
+        self.active.iter().copied()
     }
 
     /// Current watermark, if any input has flowed.
@@ -691,23 +590,26 @@ impl TimeWindowState {
         self.next_end
     }
 
-    /// Tuples dropped as beyond-lateness.
-    pub fn late_dropped(&self) -> u64 {
-        self.late_dropped
+    /// The window ↔ table invariant, given `(event-ts, row)` of the
+    /// table's live rows: the ordered set is exactly those, and once an
+    /// extent has fired nothing is staged below the next one's start.
+    pub fn check(&self, rows: impl Iterator<Item = (i64, RowId)>) -> Result<()> {
+        let broken = |what: &str| Err(Error::Internal(format!("window {}: {what}", self.spec.name)));
+        if rows.collect::<BTreeSet<_>>() != self.active {
+            return broken("the ordered set disagrees with the table's rows");
+        }
+        let oldest = self.staging.keys().next();
+        match (self.fired, self.next_end, oldest) {
+            (true, Some(e), Some(&ts)) if ts < e - self.spec.size_ms => {
+                broken(&format!("ts {ts} staged below the next extent [{}, {e})", e - self.spec.size_ms))
+            }
+            _ => Ok(()),
+        }
     }
 
-    /// Tuples merged late into the active extent.
-    pub fn late_merged(&self) -> u64 {
-        self.late_merged
-    }
-
-    /// Total tuples ever activated.
-    pub fn activated_total(&self) -> u64 {
-        self.activated_total
-    }
-
-    /// Serializes staging + active bookkeeping + watermark state for
-    /// checkpoints. Active tuples themselves live in the table snapshot.
+    /// Serializes staging + watermark state for checkpoints. Active
+    /// tuples live in the table snapshot; the ordered set over them is
+    /// rebuilt from it.
     pub fn encode(&self, e: &mut Encoder) {
         e.put_str(&self.spec.name);
         e.put_str(&self.spec.owner);
@@ -718,10 +620,6 @@ impl TimeWindowState {
         put_opt_i64(e, self.watermark);
         put_opt_i64(e, self.next_end);
         e.put_u8(self.fired as u8);
-        e.put_u64(self.next_seq);
-        e.put_u64(self.late_dropped);
-        e.put_u64(self.late_merged);
-        e.put_u64(self.activated_total);
         e.put_varint(self.staging.len() as u64);
         for (ts, bucket) in &self.staging {
             e.put_i64(*ts);
@@ -730,17 +628,13 @@ impl TimeWindowState {
                 e.put_tuple(t);
             }
         }
-        e.put_varint(self.active.len() as u64);
-        for ((ts, seq), row) in &self.active {
-            e.put_i64(*ts);
-            e.put_u64(*seq);
-            e.put_u64(row.raw());
-        }
     }
 
     /// Deserializes from a checkpoint, with the same corruption
     /// discipline as [`WindowState::decode`]: errors name the window,
-    /// counts are bounded by minimum per-element cost.
+    /// counts are bounded by minimum per-element cost. The ordered set
+    /// comes back empty: the caller rebuilds it from the restored table
+    /// ([`TimeWindowState::rebuild_active`]).
     pub fn decode(d: &mut Decoder<'_>) -> Result<Self> {
         let name = d.get_str()?;
         let ctx = |what: &str| {
@@ -754,10 +648,6 @@ impl TimeWindowState {
         let watermark = get_opt_i64(d).map_err(|_| ctx("watermark"))?;
         let next_end = get_opt_i64(d).map_err(|_| ctx("next_end"))?;
         let fired = d.get_u8().map_err(|_| ctx("fired"))? != 0;
-        let next_seq = d.get_u64().map_err(|_| ctx("next_seq"))?;
-        let late_dropped = d.get_u64().map_err(|_| ctx("late_dropped"))?;
-        let late_merged = d.get_u64().map_err(|_| ctx("late_merged"))?;
-        let activated_total = d.get_u64().map_err(|_| ctx("activated_total"))?;
         let nstage = d.get_varint().map_err(|_| ctx("staging count"))? as usize;
         // Every staging bucket costs ≥ 8 (ts) + 1 (count) bytes.
         if nstage.checked_mul(9).is_none_or(|need| need > d.remaining()) {
@@ -787,37 +677,9 @@ impl TimeWindowState {
                 return Err(ctx(&format!("duplicate staging ts {ts}")));
             }
         }
-        let nactive = d.get_varint().map_err(|_| ctx("active count"))? as usize;
-        // Every active entry is a fixed 24 bytes (ts + seq + row).
-        if nactive.checked_mul(24).is_none_or(|need| need > d.remaining()) {
-            return Err(ctx(&format!(
-                "active count {nactive} needs more than the {} bytes left",
-                d.remaining()
-            )));
-        }
-        let mut active = BTreeMap::new();
-        for i in 0..nactive {
-            let ts = d.get_i64().map_err(|_| ctx(&format!("active ts {i}")))?;
-            let seq = d.get_u64().map_err(|_| ctx(&format!("active seq {i}")))?;
-            let row = RowId(d.get_u64().map_err(|_| ctx(&format!("active row {i}")))?);
-            if active.insert((ts, seq), row).is_some() {
-                return Err(ctx(&format!("duplicate active key ({ts}, {seq})")));
-            }
-        }
         let spec = TimeWindowSpec { name, owner, ts_column, size_ms, slide_ms, allowed_lateness_ms };
         spec.validate()?;
-        Ok(TimeWindowState {
-            spec,
-            staging,
-            active,
-            next_seq,
-            watermark,
-            next_end,
-            fired,
-            late_dropped,
-            late_merged,
-            activated_total,
-        })
+        Ok(TimeWindowState { spec, staging, active: BTreeSet::new(), watermark, next_end, fired })
     }
 }
 
@@ -900,27 +762,25 @@ mod tests {
         WindowSpec { name: "w".into(), owner: "sp1".into(), size, slide }
     }
 
-    fn drive(w: &mut WindowState, tuples: Vec<Tuple>, next_row: &mut u64) -> Vec<SlideOutcome> {
-        // Emulates the EE applying outcomes: stage, then loop next_slide.
+    /// The backing table as the window sees it: the active payloads,
+    /// oldest first.
+    type Rows = VecDeque<Tuple>;
+
+    /// Emulates the EE: stage, then apply every slide the staging
+    /// unlocks to `rows`. Returns the outcomes.
+    fn drive(w: &mut WindowState, rows: &mut Rows, tuples: Vec<Tuple>) -> Vec<SlideOutcome> {
         w.stage(tuples);
         let mut outcomes = Vec::new();
-        while let Some(o) = w.next_slide() {
-            apply(w, &o, next_row);
+        while let Some(o) = w.next_slide(rows.len()) {
+            rows.drain(..o.expire);
+            rows.extend(o.activated.iter().cloned());
             outcomes.push(o);
         }
         outcomes
     }
 
-    fn apply(w: &mut WindowState, o: &SlideOutcome, next_row: &mut u64) {
-        w.take_expired(o.expire);
-        let ids: Vec<RowId> = (0..o.activated.len())
-            .map(|_| {
-                let id = RowId(*next_row);
-                *next_row += 1;
-                id
-            })
-            .collect();
-        w.record_activation(ids);
+    fn ints(range: std::ops::RangeInclusive<i64>) -> Vec<Tuple> {
+        range.map(|i| tuple![i]).collect()
     }
 
     #[test]
@@ -936,68 +796,74 @@ mod tests {
     #[test]
     fn initial_fill_requires_full_window() {
         let mut w = WindowState::new(spec(3, 1)).unwrap();
-        let mut next = 0;
+        let mut rows = Rows::new();
         // Two tuples: no slide yet, all staged.
-        let out = drive(&mut w, vec![tuple![1i64], tuple![2i64]], &mut next);
+        let out = drive(&mut w, &mut rows, ints(1..=2));
         assert!(out.is_empty());
         assert_eq!(w.staged_len(), 2);
-        assert_eq!(w.active_len(), 0);
+        assert!(rows.is_empty());
         // Third tuple completes the first full window.
-        let out = drive(&mut w, vec![tuple![3i64]], &mut next);
+        let out = drive(&mut w, &mut rows, ints(3..=3));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].activated.len(), 3);
         assert_eq!(out[0].expire, 0);
-        assert_eq!(w.active_len(), 3);
+        assert_eq!(rows.len(), 3);
         assert_eq!(w.staged_len(), 0);
     }
 
     #[test]
     fn sliding_by_one_expires_one() {
         let mut w = WindowState::new(spec(3, 1)).unwrap();
-        let mut next = 0;
-        drive(&mut w, (1..=3).map(|i| tuple![i as i64]).collect(), &mut next);
-        let out = drive(&mut w, vec![tuple![4i64]], &mut next);
+        let mut rows = Rows::new();
+        drive(&mut w, &mut rows, ints(1..=3));
+        let out = drive(&mut w, &mut rows, ints(4..=4));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].activated.len(), 1);
         assert_eq!(out[0].expire, 1);
-        assert_eq!(w.active_len(), 3);
-        // Oldest active row (id 0) expired; actives are 1,2,3.
-        let ids: Vec<u64> = w.active_rows().map(|r| r.raw()).collect();
-        assert_eq!(ids, vec![1, 2, 3]);
+        // The oldest active row expired; actives are 2, 3, 4.
+        assert_eq!(rows, Rows::from(ints(2..=4)));
     }
 
     #[test]
     fn tumbling_window_replaces_everything() {
         let mut w = WindowState::new(spec(2, 2)).unwrap();
-        let mut next = 0;
-        let out = drive(&mut w, (1..=2).map(|i| tuple![i as i64]).collect(), &mut next);
+        let mut rows = Rows::new();
+        let out = drive(&mut w, &mut rows, ints(1..=2));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].expire, 0);
-        let out = drive(&mut w, (3..=4).map(|i| tuple![i as i64]).collect(), &mut next);
+        let out = drive(&mut w, &mut rows, ints(3..=4));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].expire, 2);
-        assert_eq!(w.active_len(), 2);
+        assert_eq!(rows, Rows::from(ints(3..=4)));
     }
 
     #[test]
     fn big_batch_unlocks_multiple_slides() {
         let mut w = WindowState::new(spec(2, 1)).unwrap();
-        let mut next = 0;
+        let mut rows = Rows::new();
         // 5 tuples: first window (2), then 3 more slides.
-        let out = drive(&mut w, (1..=5).map(|i| tuple![i as i64]).collect(), &mut next);
+        let out = drive(&mut w, &mut rows, ints(1..=5));
         assert_eq!(out.len(), 4);
-        assert_eq!(w.active_len(), 2);
         assert_eq!(w.staged_len(), 0);
-        let ids: Vec<u64> = w.active_rows().map(|r| r.raw()).collect();
-        assert_eq!(ids, vec![3, 4]);
-        assert_eq!(w.activated_total(), 5);
+        assert_eq!(rows, Rows::from(ints(4..=5)));
+        w.check(rows.len()).unwrap();
+    }
+
+    #[test]
+    fn check_names_a_window_past_its_size_or_with_a_slide_pending() {
+        let mut w = WindowState::new(spec(3, 1)).unwrap();
+        w.check(3).unwrap();
+        assert!(w.check(4).unwrap_err().to_string().contains("window w"));
+        w.stage(ints(1..=1));
+        assert!(w.check(3).is_err(), "one staged tuple slides a full window");
+        w.check(0).unwrap();
     }
 
     #[test]
     fn codec_roundtrip() {
         let mut w = WindowState::new(spec(3, 2)).unwrap();
-        let mut next = 10;
-        drive(&mut w, (1..=4).map(|i| tuple![i as i64]).collect(), &mut next);
+        drive(&mut w, &mut Rows::new(), ints(1..=4));
+        assert_eq!(w.staged_len(), 1);
         let mut e = Encoder::new();
         w.encode(&mut e);
         let bytes = e.finish();
@@ -1005,79 +871,49 @@ mod tests {
         assert_eq!(got, w);
     }
 
-    /// Satellite regression: after `undo_slide` rewinds the *first*
-    /// slide of a window, the refill requirement must be `size` again
-    /// (not `slide`), and `activated_total` must not double-count
-    /// across abort → retry. Oracle: a fresh window replaying only the
-    /// committed operations.
+    /// After `undo_slide` rewinds the *first* slide of a window (and
+    /// the abort empties its table again), the refill requirement must
+    /// be `size` again, not `slide`. Oracle: a fresh window replaying
+    /// only the committed operations.
     #[test]
     fn first_slide_abort_then_retry_matches_fresh_replay() {
         let mut w = WindowState::new(spec(3, 1)).unwrap();
-        let mut next = 0;
         // Txn 1: stage 3, slide once — then abort (undo in reverse).
-        w.stage((1..=3).map(|i| tuple![i as i64]));
-        let o = w.next_slide().unwrap();
+        w.stage(ints(1..=3));
+        let o = w.next_slide(0).unwrap();
         assert_eq!(o.activated.len(), 3, "first slide fills with size");
-        apply(&mut w, &o, &mut next);
-        // Abort: undo the slide, then the stage (newest-first).
-        let expired = Vec::new(); // first slide expires nothing
-        w.undo_slide(expired, o.activated.len(), o.activated.clone());
+        w.undo_slide(o.activated);
         w.undo_stage(3);
         assert_eq!(w.staged_len(), 0);
-        assert_eq!(w.active_len(), 0);
-        assert_eq!(w.activated_total(), 0, "aborted activations not counted");
-        // After the rewind the window must again demand a FULL extent.
+        // The window must again demand a FULL extent.
         w.stage([tuple![9i64]]);
-        assert!(!w.can_slide(), "refill after first-slide undo requires size, not slide");
-        assert!(w.next_slide().is_none());
+        assert!(!w.can_slide(0), "refill after first-slide undo requires size, not slide");
+        assert!(w.next_slide(0).is_none());
         // Txn 2 (committed): stage 2 more, slide.
-        let out = drive(&mut w, vec![tuple![10i64], tuple![11i64]], &mut next);
+        let mut rows = Rows::new();
+        let out = drive(&mut w, &mut rows, ints(10..=11));
         assert_eq!(out.len(), 1);
         // Oracle: fresh window that only ever saw the committed txns.
         let mut oracle = WindowState::new(spec(3, 1)).unwrap();
-        let mut onext = 0;
+        let mut orows = Rows::new();
         oracle.stage([tuple![9i64]]);
-        drive(&mut oracle, vec![tuple![10i64], tuple![11i64]], &mut onext);
-        assert_eq!(w.staged_len(), oracle.staged_len());
-        assert_eq!(w.active_len(), oracle.active_len());
-        assert_eq!(w.activated_total(), oracle.activated_total());
+        drive(&mut oracle, &mut orows, ints(10..=11));
+        assert_eq!(w, oracle);
+        assert_eq!(rows, orows);
     }
 
     #[test]
-    fn decode_rejects_bad_spec() {
-        let w = WindowState {
-            spec: spec(3, 2),
-            staging: VecDeque::new(),
-            active: VecDeque::new(),
-            activated_total: 0,
-        };
-        let mut e = Encoder::new();
-        w.encode(&mut e);
-        let mut bytes = e.finish();
-        // Corrupt the slide varint (size=3 slide=2: find and break it) —
-        // easier: craft truncated input.
-        bytes.truncate(4);
-        assert!(WindowState::decode(&mut Decoder::new(&bytes)).is_err());
-    }
-
-    #[test]
-    fn decode_overflows_name_the_window() {
-        // Satellite regression: a corrupt count close to the byte
-        // length must fail fast with a window-specific error, not
-        // over-allocate and die deep in tuple decode.
+    fn decode_rejects_truncation_naming_the_window() {
         let mut w = WindowState::new(spec(3, 2)).unwrap();
-        let mut next = 0;
-        drive(&mut w, (1..=4).map(|i| tuple![i as i64]).collect(), &mut next);
+        w.stage(ints(1..=2));
         let mut e = Encoder::new();
         w.encode(&mut e);
         let bytes = e.finish();
-        // Find the nactive varint: re-encode without active entries to
-        // locate the offset. Active ids are 8-byte u64s, so a count of
-        // remaining/8 + 1 passes a bytes-only guard but not ours.
-        // Easier: corrupt by truncating right after the active count
-        // and checking the message.
-        let cut = bytes.len() - 8 * w.active_len();
-        let err = WindowState::decode(&mut Decoder::new(&bytes[..cut + 3])).unwrap_err();
+        assert!(WindowState::decode(&mut Decoder::new(&bytes[..4])).is_err());
+        // Cut inside the staged tuples: a count the bytes cannot cover
+        // fails fast with a window-specific error, not deep in tuple
+        // decode.
+        let err = WindowState::decode(&mut Decoder::new(&bytes[..bytes.len() - 3])).unwrap_err();
         assert!(err.to_string().contains("window w"), "error must name the window: {err}");
     }
 
@@ -1096,46 +932,49 @@ mod tests {
         }
     }
 
-    /// Emulates the EE: stage a batch, advance the watermark, apply all
-    /// slides. Returns the fired outcomes.
-    fn tdrive(
-        w: &mut TimeWindowState,
-        tuples: Vec<(i64, Tuple)>,
-        wm: i64,
-        next_row: &mut u64,
-    ) -> Vec<TimeSlideOutcome> {
-        for (ts, t) in tuples {
+    /// What `tdrive` did with a batch besides staging it.
+    #[derive(Default)]
+    struct Driven {
+        slides: Vec<TimeSlideOutcome>,
+        merged: usize,
+        dropped: usize,
+    }
+
+    /// Emulates the EE: classify a batch (a merge inserts a row, which
+    /// draws the next id), advance the watermark, apply all slides —
+    /// every row that enters or leaves the table is reported to the
+    /// window, as the EE's table primitives do.
+    fn tdrive(w: &mut TimeWindowState, tuples: Vec<i64>, wm: i64, next_row: &mut u64) -> Driven {
+        let mut insert = |w: &mut TimeWindowState, ts: i64| {
+            w.row_inserted(ts, RowId(*next_row));
+            *next_row += 1;
+        };
+        let mut out = Driven::default();
+        for ts in tuples {
             match w.classify(ts) {
-                TimeArrival::Staged => w.stage(ts, t),
+                TimeArrival::Staged => w.stage(ts, tuple![ts]),
                 TimeArrival::MergeIntoActive => {
-                    let id = RowId(*next_row);
-                    *next_row += 1;
-                    w.record_merge(ts, id);
+                    insert(w, ts);
+                    out.merged += 1;
                 }
-                TimeArrival::DroppedLate => w.record_drop(),
+                TimeArrival::DroppedLate => out.dropped += 1,
             }
         }
         w.advance_watermark(wm);
-        let mut out = Vec::new();
         while let Some(o) = w.next_slide() {
-            w.take_expired(o.expire);
-            let entries: Vec<(i64, RowId)> = o
-                .activated
-                .iter()
-                .map(|(ts, _)| {
-                    let id = RowId(*next_row);
-                    *next_row += 1;
-                    (*ts, id)
-                })
-                .collect();
-            w.record_activation(entries);
-            out.push(o);
+            for (ts, row) in &o.expired {
+                w.row_deleted(*ts, *row);
+            }
+            for (ts, _) in &o.activated {
+                insert(w, *ts);
+            }
+            out.slides.push(o);
         }
         out
     }
 
-    fn ts_tuple(ts: i64) -> (i64, Tuple) {
-        (ts, tuple![ts])
+    fn active_ts(w: &TimeWindowState) -> Vec<i64> {
+        w.active().map(|(ts, _)| ts).collect()
     }
 
     #[test]
@@ -1161,29 +1000,27 @@ mod tests {
         let mut w = TimeWindowState::new(tspec(30, 30, 0)).unwrap();
         let mut next = 0;
         // Data up to ts 29, watermark 29: nothing fires.
-        let out = tdrive(&mut w, vec![ts_tuple(5), ts_tuple(29), ts_tuple(12)], 29, &mut next);
+        let out = tdrive(&mut w, vec![5, 29, 12], 29, &mut next).slides;
         assert!(out.is_empty());
         assert_eq!(w.staged_len(), 3);
-        assert_eq!(w.active_len(), 0);
+        assert_eq!(w.active().count(), 0);
         // Watermark passes 30: extent [0, 30) fires with the 3 tuples.
-        let out = tdrive(&mut w, vec![ts_tuple(31)], 31, &mut next);
+        let out = tdrive(&mut w, vec![31], 31, &mut next).slides;
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].start, 0);
         assert_eq!(out[0].end, 30);
-        assert_eq!(out[0].activated.len(), 3);
         // Out-of-order within staging: activation is in ts order.
         let ts: Vec<i64> = out[0].activated.iter().map(|(t, _)| *t).collect();
         assert_eq!(ts, vec![5, 12, 29]);
-        assert_eq!(out[0].expire, 0);
-        assert_eq!(w.active_len(), 3);
+        assert!(out[0].expired.is_empty());
+        assert_eq!(active_ts(&w), vec![5, 12, 29]);
         assert_eq!(w.staged_len(), 1, "ts 31 stays staged for [30, 60)");
         // Next extent replaces everything (tumbling).
-        let out = tdrive(&mut w, vec![], 60, &mut next);
+        let out = tdrive(&mut w, vec![], 60, &mut next).slides;
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].expire, 3);
+        assert_eq!(out[0].expired.len(), 3);
         assert_eq!(out[0].activated.len(), 1);
-        assert_eq!(w.active_len(), 1);
-        assert_eq!(w.activated_total(), 4);
+        assert_eq!(active_ts(&w), vec![31]);
     }
 
     #[test]
@@ -1193,23 +1030,18 @@ mod tests {
         // Tuples at 5, 15, 25; watermark 30. The earliest pane-aligned
         // extent containing ts 5 is [-10, 10); then [0, 20), [10, 30)
         // fire as the ramp-up, Flink-style.
-        let out = tdrive(
-            &mut w,
-            vec![ts_tuple(5), ts_tuple(15), ts_tuple(25)],
-            30,
-            &mut next,
-        );
+        let out = tdrive(&mut w, vec![5, 15, 25], 30, &mut next).slides;
         assert_eq!(out.len(), 3);
         assert_eq!((out[0].start, out[0].end), (-10, 10));
         assert_eq!(out[0].activated.len(), 1); // ts 5
-        assert_eq!(out[0].expire, 0);
+        assert!(out[0].expired.is_empty());
         assert_eq!((out[1].start, out[1].end), (0, 20));
         assert_eq!(out[1].activated.len(), 1); // ts 15
-        assert_eq!(out[1].expire, 0);
+        assert!(out[1].expired.is_empty());
         assert_eq!((out[2].start, out[2].end), (10, 30));
         assert_eq!(out[2].activated.len(), 1); // ts 25
-        assert_eq!(out[2].expire, 1); // ts 5 leaves
-        assert_eq!(w.active_len(), 2); // ts 15, 25
+        assert_eq!(out[2].expired, vec![(5, RowId(0))]); // ts 5 leaves
+        assert_eq!(active_ts(&w), vec![15, 25]);
     }
 
     #[test]
@@ -1217,38 +1049,50 @@ mod tests {
         // Tumbling 30 with lateness 10.
         let mut w = TimeWindowState::new(tspec(30, 30, 10)).unwrap();
         let mut next = 0;
-        tdrive(&mut w, vec![ts_tuple(10), ts_tuple(20)], 35, &mut next);
-        assert_eq!(w.active_len(), 2, "extent [0,30) active");
+        tdrive(&mut w, vec![10, 20], 35, &mut next);
+        assert_eq!(active_ts(&w), vec![10, 20], "extent [0,30) active");
         // ts 28 is behind the next extent [30, 60) but inside the
         // active one, and 35 - 28 = 7 ≤ lateness → merge.
         assert_eq!(w.classify(28), TimeArrival::MergeIntoActive);
-        tdrive(&mut w, vec![ts_tuple(28)], 35, &mut next);
-        assert_eq!(w.active_len(), 3);
-        assert_eq!(w.late_merged(), 1);
+        assert_eq!(tdrive(&mut w, vec![28], 35, &mut next).merged, 1);
+        assert_eq!(active_ts(&w), vec![10, 20, 28]);
         // Watermark far ahead: ts 29 is now beyond lateness → dropped.
         tdrive(&mut w, vec![], 45, &mut next);
         assert_eq!(w.classify(29), TimeArrival::DroppedLate);
-        tdrive(&mut w, vec![ts_tuple(29)], 45, &mut next);
-        assert_eq!(w.late_dropped(), 1);
-        assert_eq!(w.active_len(), 3, "dropped tuple never lands");
+        assert_eq!(tdrive(&mut w, vec![29], 45, &mut next).dropped, 1);
+        assert_eq!(active_ts(&w), vec![10, 20, 28], "dropped tuple never lands");
+    }
+
+    /// Equal timestamps expire in row-id order — arrival order, the
+    /// order the `(ts, seq)` keys this set replaced gave.
+    #[test]
+    fn equal_timestamps_order_by_row_id() {
+        let mut w = TimeWindowState::new(tspec(30, 30, 20)).unwrap();
+        let mut next = 0;
+        tdrive(&mut w, vec![20, 10, 20], 35, &mut next);
+        assert_eq!(tdrive(&mut w, vec![20], 36, &mut next).merged, 1); // the newest id
+        let got: Vec<(i64, RowId)> = w.active().collect();
+        assert_eq!(got, vec![(10, RowId(0)), (20, RowId(1)), (20, RowId(2)), (20, RowId(3))]);
+        let out = tdrive(&mut w, vec![], 60, &mut next).slides;
+        assert_eq!(out[0].expired, got);
     }
 
     #[test]
     fn empty_window_fast_forwards_without_firing() {
         let mut w = TimeWindowState::new(tspec(30, 30, 0)).unwrap();
         let mut next = 0;
-        tdrive(&mut w, vec![ts_tuple(5)], 31, &mut next);
-        assert_eq!(w.active_len(), 1);
+        tdrive(&mut w, vec![5], 31, &mut next);
+        assert_eq!(active_ts(&w), vec![5]);
         // Jump the watermark across many empty extents: the one
         // non-trivial slide expires the active tuple; no per-extent
         // busywork for the rest.
-        let out = tdrive(&mut w, vec![], 1_000_000, &mut next);
+        let out = tdrive(&mut w, vec![], 1_000_000, &mut next).slides;
         assert_eq!(out.len(), 1, "only the expiring extent fires");
-        assert_eq!(out[0].expire, 1);
+        assert_eq!(out[0].expired.len(), 1);
         assert!(out[0].activated.is_empty());
-        assert_eq!(w.active_len(), 0);
+        assert_eq!(w.active().count(), 0);
         // A later tuple starts a fresh extent at its own pane.
-        let out = tdrive(&mut w, vec![ts_tuple(1_000_010)], 1_000_030, &mut next);
+        let out = tdrive(&mut w, vec![1_000_010], 1_000_030, &mut next).slides;
         assert_eq!(out.len(), 1);
         assert_eq!((out[0].start, out[0].end), (999_990, 1_000_020));
     }
@@ -1257,59 +1101,61 @@ mod tests {
     fn time_undo_slide_restores_staging_and_extent_cursor() {
         let mut w = TimeWindowState::new(tspec(30, 30, 0)).unwrap();
         let mut next = 0;
-        tdrive(&mut w, vec![ts_tuple(5), ts_tuple(12)], 20, &mut next);
+        tdrive(&mut w, vec![5, 12], 20, &mut next);
         let snapshot = w.clone();
-        // A slide txn begins: watermark passes, one slide applies, then
-        // the txn aborts.
+        // A slide txn begins: watermark passes, one slide is computed,
+        // then the txn aborts before (or after — the table's effects
+        // undo those) any row moved.
         w.advance_watermark(31);
         let o = w.next_slide().unwrap();
-        let expired = w.take_expired(o.expire);
-        let entries: Vec<(i64, RowId)> = o
-            .activated
-            .iter()
-            .map(|(ts, _)| {
-                let id = RowId(next);
-                next += 1;
-                (*ts, id)
-            })
-            .collect();
-        let keys = w.record_activation(entries);
-        w.undo_slide(expired, keys, o.activated.clone(), o.prev_next_end, o.prev_fired);
-        // Watermark advance survives the abort (it is commit-derived
-        // state), but staging, active set, the extent cursor, AND the
-        // first-fire classification are back to the pre-slide snapshot
-        // — the whole state must equal the snapshot again.
-        assert_eq!(w.staged_len(), snapshot.staged_len());
-        assert_eq!(w.active_len(), snapshot.active_len());
-        assert_eq!(w.next_end(), snapshot.next_end());
-        assert_eq!(w.activated_total(), snapshot.activated_total());
-        {
-            let mut rewound = w.clone();
-            rewound.watermark = snapshot.watermark;
-            assert_eq!(rewound, snapshot, "undo of the first slide restores `fired` too");
-        }
+        w.undo_slide(o.activated, o.prev_next_end, o.prev_fired);
+        // The watermark advance survives the abort (it is commit-derived
+        // state); staging, the extent cursor AND the first-fire
+        // classification are back — the whole state equals the snapshot.
+        let mut rewound = w.clone();
+        rewound.watermark = snapshot.watermark;
+        assert_eq!(rewound, snapshot, "undo of the first slide restores `fired` too");
         // Retry slides cleanly.
-        let out = tdrive(&mut w, vec![], 31, &mut next);
+        let out = tdrive(&mut w, vec![], 31, &mut next).slides;
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].activated.len(), 2);
     }
 
     #[test]
-    fn time_codec_roundtrip_tagged() {
+    fn time_check_compares_the_set_with_the_rows_and_staging_with_the_cursor() {
+        let mut w = TimeWindowState::new(tspec(30, 30, 0)).unwrap();
+        let mut next = 0;
+        tdrive(&mut w, vec![5, 12, 40], 31, &mut next);
+        let rows: Vec<(i64, RowId)> = w.active().collect();
+        w.check(rows.iter().copied()).unwrap();
+        let err = w.check(rows[1..].iter().copied()).unwrap_err();
+        assert!(err.to_string().contains("window tw"), "{err}");
+        // Something staged that every future extent has passed.
+        w.staging.insert(3, vec![tuple![3i64]]);
+        assert!(w.check(rows.iter().copied()).is_err());
+    }
+
+    #[test]
+    fn time_codec_roundtrip_tagged_leaves_the_set_to_the_rebuild() {
         let mut w = TimeWindowState::new(tspec(30, 10, 5)).unwrap();
         let mut next = 0;
-        tdrive(&mut w, vec![ts_tuple(3), ts_tuple(17), ts_tuple(31)], 33, &mut next);
-        tdrive(&mut w, vec![ts_tuple(2)], 40, &mut next); // a drop
+        tdrive(&mut w, vec![3, 17, 31, 50], 33, &mut next);
+        tdrive(&mut w, vec![2], 40, &mut next); // a drop
+        let rows: Vec<(i64, RowId)> = w.active().collect();
+        assert!(!rows.is_empty() && w.staged_len() > 0);
         let slot = WindowSlot::Time(w);
         let mut e = Encoder::new();
         slot.encode(&mut e);
         let bytes = e.finish();
-        let got = WindowSlot::decode(&mut Decoder::new(&bytes)).unwrap();
-        assert_eq!(got, slot);
+        let WindowSlot::Time(mut got) = WindowSlot::decode(&mut Decoder::new(&bytes)).unwrap() else {
+            panic!("a time window");
+        };
+        assert_eq!(got.active().count(), 0, "the set is in no image");
+        got.rebuild_active(rows.into_iter());
+        assert_eq!(WindowSlot::Time(got), slot);
         // Tuple windows roundtrip through the same tagged wrapper.
         let mut tw = WindowState::new(spec(3, 2)).unwrap();
-        let mut n2 = 0;
-        drive(&mut tw, (1..=4).map(|i| tuple![i as i64]).collect(), &mut n2);
+        drive(&mut tw, &mut Rows::new(), ints(1..=4));
         let slot = WindowSlot::Tuple(tw);
         let mut e = Encoder::new();
         slot.encode(&mut e);
@@ -1324,15 +1170,14 @@ mod tests {
     #[test]
     fn time_decode_overallocation_guard_names_window() {
         let mut w = TimeWindowState::new(tspec(30, 30, 0)).unwrap();
-        let mut next = 0;
-        tdrive(&mut w, vec![ts_tuple(1), ts_tuple(2)], 31, &mut next);
+        w.stage(1, tuple![1i64]);
+        w.stage(2, tuple![2i64]);
         let mut e = Encoder::new();
         w.encode(&mut e);
         let bytes = e.finish();
-        // Truncate inside the active section: the 24-byte-per-entry
+        // Truncate inside the staging section: the 9-bytes-per-bucket
         // bound must fail fast, naming the window.
-        let cut = bytes.len() - 24 * w.active_len();
-        let err = TimeWindowState::decode(&mut Decoder::new(&bytes[..cut + 5])).unwrap_err();
+        let err = TimeWindowState::decode(&mut Decoder::new(&bytes[..bytes.len() - 12])).unwrap_err();
         assert!(err.to_string().contains("window tw"), "got: {err}");
     }
 }

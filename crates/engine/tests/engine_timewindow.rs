@@ -203,16 +203,12 @@ fn window_section_byte_flips_fail_cleanly() {
         }
     }
     assert!(outcomes.0 > 0, "some flips must be caught ({outcomes:?})");
-    // Corrupt the staging-count varint specifically: make it a huge
-    // value that a bytes-remaining-only guard would wave through. The
-    // staging section starts right after the fixed-width counters; a
-    // 5-byte varint ≫ remaining bytes must fail *naming the window*.
+    // The staging section ends the image (the active rows are the
+    // table's, encoded with it): truncate inside it — a count its
+    // bytes cannot cover, or a tuple cut short — and the error must
+    // carry the window's name.
     let mut ck = clean.clone();
     let img = &mut ck.ee_image;
-    // Find the staging count: re-encoding the clean window with an
-    // inflated count is fiddly, so instead truncate the image inside
-    // the window's active section — the ≥24-bytes-per-entry bound
-    // fires, and the error must carry the window's name.
     img.truncate(img.len() - 8);
     write_checkpoint(&path, &ck).unwrap();
     let err = match recover(cfg.clone(), twapp()) {
@@ -322,18 +318,25 @@ fn lrapp() -> App {
         .unwrap()
 }
 
-/// Drives two 80-row panes (80 ≥ COLUMNAR_MIN_ROWS, so the slide
-/// trigger's scan is columnar-eligible) plus a closer tuple, and
-/// returns the seg_stats rows.
-fn lr_run(rowwise: bool) -> (Vec<sstore_common::Tuple>, u64, u64) {
-    if rowwise {
-        sstore_sql::vexec::force_rowwise(true);
-    }
+/// Two 80-row panes (80 ≥ COLUMNAR_MIN_ROWS, so the slide trigger's
+/// scan is columnar-eligible) plus a closer tuple: the slide trigger's
+/// GROUP BY goes through the columnar window path and writes what a
+/// plain fold of the input says. (That the two executors agree on every
+/// plan is `prop_columnar` / `edge_semantics`' to check, through the
+/// two entry points.)
+#[test]
+fn slide_trigger_grouping_scans_its_extent_columnar() {
     let engine = Engine::start(EngineConfig::default(), lrapp()).unwrap();
+    // (wid, seg) → (cnt, total): wid is the pane's MIN(ts) per segment.
+    let mut want = std::collections::BTreeMap::<(i64, i64), (i64, i64)>::new();
     for pane in 0..2i64 {
-        let batch: Vec<_> = (0..80i64)
-            .map(|i| tuple![pane * 100 + i, i % 4, (i * 7 + pane) % 50])
-            .collect();
+        let mut batch = Vec::new();
+        for i in 0..80i64 {
+            let (ts, seg, spd) = (pane * 100 + i, i % 4, (i * 7 + pane) % 50);
+            batch.push(tuple![ts, seg, spd]);
+            let group = want.entry((pane * 100 + seg, seg)).or_default();
+            *group = (group.0 + 1, group.1 + spd);
+        }
         engine.ingest("cars", batch).unwrap();
     }
     engine.ingest("cars", vec![tuple![250i64, 0i64, 1i64]]).unwrap();
@@ -342,32 +345,14 @@ fn lr_run(rowwise: bool) -> (Vec<sstore_common::Tuple>, u64, u64) {
         .query(0, "SELECT wid, seg, cnt, total FROM seg_stats ORDER BY wid, seg", vec![])
         .unwrap()
         .rows;
-    let m = engine.metrics();
-    let window_batches = EngineMetrics::get(&m.columnar_window_batches);
-    let disabled_fallbacks = EngineMetrics::get(&m.columnar_fallback_disabled);
-    engine.shutdown();
-    if rowwise {
-        sstore_sql::vexec::force_rowwise(false);
-    }
-    (rows, window_batches, disabled_fallbacks)
-}
-
-#[test]
-fn slide_trigger_grouping_identical_columnar_on_and_off() {
-    let (col_rows, col_batches, _) = lr_run(false);
-    let (row_rows, row_batches, row_disabled) = lr_run(true);
     // Two panes × four segments, each group 20 rows.
-    assert_eq!(col_rows.len(), 8);
-    assert!(col_rows.iter().all(|t| t.get(2).as_int().unwrap() == 20));
-    // Replay determinism: the slide trigger's GROUP BY writes the same
-    // seg_stats rows whether the extent scan was columnar or row-wise.
-    assert_eq!(col_rows, row_rows);
-    // And the instrumentation proves which path ran: the columnar run
-    // scanned window extents in batches, the forced-row-wise run noted
-    // kill-switch fallbacks instead.
-    assert!(col_batches >= 2, "slide scans must go columnar: {col_batches}");
-    assert_eq!(row_batches, 0, "forced row-wise run must not batch");
-    assert!(row_disabled >= 2, "kill-switch fallbacks must be counted: {row_disabled}");
+    let want: Vec<_> =
+        want.into_iter().map(|((wid, seg), (cnt, total))| tuple![wid, seg, cnt, total]).collect();
+    assert_eq!(want.len(), 8);
+    assert_eq!(rows, want);
+    let batches = EngineMetrics::get(&engine.metrics().columnar_window_batches);
+    assert!(batches >= 2, "slide scans must go columnar: {batches}");
+    engine.shutdown();
 }
 
 #[test]

@@ -83,12 +83,12 @@ proptest! {
 /// phases read deltas from zero and rely on it.
 #[test]
 fn reset_clears_every_public_counter_histogram_and_shed() {
-    fn counters(m: &EngineMetrics) -> [&AtomicU64; 31] {
+    fn counters(m: &EngineMetrics) -> [&AtomicU64; 30] {
         [
             &m.txns_committed, &m.txns_aborted, &m.workflows_completed, &m.log_records,
             &m.log_flushes, &m.ee_round_trips, &m.pe_trigger_fires, &m.ee_trigger_fires,
             &m.columnar_batches, &m.columnar_window_batches, &m.columnar_fallback_small,
-            &m.columnar_fallback_shape, &m.columnar_fallback_disabled, &m.adhoc_plan_hits,
+            &m.columnar_fallback_shape, &m.adhoc_plan_hits,
             &m.adhoc_plan_misses, &m.exchange_sends_started, &m.exchange_sends,
             &m.exchange_batches, &m.exchange_dups_dropped, &m.window_slides,
             &m.window_late_merged, &m.window_late_dropped, &m.shed_batches, &m.log_segments,

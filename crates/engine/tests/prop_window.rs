@@ -5,8 +5,17 @@
 //! beyond-lateness drops. The references replay pane-by-pane with
 //! plain vector scans — no sharing of the production code's shortcuts
 //! (extent fast-forwarding, BTreeMap keying, operation-level undo).
+//!
+//! The backing table is emulated as the EE uses it: an id-ordered map
+//! that issues ascending ids, whose length is the tuple window's active
+//! count and whose first ids are its oldest rows; every row that enters
+//! or leaves a time window's table is reported to the window, and an
+//! abort undoes the table's effects newest-first before the window's
+//! own records. After every transaction the window ↔ table invariant
+//! (`check`) must hold.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+
 
 use proptest::prelude::*;
 use sstore_common::{tuple, RowId, Tuple};
@@ -23,7 +32,6 @@ struct RefTuple {
     slide: usize,
     staged: Vec<i64>,
     active: Vec<i64>,
-    activated_total: u64,
 }
 
 impl RefTuple {
@@ -35,7 +43,6 @@ impl RefTuple {
                 break;
             }
             let moved: Vec<i64> = self.staged.drain(..needed).collect();
-            self.activated_total += moved.len() as u64;
             self.active.extend(moved);
             let over = self.active.len().saturating_sub(self.size);
             self.active.drain(..over);
@@ -43,56 +50,76 @@ impl RefTuple {
     }
 }
 
-/// One applied operation of a "transaction", recorded for undo — the
-/// same discipline the EE's window_undo stack uses.
+/// One mutation of the emulated table, recorded for undo as the EE's
+/// effect list records them.
+enum Effect<V> {
+    Inserted(u64),
+    Deleted(u64, V),
+}
+
+/// The emulated backing table: id-ordered rows, ids issued ascending
+/// and never reissued, every mutation an [`Effect`].
+struct Table<V> {
+    rows: BTreeMap<u64, V>,
+    next_id: u64,
+}
+
+impl<V: Clone> Table<V> {
+    fn new() -> Self {
+        Table { rows: BTreeMap::new(), next_id: 0 }
+    }
+
+    fn insert(&mut self, v: V, effects: &mut Vec<Effect<V>>) -> RowId {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.rows.insert(id, v);
+        effects.push(Effect::Inserted(id));
+        RowId(id)
+    }
+
+    fn delete(&mut self, id: RowId, effects: &mut Vec<Effect<V>>) -> V {
+        let v = self.rows.remove(&id.raw()).expect("expired row in table");
+        effects.push(Effect::Deleted(id.raw(), v.clone()));
+        v
+    }
+}
+
+/// One applied window operation of a "transaction", recorded for undo —
+/// the same discipline the EE's window_undo stack uses.
 enum TupleOp {
     Staged(usize),
-    Slid { expired: Vec<(RowId, i64)>, activated: Vec<RowId>, restaged: Vec<Tuple> },
+    Slid { restaged: Vec<Tuple> },
 }
 
 /// Runs one transaction (stage + all unlocked slides) against the real
-/// state machine plus an emulated backing table; undoes everything in
-/// reverse when `abort`.
-fn run_tuple_txn(
-    w: &mut WindowState,
-    table: &mut HashMap<u64, i64>,
-    next_id: &mut u64,
-    vals: &[i64],
-    abort: bool,
-) {
+/// state machine plus the emulated backing table; undoes everything —
+/// table effects, then window records, each newest-first — when `abort`.
+fn run_tuple_txn(w: &mut WindowState, table: &mut Table<i64>, vals: &[i64], abort: bool) {
     let mut ops: Vec<TupleOp> = Vec::new();
-    w.stage(vals.iter().map(|v| tuple![*v]));
+    let mut effects = Vec::new();
     ops.push(TupleOp::Staged(vals.len()));
-    while let Some(o) = w.next_slide() {
-        let exp_ids = w.take_expired(o.expire);
-        let expired: Vec<(RowId, i64)> = exp_ids
-            .iter()
-            .map(|id| (*id, table.remove(&id.raw()).expect("expired row in table")))
-            .collect();
-        let mut ids = Vec::with_capacity(o.activated.len());
-        for t in &o.activated {
-            let id = RowId(*next_id);
-            *next_id += 1;
-            table.insert(id.raw(), t.get(0).as_int().unwrap());
-            ids.push(id);
+    w.stage(vals.iter().map(|v| tuple![*v]));
+    while let Some(o) = w.next_slide(table.rows.len()) {
+        ops.push(TupleOp::Slid { restaged: o.activated.clone() });
+        let oldest: Vec<u64> = table.rows.keys().take(o.expire).copied().collect();
+        for id in oldest {
+            table.delete(RowId(id), &mut effects);
         }
-        w.record_activation(ids.clone());
-        ops.push(TupleOp::Slid { expired, activated: ids, restaged: o.activated });
+        for t in &o.activated {
+            table.insert(t.get(0).as_int().unwrap(), &mut effects);
+        }
     }
     if abort {
+        for e in effects.into_iter().rev() {
+            match e {
+                Effect::Inserted(id) => assert!(table.rows.remove(&id).is_some()),
+                Effect::Deleted(id, v) => assert!(table.rows.insert(id, v).is_none()),
+            }
+        }
         for op in ops.into_iter().rev() {
             match op {
                 TupleOp::Staged(n) => w.undo_stage(n),
-                TupleOp::Slid { expired, activated, restaged } => {
-                    for id in &activated {
-                        table.remove(&id.raw());
-                    }
-                    for (id, v) in &expired {
-                        table.insert(id.raw(), *v);
-                    }
-                    let exp_ids: Vec<RowId> = expired.iter().map(|(id, _)| *id).collect();
-                    w.undo_slide(exp_ids, activated.len(), restaged);
-                }
+                TupleOp::Slid { restaged } => w.undo_slide(restaged),
             }
         }
     }
@@ -114,9 +141,6 @@ struct RefTime {
     wm: Option<i64>,
     next_end: Option<i64>,
     fired: bool,
-    late_merged: u64,
-    late_dropped: u64,
-    activated_total: u64,
 }
 
 impl RefTime {
@@ -149,9 +173,6 @@ impl RefTime {
         let wm = self.wm.unwrap_or(i64::MIN);
         if ts >= active_start && wm - ts <= self.lateness {
             self.active.push((ts, v));
-            self.late_merged += 1;
-        } else {
-            self.late_dropped += 1;
         }
     }
 
@@ -178,7 +199,6 @@ impl RefTime {
             }
             self.staged = keep;
             activated.sort_by_key(|(ts, _)| *ts); // arrival order ties preserved (stable)
-            self.activated_total += activated.len() as u64;
             self.active.retain(|(ts, _)| *ts >= s);
             self.active.extend(activated);
             self.active.sort_by_key(|(ts, _)| *ts); // stable: equal-ts keep arrival order
@@ -188,123 +208,81 @@ impl RefTime {
 }
 
 enum TimeOp {
-    Staged { keys: Vec<i64>, prev_next_end: Option<i64> },
-    Merged { ts: i64, seq: u64, id: RowId },
-    Dropped,
-    Slid {
-        expired: Vec<(i64, u64, RowId, i64)>,
-        activated: Vec<(i64, u64)>,
-        ids: Vec<RowId>,
-        restaged: Vec<(i64, Tuple)>,
-        prev_next_end: i64,
-        prev_fired: bool,
-    },
+    Staged { ts: i64, prev_next_end: Option<i64> },
+    Slid { restaged: Vec<(i64, Tuple)>, prev_next_end: i64, prev_fired: bool },
+}
+
+/// A time window's emulated table: id → (event-ts, payload).
+type TimeTable = Table<(i64, i64)>;
+
+fn insert_time(w: &mut TimeWindowState, table: &mut TimeTable, row: (i64, i64), effects: &mut Vec<Effect<(i64, i64)>>) {
+    let id = table.insert(row, effects);
+    w.row_inserted(row.0, id);
 }
 
 /// Admits one batch of (ts, payload) rows into the real state machine
 /// (with an emulated table); undoes in reverse when `abort`.
-fn admit_time(
-    w: &mut TimeWindowState,
-    table: &mut HashMap<u64, i64>,
-    next_id: &mut u64,
-    rows: &[(i64, i64)],
-    abort: bool,
-) {
+fn admit_time(w: &mut TimeWindowState, table: &mut TimeTable, rows: &[(i64, i64)], abort: bool) {
     let mut ops: Vec<TimeOp> = Vec::new();
-    let prev_next_end = w.next_end();
-    let mut staged_keys = Vec::new();
+    let mut effects = Vec::new();
     for (ts, v) in rows {
         match w.classify(*ts) {
             TimeArrival::Staged => {
+                ops.push(TimeOp::Staged { ts: *ts, prev_next_end: w.next_end() });
                 w.stage(*ts, tuple![*ts, *v]);
-                staged_keys.push(*ts);
             }
-            TimeArrival::MergeIntoActive => {
-                let id = RowId(*next_id);
-                *next_id += 1;
-                table.insert(id.raw(), *v);
-                let seq = w.record_merge(*ts, id);
-                ops.push(TimeOp::Merged { ts: *ts, seq, id });
-            }
-            TimeArrival::DroppedLate => {
-                w.record_drop();
-                ops.push(TimeOp::Dropped);
-            }
+            TimeArrival::MergeIntoActive => insert_time(w, table, (*ts, *v), &mut effects),
+            TimeArrival::DroppedLate => {}
         }
     }
-    if !staged_keys.is_empty() {
-        ops.push(TimeOp::Staged { keys: staged_keys, prev_next_end });
-    }
     if abort {
-        undo_time(w, table, ops);
+        undo_time(w, table, effects, ops);
     }
 }
 
 /// Applies all pending slides (the slide transaction); undoes them in
 /// reverse when `abort`.
-fn slide_time(
-    w: &mut TimeWindowState,
-    table: &mut HashMap<u64, i64>,
-    next_id: &mut u64,
-    abort: bool,
-) {
+fn slide_time(w: &mut TimeWindowState, table: &mut TimeTable, abort: bool) {
     let mut ops: Vec<TimeOp> = Vec::new();
+    let mut effects = Vec::new();
     while let Some(o) = w.next_slide() {
-        let expired: Vec<(i64, u64, RowId, i64)> = w
-            .take_expired(o.expire)
-            .into_iter()
-            .map(|(ts, seq, id)| {
-                let v = table.remove(&id.raw()).expect("expired row in table");
-                (ts, seq, id, v)
-            })
-            .collect();
-        let mut entries = Vec::with_capacity(o.activated.len());
-        let mut ids = Vec::with_capacity(o.activated.len());
-        let mut restaged = Vec::with_capacity(o.activated.len());
-        for (ts, t) in o.activated {
-            let id = RowId(*next_id);
-            *next_id += 1;
-            table.insert(id.raw(), t.get(1).as_int().unwrap());
-            entries.push((ts, id));
-            ids.push(id);
-            restaged.push((ts, t));
-        }
-        let activated = w.record_activation(entries);
         ops.push(TimeOp::Slid {
-            expired,
-            activated,
-            ids,
-            restaged,
+            restaged: o.activated.clone(),
             prev_next_end: o.prev_next_end,
             prev_fired: o.prev_fired,
         });
+        for (ts, id) in o.expired {
+            let (row_ts, _) = table.delete(id, &mut effects);
+            assert_eq!(row_ts, ts, "the set files a row under its own timestamp");
+            w.row_deleted(ts, id);
+        }
+        for (ts, t) in o.activated {
+            insert_time(w, table, (ts, t.get(1).as_int().unwrap()), &mut effects);
+        }
     }
     if abort {
-        undo_time(w, table, ops);
+        undo_time(w, table, effects, ops);
     }
 }
 
-fn undo_time(w: &mut TimeWindowState, table: &mut HashMap<u64, i64>, ops: Vec<TimeOp>) {
+fn undo_time(w: &mut TimeWindowState, table: &mut TimeTable, effects: Vec<Effect<(i64, i64)>>, ops: Vec<TimeOp>) {
+    for e in effects.into_iter().rev() {
+        match e {
+            Effect::Inserted(id) => {
+                let (ts, _) = table.rows.remove(&id).expect("row to undo");
+                w.row_deleted(ts, RowId(id));
+            }
+            Effect::Deleted(id, row) => {
+                assert!(table.rows.insert(id, row).is_none());
+                w.row_inserted(row.0, RowId(id));
+            }
+        }
+    }
     for op in ops.into_iter().rev() {
         match op {
-            TimeOp::Staged { keys, prev_next_end } => w.undo_stage(&keys, prev_next_end),
-            TimeOp::Merged { ts, seq, id } => {
-                table.remove(&id.raw());
-                w.undo_merge(ts, seq);
-            }
-            TimeOp::Dropped => w.undo_drop(),
-            TimeOp::Slid { expired, activated, ids, restaged, prev_next_end, prev_fired } => {
-                for id in &ids {
-                    table.remove(&id.raw());
-                }
-                let exp: Vec<(i64, u64, RowId)> = expired
-                    .iter()
-                    .map(|(ts, seq, id, v)| {
-                        table.insert(id.raw(), *v);
-                        (*ts, *seq, *id)
-                    })
-                    .collect();
-                w.undo_slide(exp, activated, restaged, prev_next_end, prev_fired);
+            TimeOp::Staged { ts, prev_next_end } => w.undo_stage(ts, prev_next_end),
+            TimeOp::Slid { restaged, prev_next_end, prev_fired } => {
+                w.undo_slide(restaged, prev_next_end, prev_fired)
             }
         }
     }
@@ -315,8 +293,8 @@ proptest! {
 
     /// Tuple windows: arbitrary stage/slide/abort interleavings leave
     /// the real state machine agreeing with the naive reference on
-    /// staging depth, active payloads (in order), and the activation
-    /// counter — aborted transactions leave no trace at all.
+    /// staging depth and its table on the active payloads (in order) —
+    /// aborted transactions leave no trace at all.
     #[test]
     fn tuple_window_matches_reference_under_aborts(
         size in 1usize..8,
@@ -329,35 +307,25 @@ proptest! {
         let slide = 1 + slide_raw % size;
         let spec = WindowSpec { name: "w".into(), owner: "p".into(), size, slide };
         let mut w = WindowState::new(spec).unwrap();
-        let mut reference = RefTuple {
-            size,
-            slide,
-            staged: Vec::new(),
-            active: Vec::new(),
-            activated_total: 0,
-        };
-        let mut table: HashMap<u64, i64> = HashMap::new();
-        let mut next_id = 0u64;
+        let mut reference = RefTuple { size, slide, staged: Vec::new(), active: Vec::new() };
+        let mut table = Table::new();
         for (vals, abort) in &txns {
-            run_tuple_txn(&mut w, &mut table, &mut next_id, vals, *abort);
+            run_tuple_txn(&mut w, &mut table, vals, *abort);
             if !*abort {
                 reference.commit(vals);
             }
             prop_assert_eq!(w.staged_len(), reference.staged.len());
-            prop_assert_eq!(w.active_len(), reference.active.len());
-            prop_assert_eq!(w.activated_total(), reference.activated_total);
-            let got: Vec<i64> =
-                w.active_rows().map(|id| table[&id.raw()]).collect();
+            let got: Vec<i64> = table.rows.values().copied().collect();
             prop_assert_eq!(&got, &reference.active, "active payloads diverged");
+            prop_assert!(w.check(table.rows.len()).is_ok());
         }
-        prop_assert_eq!(table.len(), w.active_len(), "no leaked table rows");
     }
 
     /// Time windows: out-of-order arrivals, watermark jumps, late
     /// merges, beyond-lateness drops, and aborts of both arrival and
     /// slide transactions — the real state machine tracks the naive
     /// pane-by-pane reference exactly, including the extent cursor and
-    /// the late-tuple accounting.
+    /// which late tuples land.
     #[test]
     fn time_window_matches_reference_under_disorder_and_aborts(
         size_raw in 1i64..6,
@@ -393,15 +361,11 @@ proptest! {
             wm: None,
             next_end: None,
             fired: false,
-            late_merged: 0,
-            late_dropped: 0,
-            activated_total: 0,
         };
-        let mut table: HashMap<u64, i64> = HashMap::new();
-        let mut next_id = 0u64;
+        let mut table = TimeTable::new();
         let mut wm = 0i64;
         for (rows, wm_step, abort_arrival, abort_slide) in &txns {
-            admit_time(&mut w, &mut table, &mut next_id, rows, *abort_arrival);
+            admit_time(&mut w, &mut table, rows, *abort_arrival);
             if *abort_arrival {
                 // The aborted batch never commits: the watermark does
                 // not advance and the reference never sees it.
@@ -413,25 +377,25 @@ proptest! {
             if pending && *abort_slide {
                 // A slide transaction that aborts mid-flight must be
                 // fully undone — then the retry below re-derives it.
-                slide_time(&mut w, &mut table, &mut next_id, true);
+                slide_time(&mut w, &mut table, true);
             }
-            slide_time(&mut w, &mut table, &mut next_id, false);
+            slide_time(&mut w, &mut table, false);
             reference.advance(wm);
 
             prop_assert_eq!(w.watermark(), reference.wm);
             prop_assert_eq!(w.next_end(), reference.next_end, "extent cursor diverged");
             prop_assert_eq!(w.staged_len(), reference.staged.len());
-            prop_assert_eq!(w.late_merged(), reference.late_merged);
-            prop_assert_eq!(w.late_dropped(), reference.late_dropped);
-            prop_assert_eq!(w.activated_total(), reference.activated_total);
-            // Active payload multisets (orders can differ only for
-            // equal timestamps where merges interleave with slides).
-            let mut got: Vec<i64> = w.active_rows().map(|id| table[&id.raw()]).collect();
-            let mut want: Vec<i64> = reference.active.iter().map(|(_, v)| *v).collect();
+            // Active (ts, payload) multisets: a late tuple the reference
+            // merged is in the table, one it dropped is not.
+            let mut got: Vec<(i64, i64)> = table.rows.values().copied().collect();
+            let mut want = reference.active.clone();
             got.sort();
             want.sort();
-            prop_assert_eq!(&got, &want, "active payloads diverged");
+            prop_assert_eq!(&got, &want, "active rows diverged");
+            // The set is the table's rows, and expires them by timestamp.
+            let keyed = table.rows.iter().map(|(id, (ts, _))| (*ts, RowId(*id)));
+            prop_assert!(w.check(keyed).is_ok());
+            prop_assert!(w.active().is_sorted());
         }
-        prop_assert_eq!(table.len(), w.active_len(), "no leaked table rows");
     }
 }

@@ -7,8 +7,9 @@
 //! `restore_chain` into a fresh engine. After every transaction each
 //! statement, run as the engine runs it (planned to read the group index,
 //! inside a transaction), must equal the same plan forced to scan — rows
-//! identical bit for bit, an error exactly when the scan has one — and
-//! every group index must equal a recomputation from its window's rows.
+//! identical bit for bit, an error exactly when the scan has one —
+//! every group index must equal a recomputation from its window's rows,
+//! and every window must agree with its table (`verify_window`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -131,6 +132,7 @@ fn check(ee: &mut ExecutionEngine, map: &ProcStmtMap, sh: Shape) -> Result<(), T
         }
         ANSWERED.fetch_add(ee.table_stats(w).unwrap().group_reads() - reads, Ordering::Relaxed);
         ee.catalog().table(w).unwrap().verify().unwrap();
+        ee.verify_window(ee.table_id(w).unwrap()).unwrap();
     }
     Ok(())
 }

@@ -236,7 +236,6 @@ impl Session<'_> {
             ("columnar_window_batches", &em.columnar_window_batches),
             ("columnar_fallback_small", &em.columnar_fallback_small),
             ("columnar_fallback_shape", &em.columnar_fallback_shape),
-            ("columnar_fallback_disabled", &em.columnar_fallback_disabled),
             ("adhoc_plan_hits", &em.adhoc_plan_hits),
             ("adhoc_plan_misses", &em.adhoc_plan_misses),
         ] {

@@ -359,8 +359,6 @@ pub enum FallbackReason {
     /// Shape the vectorized executor does not handle (joins, index
     /// point lookups).
     Shape,
-    /// The in-process [`crate::vexec::force_rowwise`] kill-switch is on.
-    Disabled,
 }
 
 /// Per-thread counters of the vectorized read path, drained by the
@@ -376,8 +374,6 @@ pub struct SqlPathCounters {
     pub fallback_small: u64,
     /// Dispatches that fell back: unsupported shape.
     pub fallback_shape: u64,
-    /// Dispatches that fell back: kill-switch.
-    pub fallback_disabled: u64,
 }
 
 thread_local! {
@@ -392,7 +388,6 @@ thread_local! {
             window_batches: 0,
             fallback_small: 0,
             fallback_shape: 0,
-            fallback_disabled: 0,
         })
     };
 }
@@ -427,7 +422,6 @@ pub fn note_fallback(reason: FallbackReason) {
         match reason {
             FallbackReason::SmallTable => v.fallback_small += 1,
             FallbackReason::Shape => v.fallback_shape += 1,
-            FallbackReason::Disabled => v.fallback_disabled += 1,
         }
         c.set(v);
     });

@@ -27,7 +27,7 @@ use sstore_storage::{Catalog, GroupAcc, GroupIndexDef, Table};
 use crate::ast::AggFunc;
 use crate::edge::{Edge, Groups};
 use crate::expr::{BoundExpr, EvalCtx};
-use crate::plan::{Access, BoundScan, BoundSelect, BoundStatement};
+use crate::plan::{Access, BoundInsert, BoundScan, BoundSelect, BoundStatement};
 
 /// One physical mutation performed by a statement.
 ///
@@ -93,53 +93,16 @@ pub fn execute(
     params: &[Value],
     effects: &mut Vec<Effect>,
 ) -> Result<QueryResult> {
-    // A statement about to read a group index tells it so: that is how
-    // the index learns how often it is read (`storage::group`).
-    let refreshed = |catalog: &mut Catalog, s: &BoundSelect| {
-        if let Access::GroupIndex(def) = &s.from.access {
-            catalog.get_mut(s.from.table).refresh_group_index(def);
-        }
-    };
     match stmt {
         BoundStatement::Select(s) => {
-            refreshed(catalog, s);
+            refresh_for_read(catalog, s);
             run_select(catalog, s, params)
         }
         BoundStatement::Insert(i) => {
-            let mut rows_to_insert: Vec<Tuple> = Vec::new();
-            let schema_arity = catalog.get(i.table).schema().arity();
-            if let Some(sel) = &i.select {
-                refreshed(catalog, sel);
-                // A SELECT that fills every column in schema order has
-                // already built the row to insert.
-                let whole_row = i.select_positions.iter().copied().eq(0..schema_arity);
-                for out in run_select_rows(catalog, sel, params)? {
-                    rows_to_insert.push(if whole_row {
-                        out
-                    } else {
-                        let mut full = vec![Value::Null; schema_arity];
-                        for (v, &pos) in out.into_values().into_iter().zip(&i.select_positions) {
-                            full[pos] = v;
-                        }
-                        Tuple::new(full)
-                    });
-                }
-            } else {
-                let ctx = EvalCtx { row: &[], params, aggs: &[] };
-                for template in &i.row_template {
-                    let mut full = Vec::with_capacity(template.len());
-                    for slot in template {
-                        full.push(match slot {
-                            Some(e) => e.eval(&ctx)?,
-                            None => Value::Null,
-                        });
-                    }
-                    rows_to_insert.push(Tuple::new(full));
-                }
-            }
+            let rows = insert_rows(catalog, i, params)?;
             let table = catalog.get_mut(i.table);
             let mut n = 0;
-            for tuple in rows_to_insert {
+            for tuple in rows {
                 let id = table.insert(tuple)?;
                 effects.push(Effect::Insert { table: i.table, row: id });
                 n += 1;
@@ -184,6 +147,55 @@ pub fn execute(
             Ok(QueryResult { rows_affected: n, ..QueryResult::default() })
         }
     }
+}
+
+/// A statement about to read a group index tells it so: that is how
+/// the index learns how often it is read (`storage::group`).
+fn refresh_for_read(catalog: &mut Catalog, s: &BoundSelect) {
+    if let Access::GroupIndex(def) = &s.from.access {
+        catalog.get_mut(s.from.table).refresh_group_index(def);
+    }
+}
+
+/// The rows an `INSERT` would insert, in order, each a full row of the
+/// target's schema: its `VALUES` templates evaluated, or its `SELECT`
+/// run and spread over the named columns. Nothing is written and no row
+/// is checked against the schema yet — [`Table::insert`] does that for
+/// [`execute`]; a caller that puts the rows somewhere else validates
+/// them as it would.
+pub fn insert_rows(catalog: &mut Catalog, i: &BoundInsert, params: &[Value]) -> Result<Vec<Tuple>> {
+    let mut rows: Vec<Tuple> = Vec::new();
+    if let Some(sel) = &i.select {
+        refresh_for_read(catalog, sel);
+        let schema_arity = catalog.get(i.table).schema().arity();
+        // A SELECT that fills every column in schema order has
+        // already built the row to insert.
+        let whole_row = i.select_positions.iter().copied().eq(0..schema_arity);
+        for out in run_select_rows(catalog, sel, params)? {
+            rows.push(if whole_row {
+                out
+            } else {
+                let mut full = vec![Value::Null; schema_arity];
+                for (v, &pos) in out.into_values().into_iter().zip(&i.select_positions) {
+                    full[pos] = v;
+                }
+                Tuple::new(full)
+            });
+        }
+    } else {
+        let ctx = EvalCtx { row: &[], params, aggs: &[] };
+        for template in &i.row_template {
+            let mut full = Vec::with_capacity(template.len());
+            for slot in template {
+                full.push(match slot {
+                    Some(e) => e.eval(&ctx)?,
+                    None => Value::Null,
+                });
+            }
+            rows.push(Tuple::new(full));
+        }
+    }
+    Ok(rows)
 }
 
 /// Applies one effect in reverse — the undo primitive used by the
@@ -266,8 +278,8 @@ pub fn run_select(catalog: &Catalog, s: &BoundSelect, params: &[Value]) -> Resul
 /// A statement planned to read a group index does, if the index can
 /// answer ([`read_group_index`]). Otherwise single-table full scans
 /// dispatch to the vectorized columnar executor ([`crate::vexec`]);
-/// joins, index point lookups and ordered index walks (and everything
-/// under [`crate::vexec::force_rowwise`]) run the row-at-a-time pipeline.
+/// joins, index point lookups and ordered index walks run the
+/// row-at-a-time pipeline.
 /// All produce bit-identical results.
 pub fn run_select_rows(catalog: &Catalog, s: &BoundSelect, params: &[Value]) -> Result<Vec<Tuple>> {
     if let Access::GroupIndex(def) = &s.from.access {

@@ -28,8 +28,9 @@
 //! statement stay on the row executor. Results are bit-identical to the
 //! row path (same row-id scan order, and one output edge — grouping,
 //! ORDER BY, LIMIT — shared by both), so command-log replay is
-//! unaffected; [`vexec::force_rowwise`] forces the row path (the
-//! differential reference, and the "before" side of benchmarks).
+//! unaffected; [`exec::run_select_rows_rowwise`] runs a plan on the row
+//! path (the differential reference, and the "before" side of
+//! benchmarks).
 //!
 //! [`Catalog`]: sstore_storage::Catalog
 

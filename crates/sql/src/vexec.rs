@@ -53,14 +53,13 @@
 //! still fail the statement, and a failed SELECT has no effects to
 //! undo).
 //!
-//! [`force_rowwise`] disables dispatch, so benchmarks and the
-//! differential tests can interleave both executors in one process
+//! Both executors are public entry points ([`run_select_columnar`],
+//! [`crate::exec::run_select_rows_rowwise`]), so benchmarks and the
+//! differential tests run the same plan through each in one process
 //! (the row pipeline is the differential reference). Fallback
 //! decisions are counted per reason (see [`batch::FallbackReason`]) so
 //! the engine can tell "fast path un-wired" from "workload is
 //! row-wise".
-
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use sstore_common::{Column, DataType, Error, Result, Tuple, Value};
 use sstore_storage::{Catalog, TableKind};
@@ -77,22 +76,6 @@ use crate::plan::{Access, BoundSelect};
 const T_FALSE: u8 = 0;
 const T_TRUE: u8 = 1;
 const T_NULL: u8 = 2;
-
-/// Process-wide kill-switch, set by [`force_rowwise`].
-static FORCE_ROWWISE: AtomicBool = AtomicBool::new(false);
-
-/// True when the columnar path is disabled via [`force_rowwise`].
-pub fn disabled() -> bool {
-    FORCE_ROWWISE.load(Ordering::Relaxed)
-}
-
-/// Turns the row-wise kill-switch on or off for this process, for
-/// in-process A/B runs (benchmarks, the columnar-on/off differential
-/// tests). Either choice yields bit-identical results; only the
-/// instruction path differs.
-pub fn force_rowwise(on: bool) {
-    FORCE_ROWWISE.store(on, Ordering::SeqCst);
-}
 
 /// Minimum live row count before a scan goes columnar. Below this,
 /// batch setup (column materialization, bitmap allocation) costs more
@@ -120,10 +103,6 @@ pub fn eligible(s: &BoundSelect) -> bool {
 pub fn use_columnar(catalog: &Catalog, s: &BoundSelect) -> bool {
     if !eligible(s) {
         batch::note_fallback(FallbackReason::Shape);
-        return false;
-    }
-    if disabled() {
-        batch::note_fallback(FallbackReason::Disabled);
         return false;
     }
     if catalog.get(s.from.table).len() < COLUMNAR_MIN_ROWS {
@@ -1411,14 +1390,8 @@ mod tests {
         assert!(run_select_rows_rowwise(&c, s, &[]).is_err());
     }
 
-    /// Serializes the tests that flip or observe the process-global
-    /// kill-switch — the default test harness runs tests in parallel
-    /// threads.
-    static DISPATCH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn fallback_reasons_are_counted() {
-        let _guard = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut c = setup();
         let _ = batch::take_path_counters();
         let stmt = Planner::new(&c).plan_sql("SELECT COUNT(*) FROM m").unwrap();
@@ -1431,17 +1404,12 @@ mod tests {
         let BoundStatement::Select(j) = &j else { panic!() };
         assert!(!use_columnar(&c, j));
         assert_eq!(batch::take_path_counters().fallback_shape, 1);
-        // Kill-switch: disabled fallback, even past the cutoff.
+        // Past the cutoff the same plan dispatches columnar, with
+        // identical results to the row-wise entry point.
         let t = c.table_mut("m").unwrap();
         for i in 0..COLUMNAR_MIN_ROWS as i64 {
             t.insert(tuple![100 + i, 1i64, 1.0f64, "q", false]).unwrap();
         }
-        force_rowwise(true);
-        assert!(!use_columnar(&c, s));
-        force_rowwise(false);
-        assert_eq!(batch::take_path_counters().fallback_disabled, 1);
-        // And with the switch back off, the same plan dispatches
-        // columnar with identical results to the forced-row-wise run.
         assert!(use_columnar(&c, s));
         let col = run_select_columnar(&c, s, &[]).unwrap();
         let row = run_select_rows_rowwise(&c, s, &[]).unwrap();
@@ -1498,7 +1466,6 @@ mod tests {
 
     #[test]
     fn dispatch_and_batch_counter() {
-        let _guard = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut c = setup();
         let stmt = Planner::new(&c).plan_sql("SELECT COUNT(*) FROM m WHERE v > 0").unwrap();
         let BoundStatement::Select(s) = &stmt else { panic!() };

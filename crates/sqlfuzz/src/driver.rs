@@ -2,27 +2,30 @@
 //!
 //! [`run_case`] executes one generated [`Case`] through a real engine
 //! and the [`RefDb`] reference in lock-step, comparing every statement
-//! in four configurations:
+//! in two configurations:
 //!
-//! 1. **columnar, fresh** — the default vectorized read path;
-//! 2. **rowwise, fresh** — the row-at-a-time pipeline, forced via the
-//!    process-global kill switch;
-//! 3/4. **columnar/rowwise, recovered** — after a simulated crash
-//!    (freeze the [`SimVfs`], drop the engine, command-log replay),
-//!    every SELECT re-runs in both modes against the replayed state,
-//!    and each table's full contents are compared row-for-row.
+//! 1. **fresh** — as the engine dispatches it (the vectorized read path
+//!    where a plan is eligible and its table past the cutoff, the row
+//!    pipeline otherwise);
+//! 2. **recovered** — after a simulated crash (freeze the [`SimVfs`],
+//!    drop the engine, command-log replay), every SELECT re-runs
+//!    against the replayed state, and each table's full contents are
+//!    compared row-for-row.
+//!
+//! That the two read paths agree with each other on one plan is the sql
+//! crate's own differential (`prop_columnar`, `edge_semantics`, through
+//! `run_select_columnar` / `run_select_rows_rowwise`); here each
+//! statement meets the reference once per state.
 //!
 //! Row comparison uses [`Value::identical`] (bit-exact: `Int(1)` ≠
 //! `Float(1.0)`, `-0.0` ≠ `0.0`, NaN bit patterns must round-trip).
 //! Errors compare by [`sstore_common::Error::wire_code`] only — the
 //! message text is explicitly allowed to differ between engine and
-//! reference.
-//!
-//! The kill switch is process-global state, so case runs are serialized
-//! behind a static mutex — callers may fan out freely.
+//! reference. A case run shares nothing with another: callers may fan
+//! out freely.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use sstore_common::Value;
 use sstore_engine::recovery::recover;
@@ -30,7 +33,6 @@ use sstore_engine::vfs::SimVfs;
 use sstore_engine::{App, Engine, EngineConfig, LoggingConfig, RecoveryMode};
 use sstore_sql::ast::Statement;
 use sstore_sql::exec::QueryResult;
-use sstore_sql::vexec::force_rowwise;
 
 use crate::gen::{Case, TableSpec};
 use crate::refexec::{RefDb, RefResult};
@@ -43,9 +45,8 @@ pub struct Divergence {
     /// Index of the offending statement in `case.stmts` (`None` for
     /// whole-table state comparisons).
     pub stmt_index: Option<usize>,
-    /// Which configuration disagreed (`"columnar"`, `"rowwise"`,
-    /// `"recovered-columnar"`, `"recovered-rowwise"`, `"state:<table>"`,
-    /// `"recovered-state:<table>"`, `"harness"`).
+    /// Which configuration disagreed (`"fresh"`, `"recovered"`,
+    /// `"state:<table>"`, `"recovered-state:<table>"`, `"harness"`).
     pub phase: String,
     /// The SQL text involved (empty for state comparisons).
     pub sql: String,
@@ -64,24 +65,6 @@ impl std::fmt::Display for Divergence {
         }
         write!(f, "\n  {}", self.detail)
     }
-}
-
-/// Serializes case runs: the rowwise kill switch is process-global.
-static RUN_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs one case through all four configurations. Returns the first
-/// divergence found, or `None` when engine and reference agree on
-/// everything.
-pub fn run_case(case: &Case) -> Option<Divergence> {
-    let _guard = lock();
-    force_rowwise(false);
-    let out = run_case_locked(case);
-    force_rowwise(false);
-    out
 }
 
 fn build_app(tables: &[TableSpec]) -> App {
@@ -112,7 +95,10 @@ fn config(sim: &SimVfs) -> EngineConfig {
         .with_vfs(Arc::new(sim.clone()))
 }
 
-fn run_case_locked(case: &Case) -> Option<Divergence> {
+/// Runs one case through both configurations. Returns the first
+/// divergence found, or `None` when engine and reference agree on
+/// everything.
+pub fn run_case(case: &Case) -> Option<Divergence> {
     let harness_div = |detail: String| Divergence {
         seed: case.seed,
         stmt_index: None,
@@ -129,42 +115,20 @@ fn run_case_locked(case: &Case) -> Option<Divergence> {
         Err(e) => return Some(harness_div(format!("engine start failed: {e}"))),
     };
 
-    // Phase 1: every statement, fresh state, both read paths.
+    // Phase 1: every statement, fresh state.
     let mut div: Option<Divergence> = None;
     for (i, stmt) in case.stmts.iter().enumerate() {
         let sql = stmt.sql();
         let expected = refdb.execute(&stmt.stmt, &stmt.params);
-        if matches!(stmt.stmt, Statement::Select(_)) {
-            for (phase, rowwise) in [("columnar", false), ("rowwise", true)] {
-                force_rowwise(rowwise);
-                let actual = engine.query_at(0, &sql, stmt.params.clone());
-                if let Some(detail) = diff(&expected, &actual) {
-                    div = Some(Divergence {
-                        seed: case.seed,
-                        stmt_index: Some(i),
-                        phase: phase.into(),
-                        sql: sql.clone(),
-                        detail,
-                    });
-                    break;
-                }
-            }
-            force_rowwise(false);
-        } else {
-            // Mutations run once, with the columnar path enabled so an
-            // INSERT ... SELECT's inner scan can take it.
-            let actual = engine.query_at(0, &sql, stmt.params.clone());
-            if let Some(detail) = diff(&expected, &actual) {
-                div = Some(Divergence {
-                    seed: case.seed,
-                    stmt_index: Some(i),
-                    phase: "columnar".into(),
-                    sql: sql.clone(),
-                    detail,
-                });
-            }
-        }
-        if div.is_some() {
+        let actual = engine.query_at(0, &sql, stmt.params.clone());
+        if let Some(detail) = diff(&expected, &actual) {
+            div = Some(Divergence {
+                seed: case.seed,
+                stmt_index: Some(i),
+                phase: "fresh".into(),
+                sql,
+                detail,
+            });
             break;
         }
     }
@@ -175,7 +139,7 @@ fn run_case_locked(case: &Case) -> Option<Divergence> {
     }
 
     // Phase 3: crash, recover from the command log, re-check state and
-    // re-run every SELECT (both read paths) on the replayed engine.
+    // re-run every SELECT on the replayed engine.
     engine.shutdown();
     if div.is_none() {
         sim.freeze();
@@ -186,7 +150,7 @@ fn run_case_locked(case: &Case) -> Option<Divergence> {
         };
         div = compare_state(case, &refdb, &engine2, "recovered-state");
         if div.is_none() {
-            'sel: for (i, stmt) in case.stmts.iter().enumerate() {
+            for (i, stmt) in case.stmts.iter().enumerate() {
                 if !matches!(stmt.stmt, Statement::Select(_)) {
                     continue;
                 }
@@ -194,23 +158,17 @@ fn run_case_locked(case: &Case) -> Option<Divergence> {
                 // Expected = the SELECT against the *final* reference
                 // state (reference SELECTs don't mutate).
                 let expected = refdb.execute(&stmt.stmt, &stmt.params);
-                for (phase, rowwise) in
-                    [("recovered-columnar", false), ("recovered-rowwise", true)]
-                {
-                    force_rowwise(rowwise);
-                    let actual = engine2.query_at(0, &sql, stmt.params.clone());
-                    if let Some(detail) = diff(&expected, &actual) {
-                        div = Some(Divergence {
-                            seed: case.seed,
-                            stmt_index: Some(i),
-                            phase: phase.into(),
-                            sql,
-                            detail,
-                        });
-                        break 'sel;
-                    }
+                let actual = engine2.query_at(0, &sql, stmt.params.clone());
+                if let Some(detail) = diff(&expected, &actual) {
+                    div = Some(Divergence {
+                        seed: case.seed,
+                        stmt_index: Some(i),
+                        phase: "recovered".into(),
+                        sql,
+                        detail,
+                    });
+                    break;
                 }
-                force_rowwise(false);
             }
         }
         engine2.shutdown();
@@ -219,15 +177,12 @@ fn run_case_locked(case: &Case) -> Option<Divergence> {
 }
 
 /// Compares every table's full contents between reference and engine.
-/// Uses the row-wise path through the lock-free read API so the state
-/// probe itself leans on as little machinery as possible.
 fn compare_state(
     case: &Case,
     refdb: &RefDb,
     engine: &Engine,
     phase_prefix: &str,
 ) -> Option<Divergence> {
-    force_rowwise(true);
     let mut div = None;
     for t in &case.tables {
         let sql = format!("SELECT * FROM {}", t.name);
@@ -248,7 +203,6 @@ fn compare_state(
             break;
         }
     }
-    force_rowwise(false);
     div
 }
 

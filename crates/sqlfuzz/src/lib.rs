@@ -2,9 +2,9 @@
 //!
 //! The fuzzer generates schema-valid (and occasionally deliberately
 //! invalid) SQL statements over randomly generated tables, executes them
-//! through [`sstore_engine::Engine::query_at`] in four configurations —
-//! columnar on/off, each on fresh and on post-crash-recovery replayed
-//! state — and compares every result against a deliberately naive
+//! through [`sstore_engine::Engine::query_at`] in two configurations —
+//! on fresh and on post-crash-recovery replayed state — and compares
+//! every result against a deliberately naive
 //! in-memory reference executor that defines ground truth. Any row-set,
 //! error-presence, or error-code mismatch is a divergence; a greedy
 //! shrinker reduces the failing statement list to a minimal repro.

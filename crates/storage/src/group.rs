@@ -23,7 +23,8 @@
 //! following and readers scan, as they would without it; the first read
 //! ([`GroupIndex::refresh`]) that finds no more mutations than rows
 //! behind it rebuilds the index with one scan and it follows again. A
-//! 100-row window read once per arrival follows (four mutations a read);
+//! 100-row window read once per arrival follows (two mutations a read:
+//! the row that slid in and the row that slid out);
 //! the same window read once per 100 arrivals only counts its mutations,
 //! and its reader pays the scan it always paid.
 

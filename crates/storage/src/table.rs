@@ -33,9 +33,9 @@
 //!
 //! **End trimming.** A delete tombstones its entry in place and then
 //! pops every tombstone off both ends of the run, so neither end ever
-//! holds one. Tables that delete oldest-first (streams, windows) or
-//! delete the row just inserted (an arrival moved to staging, an
-//! aborted insert) therefore never hold a tombstone at all, and both
+//! holds one. Tables that delete oldest-first (streams, tuple windows)
+//! or delete the row just inserted (an aborted insert) therefore never
+//! hold a tombstone at all, and both
 //! those deletes and their undo are O(1). Tombstones left in the middle
 //! are swept — the run compacted in place — once they outnumber the
 //! live rows (and sixteen), which keeps scans O(live) amortised.

@@ -55,8 +55,8 @@ run_corpus "chaos" "zero oracle divergences" -p chaos -- --seeds 200 --start 1 -
 echo "== chaos longrun smoke (100 seeds) =="
 run_corpus "chaos longrun" "zero oracle divergences" -p chaos -- --seeds 100 --start 1 --mode longrun --time-box 120
 
-# Seeded random SQL through four engine configurations (columnar on/off
-# x fresh vs post-crash) against the naive reference executor: rows
+# Seeded random SQL through two engine configurations (fresh state and
+# post-crash replayed state) against the naive reference executor: rows
 # bit-exactly, errors by wire code. Where a table has a B-tree, a
 # quarter of its SELECTs are ORDER BY <index prefix> LIMIT 1-5, which
 # the planner answers by walking the index. Replay with
@@ -72,4 +72,8 @@ run_corpus "sqlfuzz --large" "seeds clean in" -p sqlfuzz -- --large --seeds 200 
 
 echo "== bench smoke (hotpath, colscan, timewindow, scaling, overload, server, recovery) =="
 ./target/release/sstore-bench smoke
+
+# The ROADMAP's tracked number, in every pre-merge run.
+echo "== size (scripts/loc.sh) =="
+scripts/loc.sh | tail -1
 echo "bench_smoke: OK"

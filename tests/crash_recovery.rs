@@ -716,3 +716,112 @@ fn voter_trend_index_is_rebuilt_by_recovery() {
         recovered.shutdown();
     }
 }
+
+// ---- windows: what is active is what the table holds --------------------
+
+/// A sliding event-time window (30 wide, sliding by 10, 30 of lateness)
+/// whose on-slide trigger copies the extent it sees — in scan order,
+/// tagged with the extent's own newest timestamp — into `seen`.
+fn sliding_window_app() -> sstore::engine::App {
+    use sstore::common::{DataType, Schema};
+    let timed = Schema::of(&[("ts", DataType::Int), ("v", DataType::Int)]);
+    sstore::engine::App::builder()
+        .stream_timed("arrivals", timed.clone(), "ts")
+        .table("seen", timed.clone())
+        .time_window("tw", "wproc", timed, "ts", 30, 10, 30)
+        .proc("wproc", &[("ins", "INSERT INTO tw (ts, v) VALUES (?, ?)")], &[], |ctx| {
+            for r in ctx.input().to_vec() {
+                ctx.sql("ins", &[r.get(0).clone(), r.get(1).clone()])?;
+            }
+            Ok(())
+        })
+        .pe_trigger("arrivals", "wproc")
+        .ee_trigger("tw", &["INSERT INTO seen (ts, v) SELECT ts, v FROM tw"])
+        .build()
+        .unwrap()
+}
+
+/// A time window's ordered set is in no checkpoint: restore rebuilds it
+/// from the window table's rows. The checkpoint here is taken with the
+/// set in an order no scan of the table gives — rows activated out of
+/// timestamp order across slides, equal timestamps, and a late merge
+/// (the newest row id under one of the oldest timestamps). In both
+/// recovery modes the recovered engine's next three slides must leave
+/// the same rows, in the same scan order, as an un-restarted twin's —
+/// each expired exactly the tuples the twin's did — and the extents
+/// their triggers copied must match row for row.
+#[test]
+fn a_restored_time_window_expires_what_its_unrestarted_twin_does() {
+    let history: [&[(i64, i64)]; 4] = [
+        &[(14, 1), (3, 2), (14, 3), (8, 4)],
+        &[(27, 5), (21, 6), (33, 7)], // watermark 33: extents up to [0, 30) fire
+        &[(4, 8), (38, 9), (9, 10)],  // 4 and 9 merge late: old timestamps, the newest ids
+        &[(35, 11), (41, 12)],        // extent [10, 40) fires: 3, 4, 8 and 9 leave
+    ];
+    let next_three: [&[(i64, i64)]; 3] = [&[(52, 13)], &[(47, 14), (61, 15)], &[(74, 16)]];
+    let feed = |engine: &Engine, rows: &[(i64, i64)]| {
+        engine.ingest("arrivals", rows.iter().map(|&(ts, v)| tuple![ts, v]).collect()).unwrap();
+        engine.drain().unwrap();
+    };
+    let observe = |engine: &Engine| {
+        ["SELECT ts, v FROM tw", "SELECT ts, v FROM seen"]
+            .map(|q| engine.query(0, q, vec![]).unwrap().rows)
+    };
+    for mode in [RecoveryMode::Strong, RecoveryMode::Weak] {
+        let mut config = cfg(mode);
+        config.partitions = 1;
+        let engine = Engine::start(config.clone(), sliding_window_app()).unwrap();
+        let twin = Engine::start(EngineConfig::default(), sliding_window_app()).unwrap();
+        for (i, rows) in history.iter().enumerate() {
+            feed(&engine, rows);
+            feed(&twin, rows);
+            if i == 2 {
+                let scan: Vec<i64> =
+                    observe(&engine)[0].iter().map(|t| t.get(0).as_int().unwrap()).collect();
+                assert_eq!(scan, [3, 8, 14, 14, 21, 27, 4, 9], "{mode:?}: expiry order is not scan order");
+                engine.checkpoint().unwrap(); // the last batch is the log's to replay
+            }
+        }
+        engine.flush_logs().unwrap();
+        engine.close().unwrap();
+
+        let (recovered, _) = recover(config, sliding_window_app()).unwrap();
+        recovered.drain().unwrap();
+        assert_eq!(observe(&recovered), observe(&twin), "{mode:?}: recovered");
+        for (i, rows) in next_three.iter().enumerate() {
+            let slides = EngineMetrics::get(&recovered.metrics().window_slides);
+            feed(&recovered, rows);
+            feed(&twin, rows);
+            assert!(EngineMetrics::get(&recovered.metrics().window_slides) > slides, "{mode:?}: slide {i}");
+            assert_eq!(observe(&recovered), observe(&twin), "{mode:?}: after slide {i}");
+        }
+        recovered.shutdown();
+        twin.shutdown();
+    }
+}
+
+/// Checkpoint format 6 dropped the windows' `active` sections; an image
+/// written by an older build is refused at its header, naming both
+/// versions, rather than misread.
+#[test]
+fn an_older_checkpoint_version_is_refused_naming_both() {
+    use sstore::engine::checkpoint::read_checkpoint;
+    // No log: the image is all recovery has.
+    let mut config = cfg(RecoveryMode::Strong);
+    config.partitions = 1;
+    config.logging.enabled = false;
+    let engine = Engine::start(config.clone(), sliding_window_app()).unwrap();
+    engine.ingest("arrivals", vec![tuple![5i64, 1i64]]).unwrap();
+    engine.drain().unwrap();
+    engine.checkpoint().unwrap();
+    engine.close().unwrap();
+    let path = config.checkpoint_path(0, 1);
+    let mut bytes = std::fs::read(&path).unwrap();
+    // magic:u32, then version:u32 (little-endian).
+    assert_eq!(bytes[4..8], 6u32.to_le_bytes());
+    bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let err = read_checkpoint(&path).unwrap_err().to_string();
+    assert!(err.contains("version 5") && err.contains("reads 6"), "{err}");
+    assert!(recover(config, sliding_window_app()).is_err(), "a v5 image must not restore");
+}
