@@ -398,41 +398,34 @@ mod tests {
         assert_eq!(gate.available(), 1, "waiter's permit dropped at thread end");
     }
 
-    /// Parks `n` waiters (no deadline) and returns once the gate sees
-    /// all of them parked — the handshake the handoff tests need.
-    fn park_waiters(
-        gate: &Arc<AdmissionGate>,
-        n: usize,
-    ) -> Vec<std::thread::JoinHandle<bool>> {
-        let joins: Vec<_> = (0..n)
-            .map(|_| {
-                let g = gate.clone();
-                std::thread::spawn(move || g.acquire_timeout(Duration::MAX).is_some())
-            })
-            .collect();
-        while gate.parked() < n {
-            std::thread::yield_now();
-        }
-        joins
-    }
-
     #[test]
     fn freed_credit_is_handed_to_the_parked_waiter_not_grabbable() {
         let gate = AdmissionGate::new(1);
         let held = gate.try_acquire().unwrap();
-        let joins = park_waiters(&gate, 1);
+        // The waiter keeps what it wins until the barging check below
+        // is done: a permit dropped the moment the waiter returned
+        // would free the credit again first, and the check could then
+        // rightly succeed.
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let g = gate.clone();
+        let waiter = std::thread::spawn(move || {
+            let permit = g.acquire_timeout(Duration::MAX);
+            release_rx.recv().expect("main releases the waiter");
+            permit.is_some()
+        });
+        while gate.parked() < 1 {
+            std::thread::yield_now();
+        }
         // Freeing the credit earmarks it for the parked waiter: a
-        // barging try_acquire must NOT be able to steal it, even
-        // though the credit is technically "free" until the waiter
-        // reschedules and picks it up.
+        // barging try_acquire must NOT be able to steal it, whether or
+        // not the waiter has rescheduled and picked it up yet.
         drop(held);
         assert!(
             gate.try_acquire().is_none(),
             "barging acquire stole a credit earmarked for a parked waiter"
         );
-        for j in joins {
-            assert!(j.join().unwrap(), "parked waiter must receive the handoff");
-        }
+        release_tx.send(()).unwrap();
+        assert!(waiter.join().unwrap(), "parked waiter must receive the handoff");
         assert_eq!(gate.available(), 1, "waiter's permit dropped at thread end");
         assert_eq!(gate.handoffs(), 1);
     }

@@ -14,86 +14,46 @@
 //!   round trips in H-Store style but one in S-Store style (the EE
 //!   trigger cascade happens entirely on the far side).
 //!
-//! Every call increments `ee_round_trips` in [`EngineMetrics`], so
-//! experiments can report crossings alongside throughput.
+//! A crossing is one closure over the EE: [`EeHandle::run`] calls it in
+//! place inline, or ships it boxed to the EE thread and reads its result
+//! off the one reply channel the handle keeps for its lifetime, not a
+//! channel built per crossing (the H-Store chain crosses 2n + 3 times a
+//! transaction). The closure is the request, so an EE operation is
+//! written once, as an [`ExecutionEngine`] method.
+//! [`EeHandle::exec_params`] is the one typed exception: it is the
+//! per-statement hot path, and a `'static` closure would force the
+//! inline transport to copy the borrowed parameters into a `Vec` every
+//! statement; it copies only when it has to cross a thread.
+//!
+//! Every crossing increments `ee_round_trips` in [`EngineMetrics`]
+//! exactly once, so experiments can report crossings alongside
+//! throughput.
 //!
 //! [`BoundaryMode::Inline`]: crate::config::BoundaryMode::Inline
 //! [`BoundaryMode::Channel`]: crate::config::BoundaryMode::Channel
 
+use std::any::Any;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam_channel::{bounded, Receiver, Sender};
-use sstore_common::{BatchId, Error, Result, TableId, Tuple, Value};
+use sstore_common::{Error, Result, Value};
 use sstore_sql::QueryResult;
 
-use sstore_sql::BoundStatement;
-
-use crate::ee::{CommitOutcome, ExecutionEngine, StmtId};
+use crate::ee::{ExecutionEngine, StmtId};
 use crate::metrics::EngineMetrics;
 
-/// Requests the PE sends across the boundary.
-#[derive(Debug)]
-pub enum EeRequest {
-    /// Begin a transaction with an optional output batch label.
-    Begin(Option<BatchId>),
-    /// Execute a compiled statement.
-    Exec(StmtId, Vec<Value>),
-    /// Execute an edge-planned ad-hoc statement inside the open
-    /// transaction (undo-able, triggers cascade).
-    ExecAdhoc(Arc<BoundStatement>, Vec<Value>),
-    /// Append tuples to a stream (triggers cascade).
-    Emit(TableId, Vec<Tuple>),
-    /// Consume a batch from a stream. Bool = require presence.
-    Consume(TableId, BatchId, bool),
-    /// Apply all pending watermark-driven slides of a time window.
-    ProcessSlides(TableId),
-    /// Observe a border/exchange input batch's event timestamps
-    /// (advances the stream's high mark, a watermark input).
-    ObserveInput(TableId, Vec<Tuple>),
-    /// Commit; reply carries PE-trigger outputs + pending slides.
-    Commit,
-    /// Abort and roll back.
-    Abort,
-    /// Produce a checkpoint image. `true` = full base image, `false`
-    /// = delta of the state dirtied since the last image.
-    Checkpoint(bool),
-    /// Restore from an epoch chain: base image + deltas, oldest first.
-    Restore(Vec<Vec<u8>>),
-    /// Ad-hoc read-only query.
-    Query(String, Vec<Value>),
-    /// Table row count.
-    TableLen(String),
-    /// Streams with pending batches (recovery).
-    Dangling,
-    /// Stop the EE thread.
-    Shutdown,
-}
-
-/// Replies from the EE.
-#[derive(Debug)]
-pub enum EeResponse {
-    /// Plain success.
-    Unit,
-    /// Statement / query result.
-    Query(QueryResult),
-    /// Consumed tuples.
-    Rows(Vec<Tuple>),
-    /// Commit outputs: PE-trigger batches + pending window slides.
-    Committed(CommitOutcome),
-    /// Checkpoint image.
-    Bytes(Vec<u8>),
-    /// Row count.
-    Len(usize),
-    /// Dangling stream batches.
-    Batches(Vec<(TableId, BatchId)>),
-}
+/// What crosses to the EE thread: a closure producing a type-erased
+/// result, which [`EeHandle::run`] downcasts back on the near side.
+type Job = Box<dyn FnOnce(&mut ExecutionEngine) -> Reply + Send>;
+type Reply = Box<dyn Any + Send>;
 
 enum Transport {
     Inline(Box<ExecutionEngine>),
     Channel {
-        req_tx: Sender<EeRequest>,
-        resp_rx: Receiver<Result<EeResponse>>,
+        /// `None` once shut down.
+        jobs: Option<Sender<Job>>,
+        replies: Receiver<Reply>,
         join: Option<JoinHandle<()>>,
     },
 }
@@ -111,157 +71,64 @@ impl EeHandle {
     }
 
     /// Spawns the EE on its own thread behind a rendezvous channel.
-    pub fn channel(ee: ExecutionEngine, metrics: Arc<EngineMetrics>) -> Self {
-        let (req_tx, req_rx) = bounded::<EeRequest>(1);
-        let (resp_tx, resp_rx) = bounded::<Result<EeResponse>>(1);
+    pub fn channel(mut ee: ExecutionEngine, metrics: Arc<EngineMetrics>) -> Result<Self> {
+        let (jobs, job_rx) = bounded::<Job>(1);
+        let (reply_tx, replies) = bounded::<Reply>(1);
         let join = std::thread::Builder::new()
             .name("sstore-ee".into())
-            .spawn(move || ee_thread(ee, req_rx, resp_tx))
-            .expect("spawning EE thread");
-        EeHandle { transport: Transport::Channel { req_tx, resp_rx, join: Some(join) }, metrics }
+            .spawn(move || {
+                while let Ok(job) = job_rx.recv() {
+                    if reply_tx.send(job(&mut ee)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .map_err(|e| Error::Internal(format!("spawning EE thread: {e}")))?;
+        let transport = Transport::Channel { jobs: Some(jobs), replies, join: Some(join) };
+        Ok(EeHandle { transport, metrics })
     }
 
-    fn call(&mut self, req: EeRequest) -> Result<EeResponse> {
+    /// Runs `f` against the EE: one boundary crossing. Inline this is a
+    /// plain call; over the channel it is one boxed job out and one
+    /// reply back, and fails (rather than blocks) once the EE thread is
+    /// gone.
+    pub fn run<R: Send + 'static>(
+        &mut self,
+        f: impl FnOnce(&mut ExecutionEngine) -> Result<R> + Send + 'static,
+    ) -> Result<R> {
         EngineMetrics::bump(&self.metrics.ee_round_trips);
-        self.call_unbumped(req)
-    }
-
-    fn call_unbumped(&mut self, req: EeRequest) -> Result<EeResponse> {
         match &mut self.transport {
-            Transport::Inline(ee) => dispatch(ee, req),
-            Transport::Channel { req_tx, resp_rx, .. } => {
-                req_tx
-                    .send(req)
-                    .map_err(|_| Error::InvalidState("EE thread is gone".into()))?;
-                resp_rx
-                    .recv()
-                    .map_err(|_| Error::InvalidState("EE thread dropped reply".into()))?
+            Transport::Inline(ee) => f(ee),
+            Transport::Channel { jobs, replies, .. } => {
+                let gone = || Error::InvalidState("EE thread is gone".into());
+                let job: Job =
+                    Box::new(move |ee: &mut ExecutionEngine| -> Reply { Box::new(f(ee)) });
+                jobs.as_ref().ok_or_else(gone)?.send(job).map_err(|_| gone())?;
+                let reply = replies.recv().map_err(|_| gone())?;
+                // One job is in flight at a time (`&mut self`), so the
+                // reply is this job's result.
+                *reply.downcast::<Result<R>>().expect("EE reply is the job's own result type")
             }
         }
-    }
-
-    /// Begins a transaction.
-    pub fn begin(&mut self, out_batch: Option<BatchId>) -> Result<()> {
-        self.call(EeRequest::Begin(out_batch)).map(|_| ())
-    }
-
-    /// Executes a compiled statement (owned-parameter convenience over
-    /// [`EeHandle::exec_params`]).
-    pub fn exec(&mut self, stmt: StmtId, params: Vec<Value>) -> Result<QueryResult> {
-        self.exec_params(stmt, &params)
     }
 
     /// Executes a compiled statement with borrowed parameters: the
     /// inline transport passes the slice straight through (no `Vec`
     /// per statement); the channel transport copies once to ship it.
     pub fn exec_params(&mut self, stmt: StmtId, params: &[Value]) -> Result<QueryResult> {
-        EngineMetrics::bump(&self.metrics.ee_round_trips);
-        match &mut self.transport {
-            Transport::Inline(ee) => ee.exec(stmt, params),
-            Transport::Channel { .. } => {
-                match self.call_unbumped(EeRequest::Exec(stmt, params.to_vec()))? {
-                    EeResponse::Query(q) => Ok(q),
-                    other => Err(unexpected(other)),
-                }
-            }
+        if let Transport::Inline(ee) = &mut self.transport {
+            EngineMetrics::bump(&self.metrics.ee_round_trips);
+            return ee.exec(stmt, params);
         }
+        let params = params.to_vec();
+        self.run(move |ee| ee.exec(stmt, &params))
     }
 
-    /// Executes an edge-planned ad-hoc statement inside the open
-    /// transaction (the execution half of
-    /// [`crate::engine::Engine::query_at`]).
-    pub fn exec_adhoc(
-        &mut self,
-        stmt: Arc<BoundStatement>,
-        params: Vec<Value>,
-    ) -> Result<QueryResult> {
-        match self.call(EeRequest::ExecAdhoc(stmt, params))? {
-            EeResponse::Query(q) => Ok(q),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Appends tuples to a stream.
-    pub fn emit(&mut self, stream: TableId, rows: Vec<Tuple>) -> Result<()> {
-        self.call(EeRequest::Emit(stream, rows)).map(|_| ())
-    }
-
-    /// Consumes a batch from a stream.
-    pub fn consume(&mut self, stream: TableId, batch: BatchId, require: bool) -> Result<Vec<Tuple>> {
-        match self.call(EeRequest::Consume(stream, batch, require))? {
-            EeResponse::Rows(r) => Ok(r),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Commits, returning PE-trigger outputs + pending window slides.
-    pub fn commit(&mut self) -> Result<CommitOutcome> {
-        match self.call(EeRequest::Commit)? {
-            EeResponse::Committed(o) => Ok(o),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Applies all pending watermark-driven slides of a time window
-    /// (inside the open transaction).
-    pub fn process_slides(&mut self, window: TableId) -> Result<()> {
-        self.call(EeRequest::ProcessSlides(window)).map(|_| ())
-    }
-
-    /// Observes a border/exchange input batch for event-time tracking
-    /// (O(1) clone per tuple — shared buffers).
-    pub fn observe_input(&mut self, stream: TableId, rows: Vec<Tuple>) -> Result<()> {
-        self.call(EeRequest::ObserveInput(stream, rows)).map(|_| ())
-    }
-
-    /// Aborts the open transaction.
-    pub fn abort(&mut self) -> Result<()> {
-        self.call(EeRequest::Abort).map(|_| ())
-    }
-
-    /// Takes a checkpoint image: a full base when `full`, else a delta
-    /// of the state dirtied since the last image.
-    pub fn checkpoint(&mut self, full: bool) -> Result<Vec<u8>> {
-        match self.call(EeRequest::Checkpoint(full))? {
-            EeResponse::Bytes(b) => Ok(b),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Restores from an epoch chain (base image + deltas, oldest
-    /// first).
-    pub fn restore(&mut self, chain: Vec<Vec<u8>>) -> Result<()> {
-        self.call(EeRequest::Restore(chain)).map(|_| ())
-    }
-
-    /// Ad-hoc read-only query.
-    pub fn query(&mut self, sql: String, params: Vec<Value>) -> Result<QueryResult> {
-        match self.call(EeRequest::Query(sql, params))? {
-            EeResponse::Query(q) => Ok(q),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Table row count.
-    pub fn table_len(&mut self, name: String) -> Result<usize> {
-        match self.call(EeRequest::TableLen(name))? {
-            EeResponse::Len(n) => Ok(n),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Streams with pending batches.
-    pub fn dangling(&mut self) -> Result<Vec<(TableId, BatchId)>> {
-        match self.call(EeRequest::Dangling)? {
-            EeResponse::Batches(b) => Ok(b),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Shuts down a channel EE thread (no-op inline).
+    /// Shuts down a channel EE thread (no-op inline): dropping the job
+    /// sender ends its loop, then the thread is joined.
     pub fn shutdown(&mut self) {
-        if let Transport::Channel { req_tx, join, .. } = &mut self.transport {
-            let _ = req_tx.send(EeRequest::Shutdown);
+        if let Transport::Channel { jobs, join, .. } = &mut self.transport {
+            jobs.take();
             if let Some(j) = join.take() {
                 let _ = j.join();
             }
@@ -275,64 +142,11 @@ impl Drop for EeHandle {
     }
 }
 
-fn unexpected(resp: EeResponse) -> Error {
-    Error::Internal(format!("unexpected EE response: {resp:?}"))
-}
-
-fn dispatch(ee: &mut ExecutionEngine, req: EeRequest) -> Result<EeResponse> {
-    match req {
-        EeRequest::Begin(b) => ee.begin(b).map(|()| EeResponse::Unit),
-        EeRequest::Exec(stmt, params) => ee.exec(stmt, &params).map(EeResponse::Query),
-        EeRequest::ExecAdhoc(stmt, params) => {
-            ee.exec_bound(&stmt, &params).map(EeResponse::Query)
-        }
-        EeRequest::Emit(stream, rows) => ee.emit(stream, rows).map(|()| EeResponse::Unit),
-        EeRequest::Consume(stream, batch, require) => {
-            ee.consume(stream, batch, require).map(EeResponse::Rows)
-        }
-        EeRequest::ProcessSlides(window) => {
-            ee.process_slides(window).map(|()| EeResponse::Unit)
-        }
-        EeRequest::ObserveInput(stream, rows) => {
-            ee.observe_input(stream, &rows).map(|()| EeResponse::Unit)
-        }
-        EeRequest::Commit => ee.commit().map(EeResponse::Committed),
-        EeRequest::Abort => ee.abort().map(|()| EeResponse::Unit),
-        EeRequest::Checkpoint(full) => if full {
-            ee.checkpoint()
-        } else {
-            ee.checkpoint_delta()
-        }
-        .map(EeResponse::Bytes),
-        EeRequest::Restore(chain) => ee.restore_chain(&chain).map(|()| EeResponse::Unit),
-        EeRequest::Query(sql, params) => ee.query(&sql, &params).map(EeResponse::Query),
-        EeRequest::TableLen(name) => ee.table_len(&name).map(EeResponse::Len),
-        EeRequest::Dangling => Ok(EeResponse::Batches(ee.dangling_batches())),
-        EeRequest::Shutdown => Err(Error::InvalidState("shutdown handled by caller".into())),
-    }
-}
-
-fn ee_thread(
-    mut ee: ExecutionEngine,
-    req_rx: Receiver<EeRequest>,
-    resp_tx: Sender<Result<EeResponse>>,
-) {
-    while let Ok(req) = req_rx.recv() {
-        if matches!(req, EeRequest::Shutdown) {
-            break;
-        }
-        let resp = dispatch(&mut ee, req);
-        if resp_tx.send(resp).is_err() {
-            break;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::app::App;
-    use sstore_common::{tuple, DataType, Schema};
+    use sstore_common::{tuple, BatchId, DataType, Schema};
 
     fn app() -> App {
         App::builder()
@@ -361,7 +175,7 @@ mod tests {
             let metrics = Arc::new(EngineMetrics::new());
             let (ee, map) = ExecutionEngine::install(&a, ids.clone(), metrics.clone()).unwrap();
             let h = if channel {
-                EeHandle::channel(ee, metrics.clone())
+                EeHandle::channel(ee, metrics.clone()).unwrap()
             } else {
                 EeHandle::inline(ee, metrics.clone())
             };
@@ -370,22 +184,31 @@ mod tests {
         out
     }
 
+    fn channel_handle() -> (EeHandle, crate::ee::ProcStmtMap) {
+        let (h, map, _) = handles().into_iter().nth(1).unwrap();
+        (h, map)
+    }
+
+    fn table_len(h: &mut EeHandle) -> usize {
+        h.run(|ee| ee.table_len("t")).unwrap()
+    }
+
     #[test]
     fn both_transports_run_transactions() {
         let ids = crate::names::AppIds::build(&app()).unwrap();
         let s_id = ids.table_id("s").unwrap();
         for (mut h, map, metrics) in handles() {
-            h.begin(Some(BatchId(1))).unwrap();
-            h.exec(map["p"]["ins"], vec![Value::Int(7)]).unwrap();
-            h.emit(s_id, vec![tuple![1i64]]).unwrap();
-            let outcome = h.commit().unwrap();
+            h.run(|ee| ee.begin(Some(BatchId(1)))).unwrap();
+            h.exec_params(map["p"]["ins"], &[Value::Int(7)]).unwrap();
+            h.run(move |ee| ee.emit(s_id, vec![tuple![1i64]])).unwrap();
+            let outcome = h.run(ExecutionEngine::commit).unwrap();
             assert_eq!(outcome.outputs, vec![(s_id, BatchId(1))]);
             assert!(outcome.slides.is_empty());
-            let r = h.query("SELECT v FROM t".into(), vec![]).unwrap();
+            let r = h.run(|ee| ee.query("SELECT v FROM t", &[])).unwrap();
             assert_eq!(r.rows, vec![tuple![7i64]]);
-            assert_eq!(h.table_len("t".into()).unwrap(), 1);
-            assert_eq!(h.dangling().unwrap().len(), 1);
-            // 7 calls so far.
+            assert_eq!(table_len(&mut h), 1);
+            assert_eq!(h.run(|ee| Ok(ee.dangling_batches())).unwrap().len(), 1);
+            // 7 crossings so far: one per `run`, one per `exec_params`.
             assert_eq!(EngineMetrics::get(&metrics.ee_round_trips), 7);
             h.shutdown();
         }
@@ -393,29 +216,42 @@ mod tests {
 
     #[test]
     fn channel_errors_propagate() {
-        let (mut h, map, _) = handles().into_iter().nth(1).unwrap();
+        let (mut h, map) = channel_handle();
         // exec outside txn must error through the channel.
-        let err = h.exec(map["p"]["ins"], vec![Value::Int(1)]).unwrap_err();
+        let err = h.exec_params(map["p"]["ins"], &[Value::Int(1)]).unwrap_err();
         assert!(matches!(err, Error::InvalidState(_)));
         // The EE thread must still be alive afterwards.
-        h.begin(None).unwrap();
-        h.abort().unwrap();
+        h.run(|ee| ee.begin(None)).unwrap();
+        h.run(ExecutionEngine::abort).unwrap();
         h.shutdown();
     }
 
     #[test]
     fn checkpoint_over_channel() {
-        let (mut h, map, _) = handles().into_iter().nth(1).unwrap();
-        h.begin(None).unwrap();
-        h.exec(map["p"]["ins"], vec![Value::Int(3)]).unwrap();
-        h.commit().unwrap();
-        let image = h.checkpoint(true).unwrap();
-        h.begin(None).unwrap();
-        h.exec(map["p"]["ins"], vec![Value::Int(4)]).unwrap();
-        h.commit().unwrap();
-        assert_eq!(h.table_len("t".into()).unwrap(), 2);
-        h.restore(vec![image]).unwrap();
-        assert_eq!(h.table_len("t".into()).unwrap(), 1);
+        let (mut h, map) = channel_handle();
+        let ins = map["p"]["ins"];
+        let insert = |h: &mut EeHandle, v: i64| {
+            h.run(|ee| ee.begin(None)).unwrap();
+            h.exec_params(ins, &[Value::Int(v)]).unwrap();
+            h.run(ExecutionEngine::commit).unwrap();
+        };
+        insert(&mut h, 3);
+        let image = h.run(ExecutionEngine::checkpoint).unwrap();
+        insert(&mut h, 4);
+        assert_eq!(table_len(&mut h), 2);
+        h.run(move |ee| ee.restore_chain(&[image])).unwrap();
+        assert_eq!(table_len(&mut h), 1);
+        h.shutdown();
+    }
+
+    #[test]
+    fn run_after_shutdown_is_an_error_not_a_hang() {
+        let (mut h, map) = channel_handle();
+        h.shutdown();
+        let err = h.run(|ee| ee.begin(None)).unwrap_err();
+        assert!(matches!(err, Error::InvalidState(ref m) if m.contains("EE thread")), "{err}");
+        assert!(h.exec_params(map["p"]["ins"], &[Value::Int(1)]).is_err());
+        // A second shutdown (and the drop after it) is a no-op.
         h.shutdown();
     }
 }

@@ -14,13 +14,21 @@
 //! once per call, and everything downstream (requests, the scheduler,
 //! PE triggers, the command log) works with ids.
 //!
+//! Transactions reach a partition as typed `Submit` messages. Every
+//! other operation the engine asks of a partition — checkpoint,
+//! restore, GC, flush, drain, trigger switching, ad-hoc reads — goes
+//! through one helper, `Engine::ask`: a closure run on the partition
+//! thread whose answer comes back on a receiver of its own. A partition
+//! whose thread has died answers every such request, and
+//! [`Engine::close`], with an error that names it.
+//!
 //! [`BoundaryMode::Channel`]: crate::config::BoundaryMode::Channel
 
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::sync::Arc;
 
-use crossbeam_channel::bounded;
+use crossbeam_channel::{bounded, Receiver};
 use parking_lot::Mutex;
 use sstore_common::hash::{FxBuildHasher, FxHashMap};
 use sstore_common::{BatchId, Error, Lsn, ProcId, Result, TableId, Tuple, Value};
@@ -37,8 +45,8 @@ use crate::faults::CrashPoint;
 use crate::metrics::EngineMetrics;
 use crate::names::{AppIds, StreamMeta};
 use crate::partition::{
-    spawn_partition, CallOutcome, Invocation, PartitionHandle, PartitionMsg, PartitionSeed,
-    TxnRequest, ADHOC_NAME, ADHOC_PROC,
+    partition_down, spawn_partition, CallOutcome, Invocation, PartitionHandle, PartitionMsg,
+    PartitionRuntime, PartitionSeed, TxnRequest, ADHOC_NAME, ADHOC_PROC,
 };
 use crate::workflow::WorkflowGraph;
 
@@ -133,24 +141,16 @@ const PLAN_CACHE_CAPACITY: usize = 128;
 /// LRU cache of bound ad-hoc statements, keyed by SQL text.
 ///
 /// Plans depend only on the catalog's static layout (table/column
-/// declarations), never on data, so a cached plan and a fresh plan are
-/// interchangeable. The epoch guards the day that stops being true for
-/// a given entry: anything that changes the planning catalog must call
-/// [`Engine::invalidate_adhoc_plans`], which bumps the epoch and makes
-/// every cached entry stale at once. (Today the catalog is built once
-/// at [`Engine::start`] and never altered — the epoch is the hook that
-/// keeps the cache correct when runtime DDL arrives.)
+/// declarations), never on data, and that layout is fixed at
+/// [`Engine::start`] — so a cached plan and a fresh plan are
+/// interchangeable for the engine's lifetime.
 struct PlanCache {
-    /// Current catalog epoch; entries remember the epoch they were
-    /// planned under and only hit when it matches.
-    epoch: std::sync::atomic::AtomicU64,
     /// Monotonic use stamp for LRU ordering.
     tick: std::sync::atomic::AtomicU64,
     entries: Mutex<FxHashMap<String, CachedPlan>>,
 }
 
 struct CachedPlan {
-    epoch: u64,
     last_used: u64,
     stmt: Arc<BoundStatement>,
 }
@@ -158,10 +158,24 @@ struct CachedPlan {
 impl PlanCache {
     fn new() -> Self {
         PlanCache {
-            epoch: std::sync::atomic::AtomicU64::new(0),
             tick: std::sync::atomic::AtomicU64::new(0),
             entries: Mutex::new(FxHashMap::default()),
         }
+    }
+}
+
+/// A control-plane answer still in flight from one partition
+/// ([`Engine::ask`]).
+struct Pending<R> {
+    partition: usize,
+    rx: Receiver<R>,
+}
+
+impl<R> Pending<R> {
+    /// Waits for the answer; a partition that died first is named in
+    /// the error.
+    fn wait(self) -> Result<R> {
+        self.rx.recv().map_err(|_| partition_down(self.partition))
     }
 }
 
@@ -228,7 +242,7 @@ impl Engine {
             let (ee, proc_stmts) = ExecutionEngine::install(&app, ids.clone(), metrics.clone())?;
             let handle = match config.boundary {
                 BoundaryMode::Inline => EeHandle::inline(ee, metrics.clone()),
-                BoundaryMode::Channel => EeHandle::channel(ee, metrics.clone()),
+                BoundaryMode::Channel => EeHandle::channel(ee, metrics.clone())?,
             };
             let seed = PartitionSeed {
                 id: p,
@@ -250,25 +264,9 @@ impl Engine {
                 proc_stmts,
                 metrics.clone(),
             )?;
-            partitions.push(PartitionHandle::new(txs[p].clone(), join));
+            partitions.push(PartitionHandle::new(p, txs[p].clone(), join));
         }
-        // Every partition restores its own chain on its own thread:
-        // hand each its images (moved, not copied), then wait for all,
-        // so restore wall time is the slowest partition's, as replay's
-        // is.
         let images = bootstrap.as_mut().map(|b| std::mem::take(&mut b.images)).unwrap_or_default();
-        let mut restoring = Vec::new();
-        for (part, chain) in partitions.iter().zip(images) {
-            let Some(chain) = chain else { continue };
-            let (tx, rx) = bounded(1);
-            part.tx
-                .send(PartitionMsg::Restore(chain, tx))
-                .map_err(|_| Error::InvalidState("partition died during restore".into()))?;
-            restoring.push(rx);
-        }
-        for rx in restoring {
-            rx.recv().map_err(|_| Error::InvalidState("restore reply lost".into()))??;
-        }
 
         let mut counters = vec![0u64; ids.table_count()];
         if let Some(b) = &bootstrap {
@@ -284,7 +282,7 @@ impl Engine {
             .collect();
         let adhoc_catalog = Mutex::new(build_catalog(&app, &ids)?);
 
-        Ok(Engine {
+        let engine = Engine {
             config,
             app,
             ids,
@@ -301,7 +299,20 @@ impl Engine {
                 chain: bootstrap.as_ref().map(|b| b.manifest_chain.clone()).unwrap_or_default(),
                 force_full: false,
             }),
-        })
+        };
+        // Every partition restores its own chain on its own thread:
+        // hand each its images (moved, not copied), then wait for all,
+        // so restore wall time is the slowest partition's, as replay's
+        // is.
+        let mut restoring = Vec::new();
+        for (p, chain) in images.into_iter().enumerate() {
+            let Some(chain) = chain else { continue };
+            restoring.push(engine.ask(p, move |rt| rt.restore(chain))?);
+        }
+        for r in restoring {
+            r.wait()??;
+        }
+        Ok(engine)
     }
 
     /// Engine metrics (shared with all partition threads).
@@ -627,10 +638,7 @@ impl Engine {
                     committed.push(p);
                 }
                 Ok(Err(e)) => failed.push((p, e)),
-                Err(_) => failed.push((
-                    p,
-                    Error::InvalidState(format!("partition {p} dropped its reply")),
-                )),
+                Err(_) => failed.push((p, partition_down(p))),
             }
         }
         if !failed.is_empty() {
@@ -680,7 +688,7 @@ impl Engine {
             .with_reply(tx)
             .admitted(permit);
         self.submit(partition, req)?;
-        rx.recv().map_err(|_| Error::InvalidState("reply lost".into()))?
+        rx.recv().map_err(|_| partition_down(partition))?
     }
 
     /// Runs one ad-hoc SQL statement as its own transaction on a
@@ -732,8 +740,7 @@ impl Engine {
         .with_reply(tx)
         .admitted(permit);
         self.submit(partition, req)?;
-        let outcome =
-            rx.recv().map_err(|_| Error::InvalidState("reply lost".into()))??;
+        let outcome = rx.recv().map_err(|_| partition_down(partition))??;
         Ok(outcome.result)
     }
 
@@ -745,16 +752,10 @@ impl Engine {
     /// replay comes through here too and benefits identically.
     pub(crate) fn plan_adhoc(&self, sql: &str) -> Result<Arc<BoundStatement>> {
         use std::sync::atomic::Ordering;
-        let epoch = self.plan_cache.epoch.load(Ordering::Acquire);
-        {
-            let mut entries = self.plan_cache.entries.lock();
-            if let Some(hit) = entries.get_mut(sql) {
-                if hit.epoch == epoch {
-                    hit.last_used = self.plan_cache.tick.fetch_add(1, Ordering::Relaxed);
-                    EngineMetrics::bump(&self.metrics.adhoc_plan_hits);
-                    return Ok(hit.stmt.clone());
-                }
-            }
+        if let Some(hit) = self.plan_cache.entries.lock().get_mut(sql) {
+            hit.last_used = self.plan_cache.tick.fetch_add(1, Ordering::Relaxed);
+            EngineMetrics::bump(&self.metrics.adhoc_plan_hits);
+            return Ok(hit.stmt.clone());
         }
         let stmt = {
             let catalog = self.adhoc_catalog.lock();
@@ -763,37 +764,15 @@ impl Engine {
         EngineMetrics::bump(&self.metrics.adhoc_plan_misses);
         let mut entries = self.plan_cache.entries.lock();
         if entries.len() >= PLAN_CACHE_CAPACITY {
-            // Evict a stale-epoch entry if any survives, else the least
-            // recently used live one.
-            if let Some(victim) = entries
-                .iter()
-                .min_by_key(|(_, e)| (e.epoch == epoch, e.last_used))
-                .map(|(k, _)| k.clone())
+            if let Some(victim) =
+                entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
             {
                 entries.remove(&victim);
             }
         }
-        entries.insert(
-            sql.to_owned(),
-            CachedPlan {
-                epoch,
-                last_used: self.plan_cache.tick.fetch_add(1, Ordering::Relaxed),
-                stmt: stmt.clone(),
-            },
-        );
+        let last_used = self.plan_cache.tick.fetch_add(1, Ordering::Relaxed);
+        entries.insert(sql.to_owned(), CachedPlan { last_used, stmt: stmt.clone() });
         Ok(stmt)
-    }
-
-    /// Invalidates every cached ad-hoc plan. Must be called by any
-    /// future operation that changes the catalog the planner binds
-    /// against (runtime DDL, app re-install); until then it exists for
-    /// tests and for that future caller. Concurrent in-flight plans
-    /// that raced the bump land stamped with the old epoch and simply
-    /// miss forever — never served stale.
-    pub fn invalidate_adhoc_plans(&self) {
-        use std::sync::atomic::Ordering;
-        self.plan_cache.epoch.fetch_add(1, Ordering::Release);
-        self.plan_cache.entries.lock().clear();
     }
 
     /// H-Store-mode client driving: runs one interior transaction for a
@@ -815,7 +794,7 @@ impl Engine {
         )
         .with_reply(tx);
         self.submit(partition, req)?;
-        rx.recv().map_err(|_| Error::InvalidState("reply lost".into()))?
+        rx.recv().map_err(|_| partition_down(partition))?
     }
 
     /// H-Store-mode client loop: drives every pending activation of an
@@ -837,21 +816,30 @@ impl Engine {
     }
 
     pub(crate) fn submit(&self, partition: usize, req: TxnRequest) -> Result<()> {
-        self.partitions
-            .get(partition)
-            .ok_or_else(|| Error::not_found("partition", partition.to_string()))?
-            .tx
-            .send(PartitionMsg::Submit(req))
-            .map_err(|_| Error::InvalidState("partition is down".into()))
+        self.send(partition, PartitionMsg::Submit(req))
     }
 
-    pub(crate) fn control(&self, partition: usize, msg: PartitionMsg) -> Result<()> {
+    fn send(&self, partition: usize, msg: PartitionMsg) -> Result<()> {
         self.partitions
             .get(partition)
             .ok_or_else(|| Error::not_found("partition", partition.to_string()))?
             .tx
             .send(msg)
-            .map_err(|_| Error::InvalidState("partition is down".into()))
+            .map_err(|_| partition_down(partition))
+    }
+
+    /// The control plane's one helper: runs `f` on `partition`'s thread
+    /// between transactions and returns the answer still in flight, so
+    /// a caller can fan one operation out to every partition before it
+    /// waits on any.
+    fn ask<R: Send + 'static>(
+        &self,
+        partition: usize,
+        f: impl FnOnce(&mut PartitionRuntime) -> R + Send + 'static,
+    ) -> Result<Pending<R>> {
+        let (tx, rx) = bounded(1);
+        self.send(partition, PartitionMsg::Run(Box::new(move |rt| drop(tx.send(f(rt))))))?;
+        Ok(Pending { partition, rx })
     }
 
     // ------------------------------------------------------------------
@@ -887,12 +875,11 @@ impl Engine {
             let before = counters();
             let mut waits = Vec::new();
             for p in 0..self.partitions.len() {
-                let (tx, rx) = bounded(1);
-                self.control(p, PartitionMsg::Drain(tx))?;
-                waits.push(rx);
+                waits.push(self.ask(p, PartitionRuntime::drain)?);
             }
-            for rx in waits {
-                rx.recv().map_err(|_| Error::InvalidState("drain reply lost".into()))?;
+            for w in waits {
+                let p = w.partition;
+                w.wait()?.recv().map_err(|_| partition_down(p))?;
             }
             let after = counters();
             if before == after && after.0 == after.1 {
@@ -904,9 +891,7 @@ impl Engine {
     /// Forces command-log flushes on every partition.
     pub fn flush_logs(&self) -> Result<()> {
         for p in 0..self.partitions.len() {
-            let (tx, rx) = bounded(1);
-            self.control(p, PartitionMsg::FlushLog(tx))?;
-            rx.recv().map_err(|_| Error::InvalidState("flush reply lost".into()))??;
+            self.ask(p, PartitionRuntime::flush_log)?.wait()??;
         }
         Ok(())
     }
@@ -966,11 +951,7 @@ impl Engine {
         // Phase 1: cut every partition's image in memory.
         let mut images = Vec::with_capacity(self.partitions.len());
         for p in 0..self.partitions.len() {
-            let (tx, rx) = bounded(1);
-            self.control(p, PartitionMsg::Checkpoint { full, reply: tx })?;
-            images.push(
-                rx.recv().map_err(|_| Error::InvalidState("checkpoint reply lost".into()))??,
-            );
+            images.push(self.ask(p, move |rt| rt.checkpoint(full))?.wait()??);
         }
         // Crash point: every image collected, no file written yet.
         self.config.faults.hit(CrashPoint::MidCheckpointPhase1, None)?;
@@ -1022,10 +1003,8 @@ impl Engine {
         // engine drops snapshot images of epochs outside the chain.
         let (mut deleted, mut segs, mut bytes) = (0u64, 0u64, 0u64);
         for p in 0..self.partitions.len() {
-            let (tx, rx) = bounded(1);
-            self.control(p, PartitionMsg::TruncateLog { covered: manifest.floor(p), reply: tx })?;
-            let (d, s, b) =
-                rx.recv().map_err(|_| Error::InvalidState("truncate reply lost".into()))??;
+            let covered = manifest.floor(p);
+            let (d, s, b) = self.ask(p, move |rt| rt.truncate_log(covered))?.wait()??;
             deleted += d as u64;
             segs += s as u64;
             bytes += b;
@@ -1059,18 +1038,15 @@ impl Engine {
     /// Ad-hoc read-only query against one partition (tests, examples,
     /// dashboards — the "OLTP side" of the hybrid workload).
     pub fn query(&self, partition: usize, sql: &str, params: Vec<Value>) -> Result<QueryResult> {
-        let (tx, rx) = bounded(1);
-        self.control(partition, PartitionMsg::Query(sql.to_owned(), params, tx))?;
-        rx.recv().map_err(|_| Error::InvalidState("query reply lost".into()))?
+        let sql = sql.to_owned();
+        self.ask(partition, move |rt| rt.query(sql, params))?.wait()?
     }
 
     /// Enables or disables PE triggers on every partition (recovery
     /// protocol, §3.2.5).
     pub(crate) fn set_triggers(&self, enabled: bool) -> Result<()> {
         for p in 0..self.partitions.len() {
-            let (tx, rx) = bounded(1);
-            self.control(p, PartitionMsg::SetTriggers(enabled, tx))?;
-            rx.recv().map_err(|_| Error::InvalidState("reply lost".into()))?;
+            self.ask(p, move |rt| rt.set_triggers(enabled))?.wait()?;
         }
         Ok(())
     }
@@ -1079,9 +1055,7 @@ impl Engine {
     pub(crate) fn fire_dangling(&self) -> Result<usize> {
         let mut total = 0;
         for p in 0..self.partitions.len() {
-            let (tx, rx) = bounded(1);
-            self.control(p, PartitionMsg::FireDangling(tx))?;
-            total += rx.recv().map_err(|_| Error::InvalidState("reply lost".into()))??;
+            total += self.ask(p, PartitionRuntime::fire_dangling)?.wait()??;
         }
         Ok(total)
     }

@@ -20,7 +20,10 @@
 //!  ║ Error::Overloaded before any state is touched. Internal  ║
 //!  ║ classes (Interior/ExchangeMerge/WindowSlide) are exempt. ║
 //!  ╚══════╤═══════════════════════════════════════════════════╝
-//!        │  crossbeam channel = the "network" round trip
+//!        │  crossbeam channel = the "network" round trip:
+//!        │  typed Submit/Exchange per transaction; every control
+//!        │  operation (checkpoint, restore, drain, query, …) is
+//!        │  one closure run on the partition thread (Engine::ask)
 //!        │  mixed-key batches hash-split into per-partition
 //!        │  sub-batches sharing one logical BatchId
 //!        │  (credit returns at commit/abort; per-class
@@ -43,7 +46,8 @@
 //!  │       tails, fsync errors,   │                          │
 //!  │       crash points)          │                          │
 //!  └──────────────┬───────────────┘                          │
-//!                 │  EE boundary (inline call or channel hop)
+//!                 │  EE boundary: one closure per crossing, called
+//!                 │  inline or shipped over a channel hop (EeHandle::run)
 //!                 ▼
 //!  ┌───────────────────────────────────────────────┐
 //!  │ Execution Engine (EE)                         │
@@ -56,7 +60,7 @@
 //!  │    BYs scan columnar; bit-identical to the    │
 //!  │    row path; DML and point lookups stay       │
 //!  │    row-at-a-time. Ad-hoc plans served from an │
-//!  │    epoch-guarded LRU cache keyed by SQL text  │
+//!  │    LRU cache keyed by SQL text                │
 //!  │  · streams/windows as tables                  │
 //!  │  · EE triggers, auto-GC                       │
 //!  │  · event-time: per-stream high marks →        │

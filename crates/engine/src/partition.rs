@@ -12,6 +12,16 @@
 //! [`TableId`] (see [`crate::names`]): the execution loop performs no
 //! string hashing or lower-casing, and PE-trigger dispatch is an array
 //! walk.
+//!
+//! The channel carries two kinds of traffic. The *data plane* —
+//! [`PartitionMsg::Submit`] and [`PartitionMsg::Exchange`], one or more
+//! per transaction — is typed and unboxed. Everything else (checkpoint,
+//! restore, log truncation and flush, drain, trigger switching,
+//! dangling-batch re-fire, ad-hoc reads) is the *control plane*: a
+//! [`Job`] closure the thread runs between transactions against its
+//! [`PartitionRuntime`], which sends its own answer back. Adding a
+//! control operation is a runtime method and a call to
+//! [`crate::engine::Engine`]'s one helper, not a message variant.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,6 +37,7 @@ use crate::admission::{AdmissionPermit, TxnClass};
 use crate::app::App;
 use crate::boundary::EeHandle;
 use crate::config::{EngineConfig, EngineMode};
+use crate::ee::ExecutionEngine;
 use crate::faults::CrashPoint;
 use crate::log::CommandLog;
 use crate::metrics::EngineMetrics;
@@ -206,8 +217,12 @@ pub struct CallOutcome {
     pub pending: Vec<PendingActivation>,
 }
 
-/// Control-plane messages to a partition.
-pub enum PartitionMsg {
+/// A control-plane operation: run on the partition thread between
+/// transactions; it answers through whatever sender it captured.
+pub(crate) type Job = Box<dyn FnOnce(&mut PartitionRuntime) + Send>;
+
+/// Messages to a partition thread.
+pub(crate) enum PartitionMsg {
     /// Submit a transaction request (client call or ingestion).
     Submit(TxnRequest),
     /// One partition's sub-batch of an exchange hop (§4.7 meets the
@@ -227,75 +242,58 @@ pub enum PartitionMsg {
         /// Rows routed to this partition.
         rows: Vec<Tuple>,
     },
-    /// Take a checkpoint (`full` = base image, else a delta of state
-    /// dirtied since the last image); replies with the EE image, the
-    /// last LSN covered by it, and the exchange watermarks (by stream
-    /// name).
-    Checkpoint {
-        /// Base image (`true`) or incremental delta (`false`).
-        full: bool,
-        /// Reply channel.
-        reply: Sender<Result<(Vec<u8>, Lsn, HashMap<String, u64>)>>,
-    },
-    /// Restore EE state from an epoch chain — base image + deltas,
-    /// oldest first (recovery bootstrap).
-    Restore(Vec<Vec<u8>>, Sender<Result<()>>),
-    /// Delete log segments wholly covered by the durable checkpoint
-    /// floor `covered` (GC). Replies with how many segments were
-    /// unlinked plus the surviving chain's shape (segment count, total
-    /// bytes) — the engine aggregates those into the metrics gauges.
-    TruncateLog {
-        /// Last LSN the durable manifest's newest epoch covers for
-        /// this partition.
-        covered: Lsn,
-        /// Reply channel: `(deleted, segments_left, bytes_left)`.
-        reply: Sender<Result<(usize, usize, u64)>>,
-    },
-    /// Block until the queue is empty and no work is in flight.
-    Drain(Sender<()>),
-    /// Enable/disable PE triggers (recovery protocol).
-    SetTriggers(bool, Sender<()>),
-    /// Enqueue PE triggers for all dangling stream batches (recovery);
-    /// replies with how many TEs were enqueued.
-    FireDangling(Sender<Result<usize>>),
-    /// Ad-hoc read-only query.
-    Query(String, Vec<Value>, Sender<Result<QueryResult>>),
-    /// Flush the command log (end of benchmark phase).
-    FlushLog(Sender<Result<()>>),
+    /// A control-plane operation ([`Job`]).
+    Run(Job),
     /// Stop the partition thread. The reply carries the result of
     /// closing the command log: a failed final flush/fsync must NOT
     /// read as a clean shutdown (it silently loses the log tail).
     Shutdown(Sender<Result<()>>),
 }
 
+/// The error for a partition whose thread is gone: it refused a
+/// message, or dropped a reply it owed.
+pub(crate) fn partition_down(partition: usize) -> Error {
+    Error::InvalidState(format!("partition {partition} is down"))
+}
+
 /// Handle the engine keeps per partition.
-pub struct PartitionHandle {
+pub(crate) struct PartitionHandle {
+    id: usize,
     /// Message channel into the partition thread.
-    pub tx: Sender<PartitionMsg>,
+    pub(crate) tx: Sender<PartitionMsg>,
     join: Option<JoinHandle<()>>,
 }
 
 impl PartitionHandle {
     /// Wraps a partition's sender and thread handle.
-    pub(crate) fn new(tx: Sender<PartitionMsg>, join: JoinHandle<()>) -> Self {
-        PartitionHandle { tx, join: Some(join) }
+    pub(crate) fn new(id: usize, tx: Sender<PartitionMsg>, join: JoinHandle<()>) -> Self {
+        PartitionHandle { id, tx, join: Some(join) }
     }
 
     /// Sends shutdown, joins the thread, and propagates the log-close
     /// result — a failed final flush means the log tail was lost and
-    /// must not masquerade as a clean shutdown.
-    pub fn close(&mut self) -> Result<()> {
-        let mut out = Ok(());
+    /// must not masquerade as a clean shutdown. Neither may a thread
+    /// that died before it could answer: that is an error naming the
+    /// partition (and the panic, if it left a message).
+    pub(crate) fn close(&mut self) -> Result<()> {
         let (tx, rx) = crossbeam_channel::bounded(1);
-        if self.tx.send(PartitionMsg::Shutdown(tx)).is_ok() {
-            if let Ok(r) = rx.recv() {
-                out = r;
+        let closed = self.tx.send(PartitionMsg::Shutdown(tx)).ok().and_then(|()| rx.recv().ok());
+        let joined = self.join.take().map_or(Ok(()), JoinHandle::join);
+        match (closed, joined) {
+            (Some(out), Ok(())) => out,
+            (_, Err(panic)) => {
+                let msg = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("no message");
+                Err(Error::InvalidState(format!(
+                    "partition {} is down: its thread panicked ({msg})",
+                    self.id
+                )))
             }
+            (None, Ok(())) => Err(partition_down(self.id)),
         }
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-        out
     }
 
     /// Sends shutdown and joins the thread, ignoring log-close errors
@@ -532,51 +530,7 @@ impl PartitionRuntime {
             PartitionMsg::Exchange { stream, batch, source, rows } => {
                 self.handle_exchange(stream, batch, source, rows);
             }
-            PartitionMsg::Checkpoint { full, reply } => {
-                let out = self.do_checkpoint(full);
-                let _ = reply.send(out);
-            }
-            PartitionMsg::Restore(chain, reply) => {
-                let start = Instant::now();
-                let out = self.ee.restore(chain);
-                self.metrics
-                    .recovery_restore_ms
-                    .fetch_max(start.elapsed().as_millis() as u64, std::sync::atomic::Ordering::Relaxed);
-                let _ = reply.send(out);
-            }
-            PartitionMsg::TruncateLog { covered, reply } => {
-                let _ = reply.send(self.do_truncate_log(covered));
-            }
-            PartitionMsg::Drain(reply) => {
-                if self.queue.is_empty() && self.rx.is_empty() {
-                    let _ = reply.send(());
-                } else {
-                    self.pending_drains.push(reply);
-                }
-            }
-            PartitionMsg::SetTriggers(enabled, reply) => {
-                self.triggers_enabled = enabled;
-                let _ = reply.send(());
-            }
-            PartitionMsg::FireDangling(reply) => {
-                let _ = reply.send(self.fire_dangling());
-            }
-            PartitionMsg::Query(sql, params, reply) => {
-                let _ = reply.send(self.ee.query(sql, params));
-            }
-            PartitionMsg::FlushLog(reply) => {
-                let out = match &mut self.log {
-                    Some(log) => {
-                        let r = log.flush();
-                        self.metrics
-                            .log_flushes
-                            .store(log.flushes(), std::sync::atomic::Ordering::Relaxed);
-                        r
-                    }
-                    None => Ok(()),
-                };
-                let _ = reply.send(out);
-            }
+            PartitionMsg::Run(job) => job(self),
             PartitionMsg::Shutdown(reply) => {
                 // Close (not just flush) the log so a failed final
                 // flush/fsync surfaces to the caller instead of
@@ -593,7 +547,55 @@ impl PartitionRuntime {
         false
     }
 
-    fn do_checkpoint(&mut self, full: bool) -> Result<(Vec<u8>, Lsn, HashMap<String, u64>)> {
+    // ------------------------------------------------------------------
+    // Control-plane operations (each runs as a `Job`)
+    // ------------------------------------------------------------------
+
+    /// A signal that fires once the queue is empty and no work is in
+    /// flight — at once, if that is already so.
+    pub(crate) fn drain(&mut self) -> Receiver<()> {
+        let (tx, rx) = crossbeam_channel::bounded(1);
+        self.pending_drains.push(tx);
+        self.flush_drains();
+        rx
+    }
+
+    /// Enables or disables PE triggers (recovery protocol).
+    pub(crate) fn set_triggers(&mut self, enabled: bool) {
+        self.triggers_enabled = enabled;
+    }
+
+    /// Ad-hoc read-only query.
+    pub(crate) fn query(&mut self, sql: String, params: Vec<Value>) -> Result<QueryResult> {
+        self.ee.run(move |ee| ee.query(&sql, &params))
+    }
+
+    /// Restores EE state from an epoch chain — base image + deltas,
+    /// oldest first (recovery bootstrap).
+    pub(crate) fn restore(&mut self, chain: Vec<Vec<u8>>) -> Result<()> {
+        let start = Instant::now();
+        let out = self.ee.run(move |ee| ee.restore_chain(&chain));
+        self.metrics
+            .recovery_restore_ms
+            .fetch_max(start.elapsed().as_millis() as u64, std::sync::atomic::Ordering::Relaxed);
+        out
+    }
+
+    /// Flushes the command log (end of benchmark phase).
+    pub(crate) fn flush_log(&mut self) -> Result<()> {
+        let Some(log) = &mut self.log else { return Ok(()) };
+        let r = log.flush();
+        self.metrics.log_flushes.store(log.flushes(), std::sync::atomic::Ordering::Relaxed);
+        r
+    }
+
+    /// Takes a checkpoint (`full` = base image, else a delta of state
+    /// dirtied since the last image): the EE image, the last LSN it
+    /// covers, and the exchange watermarks (by stream name).
+    pub(crate) fn checkpoint(
+        &mut self,
+        full: bool,
+    ) -> Result<(Vec<u8>, Lsn, HashMap<String, u64>)> {
         let lsn = match &mut self.log {
             Some(log) => {
                 // Flush + unconditional fsync: the image about to be
@@ -605,7 +607,8 @@ impl PartitionRuntime {
             }
             None => Lsn(0),
         };
-        let bytes = self.ee.checkpoint(full)?;
+        let bytes =
+            self.ee.run(move |ee| if full { ee.checkpoint() } else { ee.checkpoint_delta() })?;
         let floor = self
             .exchange_applied
             .iter()
@@ -617,12 +620,13 @@ impl PartitionRuntime {
     }
 
     /// Deletes log segments wholly covered by the durable checkpoint
-    /// floor. Each unlink is preceded by the `pre-segment-unlink` crash
-    /// point: a crash between unlinks leaves a chain whose oldest
-    /// surviving segment still carries its base LSN, so recovery folds
-    /// the missing history through the checkpoint it was truncated
-    /// against.
-    fn do_truncate_log(&mut self, covered: Lsn) -> Result<(usize, usize, u64)> {
+    /// floor `covered` (GC); returns how many were unlinked plus the
+    /// surviving chain's shape (segment count, total bytes). Each
+    /// unlink is preceded by the `pre-segment-unlink` crash point: a
+    /// crash between unlinks leaves a chain whose oldest surviving
+    /// segment still carries its base LSN, so recovery folds the
+    /// missing history through the checkpoint it was truncated against.
+    pub(crate) fn truncate_log(&mut self, covered: Lsn) -> Result<(usize, usize, u64)> {
         let Some(log) = &mut self.log else { return Ok((0, 0, 0)) };
         let mut deleted = 0;
         for (seq, path) in log.gc_candidates(covered) {
@@ -707,9 +711,9 @@ impl PartitionRuntime {
         // Pull the rows out of the local stream table in a mini
         // transaction of their own (the producing TE has already
         // committed; the extraction must be atomic and durable-free).
-        self.ee.begin(Some(batch))?;
-        let rows = self.ee.consume(stream, batch, false)?;
-        let outcome = self.ee.commit()?;
+        self.ee.run(move |ee| ee.begin(Some(batch)))?;
+        let rows = self.ee.run(move |ee| ee.consume(stream, batch, false))?;
+        let outcome = self.ee.run(ExecutionEngine::commit)?;
         self.enqueue_slides(outcome.slides, Some(batch));
         let n = self.peers.len();
         let parts = crate::engine::split_by_key(rows, col, n);
@@ -751,8 +755,8 @@ impl PartitionRuntime {
     /// owning partitions instead (strong replay leaves one behind for
     /// every replayed upstream commit — receivers drop the ones they
     /// already applied via the exchange watermark).
-    fn fire_dangling(&mut self) -> Result<usize> {
-        let dangling = self.ee.dangling()?;
+    pub(crate) fn fire_dangling(&mut self) -> Result<usize> {
+        let dangling = self.ee.run(|ee| Ok(ee.dangling_batches()))?;
         let mut shipped = 0usize;
         let mut reqs: Vec<(BatchId, usize, TxnRequest)> = Vec::new();
         for (stream, batch) in dangling {
@@ -821,7 +825,7 @@ impl PartitionRuntime {
                 // Roll back whatever the failed TE did. Abort errors when
                 // no transaction is open are expected (failure before
                 // begin) and ignored.
-                let _ = self.ee.abort();
+                let _ = self.ee.run(ExecutionEngine::abort);
                 EngineMetrics::bump(&self.metrics.txns_aborted);
                 if let Some(reply) = reply {
                     let _ = reply.send(Err(e));
@@ -855,7 +859,7 @@ impl PartitionRuntime {
             None => Arc::from(ADHOC_NAME),
         };
 
-        self.ee.begin(batch)?;
+        self.ee.run(move |ee| ee.begin(batch))?;
 
         // Resolve the input batch.
         let input: Vec<Tuple> = match invocation {
@@ -872,7 +876,8 @@ impl PartitionRuntime {
                 let b = batch.ok_or_else(|| {
                     Error::Internal("interior invocation without batch".into())
                 })?;
-                self.ee.consume(*stream, b, true)?
+                let stream = *stream;
+                self.ee.run(move |ee| ee.consume(stream, b, true))?
             }
         };
         let params = match invocation {
@@ -895,7 +900,9 @@ impl PartitionRuntime {
                 .as_ref()
                 .is_some_and(|s| s.ts_col.is_some());
             if timed && !input.is_empty() {
-                self.ee.observe_input(*stream, input.clone())?;
+                // O(1) clone per tuple — shared buffers.
+                let (stream, rows) = (*stream, input.clone());
+                self.ee.run(move |ee| ee.observe_input(stream, &rows))?;
             }
         }
 
@@ -919,7 +926,7 @@ impl PartitionRuntime {
         {
             if let Some(proc) = &proc {
                 for &sid in &proc.align_outputs {
-                    self.ee.emit(sid, Vec::new())?;
+                    self.ee.run(move |ee| ee.emit(sid, Vec::new()))?;
                 }
             }
         }
@@ -931,12 +938,14 @@ impl PartitionRuntime {
         // no body: they apply the window's pending watermark-driven
         // slides (which fire the window's on-slide EE triggers).
         let result = if let Invocation::WindowSlide { window } = invocation {
-            self.ee.process_slides(*window)?;
+            let window = *window;
+            self.ee.run(move |ee| ee.process_slides(window))?;
             QueryResult::default()
         } else if let Invocation::AdHoc { stmt, params, .. } = invocation {
             // One edge-planned statement, same effects/undo/cascade
             // discipline as a compiled procedure statement.
-            self.ee.exec_adhoc(stmt.clone(), params.clone())?
+            let (stmt, params) = (stmt.clone(), params.clone());
+            self.ee.run(move |ee| ee.exec_bound(&stmt, &params))?
         } else if proc.as_ref().is_some_and(|p| p.children.is_empty()) {
             let proc = proc.as_ref().expect("non-adhoc invocations carry a procedure");
             self.run_body(proc_id, proc, input, batch, params)?
@@ -951,7 +960,9 @@ impl PartitionRuntime {
                     // A later child consumes what its predecessors
                     // emitted this round, if anything.
                     match (self.ids.proc(child_id).input_stream, batch) {
-                        (Some(stream), Some(b)) => self.ee.consume(stream, b, false)?,
+                        (Some(stream), Some(b)) => {
+                            self.ee.run(move |ee| ee.consume(stream, b, false))?
+                        }
                         _ => Vec::new(),
                     }
                 };
@@ -1036,7 +1047,7 @@ impl PartitionRuntime {
         // and any exchange sends have not happened.
         self.config.faults.hit(CrashPoint::PostAppendPreSend, Some(self.partition_id))?;
 
-        let crate::ee::CommitOutcome { outputs, slides } = self.ee.commit()?;
+        let crate::ee::CommitOutcome { outputs, slides } = self.ee.run(ExecutionEngine::commit)?;
         EngineMetrics::bump(&self.metrics.txns_committed);
         if self.config.trace {
             self.metrics.trace.lock().push(TraceEvent {

@@ -112,7 +112,7 @@ impl<'a> ProcCtx<'a> {
                     self.proc.name
                 ))
             })?;
-        self.ee.emit(id, rows)
+        self.ee.run(move |ee| ee.emit(id, rows))
     }
 
     /// Sets the result returned to a synchronous caller.

@@ -180,6 +180,33 @@ fn abort_rolls_back_whole_te_and_skips_downstream() {
     engine.shutdown();
 }
 
+/// A procedure body that panics takes its partition thread down (there
+/// is no `catch_unwind`). Whatever is asked of that partition after
+/// that must fail naming it — never hang — and closing the engine must
+/// not read as a clean shutdown.
+#[test]
+fn a_dead_partition_is_named_and_never_closes_clean() {
+    for boundary in [BoundaryMode::Inline, BoundaryMode::Channel] {
+        let app = App::builder()
+            .table("t", int_schema())
+            .proc("boom", &[], &[], |_| panic!("procedure body panicked"))
+            .build()
+            .unwrap();
+        let config =
+            EngineConfig::default().with_data_dir(test_dir("dead")).with_boundary(boundary);
+        let engine = Engine::start(config, app).unwrap();
+        let names_p0 = |what: &str, err: sstore_common::Error| {
+            assert!(err.to_string().contains("partition 0"), "{boundary:?} {what}: {err}");
+        };
+        names_p0("call", engine.call("boom", vec![]).unwrap_err());
+        names_p0("query", engine.query(0, "SELECT v FROM t", vec![]).unwrap_err());
+        names_p0("drain", engine.drain().unwrap_err());
+        let err = engine.close().unwrap_err();
+        assert!(err.to_string().contains("procedure body panicked"), "{err}");
+        names_p0("close", err);
+    }
+}
+
 #[test]
 fn hstore_mode_requires_client_driving() {
     let config = EngineConfig {

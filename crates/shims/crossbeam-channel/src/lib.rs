@@ -224,14 +224,19 @@ impl<T> Clone for Receiver<T> {
 }
 
 impl<T> Drop for Receiver<T> {
+    /// The last receiver to go discards every queued message, as the
+    /// real crate does: nothing can receive them any more, and a message
+    /// that owns a reply sender must drop it so its waiter wakes.
     fn drop(&mut self) {
         let mut inner = lock(&self.chan);
         inner.receivers -= 1;
-        let disconnect = inner.receivers == 0;
-        drop(inner);
-        if disconnect {
-            self.chan.not_full.notify_all();
+        if inner.receivers > 0 {
+            return;
         }
+        let discarded = std::mem::take(&mut inner.queue);
+        drop(inner);
+        drop(discarded);
+        self.chan.not_full.notify_all();
     }
 }
 
@@ -271,6 +276,16 @@ mod tests {
         let (tx, rx) = unbounded();
         drop(rx);
         assert_eq!(tx.send(5), Err(SendError(5)));
+    }
+
+    #[test]
+    fn last_receiver_drop_discards_queued_messages() {
+        let (tx, rx) = unbounded();
+        let (reply_tx, reply_rx) = bounded::<()>(1);
+        tx.send(reply_tx).unwrap();
+        drop(rx);
+        // The queued sender went with the receiver: its waiter wakes.
+        assert_eq!(reply_rx.recv(), Err(RecvError));
     }
 
     #[test]
