@@ -306,11 +306,7 @@ impl<'a> Decoder<'a> {
         if n > self.remaining() {
             return Err(Error::Codec(format!("tuple arity {n} exceeds remaining input")));
         }
-        let mut vals = Vec::with_capacity(n);
-        for _ in 0..n {
-            vals.push(self.get_value()?);
-        }
-        Ok(Tuple::new(vals))
+        Tuple::try_collect((0..n).map(|_| self.get_value()))
     }
 
     /// Reads a schema.

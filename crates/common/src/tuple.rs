@@ -1,17 +1,24 @@
 //! Tuple representation.
 //!
-//! A [`Tuple`] is a row of [`Value`]s behind a shared, atomically
-//! reference-counted buffer: cloning a tuple is O(1) (a refcount bump),
-//! which makes the engine's hot path — moving rows between scans,
-//! effects, undo records, stream batches, and the command log —
-//! allocation-free. Mutation goes through [`Tuple::get_mut`] /
-//! [`Tuple::push`], which copy-on-write only when the buffer is shared
-//! (i.e. only a SQL UPDATE that actually rewrites a live row pays for a
-//! copy).
+//! A [`Tuple`] is a row of [`Value`]s in **one** shared, atomically
+//! reference-counted allocation: the refcounts and the values sit side
+//! by side, and the row's length travels in the (fat) pointer. Cloning
+//! a tuple is O(1) (a refcount bump), which makes the engine's hot path
+//! — moving rows between scans, effects, undo records, stream batches,
+//! and the command log — allocation-free; and reading a row's values is
+//! one dependent load from wherever the tuple is held (a table entry, a
+//! batch), not two through a separate `Vec` header.
+//!
+//! A tuple is immutable once built: there is no copy-on-write. A
+//! statement that changes a row (SQL UPDATE) builds the new image from
+//! the pre-image and swaps it in, and the pre-image is what the undo
+//! record keeps. Build from an exact-size iterator (`collect()`, or
+//! [`Tuple::try_collect`] where a value can fail) — that is the one
+//! allocation; [`Tuple::new`] copies a `Vec` into it.
 //!
 //! Streams and windows additionally attach metadata (timestamps, batch
 //! ids) — that metadata lives in the engine crate as hidden columns,
-//! keeping this type a plain value vector.
+//! keeping this type a plain value row.
 
 use std::fmt;
 use std::ops::Index;
@@ -24,19 +31,24 @@ use crate::value::Value;
 /// A row of values with O(1) clone.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Tuple {
-    values: Arc<Vec<Value>>,
-}
-
-impl Default for Tuple {
-    fn default() -> Self {
-        Tuple { values: Arc::new(Vec::new()) }
-    }
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
-    /// Builds a tuple from values.
+    /// Builds a tuple from values (copied into the tuple's allocation).
     pub fn new(values: Vec<Value>) -> Self {
-        Tuple { values: Arc::new(values) }
+        Tuple { values: values.into() }
+    }
+
+    /// Builds a tuple from values produced one by one, any of which may
+    /// fail, in the one allocation `collect()` makes: every value is
+    /// produced, and the first error is returned. For producers that may
+    /// go on past a failure — expression evaluation, or a decoder whose
+    /// first error abandons the whole read.
+    pub fn try_collect(values: impl Iterator<Item = Result<Value>>) -> Result<Self> {
+        let mut first = None;
+        let t = values.map(|v| v.unwrap_or_else(|e| { first.get_or_insert(e); Value::Null })).collect();
+        first.map_or(Ok(t), Err)
     }
 
     /// Builds a tuple and validates it against `schema`.
@@ -57,30 +69,19 @@ impl Tuple {
         &self.values[idx]
     }
 
-    /// Mutable field accessor. Copies the underlying buffer first if it
-    /// is shared with other clones (copy-on-write).
-    #[inline]
-    pub fn get_mut(&mut self, idx: usize) -> &mut Value {
-        &mut Arc::make_mut(&mut self.values)[idx]
-    }
-
     /// All fields as a slice.
     #[inline]
     pub fn values(&self) -> &[Value] {
         &self.values
     }
 
-    /// Consumes the tuple, returning its values. O(1) when this is the
-    /// only reference to the buffer; clones otherwise.
-    #[inline]
-    pub fn into_values(self) -> Vec<Value> {
-        Arc::try_unwrap(self.values).unwrap_or_else(|shared| (*shared).clone())
-    }
-
-    /// True if this tuple is the sole owner of its value buffer (no
-    /// other clones alive) — diagnostics for copy-on-write behavior.
-    pub fn is_unique(&self) -> bool {
-        Arc::strong_count(&self.values) == 1
+    /// Consumes the tuple, returning its values in one new `Vec`: moved
+    /// out when this is the only reference to them, cloned otherwise.
+    pub fn into_values(mut self) -> Vec<Value> {
+        match Arc::get_mut(&mut self.values) {
+            Some(owned) => owned.iter_mut().map(|v| std::mem::replace(v, Value::Null)).collect(),
+            None => self.values.to_vec(),
+        }
     }
 
     /// Extracts the event timestamp stored in column `col` (time-based
@@ -97,24 +98,6 @@ impl Tuple {
                 ))
             })?
             .as_int()
-    }
-
-    /// Projects the tuple onto the given column indexes.
-    pub fn project(&self, idxs: &[usize]) -> Tuple {
-        Tuple::new(idxs.iter().map(|&i| self.values[i].clone()).collect())
-    }
-
-    /// Concatenates two tuples (used by joins).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.values.len() + other.values.len());
-        v.extend_from_slice(&self.values);
-        v.extend_from_slice(&other.values);
-        Tuple::new(v)
-    }
-
-    /// Appends a value in place (copy-on-write when shared).
-    pub fn push(&mut self, v: Value) {
-        Arc::make_mut(&mut self.values).push(v);
     }
 }
 
@@ -133,8 +116,10 @@ impl From<Vec<Value>> for Tuple {
 }
 
 impl FromIterator<Value> for Tuple {
+    /// One allocation when the iterator knows its exact length (a `map`
+    /// over a slice or a range); otherwise collected into a `Vec` first.
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
-        Tuple::new(iter.into_iter().collect())
+        Tuple { values: iter.into_iter().collect() }
     }
 }
 
@@ -156,13 +141,14 @@ impl fmt::Display for Tuple {
 #[macro_export]
 macro_rules! tuple {
     ($($v:expr),* $(,)?) => {
-        $crate::tuple::Tuple::new(vec![$($crate::value::Value::from($v)),*])
+        $crate::tuple::Tuple::from_iter([$($crate::value::Value::from($v)),*])
     };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::schema::{DataType, Schema};
 
     #[test]
@@ -191,15 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn project_and_concat() {
-        let t = tuple![1i64, "a", 2i64];
-        let p = t.project(&[2, 0]);
-        assert_eq!(p, tuple![2i64, 1i64]);
-        let c = p.concat(&tuple!["z"]);
-        assert_eq!(c, tuple![2i64, 1i64, "z"]);
-    }
-
-    #[test]
     fn display_lists_fields() {
         assert_eq!(tuple![1i64, "a"].to_string(), "[1, 'a']");
     }
@@ -208,32 +185,37 @@ mod tests {
     fn from_iterator_collects() {
         let t: Tuple = (0..3).map(Value::Int).collect();
         assert_eq!(t.arity(), 3);
+        assert_eq!(t, tuple![0i64, 1i64, 2i64]);
     }
 
     #[test]
-    fn clone_shares_and_mutation_unshares() {
+    fn try_collect_returns_the_first_error() {
+        let ok = Tuple::try_collect([Ok(Value::Int(1)), Ok(Value::Null)].into_iter());
+        assert_eq!(ok.unwrap(), tuple![1i64, Value::Null]);
+        let first = Error::Eval("first".into());
+        let failed = [Ok(Value::Int(1)), Err(first.clone()), Err(Error::Eval("second".into()))];
+        assert_eq!(Tuple::try_collect(failed.into_iter()).unwrap_err(), first);
+    }
+
+    #[test]
+    fn clone_shares_the_values() {
         let a = tuple![1i64, "x"];
-        assert!(a.is_unique());
-        let mut b = a.clone();
-        assert!(!a.is_unique(), "clone must share the buffer");
-        *b.get_mut(0) = Value::Int(9);
-        // Copy-on-write: the original is untouched and both are now
-        // sole owners.
-        assert_eq!(a[0], Value::Int(1));
-        assert_eq!(b[0], Value::Int(9));
-        assert!(a.is_unique());
-        assert!(b.is_unique());
+        let b = a.clone();
+        assert!(std::ptr::eq(a.values(), b.values()), "clone must share the allocation");
     }
 
     #[test]
     fn into_values_avoids_copy_when_unique() {
-        let t = tuple![1i64, 2i64];
+        let t = tuple![1i64, "moved"];
+        let text = t.values()[1].as_text().unwrap().as_ptr();
         let v = t.into_values();
-        assert_eq!(v, vec![Value::Int(1), Value::Int(2)]);
-        // Shared case still yields the right values.
-        let t = tuple![3i64];
+        assert_eq!(v, vec![Value::Int(1), Value::Text("moved".into())]);
+        // The sole owner hands its text over instead of cloning it.
+        assert_eq!(v[1].as_text().unwrap().as_ptr(), text);
+        // A shared tuple is left intact for the other holder.
+        let t = tuple![3i64, "kept"];
         let keep = t.clone();
-        assert_eq!(t.into_values(), vec![Value::Int(3)]);
-        assert_eq!(keep[0], Value::Int(3));
+        assert_eq!(t.into_values(), vec![Value::Int(3), Value::Text("kept".into())]);
+        assert_eq!(keep, tuple![3i64, "kept"]);
     }
 }

@@ -344,7 +344,7 @@ impl ColumnarBatch {
     /// (output-boundary conversion).
     pub fn to_tuples(&self, wanted: &[usize], sel: &SelVec) -> Vec<Tuple> {
         sel.iter_ones()
-            .map(|i| Tuple::new(wanted.iter().map(|&c| self.value(c, i)).collect()))
+            .map(|i| wanted.iter().map(|&c| self.value(c, i)).collect())
             .collect()
     }
 }

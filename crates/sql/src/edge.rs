@@ -172,11 +172,7 @@ impl SortKeys for RefKeys<'_, '_> {
 }
 
 fn project(s: &BoundSelect, ctx: &EvalCtx<'_>) -> Result<Tuple> {
-    let mut output = Vec::with_capacity(s.projections.len());
-    for p in &s.projections {
-        output.push(p.eval(ctx)?);
-    }
-    Ok(Tuple::new(output))
+    Tuple::try_collect(s.projections.iter().map(|p| p.eval(ctx)))
 }
 
 impl<'r> Edge<'r> {

@@ -175,24 +175,20 @@ pub fn insert_rows(catalog: &mut Catalog, i: &BoundInsert, params: &[Value]) -> 
             rows.push(if whole_row {
                 out
             } else {
-                let mut full = vec![Value::Null; schema_arity];
-                for (v, &pos) in out.into_values().into_iter().zip(&i.select_positions) {
-                    full[pos] = v;
-                }
-                Tuple::new(full)
+                // Each target column takes the last output column that
+                // names it, or NULL; values are moved, not cloned.
+                let mut out = out.into_values();
+                let named = |c| i.select_positions.iter().rposition(|&pos| pos == c);
+                (0..schema_arity).map(|c| named(c).map_or(Value::Null, |k| std::mem::replace(&mut out[k], Value::Null))).collect()
             });
         }
     } else {
         let ctx = EvalCtx { row: &[], params, aggs: &[] };
         for template in &i.row_template {
-            let mut full = Vec::with_capacity(template.len());
-            for slot in template {
-                full.push(match slot {
-                    Some(e) => e.eval(&ctx)?,
-                    None => Value::Null,
-                });
-            }
-            rows.push(Tuple::new(full));
+            rows.push(Tuple::try_collect(template.iter().map(|slot| match slot {
+                Some(e) => e.eval(&ctx),
+                None => Ok(Value::Null),
+            }))?);
         }
     }
     Ok(rows)

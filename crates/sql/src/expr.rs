@@ -9,6 +9,8 @@
 //! yield NULL, `AND`/`OR` follow Kleene semantics, and WHERE keeps a row
 //! only when its predicate evaluates to `TRUE` (not NULL).
 
+use std::borrow::Cow;
+
 use sstore_common::{Error, Result, Value};
 
 use crate::ast::{AggFunc, BinOp};
@@ -225,6 +227,23 @@ impl BoundExpr {
         }
     }
 
+    /// [`BoundExpr::eval`] that borrows a value which already exists — a
+    /// column of the row, a parameter, a literal, an aggregate — instead
+    /// of cloning it: a comparison only reads its operands.
+    fn eval_ref<'a>(&'a self, ctx: &'a EvalCtx<'_>) -> Result<Cow<'a, Value>> {
+        let found = match self {
+            BoundExpr::Literal(v) => Some(v),
+            BoundExpr::Param(i) => ctx.params.get(*i),
+            BoundExpr::Column(i) => ctx.row.get(*i),
+            BoundExpr::AggRef(i) => ctx.aggs.get(*i),
+            _ => None,
+        };
+        match found {
+            Some(v) => Ok(Cow::Borrowed(v)),
+            None => self.eval(ctx).map(Cow::Owned),
+        }
+    }
+
     /// Evaluates as a predicate: `true` only when the value is `TRUE`
     /// (`NULL` and `FALSE` both reject the row).
     pub fn eval_predicate(&self, ctx: &EvalCtx<'_>) -> Result<bool> {
@@ -273,8 +292,8 @@ fn eval_binary(op: BinOp, lhs: &BoundExpr, rhs: &BoundExpr, ctx: &EvalCtx<'_>) -
         }
         _ => {}
     }
-    let l = lhs.eval(ctx)?;
-    let r = rhs.eval(ctx)?;
+    let l = lhs.eval_ref(ctx)?;
+    let r = rhs.eval_ref(ctx)?;
     match op {
         BinOp::Eq => Ok(truth_to_value(l.sql_eq(&r))),
         BinOp::NotEq => Ok(truth_to_value(kleene_not(l.sql_eq(&r)))),

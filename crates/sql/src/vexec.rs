@@ -308,7 +308,7 @@ pub fn run_select_columnar(
                     Ok(if late {
                         Out::Row(rows[i])
                     } else {
-                        Out::Built(Tuple::new(pouts.iter().map(|o| o.value_at(i)).collect()))
+                        Out::Built(pouts.iter().map(|o| o.value_at(i)).collect())
                     })
                 })?;
             }

@@ -4,7 +4,7 @@
 //! using the architectural feature under test, and the H-Store
 //! implementation doing the same logical work without it.
 
-use sstore_common::{DataType, Schema, Tuple, Value};
+use sstore_common::{tuple, DataType, Schema, Tuple, Value};
 use sstore_engine::App;
 
 fn v_schema() -> Schema {
@@ -190,7 +190,7 @@ pub fn exchange_pipeline() -> App {
                 .iter()
                 .map(|r| {
                     let (k2, v2) = exchange_rekey(r.get(1).as_int().unwrap());
-                    Tuple::new(vec![Value::Int(k2), Value::Int(v2)])
+                    tuple![k2, v2]
                 })
                 .collect();
             ctx.emit("xmid", out)
