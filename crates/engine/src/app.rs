@@ -8,22 +8,23 @@
 //! against the same application definition.
 //!
 //! [`AppBuilder::build`] performs the static checks: unique names,
-//! workflow acyclicity, window scoping (§3.2.2 — only the owning
-//! procedure's SQL may touch a window; no PE triggers on windows), and
-//! trigger well-formedness.
+//! window scoping (§3.2.2 — only the owning procedure's SQL may touch a
+//! window; no PE triggers on windows), trigger well-formedness, and the
+//! workflow checks, which read the one workflow graph
+//! [`AppIds::build`] derives (see [`crate::names`]).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use sstore_common::{Error, Result, Schema};
+use sstore_common::{Error, ProcId, Result, Schema, TableId};
 use sstore_sql::ast::{Delete, InsertSource, Select, Statement, Update};
 use sstore_storage::index::IndexDef;
 use sstore_storage::GroupIndexDef;
 
+use crate::names::AppIds;
 use crate::procedure::ProcCtx;
 use crate::trigger::{EeTriggerDef, PeTriggerDef};
 use crate::window::{TimeWindowSpec, WindowSpec};
-use crate::workflow::WorkflowGraph;
 
 /// A stored-procedure body: procedural logic around the SQL.
 pub type ProcBody = Arc<dyn Fn(&mut ProcCtx<'_>) -> Result<()> + Send + Sync>;
@@ -169,32 +170,9 @@ impl App {
         AppBuilder::default()
     }
 
-    /// The workflow DAG implied by outputs + PE triggers.
-    pub fn workflow(&self) -> WorkflowGraph {
-        let outputs: Vec<(String, Vec<String>)> =
-            self.procs.iter().map(|p| (p.name.clone(), p.outputs.clone())).collect();
-        let triggers: Vec<(String, String)> =
-            self.pe_triggers.iter().map(|t| (t.stream.clone(), t.proc.clone())).collect();
-        WorkflowGraph::build(&outputs, &triggers)
-    }
-
     /// Looks up a stream definition.
     pub fn stream(&self, name: &str) -> Option<&StreamDef> {
         self.streams.iter().find(|s| s.name.eq_ignore_ascii_case(name))
-    }
-
-    /// Looks up a procedure definition.
-    pub fn proc(&self, name: &str) -> Option<&ProcDef> {
-        self.procs.iter().find(|p| p.name.eq_ignore_ascii_case(name))
-    }
-
-    /// PE-trigger targets of a stream.
-    pub fn pe_targets(&self, stream: &str) -> Vec<&str> {
-        self.pe_triggers
-            .iter()
-            .filter(|t| t.stream.eq_ignore_ascii_case(stream))
-            .map(|t| t.proc.as_str())
-            .collect()
     }
 }
 
@@ -399,7 +377,12 @@ impl AppBuilder {
         self
     }
 
-    /// Validates and returns the app.
+    /// Validates and returns the app. Names, schemas, triggers and SQL
+    /// are checked first; then the workflow graph is built
+    /// ([`AppIds::build`], which rejects a cycle — nested transactions
+    /// included) and read for the exchange checks (one PE-triggered
+    /// producer and one border stream behind each exchange stream) and
+    /// the time-window check (no slide output on an exchange path).
     pub fn build(self) -> Result<App> {
         let app = self.app;
         let mut names: HashSet<&str> = HashSet::new();
@@ -487,71 +470,6 @@ impl AppBuilder {
             }
         }
 
-        // Exchange merges are keyed by (stream, batch id), and batch
-        // ids are only unique within one border stream's counter. Two
-        // producers (or one producer fed by two border streams) would
-        // ship colliding batch ids onto the same exchange stream and
-        // silently clobber each other's sub-batches, so both are
-        // rejected here: an exchange stream needs exactly one
-        // *runnable* producing context, rooted in exactly one border
-        // stream. A nested transaction is the runnable context for its
-        // children, so a child's declared outputs are attributed to
-        // every parent that contains it.
-        let declares = |p: &ProcDef, stream: &str| -> bool {
-            p.outputs.iter().any(|o| o == stream)
-                || p.children.iter().any(|c| {
-                    app.proc(c).is_some_and(|child| child.outputs.iter().any(|o| o == stream))
-                })
-        };
-        let is_triggered =
-            |p: &ProcDef| app.pe_triggers.iter().any(|t| t.proc == p.name);
-        // Procedures that can actually run as a streaming TE and emit
-        // onto `stream` (directly or via a nested child).
-        let emitters_of = |stream: &str| -> Vec<&ProcDef> {
-            app.procs.iter().filter(|p| declares(p, stream) && is_triggered(p)).collect()
-        };
-        for s in app.streams.iter().filter(|s| s.exchange) {
-            let emitters = emitters_of(&s.name);
-            if emitters.len() != 1 {
-                return Err(Error::StreamViolation(format!(
-                    "exchange stream {} needs exactly one PE-triggered producing \
-                     procedure (found {}): batch ids from several producers would \
-                     collide",
-                    s.name,
-                    emitters.len()
-                )));
-            }
-            // Walk upstream from the producer to the border streams
-            // (streams no procedure produces) whose ingest counters the
-            // batch ids come from. The workflow DAG is finite and
-            // acyclic (validated below), so the walk terminates.
-            let mut roots: HashSet<&str> = HashSet::new();
-            let mut procs_todo: Vec<&str> = vec![emitters[0].name.as_str()];
-            let mut procs_seen: HashSet<&str> = HashSet::new();
-            while let Some(proc) = procs_todo.pop() {
-                if !procs_seen.insert(proc) {
-                    continue;
-                }
-                for t in app.pe_triggers.iter().filter(|t| t.proc == proc) {
-                    let upstream = emitters_of(&t.stream);
-                    if upstream.is_empty() {
-                        roots.insert(t.stream.as_str());
-                    } else {
-                        procs_todo.extend(upstream.iter().map(|p| p.name.as_str()));
-                    }
-                }
-            }
-            if roots.len() > 1 {
-                let mut names: Vec<&str> = roots.into_iter().collect();
-                names.sort();
-                return Err(Error::StreamViolation(format!(
-                    "exchange stream {} is fed by several border streams ({}): \
-                     their independent batch counters would collide in the exchange",
-                    s.name,
-                    names.join(", ")
-                )));
-            }
-        }
         for t in &app.ee_triggers {
             let is_stream = stream_names.contains(t.table.as_str());
             let is_window = window_owner.contains_key(t.table.as_str());
@@ -566,54 +484,6 @@ impl AppBuilder {
                     "stream {} has both EE and PE triggers",
                     t.table
                 )));
-            }
-            // Time-window slides run per partition when the local
-            // watermark crosses an extent boundary — NOT once per
-            // batch — so their triggers cannot feed an exchange edge,
-            // directly OR transitively (a slide output landing on a
-            // plain stream whose downstream procedure re-ships an
-            // exchange sub-batch would duplicate the batch id the
-            // original round already shipped, corrupting the merge).
-            let is_time_window = app
-                .windows
-                .iter()
-                .any(|w| w.name() == t.table && matches!(w.windowing, Windowing::Time(_)));
-            if is_time_window {
-                // Walk stream → PE targets → declared outputs (children
-                // included) from every stream the trigger inserts into.
-                let mut todo: Vec<String> = t
-                    .sql
-                    .iter()
-                    .filter_map(|sql| match sstore_sql::parse(sql) {
-                        Ok(Statement::Insert(i)) => Some(i.table.to_ascii_lowercase()),
-                        _ => None,
-                    })
-                    .filter(|name| stream_names.contains(name.as_str()))
-                    .collect();
-                let mut seen: HashSet<String> = HashSet::new();
-                while let Some(sname) = todo.pop() {
-                    if !seen.insert(sname.clone()) {
-                        continue;
-                    }
-                    if app.streams.iter().any(|s| s.exchange && s.name == sname) {
-                        return Err(Error::StreamViolation(format!(
-                            "time window {} trigger output reaches exchange stream \
-                             {sname}: watermark-driven slides are not batch-aligned \
-                             across partitions",
-                            t.table
-                        )));
-                    }
-                    for pt in app.pe_triggers.iter().filter(|pt| pt.stream == sname) {
-                        if let Some(p) = app.proc(&pt.proc) {
-                            todo.extend(p.outputs.iter().cloned());
-                            for c in &p.children {
-                                if let Some(child) = app.proc(c) {
-                                    todo.extend(child.outputs.iter().cloned());
-                                }
-                            }
-                        }
-                    }
-                }
             }
         }
 
@@ -665,8 +535,87 @@ impl AppBuilder {
             }
         }
 
-        // Workflow must be a DAG.
-        app.workflow().validate()?;
+        // The workflow graph ([`AppIds::build`]) rejects cycles and
+        // answers the checks below.
+        let ids = AppIds::build(&app)?;
+
+        // Exchange merges are keyed by (stream, batch id), and batch
+        // ids are only unique within one border stream's counter. Two
+        // producers (or one producer fed by two border streams) would
+        // ship colliding batch ids onto the same exchange stream and
+        // silently clobber each other's sub-batches, so both are
+        // rejected here: an exchange stream needs exactly one
+        // *runnable* (PE-triggered) producer, rooted in exactly one
+        // border stream. A nested transaction produces its children's
+        // outputs, so it is the producer it runs them as.
+        let producers = |s: TableId| -> Vec<ProcId> {
+            (0..ids.proc_count() as u32)
+                .map(ProcId)
+                .filter(|&p| ids.proc(p).input_stream.is_some() && ids.proc(p).produces.contains(&s))
+                .collect()
+        };
+        for (x, meta) in ids.streams().filter(|(_, m)| m.stream.as_ref().is_some_and(|s| s.exchange)) {
+            let mut todo = producers(x);
+            if todo.len() != 1 {
+                return Err(Error::StreamViolation(format!(
+                    "exchange stream {} needs exactly one PE-triggered producing \
+                     procedure (found {}): batch ids from several producers would \
+                     collide",
+                    meta.name,
+                    todo.len()
+                )));
+            }
+            // Walk upstream to the border streams (streams no runnable
+            // procedure produces) whose ingest counters the batch ids
+            // come from.
+            let (mut roots, mut seen) = (Vec::new(), vec![false; ids.proc_count()]);
+            while let Some(p) = todo.pop() {
+                if std::mem::replace(&mut seen[p.index()], true) {
+                    continue;
+                }
+                for (s, _) in ids.streams().filter(|(s, _)| ids.pe_targets_of(*s).contains(&p)) {
+                    let upstream = producers(s);
+                    if upstream.is_empty() && !roots.contains(&s) {
+                        roots.push(s);
+                    }
+                    todo.extend(upstream);
+                }
+            }
+            if roots.len() > 1 {
+                let mut names: Vec<&str> = roots.iter().map(|&s| &**ids.table_name(s)).collect();
+                names.sort();
+                return Err(Error::StreamViolation(format!(
+                    "exchange stream {} is fed by several border streams ({}): \
+                     their independent batch counters would collide in the exchange",
+                    meta.name,
+                    names.join(", ")
+                )));
+            }
+        }
+
+        // Time-window slides run per partition when the local watermark
+        // crosses an extent boundary — NOT once per batch — so their
+        // triggers cannot feed an exchange edge, directly OR transitively
+        // (a slide output landing on a plain stream whose downstream
+        // procedure re-ships an exchange sub-batch would duplicate the
+        // batch id the original round already shipped, corrupting the
+        // merge).
+        for t in &app.ee_triggers {
+            if !app.windows.iter().any(|w| w.name() == t.table && matches!(w.windowing, Windowing::Time(_))) {
+                continue;
+            }
+            for sql in &t.sql {
+                let Ok(Statement::Insert(i)) = sstore_sql::parse(sql) else { continue };
+                if ids.table_id(&i.table).is_some_and(|s| ids.on_exchange_path(s)) {
+                    return Err(Error::StreamViolation(format!(
+                        "time window {} trigger output {} reaches an exchange stream: \
+                         watermark-driven slides are not batch-aligned across partitions",
+                        t.table,
+                        i.table.to_ascii_lowercase()
+                    )));
+                }
+            }
+        }
         Ok(app)
     }
 }
@@ -727,9 +676,8 @@ mod tests {
         .pe_trigger("s1", "sp1")
         .build()
         .unwrap();
-        assert_eq!(app.pe_targets("s1"), vec!["sp1"]);
         assert!(app.stream("S1").is_some());
-        assert!(app.proc("SP1").is_some());
+        assert_eq!(app.procs[0].name, "sp1");
     }
 
     #[test]
@@ -805,6 +753,26 @@ mod tests {
         .pe_trigger("b", "p1")
         .build();
         assert!(matches!(r, Err(Error::StreamViolation(_))));
+    }
+
+    #[test]
+    fn a_cycle_through_a_nested_transaction_is_rejected() {
+        // `c` re-emits its input onto `s`, and `s` triggers the nested
+        // transaction that runs `c`: the nested unit produces `s`, so it
+        // feeds itself — one ingested tuple would never stop cycling.
+        let r = App::builder()
+            .stream("s", schema())
+            .proc("c", &[], &["s"], |ctx| {
+                let rows = ctx.input().to_vec();
+                ctx.emit("s", rows)
+            })
+            .nested("n", &["c"])
+            .pe_trigger("s", "n")
+            .build();
+        assert!(
+            matches!(&r, Err(Error::StreamViolation(m)) if m.contains("cycle through n")),
+            "{r:?}"
+        );
     }
 
     #[test]
@@ -920,8 +888,8 @@ mod tests {
         // root, so the exchange-producer checks pass. But tw's slide
         // trigger ALSO inserts into `mid`, whose downstream proc ships
         // exchange sub-batches — a slide output would be re-shipped on
-        // a non-batch-aligned path. Only the transitive reachability
-        // walk catches this.
+        // a non-batch-aligned path. Only transitive reachability
+        // (`mid` feeds an exchange) catches this.
         let build = |with_trigger: bool| {
             let mut b = noop_proc(
                 noop_proc(
@@ -952,7 +920,7 @@ mod tests {
         let r = build(true);
         let err = r.expect_err("indirect exchange reachability must be rejected");
         assert!(
-            err.to_string().contains("reaches exchange stream x"),
+            err.to_string().contains("trigger output mid reaches an exchange stream"),
             "wrong rejection: {err}"
         );
     }

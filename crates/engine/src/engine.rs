@@ -48,7 +48,6 @@ use crate::partition::{
     partition_down, spawn_partition, CallOutcome, Invocation, PartitionHandle, PartitionMsg,
     PartitionRuntime, PartitionSeed, TxnRequest, ADHOC_NAME, ADHOC_PROC,
 };
-use crate::workflow::WorkflowGraph;
 
 /// The partition a key routes to, on an `n`-partition engine.
 ///
@@ -335,11 +334,6 @@ impl Engine {
         &self.ids
     }
 
-    /// The workflow DAG.
-    pub fn workflow(&self) -> WorkflowGraph {
-        self.app.workflow()
-    }
-
     /// Number of partitions.
     pub fn partitions(&self) -> usize {
         self.partitions.len()
@@ -506,9 +500,21 @@ impl Engine {
                  produced by the workflow, not injected"
             )));
         }
-        let proc = meta
-            .border_target
-            .ok_or_else(|| Error::not_found("PE trigger for border stream", stream))?;
+        // One ingested batch is one border transaction, so the stream
+        // must trigger exactly one procedure.
+        let proc = match self.ids.pe_targets_of(sid) {
+            [proc] => *proc,
+            [] => return Err(Error::not_found("PE trigger for border stream", stream)),
+            targets => {
+                let names: Vec<&str> = targets.iter().map(|&p| &**self.ids.proc_name(p)).collect();
+                return Err(Error::StreamViolation(format!(
+                    "cannot ingest into {stream}: it triggers {} procedures ({}), and an \
+                     ingested batch runs exactly one border transaction",
+                    names.len(),
+                    names.join(", ")
+                )));
+            }
+        };
         // Validate rows against the stream schema up front so bad input
         // fails at the injection site, not inside the partition.
         for r in &rows {

@@ -1,5 +1,6 @@
-//! Name interning: dense ids for tables/streams/windows and stored
-//! procedures, assigned once at [`App`] install time.
+//! Name interning and the workflow graph: dense ids for
+//! tables/streams/windows and stored procedures, assigned once at
+//! [`App`] install time, and the workflow DAG built over them.
 //!
 //! Every hot-path structure in the engine — routing, the scheduler
 //! queue, PE-trigger dispatch, stream/window bookkeeping, the command
@@ -12,6 +13,27 @@
 //! derived from the same declaration order (tables, then streams, then
 //! windows) and [`crate::ee::ExecutionEngine::install`] asserts the
 //! correspondence as it creates each table.
+//!
+//! # The workflow graph (§2.2, §2.3)
+//!
+//! A workflow is a DAG of stored procedures joined by streams: `p → q`
+//! when `p` produces a stream that a PE trigger routes to `q`.
+//! [`AppIds::build`] builds it once, from two things:
+//!
+//! * per procedure, the streams it *produces* ([`ProcMeta::produces`]):
+//!   its declared outputs plus, for a nested transaction, its children's
+//!   — a nested transaction is the runnable unit that commits what its
+//!   children emit (§2.3). This is the one place that rule is written;
+//! * per stream, its PE-trigger consumers ([`AppIds::pe_targets_of`]).
+//!
+//! Everything that walks the workflow reads that graph: the cycle check
+//! and [`ProcMeta::topo_pos`] (Kahn's algorithm, seeded in declaration
+//! order), which [`crate::workflow::check_schedule`] and recovery's
+//! dangling-batch re-fire order by; [`StreamMeta::feeds_exchange`] (one
+//! pass in reverse topological order), which decides the ingest
+//! alignment broadcast; [`crate::app::AppBuilder::build`]'s exchange and
+//! time-window checks; and each partition's exchange and alignment
+//! outputs, which are filters of the produced set.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -46,19 +68,23 @@ pub struct StreamMeta {
     /// (the partition checks this to skip watermark bookkeeping for
     /// untimed streams on the hot path).
     pub ts_col: Option<usize>,
-    /// The single border procedure ingestion activates (first PE
-    /// trigger on this stream), if any.
-    pub border_target: Option<ProcId>,
     /// True for exchange streams: batches committed here are
     /// re-partitioned by key hash and shipped to the owning partitions.
     pub exchange: bool,
     /// True when an exchange stream is reachable downstream of this
-    /// stream (through PE triggers and declared outputs). Ingested
+    /// stream (through PE triggers and produced streams). Ingested
     /// batches on such streams are broadcast as (possibly empty)
     /// sub-batches to *every* partition so that each exchange hop
     /// receives exactly one sub-batch per source partition per batch —
     /// the alignment invariant the exchange merge relies on.
     pub feeds_exchange: bool,
+}
+
+impl StreamMeta {
+    /// True for an exchange stream and for every stream upstream of one.
+    pub(crate) fn on_exchange_path(&self) -> bool {
+        self.exchange || self.feeds_exchange
+    }
 }
 
 /// Interned metadata for one stored procedure.
@@ -71,6 +97,9 @@ pub struct ProcMeta {
     pub input_stream: Option<TableId>,
     /// Position in a fixed topological order of the workflow DAG.
     pub topo_pos: usize,
+    /// Streams this procedure produces: its declared outputs, then (for
+    /// a nested transaction) its children's, without repeats.
+    pub produces: Vec<TableId>,
 }
 
 /// Dense name ↔ id maps for one application.
@@ -87,8 +116,10 @@ pub struct AppIds {
 }
 
 impl AppIds {
-    /// Interns all names of `app`. Table ids follow the EE catalog's
-    /// creation order: declared tables, then streams, then windows.
+    /// Interns all names of `app` and builds its workflow graph. Table
+    /// ids follow the EE catalog's creation order: declared tables, then
+    /// streams, then windows. Fails on a name that resolves to nothing
+    /// and on a cycle in the workflow.
     pub fn build(app: &App) -> Result<AppIds> {
         let mut ids = AppIds::default();
 
@@ -107,20 +138,11 @@ impl AppIds {
                 name: Arc::from(p.name.as_str()),
                 input_stream: None,
                 topo_pos: usize::MAX,
+                produces: Vec::new(),
             });
             ids.proc_by_name.insert(p.name.clone(), id);
         }
         for s in &app.streams {
-            let border_target = app
-                .pe_targets(&s.name)
-                .first()
-                .map(|t| {
-                    ids.proc_by_name
-                        .get(*t)
-                        .copied()
-                        .ok_or_else(|| Error::not_found("procedure", *t))
-                })
-                .transpose()?;
             let partition_col = s.partition_col.as_ref().and_then(|c| s.schema.index_of(c));
             let ts_col = s.ts_col.as_ref().and_then(|c| s.schema.index_of(c));
             add_table(
@@ -131,7 +153,6 @@ impl AppIds {
                     schema: s.schema.clone(),
                     partition_col,
                     ts_col,
-                    border_target,
                     exchange: s.exchange,
                     feeds_exchange: false, // filled in below
                 }),
@@ -159,77 +180,79 @@ impl AppIds {
             }
         }
 
-        for (name, pos) in app.workflow().topo_order()?.into_iter().zip(0usize..) {
-            if let Some(p) = ids.proc_by_name.get(&name) {
-                ids.procs[p.index()].topo_pos = pos;
+        // §2.3: a nested transaction produces what its children declare.
+        // Proc ids follow `app.procs`, so an id indexes its definition.
+        for (i, p) in app.procs.iter().enumerate() {
+            for unit in std::iter::once(&p.name).chain(&p.children) {
+                let unit = ids
+                    .proc_id(unit)
+                    .ok_or_else(|| Error::not_found("nested child procedure", unit))?;
+                for o in &app.procs[unit.index()].outputs {
+                    let s = ids.table_id(o).ok_or_else(|| Error::not_found("output stream", o))?;
+                    if !ids.procs[i].produces.contains(&s) {
+                        ids.procs[i].produces.push(s);
+                    }
+                }
             }
         }
 
-        if ids.has_exchange {
-            ids.mark_feeds_exchange(app);
+        let order = ids.topo_order()?;
+        for (pos, &p) in order.iter().enumerate() {
+            ids.procs[p.index()].topo_pos = pos;
+        }
+        // A stream feeds an exchange when one of its consumers produces a
+        // stream on an exchange path; consumers come later in `order`, so
+        // walking it backwards settles each stream in one pass.
+        for &p in order.iter().rev() {
+            if !ids.procs[p.index()].produces.iter().any(|&s| ids.on_exchange_path(s)) {
+                continue;
+            }
+            for (t, _) in ids.pe_targets.iter().enumerate().filter(|(_, to)| to.contains(&p)) {
+                if let Some(s) = ids.tables[t].stream.as_mut() {
+                    s.feeds_exchange = true;
+                }
+            }
         }
         Ok(ids)
     }
 
-    /// Marks every stream from which an exchange stream is reachable
-    /// (stream → PE-trigger targets → declared outputs → …). Nested
-    /// transactions contribute their children's declared outputs. The
-    /// workflow DAG is acyclic (validated at build), so one backward
-    /// sweep per exchange stream terminates.
-    fn mark_feeds_exchange(&mut self, app: &App) {
-        // proc → declared output stream ids (children's outputs folded
-        // into their nested parent).
-        let outputs_of = |ids: &AppIds, proc: &crate::app::ProcDef| -> Vec<TableId> {
-            let mut out: Vec<TableId> = Vec::new();
-            let push_proc = |p: &crate::app::ProcDef, out: &mut Vec<TableId>| {
-                for o in &p.outputs {
-                    if let Some(id) = ids.table_id(o) {
-                        out.push(id);
-                    }
-                }
-            };
-            push_proc(proc, &mut out);
-            for c in &proc.children {
-                if let Some(child) = app.proc(c) {
-                    push_proc(child, &mut out);
-                }
-            }
-            out
+    /// Kahn's algorithm over `p → q` (`p` produces a stream that
+    /// triggers `q`), seeded with procedures in declaration order:
+    /// every procedure in a topological order, or an error naming the
+    /// first declared one on a cycle.
+    fn topo_order(&self) -> Result<Vec<ProcId>> {
+        let successors = move |p: ProcId| {
+            self.procs[p.index()].produces.iter().flat_map(|s| &self.pe_targets[s.index()])
         };
-        // Fixpoint: a stream feeds an exchange if it is one, or if any
-        // PE target's outputs (transitively) do. The graph is small;
-        // iterate until stable.
-        loop {
-            let mut changed = false;
-            for p in &app.procs {
-                let Some(pid) = self.proc_id(&p.name) else { continue };
-                let downstream: Vec<TableId> = outputs_of(self, p);
-                let feeds = downstream.iter().any(|id| {
-                    self.tables[id.index()]
-                        .stream
-                        .as_ref()
-                        .is_some_and(|s| s.exchange || s.feeds_exchange)
-                });
-                if !feeds {
-                    continue;
+        let mut indegree = vec![0usize; self.procs.len()];
+        for q in (0..self.procs.len()).flat_map(|p| successors(ProcId(p as u32))) {
+            indegree[q.index()] += 1;
+        }
+        let mut order: Vec<ProcId> =
+            (0..self.procs.len()).filter(|&p| indegree[p] == 0).map(|p| ProcId(p as u32)).collect();
+        let mut next = 0;
+        while let Some(&p) = order.get(next) {
+            next += 1;
+            for q in successors(p) {
+                indegree[q.index()] -= 1;
+                if indegree[q.index()] == 0 {
+                    order.push(*q);
                 }
-                // Every stream triggering this proc feeds the exchange.
-                for i in 0..self.pe_targets.len() {
-                    if !self.pe_targets[i].contains(&pid) {
-                        continue;
-                    }
-                    if let Some(s) = self.tables[i].stream.as_mut() {
-                        if !s.feeds_exchange {
-                            s.feeds_exchange = true;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
             }
         }
+        match indegree.iter().position(|&d| d > 0) {
+            Some(stuck) => Err(Error::StreamViolation(format!(
+                "workflow graph has a cycle through {}",
+                self.procs[stuck].name
+            ))),
+            None => Ok(order),
+        }
+    }
+
+    /// True when `id` is a stream on an exchange path
+    /// ([`StreamMeta::on_exchange_path`]).
+    pub(crate) fn on_exchange_path(&self, id: TableId) -> bool {
+        self.tables[id.index()].stream.as_ref().is_some_and(StreamMeta::on_exchange_path)
     }
 
     /// True when the app declares any exchange stream.
@@ -345,13 +368,40 @@ mod tests {
         let s_mid = ids.table_id("s_mid").unwrap();
         let p1 = ids.proc_id("p1").unwrap();
         let p2 = ids.proc_id("p2").unwrap();
-        assert_eq!(ids.table(s_in).stream.as_ref().unwrap().border_target, Some(p1));
         assert_eq!(ids.pe_targets_of(s_in), &[p1]);
         assert_eq!(ids.pe_targets_of(s_mid), &[p2]);
         assert!(ids.pe_targets_of(ids.table_id("base").unwrap()).is_empty());
         assert_eq!(ids.proc(p1).input_stream, Some(s_in));
         assert_eq!(ids.proc(p2).input_stream, Some(s_mid));
+        assert_eq!(ids.proc(p1).produces, vec![s_mid]);
         assert!(ids.proc(p1).topo_pos < ids.proc(p2).topo_pos);
         assert_eq!(ids.streams().count(), 2);
+    }
+
+    #[test]
+    fn a_nested_parent_produces_its_childs_exchange_output() {
+        // `child` declares the exchange stream; the nested parent is
+        // what the border triggers, so the parent is the unit that ships
+        // and aligns `x`, and the border stream feeds the exchange.
+        let schema = || Schema::of(&[("v", DataType::Int)]);
+        let app = App::builder()
+            .stream_partitioned("s_in", schema(), "v")
+            .exchange_stream("x", schema(), "v")
+            .proc("child", &[], &["x"], |_| Ok(()))
+            .nested("parent", &["child"])
+            .proc("sink", &[], &[], |_| Ok(()))
+            .pe_trigger("s_in", "parent")
+            .pe_trigger("x", "sink")
+            .build()
+            .unwrap();
+        let ids = AppIds::build(&app).unwrap();
+        let (s_in, x) = (ids.table_id("s_in").unwrap(), ids.table_id("x").unwrap());
+        let parent = ids.proc(ids.proc_id("parent").unwrap());
+        assert!(ids.table(s_in).stream.as_ref().unwrap().feeds_exchange);
+        // A partition's exchange and alignment outputs are the produced
+        // streams that are exchanges / on an exchange path: both hold `x`.
+        assert_eq!(parent.produces, vec![x]);
+        assert!(ids.table(x).stream.as_ref().unwrap().exchange && ids.on_exchange_path(x));
+        assert!(parent.topo_pos < ids.proc(ids.proc_id("sink").unwrap()).topo_pos);
     }
 }

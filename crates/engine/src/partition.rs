@@ -41,7 +41,7 @@ use crate::ee::ExecutionEngine;
 use crate::faults::CrashPoint;
 use crate::log::CommandLog;
 use crate::metrics::EngineMetrics;
-use crate::names::AppIds;
+use crate::names::{AppIds, StreamMeta};
 use crate::procedure::{CompiledProc, ProcCtx};
 use crate::scheduler::SchedulerQueue;
 use crate::workflow::TraceEvent;
@@ -380,56 +380,38 @@ pub(crate) fn spawn_partition(
 ) -> Result<JoinHandle<()>> {
     let mut procs: Vec<Option<Arc<CompiledProc>>> = vec![None; ids.proc_count()];
     let mut bodies: Vec<Option<crate::app::ProcBody>> = vec![None; ids.proc_count()];
-    let resolve_outputs = |p: &crate::app::ProcDef| -> Result<Vec<(String, TableId)>> {
-        p.outputs
+    for p in &app.procs {
+        let pid = ids
+            .proc_id(&p.name)
+            .ok_or_else(|| Error::not_found("procedure", &p.name))?;
+        let stmts = proc_stmts.get(&p.name).cloned().unwrap_or_default();
+        let outputs = p
+            .outputs
             .iter()
             .map(|o| {
                 ids.table_id(o)
                     .map(|id| (o.clone(), id))
                     .ok_or_else(|| Error::not_found("output stream", o))
             })
-            .collect()
-    };
-    for p in &app.procs {
-        let pid = ids
-            .proc_id(&p.name)
-            .ok_or_else(|| Error::not_found("procedure", &p.name))?;
-        let stmts = proc_stmts.get(&p.name).cloned().unwrap_or_default();
-        let outputs = resolve_outputs(p)?;
+            .collect::<Result<Vec<_>>>()?;
         let children = p
             .children
             .iter()
             .map(|c| ids.proc_id(c).ok_or_else(|| Error::not_found("procedure", c)))
             .collect::<Result<Vec<_>>>()?;
-        // Exchange sends must fire once per commit of this TE, so a
-        // nested transaction owns its children's exchange outputs; the
-        // same goes for the alignment set (exchange streams plus
-        // locals on a path to one).
-        let mut exchange_outputs: Vec<TableId> = Vec::new();
-        let mut align_outputs: Vec<TableId> = Vec::new();
-        let mut add_outputs = |outs: &[(String, TableId)]| {
-            for (_, id) in outs {
-                let Some(s) = ids.table(*id).stream.as_ref() else { continue };
-                if s.exchange && !exchange_outputs.contains(id) {
-                    exchange_outputs.push(*id);
-                }
-                if (s.exchange || s.feeds_exchange) && !align_outputs.contains(id) {
-                    align_outputs.push(*id);
-                }
-            }
+        // Exchange sends and alignment fire once per commit of this TE,
+        // so both sets come from what it produces — for a nested
+        // transaction, its children's outputs too.
+        let produced = |keep: fn(&StreamMeta) -> bool| -> Vec<TableId> {
+            let produces = ids.proc(pid).produces.iter().copied();
+            produces.filter(|&s| ids.table(s).stream.as_ref().is_some_and(keep)).collect()
         };
-        add_outputs(&outputs);
-        for c in &p.children {
-            if let Some(child) = app.proc(c) {
-                add_outputs(&resolve_outputs(child)?);
-            }
-        }
         procs[pid.index()] = Some(Arc::new(CompiledProc {
             name: ids.proc_name(pid).clone(),
             stmts,
             outputs,
-            exchange_outputs,
-            align_outputs,
+            exchange_outputs: produced(|s| s.exchange),
+            align_outputs: produced(StreamMeta::on_exchange_path),
             children,
         }));
         if let Some(body) = &p.body {

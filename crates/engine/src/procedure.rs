@@ -26,13 +26,14 @@ pub struct CompiledProc {
     /// Streams this procedure is declared to emit to, with their
     /// interned ids (resolved once at install — `emit` does no lookup).
     pub outputs: Vec<(String, TableId)>,
-    /// Declared outputs that are exchange streams (for a nested
-    /// transaction, the union of its children's). The partition engine
+    /// Produced streams ([`crate::names::ProcMeta::produces`]: declared
+    /// outputs, and for a nested transaction its children's) that are
+    /// exchange streams. The partition engine
     /// ships a sub-batch for each of these on *every* commit of this
     /// procedure — even when the body emitted nothing — so downstream
     /// exchange merges stay aligned one-sub-batch-per-source-per-batch.
     pub exchange_outputs: Vec<TableId>,
-    /// Declared outputs on the path to an exchange (exchange streams
+    /// Produced streams on the path to an exchange (exchange streams
     /// plus `feeds_exchange` locals). On multi-partition S-Store
     /// engines, every streaming commit of this procedure registers a
     /// (possibly empty) batch on each of these *before* the body runs,

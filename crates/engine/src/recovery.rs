@@ -51,7 +51,7 @@ use crate::config::{EngineConfig, RecoveryMode};
 use crate::engine::{Bootstrap, Engine};
 use crate::log::{CommandLog, LogKind, LogRecord};
 use crate::metrics::EngineMetrics;
-use crate::partition::{Invocation, TxnRequest, ADHOC_PROC};
+use crate::partition::{partition_down, Invocation, TxnRequest, ADHOC_PROC};
 
 /// Outcome statistics of a recovery run (for tests and Figure 9b).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -289,7 +289,15 @@ fn replay_all(engine: &Engine, replayable: &[Vec<LogRecord>]) -> Result<usize> {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("replay thread panicked")).collect()
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(p, h)| {
+                h.join().unwrap_or_else(|_| {
+                    Err(Error::InvalidState(format!("replay of partition {p} panicked")))
+                })
+            })
+            .collect()
     });
     let mut total = 0;
     let mut max_ms = 0u64;
@@ -356,7 +364,7 @@ fn replay_record(engine: &Engine, partition: usize, rec: &LogRecord) -> Result<(
     // aborted pre-crash too (only committed work is logged, so any
     // replay abort indicates non-determinism — surface it).
     rx.recv()
-        .map_err(|_| Error::InvalidState("replay reply lost".into()))?
+        .map_err(|_| partition_down(partition))?
         .map(|_| ())
         .map_err(|e| Error::InvalidState(format!("replay of lsn {} failed: {e}", rec.lsn)))
 }

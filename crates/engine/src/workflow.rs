@@ -1,120 +1,25 @@
-//! Workflow graphs and the formal correctness conditions of §2.2.
+//! The formal correctness conditions of §2.2, checked against engine
+//! execution traces.
 //!
-//! A workflow is a DAG whose nodes are stored procedures and whose edges
-//! are streams: `p → q` when `p` declares a stream `s` among its outputs
-//! and a PE trigger routes `s` to `q`. [`WorkflowGraph::validate`]
-//! rejects cyclic graphs at application-build time.
+//! The workflow DAG itself — stored procedures joined by streams, a
+//! nested transaction producing its children's outputs — is built once
+//! over interned ids by [`AppIds::build`] (see [`crate::names`]), which
+//! rejects cycles and gives every procedure its position in one fixed
+//! topological order ([`crate::names::ProcMeta::topo_pos`]).
 //!
 //! [`check_schedule`] is the executable form of the paper's two ordering
-//! constraints — tests run it against engine execution traces:
+//! constraints — tests run it against engine execution traces, reading
+//! positions from that order:
 //!
 //! 1. **Workflow order**: within one execution round (batch), TEs appear
 //!    in an order consistent with a topological order of the DAG.
 //! 2. **Stream order**: for each procedure, TEs appear in batch order.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use sstore_common::{BatchId, Error, Result};
 
-/// The workflow DAG over stored procedures.
-#[derive(Debug, Clone, Default)]
-pub struct WorkflowGraph {
-    /// Node names (all streaming procedures).
-    nodes: Vec<String>,
-    /// Adjacency: node → successors.
-    edges: HashMap<String, Vec<String>>,
-}
-
-impl WorkflowGraph {
-    /// Builds the graph from `(proc, outputs)` declarations and
-    /// `(stream → proc)` PE triggers.
-    pub fn build(
-        proc_outputs: &[(String, Vec<String>)],
-        pe_triggers: &[(String, String)],
-    ) -> WorkflowGraph {
-        let route: HashMap<&str, Vec<&str>> = pe_triggers.iter().fold(
-            HashMap::new(),
-            |mut m, (stream, proc)| {
-                m.entry(stream.as_str()).or_default().push(proc.as_str());
-                m
-            },
-        );
-        let mut nodes: Vec<String> = proc_outputs.iter().map(|(p, _)| p.clone()).collect();
-        let mut edges: HashMap<String, Vec<String>> = HashMap::new();
-        for (proc, outputs) in proc_outputs {
-            for stream in outputs {
-                if let Some(targets) = route.get(stream.as_str()) {
-                    for t in targets {
-                        edges.entry(proc.clone()).or_default().push((*t).to_owned());
-                        if !nodes.iter().any(|n| n == t) {
-                            nodes.push((*t).to_owned());
-                        }
-                    }
-                }
-            }
-        }
-        WorkflowGraph { nodes, edges }
-    }
-
-    /// Successors of a node.
-    pub fn successors(&self, node: &str) -> &[String] {
-        self.edges.get(node).map_or(&[], Vec::as_slice)
-    }
-
-    /// All nodes.
-    pub fn nodes(&self) -> &[String] {
-        &self.nodes
-    }
-
-    /// Kahn's algorithm: returns a topological order, or an error naming
-    /// a node on a cycle.
-    pub fn topo_order(&self) -> Result<Vec<String>> {
-        let mut indegree: HashMap<&str, usize> =
-            self.nodes.iter().map(|n| (n.as_str(), 0)).collect();
-        for succs in self.edges.values() {
-            for s in succs {
-                *indegree.entry(s.as_str()).or_insert(0) += 1;
-            }
-        }
-        let mut queue: VecDeque<&str> = {
-            // Deterministic order: seed with nodes in declaration order.
-            self.nodes.iter().map(String::as_str).filter(|n| indegree[n] == 0).collect()
-        };
-        let mut order = Vec::with_capacity(self.nodes.len());
-        while let Some(n) = queue.pop_front() {
-            order.push(n.to_owned());
-            for s in self.successors(n) {
-                let d = indegree.get_mut(s.as_str()).expect("edge target is a node");
-                *d -= 1;
-                if *d == 0 {
-                    queue.push_back(s);
-                }
-            }
-        }
-        if order.len() != self.nodes.len() {
-            let stuck = self
-                .nodes
-                .iter()
-                .find(|n| !order.contains(n))
-                .expect("some node missing from order");
-            return Err(Error::StreamViolation(format!(
-                "workflow graph has a cycle through {stuck}"
-            )));
-        }
-        Ok(order)
-    }
-
-    /// Validates acyclicity.
-    pub fn validate(&self) -> Result<()> {
-        self.topo_order().map(|_| ())
-    }
-
-    /// Positions of each node in *some* fixed topological order, for
-    /// schedule checking.
-    fn topo_positions(&self) -> Result<HashMap<String, usize>> {
-        Ok(self.topo_order()?.into_iter().enumerate().map(|(i, n)| (n, i)).collect())
-    }
-}
+use crate::names::AppIds;
 
 /// One committed transaction execution, as recorded by the engine trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,8 +47,7 @@ pub struct TraceEvent {
 /// upstream commit that shipped it data), so the per-partition view is
 /// the strongest order a trace can witness. OLTP events (no batch) may
 /// interleave anywhere.
-pub fn check_schedule(graph: &WorkflowGraph, trace: &[TraceEvent]) -> Result<()> {
-    let pos = graph.topo_positions()?;
+pub fn check_schedule(ids: &AppIds, trace: &[TraceEvent]) -> Result<()> {
     let mut last_batch: HashMap<(&str, usize), BatchId> = HashMap::new();
     let mut per_batch_seen: HashMap<(BatchId, usize), Vec<&str>> = HashMap::new();
 
@@ -166,16 +70,16 @@ pub fn check_schedule(graph: &WorkflowGraph, trace: &[TraceEvent]) -> Result<()>
     for ((batch, partition), seen) in &per_batch_seen {
         let mut last_pos = None;
         for proc in seen {
-            let Some(p) = pos.get(*proc) else { continue };
+            let Some(p) = ids.proc_id(proc).map(|p| ids.proc(p).topo_pos) else { continue };
             if let Some(lp) = last_pos {
-                if *p < lp {
+                if p < lp {
                     return Err(Error::StreamViolation(format!(
                         "workflow order violated in round {batch} on partition \
                          {partition}: {proc} ran after a successor"
                     )));
                 }
             }
-            last_pos = Some(*p);
+            last_pos = Some(p);
         }
     }
     Ok(())
@@ -215,16 +119,43 @@ pub fn check_nested_contiguity(trace: &[TraceEvent], group: &[String]) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::App;
+    use sstore_common::{DataType, ProcId, Schema};
 
-    fn linear3() -> WorkflowGraph {
-        WorkflowGraph::build(
-            &[
-                ("sp1".into(), vec!["s12".into()]),
-                ("sp2".into(), vec!["s23".into()]),
-                ("sp3".into(), vec![]),
-            ],
-            &[("s12".into(), "sp2".into()), ("s23".into(), "sp3".into())],
-        )
+    /// An app of no-op procedures `(name, outputs)` joined by
+    /// `(stream, proc)` PE triggers; every stream named is declared.
+    fn app(procs: &[(&str, &[&str])], triggers: &[(&str, &str)]) -> Result<App> {
+        let mut streams: Vec<&str> =
+            procs.iter().flat_map(|(_, o)| o.iter().copied()).chain(triggers.iter().map(|t| t.0)).collect();
+        streams.sort_unstable();
+        streams.dedup();
+        let mut b = App::builder();
+        for s in streams {
+            b = b.stream(s, Schema::of(&[("v", DataType::Int)]));
+        }
+        for (p, outputs) in procs {
+            b = b.proc(p, &[], outputs, |_| Ok(()));
+        }
+        for (s, p) in triggers {
+            b = b.pe_trigger(s, p);
+        }
+        b.build()
+    }
+
+    /// Procedure names in topological order.
+    fn topo_order(app: &App) -> Vec<String> {
+        let ids = AppIds::build(app).unwrap();
+        let mut procs: Vec<ProcId> = (0..ids.proc_count() as u32).map(ProcId).collect();
+        procs.sort_by_key(|&p| ids.proc(p).topo_pos);
+        procs.iter().map(|&p| ids.proc_name(p).to_string()).collect()
+    }
+
+    fn linear3() -> AppIds {
+        let app = app(
+            &[("sp1", &["s12"]), ("sp2", &["s23"]), ("sp3", &[])],
+            &[("s12", "sp2"), ("s23", "sp3")],
+        );
+        AppIds::build(&app.unwrap()).unwrap()
     }
 
     fn ev(proc: &str, batch: u64) -> TraceEvent {
@@ -237,38 +168,28 @@ mod tests {
 
     #[test]
     fn topo_order_linear() {
-        let g = linear3();
-        assert_eq!(g.topo_order().unwrap(), vec!["sp1", "sp2", "sp3"]);
-        g.validate().unwrap();
+        // Declared last-first: the order follows the edges, not the
+        // declarations.
+        let app = app(
+            &[("sp3", &[]), ("sp2", &["s23"]), ("sp1", &["s12"])],
+            &[("s12", "sp2"), ("s23", "sp3")],
+        );
+        assert_eq!(topo_order(&app.unwrap()), vec!["sp1", "sp2", "sp3"]);
     }
 
     #[test]
     fn cycle_detected() {
-        let g = WorkflowGraph::build(
-            &[("a".into(), vec!["s1".into()]), ("b".into(), vec!["s2".into()])],
-            &[("s1".into(), "b".into()), ("s2".into(), "a".into())],
-        );
-        assert!(g.validate().is_err());
+        let r = app(&[("a", &["s1"]), ("b", &["s2"])], &[("s1", "b"), ("s2", "a")]);
+        assert!(matches!(&r, Err(Error::StreamViolation(m)) if m.contains("cycle through a")), "{r:?}");
     }
 
     #[test]
     fn diamond_is_acyclic() {
-        let g = WorkflowGraph::build(
-            &[
-                ("src".into(), vec!["l".into(), "r".into()]),
-                ("left".into(), vec!["out".into()]),
-                ("right".into(), vec!["out2".into()]),
-                ("sink".into(), vec![]),
-            ],
-            &[
-                ("l".into(), "left".into()),
-                ("r".into(), "right".into()),
-                ("out".into(), "sink".into()),
-                ("out2".into(), "sink".into()),
-            ],
+        let app = app(
+            &[("src", &["l", "r"]), ("left", &["out"]), ("right", &["out2"]), ("sink", &[])],
+            &[("l", "left"), ("r", "right"), ("out", "sink"), ("out2", "sink")],
         );
-        g.validate().unwrap();
-        let order = g.topo_order().unwrap();
+        let order = topo_order(&app.unwrap());
         assert_eq!(order[0], "src");
         assert_eq!(order[3], "sink");
     }

@@ -141,7 +141,7 @@ fn multi_partition_output_equals_single_partition_oracle() {
             engine.ingest("xin", b.clone()).unwrap();
         }
         engine.drain().unwrap();
-        check_schedule(&engine.workflow(), &engine.metrics().trace_snapshot()).unwrap();
+        check_schedule(engine.ids(), &engine.metrics().trace_snapshot()).unwrap();
         outputs.push(table_union(&engine, "xout"));
         engine.shutdown();
     }
@@ -201,7 +201,7 @@ fn run_three_stage(mode: SchedulerMode) -> Vec<TraceEvent> {
     engine.drain().unwrap();
     let trace = engine.metrics().trace_snapshot();
     // Both disciplines keep the §2.2 constraints on this linear chain.
-    check_schedule(&engine.workflow(), &trace).unwrap();
+    check_schedule(engine.ids(), &trace).unwrap();
     engine.shutdown();
     trace
 }
@@ -387,6 +387,56 @@ fn data_dependent_interior_stage_does_not_starve_the_exchange() {
     let mut want: Vec<(i64, i64)> = (0..24i64).map(rekey).collect();
     want.sort();
     assert_eq!(table_union(&engine, "xout"), want, "no batch may strand in the merge");
+    engine.shutdown();
+}
+
+#[test]
+fn a_nested_parent_ships_and_aligns_its_childs_exchange_output() {
+    // xin → parent[child] → xmid (exchange, declared by the child) →
+    // sp2 → xout. One key per batch leaves the other partition an empty
+    // border sub-batch: the parent must still run there (xin feeds the
+    // exchange), pre-register xmid and ship it, or the merge would
+    // wait forever.
+    let app = App::builder()
+        .stream_partitioned("xin", kv_schema(), "k")
+        .exchange_stream("xmid", kv_schema(), "k")
+        .table("xout", kv_schema())
+        .proc("child", &[], &["xmid"], |ctx| {
+            let out: Vec<Tuple> = ctx
+                .input()
+                .iter()
+                .map(|r| {
+                    let (k2, v2) = rekey(r.get(1).as_int().unwrap());
+                    Tuple::new(vec![Value::Int(k2), Value::Int(v2)])
+                })
+                .collect();
+            ctx.emit("xmid", out)
+        })
+        .nested("parent", &["child"])
+        .proc("sp2", &[("ins", "INSERT INTO xout (k, v) VALUES (?, ?)")], &[], |ctx| {
+            for r in ctx.input().to_vec() {
+                ctx.sql("ins", &[r.get(0).clone(), r.get(1).clone()])?;
+            }
+            Ok(())
+        })
+        .pe_trigger("xin", "parent")
+        .pe_trigger("xmid", "sp2")
+        .build()
+        .unwrap();
+    let config =
+        EngineConfig::default().with_partitions(2).with_trace().with_data_dir(test_dir("nested-x"));
+    let engine = Engine::start(config, app).unwrap();
+    for b in 0..6i64 {
+        let rows: Vec<Tuple> = (0..3i64).map(|j| tuple![b, b * 3 + j]).collect();
+        engine.ingest("xin", rows).unwrap();
+    }
+    engine.drain().unwrap();
+    let mut want: Vec<(i64, i64)> = (0..18i64).map(rekey).collect();
+    want.sort();
+    assert_eq!(table_union(&engine, "xout"), want, "no batch may strand in the merge");
+    let trace = engine.metrics().trace_snapshot();
+    assert_eq!(trace.iter().filter(|e| e.proc == "parent").count(), 12, "both partitions, every batch");
+    check_schedule(engine.ids(), &trace).unwrap();
     engine.shutdown();
 }
 

@@ -4,7 +4,7 @@
 //! (batch counters, log LSNs) and handle checkpoints, empty logs, and
 //! mid-workflow dangling batches.
 
-use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::atomic::Ordering::Relaxed;
 
 use sstore_common::{tuple, DataType, Schema, Tuple, Value};
@@ -253,4 +253,39 @@ fn group_commit_reduces_flushes() {
     let no_group = run(&mk(1, "nogroup"));
     let grouped = run(&mk(8, "grouped"));
     assert!(grouped * 4 <= no_group, "group commit must cut flushes: {grouped} vs {no_group}");
+}
+
+/// Set once the pre-crash run is over: `dies_on_replay`'s body panics
+/// from then on, so only recovery's replay reaches the panic.
+static REPLAYING: AtomicBool = AtomicBool::new(false);
+
+/// A body that panics during strong replay takes partition 0 down
+/// mid-recovery: recovery returns an error naming the partition, and
+/// neither hangs nor panics itself.
+#[test]
+fn a_partition_that_dies_during_replay_is_named() {
+    let app = || {
+        App::builder()
+            .stream("input", int_schema())
+            .table("audit", int_schema())
+            .proc("dies_on_replay", &[("log", "INSERT INTO audit (v) VALUES (?)")], &[], |ctx| {
+                assert!(!REPLAYING.load(Relaxed), "procedure body panicked during replay");
+                for r in ctx.input().to_vec() {
+                    ctx.sql("log", &[r.get(0).clone()])?;
+                }
+                Ok(())
+            })
+            .pe_trigger("input", "dies_on_replay")
+            .build()
+            .unwrap()
+    };
+    let cfg = config("dies-on-replay", RecoveryMode::Strong);
+    let engine = Engine::start(cfg.clone(), app()).unwrap();
+    engine.ingest("input", vec![tuple![1i64]]).unwrap();
+    engine.drain().unwrap();
+    engine.flush_logs().unwrap();
+    engine.shutdown();
+    REPLAYING.store(true, Relaxed);
+    let err = recover(cfg, app()).map(|_| ()).unwrap_err();
+    assert!(err.to_string().contains("partition 0"), "{err}");
 }

@@ -112,7 +112,7 @@ fn many_batches_satisfy_ordering_constraints() {
     assert_eq!(engine.metrics().workflows_completed.load(Relaxed), 50);
     let trace = engine.metrics().trace_snapshot();
     assert_eq!(trace.len(), 150);
-    check_schedule(&engine.workflow(), &trace).unwrap();
+    check_schedule(engine.ids(), &trace).unwrap();
     engine.shutdown();
 }
 
@@ -153,7 +153,7 @@ fn fifo_ablation_still_correct_for_pure_streams_but_interleaves() {
     }
     engine.drain().unwrap();
     let trace = engine.metrics().trace_snapshot();
-    check_schedule(&engine.workflow(), &trace).unwrap();
+    check_schedule(engine.ids(), &trace).unwrap();
     let interleaved = trace
         .windows(2)
         .any(|w| w[0].proc == "sp1" && w[1].proc == "sp1" && w[0].batch != w[1].batch);
@@ -243,7 +243,7 @@ fn oltp_calls_interleave_with_streams() {
     }
     engine.drain().unwrap();
     // The mixed schedule is still correct.
-    check_schedule(&engine.workflow(), &engine.metrics().trace_snapshot()).unwrap();
+    check_schedule(engine.ids(), &engine.metrics().trace_snapshot()).unwrap();
     assert_eq!(final_values(&engine, 0).len(), 10);
     engine.shutdown();
 }
@@ -323,6 +323,75 @@ fn nested_transaction_runs_children_as_one_unit() {
     let trace = m.trace_snapshot();
     assert!(trace.iter().all(|e| e.proc == "vote_round"));
     check_nested_contiguity(&trace, &["vote_round".to_string()]).unwrap();
+    engine.shutdown();
+}
+
+/// The workflow order counts a nested transaction's children's outputs
+/// as its own: `n` runs `c`, so `n` produces `s2` and precedes `d`,
+/// wherever `c` and `d` were declared.
+#[test]
+fn topological_order_folds_nested_outputs() {
+    let pass = |ctx: &mut sstore_engine::ProcCtx<'_>, out: &str| {
+        let rows = ctx.input().to_vec();
+        ctx.emit(out, rows)
+    };
+    let app = App::builder()
+        .stream("s0", int_schema())
+        .stream("s1", int_schema())
+        .stream("s2", int_schema())
+        .proc("c", &[], &["s2"], move |ctx| pass(ctx, "s2"))
+        .proc("u", &[], &["s1"], move |ctx| pass(ctx, "s1"))
+        .nested("n", &["c"])
+        .proc("d", &[], &[], |_| Ok(()))
+        .pe_trigger("s0", "u")
+        .pe_trigger("s1", "n")
+        .pe_trigger("s2", "d")
+        .build()
+        .unwrap();
+    let config = EngineConfig::default().with_trace().with_data_dir(test_dir("nested-topo"));
+    let engine = Engine::start(config, app).unwrap();
+    engine.ingest("s0", vec![tuple![1i64]]).unwrap();
+    engine.drain().unwrap();
+    let trace = engine.metrics().trace_snapshot();
+    let procs: Vec<&str> = trace.iter().map(|e| e.proc.as_str()).collect();
+    assert_eq!(procs, ["u", "n", "d"]);
+    check_schedule(engine.ids(), &trace).unwrap();
+    let pos = |name| engine.ids().proc(engine.ids().proc_id(name).unwrap()).topo_pos;
+    assert!(pos("u") < pos("n") && pos("n") < pos("d"));
+    engine.shutdown();
+}
+
+/// An ingested batch is one border transaction: a stream that triggers
+/// two procedures cannot be ingested into, and nothing runs.
+#[test]
+fn ingest_into_a_stream_with_two_pe_triggers_is_rejected() {
+    fn sink(ctx: &mut sstore_engine::ProcCtx<'_>) -> sstore_common::Result<()> {
+        for r in ctx.input().to_vec() {
+            ctx.sql("ins", &[r.get(0).clone()])?;
+        }
+        Ok(())
+    }
+    let app = App::builder()
+        .stream("in", int_schema())
+        .table("a_out", int_schema())
+        .table("b_out", int_schema())
+        .proc("a", &[("ins", "INSERT INTO a_out (v) VALUES (?)")], &[], sink)
+        .proc("b", &[("ins", "INSERT INTO b_out (v) VALUES (?)")], &[], sink)
+        .pe_trigger("in", "a")
+        .pe_trigger("in", "b")
+        .build()
+        .unwrap();
+    let config = EngineConfig::default().with_data_dir(test_dir("two-triggers"));
+    let engine = Engine::start(config, app).unwrap();
+    let err = engine.ingest("in", vec![tuple![1i64], tuple![2i64]]).unwrap_err();
+    assert!(matches!(err, sstore_common::Error::StreamViolation(_)), "{err:?}");
+    let msg = err.to_string();
+    assert!(msg.contains("a, b"), "the error names both procedures: {msg}");
+    engine.drain().unwrap();
+    for table in ["a_out", "b_out"] {
+        let n = engine.query(0, &format!("SELECT COUNT(*) FROM {table}"), vec![]).unwrap();
+        assert_eq!(n.scalar().unwrap(), &Value::Int(0), "{table}");
+    }
     engine.shutdown();
 }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Pre-merge guard: release build, the whole test suite, the benchmark
-# package's own tests, the chaos and SQL-fuzz corpora, then
+# Pre-merge guard: release build, the whole test suite, the four
+# examples, the benchmark package's own tests, the chaos and SQL-fuzz
+# corpora, then
 # `sstore-bench smoke` — the gated bench cases at smoke length. Every
 # bench gate is evaluated in Rust on typed values
 # (crates/bench/src/cases/mod.rs; EXPERIMENTS.md "Smoke gates" lists
@@ -35,6 +36,16 @@ cargo build --release --workspace
 
 echo "== tests =="
 cargo test -q --workspace
+
+# The examples drive the app builder end to end and assert their own
+# results: linear_road compares state across crash and recovery in both
+# modes, fault_tolerance checks post-recovery counts. A failed assert
+# exits nonzero.
+echo "== examples =="
+for example in quickstart leaderboard linear_road fault_tolerance; do
+    cargo run --release -q --example "$example" > /dev/null
+    echo "$example: ok"
+done
 
 # The benchmark package is outside the workspace and imports engine,
 # SQL and storage names directly; its own tests (a 1/50-size run of all

@@ -170,7 +170,7 @@ fn hybrid_oltp_reads_see_consistent_snapshots() {
         }
     }
     engine.drain().unwrap();
-    check_schedule(&engine.workflow(), &engine.metrics().trace_snapshot()).unwrap();
+    check_schedule(engine.ids(), &engine.metrics().trace_snapshot()).unwrap();
     engine.shutdown();
 }
 
@@ -185,7 +185,7 @@ fn trace_satisfies_formal_conditions_under_load() {
     engine.drain().unwrap();
     let trace = engine.metrics().trace_snapshot();
     assert!(trace.len() >= 400, "at least one TE per vote");
-    check_schedule(&engine.workflow(), &trace).unwrap();
+    check_schedule(engine.ids(), &trace).unwrap();
     engine.shutdown();
 }
 
