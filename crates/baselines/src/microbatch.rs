@@ -184,11 +184,7 @@ impl DStreamEngine {
         names.sort();
         for n in names {
             e.put_str(n);
-            let rdd = &self.state[n];
-            e.put_varint(rdd.len() as u64);
-            for t in rdd.iter() {
-                e.put_tuple(t);
-            }
+            e.put_seq(self.state[n].iter(), Encoder::put_tuple);
         }
         self.stats.checkpoint_bytes += e.len() as u64;
         self.stats.checkpoints += 1;

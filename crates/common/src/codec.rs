@@ -1,18 +1,31 @@
-//! Compact binary codec for checkpoints and the command log.
+//! Compact binary codec for checkpoints, the command log and the wire.
 //!
-//! Hand-rolled rather than pulling in a serde format: the on-disk
-//! artifacts of this system (snapshots, command-log records) are simple
-//! framed sequences of primitives, and owning the byte layout makes the
-//! recovery code auditable.
+//! Hand-rolled rather than pulling in a serde format: every byte format
+//! of this system (snapshots, checkpoint files, the manifest,
+//! command-log records, wire messages) is a simple sequence of
+//! primitives, and owning the byte layout makes the recovery code
+//! auditable. Every format writes and reads through this module only.
 //!
 //! Layout conventions:
 //! * integers are little-endian fixed width, except lengths and counts
 //!   which use LEB128-style varints;
 //! * every [`Value`] is prefixed by a one-byte type tag;
+//! * a **sequence** is a varint count followed by that many items
+//!   ([`Encoder::put_seq`], [`Decoder::get_seq`]);
+//! * an **optional** `i64` is a tag byte, `0` for none or `1` followed
+//!   by the value ([`Encoder::put_opt_i64`]);
 //! * composite encoders ([`Encoder`]) append to a growable buffer;
 //!   [`Decoder`] reads from a slice and tracks its offset, failing with
 //!   `Error::Codec` on truncation or bad tags (never panicking on
 //!   malformed input).
+//!
+//! **The count rule.** A decoder trusts no count it reads. Every item of
+//! a sequence has a smallest possible encoding — one byte for a value
+//! or a tuple, eight for a `u64`, nine for a name and a `u64` — and a
+//! count larger than the bytes left divided by that minimum is
+//! corruption. [`Decoder::get_count`] rejects it before anything is
+//! reserved from it, so a hostile count can neither over-allocate nor
+//! fail deep inside an element with a misleading message.
 
 use crate::error::{Error, Result};
 use crate::schema::{Column, DataType, Schema};
@@ -119,6 +132,30 @@ impl Encoder {
         self.put_bytes(s.as_bytes());
     }
 
+    /// Writes a sequence: the varint count, then each item through
+    /// `put`. Read back with [`Decoder::get_seq`].
+    pub fn put_seq<I>(&mut self, items: I, mut put: impl FnMut(&mut Self, I::Item))
+    where
+        I: IntoIterator<IntoIter: ExactSizeIterator>,
+    {
+        let items = items.into_iter();
+        self.put_varint(items.len() as u64);
+        for item in items {
+            put(self, item);
+        }
+    }
+
+    /// Writes an optional `i64`: tag `0`, or tag `1` then the value.
+    pub fn put_opt_i64(&mut self, v: Option<i64>) {
+        match v {
+            Some(x) => {
+                self.put_u8(1);
+                self.put_i64(x);
+            }
+            None => self.put_u8(0),
+        }
+    }
+
     /// Writes whatever `body` encodes as a **frame**: a fixed-width
     /// little-endian u64 byte length, then the bytes. The length is
     /// back-patched into this same buffer once `body` returns, so a
@@ -153,27 +190,23 @@ impl Encoder {
         }
     }
 
-    /// Writes a tuple as a count followed by tagged values.
+    /// Writes a tuple as a sequence of tagged values.
     pub fn put_tuple(&mut self, t: &Tuple) {
-        self.put_varint(t.arity() as u64);
-        for v in t.values() {
-            self.put_value(v);
-        }
+        self.put_seq(t.values(), Self::put_value);
     }
 
-    /// Writes a schema.
+    /// Writes a schema: a sequence of columns.
     pub fn put_schema(&mut self, s: &Schema) {
-        self.put_varint(s.arity() as u64);
-        for c in s.columns() {
-            self.put_str(&c.name);
-            self.put_u8(match c.dtype {
+        self.put_seq(s.columns(), |e, c| {
+            e.put_str(&c.name);
+            e.put_u8(match c.dtype {
                 DataType::Int => 0,
                 DataType::Float => 1,
                 DataType::Text => 2,
                 DataType::Bool => 3,
             });
-            self.put_u8(u8::from(c.nullable));
-        }
+            e.put_u8(u8::from(c.nullable));
+        });
     }
 }
 
@@ -285,6 +318,46 @@ impl<'a> Decoder<'a> {
         String::from_utf8(b.to_vec()).map_err(|e| Error::Codec(format!("invalid utf-8: {e}")))
     }
 
+    /// Reads the count of a sequence whose items each take at least
+    /// `min_bytes`, bounded by the input left (the module's count
+    /// rule): a larger count is an error naming `what`, raised before
+    /// anything is reserved from it.
+    pub fn get_count(&mut self, min_bytes: usize, what: &str) -> Result<usize> {
+        let n = self.get_varint()?;
+        let left = self.remaining();
+        if n > (left / min_bytes.max(1)) as u64 {
+            return Err(Error::Codec(format!(
+                "{what} count {n} exceeds the {left} bytes left"
+            )));
+        }
+        Ok(n as usize)
+    }
+
+    /// Reads a sequence written by [`Encoder::put_seq`]: a count
+    /// checked by [`Decoder::get_count`], then each item through `get`.
+    pub fn get_seq<T>(
+        &mut self,
+        min_bytes: usize,
+        what: &str,
+        mut get: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let n = self.get_count(min_bytes, what)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(get(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Reads an optional `i64` written by [`Encoder::put_opt_i64`].
+    pub fn get_opt_i64(&mut self) -> Result<Option<i64>> {
+        match self.get_u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(self.get_i64()?)),
+            t => Err(Error::Codec(format!("bad option tag {t}"))),
+        }
+    }
+
     /// Reads a tagged [`Value`].
     pub fn get_value(&mut self) -> Result<Value> {
         match self.get_u8()? {
@@ -300,34 +373,27 @@ impl<'a> Decoder<'a> {
 
     /// Reads a tuple.
     pub fn get_tuple(&mut self) -> Result<Tuple> {
-        let n = self.get_varint()? as usize;
-        // Guard against hostile lengths: a tuple can't be longer than the
-        // remaining input (each value takes >= 1 byte).
-        if n > self.remaining() {
-            return Err(Error::Codec(format!("tuple arity {n} exceeds remaining input")));
-        }
+        // Collected straight into the row's one allocation, not through
+        // a `Vec`: a tagged value takes at least its tag byte.
+        let n = self.get_count(1, "tuple value")?;
         Tuple::try_collect((0..n).map(|_| self.get_value()))
     }
 
     /// Reads a schema.
     pub fn get_schema(&mut self) -> Result<Schema> {
-        let n = self.get_varint()? as usize;
-        if n > self.remaining() {
-            return Err(Error::Codec(format!("schema arity {n} exceeds remaining input")));
-        }
-        let mut cols = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = self.get_str()?;
-            let dtype = match self.get_u8()? {
+        // A column is at least a name length, a type tag and a
+        // nullability byte.
+        let cols = self.get_seq(3, "schema column", |d| {
+            let name = d.get_str()?;
+            let dtype = match d.get_u8()? {
                 0 => DataType::Int,
                 1 => DataType::Float,
                 2 => DataType::Text,
                 3 => DataType::Bool,
                 t => return Err(Error::Codec(format!("unknown dtype tag {t}"))),
             };
-            let nullable = self.get_u8()? != 0;
-            cols.push(Column { name, dtype, nullable });
-        }
+            Ok(Column { name, dtype, nullable: d.get_u8()? != 0 })
+        })?;
         Schema::new(cols).map_err(|e| Error::Codec(e.to_string()))
     }
 }
@@ -470,6 +536,60 @@ mod tests {
             e.put_u8(0);
             assert!(Decoder::new(&e.finish()).get_framed().is_err());
         }
+    }
+
+    #[test]
+    fn a_count_is_bounded_by_the_bytes_left_over_the_item_minimum() {
+        // Three bytes left after the count, items of at least two: one
+        // fits, and a count of exactly 3 / 2 = 1 passes.
+        let with_count = |n: u64| {
+            let mut e = Encoder::new();
+            e.put_varint(n);
+            let mut bytes = e.finish();
+            bytes.extend_from_slice(&[0; 3]);
+            bytes
+        };
+        assert_eq!(Decoder::new(&with_count(1)).get_count(2, "pair").unwrap(), 1);
+        let err = Decoder::new(&with_count(2)).get_count(2, "pair").unwrap_err();
+        assert!(err.to_string().contains("pair count 2"), "{err}");
+        // A minimum of one: every byte left may be an item.
+        assert_eq!(Decoder::new(&with_count(3)).get_count(1, "byte").unwrap(), 3);
+        assert!(Decoder::new(&with_count(4)).get_count(1, "byte").is_err());
+        // A huge count fails on the count, not on a reservation.
+        assert!(Decoder::new(&with_count(u64::MAX)).get_count(8, "word").is_err());
+    }
+
+    #[test]
+    fn sequences_nest_and_a_cut_inside_an_item_is_an_error() {
+        let outer: Vec<Vec<i64>> = vec![vec![1, -2], vec![], vec![i64::MAX]];
+        let mut e = Encoder::new();
+        e.put_seq(&outer, |e, inner| e.put_seq(inner, |e, &v| e.put_i64(v)));
+        let bytes = e.finish();
+        let decode = |b: &[u8]| {
+            let mut d = Decoder::new(b);
+            d.get_seq(1, "list", |d| d.get_seq(8, "number", Decoder::get_i64))
+        };
+        assert_eq!(decode(&bytes).unwrap(), outer);
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn optional_i64_roundtrips_and_rejects_a_bad_tag() {
+        let mut e = Encoder::new();
+        for v in [None, Some(-7), Some(i64::MIN)] {
+            e.put_opt_i64(v);
+        }
+        let bytes = e.finish();
+        assert_eq!(bytes[..2], [0, 1]);
+        let mut d = Decoder::new(&bytes);
+        for v in [None, Some(-7), Some(i64::MIN)] {
+            assert_eq!(d.get_opt_i64().unwrap(), v);
+        }
+        assert!(d.is_exhausted());
+        let err = Decoder::new(&[2u8]).get_opt_i64().unwrap_err();
+        assert!(err.to_string().contains("bad option tag 2"), "{err}");
     }
 
     #[test]

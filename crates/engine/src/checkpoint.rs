@@ -22,8 +22,20 @@
 //!                                        itself a sequence of table frames
 //! delta := ntables:varint  table-frame*  sections
 //! table-frame := len:u64  table-image    (sstore_storage::snapshot)
-//! sections := nstreams:varint (name:str  stream-state  high:0|1 i64)*
-//!             nwindows:varint  window-slot*
+//! sections := seq of (name:str  stream-state  high:opt-i64)
+//!             seq of window-slot                       (window.rs)
+//! stream-state := seq of (batch:u64  seq of row-id:u64)
+//! ```
+//!
+//! `seq of X` is a varint count then that many `X`, and `opt-i64` is a
+//! tag byte `0`, or `1` then an `i64` (`sstore_common::codec`). The file
+//! around an image, and the manifest:
+//!
+//! ```text
+//! checkpoint := magic:u32  version:u32  epoch:u64  kind:u8  last_lsn:u64
+//!               batch_counters  exchange_floor  ee_image:bytes
+//! counters   := seq of (name:str  value:u64)        in name order
+//! manifest   := magic:u32  version:u32  epochs:seq of u64  floors:seq of u64
 //! ```
 //!
 //! Every table image, in a base and in a delta alike, is preceded by
@@ -47,7 +59,7 @@
 //! references) intact.
 
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use sstore_common::codec::{Decoder, Encoder};
 use sstore_common::{Error, Lsn, Result};
@@ -102,28 +114,32 @@ pub struct CheckpointFile {
     pub ee_image: Vec<u8>,
 }
 
+/// A counter map as a sequence of `(name, value)` in name order, so the
+/// bytes do not depend on hash order.
 fn put_counters(e: &mut Encoder, counters: &HashMap<String, u64>) {
-    let mut names: Vec<&String> = counters.keys().collect();
-    names.sort();
-    e.put_varint(names.len() as u64);
-    for n in names {
-        e.put_str(n);
-        e.put_u64(counters[n]);
-    }
+    let mut entries: Vec<_> = counters.iter().collect();
+    entries.sort();
+    e.put_seq(entries, |e, (name, v)| {
+        e.put_str(name);
+        e.put_u64(*v);
+    });
 }
 
 fn get_counters(d: &mut Decoder<'_>) -> Result<HashMap<String, u64>> {
-    let n = d.get_varint()? as usize;
-    if n > d.remaining() {
-        return Err(Error::Codec("counter count exceeds input".into()));
-    }
-    let mut counters = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let name = d.get_str()?;
-        let v = d.get_u64()?;
-        counters.insert(name, v);
-    }
-    Ok(counters)
+    // An entry is at least a name length and a u64.
+    Ok(d.get_seq(9, "counter", |d| Ok((d.get_str()?, d.get_u64()?)))?.into_iter().collect())
+}
+
+/// Every checkpoint image in `dir` — a file named the way
+/// [`crate::config::EngineConfig::checkpoint_path`] names one — as
+/// `(epoch, path)`, in directory order.
+pub fn list_images(vfs: &dyn Vfs, dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
+    let image = |path: &Path| {
+        let (stem, epoch) = path.file_name()?.to_str()?.rsplit_once('.')?;
+        let ours = stem.starts_with("partition-") && stem.ends_with(".snapshot");
+        epoch.parse().ok().filter(|_| ours)
+    };
+    Ok(vfs.list_dir(dir)?.into_iter().filter_map(|p| Some((image(&p)?, p))).collect())
 }
 
 /// Writes a checkpoint atomically (temp file + rename) on the real
@@ -225,14 +241,8 @@ pub fn write_manifest_on(vfs: &dyn Vfs, path: &Path, m: &Manifest) -> Result<()>
     let mut e = Encoder::with_capacity(64);
     e.put_u32(MANIFEST_MAGIC);
     e.put_u32(MANIFEST_VERSION);
-    e.put_varint(m.epochs.len() as u64);
-    for &ep in &m.epochs {
-        e.put_u64(ep);
-    }
-    e.put_varint(m.floors.len() as u64);
-    for &f in &m.floors {
-        e.put_u64(f);
-    }
+    e.put_seq(&m.epochs, |e, &ep| e.put_u64(ep));
+    e.put_seq(&m.floors, |e, &f| e.put_u64(f));
     if let Some(dir) = path.parent() {
         vfs.create_dir_all(dir)?;
     }
@@ -253,22 +263,8 @@ pub fn read_manifest_on(vfs: &dyn Vfs, path: &Path) -> Result<Option<Manifest>> 
     if version != MANIFEST_VERSION {
         return Err(Error::Codec(format!("unsupported manifest version {version}")));
     }
-    let ne = d.get_varint()? as usize;
-    if ne > d.remaining() {
-        return Err(Error::Codec("manifest epoch count exceeds input".into()));
-    }
-    let mut epochs = Vec::with_capacity(ne);
-    for _ in 0..ne {
-        epochs.push(d.get_u64()?);
-    }
-    let nf = d.get_varint()? as usize;
-    if nf > d.remaining() {
-        return Err(Error::Codec("manifest floor count exceeds input".into()));
-    }
-    let mut floors = Vec::with_capacity(nf);
-    for _ in 0..nf {
-        floors.push(d.get_u64()?);
-    }
+    let epochs = d.get_seq(8, "manifest epoch", Decoder::get_u64)?;
+    let floors = d.get_seq(8, "manifest floor", Decoder::get_u64)?;
     if !d.is_exhausted() {
         return Err(Error::Codec("trailing bytes in manifest file".into()));
     }

@@ -677,50 +677,52 @@ impl ExecutionEngine {
         if !self.in_txn {
             return Err(Error::InvalidState("observe_input outside transaction".into()));
         }
-        let Some(col) = self.stream_ts_col[stream.index()] else {
-            return Ok(());
-        };
-        let mut hi: Option<i64> = None;
-        for t in rows {
-            let ts = self.event_ts_of(stream, col, t)?;
-            if hi.is_none_or(|h| ts > h) {
-                hi = Some(ts);
-            }
-        }
-        if let Some(hi) = hi {
+        if let Some(col) = self.stream_ts_col[stream.index()] {
+            let hi = self.max_event_ts(stream, col, rows.iter().map(Ok))?;
             self.raise_high_mark(stream, hi);
         }
         Ok(())
     }
 
-    /// Extracts a stream row's event timestamp, naming the stream on
-    /// failure. Rejects timestamps outside the supported range — pane
-    /// arithmetic is overflow-free only inside it, and a malformed
-    /// tuple must abort its transaction, not the engine.
-    fn event_ts_of(&self, stream: TableId, col: usize, t: &Tuple) -> Result<i64> {
-        let ts = t.event_ts(col).map_err(|e| {
-            Error::StreamViolation(format!(
-                "stream {}: bad event timestamp: {e}",
-                self.ids.table_name(stream)
-            ))
-        })?;
+    /// Extracts a stream or window row's event timestamp, naming the
+    /// table by its kind on failure. Rejects timestamps outside the
+    /// supported range — pane arithmetic is overflow-free only inside
+    /// it, and a malformed tuple must abort its transaction, not the
+    /// engine.
+    fn event_ts_of(&self, table: TableId, col: usize, t: &Tuple) -> Result<i64> {
+        let named = |what: String| {
+            let kind = match self.catalog.get(table).kind() {
+                TableKind::Window => "window",
+                _ => "stream",
+            };
+            Error::StreamViolation(format!("{kind} {}: {what}", self.ids.table_name(table)))
+        };
+        let ts = t.event_ts(col).map_err(|e| named(format!("bad event timestamp: {e}")))?;
         if !crate::window::event_ts_in_range(ts) {
-            return Err(Error::StreamViolation(format!(
-                "stream {}: event timestamp {ts} outside the supported range",
-                self.ids.table_name(stream)
-            )));
+            return Err(named(format!("event timestamp {ts} outside the supported range")));
         }
         Ok(ts)
     }
 
-    /// Raises a stream's event-time high mark to at least `hi`
+    /// The largest event timestamp among a stream's `rows` (`None` for
+    /// none): the one fold both watermark inputs — rows handed to a
+    /// procedure, rows inserted into a stream — go through.
+    fn max_event_ts<'t>(
+        &self,
+        stream: TableId,
+        col: usize,
+        rows: impl IntoIterator<Item = Result<&'t Tuple>>,
+    ) -> Result<Option<i64>> {
+        rows.into_iter().try_fold(None, |hi, t| Ok(hi.max(Some(self.event_ts_of(stream, col, t?)?))))
+    }
+
+    /// Raises a stream's event-time high mark to `hi` if that is higher
     /// (monotone), recording the undo exactly once per change — the
-    /// single place the watermark-input/undo discipline lives, shared
-    /// by the ingest path and the border/exchange input path.
-    fn raise_high_mark(&mut self, stream: TableId, hi: i64) {
+    /// single place the watermark-input/undo discipline lives.
+    fn raise_high_mark(&mut self, stream: TableId, hi: Option<i64>) {
         let prev = self.stream_high[stream.index()];
-        if prev.is_none_or(|p| hi > p) {
-            self.stream_high[stream.index()] = Some(hi);
+        if hi > prev {
+            self.stream_high[stream.index()] = hi;
             self.stream_undo.push(StreamUndo::HighMark { stream, prev });
         }
     }
@@ -873,18 +875,7 @@ impl ExecutionEngine {
         let ts_col = self.window_ts_col[window.index()]
             .ok_or_else(|| Error::Internal("time window lost its ts column".into()))?;
         for t in rows {
-            let ts = t.event_ts(ts_col).map_err(|e| {
-                Error::StreamViolation(format!(
-                    "window {}: bad event timestamp: {e}",
-                    self.ids.table_name(window)
-                ))
-            })?;
-            if !crate::window::event_ts_in_range(ts) {
-                return Err(Error::StreamViolation(format!(
-                    "window {}: event timestamp {ts} outside the supported range",
-                    self.ids.table_name(window)
-                )));
-            }
+            let ts = self.event_ts_of(window, ts_col, &t)?;
             let w = self.time_window(window);
             match w.classify(ts) {
                 TimeArrival::Staged => {
@@ -954,23 +945,14 @@ impl ExecutionEngine {
         // Event-timed streams advance their high mark (a watermark
         // input) as rows arrive — before any EE trigger can GC them.
         if let Some(col) = self.stream_ts_col[stream.index()] {
-            let mut hi: Option<i64> = None;
-            for id in &rows {
-                let t = self
-                    .catalog
-                    .get(stream)
-                    .get(*id)
-                    .ok_or_else(|| {
-                        Error::Internal("stream row vanished before high-mark update".into())
-                    })?;
-                let ts = self.event_ts_of(stream, col, t)?;
-                if hi.is_none_or(|h| ts > h) {
-                    hi = Some(ts);
-                }
-            }
-            if let Some(hi) = hi {
-                self.raise_high_mark(stream, hi);
-            }
+            let table = self.catalog.get(stream);
+            let tuples = rows.iter().map(|id| {
+                table.get(*id).ok_or_else(|| {
+                    Error::Internal("stream row vanished before high-mark update".into())
+                })
+            });
+            let hi = self.max_event_ts(stream, col, tuples)?;
+            self.raise_high_mark(stream, hi);
         }
         self.streams[stream.index()]
             .as_mut()
@@ -1171,10 +1153,7 @@ impl ExecutionEngine {
         }
         let names = self.names_where(|id| self.dirty[id.index()]);
         let mut e = Encoder::with_capacity(1024);
-        e.put_varint(names.len() as u64);
-        for &(_, id) in &names {
-            snapshot::encode_table_image(&mut e, self.catalog.get(id));
-        }
+        e.put_seq(&names, |e, &(_, id)| snapshot::encode_table_image(e, self.catalog.get(id)));
         self.encode_sections(&mut e, &names);
         self.dirty.fill(false);
         Ok(e.finish())
@@ -1194,29 +1173,21 @@ impl ExecutionEngine {
     /// Writes the stream section and the window section of an image
     /// for the streams and windows among `names`.
     fn encode_sections(&self, e: &mut Encoder, names: &[(&str, TableId)]) {
-        let streams: Vec<_> =
-            names.iter().filter(|(_, id)| self.streams[id.index()].is_some()).collect();
-        e.put_varint(streams.len() as u64);
-        for &&(name, id) in &streams {
+        let streams: Vec<_> = names
+            .iter()
+            .filter_map(|&(name, id)| Some((name, self.streams[id.index()].as_ref()?, id)))
+            .collect();
+        e.put_seq(streams, |e, (name, state, id)| {
             e.put_str(name);
-            self.streams[id.index()].as_ref().expect("stream present").encode(e);
+            state.encode(e);
             // Event-time high mark (watermark input): recovery must
             // reconverge watermarks deterministically, and replay alone
             // cannot rebuild high marks for rows inside the snapshot.
-            match self.stream_high[id.index()] {
-                Some(h) => {
-                    e.put_u8(1);
-                    e.put_i64(h);
-                }
-                None => e.put_u8(0),
-            }
-        }
+            e.put_opt_i64(self.stream_high[id.index()]);
+        });
         let windows: Vec<_> =
             names.iter().filter_map(|(_, id)| self.windows[id.index()].as_ref()).collect();
-        e.put_varint(windows.len() as u64);
-        for w in windows {
-            w.encode(e);
-        }
+        e.put_seq(windows, |e, w| w.encode(e));
     }
 
     /// Restores partition state from an epoch chain: a base image
@@ -1269,7 +1240,8 @@ impl ExecutionEngine {
         self.decode_sections(&mut d, &mut sections)?;
         for delta in deltas {
             let mut d = Decoder::new(delta);
-            for _ in 0..d.get_varint()? {
+            // A table frame is at least its u64 length.
+            for _ in 0..d.get_count(8, "table")? {
                 let frame = snapshot::TableFrame::read(&mut d)?;
                 let id = self.table_id(&frame.name)?;
                 newest[id.index()] = Some(frame);
@@ -1305,23 +1277,20 @@ impl ExecutionEngine {
     /// Reads the stream section and the window section that end an
     /// image into `into`, overwriting what an older image put there.
     fn decode_sections(&self, d: &mut Decoder<'_>, into: &mut Sections) -> Result<()> {
-        for _ in 0..d.get_varint()? {
+        // A stream entry is at least a name length, a batch count and a
+        // high-mark tag; a window section at least a variant tag, two
+        // name lengths, size, slide and a staging count (a tuple window).
+        for _ in 0..d.get_count(3, "stream")? {
             let name = d.get_str()?;
             let state = StreamState::decode(d)?;
-            let high = match d.get_u8()? {
-                0 => None,
-                1 => Some(d.get_i64()?),
-                t => {
-                    return Err(Error::Codec(format!(
-                        "stream {name}: bad high-mark tag {t} in checkpoint"
-                    )))
-                }
-            };
+            let high = d
+                .get_opt_i64()
+                .map_err(|e| Error::Codec(format!("stream {name}: high mark in checkpoint: {e}")))?;
             let id = self.table_id(&name)?;
             into.streams[id.index()] = Some(state);
             into.stream_high[id.index()] = high;
         }
-        for _ in 0..d.get_varint()? {
+        for _ in 0..d.get_count(6, "window")? {
             let w = WindowSlot::decode(d)?;
             let id = self.table_id(w.name())?;
             into.windows[id.index()] = Some(w);
@@ -1623,7 +1592,6 @@ mod tests {
         assert_eq!(r.rows_affected, 1);
         let table = ee.catalog.get(w);
         assert_eq!((table.len(), table.tombstones(), table.peek_next_row_id()), (0, 0, RowId(0)));
-        assert_eq!(table.stats().inserts() + table.stats().deletes(), 0);
         assert!(ee.effects.is_empty(), "{:?}", ee.effects);
         assert_eq!(staged_len(&ee, w), 1);
         ee.commit().unwrap();

@@ -108,7 +108,8 @@ pub(crate) struct Bootstrap {
 }
 
 /// The engine's view of what the durability manifest says, plus the
-/// one piece of cross-round state incremental checkpoints need.
+/// cross-round state checkpoint rounds need: every field changes only
+/// under the one mutex that holds it.
 struct DurabilityState {
     /// Epochs of the live checkpoint chain, base first. Empty until
     /// the first successful checkpoint.
@@ -118,6 +119,9 @@ struct DurabilityState {
     /// never adopted by the manifest, so the next round must write a
     /// full base or it would silently miss those changes.
     force_full: bool,
+    /// The last epoch a checkpoint round took: the next gets `epoch + 1`
+    /// (see [`CheckpointFile::epoch`]).
+    epoch: u64,
 }
 
 /// One ingested batch, resolved and routed but not yet admitted:
@@ -203,12 +207,9 @@ pub struct Engine {
     plan_cache: PlanCache,
     /// Per-stream next-batch counters, indexed by [`TableId`].
     batch_counters: Mutex<Vec<u64>>,
-    /// Next checkpoint round gets `last + 1` (see
-    /// [`CheckpointFile::epoch`]).
-    checkpoint_epoch: std::sync::atomic::AtomicU64,
-    /// Live checkpoint chain + force-full latch. One mutex serializes
-    /// concurrent [`Engine::checkpoint`] calls on the manifest they
-    /// both want to advance.
+    /// Live checkpoint chain, force-full latch and epoch. One mutex
+    /// serializes concurrent [`Engine::checkpoint`] calls on the
+    /// manifest they both want to advance.
     durability: Mutex<DurabilityState>,
 }
 
@@ -291,12 +292,10 @@ impl Engine {
             adhoc_catalog,
             plan_cache: PlanCache::new(),
             batch_counters: Mutex::new(counters),
-            checkpoint_epoch: std::sync::atomic::AtomicU64::new(
-                bootstrap.as_ref().map_or(0, |b| b.checkpoint_epoch),
-            ),
             durability: Mutex::new(DurabilityState {
                 chain: bootstrap.as_ref().map(|b| b.manifest_chain.clone()).unwrap_or_default(),
                 force_full: false,
+                epoch: bootstrap.as_ref().map_or(0, |b| b.checkpoint_epoch),
             }),
         };
         // Every partition restores its own chain on its own thread:
@@ -936,8 +935,8 @@ impl Engine {
         let full = dur.force_full
             || dur.chain.is_empty()
             || dur.chain.len() >= self.config.delta_chain_max;
-        let epoch =
-            self.checkpoint_epoch.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+        dur.epoch += 1;
+        let epoch = dur.epoch;
         // Latch pessimistically: the first partition to cut an image
         // clears its dirty set, so any failure from here until the
         // round fully succeeds must force the next round full.
@@ -1025,18 +1024,12 @@ impl Engine {
     /// chain: superseded bases and deltas after a compaction, and
     /// litter from rounds that crashed between phase 2 and adoption.
     fn gc_checkpoint_images(&self, live: &[u64]) -> Result<()> {
-        for path in self.config.vfs.list_dir(&self.config.data_dir)? {
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-            let Some((stem, epoch)) = name.rsplit_once('.') else { continue };
-            if !stem.starts_with("partition-") || !stem.ends_with(".snapshot") {
-                continue;
+        let vfs = self.config.vfs.as_ref();
+        for (epoch, path) in crate::checkpoint::list_images(vfs, &self.config.data_dir)? {
+            if !live.contains(&epoch) {
+                self.config.faults.hit(CrashPoint::PreSegmentUnlink, None)?;
+                vfs.remove_file(&path)?;
             }
-            let Ok(epoch) = epoch.parse::<u64>() else { continue };
-            if live.contains(&epoch) {
-                continue;
-            }
-            self.config.faults.hit(CrashPoint::PreSegmentUnlink, None)?;
-            self.config.vfs.remove_file(&path)?;
         }
         Ok(())
     }

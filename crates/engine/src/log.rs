@@ -25,7 +25,8 @@
 //! are rejected loudly, never misparsed; `base_lsn` is the LSN of the
 //! segment's first record, so a chain whose old segments were GC'd
 //! still places itself on the LSN axis) followed by records framed
-//! `[u32 len][u32 crc32][payload]`, payload via `common::codec`, CRC32
+//! `[u32 len][u32 crc32][payload]`, payload via `common::codec` (its
+//! layout is at `encode_payload`), CRC32
 //! (IEEE) over the payload. A torn final record (crash mid-write) is
 //! detected by a short frame or a checksum mismatch and ignored, which
 //! is the correct crash semantics: that transaction never acknowledged
@@ -35,6 +36,7 @@
 //! written after the tear point and were never durably acknowledged —
 //! only the unsynced active segment can tear).
 
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -175,29 +177,32 @@ pub struct SegmentMeta {
     pub bytes: u64,
 }
 
-/// What kind of transaction a record describes.
+/// What kind of transaction a record describes. The payloads are
+/// `Cow`s: an append builds one borrowing the committed invocation's
+/// own parts (no copy on the commit path), and [`CommandLog::read_all`]
+/// returns owned ones ([`LogRecord`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum LogKind {
+pub enum LogKind<'a> {
     /// Client OLTP invocation with its parameters.
     Oltp {
         /// Invocation parameters.
-        params: Vec<Value>,
+        params: Cow<'a, [Value]>,
     },
     /// Border streaming transaction: the externally-ingested batch.
     Border {
         /// Input stream name.
-        stream: String,
+        stream: Cow<'a, str>,
         /// Batch id assigned at ingestion.
         batch: BatchId,
         /// The raw input tuples (upstream backup payload).
-        rows: Vec<Tuple>,
+        rows: Cow<'a, [Tuple]>,
     },
     /// Interior streaming transaction (strong mode only): identified by
     /// its input stream and batch — the data itself is re-derived by
     /// replaying predecessors.
     Interior {
         /// Input stream name.
-        stream: String,
+        stream: Cow<'a, str>,
         /// Batch id consumed.
         batch: BatchId,
     },
@@ -209,11 +214,11 @@ pub enum LogKind {
     /// the upstream borders with triggers enabled, so it logs nothing).
     Exchange {
         /// Exchange stream name.
-        stream: String,
+        stream: Cow<'a, str>,
         /// Batch id delivered.
         batch: BatchId,
         /// The merged rows, in source-partition order.
-        rows: Vec<Tuple>,
+        rows: Cow<'a, [Tuple]>,
     },
     /// Ad-hoc SQL transaction (`Engine::query_at`): the command is the
     /// SQL text itself — replay re-plans it against the recovered
@@ -221,13 +226,13 @@ pub enum LogKind {
     /// a stored-procedure invocation.
     AdHoc {
         /// The statement text.
-        sql: String,
+        sql: Cow<'a, str>,
         /// Bound parameters.
-        params: Vec<Value>,
+        params: Cow<'a, [Value]>,
     },
 }
 
-/// One command-log record.
+/// One command-log record, as read back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogRecord {
     /// Sequence number (position in the log).
@@ -235,87 +240,43 @@ pub struct LogRecord {
     /// Stored procedure that committed.
     pub proc: String,
     /// Invocation payload.
-    pub kind: LogKind,
+    pub kind: LogKind<'static>,
 }
 
-/// Encodes one record's payload into a (reused) encoder buffer. All
-/// inputs are borrowed: the hot path appends without constructing a
-/// `LogRecord` or cloning names/rows.
-fn encode_payload(
-    e: &mut Encoder,
-    lsn: Lsn,
-    proc: &str,
-    kind: LogKindRef<'_>,
-) {
+/// Record payload layout, after the frame's length and CRC:
+///
+/// ```text
+/// payload := lsn:u64  proc:str  kind
+/// kind    := 0 params | 1 stream:str batch:u64 rows | 2 stream:str batch:u64
+///          | 3 stream:str batch:u64 rows | 4 sql:str params
+/// params  := seq of value        rows := seq of tuple
+/// ```
+///
+/// Encoded into a reused encoder buffer.
+fn encode_payload(e: &mut Encoder, lsn: Lsn, proc: &str, kind: &LogKind<'_>) {
     e.reset();
     e.put_u64(lsn.raw());
     e.put_str(proc);
     match kind {
-        LogKindRef::Oltp { params } => {
+        LogKind::Oltp { params } => {
             e.put_u8(0);
-            e.put_varint(params.len() as u64);
-            for p in params {
-                e.put_value(p);
-            }
+            e.put_seq(params.iter(), Encoder::put_value);
         }
-        LogKindRef::Border { stream, batch, rows } => {
-            e.put_u8(1);
+        LogKind::Border { stream, batch, rows } | LogKind::Exchange { stream, batch, rows } => {
+            e.put_u8(if matches!(kind, LogKind::Border { .. }) { 1 } else { 3 });
             e.put_str(stream);
             e.put_u64(batch.raw());
-            e.put_varint(rows.len() as u64);
-            for r in rows {
-                e.put_tuple(r);
-            }
+            e.put_seq(rows.iter(), Encoder::put_tuple);
         }
-        LogKindRef::Interior { stream, batch } => {
+        LogKind::Interior { stream, batch } => {
             e.put_u8(2);
             e.put_str(stream);
             e.put_u64(batch.raw());
         }
-        LogKindRef::Exchange { stream, batch, rows } => {
-            e.put_u8(3);
-            e.put_str(stream);
-            e.put_u64(batch.raw());
-            e.put_varint(rows.len() as u64);
-            for r in rows {
-                e.put_tuple(r);
-            }
-        }
-        LogKindRef::AdHoc { sql, params } => {
+        LogKind::AdHoc { sql, params } => {
             e.put_u8(4);
             e.put_str(sql);
-            e.put_varint(params.len() as u64);
-            for p in params {
-                e.put_value(p);
-            }
-        }
-    }
-}
-
-/// Borrowed view of a [`LogKind`], used by the append fast paths.
-#[derive(Debug, Clone, Copy)]
-enum LogKindRef<'a> {
-    Oltp { params: &'a [Value] },
-    Border { stream: &'a str, batch: BatchId, rows: &'a [Tuple] },
-    Interior { stream: &'a str, batch: BatchId },
-    Exchange { stream: &'a str, batch: BatchId, rows: &'a [Tuple] },
-    AdHoc { sql: &'a str, params: &'a [Value] },
-}
-
-impl LogKind {
-    fn as_ref(&self) -> LogKindRef<'_> {
-        match self {
-            LogKind::Oltp { params } => LogKindRef::Oltp { params },
-            LogKind::Border { stream, batch, rows } => {
-                LogKindRef::Border { stream, batch: *batch, rows }
-            }
-            LogKind::Interior { stream, batch } => {
-                LogKindRef::Interior { stream, batch: *batch }
-            }
-            LogKind::Exchange { stream, batch, rows } => {
-                LogKindRef::Exchange { stream, batch: *batch, rows }
-            }
-            LogKind::AdHoc { sql, params } => LogKindRef::AdHoc { sql, params },
+            e.put_seq(params.iter(), Encoder::put_value);
         }
     }
 }
@@ -325,57 +286,24 @@ impl LogRecord {
         let mut d = Decoder::new(bytes);
         let lsn = Lsn(d.get_u64()?);
         let proc = d.get_str()?;
+        // A value and a tuple each take at least one byte.
         let kind = match d.get_u8()? {
-            0 => {
-                let n = d.get_varint()? as usize;
-                if n > d.remaining() {
-                    return Err(Error::Codec("param count exceeds record".into()));
-                }
-                let mut params = Vec::with_capacity(n);
-                for _ in 0..n {
-                    params.push(d.get_value()?);
-                }
-                LogKind::Oltp { params }
-            }
-            1 => {
-                let stream = d.get_str()?;
+            0 => LogKind::Oltp { params: d.get_seq(1, "param", Decoder::get_value)?.into() },
+            tag @ (1 | 3) => {
+                let stream = d.get_str()?.into();
                 let batch = BatchId(d.get_u64()?);
-                let n = d.get_varint()? as usize;
-                if n > d.remaining() {
-                    return Err(Error::Codec("row count exceeds record".into()));
+                let rows = d.get_seq(1, "row", Decoder::get_tuple)?.into();
+                if tag == 1 {
+                    LogKind::Border { stream, batch, rows }
+                } else {
+                    LogKind::Exchange { stream, batch, rows }
                 }
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rows.push(d.get_tuple()?);
-                }
-                LogKind::Border { stream, batch, rows }
             }
-            2 => LogKind::Interior { stream: d.get_str()?, batch: BatchId(d.get_u64()?) },
-            3 => {
-                let stream = d.get_str()?;
-                let batch = BatchId(d.get_u64()?);
-                let n = d.get_varint()? as usize;
-                if n > d.remaining() {
-                    return Err(Error::Codec("row count exceeds record".into()));
-                }
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rows.push(d.get_tuple()?);
-                }
-                LogKind::Exchange { stream, batch, rows }
-            }
-            4 => {
-                let sql = d.get_str()?;
-                let n = d.get_varint()? as usize;
-                if n > d.remaining() {
-                    return Err(Error::Codec("param count exceeds record".into()));
-                }
-                let mut params = Vec::with_capacity(n);
-                for _ in 0..n {
-                    params.push(d.get_value()?);
-                }
-                LogKind::AdHoc { sql, params }
-            }
+            2 => LogKind::Interior { stream: d.get_str()?.into(), batch: BatchId(d.get_u64()?) },
+            4 => LogKind::AdHoc {
+                sql: d.get_str()?.into(),
+                params: d.get_seq(1, "param", Decoder::get_value)?.into(),
+            },
             t => return Err(Error::Codec(format!("unknown log record kind {t}"))),
         };
         if !d.is_exhausted() {
@@ -591,58 +519,15 @@ impl CommandLog {
     }
 
     /// Appends a record (assigning its LSN) and flushes according to the
-    /// group-commit policy. Returns the LSN. Prefer the typed
-    /// `append_*` fast paths on hot call sites — they borrow everything.
-    pub fn append(&mut self, proc: &str, kind: LogKind) -> Result<Lsn> {
-        self.append_ref(proc, kind.as_ref())
-    }
-
-    /// Appends an OLTP record from borrowed parts.
-    pub fn append_oltp(&mut self, proc: &str, params: &[Value]) -> Result<Lsn> {
-        self.append_ref(proc, LogKindRef::Oltp { params })
-    }
-
-    /// Appends a border record from borrowed parts (upstream backup).
-    pub fn append_border(
-        &mut self,
-        proc: &str,
-        stream: &str,
-        batch: BatchId,
-        rows: &[Tuple],
-    ) -> Result<Lsn> {
-        self.append_ref(proc, LogKindRef::Border { stream, batch, rows })
-    }
-
-    /// Appends an interior record from borrowed parts (strong mode).
-    pub fn append_interior(&mut self, proc: &str, stream: &str, batch: BatchId) -> Result<Lsn> {
-        self.append_ref(proc, LogKindRef::Interior { stream, batch })
-    }
-
-    /// Appends an ad-hoc SQL record from borrowed parts: the command
-    /// is the statement text (replay re-plans it).
-    pub fn append_adhoc(&mut self, sql: &str, params: &[Value]) -> Result<Lsn> {
-        self.append_ref(crate::partition::ADHOC_NAME, LogKindRef::AdHoc { sql, params })
-    }
-
-    /// Appends an exchange-delivery record from borrowed parts (strong
-    /// mode): the merged rows this partition received for `batch`.
-    pub fn append_exchange(
-        &mut self,
-        proc: &str,
-        stream: &str,
-        batch: BatchId,
-        rows: &[Tuple],
-    ) -> Result<Lsn> {
-        self.append_ref(proc, LogKindRef::Exchange { stream, batch, rows })
-    }
-
-    fn append_ref(&mut self, proc: &str, kind: LogKindRef<'_>) -> Result<Lsn> {
+    /// group-commit policy. Returns the LSN. Build `kind` borrowing the
+    /// committed invocation's parts: nothing is copied but the bytes.
+    pub fn append(&mut self, proc: &str, kind: LogKind<'_>) -> Result<Lsn> {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
         let lsn = Lsn(self.next_lsn);
         self.next_lsn += 1;
-        encode_payload(&mut self.enc, lsn, proc, kind);
+        encode_payload(&mut self.enc, lsn, proc, &kind);
         let payload = self.enc.as_bytes();
         self.buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.buf.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -652,6 +537,17 @@ impl CommandLog {
             self.flush()?;
         }
         Ok(lsn)
+    }
+
+    /// Appends a border record (upstream backup) from borrowed parts.
+    pub fn append_border(
+        &mut self,
+        proc: &str,
+        stream: &str,
+        batch: BatchId,
+        rows: &[Tuple],
+    ) -> Result<Lsn> {
+        self.append(proc, LogKind::Border { stream: stream.into(), batch, rows: rows.into() })
     }
 
     /// Forces out any buffered records (end of a benchmark phase, clean
@@ -939,23 +835,23 @@ mod tests {
         dir.join(format!("{name}-{}.cmdlog", std::process::id()))
     }
 
-    fn sample_records() -> Vec<(String, LogKind)> {
+    fn sample_records() -> Vec<(String, LogKind<'static>)> {
         vec![
             ("vote".into(), LogKind::Border {
                 stream: "votes_in".into(),
                 batch: BatchId(1),
-                rows: vec![tuple![5551000i64, 3i64], tuple![5551001i64, 1i64]],
+                rows: vec![tuple![5551000i64, 3i64], tuple![5551001i64, 1i64]].into(),
             }),
             ("maintain".into(), LogKind::Interior { stream: "validated".into(), batch: BatchId(1) }),
-            ("report".into(), LogKind::Oltp { params: vec![Value::Int(3), Value::Text("x".into())] }),
+            ("report".into(), LogKind::Oltp { params: vec![Value::Int(3), Value::Text("x".into())].into() }),
             ("merge".into(), LogKind::Exchange {
                 stream: "xmid".into(),
                 batch: BatchId(2),
-                rows: vec![tuple![1i64, 10i64]],
+                rows: vec![tuple![1i64, 10i64]].into(),
             }),
             ("@adhoc".into(), LogKind::AdHoc {
                 sql: "UPDATE t SET v = ? WHERE k = ?".into(),
-                params: vec![Value::Int(9), Value::Int(1)],
+                params: vec![Value::Int(9), Value::Int(1)].into(),
             }),
         ]
     }
@@ -989,7 +885,7 @@ mod tests {
         let path = tmp("group");
         let mut log = CommandLog::create(&path, LoggingConfig { enabled: true, group_commit: 4, fsync: false, ..Default::default() }).unwrap();
         for i in 0..10 {
-            log.append("p", LogKind::Oltp { params: vec![Value::Int(i)] }).unwrap();
+            log.append("p", LogKind::Oltp { params: vec![Value::Int(i)].into() }).unwrap();
         }
         // 10 records / group of 4 → 2 automatic flushes, 2 pending.
         assert_eq!(log.flushes(), 2);
@@ -1004,7 +900,7 @@ mod tests {
         let path = tmp("nogroup");
         let mut log = CommandLog::create(&path, LoggingConfig { enabled: true, group_commit: 1, fsync: false, ..Default::default() }).unwrap();
         for i in 0..5 {
-            log.append("p", LogKind::Oltp { params: vec![Value::Int(i)] }).unwrap();
+            log.append("p", LogKind::Oltp { params: vec![Value::Int(i)].into() }).unwrap();
         }
         assert_eq!(log.flushes(), 5);
         std::fs::remove_file(&path).ok();
@@ -1177,7 +1073,7 @@ mod tests {
     fn close_succeeds_on_healthy_target() {
         let path = tmp("close-ok");
         let mut log = CommandLog::create(&path, LoggingConfig { enabled: true, group_commit: 100, fsync: false, ..Default::default() }).unwrap();
-        log.append("p", LogKind::Oltp { params: vec![] }).unwrap();
+        log.append("p", LogKind::Oltp { params: vec![].into() }).unwrap();
         log.close().unwrap();
         assert_eq!(CommandLog::read_all(&path).unwrap().len(), 1);
         std::fs::remove_file(&path).ok();
@@ -1206,7 +1102,7 @@ mod tests {
         let path = tmp("chain");
         let mut log = CommandLog::create(&path, tiny_segments(1)).unwrap();
         for i in 0..7 {
-            log.append("p", LogKind::Oltp { params: vec![Value::Int(i)] }).unwrap();
+            log.append("p", LogKind::Oltp { params: vec![Value::Int(i)].into() }).unwrap();
         }
         // 7 flushes → 7 sealed segments + the fresh active one.
         assert_eq!(log.segment_count(), 8);
@@ -1227,7 +1123,7 @@ mod tests {
         let path = tmp("gc");
         let mut log = CommandLog::create(&path, tiny_segments(2)).unwrap();
         for i in 0..8 {
-            log.append("p", LogKind::Oltp { params: vec![Value::Int(i)] }).unwrap();
+            log.append("p", LogKind::Oltp { params: vec![Value::Int(i)].into() }).unwrap();
         }
         // Segments hold lsns [1,2][3,4][5,6][7,8] + empty active.
         assert_eq!(log.segment_count(), 5);
@@ -1245,7 +1141,7 @@ mod tests {
         assert_eq!(log.segment_count(), 1);
         // The survivors still read back: a chain whose GC'd prefix is
         // gone places itself on the LSN axis via base_lsn.
-        log.append("p", LogKind::Oltp { params: vec![Value::Int(99)] }).unwrap();
+        log.append("p", LogKind::Oltp { params: vec![Value::Int(99)].into() }).unwrap();
         drop(log);
         let records = CommandLog::read_all(&path).unwrap();
         assert_eq!(records.len(), 1);
@@ -1259,12 +1155,12 @@ mod tests {
         {
             let mut log = CommandLog::create(&path, tiny_segments(1)).unwrap();
             for i in 0..3 {
-                log.append("a", LogKind::Oltp { params: vec![Value::Int(i)] }).unwrap();
+                log.append("a", LogKind::Oltp { params: vec![Value::Int(i)].into() }).unwrap();
             }
         }
         let mut log = CommandLog::resume(&path, tiny_segments(1), Lsn(3)).unwrap();
         assert_eq!(log.segment_count(), 4, "resume discovers every on-disk segment");
-        let lsn = log.append("b", LogKind::Oltp { params: vec![] }).unwrap();
+        let lsn = log.append("b", LogKind::Oltp { params: vec![].into() }).unwrap();
         assert_eq!(lsn, Lsn(4));
         drop(log);
         let records = CommandLog::read_all(&path).unwrap();
@@ -1279,14 +1175,14 @@ mod tests {
         {
             let mut log = CommandLog::create(&path, tiny_segments(1)).unwrap();
             for i in 0..3 {
-                log.append("a", LogKind::Oltp { params: vec![Value::Int(i)] }).unwrap();
+                log.append("a", LogKind::Oltp { params: vec![Value::Int(i)].into() }).unwrap();
             }
         }
         // Simulate GC behind a checkpoint covering everything, plus
         // removal of the (empty) active segment at shutdown.
         cleanup_chain(&path);
         let mut log = CommandLog::resume(&path, tiny_segments(1), Lsn(3)).unwrap();
-        let lsn = log.append("b", LogKind::Oltp { params: vec![] }).unwrap();
+        let lsn = log.append("b", LogKind::Oltp { params: vec![].into() }).unwrap();
         assert_eq!(lsn, Lsn(4));
         drop(log);
         let records = CommandLog::read_all(&path).unwrap();
@@ -1300,7 +1196,7 @@ mod tests {
         let path = tmp("chain-torn");
         let mut log = CommandLog::create(&path, tiny_segments(1)).unwrap();
         for i in 0..4 {
-            log.append("a", LogKind::Oltp { params: vec![Value::Int(i)] }).unwrap();
+            log.append("a", LogKind::Oltp { params: vec![Value::Int(i)].into() }).unwrap();
         }
         drop(log);
         // Tear segment 1's tail: frame length runs past EOF. Segments
@@ -1329,7 +1225,7 @@ mod tests {
         let path = tmp("chain-orphan");
         let mut log = CommandLog::create(&path, tiny_segments(1)).unwrap();
         for i in 0..2 {
-            log.append("a", LogKind::Oltp { params: vec![Value::Int(i)] }).unwrap();
+            log.append("a", LogKind::Oltp { params: vec![Value::Int(i)].into() }).unwrap();
         }
         drop(log); // segments 0,1 hold lsns 1,2; segment 2 is empty
         // Forge segment 2 as an orphan: header-only with a base LSN
@@ -1352,8 +1248,8 @@ mod tests {
             LoggingConfig { enabled: true, group_commit: 1, fsync: false, ..Default::default() },
         )
         .unwrap();
-        log.append("a", LogKind::Oltp { params: vec![] }).unwrap();
-        log.append("b", LogKind::Oltp { params: vec![] }).unwrap();
+        log.append("a", LogKind::Oltp { params: vec![].into() }).unwrap();
+        log.append("b", LogKind::Oltp { params: vec![].into() }).unwrap();
         drop(log);
         // Splice out the FIRST record (keep header + second record):
         // CRC-valid bytes whose lsn does not continue from base_lsn.
@@ -1372,7 +1268,7 @@ mod tests {
         {
             let mut log = CommandLog::create(&path, tiny_segments(1)).unwrap();
             for i in 0..3 {
-                log.append("a", LogKind::Oltp { params: vec![Value::Int(i)] }).unwrap();
+                log.append("a", LogKind::Oltp { params: vec![Value::Int(i)].into() }).unwrap();
             }
         }
         let log = CommandLog::create(&path, tiny_segments(1)).unwrap();
@@ -1388,10 +1284,10 @@ mod tests {
         let path = tmp("resume");
         {
             let mut log = CommandLog::create(&path, LoggingConfig { enabled: true, group_commit: 1, fsync: false, ..Default::default() }).unwrap();
-            log.append("a", LogKind::Oltp { params: vec![] }).unwrap();
+            log.append("a", LogKind::Oltp { params: vec![].into() }).unwrap();
         }
         let mut log = CommandLog::resume(&path, LoggingConfig { enabled: true, group_commit: 1, fsync: false, ..Default::default() }, Lsn(FIRST_LSN)).unwrap();
-        let lsn = log.append("b", LogKind::Oltp { params: vec![] }).unwrap();
+        let lsn = log.append("b", LogKind::Oltp { params: vec![].into() }).unwrap();
         assert_eq!(lsn, Lsn(FIRST_LSN + 1));
         drop(log);
         let records = CommandLog::read_all(&path).unwrap();

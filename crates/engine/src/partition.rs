@@ -23,6 +23,7 @@
 //! control operation is a runtime method and a call to
 //! [`crate::engine::Engine`]'s one helper, not a message variant.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -39,7 +40,7 @@ use crate::boundary::EeHandle;
 use crate::config::{EngineConfig, EngineMode};
 use crate::ee::ExecutionEngine;
 use crate::faults::CrashPoint;
-use crate::log::CommandLog;
+use crate::log::{CommandLog, LogKind};
 use crate::metrics::EngineMetrics;
 use crate::names::{AppIds, StreamMeta};
 use crate::procedure::{CompiledProc, ProcCtx};
@@ -961,61 +962,44 @@ impl PartitionRuntime {
         // modulo group commit — before the transaction acknowledges).
         if !replay {
             if let Some(log) = &mut self.log {
-                let proc_name = &*proc_name;
-                let appended = match invocation {
-                    Invocation::Oltp { params } => {
-                        log.append_oltp(proc_name, params)?;
-                        true
-                    }
-                    Invocation::Border { stream, rows } => {
-                        log.append_border(
-                            proc_name,
-                            self.ids.table_name(*stream),
-                            batch.expect("border invocations carry a batch"),
-                            rows,
-                        )?;
-                        true
-                    }
-                    Invocation::Interior { stream } => match self.config.recovery {
-                        crate::config::RecoveryMode::Strong => {
-                            log.append_interior(
-                                proc_name,
-                                self.ids.table_name(*stream),
-                                batch.expect("interior invocations carry a batch"),
-                            )?;
-                            true
-                        }
-                        crate::config::RecoveryMode::Weak => false,
-                    },
+                let strong = self.config.recovery == crate::config::RecoveryMode::Strong;
+                let name = |s: &TableId| Cow::Borrowed(&**self.ids.table_name(*s));
+                let kind = match invocation {
+                    Invocation::Oltp { params } => Some(LogKind::Oltp { params: params.into() }),
+                    Invocation::Border { stream, rows } => Some(LogKind::Border {
+                        stream: name(stream),
+                        batch: batch.expect("border invocations carry a batch"),
+                        rows: rows.into(),
+                    }),
+                    Invocation::Interior { stream } if strong => Some(LogKind::Interior {
+                        stream: name(stream),
+                        batch: batch.expect("interior invocations carry a batch"),
+                    }),
                     // Strong mode logs the delivered rows: each
                     // partition's log must replay on its own, and the
                     // data for this TE lives in the *senders'* logs.
                     // Weak mode re-derives deliveries by replaying the
                     // upstream borders with triggers enabled.
-                    Invocation::Exchange { stream, rows } => match self.config.recovery {
-                        crate::config::RecoveryMode::Strong => {
-                            log.append_exchange(
-                                proc_name,
-                                self.ids.table_name(*stream),
-                                batch.expect("exchange invocations carry a batch"),
-                                rows,
-                            )?;
-                            true
-                        }
-                        crate::config::RecoveryMode::Weak => false,
-                    },
+                    Invocation::Exchange { stream, rows } if strong => Some(LogKind::Exchange {
+                        stream: name(stream),
+                        batch: batch.expect("exchange invocations carry a batch"),
+                        rows: rows.into(),
+                    }),
                     // Ad-hoc SQL is logged by its text in both modes
                     // (like OLTP): replay re-plans and re-executes it.
                     Invocation::AdHoc { sql, params, .. } => {
-                        log.append_adhoc(sql, params)?;
-                        true
+                        Some(LogKind::AdHoc { sql: sql.into(), params: params.into() })
                     }
-                    // Slide transactions are derived state in BOTH
-                    // modes: replaying the commits that advanced the
-                    // watermark re-derives them deterministically.
-                    Invocation::WindowSlide { .. } => false,
+                    // Weak mode re-derives interior and exchange work
+                    // from the borders. Slide transactions are derived
+                    // state in BOTH modes: replaying the commits that
+                    // advanced the watermark re-derives them.
+                    Invocation::Interior { .. }
+                    | Invocation::Exchange { .. }
+                    | Invocation::WindowSlide { .. } => None,
                 };
-                if appended {
+                if let Some(kind) = kind {
+                    log.append(&proc_name, kind)?;
                     EngineMetrics::bump(&self.metrics.log_records);
                     self.metrics
                         .log_flushes

@@ -46,7 +46,9 @@ use crossbeam_channel::bounded;
 use sstore_common::{Error, Result};
 
 use crate::app::App;
-use crate::checkpoint::{read_checkpoint_on, read_manifest_on, CheckpointFile, CheckpointKind};
+use crate::checkpoint::{
+    list_images, read_checkpoint_on, read_manifest_on, CheckpointFile, CheckpointKind,
+};
 use crate::config::{EngineConfig, RecoveryMode};
 use crate::engine::{Bootstrap, Engine};
 use crate::log::{CommandLog, LogKind, LogRecord};
@@ -173,7 +175,7 @@ pub fn recover(config: EngineConfig, app: App) -> Result<(Engine, RecoveryReport
         };
         for r in &keep {
             if let LogKind::Border { stream, batch, .. } = &r.kind {
-                let e = batch_counters.entry(stream.clone()).or_insert(0);
+                let e = batch_counters.entry(stream.to_string()).or_insert(0);
                 *e = (*e).max(batch.raw());
             }
             // Interior/exchange records carry batch ids drawn from some
@@ -211,16 +213,8 @@ pub fn recover(config: EngineConfig, app: App) -> Result<(Engine, RecoveryReport
     // including unadopted litter the next checkpoint round will GC —
     // so the counter resumes past everything visible, not just the
     // adopted chain.
-    let mut checkpoint_epoch = named.iter().copied().max().unwrap_or(0);
-    for path in vfs.list_dir(&config.data_dir)? {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-        let Some((stem, epoch)) = name.rsplit_once('.') else { continue };
-        if stem.starts_with("partition-") && stem.ends_with(".snapshot") {
-            if let Ok(e) = epoch.parse::<u64>() {
-                checkpoint_epoch = checkpoint_epoch.max(e);
-            }
-        }
-    }
+    let on_disk = list_images(vfs, &config.data_dir)?.into_iter().map(|(epoch, _)| epoch);
+    let checkpoint_epoch = named.iter().copied().chain(on_disk).max().unwrap_or(0);
 
     let triggers_on_start = matches!(config.recovery, RecoveryMode::Weak);
     let engine = Engine::start_with(
@@ -321,9 +315,9 @@ fn replay_record(engine: &Engine, partition: usize, rec: &LogRecord) -> Result<(
     // The log stores names (robust across id reassignments); resolve
     // them against the freshly installed app here at the replay edge.
     let (invocation, batch) = match &rec.kind {
-        LogKind::Oltp { params } => (Invocation::Oltp { params: params.clone() }, None),
+        LogKind::Oltp { params } => (Invocation::Oltp { params: params.to_vec() }, None),
         LogKind::Border { stream, batch, rows } => (
-            Invocation::Border { stream: engine.resolve_stream(stream)?, rows: rows.clone() },
+            Invocation::Border { stream: engine.resolve_stream(stream)?, rows: rows.to_vec() },
             Some(*batch),
         ),
         LogKind::Interior { stream, batch } => {
@@ -335,16 +329,16 @@ fn replay_record(engine: &Engine, partition: usize, rec: &LogRecord) -> Result<(
         // they leave behind are re-shipped afterwards and arrive at
         // partitions whose watermark already covers them.
         LogKind::Exchange { stream, batch, rows } => (
-            Invocation::Exchange { stream: engine.resolve_stream(stream)?, rows: rows.clone() },
+            Invocation::Exchange { stream: engine.resolve_stream(stream)?, rows: rows.to_vec() },
             Some(*batch),
         ),
         // Ad-hoc SQL replays from its text: re-planned against the
         // recovered catalog, exactly like the original edge planning.
         LogKind::AdHoc { sql, params } => (
             Invocation::AdHoc {
-                sql: sql.clone(),
+                sql: sql.to_string(),
                 stmt: engine.plan_adhoc(sql)?,
-                params: params.clone(),
+                params: params.to_vec(),
             },
             None,
         ),

@@ -125,38 +125,23 @@ impl StreamState {
         rows.insert(pos, row);
     }
 
-    /// Serializes for checkpoints.
+    /// Serializes for checkpoints: a sequence of batches, each its id
+    /// and a sequence of row ids.
     pub fn encode(&self, e: &mut Encoder) {
-        e.put_varint(self.batches.len() as u64);
-        for (b, rows) in &self.batches {
+        e.put_seq(&self.batches, |e, (b, rows)| {
             e.put_u64(b.raw());
-            e.put_varint(rows.len() as u64);
-            for r in rows {
-                e.put_u64(r.raw());
-            }
-        }
+            e.put_seq(rows, |e, r| e.put_u64(r.raw()));
+        });
     }
 
     /// Deserializes from a checkpoint.
     pub fn decode(d: &mut Decoder<'_>) -> Result<Self> {
-        let n = d.get_varint()? as usize;
-        if n > d.remaining() {
-            return Err(Error::Codec("stream batch count exceeds input".into()));
-        }
-        let mut batches = BTreeMap::new();
-        for _ in 0..n {
-            let b = BatchId(d.get_u64()?);
-            let nrows = d.get_varint()? as usize;
-            if nrows > d.remaining() {
-                return Err(Error::Codec("stream row count exceeds input".into()));
-            }
-            let mut rows = VecDeque::with_capacity(nrows);
-            for _ in 0..nrows {
-                rows.push_back(RowId(d.get_u64()?));
-            }
-            batches.insert(b, rows);
-        }
-        Ok(StreamState { batches })
+        // A batch is at least its id and a row count; a row id is a u64.
+        let batches = d.get_seq(9, "stream batch", |d| {
+            let batch = BatchId(d.get_u64()?);
+            Ok((batch, d.get_seq(8, "stream row", |d| Ok(RowId(d.get_u64()?)))?.into()))
+        })?;
+        Ok(StreamState { batches: batches.into_iter().collect() })
     }
 }
 

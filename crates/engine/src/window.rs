@@ -199,10 +199,7 @@ impl WindowState {
         e.put_str(&self.spec.owner);
         e.put_varint(self.spec.size as u64);
         e.put_varint(self.spec.slide as u64);
-        e.put_varint(self.staging.len() as u64);
-        for t in &self.staging {
-            e.put_tuple(t);
-        }
+        e.put_seq(&self.staging, Encoder::put_tuple);
     }
 
     /// Deserializes from a checkpoint. Corruption anywhere inside this
@@ -219,22 +216,13 @@ impl WindowState {
         let owner = d.get_str().map_err(|_| ctx("owner"))?;
         let size = d.get_varint().map_err(|_| ctx("size"))? as usize;
         let slide = d.get_varint().map_err(|_| ctx("slide"))? as usize;
-        let nstage = d.get_varint().map_err(|_| ctx("staging count"))? as usize;
-        // Every staged tuple costs at least 1 byte (its arity varint)
-        // beyond the count itself.
-        if nstage > d.remaining() {
-            return Err(ctx(&format!(
-                "staging count {nstage} needs more than the {} bytes left",
-                d.remaining()
-            )));
-        }
-        let mut staging = VecDeque::with_capacity(nstage);
-        for i in 0..nstage {
-            staging.push_back(d.get_tuple().map_err(|_| ctx(&format!("staged tuple {i}")))?);
-        }
+        // Every staged tuple costs at least 1 byte (its arity varint).
+        let staging = d
+            .get_seq(1, "staged tuple", Decoder::get_tuple)
+            .map_err(|e| ctx(&format!("staging: {e}")))?;
         let spec = WindowSpec { name, owner, size, slide };
         spec.validate()?;
-        Ok(WindowState { spec, staging })
+        Ok(WindowState { spec, staging: staging.into() })
     }
 }
 
@@ -617,17 +605,13 @@ impl TimeWindowState {
         e.put_i64(self.spec.size_ms);
         e.put_i64(self.spec.slide_ms);
         e.put_i64(self.spec.allowed_lateness_ms);
-        put_opt_i64(e, self.watermark);
-        put_opt_i64(e, self.next_end);
+        e.put_opt_i64(self.watermark);
+        e.put_opt_i64(self.next_end);
         e.put_u8(self.fired as u8);
-        e.put_varint(self.staging.len() as u64);
-        for (ts, bucket) in &self.staging {
+        e.put_seq(&self.staging, |e, (ts, bucket)| {
             e.put_i64(*ts);
-            e.put_varint(bucket.len() as u64);
-            for t in bucket {
-                e.put_tuple(t);
-            }
-        }
+            e.put_seq(bucket, Encoder::put_tuple);
+        });
     }
 
     /// Deserializes from a checkpoint, with the same corruption
@@ -645,34 +629,18 @@ impl TimeWindowState {
         let size_ms = d.get_i64().map_err(|_| ctx("size_ms"))?;
         let slide_ms = d.get_i64().map_err(|_| ctx("slide_ms"))?;
         let allowed_lateness_ms = d.get_i64().map_err(|_| ctx("allowed_lateness_ms"))?;
-        let watermark = get_opt_i64(d).map_err(|_| ctx("watermark"))?;
-        let next_end = get_opt_i64(d).map_err(|_| ctx("next_end"))?;
+        let watermark = d.get_opt_i64().map_err(|_| ctx("watermark"))?;
+        let next_end = d.get_opt_i64().map_err(|_| ctx("next_end"))?;
         let fired = d.get_u8().map_err(|_| ctx("fired"))? != 0;
-        let nstage = d.get_varint().map_err(|_| ctx("staging count"))? as usize;
-        // Every staging bucket costs ≥ 8 (ts) + 1 (count) bytes.
-        if nstage.checked_mul(9).is_none_or(|need| need > d.remaining()) {
-            return Err(ctx(&format!(
-                "staging count {nstage} needs more than the {} bytes left",
-                d.remaining()
-            )));
-        }
+        // A staging bucket costs ≥ 8 (ts) + 1 (count) bytes, and each
+        // of its tuples ≥ 1 (the arity varint).
+        let buckets = d
+            .get_seq(9, "staging bucket", |d| {
+                Ok((d.get_i64()?, d.get_seq(1, "staged tuple", Decoder::get_tuple)?))
+            })
+            .map_err(|e| ctx(&format!("staging: {e}")))?;
         let mut staging: BTreeMap<i64, Vec<Tuple>> = BTreeMap::new();
-        for i in 0..nstage {
-            let ts = d.get_i64().map_err(|_| ctx(&format!("staging ts {i}")))?;
-            let nb = d.get_varint().map_err(|_| ctx(&format!("staging bucket {i}")))? as usize;
-            // Every tuple costs ≥ 1 byte (its arity varint).
-            if nb > d.remaining() {
-                return Err(ctx(&format!(
-                    "staging bucket {i} count {nb} needs more than the {} bytes left",
-                    d.remaining()
-                )));
-            }
-            let mut bucket = Vec::with_capacity(nb);
-            for j in 0..nb {
-                bucket.push(
-                    d.get_tuple().map_err(|_| ctx(&format!("staged tuple {i}/{j}")))?,
-                );
-            }
+        for (ts, bucket) in buckets {
             if staging.insert(ts, bucket).is_some() {
                 return Err(ctx(&format!("duplicate staging ts {ts}")));
             }
@@ -680,24 +648,6 @@ impl TimeWindowState {
         let spec = TimeWindowSpec { name, owner, ts_column, size_ms, slide_ms, allowed_lateness_ms };
         spec.validate()?;
         Ok(TimeWindowState { spec, staging, active: BTreeSet::new(), watermark, next_end, fired })
-    }
-}
-
-fn put_opt_i64(e: &mut Encoder, v: Option<i64>) {
-    match v {
-        Some(x) => {
-            e.put_u8(1);
-            e.put_i64(x);
-        }
-        None => e.put_u8(0),
-    }
-}
-
-fn get_opt_i64(d: &mut Decoder<'_>) -> Result<Option<i64>> {
-    match d.get_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(d.get_i64()?)),
-        t => Err(Error::Codec(format!("bad option tag {t}"))),
     }
 }
 

@@ -122,50 +122,9 @@ impl Response {
     }
 }
 
-fn put_params(enc: &mut Encoder, params: &[Value]) {
-    enc.put_varint(params.len() as u64);
-    for p in params {
-        enc.put_value(p);
-    }
-}
-
-fn get_params(dec: &mut Decoder<'_>) -> Result<Vec<Value>> {
-    let n = dec.get_varint()? as usize;
-    // Hostile-count guard: each value is ≥ 1 byte on the wire.
-    if n > dec.remaining() {
-        return Err(Error::Codec(format!(
-            "value count {n} exceeds {} remaining payload bytes",
-            dec.remaining()
-        )));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(dec.get_value()?);
-    }
-    Ok(out)
-}
-
-fn put_rows(enc: &mut Encoder, rows: &[Tuple]) {
-    enc.put_varint(rows.len() as u64);
-    for r in rows {
-        enc.put_tuple(r);
-    }
-}
-
-fn get_rows(dec: &mut Decoder<'_>) -> Result<Vec<Tuple>> {
-    let n = dec.get_varint()? as usize;
-    if n > dec.remaining() {
-        return Err(Error::Codec(format!(
-            "row count {n} exceeds {} remaining payload bytes",
-            dec.remaining()
-        )));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(dec.get_tuple()?);
-    }
-    Ok(out)
-}
+/// A tagged value, or a tuple, takes at least one byte: the minimum
+/// [`Decoder::get_seq`] bounds parameter and row counts by.
+const MIN_ITEM: usize = 1;
 
 impl Request {
     /// Encodes this request as one frame payload.
@@ -181,19 +140,19 @@ impl Request {
                 enc.put_u8(REQ_INGEST);
                 enc.put_str(stream);
                 enc.put_u8(u8::from(*sync));
-                put_rows(&mut enc, rows);
+                enc.put_seq(rows, Encoder::put_tuple);
             }
             Request::Call { partition, proc, params } => {
                 enc.put_u8(REQ_CALL);
                 enc.put_u32(*partition);
                 enc.put_str(proc);
-                put_params(&mut enc, params);
+                enc.put_seq(params, Encoder::put_value);
             }
             Request::Query { partition, sql, params } => {
                 enc.put_u8(REQ_QUERY);
                 enc.put_u32(*partition);
                 enc.put_str(sql);
-                put_params(&mut enc, params);
+                enc.put_seq(params, Encoder::put_value);
             }
             Request::Prepare { sql } => {
                 enc.put_u8(REQ_PREPARE);
@@ -203,7 +162,7 @@ impl Request {
                 enc.put_u8(REQ_EXECUTE);
                 enc.put_u32(*partition);
                 enc.put_u32(*stmt);
-                put_params(&mut enc, params);
+                enc.put_seq(params, Encoder::put_value);
             }
             Request::Metrics => enc.put_u8(REQ_METRICS),
             Request::Ping { token } => {
@@ -223,24 +182,24 @@ impl Request {
             REQ_INGEST => {
                 let stream = dec.get_str()?;
                 let sync = dec.get_u8()? != 0;
-                let rows = get_rows(&mut dec)?;
+                let rows = dec.get_seq(MIN_ITEM, "row", Decoder::get_tuple)?;
                 Request::Ingest { stream, rows, sync }
             }
             REQ_CALL => Request::Call {
                 partition: dec.get_u32()?,
                 proc: dec.get_str()?,
-                params: get_params(&mut dec)?,
+                params: dec.get_seq(MIN_ITEM, "value", Decoder::get_value)?,
             },
             REQ_QUERY => Request::Query {
                 partition: dec.get_u32()?,
                 sql: dec.get_str()?,
-                params: get_params(&mut dec)?,
+                params: dec.get_seq(MIN_ITEM, "value", Decoder::get_value)?,
             },
             REQ_PREPARE => Request::Prepare { sql: dec.get_str()? },
             REQ_EXECUTE => Request::Execute {
                 partition: dec.get_u32()?,
                 stmt: dec.get_u32()?,
-                params: get_params(&mut dec)?,
+                params: dec.get_seq(MIN_ITEM, "value", Decoder::get_value)?,
             },
             REQ_METRICS => Request::Metrics,
             REQ_PING => Request::Ping { token: dec.get_u64()? },
@@ -268,11 +227,8 @@ impl Response {
             }
             Response::Rows { columns, rows, rows_affected } => {
                 enc.put_u8(RESP_ROWS);
-                enc.put_varint(columns.len() as u64);
-                for c in columns {
-                    enc.put_str(c);
-                }
-                put_rows(&mut enc, rows);
+                enc.put_seq(columns, |e, c| e.put_str(c));
+                enc.put_seq(rows, Encoder::put_tuple);
                 enc.put_u64(*rows_affected);
             }
             Response::Prepared { stmt } => {
@@ -281,11 +237,10 @@ impl Response {
             }
             Response::Metrics { entries } => {
                 enc.put_u8(RESP_METRICS);
-                enc.put_varint(entries.len() as u64);
-                for (k, v) in entries {
-                    enc.put_str(k);
-                    enc.put_u64(*v);
-                }
+                enc.put_seq(entries, |e, (k, v)| {
+                    e.put_str(k);
+                    e.put_u64(*v);
+                });
             }
             Response::Pong { token } => {
                 enc.put_u8(RESP_PONG);
@@ -310,34 +265,14 @@ impl Response {
             }
             RESP_BATCH => Response::Batch { batch: dec.get_u64()? },
             RESP_ROWS => {
-                let n = dec.get_varint()? as usize;
-                if n > dec.remaining() {
-                    return Err(Error::Codec(format!(
-                        "column count {n} exceeds {} remaining payload bytes",
-                        dec.remaining()
-                    )));
-                }
-                let mut columns = Vec::with_capacity(n);
-                for _ in 0..n {
-                    columns.push(dec.get_str()?);
-                }
-                let rows = get_rows(&mut dec)?;
+                let columns = dec.get_seq(MIN_ITEM, "column", Decoder::get_str)?;
+                let rows = dec.get_seq(MIN_ITEM, "row", Decoder::get_tuple)?;
                 Response::Rows { columns, rows, rows_affected: dec.get_u64()? }
             }
             RESP_PREPARED => Response::Prepared { stmt: dec.get_u32()? },
             RESP_METRICS => {
-                let n = dec.get_varint()? as usize;
-                if n > dec.remaining() {
-                    return Err(Error::Codec(format!(
-                        "entry count {n} exceeds {} remaining payload bytes",
-                        dec.remaining()
-                    )));
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k = dec.get_str()?;
-                    entries.push((k, dec.get_u64()?));
-                }
+                // An entry is at least a name length and a u64.
+                let entries = dec.get_seq(9, "entry", |d| Ok((d.get_str()?, d.get_u64()?)))?;
                 Response::Metrics { entries }
             }
             RESP_PONG => Response::Pong { token: dec.get_u64()? },

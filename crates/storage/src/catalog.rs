@@ -20,7 +20,6 @@ pub struct Catalog {
     /// Dense storage; `None` marks a dropped table (ids stay stable).
     tables: Vec<Option<Table>>,
     by_name: BTreeMap<String, TableId>,
-    live: usize,
 }
 
 impl Catalog {
@@ -52,7 +51,6 @@ impl Catalog {
         let id = TableId(self.tables.len() as u32);
         self.tables.push(Some(table));
         self.by_name.insert(name, id);
-        self.live += 1;
         Ok(id)
     }
 
@@ -73,9 +71,7 @@ impl Catalog {
     pub fn drop_table(&mut self, name: &str) -> Result<Table> {
         let key = name.to_ascii_lowercase();
         let id = self.by_name.remove(&key).ok_or_else(|| Error::not_found("table", name))?;
-        let table = self.tables[id.index()].take().expect("named table is present");
-        self.live -= 1;
-        Ok(table)
+        Ok(self.tables[id.index()].take().expect("named table is present"))
     }
 
     /// Resolves a (case-insensitive) name to its id.
@@ -117,16 +113,16 @@ impl Catalog {
 
     /// Number of live tables.
     pub fn len(&self) -> usize {
-        self.live
+        self.by_name.len()
     }
 
     /// True when the catalog holds no tables.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.by_name.is_empty()
     }
 
     /// Iterates tables in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &Table> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &Table> + '_ {
         self.by_name.values().map(|id| self.get(*id))
     }
 

@@ -27,8 +27,9 @@
 //! ([`TableFrame`]) and steps over the rest without decoding it.
 //!
 //! Decoding trusts nothing the image says about sizes: every count is
-//! bounded by the bytes that remain before anything is reserved from
-//! it. A table is rebuilt by [`Table::bulk_load`] — rows appended in id
+//! bounded by the bytes that remain over its item's minimum size before
+//! anything is reserved from it (`sstore_common::codec`'s count rule). A
+//! table is rebuilt by [`Table::bulk_load`] — rows appended in id
 //! order, each index built in one pass — not row by row.
 
 use sstore_common::codec::{Decoder, Encoder};
@@ -46,10 +47,7 @@ pub fn encode_catalog(catalog: &Catalog) -> Vec<u8> {
     let mut e = Encoder::with_capacity(1024);
     e.put_u32(MAGIC);
     e.put_u32(VERSION);
-    e.put_varint(catalog.len() as u64);
-    for table in catalog.iter() {
-        encode_table_image(&mut e, table);
-    }
+    e.put_seq(catalog.iter(), encode_table_image);
     e.finish()
 }
 
@@ -63,20 +61,17 @@ pub fn encode_table_image(e: &mut Encoder, table: &Table) {
         e.put_u8(table.kind().tag());
         e.put_schema(table.schema());
         e.put_u64(table.peek_next_row_id().raw());
-        e.put_varint(table.index_defs().count() as u64);
-        for d in table.index_defs() {
+        e.put_seq(table.index_defs(), |e, d| {
             e.put_str(&d.name);
             e.put_u8(match d.kind {
                 IndexKind::Hash => 0,
                 IndexKind::BTree => 1,
             });
             e.put_u8(u8::from(d.unique));
-            e.put_varint(d.key_columns.len() as u64);
-            for &c in &d.key_columns {
-                e.put_varint(c as u64);
-            }
-        }
-        // scan_ordered yields exactly the live rows.
+            e.put_seq(&d.key_columns, |e, &c| e.put_varint(c as u64));
+        });
+        // The one sequence not written by `put_seq`: the live-row walk
+        // does not know its length, the table does.
         e.put_varint(table.len() as u64);
         for (id, t) in table.scan_ordered() {
             e.put_u64(id.raw());
@@ -130,11 +125,7 @@ pub fn catalog_frames(bytes: &[u8]) -> Result<Vec<TableFrame<'_>>> {
     if version != VERSION {
         return Err(Error::Codec(format!("unsupported snapshot version {version}")));
     }
-    let ntables = bounded_count(&mut d, 8, "table")?;
-    let mut frames = Vec::with_capacity(ntables);
-    for _ in 0..ntables {
-        frames.push(TableFrame::read(&mut d)?);
-    }
+    let frames = d.get_seq(8, "table", TableFrame::read)?;
     if !d.is_exhausted() {
         return Err(Error::Codec(format!(
             "{} trailing bytes after snapshot payload",
@@ -153,17 +144,6 @@ pub fn decode_catalog(bytes: &[u8]) -> Result<Catalog> {
     Ok(catalog)
 }
 
-/// Reads a count the image supplies and bounds it by the input left:
-/// each counted item takes at least `min_bytes`, so a larger count is
-/// corruption — and must be caught here, before it sizes a reservation.
-fn bounded_count(d: &mut Decoder<'_>, min_bytes: usize, what: &str) -> Result<usize> {
-    let n = d.get_varint()?;
-    if n > (d.remaining() / min_bytes) as u64 {
-        return Err(Error::Codec(format!("{what} count {n} exceeds input")));
-    }
-    Ok(n as usize)
-}
-
 fn decode_table(d: &mut Decoder<'_>) -> Result<Table> {
     let name = d.get_str()?;
     let kind = TableKind::from_tag(d.get_u8()?)?;
@@ -172,26 +152,20 @@ fn decode_table(d: &mut Decoder<'_>) -> Result<Table> {
 
     // An index definition is at least a name length, two tags and a
     // column count.
-    let nindexes = bounded_count(d, 4, "index")?;
-    let mut indexes = Vec::with_capacity(nindexes);
-    for _ in 0..nindexes {
-        let iname = d.get_str()?;
-        let ikind = match d.get_u8()? {
+    let indexes = d.get_seq(4, "index", |d| {
+        let name = d.get_str()?;
+        let kind = match d.get_u8()? {
             0 => IndexKind::Hash,
             1 => IndexKind::BTree,
             t => return Err(Error::Codec(format!("unknown index kind tag {t}"))),
         };
         let unique = d.get_u8()? != 0;
-        let ncols = bounded_count(d, 1, "index key column")?;
-        let mut key_columns = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            key_columns.push(d.get_varint()? as usize);
-        }
-        indexes.push(IndexDef { name: iname, key_columns, kind: ikind, unique });
-    }
+        let key_columns = d.get_seq(1, "index key column", |d| Ok(d.get_varint()? as usize))?;
+        Ok(IndexDef { name, key_columns, kind, unique })
+    })?;
 
     // A row is at least eight id bytes and one arity byte.
-    let nrows = bounded_count(d, 9, "row")?;
+    let nrows = d.get_count(9, "row")?;
     let rows = (0..nrows).map(|_| Ok((RowId(d.get_u64()?), d.get_tuple()?)));
     Table::bulk_load(name, kind, schema, next_row_id, indexes, nrows, rows)
         .map_err(|e| Error::Codec(format!("rebuilding table failed: {e}")))

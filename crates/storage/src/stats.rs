@@ -15,9 +15,6 @@ use std::cell::Cell;
 /// Monotone operation counters for one table.
 #[derive(Debug, Default, Clone)]
 pub struct TableStats {
-    inserts: Cell<u64>,
-    deletes: Cell<u64>,
-    updates: Cell<u64>,
     index_lookups: Cell<u64>,
     scans: Cell<u64>,
     ordered_visits: Cell<u64>,
@@ -25,21 +22,6 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Total successful inserts.
-    pub fn inserts(&self) -> u64 {
-        self.inserts.get()
-    }
-
-    /// Total successful deletes.
-    pub fn deletes(&self) -> u64 {
-        self.deletes.get()
-    }
-
-    /// Total successful in-place updates.
-    pub fn updates(&self) -> u64 {
-        self.updates.get()
-    }
-
     /// Equality lookups answered by an index probe.
     pub fn index_lookups(&self) -> u64 {
         self.index_lookups.get()
@@ -74,18 +56,6 @@ impl TableStats {
         self.group_reads.set(self.group_reads.get() + 1);
     }
 
-    pub(crate) fn record_insert(&self) {
-        self.inserts.set(self.inserts.get() + 1);
-    }
-
-    pub(crate) fn record_delete(&self) {
-        self.deletes.set(self.deletes.get() + 1);
-    }
-
-    pub(crate) fn record_update(&self) {
-        self.updates.set(self.updates.get() + 1);
-    }
-
     pub(crate) fn record_index_lookup(&self) {
         self.index_lookups.set(self.index_lookups.get() + 1);
     }
@@ -96,9 +66,6 @@ impl TableStats {
 
     /// Resets every counter to zero.
     pub fn reset(&self) {
-        self.inserts.set(0);
-        self.deletes.set(0);
-        self.updates.set(0);
         self.index_lookups.set(0);
         self.scans.set(0);
         self.ordered_visits.set(0);
@@ -113,23 +80,16 @@ mod tests {
     #[test]
     fn counters_accumulate_and_reset() {
         let s = TableStats::default();
-        s.record_insert();
-        s.record_insert();
-        s.record_delete();
-        s.record_update();
         s.record_index_lookup();
         s.record_scan();
         s.record_ordered_visits(3);
         s.record_group_read();
         assert_eq!(s.ordered_visits(), 3);
         assert_eq!(s.group_reads(), 1);
-        assert_eq!(s.inserts(), 2);
-        assert_eq!(s.deletes(), 1);
-        assert_eq!(s.updates(), 1);
         assert_eq!(s.index_lookups(), 1);
         assert_eq!(s.scans(), 1);
         s.reset();
-        assert_eq!(s.inserts(), 0);
+        assert_eq!(s.index_lookups(), 0);
         assert_eq!(s.scans(), 0);
         assert_eq!(s.ordered_visits(), 0);
         assert_eq!(s.group_reads(), 0);

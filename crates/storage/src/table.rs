@@ -258,7 +258,7 @@ impl Table {
     }
 
     /// All index definitions, in declaration order.
-    pub fn index_defs(&self) -> impl Iterator<Item = &IndexDef> + '_ {
+    pub fn index_defs(&self) -> impl ExactSizeIterator<Item = &IndexDef> + '_ {
         self.indexes.iter().map(|ix| &ix.def)
     }
 
@@ -426,7 +426,6 @@ impl Table {
             // trimmed or swept from the middle shifts entries.
             Err(at) => self.rows.insert(at, (id, Some(tuple))),
         }
-        self.stats.record_insert();
         Ok(())
     }
 
@@ -455,7 +454,6 @@ impl Table {
         }
         let live = self.len();
         self.group_indexes.iter_mut().for_each(|g| g.apply(tuple.values(), false, live));
-        self.stats.record_delete();
         Ok(tuple)
     }
 
@@ -485,7 +483,6 @@ impl Table {
             g.apply(old, false, live);
             g.apply(new.values(), true, live);
         }
-        self.stats.record_update();
         Ok(self.rows[at].1.replace(new).expect("located a live row"))
     }
 
