@@ -1,11 +1,14 @@
 //! `colscan`: the vectorized SELECT path vs the row-at-a-time executor
 //! on the same table, same queries.
 //!
-//! Three stages. Interleaved A/B repetitions (rowwise, columnar,
-//! rowwise, …) of each query at the SQL layer — no engine, no logging,
-//! so the numbers isolate the executor — reported as per-case medians
-//! plus the speedup, equality-checked between executors before timing
-//! counts. Then voter's two leaderboard-refresh SELECTs against a bare
+//! Four stages. First, one scan over a table as loaded against the
+//! same scan over a twin churned by random point UPDATEs: where an
+//! update leaves its row is a property of the code, and a gate bounds
+//! what the churn costs the scan. Then interleaved A/B repetitions
+//! (rowwise, columnar, rowwise, …) of each query at the SQL layer — no
+//! engine, no logging, so the numbers isolate the executor — reported
+//! as per-case medians plus the speedup, equality-checked between
+//! executors before timing counts. Then voter's two leaderboard-refresh SELECTs against a bare
 //! scan of the same rows, in one interleaved loop: what the output edge
 //! (grouping, ordering, limiting) costs on top of reading the rows is a
 //! property of the code, and a gate bounds it — and each once more over
@@ -22,7 +25,7 @@ use std::time::Instant;
 use sstore_common::{Column, DataType, Schema, Tuple, Value};
 use sstore_engine::metrics::EngineMetrics;
 use sstore_engine::{App, EngineConfig};
-use sstore_sql::exec::{run_select_rows, run_select_rows_rowwise};
+use sstore_sql::exec::{execute, run_select_rows, run_select_rows_rowwise};
 use sstore_sql::plan::{BoundSelect, BoundStatement};
 use sstore_sql::vexec::run_select_columnar;
 use sstore_sql::Planner;
@@ -51,8 +54,7 @@ fn build_catalog(rows: usize) -> Catalog {
     let t = c.create_table("t", TableKind::Base, schema).unwrap();
     let texts = ["alpha", "beta", "gamma", "delta"];
     for i in 0..rows as i64 {
-        // Deterministic mix: ~6% NULLs, values spread over 0..1000.
-        let v = if i % 17 == 0 { Value::Null } else { Value::Int(i * 37 % 1000) };
+        let v = loaded_v(i);
         let f = if i % 23 == 0 { Value::Null } else { Value::Float((i % 997) as f64 * 0.5) };
         let s = Value::Text(texts[(i % 4) as usize].to_owned());
         t.insert(Tuple::new(vec![
@@ -68,6 +70,12 @@ fn build_catalog(rows: usize) -> Catalog {
         .unwrap();
     }
     c
+}
+
+/// Row `k`'s `v` as loaded: a deterministic mix, ~6% NULLs and values
+/// spread over 0..1000.
+fn loaded_v(k: i64) -> Value {
+    if k % 17 == 0 { Value::Null } else { Value::Int(k * 37 % 1000) }
 }
 
 const QUERIES: &[(&str, &str)] = &[
@@ -177,6 +185,36 @@ fn edge_stage(report: &mut Report, rounds: usize) {
     }
 }
 
+/// Churn stage: one scan shape over a catalog as loaded and over a
+/// twin that has taken 2 × `rows` point UPDATEs of random rows through
+/// `execute`, each one's effects dropped as a commit drops them; the two
+/// medians of interleaved scans, in µs, and their ratio. Every update
+/// writes the value its row was loaded with, so both tables hold the
+/// same rows and only where the rows live can differ: a table that
+/// writes a row where it lives scans its churned rows as fast as its
+/// loaded ones, one that swaps a fresh allocation in per update leaves
+/// them scattered over the heap and pays a miss per row for it.
+fn churn_stage(report: &mut Report, rows: usize) {
+    let (fresh, mut churned) = (build_catalog(rows), build_catalog(rows));
+    let pk = IndexDef { name: "pk".into(), key_columns: vec![0], kind: IndexKind::Hash, unique: true };
+    churned.table_mut("t").unwrap().create_index(pk).unwrap();
+    let update = Planner::new(&churned).plan_sql("UPDATE t SET v = ? WHERE k = ?").unwrap();
+    let (mut effects, mut z) = (Vec::new(), 0u64);
+    for _ in 0..2 * rows {
+        // A 64-bit LCG's high bits: a fixed, well-spread sequence of rows.
+        z = z.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        let k = ((z >> 33) % rows as u64) as i64;
+        execute(&mut churned, &update, &[loaded_v(k), Value::Int(k)], &mut effects).unwrap();
+        effects.clear();
+    }
+    let scans = [&fresh, &churned].map(|c| (c, plan(c, "SELECT COUNT(*) FROM t WHERE v > 500")));
+    assert_eq!(run_select_rows(scans[0].0, &scans[0].1, &[]), run_select_rows(scans[1].0, &scans[1].1, &[]));
+    let us = interleaved(3 * REPS, 2, |side| time_us(|| run_select_rows(scans[side].0, &scans[side].1, &[]).unwrap()));
+    report.row("scan_fresh_us", us[0], "us");
+    report.row("scan_churned_us", us[1], "us");
+    report.row("scan_after_updates_ratio", us[1] / us[0], "x");
+}
+
 /// Engine stage: a live engine answering ad-hoc SELECTs must route
 /// them through the columnar path and count batches in its metrics.
 fn engine_stage(report: &mut Report, dir: &DataDir) {
@@ -212,8 +250,11 @@ fn engine_stage(report: &mut Report, dir: &DataDir) {
 /// repetitions per query.
 pub fn colscan(p: &Params, dir: &DataDir) -> Report {
     let rows = p.scaled(100_000);
-    let c = build_catalog(rows);
     let mut report = Report::new("colscan", &[("rows", rows as f64), ("reps", REPS as f64)]);
+    // First, while the heap holds nothing else: both of its tables load
+    // into fresh memory alike.
+    churn_stage(&mut report, p.scaled(400_000));
+    let c = build_catalog(rows);
     let mut group_min_speedup = f64::INFINITY;
     for (name, sql) in QUERIES {
         let s = plan(&c, sql);

@@ -9,12 +9,16 @@
 //! one dependent load from wherever the tuple is held (a table entry, a
 //! batch), not two through a separate `Vec` header.
 //!
-//! A tuple is immutable once built: there is no copy-on-write. A
-//! statement that changes a row (SQL UPDATE) builds the new image from
-//! the pre-image and swaps it in, and the pre-image is what the undo
-//! record keeps. Build from an exact-size iterator (`collect()`, or
-//! [`Tuple::try_collect`] where a value can fail) — that is the one
-//! allocation; [`Tuple::new`] copies a `Vec` into it.
+//! A shared tuple never changes: there is no copy-on-write, and a clone
+//! someone holds reads the values it was cloned with for ever. Only the
+//! sole reference to a tuple may write it ([`Tuple::values_mut`]), and
+//! that is how a table keeps a row at its address: SQL UPDATE, and the
+//! undo of one, exchange the row's values with those of the new image
+//! inside the table's own allocation, so the image leaves holding the
+//! pre-image (what the undo record keeps). A row someone else also
+//! holds is replaced instead. Build from an exact-size iterator
+//! (`collect()`, or [`Tuple::try_collect`] where a value can fail) —
+//! that is the one allocation; [`Tuple::new`] copies a `Vec` into it.
 //!
 //! Streams and windows additionally attach metadata (timestamps, batch
 //! ids) — that metadata lives in the engine crate as hidden columns,
@@ -73,6 +77,14 @@ impl Tuple {
     #[inline]
     pub fn values(&self) -> &[Value] {
         &self.values
+    }
+
+    /// The values, writable in place, when this is the only reference
+    /// to them (`None` while a clone is alive): a write can never reach
+    /// a tuple someone else holds.
+    #[inline]
+    pub fn values_mut(&mut self) -> Option<&mut [Value]> {
+        Arc::get_mut(&mut self.values)
     }
 
     /// Consumes the tuple, returning its values in one new `Vec`: moved

@@ -539,6 +539,16 @@ impl AppBuilder {
         // answers the checks below.
         let ids = AppIds::build(&app)?;
 
+        // A stream no procedure produces is fed by ingest alone, and an
+        // ingested batch runs exactly one border transaction: with two
+        // PE triggers, every ingest into it would be refused.
+        for (s, meta) in ids.streams() {
+            let produced = (0..ids.proc_count() as u32).any(|p| ids.proc(ProcId(p)).produces.contains(&s));
+            if ids.pe_targets_of(s).len() > 1 && !produced {
+                return Err(ingest_runs_one_transaction(&ids, s, &meta.name));
+            }
+        }
+
         // Exchange merges are keyed by (stream, batch id), and batch
         // ids are only unique within one border stream's counter. Two
         // producers (or one producer fed by two border streams) would
@@ -618,6 +628,18 @@ impl AppBuilder {
         }
         Ok(app)
     }
+}
+
+/// The error ingest into `stream` is when it triggers several
+/// procedures, naming them.
+pub(crate) fn ingest_runs_one_transaction(ids: &AppIds, stream: TableId, name: &str) -> Error {
+    let names: Vec<&str> = ids.pe_targets_of(stream).iter().map(|&p| &**ids.proc_name(p)).collect();
+    Error::StreamViolation(format!(
+        "cannot ingest into {name}: it triggers {} procedures ({}), and an ingested batch \
+         runs exactly one border transaction",
+        names.len(),
+        names.join(", ")
+    ))
 }
 
 /// The error an `UPDATE` or `DELETE` aimed at a window is: a window's

@@ -490,12 +490,11 @@ impl ExecutionEngine {
         // behind, so the touched tables dirty exactly as on commit.
         self.mark_txn_dirty();
         let mut effects = std::mem::take(&mut self.effects);
-        for e in effects.iter().rev() {
-            self.undo_in_time_window(e)
+        for e in effects.drain(..).rev() {
+            self.undo_in_time_window(&e)
                 .and_then(|()| undo_effect(&mut self.catalog, e))
                 .map_err(|err| Error::Internal(format!("undo failed: {err}")))?;
         }
-        effects.clear();
         self.effects = effects;
         // Streams: apply operation-level undo newest-first.
         while let Some(u) = self.stream_undo.pop() {
@@ -1441,6 +1440,36 @@ mod tests {
         assert!(matches!(err, Error::StreamViolation(_)));
         ee.abort().unwrap();
         assert_eq!(ee.table_len("s1").unwrap(), 0);
+    }
+
+    #[test]
+    fn an_aborted_update_puts_the_row_back_where_it_lives() {
+        let app = App::builder()
+            .table("t", Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]))
+            .proc(
+                "p",
+                &[("ins", "INSERT INTO t (k, v) VALUES (?, ?)"), ("set", "UPDATE t SET v = ? WHERE k = ?")],
+                &[],
+                |_| Ok(()),
+            )
+            .build()
+            .unwrap();
+        let (mut ee, map) = ee(&app);
+        let t = ee.table_id("t").unwrap();
+        // The row's address and values, read without cloning the row.
+        let row = |ee: &ExecutionEngine| {
+            let (_, r) = ee.catalog().get(t).scan_ordered().next().unwrap();
+            (r.values().as_ptr(), r.values().to_vec())
+        };
+        ee.begin(None).unwrap();
+        ee.exec(map["p"]["ins"], &[Value::Int(1), Value::Int(10)]).unwrap();
+        ee.commit().unwrap();
+        let (at, _) = row(&ee);
+        ee.begin(None).unwrap();
+        ee.exec(map["p"]["set"], &[Value::Int(20), Value::Int(1)]).unwrap();
+        assert_eq!(row(&ee), (at, vec![Value::Int(1), Value::Int(20)]));
+        ee.abort().unwrap();
+        assert_eq!(row(&ee), (at, vec![Value::Int(1), Value::Int(10)]));
     }
 
     fn window_app() -> App {

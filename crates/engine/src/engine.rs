@@ -36,7 +36,7 @@ use sstore_sql::{BoundStatement, Planner, QueryResult};
 use sstore_storage::Catalog;
 
 use crate::admission::{AdmissionGate, AdmissionPermit};
-use crate::app::App;
+use crate::app::{ingest_runs_one_transaction, App};
 use crate::boundary::EeHandle;
 use crate::checkpoint::{write_checkpoint_on, CheckpointFile, CheckpointKind, Manifest};
 use crate::config::{BoundaryMode, EngineConfig, OverloadPolicy};
@@ -500,19 +500,13 @@ impl Engine {
             )));
         }
         // One ingested batch is one border transaction, so the stream
-        // must trigger exactly one procedure.
+        // must trigger exactly one procedure. `AppBuilder::build` refuses
+        // a stream only ingest feeds that triggers more; one a procedure
+        // produces may fan out, but then not take ingest as well.
         let proc = match self.ids.pe_targets_of(sid) {
             [proc] => *proc,
             [] => return Err(Error::not_found("PE trigger for border stream", stream)),
-            targets => {
-                let names: Vec<&str> = targets.iter().map(|&p| &**self.ids.proc_name(p)).collect();
-                return Err(Error::StreamViolation(format!(
-                    "cannot ingest into {stream}: it triggers {} procedures ({}), and an \
-                     ingested batch runs exactly one border transaction",
-                    names.len(),
-                    names.join(", ")
-                )));
-            }
+            _ => return Err(ingest_runs_one_transaction(&self.ids, sid, stream)),
         };
         // Validate rows against the stream schema up front so bad input
         // fails at the injection site, not inside the partition.

@@ -119,13 +119,14 @@ pub fn execute(
             for id in ids {
                 let old = table.get(id).expect("candidate row is live");
                 let ctx = EvalCtx { row: old.values(), params, aggs: &[] };
-                // The one unavoidable copy: UPDATE actually rewrites the
-                // row, so materialize the new image from the pre-image.
-                let mut new_values = old.values().to_vec();
+                // The one unavoidable copy, in the image's one allocation:
+                // the pre-image, then the assignments in their order.
+                let mut new: Tuple = old.values().iter().cloned().collect();
+                let values = new.values_mut().expect("a fresh tuple is its own");
                 for (pos, expr) in &u.assignments {
-                    new_values[*pos] = expr.eval(&ctx)?;
+                    values[*pos] = expr.eval(&ctx)?;
                 }
-                updates.push((id, Tuple::new(new_values)));
+                updates.push((id, new));
             }
             let mut n = 0;
             for (id, new) in updates {
@@ -195,17 +196,19 @@ pub fn insert_rows(catalog: &mut Catalog, i: &BoundInsert, params: &[Value]) -> 
 }
 
 /// Applies one effect in reverse — the undo primitive used by the
-/// engine's transaction rollback.
-pub fn undo_effect(catalog: &mut Catalog, effect: &Effect) -> Result<()> {
+/// engine's transaction rollback. The effect is spent: its tuple goes
+/// back into the table, so an undone UPDATE writes the row where it
+/// lives (see [`Table::update`]).
+pub fn undo_effect(catalog: &mut Catalog, effect: Effect) -> Result<()> {
     match effect {
         Effect::Insert { table, row } => {
-            catalog.get_mut(*table).delete(*row)?;
+            catalog.get_mut(table).delete(row)?;
         }
         Effect::Delete { table, row, tuple } => {
-            catalog.get_mut(*table).insert_with_id(*row, tuple.clone())?;
+            catalog.get_mut(table).insert_with_id(row, tuple)?;
         }
         Effect::Update { table, row, old } => {
-            catalog.get_mut(*table).update(*row, old.clone())?;
+            catalog.get_mut(table).update(row, old)?;
         }
     }
     Ok(())
@@ -800,7 +803,7 @@ mod tests {
         assert_eq!(r.rows_affected, 3);
         assert_eq!(c.table("votes").unwrap().len(), 3);
         // Undo in reverse restores the exact original state.
-        for e in fx.iter().rev() {
+        for e in fx.into_iter().rev() {
             undo_effect(&mut c, e).unwrap();
         }
         let after: Vec<(RowId, Tuple)> = c
@@ -822,7 +825,7 @@ mod tests {
             &[],
         );
         let (_, fx2) = q_fx(&mut c, "UPDATE votes SET contestant = 2 WHERE phone = 900", &[]);
-        for e in fx2.iter().rev().chain(fx1.iter().rev()) {
+        for e in fx2.into_iter().rev().chain(fx1.into_iter().rev()) {
             undo_effect(&mut c, e).unwrap();
         }
         assert_eq!(c.table("votes").unwrap().len(), 6);

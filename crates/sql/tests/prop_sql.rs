@@ -112,7 +112,7 @@ proptest! {
             let stmt = Planner::new(&c).plan_sql(sql).unwrap();
             execute(&mut c, &stmt, &params, &mut fx).unwrap();
         }
-        for e in fx.iter().rev() {
+        for e in fx.into_iter().rev() {
             undo_effect(&mut c, e).unwrap();
         }
         // Logical state (rows under their original ids) is restored

@@ -14,12 +14,14 @@
 //! carries the row's length), ascending by row id; `None` is a tombstone
 //! — a deleted row's place, held so the rows after it need not move.
 //! Each live row is one more allocation, its refcounts and values
-//! together, so a scan reaches a row's values in one dependent load. An
-//! `n`-column row costs its entry plus one `16 + 24n`-byte allocation
-//! (text bodies aside): 200 bytes for six columns under glibc's malloc,
-//! where a row behind a separate `Vec` cost 224 (a 16-byte entry, a
-//! 48-byte chunk for the refcounts and the `Vec` header, a 160-byte
-//! buffer).
+//! together, so a scan reaches a row's values in one dependent load. A
+//! row nothing else holds keeps that allocation for life: an update and
+//! its undo write into it ([`Table::update`]), so churn does not scatter
+//! a scan's loads over the heap. An `n`-column row costs its entry plus
+//! one `16 + 24n`-byte allocation (text bodies aside): 200 bytes for six
+//! columns under glibc's malloc, where a row behind a separate `Vec`
+//! cost 224 (a 16-byte entry, a 48-byte chunk for the refcounts and the
+//! `Vec` header, a 160-byte buffer).
 //! There is no id map, no free list and no separate order index: the
 //! run *is* the row-id order every scan, snapshot and index build reads,
 //! and a row is found in it by arithmetic (`locate`, below). That
@@ -457,9 +459,15 @@ impl Table {
         Ok(tuple)
     }
 
-    /// Replaces a row's tuple in place, returning the old tuple. The row
-    /// keeps its id. Unique indexes are re-checked for the new values.
-    pub fn update(&mut self, id: RowId, new: Tuple) -> Result<Tuple> {
+    /// Gives a row new values, returning its old ones. The row keeps its
+    /// id, and — when the table holds its only reference and `new` is
+    /// its caller's alone — its address: the two tuples exchange values
+    /// in place, so `new` comes back holding the pre-image and a scan
+    /// still meets the row where the load left it. A row shared with a
+    /// clone elsewhere gets `new` swapped in instead, and the clone keeps
+    /// reading the old values. Unique indexes are re-checked for the new
+    /// values first; a failed update changes nothing.
+    pub fn update(&mut self, id: RowId, mut new: Tuple) -> Result<Tuple> {
         self.schema.validate(new.values())?;
         let at = self.locate_live(id).ok_or_else(|| row_not_found(&self.name, id))?;
         // An index is touched only if one of its key columns changed,
@@ -483,7 +491,12 @@ impl Table {
             g.apply(old, false, live);
             g.apply(new.values(), true, live);
         }
-        Ok(self.rows[at].1.replace(new).expect("located a live row"))
+        let row = self.rows[at].1.as_mut().expect("located a live row");
+        match (row.values_mut(), new.values_mut()) {
+            (Some(resident), Some(image)) => resident.swap_with_slice(image),
+            _ => std::mem::swap(row, &mut new),
+        }
+        Ok(new)
     }
 
     /// Deletes every row, keeping indexes and the row-id counter.
@@ -736,6 +749,54 @@ mod tests {
         t.update(a, tuple![1i64, "q"]).unwrap();
         assert_eq!(t.lookup_eq(&[1], &[Value::Text("q".into())]), vec![a, b]);
         assert_eq!(t.lookup_eq(&[0], &[Value::Int(2)]), vec![b]);
+    }
+
+    /// Where a row's values live: the address a scan dereferences.
+    fn address(t: &Table, id: RowId) -> *const Value {
+        t.get(id).unwrap().values().as_ptr()
+    }
+
+    #[test]
+    fn an_update_writes_the_row_where_it_lives() {
+        let mut t = people();
+        t.create_index(pk()).unwrap();
+        let id = t.insert(tuple![1i64, "a"]).unwrap();
+        let at = address(&t, id);
+        let old = t.update(id, tuple![2i64, "b"]).unwrap();
+        assert_eq!((address(&t, id), t.get(id).unwrap()), (at, &tuple![2i64, "b"]));
+        assert_eq!(old, tuple![1i64, "a"]);
+        // Undo is the same call, and puts the old values back there too.
+        t.update(id, old).unwrap();
+        assert_eq!((address(&t, id), t.get(id).unwrap()), (at, &tuple![1i64, "a"]));
+        assert_eq!(t.lookup_eq(&[0], &[Value::Int(1)]), vec![id]);
+        t.verify().unwrap();
+    }
+
+    #[test]
+    fn an_update_leaves_a_clone_held_elsewhere_as_it_was() {
+        let mut t = people();
+        let id = t.insert(tuple![1i64, "a"]).unwrap();
+        let held = t.get(id).unwrap().clone();
+        assert_eq!(t.update(id, tuple![2i64, "b"]).unwrap(), tuple![1i64, "a"]);
+        assert_eq!((&held, t.get(id).unwrap()), (&tuple![1i64, "a"], &tuple![2i64, "b"]));
+        // A new image someone else holds is not written either.
+        let image = tuple![3i64, "c"];
+        let shared = image.clone();
+        assert_eq!(t.update(id, image).unwrap(), tuple![2i64, "b"]);
+        assert_eq!((&shared, t.get(id).unwrap()), (&tuple![3i64, "c"], &tuple![3i64, "c"]));
+    }
+
+    #[test]
+    fn a_refused_update_leaves_the_row_and_its_address() {
+        let mut t = people();
+        t.create_index(pk()).unwrap();
+        t.insert(tuple![1i64, "a"]).unwrap();
+        let id = t.insert(tuple![2i64, "b"]).unwrap();
+        let at = address(&t, id);
+        assert!(matches!(t.update(id, tuple![1i64, "z"]), Err(Error::UniqueViolation { .. })));
+        assert!(t.update(id, tuple!["not an int", "z"]).is_err());
+        assert_eq!((address(&t, id), t.get(id).unwrap()), (at, &tuple![2i64, "b"]));
+        t.verify().unwrap();
     }
 
     #[test]
