@@ -81,6 +81,16 @@ pub const CASES: &[Case] = &[
                 den: Some("filter_count_columnar_us"),
                 bound: AtLeast(2.0),
             },
+            // A two-term filter under SUM / COUNT, and a top-10 over the
+            // scan: bitmap predicates read ≈ 4.9× (≈ 3.0× with a byte
+            // of truth per row), and the top-K bar ≈ 1.5× (≈ 1.0×
+            // offering every row to the edge).
+            Gate {
+                num: "agg_filtered_rowwise_us",
+                den: Some("agg_filtered_columnar_us"),
+                bound: AtLeast(3.9),
+            },
+            Gate { num: "topk_rowwise_us", den: Some("topk_columnar_us"), bound: AtLeast(1.25) },
             Gate { num: "group_min_speedup", den: None, bound: AtLeast(1.2) },
             // What the output edge costs on top of reading the rows:
             // GROUP BY + top-3 over a 100-row window against COUNT(*)

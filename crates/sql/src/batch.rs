@@ -7,22 +7,26 @@
 //!
 //! * typed columns ([`ColI64`], [`ColF64`], [`ColStr`], [`ColBool`]),
 //!   each a plain `Vec` of unwrapped values plus a [`NullMask`] bitmap,
-//! * a [`SelVec`] selection bitmap naming the rows of a batch that
-//!   survive a predicate,
+//! * a [`SelVec`] bitmap over the rows of a batch: the rows that survive
+//!   a predicate, and the TRUE and NULL halves of a predicate's truth
+//!   (FALSE is what is active and neither), combined a word at a time,
 //! * a [`ColumnarBatch`] of at most [`BATCH_CAPACITY`] rows holding the
-//!   columns one query execution actually touches, with conversion
-//!   from row slices (scan boundary) and back to [`Tuple`]s (output
-//!   boundary).
+//!   columns one query execution actually touches, converted from row
+//!   slices at the scan boundary and back to [`Value`]s one at a time
+//!   ([`Col::value`]) at the output edge.
 //!
 //! Columns are honest by construction: storage validates every write
 //! against the schema ([`sstore_common::Schema::validate`]), so an INT
-//! column holds only `Value::Int` or `Value::Null` and extraction is a
-//! single match per value — after which the per-element enum dispatch
-//! is gone from the hot loops entirely.
+//! column holds only `Value::Int` or `Value::Null`. Extraction is one
+//! loop per column type writing unwrapped values and one null word per
+//! 64 rows; a value of the wrong type is an internal error naming it.
+//! Text is borrowed: a [`ColStr`] holds `&str`s into the scanned rows,
+//! so a batch lives no longer than they do and a columnar scan allocates
+//! nothing per value.
 
 use std::cell::Cell;
 
-use sstore_common::{DataType, Error, Result, Tuple, Value};
+use sstore_common::{DataType, Error, Result, Value};
 
 /// Rows per [`ColumnarBatch`]. Chosen so a batch of a few small columns
 /// stays inside L1/L2 (1024 rows × 8 B = 8 KiB per numeric column)
@@ -54,10 +58,10 @@ impl NullMask {
         self.words[i >> 6] & (1 << (i & 63)) != 0
     }
 
-    /// True if any row is NULL — lets loops skip the per-row null test
-    /// on fully-valid columns.
-    pub fn any(&self) -> bool {
-        self.words.iter().any(|w| *w != 0)
+    /// The bitmap, one word per 64 rows.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 }
 
@@ -79,13 +83,11 @@ pub struct ColF64 {
     pub nulls: NullMask,
 }
 
-/// Typed TEXT column. Strings are cloned out of the row at extraction —
-/// the one per-value allocation of the columnar scan, paid only for
-/// queries that actually touch a text column.
+/// Typed TEXT column, borrowed from the scanned rows.
 #[derive(Debug, Clone)]
-pub struct ColStr {
+pub struct ColStr<'r> {
     /// Unwrapped values; NULL rows hold "".
-    pub values: Vec<String>,
+    pub values: Vec<&'r str>,
     /// Null bitmap.
     pub nulls: NullMask,
 }
@@ -101,62 +103,49 @@ pub struct ColBool {
 
 /// One materialized column of a batch.
 #[derive(Debug, Clone)]
-pub enum Col {
+pub enum Col<'r> {
     /// INT column.
     I64(ColI64),
     /// FLOAT column.
     F64(ColF64),
     /// TEXT column.
-    Str(ColStr),
+    Str(ColStr<'r>),
     /// BOOL column.
     Bool(ColBool),
 }
 
-impl Col {
-    fn with_capacity(dtype: DataType, cap: usize) -> Col {
-        let nulls = NullMask::new(cap);
-        match dtype {
-            DataType::Int => Col::I64(ColI64 { values: Vec::with_capacity(cap), nulls }),
-            DataType::Float => Col::F64(ColF64 { values: Vec::with_capacity(cap), nulls }),
-            DataType::Text => Col::Str(ColStr { values: Vec::with_capacity(cap), nulls }),
-            DataType::Bool => Col::Bool(ColBool { values: Vec::with_capacity(cap), nulls }),
-        }
-    }
-
-    /// Appends `v` at row `idx`. Returns an error if the value does not
-    /// match the column's declared type (storage validates writes, so
-    /// this is a can't-happen guard, not a coercion point).
-    fn push(&mut self, v: &Value, idx: usize) -> Result<()> {
-        match (self, v) {
-            (Col::I64(c), Value::Int(x)) => c.values.push(*x),
-            (Col::F64(c), Value::Float(x)) => c.values.push(*x),
-            (Col::Str(c), Value::Text(s)) => c.values.push(s.clone()),
-            (Col::Bool(c), Value::Bool(b)) => c.values.push(*b),
-            (Col::I64(c), Value::Null) => {
-                c.nulls.set(idx);
-                c.values.push(0);
-            }
-            (Col::F64(c), Value::Null) => {
-                c.nulls.set(idx);
-                c.values.push(0.0);
-            }
-            (Col::Str(c), Value::Null) => {
-                c.nulls.set(idx);
-                c.values.push(String::new());
-            }
-            (Col::Bool(c), Value::Null) => {
-                c.nulls.set(idx);
-                c.values.push(false);
-            }
-            (_, other) => {
-                return Err(Error::Internal(format!(
-                    "columnar extraction: value {other} does not match column type"
-                )));
+/// Column `c` of `rows` as unwrapped values and a null mask: one loop,
+/// monomorphic in the column type (`unwrap` names the one variant the
+/// column may hold besides NULL).
+fn extract<'r, T: Copy>(
+    rows: &[&'r [Value]],
+    c: usize,
+    zero: T,
+    unwrap: impl Fn(&'r Value) -> Option<T>,
+) -> Result<(Vec<T>, NullMask)> {
+    let mut values = Vec::with_capacity(rows.len());
+    let mut nulls = NullMask::new(rows.len());
+    for (chunk, word) in rows.chunks(64).zip(&mut nulls.words) {
+        for (j, row) in chunk.iter().enumerate() {
+            let v = &row[c];
+            match unwrap(v) {
+                Some(x) => values.push(x),
+                None if v.is_null() => {
+                    *word |= 1 << j;
+                    values.push(zero);
+                }
+                None => {
+                    return Err(Error::Internal(format!(
+                        "columnar extraction: value {v} does not match column type"
+                    )))
+                }
             }
         }
-        Ok(())
     }
+    Ok((values, nulls))
+}
 
+impl<'r> Col<'r> {
     /// Number of rows.
     pub fn len(&self) -> usize {
         match self {
@@ -172,15 +161,21 @@ impl Col {
         self.len() == 0
     }
 
+    /// The column's null bitmap.
+    #[inline]
+    pub fn nulls(&self) -> &NullMask {
+        match self {
+            Col::I64(c) => &c.nulls,
+            Col::F64(c) => &c.nulls,
+            Col::Str(c) => &c.nulls,
+            Col::Bool(c) => &c.nulls,
+        }
+    }
+
     /// True if row `i` is NULL.
     #[inline]
     pub fn is_null(&self, i: usize) -> bool {
-        match self {
-            Col::I64(c) => c.nulls.get(i),
-            Col::F64(c) => c.nulls.get(i),
-            Col::Str(c) => c.nulls.get(i),
-            Col::Bool(c) => c.nulls.get(i),
-        }
+        self.nulls().get(i)
     }
 
     /// Reconstructs row `i` as a [`Value`] (output-boundary conversion).
@@ -192,7 +187,7 @@ impl Col {
         match self {
             Col::I64(c) => Value::Int(c.values[i]),
             Col::F64(c) => Value::Float(c.values[i]),
-            Col::Str(c) => Value::Text(c.values[i].clone()),
+            Col::Str(c) => Value::Text(c.values[i].to_owned()),
             Col::Bool(c) => Value::Bool(c.values[i]),
         }
     }
@@ -212,9 +207,9 @@ impl Col {
     }
 }
 
-/// A selection bitmap over the rows of one batch: bit set = row
-/// selected. Produced by vectorized predicates, consumed by the
-/// aggregate/projection operators.
+/// A bitmap over the rows of one batch: bit set = row selected.
+/// Produced by vectorized predicates, consumed by the aggregate and
+/// projection operators.
 #[derive(Debug, Clone)]
 pub struct SelVec {
     words: Vec<u64>,
@@ -238,6 +233,20 @@ impl SelVec {
         SelVec { words: vec![0; len.div_ceil(64)], len }
     }
 
+    /// One word per 64 rows, from `word(w)`; bits past `len` must be
+    /// clear, which holds when `word` masks with a bitmap that has them
+    /// clear.
+    #[inline]
+    pub fn from_words(len: usize, word: impl FnMut(usize) -> u64) -> Self {
+        SelVec { words: (0..len.div_ceil(64)).map(word).collect(), len }
+    }
+
+    /// The bitmap, one word per 64 rows.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of rows the bitmap covers (selected or not).
     pub fn len(&self) -> usize {
         self.len
@@ -254,12 +263,6 @@ impl SelVec {
         self.words[i >> 6] |= 1 << (i & 63);
     }
 
-    /// Deselects row `i`.
-    #[inline]
-    pub fn clear(&mut self, i: usize) {
-        self.words[i >> 6] &= !(1 << (i & 63));
-    }
-
     /// True if row `i` is selected.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -274,6 +277,16 @@ impl SelVec {
     /// True when at least one row is selected.
     pub fn any(&self) -> bool {
         self.words.iter().any(|w| *w != 0)
+    }
+
+    /// The selected rows that `nulls` does not name.
+    pub fn and_not_null(&self, nulls: &NullMask) -> SelVec {
+        SelVec::from_words(self.len, |w| self.words[w] & !nulls.words[w])
+    }
+
+    /// The selected rows that `nulls` names.
+    pub fn and_null(&self, nulls: &NullMask) -> SelVec {
+        SelVec::from_words(self.len, |w| self.words[w] & nulls.words[w])
     }
 
     /// Iterates selected row indexes in ascending order.
@@ -294,24 +307,50 @@ impl SelVec {
 
 /// A batch of up to [`BATCH_CAPACITY`] rows in columnar form. Only the
 /// columns a query touches are materialized (`cols` is indexed by the
-/// table's column position; untouched positions stay `None`).
+/// table's column position; untouched positions stay `None`). Text
+/// columns borrow from the rows the batch was built from (`'r`).
 #[derive(Debug, Clone)]
-pub struct ColumnarBatch {
+pub struct ColumnarBatch<'r> {
     len: usize,
-    cols: Vec<Option<Col>>,
+    cols: Vec<Option<Col<'r>>>,
 }
 
-impl ColumnarBatch {
+impl<'r> ColumnarBatch<'r> {
     /// Materializes `wanted` columns of `rows` (scan-boundary
     /// conversion). `dtypes` gives every table column's declared type.
-    pub fn from_rows(rows: &[&[Value]], wanted: &[usize], dtypes: &[DataType]) -> Result<Self> {
-        let mut cols: Vec<Option<Col>> = (0..dtypes.len()).map(|_| None).collect();
+    pub fn from_rows(rows: &[&'r [Value]], wanted: &[usize], dtypes: &[DataType]) -> Result<Self> {
+        let mut cols: Vec<Option<Col<'r>>> = (0..dtypes.len()).map(|_| None).collect();
         for &c in wanted {
-            let mut col = Col::with_capacity(dtypes[c], rows.len());
-            for (i, row) in rows.iter().enumerate() {
-                col.push(&row[c], i)?;
-            }
-            cols[c] = Some(col);
+            cols[c] = Some(match dtypes[c] {
+                DataType::Int => {
+                    let (values, nulls) = extract(rows, c, 0, |v| match v {
+                        Value::Int(x) => Some(*x),
+                        _ => None,
+                    })?;
+                    Col::I64(ColI64 { values, nulls })
+                }
+                DataType::Float => {
+                    let (values, nulls) = extract(rows, c, 0.0, |v| match v {
+                        Value::Float(x) => Some(*x),
+                        _ => None,
+                    })?;
+                    Col::F64(ColF64 { values, nulls })
+                }
+                DataType::Text => {
+                    let (values, nulls) = extract(rows, c, "", |v| match v {
+                        Value::Text(s) => Some(s.as_str()),
+                        _ => None,
+                    })?;
+                    Col::Str(ColStr { values, nulls })
+                }
+                DataType::Bool => {
+                    let (values, nulls) = extract(rows, c, false, |v| match v {
+                        Value::Bool(b) => Some(*b),
+                        _ => None,
+                    })?;
+                    Col::Bool(ColBool { values, nulls })
+                }
+            });
         }
         Ok(ColumnarBatch { len: rows.len(), cols })
     }
@@ -328,25 +367,10 @@ impl ColumnarBatch {
 
     /// The materialized column at table position `c`, if extracted.
     #[inline]
-    pub fn col(&self, c: usize) -> Option<&Col> {
+    pub fn col(&self, c: usize) -> Option<&Col<'r>> {
         self.cols.get(c).and_then(Option::as_ref)
     }
 
-    /// Row `i` of column `c` as a [`Value`]. Panics if `c` was not
-    /// materialized (executor bugs, not data).
-    #[inline]
-    pub fn value(&self, c: usize, i: usize) -> Value {
-        self.col(c).expect("column not materialized").value(i)
-    }
-
-    /// Converts selected rows of the materialized columns back into
-    /// [`Tuple`]s, in row order and materialization order of `wanted`
-    /// (output-boundary conversion).
-    pub fn to_tuples(&self, wanted: &[usize], sel: &SelVec) -> Vec<Tuple> {
-        sel.iter_ones()
-            .map(|i| wanted.iter().map(|&c| self.value(c, i)).collect())
-            .collect()
-    }
 }
 
 /// Why one SELECT dispatch bypassed the columnar executor. Counted per
@@ -452,13 +476,13 @@ mod tests {
     #[test]
     fn null_mask_set_get() {
         let mut m = NullMask::new(130);
-        assert!(!m.any());
+        assert_eq!(m.words(), &[0, 0, 0]);
         m.set(0);
         m.set(64);
         m.set(129);
         assert!(m.get(0) && m.get(64) && m.get(129));
         assert!(!m.get(1) && !m.get(63) && !m.get(128));
-        assert!(m.any());
+        assert_eq!(m.words(), &[1, 1, 2]);
     }
 
     #[test]
@@ -472,9 +496,11 @@ mod tests {
         none.set(3);
         none.set(68);
         assert_eq!(none.iter_ones().collect::<Vec<_>>(), vec![3, 68]);
-        none.clear(3);
-        assert_eq!(none.iter_ones().collect::<Vec<_>>(), vec![68]);
         assert!(none.any());
+        let mut nulls = NullMask::new(70);
+        nulls.set(68);
+        assert_eq!(none.and_not_null(&nulls).iter_ones().collect::<Vec<_>>(), vec![3]);
+        assert_eq!(none.and_null(&nulls).iter_ones().collect::<Vec<_>>(), vec![68]);
     }
 
     #[test]
@@ -504,17 +530,11 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        let sel = SelVec::all(3);
-        let tuples = b.to_tuples(&wanted, &sel);
-        for (t, r) in tuples.iter().zip(&rows_owned) {
-            assert_eq!(t.values(), r.as_slice());
+        for (i, r) in rows_owned.iter().enumerate() {
+            for (c, v) in r.iter().enumerate() {
+                assert!(b.col(c).unwrap().value(i).identical(v), "row {i} column {c}");
+            }
         }
-        // Selection restricts the conversion.
-        let mut one = SelVec::none(3);
-        one.set(2);
-        let tuples = b.to_tuples(&[0], &one);
-        assert_eq!(tuples.len(), 1);
-        assert_eq!(tuples[0].get(0), &Value::Int(3));
     }
 
     #[test]
@@ -523,15 +543,15 @@ mod tests {
         let rows: Vec<&[Value]> = rows_owned.iter().map(|r| r.as_slice()).collect();
         let b = ColumnarBatch::from_rows(&rows, &[1], &[DataType::Int, DataType::Int]).unwrap();
         assert!(b.col(0).is_none());
-        assert_eq!(b.value(1, 0), Value::Int(2));
+        assert_eq!(b.col(1).unwrap().value(0), Value::Int(2));
     }
 
     #[test]
     fn type_mismatch_is_an_internal_error() {
-        let rows_owned = [vec![Value::Text("no".into())]];
+        let rows_owned = [vec![Value::Int(1)], vec![Value::Text("zebra".into())]];
         let rows: Vec<&[Value]> = rows_owned.iter().map(|r| r.as_slice()).collect();
         let err = ColumnarBatch::from_rows(&rows, &[0], &[DataType::Int]).unwrap_err();
-        assert!(matches!(err, Error::Internal(_)));
+        assert!(matches!(&err, Error::Internal(m) if m.contains("zebra")), "{err}");
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!
 //! * Candidates arrive in scan order (row-id order; for groups, ascending
 //!   group key under [`Value::cmp_total`], multi-column keys
-//!   lexicographically) and take a sequence number on arrival. Rows may
+//!   lexicographically) and take a sequence number on arrival; a row
+//!   dropped unoffered because it orders past the bar ([`Edge::bar`])
+//!   takes none, and could not have been kept. Rows may
 //!   instead arrive in index order (`exec.rs`'s ordered walk), provided
 //!   rows equal on the indexed prefix of the ORDER BY arrive contiguously
 //!   and in row-id order. Every clause below survives that: two rows
@@ -205,6 +207,34 @@ impl<'r> Edge<'r> {
         self.kept.len() >= self.limit
     }
 
+    /// Once full, the held candidates as a max-heap: the root is the
+    /// last row of the current answer.
+    fn heapify(&mut self) {
+        if !self.heaped {
+            self.heaped = true;
+            for i in (0..self.kept.len() / 2).rev() {
+                self.sift_down(i);
+            }
+        }
+    }
+
+    /// The bar: once `LIMIT` (> 0) candidates are held, the first ORDER
+    /// BY key of the last of them, and that key's direction. A candidate
+    /// whose first key orders strictly after the bar cannot be kept, and
+    /// it never will be — the bar only moves forward as candidates are
+    /// offered — so a caller may drop it unoffered; it takes no sequence
+    /// number, which only orders the rows that are kept. A candidate tied
+    /// with the bar must still be offered: its later keys or its arrival
+    /// decide.
+    pub(crate) fn bar(&mut self) -> Option<(&Value, SortOrder)> {
+        let nk = self.s.order_by.len();
+        if nk == 0 || self.limit == 0 || !self.is_full() {
+            return None;
+        }
+        self.heapify();
+        Some((&self.keys[self.kept[0].slot * nk], self.s.order_by[0].1))
+    }
+
     fn sift_down(&mut self, mut i: usize) {
         loop {
             let mut top = i;
@@ -243,12 +273,7 @@ impl<'r> Edge<'r> {
         if nk == 0 || self.limit == 0 {
             return Ok(());
         }
-        if !self.heaped {
-            self.heaped = true;
-            for i in (0..self.kept.len() / 2).rev() {
-                self.sift_down(i);
-            }
-        }
+        self.heapify();
         // The root is the last row of the current answer. On equal keys
         // the earlier arrival wins, and that is never the candidate.
         let slot = self.kept[0].slot;
@@ -489,11 +514,18 @@ impl AccCol {
     }
 }
 
+/// Int group keys in `[0, DIRECT_KEYS)` find their slot by indexing a
+/// table instead of hashing. A constant: small non-negative keys (ids,
+/// buckets, segments) are what the workloads group by.
+const DIRECT_KEYS: usize = 1024;
+
 /// GROUP BY state: keys interned to dense slots, accumulators indexed by
-/// slot. A statement uses one interning map throughout — `ints` when its
-/// single key is Int-typed (the columnar executor's typed key view),
-/// `any` otherwise; implicit aggregation (no GROUP BY) has no key and
-/// owns slot 0 from the start, so it yields a group over zero rows too.
+/// slot. A statement uses one interning map throughout — `direct` and
+/// `ints` when its single key is Int-typed (the columnar executor's typed
+/// key view), `any` otherwise; implicit aggregation (no GROUP BY) has no
+/// key and owns slot 0 from the start, so it yields a group over zero
+/// rows too. Slots are numbered in first-seen order whichever map holds
+/// the key.
 pub(crate) struct Groups<'s> {
     s: &'s BoundSelect,
     /// One entry per aggregate; the columnar executor's typed loops
@@ -502,6 +534,10 @@ pub(crate) struct Groups<'s> {
     slots: usize,
     /// Room made for this many groups when the first one appears.
     reserve: usize,
+    /// Slot of Int key `k` in `[0, DIRECT_KEYS)` at index `k`, `u32::MAX`
+    /// if unseen; empty until the first such key.
+    direct: Vec<u32>,
+    /// Slots of the other Int keys.
     ints: FxHashMap<i64, u32>,
     null_slot: Option<u32>,
     /// The map owns each group's first-seen key. [`Value`]'s `Hash`
@@ -522,6 +558,7 @@ impl<'s> Groups<'s> {
             accs: s.aggs.iter().map(AccCol::new).collect(),
             slots: 0,
             reserve: if s.group_by.is_empty() { 1 } else { rows.min(64) },
+            direct: Vec::new(),
             ints: FxHashMap::default(),
             null_slot: None,
             any: FxHashMap::default(),
@@ -561,6 +598,15 @@ impl<'s> Groups<'s> {
     /// [`Groups::slot_of`] for a single Int-typed key (`None` = NULL).
     #[inline]
     pub(crate) fn slot_of_int(&mut self, key: Option<i64>) -> usize {
+        if let Some(k) = key.and_then(|k| usize::try_from(k).ok()).filter(|&k| k < DIRECT_KEYS) {
+            if self.direct.is_empty() {
+                self.direct = vec![u32::MAX; DIRECT_KEYS];
+            }
+            if self.direct[k] == u32::MAX {
+                self.direct[k] = self.new_slot();
+            }
+            return self.direct[k] as usize;
+        }
         let known = match key {
             Some(k) => self.ints.get(&k).copied(),
             None => self.null_slot,
@@ -602,7 +648,8 @@ impl<'s> Groups<'s> {
     /// order, each evaluated against one reused aggregate-value buffer.
     pub(crate) fn finish(mut self, edge: &mut Edge<'_>) -> Result<()> {
         assert!(
-            self.any.is_empty() || (self.ints.is_empty() && self.null_slot.is_none()),
+            self.any.is_empty()
+                || (self.direct.is_empty() && self.ints.is_empty() && self.null_slot.is_none()),
             "group-key kernel changed output kind across batches"
         );
         let s = self.s;
@@ -620,7 +667,9 @@ impl<'s> Groups<'s> {
         if let Some(slot) = self.null_slot {
             emit(&[Value::Null], slot)?;
         }
-        let mut ints: Vec<(i64, u32)> = self.ints.into_iter().collect();
+        let direct = self.direct.iter().enumerate().filter(|(_, s)| **s != u32::MAX);
+        let mut ints: Vec<(i64, u32)> =
+            self.ints.into_iter().chain(direct.map(|(k, s)| (k as i64, *s))).collect();
         ints.sort_unstable();
         for (k, slot) in ints {
             emit(&[Value::Int(k)], slot)?;

@@ -4,10 +4,11 @@
 //! pipeline in [`crate::exec`]: the scan streams the table's live rows
 //! in row-id order through [`sstore_storage::Table::scan_chunks`],
 //! materializes the columns the query actually touches into a typed
-//! [`ColumnarBatch`], evaluates the WHERE predicate with per-column
-//! loops producing a [`SelVec`] selection bitmap, and accumulates
-//! aggregates over the selected rows with typed fast paths. Projection
-//! back to [`Tuple`] rows happens only at the output edge.
+//! [`ColumnarBatch`] (text borrowed from the rows, not copied),
+//! evaluates the WHERE predicate a 64-row word at a time into a
+//! [`SelVec`] selection bitmap, and accumulates aggregates over the
+//! selected rows with typed fast paths. Projection back to [`Tuple`]
+//! rows happens only at the output edge.
 //!
 //! Semantics parity with the row executor is load-bearing (command-log
 //! replay must reproduce identical state, and the differential proptest
@@ -18,12 +19,15 @@
 //!   whose module docs state the ordering contract once for both
 //!   executors — so successful results are bit-identical;
 //! * predicate fast paths reproduce 3VL exactly, including Kleene
-//!   short-circuit *error* behavior: `AND`'s right side is only
-//!   evaluated where the left is not FALSE (`OR`: not TRUE), mirrored
-//!   here by threading an active-row bitmap through the evaluator, and
-//!   a comparison's row-independent side is evaluated only when some
-//!   row is active — exactly the rows the row path would evaluate it
-//!   for;
+//!   short-circuit *error* behavior. A predicate node's truth is two
+//!   bitmaps inside the rows it is evaluated for (`active`): TRUE and
+//!   NULL; FALSE is `active & !T & !N`. `AND`'s right side runs on
+//!   `active & !F_left` and `OR`'s on `active & !T_left` — the rows the
+//!   row path evaluates it for — and `NOT` swaps TRUE and FALSE. A
+//!   comparison's row-independent side is evaluated once, and only when
+//!   some row is active; the comparison itself builds one `u64` per 64
+//!   rows in a branch-free loop per (column type, operator), masked
+//!   with `!nulls & active`. The final selection is TRUE;
 //! * any shape without a fast path falls back to per-row
 //!   [`BoundExpr::eval`] over the borrowed row, which *is* the row
 //!   path's evaluator.
@@ -38,14 +42,23 @@
 //!   fallback for everything else;
 //! * **hash group-by**: a key pass (`intern_keys`) interns each
 //!   selected row's group key into a dense slot of the edge's
-//!   `Groups` (a single Int key as a raw `i64`), then one typed loop
-//!   per aggregate (`feed_aggs`) walks the batch's (row, slot) pairs
-//!   in ascending row order, preserving float accumulation order;
+//!   `Groups` (a single Int key as a raw `i64`, found by direct index
+//!   when it lies in `[0, 1024)`), then one typed loop per aggregate
+//!   (`feed_aggs`, the argument's kind matched once per batch) walks the
+//!   batch's (row, slot) pairs in ascending row order, preserving float
+//!   accumulation order;
 //! * **top-K**: ORDER BY keys stay in the sort kernels' outputs and are
 //!   compared there against the worst row the edge still holds
 //!   (`VOut::cmp_at`); a row copies its keys out only when it is kept,
 //!   and its output is built from the scanned row when the scan ends,
-//!   if its projections cannot fail (`Edge::late`).
+//!   if its projections cannot fail (`Edge::late`). Once the edge is
+//!   full, its bar — the worst held row's first key — is read before
+//!   each 64-row word, and for an Int or Float first key a branch-free
+//!   mask drops every row of the word whose key is non-NULL and strictly
+//!   worse, unoffered (`past_bar`). Ties with the bar and NULL keys are
+//!   offered: a tie is settled by the next key or by arrival. The bar
+//!   only tightens while a word is offered, so one read at its start
+//!   drops no row the edge would keep.
 //!
 //! The one intentional divergence: when several subexpressions would
 //! each raise a runtime error, batch-at-a-time evaluation may surface a
@@ -61,21 +74,19 @@
 //! the engine can tell "fast path un-wired" from "workload is
 //! row-wise".
 
+use std::cmp::Ordering;
+
+use sstore_common::value::cmp_int_float;
 use sstore_common::{Column, DataType, Error, Result, Tuple, Value};
 use sstore_storage::{Catalog, TableKind};
 
-use crate::ast::{AggFunc, BinOp};
+use crate::ast::{AggFunc, BinOp, SortOrder};
 use crate::batch::{
-    self, Col, ColI64, ColumnarBatch, FallbackReason, NullMask, SelVec, BATCH_CAPACITY,
+    self, Col, ColF64, ColI64, ColumnarBatch, FallbackReason, NullMask, SelVec, BATCH_CAPACITY,
 };
 use crate::edge::{extreme_of, offer_extreme, AccCol, Edge, Groups, Out, SortKeys};
 use crate::expr::{value_to_truth, AggSpec, BoundExpr, EvalCtx};
 use crate::plan::{Access, BoundSelect};
-
-/// SQL truth values in vector form.
-const T_FALSE: u8 = 0;
-const T_TRUE: u8 = 1;
-const T_NULL: u8 = 2;
 
 /// Minimum live row count before a scan goes columnar. Below this,
 /// batch setup (column materialization, bitmap allocation) costs more
@@ -222,10 +233,9 @@ pub fn run_select_columnar(
 
     let mut groups = Groups::new(s, table.len());
     // Reused per batch: (row, slot) of every selected row, a key row
-    // being interned, the predicate's truth vector.
+    // being interned.
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     let mut key: Vec<Value> = Vec::new();
-    let mut truth: Vec<u8> = Vec::new();
 
     let mut cursor = table.scan_chunks();
     let mut rows: Vec<&[Value]> = Vec::with_capacity(table.len().min(BATCH_CAPACITY));
@@ -240,18 +250,12 @@ pub fn run_select_columnar(
         }
         let b = ColumnarBatch::from_rows(&rows, &wanted, &dtypes)?;
 
-        // WHERE → selection bitmap.
-        let mut sel = SelVec::all(rows.len());
-        if let Some(p) = &pred {
-            truth.clear();
-            truth.resize(rows.len(), T_FALSE);
-            eval_pred(p, &b, &rows, params, &sel, &mut truth)?;
-            for (i, t) in truth.iter().enumerate() {
-                if *t != T_TRUE {
-                    sel.clear(i);
-                }
-            }
-        }
+        // WHERE → selection bitmap: the rows where it is TRUE.
+        let all = SelVec::all(rows.len());
+        let sel = match &pred {
+            Some(p) => eval_pred(p, &b, &rows, params, &all)?.0,
+            None => all,
+        };
 
         if implicit {
             let selected = sel.count() as u64;
@@ -260,7 +264,7 @@ pub fn run_select_columnar(
                     FastAgg::CountStar => acc.counts()[0] += selected,
                     FastAgg::CountCol(c) => {
                         let col = b.col(*c).expect("count column materialized");
-                        acc.counts()[0] += sel.iter_ones().filter(|&i| !col.is_null(i)).count() as u64;
+                        acc.counts()[0] += sel.and_not_null(col.nulls()).count() as u64;
                     }
                     FastAgg::NumCol(c) => {
                         let col = b.col(*c).expect("agg column materialized");
@@ -303,14 +307,22 @@ pub fn run_select_columnar(
                 .collect::<Result<_>>()?;
             // Sort keys are compared where the kernels left them; a row
             // copies them out, and builds its output, only if it is kept.
-            for i in sel.iter_ones() {
-                edge.offer(&KeysAt { outs: &souts, i }, || {
-                    Ok(if late {
-                        Out::Row(rows[i])
-                    } else {
-                        Out::Built(pouts.iter().map(|o| o.value_at(i)).collect())
-                    })
-                })?;
+            // Rows past the bar, read before each word, are not offered.
+            for (w, mut word) in sel.words().iter().copied().enumerate() {
+                if let Some((bar, dir)) = edge.bar() {
+                    word &= !past_bar(&souts[0], bar, dir, w);
+                }
+                while word != 0 {
+                    let i = w << 6 | word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    edge.offer(&KeysAt { outs: &souts, i }, || {
+                        Ok(if late {
+                            Out::Row(rows[i])
+                        } else {
+                            Out::Built(pouts.iter().map(|o| o.value_at(i)).collect())
+                        })
+                    })?;
+                }
             }
         }
     }
@@ -325,40 +337,37 @@ pub fn run_select_columnar(
 /// Int/Float column into slot 0 (implicit aggregation). Iteration is in
 /// ascending row order, so float sums and integer-overflow points match
 /// the row path exactly.
-fn accumulate_num(acc: &mut AccCol, func: AggFunc, col: &Col, sel: &SelVec) -> Result<()> {
+fn accumulate_num(acc: &mut AccCol, func: AggFunc, col: &Col<'_>, sel: &SelVec) -> Result<()> {
     let want = extreme_of(func);
+    let valid = sel.and_not_null(col.nulls());
     match (col, func) {
         (_, AggFunc::Count) => unreachable!("COUNT(col) classified as CountCol"),
         (Col::I64(c), AggFunc::Sum | AggFunc::Avg) => {
             let sum = &mut acc.sums()[0];
-            for i in sel.iter_ones().filter(|&i| !c.nulls.get(i)) {
+            for i in valid.iter_ones() {
                 sum.add_int(c.values[i])?;
             }
         }
         (Col::F64(c), AggFunc::Sum | AggFunc::Avg) => {
             let sum = &mut acc.sums()[0];
-            for i in sel.iter_ones().filter(|&i| !c.nulls.get(i)) {
+            for i in valid.iter_ones() {
                 sum.add_float(c.values[i]);
             }
         }
         (Col::I64(c), AggFunc::Min | AggFunc::Max) => {
-            let mut best: Option<i64> = None;
-            for i in sel.iter_ones().filter(|&i| !c.nulls.get(i)) {
-                if best.is_none_or(|b| c.values[i].cmp(&b) == want) {
-                    best = Some(c.values[i]);
-                }
-            }
+            let best = valid
+                .iter_ones()
+                .map(|i| c.values[i])
+                .reduce(|b, v| if v.cmp(&b) == want { v } else { b });
             if let Some(v) = best {
                 offer_extreme(&mut acc.extremes()[0], Value::Int(v), want);
             }
         }
         (Col::F64(c), AggFunc::Min | AggFunc::Max) => {
-            let mut best: Option<f64> = None;
-            for i in sel.iter_ones().filter(|&i| !c.nulls.get(i)) {
-                if best.is_none_or(|b| c.values[i].total_cmp(&b) == want) {
-                    best = Some(c.values[i]);
-                }
-            }
+            let best = valid
+                .iter_ones()
+                .map(|i| c.values[i])
+                .reduce(|b, v| if v.total_cmp(&b) == want { v } else { b });
             if let Some(v) = best {
                 offer_extreme(&mut acc.extremes()[0], Value::Float(v), want);
             }
@@ -366,6 +375,39 @@ fn accumulate_num(acc: &mut AccCol, func: AggFunc, col: &Col, sel: &SelVec) -> R
         _ => unreachable!("NumCol only classified for Int/Float columns"),
     }
     Ok(())
+}
+
+/// Bit `j` set where row `64 w + j`'s first ORDER BY key, read from
+/// `key`, is non-NULL and orders strictly after a top-K edge's `bar` in
+/// direction `dir`: rows the edge cannot keep. A tie with the bar can
+/// still win on a later key or lose on arrival order, and a NULL key sits
+/// at one end or the other, so neither is set; nor is anything unless the
+/// key is a typed Int or Float column of the bar's type.
+fn past_bar(key: &VOut<'_>, bar: &Value, dir: SortOrder, w: usize) -> u64 {
+    fn word<T>(v: &[T], w: usize) -> &[T] {
+        &v[w << 6..v.len().min((w + 1) << 6)]
+    }
+    let (past, nulls) = match (key, bar) {
+        (
+            VOut::Ints(v, n) | VOut::Borrowed(Col::I64(ColI64 { values: v, nulls: n })),
+            &Value::Int(x),
+        ) => match dir {
+            SortOrder::Asc => (hit_word(word(v, w), |v| v > x), n),
+            SortOrder::Desc => (hit_word(word(v, w), |v| v < x), n),
+        },
+        (
+            VOut::Floats(v, n) | VOut::Borrowed(Col::F64(ColF64 { values: v, nulls: n })),
+            &Value::Float(x),
+        ) => {
+            let x = total_key(x);
+            match dir {
+                SortOrder::Asc => (hit_word(word(v, w), |v| total_key(v) > x), n),
+                SortOrder::Desc => (hit_word(word(v, w), |v| total_key(v) < x), n),
+            }
+        }
+        _ => return 0,
+    };
+    past & !nulls.words()[w]
 }
 
 // ----------------------------------------------------------------------
@@ -450,7 +492,7 @@ enum VOut<'a> {
     Ints(Vec<i64>, NullMask),
     Floats(Vec<f64>, NullMask),
     /// A borrowed batch column (bare column reference, zero copies).
-    Borrowed(&'a Col),
+    Borrowed(&'a Col<'a>),
     /// A row-independent result, broadcast to every active row.
     Scalar(Value),
     /// Generic per-row values from the row-wise fallback.
@@ -483,12 +525,12 @@ impl VOut<'_> {
     /// `self.value_at(i).cmp_total(other)`, typed where both sides are:
     /// no text value is built, and Int against Int is an integer compare.
     #[inline]
-    fn cmp_at(&self, i: usize, other: &Value) -> std::cmp::Ordering {
+    fn cmp_at(&self, i: usize, other: &Value) -> Ordering {
         match (self, other) {
             (VOut::Borrowed(Col::I64(c)), Value::Int(x)) if !c.nulls.get(i) => c.values[i].cmp(x),
             (VOut::Ints(v, n), Value::Int(x)) if !n.get(i) => v[i].cmp(x),
             (VOut::Borrowed(Col::Str(c)), Value::Text(t)) if !c.nulls.get(i) => {
-                c.values[i].as_str().cmp(t)
+                c.values[i].cmp(t.as_str())
             }
             // Text against anything else orders by type rank alone.
             (VOut::Borrowed(Col::Str(c)), _) if !c.nulls.get(i) => {
@@ -511,7 +553,7 @@ struct KeysAt<'a, 'b> {
 
 impl SortKeys for KeysAt<'_, '_> {
     #[inline]
-    fn cmp_key(&self, j: usize, kept: &Value) -> std::cmp::Ordering {
+    fn cmp_key(&self, j: usize, kept: &Value) -> Ordering {
         self.outs[j].cmp_at(self.i, kept)
     }
     fn key(&self, j: usize) -> Value {
@@ -581,7 +623,7 @@ impl NumSide<'_> {
 /// error.
 fn eval_kernel<'a>(
     k: &EKernel<'_>,
-    b: &'a ColumnarBatch,
+    b: &'a ColumnarBatch<'a>,
     rows: &[&[Value]],
     params: &[Value],
     active: &SelVec,
@@ -766,8 +808,9 @@ fn arith_float<'a>(
 /// The key pass of hash GROUP BY: interns every selected row's group key
 /// ([`Groups`]: dense slots, first-seen key kept) and leaves one
 /// (row, slot) pair per row in `pairs`, in ascending row order. A single
-/// Int-typed key hashes as a raw `i64`; anything else as a key row built
-/// in the reused `key` buffer. Which of the two a statement takes depends
+/// Int-typed key is looked up as a raw `i64` ([`Groups::slot_of_int`]:
+/// by direct index in `[0, 1024)`, hashed otherwise); anything else
+/// hashes as a key row built in the reused `key` buffer. Which of the two a statement takes depends
 /// only on column dtypes and statement constants, so it never changes
 /// between batches ([`Groups::finish`] asserts it).
 fn intern_keys(
@@ -797,7 +840,8 @@ fn intern_keys(
 /// (row, slot) pairs per aggregate, in ascending row order (so float
 /// sums and integer-overflow points per group match the row path
 /// exactly). Numeric argument kernels feed typed loops straight into the
-/// aggregate's accumulator vector; anything else goes through
+/// aggregate's accumulator vector, the kernel's kind matched once per
+/// batch ([`each_int`], [`each_f64`]); anything else goes through
 /// [`AccCol::feed`]. The only observable difference from the row path's
 /// row-at-a-time feed is *which* of several erroring (row, aggregate)
 /// pairs surfaces its error within a batch — error presence always
@@ -823,53 +867,50 @@ fn feed_aggs(
             (Some(NumSide::ConstNull), _) => {}
             (Some(side), AggFunc::Count) => {
                 let counts = acc.counts();
-                for &(i, slot) in pairs {
-                    counts[slot as usize] += u64::from(side.f64_at(i as usize).is_some());
-                }
+                each_f64(side, pairs, |slot, _| {
+                    counts[slot] += 1;
+                    Ok(())
+                })?;
             }
             (Some(side), AggFunc::Sum | AggFunc::Avg) => {
                 let sums = acc.sums();
                 if side.is_int() {
-                    for &(i, slot) in pairs {
-                        if let Some(v) = side.int_at(i as usize) {
-                            sums[slot as usize].add_int(v)?;
-                        }
-                    }
+                    each_int(side, pairs, |slot, v| sums[slot].add_int(v))?;
                 } else {
-                    for &(i, slot) in pairs {
-                        if let Some(v) = side.f64_at(i as usize) {
-                            sums[slot as usize].add_float(v);
-                        }
-                    }
+                    each_f64(side, pairs, |slot, v| {
+                        sums[slot].add_float(v);
+                        Ok(())
+                    })?;
                 }
             }
             // The running extreme of a typed column is compared in place;
             // `offer_extreme` only sees a slot's first value.
             (Some(side), AggFunc::Min | AggFunc::Max) => {
                 let (best, want) = (acc.extremes(), extreme_of(spec.func));
-                for &(i, slot) in pairs {
-                    let best = &mut best[slot as usize];
-                    if side.is_int() {
-                        match (side.int_at(i as usize), &mut *best) {
-                            (Some(v), Some(Value::Int(m))) => {
+                if side.is_int() {
+                    each_int(side, pairs, |slot, v| {
+                        match &mut best[slot] {
+                            Some(Value::Int(m)) => {
                                 if v.cmp(m) == want {
                                     *m = v;
                                 }
                             }
-                            (Some(v), _) => offer_extreme(best, Value::Int(v), want),
-                            (None, _) => {}
+                            b => offer_extreme(b, Value::Int(v), want),
                         }
-                    } else {
-                        match (side.f64_at(i as usize), &mut *best) {
-                            (Some(v), Some(Value::Float(m))) => {
+                        Ok(())
+                    })?;
+                } else {
+                    each_f64(side, pairs, |slot, v| {
+                        match &mut best[slot] {
+                            Some(Value::Float(m)) => {
                                 if v.total_cmp(m) == want {
                                     *m = v;
                                 }
                             }
-                            (Some(v), _) => offer_extreme(best, Value::Float(v), want),
-                            (None, _) => {}
+                            b => offer_extreme(b, Value::Float(v), want),
                         }
-                    }
+                        Ok(())
+                    })?;
                 }
             }
             // DISTINCT, text/bool columns, row-wise fallback outputs:
@@ -885,6 +926,58 @@ fn feed_aggs(
         }
     }
     Ok(())
+}
+
+/// `f(slot, value)` for every pair whose row is non-NULL on an Int-kind
+/// side, in pair order; the side's kind is matched once, outside the loop.
+fn each_int(
+    side: NumSide<'_>,
+    pairs: &[(u32, u32)],
+    mut f: impl FnMut(usize, i64) -> Result<()>,
+) -> Result<()> {
+    match side {
+        NumSide::Int { values, nulls } => {
+            for &(i, slot) in pairs {
+                if !nulls.get(i as usize) {
+                    f(slot as usize, values[i as usize])?;
+                }
+            }
+        }
+        NumSide::ConstInt(x) => {
+            for &(_, slot) in pairs {
+                f(slot as usize, x)?;
+            }
+        }
+        _ => unreachable!("each_int on a non-Int side"),
+    }
+    Ok(())
+}
+
+/// [`each_int`] for any numeric side, Ints coerced like the row path's
+/// `as_float`.
+fn each_f64(
+    side: NumSide<'_>,
+    pairs: &[(u32, u32)],
+    mut f: impl FnMut(usize, f64) -> Result<()>,
+) -> Result<()> {
+    match side {
+        NumSide::Int { .. } | NumSide::ConstInt(_) => each_int(side, pairs, |slot, v| f(slot, v as f64)),
+        NumSide::Float { values, nulls } => {
+            for &(i, slot) in pairs {
+                if !nulls.get(i as usize) {
+                    f(slot as usize, values[i as usize])?;
+                }
+            }
+            Ok(())
+        }
+        NumSide::ConstFloat(x) => {
+            for &(_, slot) in pairs {
+                f(slot as usize, x)?;
+            }
+            Ok(())
+        }
+        NumSide::ConstNull => Ok(()),
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -988,255 +1081,197 @@ fn collect_cols(node: &PredNode<'_>, out: &mut Vec<usize>) {
     }
 }
 
-fn kleene_and_u8(l: u8, r: u8) -> u8 {
-    if l == T_FALSE || r == T_FALSE {
-        T_FALSE
-    } else if l == T_TRUE && r == T_TRUE {
-        T_TRUE
-    } else {
-        T_NULL
-    }
+/// A predicate's truth over a batch, as two bitmaps inside the rows it
+/// was evaluated for (`active`): TRUE, and NULL. FALSE is `active` less
+/// both.
+type Truth = (SelVec, SelVec);
+
+/// Kleene AND: FALSE where either side is FALSE, TRUE where both are
+/// TRUE, NULL elsewhere. A row outside the rows `r` was evaluated for
+/// must be FALSE on `l` (AND's short-circuit), or `l` and `r` must cover
+/// the same rows (BETWEEN's two bounds).
+fn and_truth((lt, ln): &Truth, (rt, rn): &Truth) -> Truth {
+    let len = lt.len();
+    let (lt, ln, rt, rn) = (lt.words(), ln.words(), rt.words(), rn.words());
+    (
+        SelVec::from_words(len, |w| lt[w] & rt[w]),
+        SelVec::from_words(len, |w| (ln[w] | rn[w]) & (lt[w] | ln[w]) & (rt[w] | rn[w])),
+    )
 }
 
-fn kleene_or_u8(l: u8, r: u8) -> u8 {
-    if l == T_TRUE || r == T_TRUE {
-        T_TRUE
-    } else if l == T_FALSE && r == T_FALSE {
-        T_FALSE
-    } else {
-        T_NULL
-    }
+/// NOT: TRUE and FALSE swap within `active`, NULL stays.
+fn not_truth(active: &SelVec, (t, n): Truth) -> Truth {
+    (SelVec::from_words(active.len(), |w| active.words()[w] & !t.words()[w] & !n.words()[w]), n)
 }
 
-/// Evaluates `node` for every row in `active`, writing SQL truth values
-/// into `truth` at those positions (other positions are untouched
-/// don't-cares).
+/// Evaluates `node` for the rows in `active`.
 fn eval_pred(
     node: &PredNode<'_>,
-    b: &ColumnarBatch,
+    b: &ColumnarBatch<'_>,
     rows: &[&[Value]],
     params: &[Value],
     active: &SelVec,
-    truth: &mut [u8],
-) -> Result<()> {
-    match node {
+) -> Result<Truth> {
+    let len = active.len();
+    let none = || (SelVec::none(len), SelVec::none(len));
+    let (t, n) = match node {
         PredNode::And(lhs, rhs) => {
-            eval_pred(lhs, b, rows, params, active, truth)?;
-            // Kleene short-circuit: the right side exists only for rows
-            // where the left is not FALSE.
-            let mut rhs_active = SelVec::none(rows.len());
-            for i in active.iter_ones() {
-                if truth[i] != T_FALSE {
-                    rhs_active.set(i);
-                }
-            }
+            let l = eval_pred(lhs, b, rows, params, active)?;
+            // Kleene short-circuit: the right side runs only where the
+            // left is not FALSE.
+            let rhs_active = SelVec::from_words(len, |w| l.0.words()[w] | l.1.words()[w]);
             if rhs_active.any() {
-                let mut rt = vec![T_FALSE; rows.len()];
-                eval_pred(rhs, b, rows, params, &rhs_active, &mut rt)?;
-                for i in rhs_active.iter_ones() {
-                    truth[i] = kleene_and_u8(truth[i], rt[i]);
-                }
+                and_truth(&l, &eval_pred(rhs, b, rows, params, &rhs_active)?)
+            } else {
+                l
             }
         }
         PredNode::Or(lhs, rhs) => {
-            eval_pred(lhs, b, rows, params, active, truth)?;
-            let mut rhs_active = SelVec::none(rows.len());
-            for i in active.iter_ones() {
-                if truth[i] != T_TRUE {
-                    rhs_active.set(i);
-                }
-            }
+            let (lt, ln) = eval_pred(lhs, b, rows, params, active)?;
+            // ... and here only where the left is not TRUE.
+            let rhs_active = SelVec::from_words(len, |w| active.words()[w] & !lt.words()[w]);
             if rhs_active.any() {
-                let mut rt = vec![T_FALSE; rows.len()];
-                eval_pred(rhs, b, rows, params, &rhs_active, &mut rt)?;
-                for i in rhs_active.iter_ones() {
-                    truth[i] = kleene_or_u8(truth[i], rt[i]);
-                }
+                let (rt, rn) = eval_pred(rhs, b, rows, params, &rhs_active)?;
+                let (lt, ln, rt, rn) = (lt.words(), ln.words(), rt.words(), rn.words());
+                (
+                    SelVec::from_words(len, |w| lt[w] | rt[w]),
+                    SelVec::from_words(len, |w| (ln[w] | rn[w]) & !(lt[w] | rt[w])),
+                )
+            } else {
+                (lt, ln)
             }
         }
-        PredNode::Not(inner) => {
-            eval_pred(inner, b, rows, params, active, truth)?;
-            for i in active.iter_ones() {
-                truth[i] = match truth[i] {
-                    T_TRUE => T_FALSE,
-                    T_FALSE => T_TRUE,
-                    _ => T_NULL,
-                };
-            }
-        }
+        PredNode::Not(inner) => not_truth(active, eval_pred(inner, b, rows, params, active)?),
+        // A row-independent side is evaluated only if some row is active,
+        // as the row path would evaluate it.
+        PredNode::Cmp { .. } | PredNode::Between { .. } if !active.any() => none(),
         PredNode::Cmp { col, op, rhs } => {
-            if !active.any() {
-                return Ok(());
-            }
             let ctx = EvalCtx { row: &[], params, aggs: &[] };
             let rv = rhs.eval(&ctx)?;
-            let c = b.col(*col).expect("cmp column materialized");
-            cmp_col_value(c, &rv, *op, active, truth);
+            cmp_col_value(b.col(*col).expect("cmp column materialized"), &rv, *op, active)
         }
         PredNode::Between { col, lo, hi, negated } => {
-            if !active.any() {
-                return Ok(());
-            }
             let ctx = EvalCtx { row: &[], params, aggs: &[] };
             let lo_v = lo.eval(&ctx)?;
             let hi_v = hi.eval(&ctx)?;
             let c = b.col(*col).expect("between column materialized");
-            let mut t_lo = vec![T_FALSE; rows.len()];
-            let mut t_hi = vec![T_FALSE; rows.len()];
-            cmp_col_value(c, &lo_v, BinOp::GtEq, active, &mut t_lo);
-            cmp_col_value(c, &hi_v, BinOp::LtEq, active, &mut t_hi);
-            for i in active.iter_ones() {
-                let both = kleene_and_u8(t_lo[i], t_hi[i]);
-                truth[i] = if *negated {
-                    match both {
-                        T_TRUE => T_FALSE,
-                        T_FALSE => T_TRUE,
-                        _ => T_NULL,
-                    }
-                } else {
-                    both
-                };
+            let both = and_truth(
+                &cmp_col_value(c, &lo_v, BinOp::GtEq, active),
+                &cmp_col_value(c, &hi_v, BinOp::LtEq, active),
+            );
+            if *negated {
+                not_truth(active, both)
+            } else {
+                both
             }
         }
         PredNode::NullTest { col, negated } => {
-            let c = b.col(*col).expect("null-test column materialized");
-            for i in active.iter_ones() {
-                truth[i] = if c.is_null(i) != *negated { T_TRUE } else { T_FALSE };
-            }
+            let nulls = b.col(*col).expect("null-test column materialized").nulls();
+            let t = if *negated { active.and_not_null(nulls) } else { active.and_null(nulls) };
+            (t, SelVec::none(len))
         }
         PredNode::BoolCol(col) => {
             let Some(Col::Bool(c)) = b.col(*col) else {
                 unreachable!("BoolCol compiled only for Bool columns")
             };
-            for i in active.iter_ones() {
-                truth[i] = if c.nulls.get(i) {
-                    T_NULL
-                } else if c.values[i] {
-                    T_TRUE
-                } else {
-                    T_FALSE
-                };
-            }
+            split_nulls(&hit_words(&c.values, |v| v), &c.nulls, active)
         }
         PredNode::RowWise(e) => {
+            let (mut t, mut n) = none();
             for i in active.iter_ones() {
                 let ctx = EvalCtx { row: rows[i], params, aggs: &[] };
-                let v = e.eval(&ctx)?;
-                truth[i] = match value_to_truth(&v)? {
-                    Some(true) => T_TRUE,
-                    Some(false) => T_FALSE,
-                    None => T_NULL,
-                };
+                match value_to_truth(&e.eval(&ctx)?)? {
+                    Some(true) => t.set(i),
+                    None => n.set(i),
+                    Some(false) => {}
+                }
             }
+            (t, n)
         }
-    }
-    Ok(())
+    };
+    debug_assert!(
+        t.words()
+            .iter()
+            .zip(n.words())
+            .zip(active.words())
+            .all(|((t, n), a)| t & n == 0 && (t | n) & !a == 0),
+        "TRUE and NULL must be disjoint and inside `active`"
+    );
+    Ok((t, n))
 }
 
-/// Fills `truth` for `col <op> rhs` over the active rows with typed
-/// comparison loops. Cross-type pairs follow [`Value::cmp_total`]: Int
-/// and Float compare numerically; any other mismatched pair compares by
-/// type rank, which is value-independent and therefore resolved once
-/// per batch.
-fn cmp_col_value(c: &Col, rhs: &Value, op: BinOp, active: &SelVec, truth: &mut [u8]) {
+/// Bit `j` set where `hit` holds for `values[j]` (at most 64 of them):
+/// a branch-free loop, monomorphic in `T` and `hit`.
+#[inline]
+fn hit_word<T: Copy>(values: &[T], hit: impl Fn(T) -> bool) -> u64 {
+    values.iter().enumerate().fold(0, |w, (j, &v)| w | u64::from(hit(v)) << j)
+}
+
+/// [`hit_word`] for each 64 values.
+#[inline]
+fn hit_words<T: Copy>(values: &[T], hit: impl Fn(T) -> bool) -> Vec<u64> {
+    values.chunks(64).map(|chunk| hit_word(chunk, &hit)).collect()
+}
+
+/// `f64::total_cmp`'s order as an `i64` key: `a.total_cmp(&b)` is
+/// `total_key(a).cmp(&total_key(b))`.
+#[inline]
+fn total_key(f: f64) -> i64 {
+    let bits = f.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// A comparison's truth from its per-row outcome `hits`: TRUE where it
+/// holds on a non-NULL row, NULL on every NULL row, within `active`.
+fn split_nulls(hits: &[u64], nulls: &NullMask, active: &SelVec) -> Truth {
+    let (len, nulls, active) = (active.len(), nulls.words(), active.words());
+    (
+        SelVec::from_words(len, |w| hits[w] & !nulls[w] & active[w]),
+        SelVec::from_words(len, |w| nulls[w] & active[w]),
+    )
+}
+
+/// A bit per value, set where `ord(v)` — the value's order against the
+/// right-hand side — satisfies `op`: one loop per (column type, operator).
+fn cmp_words<T: Copy>(values: &[T], op: BinOp, ord: impl Fn(T) -> Ordering) -> Vec<u64> {
+    match op {
+        BinOp::Eq => hit_words(values, |v| ord(v).is_eq()),
+        BinOp::NotEq => hit_words(values, |v| ord(v).is_ne()),
+        BinOp::Lt => hit_words(values, |v| ord(v).is_lt()),
+        BinOp::LtEq => hit_words(values, |v| ord(v).is_le()),
+        BinOp::Gt => hit_words(values, |v| ord(v).is_gt()),
+        BinOp::GtEq => hit_words(values, |v| ord(v).is_ge()),
+        _ => unreachable!("non-comparison op in Cmp node"),
+    }
+}
+
+/// The truth of `col <op> rhs` over the active rows. Cross-type pairs
+/// follow [`Value::cmp_total`]: Int and Float compare numerically; any
+/// other mismatched pair compares by type rank, which is
+/// value-independent and therefore resolved once per batch.
+fn cmp_col_value(c: &Col<'_>, rhs: &Value, op: BinOp, active: &SelVec) -> Truth {
     if rhs.is_null() {
-        for i in active.iter_ones() {
-            truth[i] = T_NULL;
-        }
-        return;
+        return (SelVec::none(active.len()), active.clone());
     }
-    use std::cmp::Ordering;
-    match (c, rhs) {
-        (Col::I64(col), Value::Int(x)) => {
-            let x = *x;
-            cmp_fill(active, truth, op, |i| col.nulls.get(i), |i| col.values[i].cmp(&x));
+    let hits = match (c, rhs) {
+        (Col::I64(col), &Value::Int(x)) => cmp_words(&col.values, op, |v| v.cmp(&x)),
+        (Col::I64(col), &Value::Float(x)) => cmp_words(&col.values, op, |v| cmp_int_float(v, x)),
+        (Col::F64(col), &Value::Float(x)) => {
+            let x = total_key(x);
+            cmp_words(&col.values, op, |v| total_key(v).cmp(&x))
         }
-        (Col::I64(col), Value::Float(x)) => {
-            let x = *x;
-            cmp_fill(active, truth, op, |i| col.nulls.get(i), |i| {
-                sstore_common::value::cmp_int_float(col.values[i], x)
-            });
+        (Col::F64(col), &Value::Int(x)) => {
+            cmp_words(&col.values, op, |v| cmp_int_float(x, v).reverse())
         }
-        (Col::F64(col), Value::Float(x)) => {
-            let x = *x;
-            cmp_fill(active, truth, op, |i| col.nulls.get(i), |i| col.values[i].total_cmp(&x));
-        }
-        (Col::F64(col), Value::Int(x)) => {
-            let x = *x;
-            cmp_fill(active, truth, op, |i| col.nulls.get(i), |i| {
-                sstore_common::value::cmp_int_float(x, col.values[i]).reverse()
-            });
-        }
-        (Col::Str(col), Value::Text(x)) => {
-            cmp_fill(active, truth, op, |i| col.nulls.get(i), |i| {
-                col.values[i].as_str().cmp(x.as_str())
-            });
-        }
-        (Col::Bool(col), Value::Bool(x)) => {
-            cmp_fill(active, truth, op, |i| col.nulls.get(i), |i| col.values[i].cmp(x));
-        }
+        (Col::Str(col), Value::Text(x)) => cmp_words(&col.values, op, |v| v.cmp(x.as_str())),
+        (Col::Bool(col), Value::Bool(x)) => cmp_words(&col.values, op, |v| v.cmp(x)),
+        // Mismatched types: ordering is decided by type rank alone.
         _ => {
-            // Mismatched types: ordering is decided by type rank alone.
-            let ord = c.type_representative().cmp_total(rhs);
-            let t = truth_of_ord(ord, op);
-            for i in active.iter_ones() {
-                truth[i] = if c.is_null(i) { T_NULL } else { t };
-            }
+            let hit = cmp_words(&[c.type_representative().cmp_total(rhs)], op, |o| o)[0];
+            vec![hit.wrapping_neg(); active.words().len()]
         }
-    }
-
-    fn truth_of_ord(ord: Ordering, op: BinOp) -> u8 {
-        let hit = match op {
-            BinOp::Eq => ord == Ordering::Equal,
-            BinOp::NotEq => ord != Ordering::Equal,
-            BinOp::Lt => ord == Ordering::Less,
-            BinOp::LtEq => ord != Ordering::Greater,
-            BinOp::Gt => ord == Ordering::Greater,
-            BinOp::GtEq => ord != Ordering::Less,
-            _ => unreachable!("non-comparison op in Cmp node"),
-        };
-        if hit {
-            T_TRUE
-        } else {
-            T_FALSE
-        }
-    }
-
-    fn cmp_fill(
-        active: &SelVec,
-        truth: &mut [u8],
-        op: BinOp,
-        is_null: impl Fn(usize) -> bool,
-        ord_of: impl Fn(usize) -> Ordering,
-    ) {
-        // One monomorphized tight loop per (column type, operator).
-        match op {
-            BinOp::Eq => fill(active, truth, is_null, |i| ord_of(i) == Ordering::Equal),
-            BinOp::NotEq => fill(active, truth, is_null, |i| ord_of(i) != Ordering::Equal),
-            BinOp::Lt => fill(active, truth, is_null, |i| ord_of(i) == Ordering::Less),
-            BinOp::LtEq => fill(active, truth, is_null, |i| ord_of(i) != Ordering::Greater),
-            BinOp::Gt => fill(active, truth, is_null, |i| ord_of(i) == Ordering::Greater),
-            BinOp::GtEq => fill(active, truth, is_null, |i| ord_of(i) != Ordering::Less),
-            _ => unreachable!("non-comparison op in Cmp node"),
-        }
-    }
-
-    fn fill(
-        active: &SelVec,
-        truth: &mut [u8],
-        is_null: impl Fn(usize) -> bool,
-        hit: impl Fn(usize) -> bool,
-    ) {
-        for i in active.iter_ones() {
-            truth[i] = if is_null(i) {
-                T_NULL
-            } else if hit(i) {
-                T_TRUE
-            } else {
-                T_FALSE
-            };
-        }
-    }
+    };
+    split_nulls(&hits, c.nulls(), active)
 }
 
 #[cfg(test)]

@@ -264,3 +264,84 @@ fn a_failing_projection_fails_the_statement_even_if_its_row_is_not_returned() {
     // dropped, and that changes nothing observable.
     assert_eq!(ints(&both(&c, "SELECT v FROM t ORDER BY id DESC LIMIT 1"), 0), vec![0]);
 }
+
+/// Once LIMIT rows are held, the columnar executor drops unoffered every
+/// later row whose first ORDER BY key is strictly worse than the held
+/// rows' worst (the bar). A row tied with the bar must still be offered:
+/// rows 1024..=1030 tie the bar the first batch leaves (k = 1) and win
+/// on the second key, so this fails if the bar drops ties.
+#[test]
+fn a_tie_with_the_bar_is_settled_by_the_next_key_or_by_arrival() {
+    let c = catalog();
+    assert_eq!(ints(&both(&c, "SELECT id FROM t ORDER BY k, id DESC LIMIT 3"), 0), vec![1030, 1029, 1028]);
+    // Descending on k the bar is 5 from the first batch on: every later
+    // row ties it, and loses on arrival...
+    assert_eq!(ints(&both(&c, "SELECT id FROM t ORDER BY k DESC LIMIT 3"), 0), vec![0, 1, 2]);
+    // ...or wins on the second key.
+    assert_eq!(
+        ints(&both(&c, "SELECT id FROM t ORDER BY k DESC, id DESC LIMIT 3"), 0),
+        vec![2999, 2998, 2997]
+    );
+    // hybrid_scan's top-K shape: v = 10 on every tenth row, so every
+    // batch after the first meets ties with the bar and loses them.
+    let want: Vec<i64> = (0..10).map(|i| 9 + 10 * i).collect();
+    assert_eq!(ints(&both(&c, "SELECT id, v FROM t ORDER BY v DESC, id LIMIT 10"), 0), want);
+    // A bar carried across batches that every batch beats: each one
+    // replaces what the last left.
+    assert_eq!(ints(&both(&c, "SELECT id FROM t ORDER BY id DESC LIMIT 3"), 0), vec![2999, 2998, 2997]);
+    assert_eq!(ints(&both(&c, "SELECT id FROM t ORDER BY v, id LIMIT 2"), 0), vec![2999, 0]);
+}
+
+/// A NULL first key is the best key ascending and the worst descending;
+/// either way it is not compared with the bar by value. The NULL rows of
+/// a typed key column hold a placeholder (0 here), which is worse than
+/// the bar ascending and must not drop them.
+#[test]
+fn null_first_keys_pass_the_bar_in_either_direction() {
+    let c = catalog();
+    // `-g` is 0, -1, …, -6, or NULL: the first batch leaves the bar at
+    // -6, and the NULL rows of later batches still come first.
+    let rows = both(&c, "SELECT id, -g FROM t ORDER BY -g, id LIMIT 8");
+    assert_eq!(ints(&rows, 0), vec![499, 999, 1499, 1999, 2499, 2999, 6, 13]);
+    assert!(rows[..6].iter().all(|r| r.get(1).is_null()));
+    assert_eq!(ints(&both(&c, "SELECT id FROM t ORDER BY g DESC, id LIMIT 3"), 0), vec![6, 13, 20]);
+    let rows = both(&c, "SELECT id, g FROM t ORDER BY g DESC, id LIMIT 2994");
+    assert!(rows.iter().all(|r| !r.get(1).is_null()), "descending, the six NULLs come last");
+    // Float keys: 333 NULL rows, then -NaN. The first batch leaves the
+    // bar at -0.0, below the NULL rows' placeholder 0.0.
+    let rows = both(&c, "SELECT id, f FROM t ORDER BY f, id LIMIT 400");
+    assert_eq!(ints(&rows[..333], 0), (0..333).map(|i| 7 + 9 * i).collect::<Vec<_>>());
+    assert!(rows[..333].iter().all(|r| r.get(1).is_null()));
+    assert_eq!(ints(&rows[333..], 0), (0..67).map(|i| 1 + 9 * i).collect::<Vec<_>>());
+    assert!(rows[333..].iter().all(|r| r.get(1).identical(&Value::Float(-f64::NAN))));
+    let rows = both(&c, "SELECT id FROM t ORDER BY f DESC, id LIMIT 4");
+    assert_eq!(ints(&rows, 0), vec![0, 9, 18, 27], "NaN is the greatest float");
+}
+
+#[test]
+fn a_bar_never_forms_at_limit_zero_or_past_the_input() {
+    let c = catalog();
+    assert!(both(&c, "SELECT id, v FROM t ORDER BY v DESC, id LIMIT 0").is_empty());
+    assert!(both(&c, "SELECT id FROM t ORDER BY f LIMIT 0").is_empty());
+    let rows = both(&c, "SELECT id, v FROM t ORDER BY v DESC, id LIMIT 5000");
+    assert_eq!(rows.len(), ROWS as usize);
+    assert_eq!(ints(&rows[..2], 0), vec![9, 19]);
+    assert_eq!(ints(&rows[ROWS as usize - 1..], 0), vec![2999]);
+}
+
+/// Int group keys in `[0, 1024)` take a direct slot table, the rest a
+/// hash map and NULL its own slot; groups still come out in ascending
+/// key order, each represented once.
+#[test]
+fn int_group_keys_either_side_of_the_direct_slots() {
+    let c = catalog();
+    let rows = both(&c, "SELECT id % 1100 - 40, COUNT(*) FROM t GROUP BY id % 1100 - 40");
+    assert_eq!(ints(&rows, 0), (-40..1060).collect::<Vec<_>>());
+    let counts = ints(&rows, 1);
+    assert_eq!(counts.iter().sum::<i64>(), ROWS);
+    assert_eq!((counts[0], counts[1099]), (3, 2), "ids 0, 1100, 2200; 1099, 2199");
+    let rows = both(&c, "SELECT g * 200, COUNT(*), MIN(id) FROM t GROUP BY g * 200");
+    assert!(rows[0].get(0).is_null());
+    assert_eq!(ints(&rows[1..], 0), vec![0, 200, 400, 600, 800, 1000, 1200]);
+    assert_eq!(ints(&rows[1..], 2), vec![0, 1, 2, 3, 4, 5, 6]);
+}

@@ -193,3 +193,139 @@ fn empty_table_every_shape() {
         assert_both_agree(&c, sql).unwrap();
     }
 }
+
+/// Table lengths either side of a 64-row bitmap word and of a
+/// 1 024-row batch.
+const EDGE_LENS: [usize; 6] = [63, 64, 65, 1023, 1024, 1025];
+
+/// The next draw of a 64-bit LCG, high bits.
+fn draw(z: &mut u64) -> u64 {
+    *z = z.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+    *z >> 33
+}
+
+/// `len` rows whose NULLs come a word at a time: by 64-row word, `a`
+/// and `b` are never NULL, always NULL, or NULL on about half the rows,
+/// so a table holds no-NULL, all-NULL and mixed words side by side.
+fn word_rows(len: usize, z: &mut u64) -> Vec<Row> {
+    (0..len)
+        .map(|i| {
+            let mut null = |salt: usize| match (i / 64 + salt) % 3 {
+                0 => false,
+                1 => true,
+                _ => draw(z).is_multiple_of(2),
+            };
+            let (na, nb) = (null(0), null(1));
+            let a = (!na).then(|| (draw(z) % 21) as i64 - 10);
+            let b = (!nb).then(|| (draw(z) % 41) as i64 - 20);
+            (a, b, Some((draw(z) % 3) as u8))
+        })
+        .collect()
+}
+
+/// A WHERE predicate over `a` (Int) and `b` (Float), up to `depth`
+/// levels of AND / OR / NOT over typed comparisons, BETWEEN, IS NULL
+/// and a row-wise term.
+fn nested_pred(z: &mut u64, depth: u32) -> String {
+    let n = (draw(z) % 21) as i64 - 10;
+    if depth == 0 || draw(z).is_multiple_of(4) {
+        return match draw(z) % 9 {
+            0 => format!("a > {n}"),
+            1 => format!("b <= {n}.5"),
+            2 => "a IS NULL".into(),
+            3 => "b IS NOT NULL".into(),
+            4 => format!("a BETWEEN {n} AND {}", n + 5),
+            5 => format!("b NOT BETWEEN {n} AND {}", n + 3),
+            6 => format!("a <> {n}"),
+            7 => format!("b = {n}"),
+            _ => format!("a + 1 = {n}"),
+        };
+    }
+    let l = nested_pred(z, depth - 1);
+    match draw(z) % 3 {
+        0 => format!("({l} AND {})", nested_pred(z, depth - 1)),
+        1 => format!("({l} OR {})", nested_pred(z, depth - 1)),
+        _ => format!("NOT ({l})"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn nested_predicates_agree_at_word_and_batch_edges(
+        len_ix in 0usize..6,
+        seed in any::<u64>(),
+        shape in any::<u8>(),
+    ) {
+        let mut z = seed;
+        let rows = word_rows(EDGE_LENS[len_ix], &mut z);
+        let c = setup(&rows);
+        let w = nested_pred(&mut z, 3);
+        let sql = match shape % 4 {
+            0 => format!("SELECT k FROM p WHERE {w}"),
+            1 => format!("SELECT COUNT(*), COUNT(a), COUNT(b), SUM(a), MIN(b), MAX(a) FROM p WHERE {w}"),
+            2 => format!("SELECT a, COUNT(*), SUM(b), MAX(b) FROM p WHERE {w} GROUP BY a"),
+            _ => format!("SELECT k, a, b FROM p WHERE {w} ORDER BY b DESC, a, k LIMIT 9"),
+        };
+        assert_both_agree(&c, &sql)?;
+    }
+}
+
+/// Both executors answer `sql`, alike.
+fn must_succeed(c: &Catalog, sql: &str) -> Vec<Tuple> {
+    let stmt = Planner::new(c).plan_sql(sql).unwrap();
+    let BoundStatement::Select(s) = &stmt else { panic!("not a select: {sql}") };
+    let row = run_select_rows_rowwise(c, s, &[]).unwrap_or_else(|e| panic!("rowwise {sql}: {e}"));
+    let col = run_select_columnar(c, s, &[]).unwrap_or_else(|e| panic!("columnar {sql}: {e}"));
+    assert_eq!(row, col, "{sql}");
+    col
+}
+
+/// Both executors fail `sql`.
+fn must_fail(c: &Catalog, sql: &str) {
+    let stmt = Planner::new(c).plan_sql(sql).unwrap();
+    let BoundStatement::Select(s) = &stmt else { panic!("not a select: {sql}") };
+    assert!(run_select_rows_rowwise(c, s, &[]).is_err(), "rowwise accepted {sql}");
+    assert!(run_select_columnar(c, s, &[]).is_err(), "columnar accepted {sql}");
+}
+
+/// `a = i % 5 - 2` (so 0 on every fifth row), NULL on every seventh.
+fn rows_with_zeros(len: usize) -> Catalog {
+    let rows: Vec<Row> =
+        (0..len as i64).map(|i| ((i % 7 != 3).then_some(i % 5 - 2), Some(i % 4), Some(0))).collect();
+    setup(&rows)
+}
+
+/// AND's right side divides by `a`, and its left side is FALSE exactly
+/// where `a` is 0: evaluating the right side there is a division by
+/// zero, so this fails if AND runs its right side on FALSE rows.
+#[test]
+fn and_never_runs_its_right_side_where_the_left_is_false() {
+    for len in EDGE_LENS {
+        let c = rows_with_zeros(len);
+        must_succeed(&c, "SELECT k FROM p WHERE a <> 0 AND 10 / a > 1");
+        must_succeed(&c, "SELECT COUNT(*) FROM p WHERE NOT (a = 0 OR b IS NULL) AND 10 / a < 0");
+        must_succeed(&c, "SELECT COUNT(*) FROM p WHERE (a > 0 OR a < 0) AND (10 / a = 5 OR 10 / a = -5)");
+        // A row-independent right side runs only if some row is not
+        // FALSE on the left, and then fails the statement.
+        must_succeed(&c, "SELECT k FROM p WHERE k < 0 AND a > 1 / 0");
+        must_fail(&c, "SELECT k FROM p WHERE k = 0 AND a > 1 / 0");
+        must_fail(&c, "SELECT k FROM p WHERE a IS NOT NULL AND 10 / a > 1");
+        must_fail(&c, "SELECT k FROM p WHERE a >= 0 AND 10 / a > 1");
+    }
+}
+
+/// OR's right side divides by `a`, and its left side is TRUE exactly
+/// where `a` is 0.
+#[test]
+fn or_never_runs_its_right_side_where_the_left_is_true() {
+    for len in EDGE_LENS {
+        let c = rows_with_zeros(len);
+        must_succeed(&c, "SELECT k FROM p WHERE a = 0 OR 10 / a > 1");
+        must_succeed(&c, "SELECT COUNT(*), SUM(a) FROM p WHERE NOT (a <> 0 AND b IS NOT NULL) OR 10 / a > 4");
+        must_succeed(&c, "SELECT k FROM p WHERE k >= 0 OR a > 1 / 0");
+        must_fail(&c, "SELECT k FROM p WHERE k > 0 OR a > 1 / 0");
+        must_fail(&c, "SELECT k FROM p WHERE a = 1 OR 10 / a > 1");
+    }
+}
