@@ -25,12 +25,11 @@
 //! [`BoundaryMode::Channel`]: crate::config::BoundaryMode::Channel
 
 use std::collections::HashMap;
-use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use crossbeam_channel::{bounded, Receiver};
 use parking_lot::Mutex;
-use sstore_common::hash::{FxBuildHasher, FxHashMap};
+use sstore_common::hash::{route_hash, FxHashMap};
 use sstore_common::{BatchId, Error, Lsn, ProcId, Result, TableId, Tuple, Value};
 use sstore_sql::{BoundStatement, Planner, QueryResult};
 use sstore_storage::Catalog;
@@ -51,16 +50,17 @@ use crate::partition::{
 
 /// The partition a key routes to, on an `n`-partition engine.
 ///
-/// Deterministic across processes and engine restarts (FxHash with
-/// fixed seed — no per-process randomization), which recovery relies
-/// on: a replayed batch must land where the original did. Shared by
-/// hash-routed ingestion and the exchange operator so a row's home
-/// partition is the same wherever it is computed.
+/// Deterministic across processes and engine restarts
+/// ([`route_hash`]: fixed seed, no per-process randomization, and apart
+/// from the map hasher), which recovery relies on: a replayed batch
+/// must land where the original did. Shared by hash-routed ingestion
+/// and the exchange operator so a row's home partition is the same
+/// wherever it is computed.
 pub fn hash_partition(key: &Value, partitions: usize) -> usize {
     if partitions <= 1 {
         return 0;
     }
-    let h = FxBuildHasher::default().hash_one(key);
+    let h = route_hash(key);
     // Multiply-shift, NOT `h % n`: the modulo keeps only the hash's
     // low bits, which the multiply-xor FxHash mixes worst — small
     // integer keys (x-way ids, vote keys) all carried an even low bit

@@ -14,7 +14,8 @@
 //!
 //! Keys live in an ordered map, so a reader meets groups in ascending
 //! key order — the order the SELECT output edge is offered groups in —
-//! without sorting them per statement.
+//! without sorting them per statement. They are index [`Key`]s: a
+//! one-column key is its value, held inline.
 //!
 //! Following every mutation pays off only if the index is read often
 //! enough. The rule is on what the index can see, not a setting: once it
@@ -28,9 +29,11 @@
 //! the same window read once per 100 arrivals only counts its mutations,
 //! and its reader pays the scan it always paid.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 
 use sstore_common::Value;
+
+use crate::index::Key;
 
 /// Which `GROUP BY` a [`GroupIndex`] answers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,7 +71,7 @@ pub struct GroupAcc {
 pub struct GroupIndex {
     /// What is grouped and tracked.
     pub def: GroupIndexDef,
-    groups: BTreeMap<Vec<Value>, GroupAcc>,
+    groups: BTreeMap<Key, GroupAcc>,
     /// Mutations of the table since the last [`GroupIndex::refresh`].
     absorbed: usize,
     /// Mutations are applied as they happen, so `groups` is the fold of
@@ -124,15 +127,6 @@ impl GroupIndex {
 
     /// Counts a row in or out of its group.
     fn count(&mut self, values: &[Value], arrives: bool) {
-        // A one-column key — most are — is looked up in place.
-        let owned: Vec<Value>;
-        let key = match self.def.key_columns[..] {
-            [c] => std::slice::from_ref(&values[c]),
-            ref cols => {
-                owned = cols.iter().map(|&c| values[c].clone()).collect();
-                &owned
-            }
-        };
         let agg_columns = &self.def.agg_columns;
         let step = |n: &mut u64| *n = if arrives { *n + 1 } else { *n - 1 };
         let count = |acc: &mut GroupAcc| {
@@ -149,17 +143,15 @@ impl GroupIndex {
                 }
             }
         };
-        match self.groups.get_mut(key) {
-            Some(acc) => {
-                count(acc);
-                if acc.rows == 0 {
-                    self.groups.remove(key);
+        match self.groups.entry(Key::of(&self.def.key_columns, values)) {
+            btree_map::Entry::Occupied(mut slot) => {
+                count(slot.get_mut());
+                if slot.get().rows == 0 {
+                    slot.remove();
                 }
             }
-            None => {
-                let mut acc = GroupAcc { rows: 0, cols: vec![ColAcc::default(); agg_columns.len()] };
-                count(&mut acc);
-                self.groups.insert(key.to_vec(), acc);
+            btree_map::Entry::Vacant(slot) => {
+                count(slot.insert(GroupAcc { rows: 0, cols: vec![ColAcc::default(); agg_columns.len()] }))
             }
         }
     }

@@ -6,14 +6,109 @@
 //! B-tree indexes for ordered/range access. Indexes may be composite
 //! (multiple key columns) and may enforce uniqueness.
 //!
-//! An index never owns tuples — it maps key value vectors to [`RowId`]s
-//! and is maintained by [`Table`](crate::table::Table) mutation paths.
+//! An index never owns tuples — it maps [`Key`]s to [`RowId`]s and is
+//! maintained by [`Table`](crate::table::Table) mutation paths. A
+//! one-column key — most are — is its value, held inline in the map
+//! entry; a composite key is one allocation (and a Text value, as
+//! anywhere, its string). A key is looked up by the slice of its values
+//! either way.
+//!
+//! [`Index::build`] is the one way an index is made from rows (snapshot
+//! load, `create_index`'s backfill): one hash pass groups the rows by
+//! key, and a B-tree then sorts only the distinct keys and is filled
+//! bottom-up. A B-tree over few distinct keys — voter's 500 contestants
+//! over every vote — sorts 500 entries instead of one per row. The price
+//! is paid by a large B-tree whose keys are all distinct: it hashes every
+//! row, then sorts them all out of hash order. At 150 000 rows that is
+//! ≈ 1.6× a plain sort of random keys and ≈ 3.7× one of keys that arrive
+//! in order, which a sort finds already sorted. No workload has one.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::{btree_map, BTreeMap};
+use std::hash::{Hash, Hasher};
 
 use sstore_common::hash::FxHashMap;
 use sstore_common::{Error, Result, RowId, Value};
+
+/// The values of an index's key columns, in key order. Hashes, compares
+/// and orders exactly as that slice does (the `Borrow<[Value]>`
+/// contract), so a map keyed by `Key` is looked up by `&[Value]` with no
+/// key built.
+#[derive(Debug, Clone)]
+pub enum Key {
+    /// A one-column key: the value itself, no allocation.
+    One(Value),
+    /// Any other number of columns.
+    Many(Box<[Value]>),
+}
+
+impl Key {
+    /// The key at `columns` of a row's `values`.
+    pub(crate) fn of(columns: &[usize], values: &[Value]) -> Key {
+        match columns {
+            &[c] => Key::One(values[c].clone()),
+            cols => Key::Many(cols.iter().map(|&c| values[c].clone()).collect()),
+        }
+    }
+
+    /// The key's values, in key order.
+    pub fn as_slice(&self) -> &[Value] {
+        match self {
+            Key::One(v) => std::slice::from_ref(v),
+            Key::Many(vs) => vs,
+        }
+    }
+}
+
+impl From<Vec<Value>> for Key {
+    fn from(mut values: Vec<Value>) -> Self {
+        match values.len() {
+            1 => Key::One(values.pop().expect("one value")),
+            _ => Key::Many(values.into_boxed_slice()),
+        }
+    }
+}
+
+impl Borrow<[Value]> for Key {
+    fn borrow(&self) -> &[Value] {
+        self.as_slice()
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Key::One(a), Key::One(b)) => a == b,
+            _ => self.as_slice() == other.as_slice(),
+        }
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Two one-column keys — a B-tree's descent, most often — compare
+        // as their values, which is what their slices do.
+        match (self, other) {
+            (Key::One(a), Key::One(b)) => a.cmp(b),
+            _ => self.as_slice().cmp(other.as_slice()),
+        }
+    }
+}
 
 /// Physical index kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +134,8 @@ pub struct IndexDef {
 
 impl IndexDef {
     /// Extracts this index's key from a row's values.
-    pub fn key_of(&self, values: &[Value]) -> Vec<Value> {
-        self.key_columns.iter().map(|&i| values[i].clone()).collect()
+    pub fn key_of(&self, values: &[Value]) -> Key {
+        Key::of(&self.key_columns, values)
     }
 
     /// The error a second row under one key of this (unique) index is.
@@ -107,40 +202,13 @@ fn remove_posting(slot: &mut Postings, row: RowId) -> (bool, bool) {
     }
 }
 
-/// Sorts `count` `(key, row)` pairs by key, then row id, and groups
-/// them into one entry per distinct key, ascending. Rows need not
-/// arrive in id order (a table's backfill does hand them over so).
-fn sorted_run<K: Ord>(
-    def: &IndexDef,
-    count: usize,
-    keyed: impl Iterator<Item = (K, RowId)>,
-    into_key: impl Fn(K) -> Vec<Value>,
-) -> Result<Vec<(Vec<Value>, Postings)>> {
-    let mut sorted: Vec<(K, RowId)> = Vec::with_capacity(count);
-    sorted.extend(keyed);
-    sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut run = Vec::new();
-    let mut sorted = sorted.into_iter().peekable();
-    while let Some((key, row)) = sorted.next() {
-        let mut postings = Postings::One(row);
-        while let Some((_, next)) = sorted.next_if(|(k, _)| *k == key) {
-            if def.unique {
-                return Err(def.violation(&into_key(key)));
-            }
-            postings.push(next);
-        }
-        run.push((into_key(key), postings));
-    }
-    Ok(run)
-}
-
 /// The physical index payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IndexData {
     /// Hash-backed.
-    Hash(FxHashMap<Vec<Value>, Postings>),
+    Hash(FxHashMap<Key, Postings>),
     /// B-tree-backed.
-    BTree(BTreeMap<Vec<Value>, Postings>),
+    BTree(BTreeMap<Key, Postings>),
 }
 
 /// An index: definition plus payload.
@@ -161,45 +229,35 @@ impl Index {
         Index { def, data }
     }
 
-    /// Builds an index over `count` existing rows in one pass — the one
-    /// "index from rows" routine, shared by snapshot bulk load and
+    /// Builds an index over `count` existing rows — the one "index from
+    /// rows" routine, shared by snapshot bulk load and
     /// [`Table::create_index`](crate::table::Table::create_index)'s
-    /// backfill. A hash index is reserved to the row count up front; a
-    /// B-tree is built bottom-up from one sorted run instead of by
-    /// `count` root-to-leaf inserts. Rows under one key end up in id
-    /// order whatever order they arrive in. A second row under one key
-    /// of a unique index is an [`Error::UniqueViolation`].
+    /// backfill (module docs). One hash pass, reserved to the row count
+    /// up front, groups the rows by key; a hash index is that map, and a
+    /// B-tree sorts its distinct keys and is built bottom-up from them
+    /// instead of by `count` root-to-leaf inserts. Rows under one key
+    /// end up in id order whatever order they arrive in. A second row
+    /// under one key of a unique index is an [`Error::UniqueViolation`].
     pub fn build<'r>(
         def: IndexDef,
         count: usize,
         rows: impl Iterator<Item = (RowId, &'r [Value])>,
     ) -> Result<Self> {
-        let data = match def.kind {
-            IndexKind::Hash => {
-                let mut m = FxHashMap::with_capacity_and_hasher(count, Default::default());
-                for (row, values) in rows {
-                    match m.entry(def.key_of(values)) {
-                        Entry::Vacant(slot) => {
-                            slot.insert(Postings::One(row));
-                        }
-                        Entry::Occupied(slot) if def.unique => {
-                            return Err(def.violation(slot.key()));
-                        }
-                        Entry::Occupied(mut slot) => slot.get_mut().push(row),
-                    }
+        let mut groups = FxHashMap::with_capacity_and_hasher(count, Default::default());
+        for (row, values) in rows {
+            match groups.entry(def.key_of(values)) {
+                Entry::Vacant(slot) => {
+                    slot.insert(Postings::One(row));
                 }
-                IndexData::Hash(m)
+                Entry::Occupied(slot) if def.unique => return Err(def.violation(slot.key().as_slice())),
+                Entry::Occupied(mut slot) => slot.get_mut().push(row),
             }
+        }
+        let data = match def.kind {
+            IndexKind::Hash => IndexData::Hash(groups),
             IndexKind::BTree => {
-                // A one-column key — most are — sorts as the bare value:
-                // no allocation per row and nothing to chase per
-                // comparison; only distinct keys become vectors.
-                let run = match def.key_columns[..] {
-                    [col] => {
-                        sorted_run(&def, count, rows.map(|(row, v)| (v[col].clone(), row)), |k| vec![k])
-                    }
-                    _ => sorted_run(&def, count, rows.map(|(row, v)| (def.key_of(v), row)), |k| k),
-                }?;
+                let mut run: Vec<(Key, Postings)> = groups.into_iter().collect();
+                run.sort_unstable_by(|a, b| a.0.cmp(&b.0));
                 // `from_iter` on a sorted, duplicate-free run is std's
                 // bulk build: leaves are filled left to right.
                 IndexData::BTree(BTreeMap::from_iter(run))
@@ -219,6 +277,18 @@ impl Index {
     /// True if `key` is present with at least one row.
     pub fn contains_key(&self, key: &[Value]) -> bool {
         !self.get(key).is_empty()
+    }
+
+    /// Errs if this index is unique and already holds the key of a row
+    /// with `values` — the check a table makes before any index moves.
+    pub(crate) fn admits(&self, values: &[Value]) -> Result<()> {
+        if self.def.unique {
+            let key = self.def.key_of(values);
+            if self.contains_key(key.as_slice()) {
+                return Err(self.def.violation(key.as_slice()));
+            }
+        }
+        Ok(())
     }
 
     /// Rows carrying exactly `key` (empty slice if none).
@@ -241,7 +311,8 @@ impl Index {
 
     /// Inserts a `(key, row)` pair. The caller (the table) has already
     /// checked uniqueness; this is pure maintenance.
-    pub fn insert(&mut self, key: Vec<Value>, row: RowId) {
+    pub fn insert(&mut self, key: impl Into<Key>, row: RowId) {
+        let key = key.into();
         match &mut self.data {
             IndexData::Hash(m) => {
                 m.entry(key).and_modify(|p| p.push(row)).or_insert(Postings::One(row));
@@ -255,7 +326,8 @@ impl Index {
     /// Removes a `(key, row)` pair. Returns whether the pair was found.
     /// The key is taken whole so that finding the entry and dropping it
     /// once empty are one descent, not two.
-    pub fn remove(&mut self, key: Vec<Value>, row: RowId) -> bool {
+    pub fn remove(&mut self, key: impl Into<Key>, row: RowId) -> bool {
+        let key = key.into();
         match &mut self.data {
             IndexData::Hash(m) => {
                 let Entry::Occupied(mut slot) = m.entry(key) else { return false };
@@ -290,7 +362,7 @@ impl Index {
 /// the index — nothing is cloned. `next` walks up the key order,
 /// `next_back` down it.
 #[derive(Debug, Clone)]
-pub struct Cursor<'a>(btree_map::Iter<'a, Vec<Value>, Postings>);
+pub struct Cursor<'a>(btree_map::Iter<'a, Key, Postings>);
 
 impl<'a> Iterator for Cursor<'a> {
     type Item = (&'a [Value], &'a [RowId]);
@@ -408,7 +480,7 @@ mod tests {
             unique: true,
         };
         let vals = [Value::Int(1), Value::Int(2), Value::Int(3)];
-        assert_eq!(d.key_of(&vals), vec![Value::Int(3), Value::Int(1)]);
+        assert_eq!(d.key_of(&vals).as_slice(), [Value::Int(3), Value::Int(1)]);
     }
 
     #[test]

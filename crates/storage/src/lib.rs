@@ -25,5 +25,5 @@ pub mod table;
 
 pub use catalog::Catalog;
 pub use group::{ColAcc, GroupAcc, GroupIndex, GroupIndexDef};
-pub use index::{IndexData, IndexDef, IndexKind};
+pub use index::{IndexData, IndexDef, IndexKind, Key};
 pub use table::{ScanChunks, Table, TableKind};

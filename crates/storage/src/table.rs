@@ -401,19 +401,13 @@ impl Table {
         if at.is_ok_and(|at| self.rows[at].1.is_some()) {
             return Err(Error::Internal(format!("row id {id} already live in {}", self.name)));
         }
-        // Compute each index's key once, checking all unique constraints
-        // *before* touching any index so a failed insert leaves the
-        // table untouched.
-        let mut keys: Vec<Vec<Value>> = Vec::with_capacity(self.indexes.len());
+        // Check every unique constraint *before* touching any index so a
+        // failed insert leaves the table untouched.
         for ix in &self.indexes {
-            let key = ix.def.key_of(tuple.values());
-            if ix.def.unique && ix.contains_key(&key) {
-                return Err(ix.def.violation(&key));
-            }
-            keys.push(key);
+            ix.admits(tuple.values())?;
         }
-        for (ix, key) in self.indexes.iter_mut().zip(keys) {
-            ix.insert(key, id);
+        for ix in &mut self.indexes {
+            ix.insert(ix.def.key_of(tuple.values()), id);
         }
         let live = self.len();
         self.group_indexes.iter_mut().for_each(|g| g.apply(tuple.values(), true, live));
@@ -476,11 +470,8 @@ impl Table {
         // unique check passes before any index moves.
         let old = self.rows[at].1.as_ref().expect("located a live row").values();
         let moved = |ix: &Index| ix.def.key_columns.iter().any(|&c| old[c] != new.values()[c]);
-        for ix in self.indexes.iter().filter(|ix| ix.def.unique && moved(ix)) {
-            let new_key = ix.def.key_of(new.values());
-            if ix.contains_key(&new_key) {
-                return Err(ix.def.violation(&new_key));
-            }
+        for ix in self.indexes.iter().filter(|ix| moved(ix)) {
+            ix.admits(new.values())?;
         }
         for ix in self.indexes.iter_mut().filter(|ix| moved(ix)) {
             ix.remove(ix.def.key_of(old), id);

@@ -11,7 +11,7 @@
 //! highest live id.
 
 use proptest::prelude::*;
-use sstore_common::{Column, DataType, RowId, Schema, Tuple, Value};
+use sstore_common::{Column, DataType, Error, RowId, Schema, Tuple, Value};
 use sstore_storage::index::IndexDef;
 use sstore_storage::snapshot::{decode_catalog, encode_catalog};
 use sstore_storage::{Catalog, IndexKind, Table, TableKind};
@@ -67,7 +67,7 @@ fn row(schema: &Schema, cells: &[i64]) -> Tuple {
     Tuple::new(values)
 }
 
-/// Index `i` from its seed: hash/B-tree × unique/not, one or two key
+/// Index `i` from its seed: hash/B-tree × unique/not, one to three key
 /// columns (composite keys may name a column twice).
 fn index_defs(ncols: usize, seeds: &[(u8, Vec<usize>)]) -> Vec<IndexDef> {
     seeds
@@ -114,7 +114,8 @@ fn assert_same(bulk: &Table, reference: &Table) -> Result<(), TestCaseError> {
         let (b, r) = (bulk.index(&def.name).unwrap(), reference.index(&def.name).unwrap());
         prop_assert_eq!(b.distinct_keys(), r.distinct_keys());
         // Every present key, then some absent ones.
-        let mut keys: Vec<Vec<Value>> = rows.iter().map(|(_, t)| def.key_of(t.values())).collect();
+        let mut keys: Vec<Vec<Value>> =
+            rows.iter().map(|(_, t)| def.key_of(t.values()).as_slice().to_vec()).collect();
         keys.push(def.key_columns.iter().map(|_| Value::Int(99)).collect());
         keys.push(def.key_columns.iter().map(|_| Value::Null).collect());
         for key in &keys {
@@ -139,7 +140,7 @@ proptest! {
         ncols in 1usize..MAX_COLS + 1,
         types in proptest::collection::vec(0u8..6, MAX_COLS..MAX_COLS + 1),
         index_seeds in proptest::collection::vec(
-            (0u8..4, proptest::collection::vec(0usize..MAX_COLS, 1..3)),
+            (0u8..4, proptest::collection::vec(0usize..MAX_COLS, 1..4)),
             0..4,
         ),
         history in proptest::collection::vec(op(), 0..120),
@@ -175,5 +176,27 @@ proptest! {
             prop_assert_eq!(apply(bulk, op), apply(&mut reference, op), "{:?}", op);
         }
         assert_same(bulk, &reference)?;
+    }
+}
+
+/// A unique B-tree built over rows that hold a duplicate is refused,
+/// and the error names the duplicated key — one column or three — not
+/// some other key the build passed.
+#[test]
+fn a_duplicate_under_a_unique_btree_is_refused_naming_its_key() {
+    let schema = schema(3, &[0, 2, 1]);
+    for (key_columns, want) in [(vec![0], "3"), (vec![0, 1, 2], "3,'s3',1.5")] {
+        let mut table = Table::new("t", TableKind::Base, schema.clone());
+        for c in [1i64, 3, 2, 5, 3, 4] {
+            table.insert(row(&schema, &[c, c, c])).unwrap();
+        }
+        let def = IndexDef { name: "u".into(), key_columns, kind: IndexKind::BTree, unique: true };
+        match table.create_index(def) {
+            Err(Error::UniqueViolation { index, key }) => {
+                assert_eq!((index.as_str(), key.as_str()), ("u", want))
+            }
+            other => panic!("expected a unique violation, got {other:?}"),
+        }
+        assert!(table.index("u").is_none(), "a refused index is not added");
     }
 }

@@ -131,3 +131,32 @@ proptest! {
         }
     }
 }
+
+/// Routing is a durable contract: replay and every partitioned placement
+/// (Linear Road's x-ways included) depend on a key landing where it
+/// always has. The two tests above compare runs of one build, so they
+/// cannot see a changed route; this table can. Its entries are
+/// `hash_partition(key, n)` for n = 2, 3 and 4, as first recorded — a
+/// change to them moves data between partitions of an existing engine.
+#[test]
+fn every_key_routes_where_it_always_has() {
+    // Int(-8) through Int(16).
+    const INTS: [[usize; 3]; 25] = [
+        [1, 2, 3], [0, 1, 1], [0, 0, 0], [0, 0, 0], [0, 1, 1], [0, 0, 0], [0, 0, 0], [1, 1, 2],
+        [0, 1, 1], [1, 1, 2], [1, 2, 3], [0, 0, 0], [0, 1, 1], [0, 0, 0], [0, 0, 0], [0, 0, 1],
+        [0, 0, 0], [0, 0, 0], [0, 1, 1], [0, 1, 1], [0, 1, 1], [1, 2, 3], [0, 1, 1], [0, 0, 0],
+        [1, 1, 2],
+    ];
+    let mut table: Vec<(Value, [usize; 3])> =
+        (-8i64..=16).zip(INTS).map(|(k, p)| (Value::Int(k), p)).collect();
+    table.extend([
+        (Value::Text("phone".into()), [0, 0, 0]),
+        (Value::Text("x-way 7".into()), [0, 1, 1]),
+        (Value::Float(2.5), [1, 1, 2]),
+        (Value::Null, [0, 0, 0]),
+    ]);
+    for (key, want) in table {
+        let got = [2, 3, 4].map(|n| hash_partition(&key, n));
+        assert_eq!(got, want, "{key:?} on 2, 3 and 4 partitions");
+    }
+}
