@@ -385,7 +385,7 @@ pub(crate) fn spawn_partition(
         let pid = ids
             .proc_id(&p.name)
             .ok_or_else(|| Error::not_found("procedure", &p.name))?;
-        let stmts = proc_stmts.get(&p.name).cloned().unwrap_or_default();
+        let stmts = proc_stmts.get(&p.name).into_iter().flatten().map(|(n, &id)| (n.clone(), id)).collect();
         let outputs = p
             .outputs
             .iter()

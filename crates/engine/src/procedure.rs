@@ -7,9 +7,9 @@
 //! the EE boundary, exactly like H-Store procedures whose Java half can
 //! touch data only via SQL.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use sstore_common::hash::FxHashMap;
 use sstore_common::{BatchId, Error, ProcId, Result, TableId, Tuple, Value};
 use sstore_sql::QueryResult;
 
@@ -21,8 +21,9 @@ use crate::ee::StmtId;
 pub struct CompiledProc {
     /// Procedure name (lower-cased, shared).
     pub name: Arc<str>,
-    /// Named statements → EE statement ids.
-    pub stmts: HashMap<String, StmtId>,
+    /// Named statements → EE statement ids, looked up on every
+    /// [`ProcCtx::sql`] call.
+    pub stmts: FxHashMap<String, StmtId>,
     /// Streams this procedure is declared to emit to, with their
     /// interned ids (resolved once at install — `emit` does no lookup).
     pub outputs: Vec<(String, TableId)>,
@@ -145,13 +146,14 @@ mod tests {
     fn compiled_proc_shape() {
         let p = CompiledProc {
             name: "validate".into(),
-            stmts: HashMap::from([("check".into(), 0usize), ("record".into(), 1usize)]),
+            stmts: FxHashMap::from_iter([("check".into(), 0usize), ("record".into(), 1usize)]),
             outputs: vec![("validated".into(), TableId(0))],
             exchange_outputs: Vec::new(),
             align_outputs: Vec::new(),
             children: Vec::new(),
         };
         assert_eq!(p.stmts.len(), 2);
+        assert_eq!(p.stmts.get("record"), Some(&1), "looked up by a borrowed name");
         assert!(p.children.is_empty());
     }
 }

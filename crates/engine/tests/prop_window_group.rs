@@ -36,14 +36,28 @@ fn schema() -> Schema {
 
 /// The grouped statements registered against each window (`{w}`): all
 /// shapes a group index answers, with the edge's clauses on top — one
-/// whose projection fails on some groups, one whose HAVING filters.
-const QUERIES: [&str; 5] = [
+/// whose projection fails on some groups, one whose HAVING filters —
+/// then top-k by `COUNT(*)`, which walk the count order and stop early:
+/// ties broken by the leading keys ascending or by arrival (the walk may
+/// stop inside a run), by a key descending or a later key (it stops at a
+/// run's end), Text, NULL and two-column keys, a summed column behind the
+/// overflow guard, no keys, `LIMIT 1` and a LIMIT past the number of
+/// groups.
+const QUERIES: [&str; 13] = [
     "SELECT k, COUNT(*), SUM(v), COUNT(v) FROM {w} GROUP BY k",
     "SELECT s, k, COUNT(*) FROM {w} GROUP BY s, k HAVING COUNT(*) > 1 \
      ORDER BY COUNT(*) DESC, s LIMIT 3",
     "SELECT SUM(v), COUNT(*), COUNT(s) FROM {w}",
     "SELECT k, 100 / SUM(v) FROM {w} GROUP BY k",
     "SELECT s, SUM(v) FROM {w} GROUP BY s ORDER BY SUM(v) DESC, s",
+    "SELECT 'trend', k, COUNT(*) FROM {w} GROUP BY k ORDER BY COUNT(*) DESC, k LIMIT 2",
+    "SELECT s, COUNT(*) FROM {w} GROUP BY s ORDER BY COUNT(*) LIMIT 2",
+    "SELECT s, k, COUNT(*) FROM {w} GROUP BY s, k ORDER BY COUNT(*) DESC, s DESC LIMIT 3",
+    "SELECT k, SUM(v), COUNT(*) FROM {w} GROUP BY k ORDER BY COUNT(*) DESC LIMIT 1",
+    "SELECT s, COUNT(*) FROM {w} GROUP BY s ORDER BY COUNT(*), s DESC LIMIT 50",
+    "SELECT COUNT(*), SUM(v) FROM {w} ORDER BY COUNT(*) DESC LIMIT 1",
+    "SELECT s, k, COUNT(*) FROM {w} GROUP BY s, k ORDER BY COUNT(*), s, k LIMIT 3",
+    "SELECT s, k, COUNT(*) FROM {w} GROUP BY s, k ORDER BY COUNT(*) DESC, k LIMIT 3",
 ];
 
 const WINDOWS: [&str; 2] = ["tw", "ew"];
@@ -99,19 +113,22 @@ fn arrival(clock: i64, (dt, k, s, v): (u8, u8, u8, u8)) -> Tuple {
 
 /// Statements answered from a group index, over every case of the run.
 static ANSWERED: AtomicU64 = AtomicU64::new(0);
+/// Groups visited by count walks, over every case of the run.
+static WALKED: AtomicU64 = AtomicU64::new(0);
 
 /// Every registered statement, run as the engine runs it, against the
 /// same plan forced to scan; then the indexes against their rows.
 fn check(ee: &mut ExecutionEngine, map: &ProcStmtMap, sh: Shape) -> Result<(), TestCaseError> {
     for (w, overlaps) in [("tw", sh.slide < sh.size), ("ew", sh.panes > 1)] {
-        let reads = ee.table_stats(w).unwrap().group_reads();
+        let stats = |ee: &ExecutionEngine| ee.table_stats(w).unwrap().clone();
+        let before = stats(ee);
         for (i, q) in QUERIES.iter().enumerate() {
             let sql = q.replace("{w}", w);
             let BoundStatement::Select(planned) = Planner::new(ee.catalog()).plan_sql(&sql).unwrap()
             else {
                 unreachable!()
             };
-            prop_assert_eq!(matches!(planned.from.access, Access::GroupIndex(_)), overlaps, "{}", sql);
+            prop_assert_eq!(matches!(planned.from.access, Access::GroupIndex { .. }), overlaps, "{}", sql);
             let mut forced = planned.clone();
             forced.from.access = Access::FullScan;
             let scanned = run_select_rows(ee.catalog(), &forced, &[]);
@@ -130,7 +147,9 @@ fn check(ee: &mut ExecutionEngine, map: &ProcStmtMap, sh: Shape) -> Result<(), T
                 _ => prop_assert!(false, "{}: index {:?}, scan {:?}", sql, answered, scanned),
             }
         }
-        ANSWERED.fetch_add(ee.table_stats(w).unwrap().group_reads() - reads, Ordering::Relaxed);
+        let after = stats(ee);
+        ANSWERED.fetch_add(after.group_reads() - before.group_reads(), Ordering::Relaxed);
+        WALKED.fetch_add(after.ordered_visits() - before.ordered_visits(), Ordering::Relaxed);
         ee.catalog().table(w).unwrap().verify().unwrap();
         ee.verify_window(ee.table_id(w).unwrap()).unwrap();
     }
@@ -263,4 +282,6 @@ fn statements_read_off_a_group_index_equal_the_same_plan_scanning() {
     // and did fall back from it (small windows, write-heavy stretches).
     let answered = ANSWERED.load(Ordering::Relaxed);
     assert!(answered > 2_000, "{answered} statements answered from a group index");
+    let walked = WALKED.load(Ordering::Relaxed);
+    assert!(walked > 10_000, "{walked} groups visited by count walks");
 }

@@ -31,6 +31,15 @@
 //!   ([`Edge::offer_group`]), provided they arrive in ascending key order
 //!   and the key type has one representation per equality class (Int,
 //!   Text, Bool — not Float, where `1.0` and an Int `1` share a group).
+//!   They may also arrive in count runs when `COUNT(*)` is the first
+//!   ORDER BY key (`exec.rs`'s count walk), best run first and each run
+//!   in ascending key order: groups tied on the count take their sequence
+//!   numbers in the order a scan gives. The walk stops at a run boundary
+//!   with the edge full — or at any group past a full edge when the keys
+//!   after `COUNT(*)` are the leading group keys ascending, or none, so
+//!   that a group loses every tie to the earlier groups of its run — and
+//!   every group it skips orders after every group held: the index
+//!   walk's argument, over groups, under the same rule on what may fail.
 //! * The result is ordered by the ORDER BY keys, each under `cmp_total`
 //!   in its own direction (so NULL is lowest: first ascending, last
 //!   descending; NaNs order by `f64::total_cmp`; Int and Float compare
@@ -137,6 +146,12 @@ pub(crate) fn late_projections(s: &BoundSelect) -> bool {
     s.projections.iter().all(|p| is_ref(s, p))
 }
 
+/// True when every ORDER BY key of `s` is a bare reference ([`RefKeys`]):
+/// reading them cannot fail.
+pub(crate) fn ref_keys(s: &BoundSelect) -> bool {
+    s.order_by.iter().all(|(e, _)| is_ref(s, e))
+}
+
 /// True when `e` only names a value the candidate already holds (or a
 /// literal): reading it cannot fail and builds nothing.
 fn is_ref(s: &BoundSelect, e: &BoundExpr) -> bool {
@@ -186,7 +201,7 @@ impl<'r> Edge<'r> {
             params,
             limit,
             late,
-            ref_keys: s.order_by.iter().all(|(e, _)| is_ref(s, e)),
+            ref_keys: ref_keys(s),
             seq: 0,
             heaped: false,
             kept: Vec::new(),

@@ -22,9 +22,9 @@ use std::borrow::Cow;
 use sstore_common::hash::FxHashMap;
 
 use sstore_common::{Result, RowId, TableId, Tuple, Value};
-use sstore_storage::{Catalog, GroupAcc, GroupIndexDef, Table};
+use sstore_storage::{Catalog, ColAcc, GroupIndexDef, Table};
 
-use crate::ast::AggFunc;
+use crate::ast::{AggFunc, SortOrder};
 use crate::edge::{Edge, Groups};
 use crate::expr::{BoundExpr, EvalCtx};
 use crate::plan::{Access, BoundInsert, BoundScan, BoundSelect, BoundStatement};
@@ -153,7 +153,7 @@ pub fn execute(
 /// A statement about to read a group index tells it so: that is how
 /// the index learns how often it is read (`storage::group`).
 fn refresh_for_read(catalog: &mut Catalog, s: &BoundSelect) {
-    if let Access::GroupIndex(def) = &s.from.access {
+    if let Access::GroupIndex { def, .. } = &s.from.access {
         catalog.get_mut(s.from.table).refresh_group_index(def);
     }
 }
@@ -243,7 +243,7 @@ fn candidate_rows(
             Some(key) => table.lookup_eq(key_cols, &key),
             None => all(),
         },
-        Access::FullScan | Access::IndexOrder { .. } | Access::GroupIndex(_) => all(),
+        Access::FullScan | Access::IndexOrder { .. } | Access::GroupIndex { .. } => all(),
     };
     if let Some(pred) = residual {
         let mut kept = Vec::with_capacity(ids.len());
@@ -281,8 +281,8 @@ pub fn run_select(catalog: &Catalog, s: &BoundSelect, params: &[Value]) -> Resul
 /// row-at-a-time pipeline.
 /// All produce bit-identical results.
 pub fn run_select_rows(catalog: &Catalog, s: &BoundSelect, params: &[Value]) -> Result<Vec<Tuple>> {
-    if let Access::GroupIndex(def) = &s.from.access {
-        if let Some(rows) = read_group_index(catalog.get(s.from.table), s, params, def) {
+    if let Access::GroupIndex { def, by_count } = &s.from.access {
+        if let Some(rows) = read_group_index(catalog.get(s.from.table), s, params, def, *by_count) {
             return rows;
         }
     }
@@ -320,7 +320,7 @@ pub fn run_select_rows_rowwise(
                 .collect(),
             None => all(),
         },
-        Access::FullScan | Access::IndexOrder { .. } | Access::GroupIndex(_) => all(),
+        Access::FullScan | Access::IndexOrder { .. } | Access::GroupIndex { .. } => all(),
     };
 
     // 2. Joins, left-deep. Only here do rows become owned (the
@@ -486,16 +486,24 @@ fn walk_index_order(
 /// maintained counts and sums and offered to the edge exactly as
 /// [`Groups::finish`] offers a scanned group, so HAVING, projections,
 /// ORDER BY and LIMIT — and the order their errors surface in — are the
-/// scan's. `None` sends the caller to the scan: the table does not carry
-/// the index, or some group's summed magnitudes pass `i64::MAX`, the only
-/// case where the scan's checked running SUM can overflow at some row.
+/// scan's. With `by_count` the groups come in count runs from that end
+/// instead, each run in key order, and the read stops at the first run
+/// boundary where the edge is full: every later group orders after every
+/// group held, on the count alone (`edge.rs`'s ordering contract) — or,
+/// where the ORDER BY breaks ties on the key ascending or not at all, at
+/// the first group past a full edge, which loses its tie to every group
+/// of its run already offered. `None` sends the caller to the scan: the
+/// table does not carry the index, or some group's summed magnitudes pass
+/// `i64::MAX`, the only case where the scan's checked running SUM can
+/// overflow at some row.
 fn read_group_index(
     base: &Table,
     s: &BoundSelect,
     params: &[Value],
     def: &GroupIndexDef,
+    by_count: Option<SortOrder>,
 ) -> Option<Result<Vec<Tuple>>> {
-    let current = || base.group_index(def).and_then(|ix| ix.groups());
+    let ix = base.group_index(def)?;
     // Per aggregate: `None` for COUNT(*), else its column's accumulator.
     let cols: Vec<Option<usize>> = s
         .aggs
@@ -506,31 +514,46 @@ fn read_group_index(
             Some(_) => None,
         })
         .collect::<Option<_>>()?;
-    // The Σ|v| guard, over every tracked column (one only counted may
-    // send a statement to the scan it did not need; none misses one).
-    let fits = |acc: &GroupAcc| acc.cols.iter().all(|c| i64::try_from(c.abs).is_ok());
-    if !def.agg_columns.is_empty() && !current()?.all(|(_, acc)| fits(acc)) {
+    // A sum that may have overflowed is the scan's to report. Aggregation
+    // without GROUP BY yields one group over no rows too: the index holds
+    // none for it, and the scan of an empty table is free.
+    if !ix.sums_fit() || (s.group_by.is_empty() && ix.groups()?.next().is_none()) {
         return None;
     }
     let mut edge = Edge::new(s, params);
     let mut aggs = Vec::with_capacity(cols.len());
-    let mut offer = |key: &[Value], acc: &GroupAcc| {
+    let mut offer = |edge: &mut Edge<'_>, key: &[Value], rows: u64, tracked: &[ColAcc]| {
         aggs.clear();
-        aggs.extend(s.aggs.iter().zip(&cols).map(|(spec, col)| match col.map(|i| &acc.cols[i]) {
-            None => Value::Int(acc.rows as i64),
+        aggs.extend(s.aggs.iter().zip(&cols).map(|(spec, col)| match col.map(|i| &tracked[i]) {
+            None => Value::Int(rows as i64),
             Some(c) if spec.func == AggFunc::Count => Value::Int(c.non_null as i64),
             Some(c) if c.non_null == 0 => Value::Null,
             Some(c) => Value::Int(c.sum as i64),
         }));
         edge.offer_group(key, &aggs)
     };
-    let mut groups = current()?.peekable();
-    // Aggregation without GROUP BY yields one group over no rows too: the
-    // index holds none for it, and the scan of an empty table is free.
-    if s.group_by.is_empty() && groups.peek().is_none() {
-        return None;
-    }
-    let offered = groups.try_for_each(|(key, acc)| offer(key, acc));
+    let offered = match by_count {
+        None => ix.groups()?.try_for_each(|(key, acc)| offer(&mut edge, key, acc.rows, &acc.cols)),
+        Some(order) => {
+            // A group later in its run loses every tie to the ones before
+            // it when the keys after COUNT(*) are the leading GROUP BY keys
+            // ascending, or none (arrival decides).
+            let ties_lose = s.order_by[1..].iter().enumerate().all(|(i, (e, o))| {
+                *o == SortOrder::Asc && matches!(e, BoundExpr::Column(c) if *c == i)
+            });
+            let (mut run, mut visited, mut offered) = (None, 0, Ok(()));
+            for (key, rows, tracked) in ix.by_count(order == SortOrder::Desc)? {
+                // A full edge holds every group that orders before this one.
+                if (ties_lose || run != Some(rows)) && edge.is_full() || offered.is_err() {
+                    break;
+                }
+                (run, visited) = (Some(rows), visited + 1);
+                offered = offer(&mut edge, key, rows, tracked);
+            }
+            base.stats().record_ordered_visits(visited);
+            offered
+        }
+    };
     base.stats().record_group_read();
     Some(offered.and_then(|()| edge.finish()))
 }

@@ -62,6 +62,18 @@
 //!   does not — or the index is missing, or behind its table — the
 //!   execution falls back to the scan (`exec.rs`), so an error surfaces
 //!   exactly when it did.
+//!
+//!   A trending board — `ORDER BY COUNT(*) … LIMIT k` — need not see
+//!   every group: the index also keeps its groups in count order, and
+//!   the read walks count runs from the best end, each in key order, and
+//!   stops once the edge holds `k` groups that every later one orders
+//!   after (`by_count`, decided here by [`count_walk`]; where it stops is
+//!   `exec.rs`'s). The groups it never reaches are never
+//!   offered, so nothing the edge evaluates for them may be able to fail:
+//!   the statement qualifies when its first ORDER BY key is `COUNT(*)`
+//!   (either direction), it has a LIMIT, no HAVING, late projections and
+//!   bare-reference ORDER BY keys — `Access::IndexOrder`'s rule, over
+//!   groups.
 
 use sstore_common::{DataType, Error, Result, Schema, TableId};
 use sstore_storage::{Catalog, GroupIndexDef, IndexKind};
@@ -102,7 +114,13 @@ pub enum Access {
     /// (the module docs state which statements qualify). If the table
     /// does not carry it at execution time, or a group's integer sum
     /// could have overflowed on the way, the statement scans instead.
-    GroupIndex(GroupIndexDef),
+    GroupIndex {
+        /// The group index read.
+        def: GroupIndexDef,
+        /// `ORDER BY COUNT(*)`'s direction, when the statement may walk
+        /// the index's count order from that end and stop early.
+        by_count: Option<SortOrder>,
+    },
 }
 
 /// A bound base-table scan.
@@ -436,7 +454,7 @@ impl<'a> Planner<'a> {
         let base = self.catalog.get(table_id);
         if let Some(def) = group_index_shape(&select, base.schema()) {
             if base.group_index(&def).is_some() {
-                select.from.access = Access::GroupIndex(def);
+                select.from.access = Access::GroupIndex { def, by_count: count_walk(&select) };
             }
         }
         Ok(select)
@@ -646,6 +664,16 @@ pub fn group_index_shape(s: &BoundSelect, schema: &Schema) -> Option<GroupIndexD
     def.agg_columns.sort_unstable();
     def.agg_columns.dedup();
     Some(def)
+}
+
+/// The end a group-index read of `s` may walk the count order from
+/// (module docs, "GroupIndex"): its first ORDER BY key is `COUNT(*)`,
+/// and nothing it evaluates per group can fail or filter.
+fn count_walk(s: &BoundSelect) -> Option<SortOrder> {
+    let (BoundExpr::AggRef(a), order) = s.order_by.first()? else { return None };
+    let counts_rows = s.aggs.get(*a).is_some_and(|agg| agg.func == AggFunc::Count && agg.arg.is_none());
+    let cannot_fail = s.having.is_none() && crate::edge::late_projections(s) && crate::edge::ref_keys(s);
+    (counts_rows && s.limit.is_some() && cannot_fail).then_some(*order)
 }
 
 fn default_name(expr: &Expr, i: usize) -> String {
@@ -1067,12 +1095,12 @@ mod tests {
     #[test]
     fn group_index_chosen_for_every_shape_it_can_answer() {
         let c = grouped();
-        let read = |key_columns: &[usize], agg_columns: &[usize]| {
-            Access::GroupIndex(GroupIndexDef {
-                key_columns: key_columns.to_vec(),
-                agg_columns: agg_columns.to_vec(),
-            })
+        let walk = |key_columns: &[usize], agg_columns: &[usize], by_count| Access::GroupIndex {
+            def: GroupIndexDef { key_columns: key_columns.to_vec(), agg_columns: agg_columns.to_vec() },
+            by_count,
         };
+        let read = |key_columns: &[usize], agg_columns: &[usize]| walk(key_columns, agg_columns, None);
+        let (asc, desc) = (Some(SortOrder::Asc), Some(SortOrder::Desc));
         for (sql, want) in [
             ("SELECT a, COUNT(*) FROM w GROUP BY a", read(&[0], &[])),
             ("SELECT a FROM w GROUP BY a", read(&[0], &[])),
@@ -1093,6 +1121,22 @@ mod tests {
                 "INSERT INTO contestants (id, name) SELECT a, 'x' FROM w GROUP BY a LIMIT 1",
                 read(&[0], &[]),
             ),
+            // A top-k by COUNT(*) walks the count order from its end.
+            (
+                "SELECT 'trend', a, COUNT(*) FROM w GROUP BY a ORDER BY COUNT(*) DESC, a LIMIT 3",
+                walk(&[0], &[], desc),
+            ),
+            ("SELECT a, SUM(b) FROM w GROUP BY a ORDER BY COUNT(*), a DESC LIMIT 1", walk(&[0], &[1], asc)),
+            ("SELECT SUM(b) FROM w ORDER BY COUNT(*) LIMIT 2", walk(&[], &[1], asc)),
+            // Nothing the walk skips may be able to fail: no HAVING, no
+            // computed projection or key; and it needs a LIMIT to stop at.
+            ("SELECT a, COUNT(*) FROM w GROUP BY a HAVING COUNT(*) > 1 ORDER BY COUNT(*) LIMIT 3", read(&[0], &[])),
+            ("SELECT a, COUNT(*) * 2 FROM w GROUP BY a ORDER BY COUNT(*) LIMIT 3", read(&[0], &[])),
+            ("SELECT a, COUNT(*) FROM w GROUP BY a ORDER BY COUNT(*), a % 2 LIMIT 3", read(&[0], &[])),
+            ("SELECT a, COUNT(*) FROM w GROUP BY a ORDER BY COUNT(*) DESC", read(&[0], &[])),
+            // The first key must be the row count itself.
+            ("SELECT a, COUNT(b) FROM w GROUP BY a ORDER BY COUNT(b) DESC LIMIT 3", read(&[0], &[1])),
+            ("SELECT a, COUNT(*) FROM w GROUP BY a ORDER BY a, COUNT(*) LIMIT 3", read(&[0], &[])),
         ] {
             assert_eq!(access(&c, sql), want, "{sql}");
         }

@@ -767,9 +767,20 @@ fn gen_select(g: &mut StdRng, tables: &[TableSpec], large: bool) -> Stmt {
         (gen_plain_items(g, &scope, &mut params), vec![], None)
     };
 
-    // ORDER BY: bare columns / aliases / group keys / aggregates.
+    // ORDER BY: bare columns / aliases / group keys / aggregates. Over a
+    // group index, one in two is a top-k by COUNT(*), with a key as
+    // tie-break or none: the shape read by walking the index's count
+    // order, which must stop where the scan's edge would have.
+    let count_top = indexed.is_some() && range(g, 2) == 0;
     let mut order_by = Vec::new();
-    if range(g, 10) < if large { 9 } else { 5 } {
+    if count_top {
+        let dir = |g: &mut StdRng| if range(g, 2) == 0 { SortOrder::Asc } else { SortOrder::Desc };
+        let count = Expr::Aggregate { func: AggFunc::Count, arg: None, distinct: false };
+        order_by.push(OrderKey { expr: count, order: dir(g) });
+        if let Some(key) = group_by.get(range(g, 2 * group_by.len().max(1))) {
+            order_by.push(OrderKey { expr: key.clone(), order: dir(g) });
+        }
+    } else if range(g, 10) < if large { 9 } else { 5 } {
         let nkeys = 1 + range(g, 2);
         for _ in 0..nkeys {
             let expr = if grouped {
@@ -796,8 +807,11 @@ fn gen_select(g: &mut StdRng, tables: &[TableSpec], large: bool) -> Stmt {
     }
 
     // LIMIT: small values engage the bounded top-K heap.
-    let limit =
-        if range(g, 10) < if large { 8 } else { 5 } { Some(range(g, 12) as u64) } else { None };
+    let limit = if count_top || range(g, 10) < if large { 8 } else { 5 } {
+        Some(range(g, 12) as u64)
+    } else {
+        None
+    };
 
     Stmt {
         stmt: Statement::Select(Select {
@@ -1159,11 +1173,16 @@ mod tests {
         assert!(indexed_tops >= 20, "{indexed_tops} SELECTs planned as an ordered index walk");
         let large: usize = (0..40).map(|seed| index_walks(&generate_large(seed))).sum();
         assert!(large >= 20, "{large} ordered index walks over the large table");
-        let reads = |access: &Access| matches!(access, Access::GroupIndex(_));
+        let reads = |access: &Access| matches!(access, Access::GroupIndex { .. });
         let grouped: usize = (0..40).map(|seed| planned(&generate(seed), reads)).sum();
         assert!(grouped >= 20, "{grouped} SELECTs planned to read a group index");
         let large: usize = (0..40).map(|seed| planned(&generate_large(seed), reads)).sum();
         assert!(large >= 20, "{large} group-index reads over the large table");
+        let walks = |access: &Access| matches!(access, Access::GroupIndex { by_count: Some(_), .. });
+        let walked: usize = (0..40).map(|seed| planned(&generate(seed), walks)).sum();
+        assert!(walked >= 20, "{walked} SELECTs planned to walk a group index's count order");
+        let large: usize = (0..40).map(|seed| planned(&generate_large(seed), walks)).sum();
+        assert!(large >= 20, "{large} count walks over the large table");
     }
 
     /// How many of the case's SELECTs the engine's planner answers by

@@ -15,7 +15,13 @@
 //! Keys live in an ordered map, so a reader meets groups in ascending
 //! key order — the order the SELECT output edge is offered groups in —
 //! without sorting them per statement. They are index [`Key`]s: a
-//! one-column key is its value, held inline.
+//! one-column key is its value, held inline. The same groups are kept a
+//! second time ordered by `(rows, key)`, touched with the map, so a
+//! `ORDER BY COUNT(*) … LIMIT k` reader walks count runs from the end it
+//! wants and stops after a few ([`GroupIndex::by_count`]) instead of
+//! offering every group. The index also counts the groups whose summed
+//! magnitudes have passed `i64::MAX`, so a reader learns whether any
+//! sum could have overflowed without visiting every group.
 //!
 //! Following every mutation pays off only if the index is read often
 //! enough. The rule is on what the index can see, not a setting: once it
@@ -29,14 +35,14 @@
 //! the same window read once per 100 arrivals only counts its mutations,
 //! and its reader pays the scan it always paid.
 
-use std::collections::{btree_map, BTreeMap};
+use std::collections::{btree_map, BTreeMap, BTreeSet};
 
 use sstore_common::Value;
 
 use crate::index::Key;
 
 /// Which `GROUP BY` a [`GroupIndex`] answers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupIndexDef {
     /// Key column positions, in `GROUP BY` order (empty: one group over
     /// the whole table).
@@ -67,11 +73,15 @@ pub struct GroupAcc {
 }
 
 /// A maintained `GROUP BY`: definition plus one entry per non-empty group.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GroupIndex {
     /// What is grouped and tracked.
     pub def: GroupIndexDef,
     groups: BTreeMap<Key, GroupAcc>,
+    /// The keys of `groups` ordered by `(rows, key)`.
+    count_order: BTreeSet<(u64, Key)>,
+    /// Groups with a tracked column whose Σ|v| does not fit an `i64`.
+    unfit: usize,
     /// Mutations of the table since the last [`GroupIndex::refresh`].
     absorbed: usize,
     /// Mutations are applied as they happen, so `groups` is the fold of
@@ -82,7 +92,7 @@ pub struct GroupIndex {
 impl GroupIndex {
     /// The index over `rows`, following.
     pub fn build<'r>(def: GroupIndexDef, rows: impl Iterator<Item = &'r [Value]>) -> Self {
-        let mut ix = GroupIndex { def, groups: BTreeMap::new(), absorbed: 0, following: true };
+        let mut ix = GroupIndex { def, following: true, ..GroupIndex::default() };
         rows.for_each(|values| ix.count(values, true));
         ix
     }
@@ -93,6 +103,42 @@ impl GroupIndex {
         self.following.then(|| self.groups.iter().map(|(k, acc)| (k.as_slice(), acc)))
     }
 
+    /// The non-empty groups as `(key, rows, tracked columns)`, in runs of
+    /// equal row count from the fewest rows up or (`desc`) from the most
+    /// down, each run in ascending key order — the order a scan offers
+    /// tied groups in. `None` while the index is behind its table.
+    pub fn by_count(&self, desc: bool) -> Option<impl Iterator<Item = (&[Value], u64, &[ColAcc])> + '_> {
+        // An empty key orders before every other, so a run starts there.
+        let start = |rows| (rows, Key::Many(Box::default()));
+        let mut at = if desc { self.count_order.last() } else { self.count_order.first() }.map(|e| e.0);
+        let mut run = at.map(|rows| self.count_order.range(start(rows)..));
+        let walk = std::iter::from_fn(move || loop {
+            let rows = at?;
+            match run.as_mut()?.next() {
+                Some((n, key)) if !desc || *n == rows => {
+                    at = Some(*n);
+                    // Only tracked columns need the group looked up.
+                    let cols = if self.def.agg_columns.is_empty() { &[][..] } else { &self.groups[key].cols };
+                    return Some((key.as_slice(), *n, cols));
+                }
+                None if !desc => return None,
+                // The run is over: on to the next one down.
+                _ => {
+                    at = self.count_order.range(..start(rows)).next_back().map(|e| e.0);
+                    run = at.map(|rows| self.count_order.range(start(rows)..));
+                }
+            }
+        });
+        self.following.then_some(walk)
+    }
+
+    /// True unless some group's summed magnitudes pass `i64::MAX` — the
+    /// only way a running sum over its rows, in some order, could have
+    /// overflowed an `i64`.
+    pub fn sums_fit(&self) -> bool {
+        self.unfit == 0
+    }
+
     /// Tells the index a read of its table — these `live` `rows` — is
     /// about to happen. If no more mutations than rows came since the
     /// last one it follows from here, rebuilt with one scan if it had
@@ -101,19 +147,24 @@ impl GroupIndex {
         let was_behind = !std::mem::replace(&mut self.following, self.absorbed <= live);
         self.absorbed = 0;
         if self.following && was_behind {
-            self.groups = GroupIndex::build(self.def.clone(), rows).groups;
+            *self = GroupIndex::build(self.def.clone(), rows);
         }
     }
 
     /// True unless the index claims to be current and is not the fold
     /// of `rows`.
     pub(crate) fn agrees_with<'r>(&self, rows: impl Iterator<Item = &'r [Value]>) -> bool {
-        !self.following || self.groups == GroupIndex::build(self.def.clone(), rows).groups
+        let same = |fold: GroupIndex| {
+            (&self.groups, &self.count_order, self.unfit) == (&fold.groups, &fold.count_order, fold.unfit)
+        };
+        !self.following || same(GroupIndex::build(self.def.clone(), rows))
     }
 
     /// The table was emptied.
     pub(crate) fn clear(&mut self) {
         self.groups.clear();
+        self.count_order.clear();
+        self.unfit = 0;
     }
 
     /// A row arrives in (`arrives`) or leaves a table holding `live` rows.
@@ -125,11 +176,15 @@ impl GroupIndex {
         }
     }
 
-    /// Counts a row in or out of its group.
+    /// Counts a row in or out of its group, and moves the group in the
+    /// count order.
     fn count(&mut self, values: &[Value], arrives: bool) {
         let agg_columns = &self.def.agg_columns;
         let step = |n: &mut u64| *n = if arrives { *n + 1 } else { *n - 1 };
+        let unfit = |acc: &GroupAcc| usize::from(acc.cols.iter().any(|c| i64::try_from(c.abs).is_err()));
+        // The group's rows and unfitness, before and after.
         let count = |acc: &mut GroupAcc| {
+            let before = (acc.rows, unfit(acc));
             step(&mut acc.rows);
             for (col, &c) in acc.cols.iter_mut().zip(agg_columns) {
                 if values[c].is_null() {
@@ -142,17 +197,29 @@ impl GroupIndex {
                     col.abs = if arrives { col.abs + mag } else { col.abs - mag };
                 }
             }
+            (before, (acc.rows, unfit(acc)))
         };
-        match self.groups.entry(Key::of(&self.def.key_columns, values)) {
+        let key = Key::of(&self.def.key_columns, values);
+        let ((was, unfit_was), (now, unfit_now)) = match self.groups.entry(key.clone()) {
             btree_map::Entry::Occupied(mut slot) => {
-                count(slot.get_mut());
+                let moved = count(slot.get_mut());
                 if slot.get().rows == 0 {
                     slot.remove();
                 }
+                moved
             }
             btree_map::Entry::Vacant(slot) => {
                 count(slot.insert(GroupAcc { rows: 0, cols: vec![ColAcc::default(); agg_columns.len()] }))
             }
+        };
+        self.unfit = self.unfit + unfit_now - unfit_was;
+        let mut entry = (was, key);
+        if was > 0 {
+            self.count_order.remove(&entry);
+        }
+        if now > 0 {
+            entry.0 = now;
+            self.count_order.insert(entry);
         }
     }
 }

@@ -33,8 +33,9 @@ impl TableStats {
     }
 
     /// Rows fetched by ordered index walks (`ORDER BY <indexed columns>
-    /// LIMIT k`): a walk that stops early visits about `k` of them, one
-    /// that could not visits the table.
+    /// LIMIT k`), and groups visited by count walks of a group index
+    /// (`ORDER BY COUNT(*) … LIMIT k`): a walk that stops early visits
+    /// about `k` of them, one that could not visits the table.
     pub fn ordered_visits(&self) -> u64 {
         self.ordered_visits.get()
     }

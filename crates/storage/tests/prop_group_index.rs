@@ -2,7 +2,9 @@
 //! after any interleaving of insert / update / delete / undo-restore
 //! (`insert_with_id`) / truncate / bulk reload, whether the index was
 //! following the mutations or caught up at a read — checked against an
-//! oracle written here and by `Table::verify`.
+//! oracle written here and by `Table::verify`. The count order the
+//! index keeps beside its groups must be that fold's groups sorted by
+//! row count from either end, each run of equal counts in key order.
 
 use std::collections::BTreeMap;
 
@@ -91,6 +93,27 @@ fn fold(t: &Table, def: &GroupIndexDef) -> BTreeMap<Vec<Value>, GroupAcc> {
     groups
 }
 
+/// `def`'s index read in count order from the fewest rows up, then from
+/// the most down, against the fold sorted stably by count; and its
+/// overflow guard against the fold's sums.
+fn count_orders_agree(t: &Table, def: &GroupIndexDef) -> Result<(), TestCaseError> {
+    let ix = t.group_index(def).unwrap();
+    let fold: Vec<(Vec<Value>, GroupAcc)> = fold(t, def).into_iter().collect();
+    if ix.groups().is_some() {
+        let fits = fold.iter().all(|(_, acc)| acc.cols.iter().all(|c| i64::try_from(c.abs).is_ok()));
+        prop_assert_eq!(ix.sums_fit(), fits, "{:?}", def);
+    }
+    for desc in [false, true] {
+        let Some(walk) = ix.by_count(desc) else { continue };
+        let got: Vec<(Vec<Value>, GroupAcc)> =
+            walk.map(|(k, rows, cols)| (k.to_vec(), GroupAcc { rows, cols: cols.to_vec() })).collect();
+        let mut want = fold.clone();
+        want.sort_by_key(|(_, acc)| if desc { u64::MAX - acc.rows } else { acc.rows });
+        prop_assert_eq!(got, want, "{:?} by count, desc {}", def, desc);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -145,6 +168,7 @@ proptest! {
                         groups.map(|(k, acc)| (k.to_vec(), acc.clone())).collect();
                     prop_assert_eq!(got, fold(&t, &def), "{:?} after {:?}", def, op);
                 }
+                count_orders_agree(&t, &def)?;
             }
         }
         // Two reads with nothing between them: the second finds the
@@ -160,6 +184,7 @@ proptest! {
                 .map(|(k, acc)| (k.to_vec(), acc.clone()))
                 .collect();
             prop_assert_eq!(got, fold(&t, &def), "{:?} at the end", def);
+            count_orders_agree(&t, &def)?;
         }
     }
 }

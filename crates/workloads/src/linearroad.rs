@@ -375,7 +375,7 @@ mod tests {
                 },
                 _ => continue,
             };
-            assert!(!matches!(select.from.access, Access::GroupIndex(_)), "{sql}");
+            assert!(!matches!(select.from.access, Access::GroupIndex { .. }), "{sql}");
         }
     }
 

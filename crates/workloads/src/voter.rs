@@ -381,7 +381,9 @@ mod tests {
     /// `fill_trend` reads the trending board off the group index the
     /// engine derived for `w_trend`: once the window has filled, every
     /// refresh is answered from the index and no batch of window rows is
-    /// scanned, and the board is what a scan of the window gives.
+    /// scanned, each walks the index's count order and stops after the
+    /// three groups it returns, and the board is what a scan of the
+    /// window gives.
     #[test]
     fn fill_trend_reads_the_group_index() {
         use sstore_common::BatchId;
@@ -412,8 +414,14 @@ mod tests {
                 ee.commit().unwrap();
             }
         }
-        assert_eq!(ee.table_stats("w_trend").unwrap().group_reads(), 2 * warm_up);
+        let stats = ee.table_stats("w_trend").unwrap();
+        assert_eq!(stats.group_reads(), 2 * warm_up);
         assert_eq!(EngineMetrics::get(&metrics.columnar_batches), 0, "fill_trend scanned the window");
+        // Of the window's ≈ 80 groups a refresh visits the three it
+        // returns: a later group of the third one's count run loses its
+        // tie on `contestant` (≈ 7.7 when the walk reads that run to its
+        // end, ≈ 80 offering every group).
+        assert_eq!(stats.ordered_visits(), 3 * stats.group_reads(), "groups visited by the refreshes");
         let board = ee
             .query("SELECT contestant, cnt FROM leaderboard WHERE kind = 'trend' ORDER BY cnt DESC, contestant", &[])
             .unwrap();
