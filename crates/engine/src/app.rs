@@ -7,17 +7,14 @@
 //! additionally relies on it — a command log can only be replayed
 //! against the same application definition.
 //!
-//! [`AppBuilder::build`] performs the static checks: unique names,
-//! window scoping (§3.2.2 — only the owning procedure's SQL may touch a
-//! window; no PE triggers on windows), trigger well-formedness, and the
-//! workflow checks, which read the one workflow graph
-//! [`AppIds::build`] derives (see [`crate::names`]).
+//! [`AppBuilder::build`] compiles the app with [`AppIds::build`], the
+//! one step that resolves its names, checks its rules and plans its
+//! statements (see [`crate::names`]), and returns it unchanged.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use sstore_common::{Error, ProcId, Result, Schema, TableId};
-use sstore_sql::ast::{Delete, InsertSource, Select, Statement, Update};
+use sstore_common::{Error, Result, Schema, TableId};
+use sstore_sql::ast::{InsertSource, Select, Statement};
 use sstore_storage::index::IndexDef;
 use sstore_storage::GroupIndexDef;
 
@@ -39,7 +36,7 @@ pub struct TableDef {
     /// Secondary indexes.
     pub indexes: Vec<IndexDef>,
     /// Group indexes. The engine derives a window's from the statements
-    /// registered against it ([`crate::ee::build_catalog`]); a base table
+    /// registered against it ([`AppIds::build`]); a base table
     /// carries only what a harness that builds its `TableDef`s by hand
     /// lists here (sqlfuzz). No builder method sets this.
     pub group_indexes: Vec<GroupIndexDef>,
@@ -104,18 +101,19 @@ impl WindowDef {
         }
     }
 
-    fn validate(&self) -> Result<()> {
+    /// Checks the spec; for a time window, resolves its timestamp
+    /// column.
+    pub(crate) fn validate(&self) -> Result<Option<usize>> {
         match &self.windowing {
-            Windowing::Tuple(s) => s.validate(),
+            Windowing::Tuple(s) => s.validate().map(|()| None),
             Windowing::Time(s) => {
                 s.validate()?;
-                self.schema.index_of_or_err(&s.ts_column).map_err(|_| {
+                self.schema.index_of_or_err(&s.ts_column).map(Some).map_err(|_| {
                     Error::Plan(format!(
                         "time window {}: timestamp column {} not in schema",
                         s.name, s.ts_column
                     ))
-                })?;
-                Ok(())
+                })
             }
         }
     }
@@ -126,7 +124,7 @@ impl WindowDef {
 pub struct ProcDef {
     /// Name.
     pub name: String,
-    /// Named SQL statements, compiled once at engine start.
+    /// Named SQL statements, planned once by [`AppIds::build`].
     pub statements: Vec<(String, String)>,
     /// Body; `None` only for nested containers.
     pub body: Option<ProcBody>,
@@ -319,7 +317,7 @@ impl AppBuilder {
 
     /// Adds a stored procedure.
     ///
-    /// `statements` are `(name, sql)` pairs compiled at engine start;
+    /// `statements` are `(name, sql)` pairs planned at build;
     /// `outputs` are the streams the body may [`ProcCtx::emit`] to.
     pub fn proc<F>(
         mut self,
@@ -377,256 +375,20 @@ impl AppBuilder {
         self
     }
 
-    /// Validates and returns the app. Names, schemas, triggers and SQL
-    /// are checked first; then the workflow graph is built
-    /// ([`AppIds::build`], which rejects a cycle — nested transactions
-    /// included) and read for the exchange checks (one PE-triggered
-    /// producer and one border stream behind each exchange stream) and
-    /// the time-window check (no slide output on an exchange path).
+    /// Compiles the app ([`AppIds::build`]: every name resolved, every
+    /// rule checked, every statement and EE trigger parsed and planned)
+    /// and returns it, or the first error with its stable kind:
+    /// `AlreadyExists` for a duplicate table / stream / window,
+    /// procedure, statement or PE trigger; `NotFound` for a name that
+    /// resolves to nothing; `Parse` / `Plan` for SQL or a column that
+    /// does not compile; `StreamViolation` for a streaming rule —
+    /// window scoping, trigger placement, a workflow cycle, the exchange
+    /// and time-window checks. [`crate::Engine::start`] compiles once
+    /// more, so an app whose public fields are edited after build meets
+    /// the same contract there.
     pub fn build(self) -> Result<App> {
-        let app = self.app;
-        let mut names: HashSet<&str> = HashSet::new();
-        for n in app
-            .tables
-            .iter()
-            .map(|t| t.name.as_str())
-            .chain(app.streams.iter().map(|s| s.name.as_str()))
-            .chain(app.windows.iter().map(|w| w.name()))
-        {
-            if !names.insert(n) {
-                return Err(Error::already_exists("table/stream/window", n));
-            }
-        }
-        let stream_names: HashSet<&str> = app.streams.iter().map(|s| s.name.as_str()).collect();
-        let window_owner: HashMap<&str, &str> =
-            app.windows.iter().map(|w| (w.name(), w.owner())).collect();
-        let proc_names: HashSet<&str> = app.procs.iter().map(|p| p.name.as_str()).collect();
-
-        // Window specs valid; owners exist.
-        for w in &app.windows {
-            w.validate()?;
-            if !proc_names.contains(w.owner()) {
-                return Err(Error::not_found("window owner procedure", w.owner()));
-            }
-        }
-
-        // Streams used for partitioned ingest have a valid key column;
-        // event-time streams have a valid timestamp column.
-        for s in &app.streams {
-            if let Some(col) = &s.partition_col {
-                s.schema.index_of_or_err(col)?;
-            }
-            if let Some(col) = &s.ts_col {
-                s.schema.index_of_or_err(col)?;
-            }
-        }
-
-        // Time windows slide off the partition watermark, which is the
-        // min over event-time streams' high marks — without at least
-        // one such stream the watermark never advances and the window
-        // never fires. Catch the dead config at build time.
-        let has_time_window =
-            app.windows.iter().any(|w| matches!(w.windowing, Windowing::Time(_)));
-        if has_time_window && !app.streams.iter().any(|s| s.ts_col.is_some()) {
-            return Err(Error::StreamViolation(
-                "app declares a time window but no event-time stream \
-                 (stream_timed / stream_partitioned_timed) to drive its watermark"
-                    .into(),
-            ));
-        }
-
-        // PE triggers: stream exists (and is a stream, not a window) and
-        // the target procedure exists.
-        for t in &app.pe_triggers {
-            if window_owner.contains_key(t.stream.as_str()) {
-                return Err(Error::StreamViolation(format!(
-                    "PE triggers cannot attach to window {} (windows are procedure-private)",
-                    t.stream
-                )));
-            }
-            if !stream_names.contains(t.stream.as_str()) {
-                return Err(Error::not_found("stream", &t.stream));
-            }
-            if !proc_names.contains(t.proc.as_str()) {
-                return Err(Error::not_found("procedure", &t.proc));
-            }
-        }
-
-        // EE triggers attach to streams or windows only, and a stream
-        // cannot have both EE and PE triggers (EE-triggered streams are
-        // garbage-collected inside the EE; PE-triggered batches must
-        // survive until the downstream transaction consumes them).
-        let pe_streams: HashSet<&str> =
-            app.pe_triggers.iter().map(|t| t.stream.as_str()).collect();
-
-        // Exchange streams only make sense as workflow edges: someone
-        // downstream must consume what the exchange delivers.
-        for s in &app.streams {
-            if s.exchange && !pe_streams.contains(s.name.as_str()) {
-                return Err(Error::StreamViolation(format!(
-                    "exchange stream {} has no PE trigger to deliver to",
-                    s.name
-                )));
-            }
-        }
-
-        for t in &app.ee_triggers {
-            let is_stream = stream_names.contains(t.table.as_str());
-            let is_window = window_owner.contains_key(t.table.as_str());
-            if !is_stream && !is_window {
-                return Err(Error::StreamViolation(format!(
-                    "EE trigger target {} is not a stream or window",
-                    t.table
-                )));
-            }
-            if is_stream && pe_streams.contains(t.table.as_str()) {
-                return Err(Error::StreamViolation(format!(
-                    "stream {} has both EE and PE triggers",
-                    t.table
-                )));
-            }
-        }
-
-        // Procedures: outputs are streams; children exist and are plain
-        // procs; SQL parses and respects window scoping.
-        for p in &app.procs {
-            for o in &p.outputs {
-                if !stream_names.contains(o.as_str()) {
-                    return Err(Error::not_found("output stream", o));
-                }
-            }
-            if p.body.is_none() && p.children.is_empty() {
-                return Err(Error::Plan(format!("procedure {} has neither body nor children", p.name)));
-            }
-            for c in &p.children {
-                let child = app
-                    .procs
-                    .iter()
-                    .find(|q| q.name == *c)
-                    .ok_or_else(|| Error::not_found("nested child procedure", c))?;
-                if !child.children.is_empty() {
-                    return Err(Error::Plan(format!(
-                        "nested transaction {} cannot contain another nested transaction {c}",
-                        p.name
-                    )));
-                }
-            }
-            for (sname, sql) in &p.statements {
-                let stmt = sstore_sql::parse(sql).map_err(|e| {
-                    Error::Parse(format!("in {}.{sname}: {e}", p.name))
-                })?;
-                for table in referenced_tables(&stmt) {
-                    if let Some(owner) = window_owner.get(table.as_str()) {
-                        if *owner != p.name {
-                            return Err(Error::StreamViolation(format!(
-                                "procedure {} references window {table} owned by {owner} (§3.2.2 scoping)",
-                                p.name
-                            )));
-                        }
-                    }
-                }
-                if let Statement::Update(Update { table, .. }) | Statement::Delete(Delete { table, .. }) =
-                    &stmt
-                {
-                    if window_owner.contains_key(table.as_str()) {
-                        return Err(window_is_append_only(table));
-                    }
-                }
-            }
-        }
-
-        // The workflow graph ([`AppIds::build`]) rejects cycles and
-        // answers the checks below.
-        let ids = AppIds::build(&app)?;
-
-        // A stream no procedure produces is fed by ingest alone, and an
-        // ingested batch runs exactly one border transaction: with two
-        // PE triggers, every ingest into it would be refused.
-        for (s, meta) in ids.streams() {
-            let produced = (0..ids.proc_count() as u32).any(|p| ids.proc(ProcId(p)).produces.contains(&s));
-            if ids.pe_targets_of(s).len() > 1 && !produced {
-                return Err(ingest_runs_one_transaction(&ids, s, &meta.name));
-            }
-        }
-
-        // Exchange merges are keyed by (stream, batch id), and batch
-        // ids are only unique within one border stream's counter. Two
-        // producers (or one producer fed by two border streams) would
-        // ship colliding batch ids onto the same exchange stream and
-        // silently clobber each other's sub-batches, so both are
-        // rejected here: an exchange stream needs exactly one
-        // *runnable* (PE-triggered) producer, rooted in exactly one
-        // border stream. A nested transaction produces its children's
-        // outputs, so it is the producer it runs them as.
-        let producers = |s: TableId| -> Vec<ProcId> {
-            (0..ids.proc_count() as u32)
-                .map(ProcId)
-                .filter(|&p| ids.proc(p).input_stream.is_some() && ids.proc(p).produces.contains(&s))
-                .collect()
-        };
-        for (x, meta) in ids.streams().filter(|(_, m)| m.stream.as_ref().is_some_and(|s| s.exchange)) {
-            let mut todo = producers(x);
-            if todo.len() != 1 {
-                return Err(Error::StreamViolation(format!(
-                    "exchange stream {} needs exactly one PE-triggered producing \
-                     procedure (found {}): batch ids from several producers would \
-                     collide",
-                    meta.name,
-                    todo.len()
-                )));
-            }
-            // Walk upstream to the border streams (streams no runnable
-            // procedure produces) whose ingest counters the batch ids
-            // come from.
-            let (mut roots, mut seen) = (Vec::new(), vec![false; ids.proc_count()]);
-            while let Some(p) = todo.pop() {
-                if std::mem::replace(&mut seen[p.index()], true) {
-                    continue;
-                }
-                for (s, _) in ids.streams().filter(|(s, _)| ids.pe_targets_of(*s).contains(&p)) {
-                    let upstream = producers(s);
-                    if upstream.is_empty() && !roots.contains(&s) {
-                        roots.push(s);
-                    }
-                    todo.extend(upstream);
-                }
-            }
-            if roots.len() > 1 {
-                let mut names: Vec<&str> = roots.iter().map(|&s| &**ids.table_name(s)).collect();
-                names.sort();
-                return Err(Error::StreamViolation(format!(
-                    "exchange stream {} is fed by several border streams ({}): \
-                     their independent batch counters would collide in the exchange",
-                    meta.name,
-                    names.join(", ")
-                )));
-            }
-        }
-
-        // Time-window slides run per partition when the local watermark
-        // crosses an extent boundary — NOT once per batch — so their
-        // triggers cannot feed an exchange edge, directly OR transitively
-        // (a slide output landing on a plain stream whose downstream
-        // procedure re-ships an exchange sub-batch would duplicate the
-        // batch id the original round already shipped, corrupting the
-        // merge).
-        for t in &app.ee_triggers {
-            if !app.windows.iter().any(|w| w.name() == t.table && matches!(w.windowing, Windowing::Time(_))) {
-                continue;
-            }
-            for sql in &t.sql {
-                let Ok(Statement::Insert(i)) = sstore_sql::parse(sql) else { continue };
-                if ids.table_id(&i.table).is_some_and(|s| ids.on_exchange_path(s)) {
-                    return Err(Error::StreamViolation(format!(
-                        "time window {} trigger output {} reaches an exchange stream: \
-                         watermark-driven slides are not batch-aligned across partitions",
-                        t.table,
-                        i.table.to_ascii_lowercase()
-                    )));
-                }
-            }
-        }
-        Ok(app)
+        AppIds::build(&self.app)?;
+        Ok(self.app)
     }
 }
 
@@ -706,6 +468,34 @@ mod tests {
     fn duplicate_names_rejected() {
         let r = App::builder().table("x", schema()).stream("x", schema()).build();
         assert!(matches!(r, Err(Error::AlreadyExists { .. })));
+    }
+
+    #[test]
+    fn two_procedures_with_one_name_are_refused() {
+        // Before, `call("p")` ran whichever was declared second.
+        let r = noop_proc(noop_proc(App::builder(), "p", &[]), "P", &[]).build();
+        assert!(matches!(&r, Err(Error::AlreadyExists { kind: "procedure", name }) if name == "p"), "{r:?}");
+    }
+
+    #[test]
+    fn two_statements_with_one_name_are_refused() {
+        // Before, the second shadowed the first: one call of `ins`
+        // inserted only the second statement's row.
+        let r = App::builder()
+            .table("t", schema())
+            .proc("p", &[("ins", "INSERT INTO t (v) VALUES (1)"), ("ins", "INSERT INTO t (v) VALUES (2)")], &[], |_| Ok(()))
+            .build();
+        assert!(matches!(&r, Err(Error::AlreadyExists { kind: "statement", name }) if name == "p.ins"), "{r:?}");
+    }
+
+    #[test]
+    fn the_same_pe_trigger_declared_twice_is_refused() {
+        // Before, it was one stream triggering "2 procedures (p, p)".
+        let r = noop_proc(App::builder().stream("s", schema()), "p", &[])
+            .pe_trigger("s", "p")
+            .pe_trigger("s", "p")
+            .build();
+        assert!(matches!(&r, Err(Error::AlreadyExists { kind: "PE trigger", name }) if name == "s -> p"), "{r:?}");
     }
 
     #[test]

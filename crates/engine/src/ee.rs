@@ -8,11 +8,11 @@
 //!
 //! # Hot path
 //!
-//! All state is addressed by dense [`TableId`]s (assigned at install
-//! time, see [`crate::names`]): stream bookkeeping, window state, and
-//! EE-trigger lists are plain vectors indexed by table id, and effects
-//! carry ids — no string hashing, lower-casing, or name cloning happens
-//! inside the execution loop.
+//! All state is addressed by dense [`TableId`]s (assigned by the app's
+//! compile step, see [`crate::names`]): stream bookkeeping, window
+//! state, and EE-trigger lists are plain vectors indexed by table id,
+//! and effects carry ids — no string hashing, lower-casing, or name
+//! cloning happens inside the execution loop.
 //!
 //! # Trigger cascade (§3.2.3)
 //!
@@ -33,13 +33,13 @@
 //! not re-enter the cascade, so the cascade terminates.
 //!
 //! What is active in a window is what its table holds
-//! ([`crate::window`]). A window's group indexes (derived in
-//! [`build_catalog`]) are maintained by the storage layer inside the
-//! table's insert and delete; nothing in this file touches them. A time
-//! window's ordered `(event-ts, row)` set is the one index kept here:
-//! `table_insert`, `table_delete` and the effect-undo loop of
-//! [`ExecutionEngine::abort`] are the only writers of a window table,
-//! and each tells the window.
+//! ([`crate::window`]). A window's group indexes (derived by
+//! [`AppIds::build`], attached in [`build_catalog`]) are maintained by
+//! the storage layer inside the table's insert and delete; nothing in
+//! this file touches them. A time window's ordered `(event-ts, row)`
+//! set is the one index kept here: `table_insert`, `table_delete` and
+//! the effect-undo loop of [`ExecutionEngine::abort`] are the only
+//! writers of a window table, and each tells the window.
 //!
 //! [`BoundaryMode::Inline`]: crate::config::BoundaryMode::Inline
 //! [`BoundaryMode::Channel`]: crate::config::BoundaryMode::Channel
@@ -48,14 +48,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sstore_common::codec::{Decoder, Encoder};
-use sstore_common::{BatchId, Error, Result, RowId, TableId, Tuple, Value};
+use sstore_common::{BatchId, Error, ProcId, Result, RowId, TableId, Tuple, Value};
 use sstore_sql::exec::{execute, insert_rows, undo_effect, Effect};
-use sstore_sql::plan::{group_index_shape, BoundInsert, BoundStatement};
+use sstore_sql::plan::BoundStatement;
 use sstore_sql::{Planner, QueryResult};
 use sstore_storage::snapshot;
 use sstore_storage::{Catalog, Table, TableKind};
 
-use crate::app::{window_is_append_only, App, WindowDef, Windowing};
+use crate::app::{window_is_append_only, App, Windowing};
 use crate::metrics::EngineMetrics;
 use crate::names::AppIds;
 use crate::stream::StreamState;
@@ -169,8 +169,9 @@ enum WindowUndo {
     },
 }
 
-/// Per-procedure map of statement names to compiled ids, produced at
-/// install time.
+/// Per-procedure map of statement names to statement ids (the ids
+/// [`AppIds::build`] planned them under), returned by
+/// [`ExecutionEngine::install`].
 pub type ProcStmtMap = HashMap<String, HashMap<String, StmtId>>;
 
 /// The execution engine for one partition.
@@ -224,22 +225,15 @@ pub struct ExecutionEngine {
 }
 
 /// Creates the catalog for `app` — base tables (with their indexes),
-/// streams, windows — checking each assigned [`TableId`] against `ids`
-/// (both assignments derive from the same declaration order). Shared
-/// by [`ExecutionEngine::install`] and the engine facade's ad-hoc
-/// planner ([`crate::engine::Engine::query_at`]), which is what makes
-/// a statement planned once at the engine edge valid against every
-/// partition's EE: same layout, same table ids.
+/// streams, windows, and the group indexes the compile step derived —
+/// in the declaration order [`AppIds::build`] assigned its ids by, so
+/// every catalog built from one app has the same layout and table ids.
+/// Shared by the compile step (which plans against it),
+/// [`ExecutionEngine::install`] and the engine facade's ad-hoc planner
+/// ([`crate::engine::Engine::query_at`]), which is what makes a
+/// statement planned once valid against every partition's EE.
 pub(crate) fn build_catalog(app: &App, ids: &AppIds) -> Result<Catalog> {
     let mut catalog = Catalog::new();
-    let check = |got: TableId, name: &str| -> Result<()> {
-        if ids.table_id(name) != Some(got) {
-            return Err(Error::Internal(format!(
-                "table id mismatch for {name}: catalog assigned {got}"
-            )));
-        }
-        Ok(())
-    };
     for t in &app.tables {
         let table = catalog.create_table(&t.name, TableKind::Base, t.schema.clone())?;
         for ix in &t.indexes {
@@ -248,64 +242,31 @@ pub(crate) fn build_catalog(app: &App, ids: &AppIds) -> Result<Catalog> {
         for def in &t.group_indexes {
             table.create_group_index(def.clone())?;
         }
-        check(catalog.id_of(&t.name).expect("just created"), &t.name)?;
     }
     for s in &app.streams {
         catalog.create_table(&s.name, TableKind::Stream, s.schema.clone())?;
-        check(catalog.id_of(&s.name).expect("just created"), &s.name)?;
     }
     for w in &app.windows {
         catalog.create_table(w.name(), TableKind::Window, w.schema.clone())?;
-        check(catalog.id_of(w.name()).expect("just created"), w.name())?;
     }
-    derive_group_indexes(app, &mut catalog)?;
+    let same = catalog.len() == ids.table_count()
+        && catalog.iter_ids().all(|(id, t)| t.name() == &**ids.table_name(id));
+    if !same {
+        return Err(Error::Internal("the app and its compiled ids declare different tables".into()));
+    }
+    for (table, def) in ids.group_indexes() {
+        catalog.get_mut(*table).create_group_index(def.clone())?;
+    }
     Ok(catalog)
 }
 
-/// Gives every overlapping window (`slide < size`) one group index per
-/// distinct grouped SELECT shape registered against it that an index can
-/// answer ([`group_index_shape`]). Every statement that can run against a
-/// window is registered with the app (§3.2.2 scoping), so the engine
-/// derives the indexes; nobody declares them. A tumbling window gets
-/// none: its slide replaces every row, and maintaining the aggregate
-/// would cost what re-reading the extent does. A statement that does not
-/// plan is skipped here — compiling it reports the error.
-fn derive_group_indexes(app: &App, catalog: &mut Catalog) -> Result<()> {
-    // `slide < size`: a slide replaces part of the extent, not all of it.
-    let tumbles = |w: &WindowDef| match &w.windowing {
-        Windowing::Tuple(spec) => spec.is_tumbling(),
-        Windowing::Time(spec) => spec.is_tumbling(),
-    };
-    let sliding: Vec<&str> = app.windows.iter().filter(|w| !tumbles(w)).map(|w| w.name()).collect();
-    if sliding.is_empty() {
-        return Ok(());
-    }
-    let registered = app
-        .procs
-        .iter()
-        .flat_map(|p| p.statements.iter().map(|(_, sql)| sql))
-        .chain(app.ee_triggers.iter().flat_map(|t| &t.sql));
-    for sql in registered {
-        let select = match Planner::new(catalog).plan_sql(sql) {
-            Ok(BoundStatement::Select(s)) => s,
-            Ok(BoundStatement::Insert(BoundInsert { select: Some(s), .. })) => *s,
-            _ => continue,
-        };
-        let table = catalog.get(select.from.table);
-        if !sliding.contains(&table.name()) {
-            continue;
-        }
-        if let Some(def) = group_index_shape(&select, table.schema()) {
-            catalog.get_mut(select.from.table).create_group_index(def)?;
-        }
-    }
-    Ok(())
-}
-
 impl ExecutionEngine {
-    /// Builds an EE for `app`: creates all tables/streams/windows
-    /// ([`build_catalog`]), compiles every procedure statement and EE
-    /// trigger. Returns the EE and the per-procedure statement-id map.
+    /// Builds an EE for `app` from its compile step's output `ids`
+    /// ([`AppIds::build`] on the same app): creates all
+    /// tables/streams/windows ([`build_catalog`]), window and stream
+    /// state, and copies every statement's and EE trigger's plan from
+    /// `ids` — nothing is planned or resolved here. Returns the EE and
+    /// the per-procedure statement-id map.
     pub fn install(
         app: &App,
         ids: Arc<AppIds>,
@@ -316,62 +277,40 @@ impl ExecutionEngine {
         let mut streams: Vec<Option<StreamState>> = (0..n_tables).map(|_| None).collect();
         let mut stream_ts_col: Vec<Option<usize>> = vec![None; n_tables];
         let mut ts_streams: Vec<TableId> = Vec::new();
+        for (id, meta) in ids.streams() {
+            streams[id.index()] = Some(StreamState::new());
+            stream_ts_col[id.index()] = meta.ts_col;
+            ts_streams.extend(meta.ts_col.map(|_| id));
+        }
         let mut windows: Vec<Option<WindowSlot>> = (0..n_tables).map(|_| None).collect();
         let mut window_ts_col: Vec<Option<usize>> = vec![None; n_tables];
-        let mut has_time_windows = false;
-        for s in &app.streams {
-            let id = catalog.id_of(&s.name).expect("build_catalog created it");
-            streams[id.index()] = Some(StreamState::new());
-            if let Some(col) = &s.ts_col {
-                stream_ts_col[id.index()] = Some(s.schema.index_of_or_err(col)?);
-                ts_streams.push(id);
-            }
-        }
-        for w in &app.windows {
-            let id = catalog.id_of(w.name()).expect("build_catalog created it");
+        for (w, (id, meta)) in app.windows.iter().zip(ids.of_kind(TableKind::Window)) {
+            window_ts_col[id.index()] = meta.ts_col;
             windows[id.index()] = Some(match &w.windowing {
                 Windowing::Tuple(spec) => WindowSlot::Tuple(WindowState::new(spec.clone())?),
-                Windowing::Time(spec) => {
-                    window_ts_col[id.index()] =
-                        Some(w.schema.index_of_or_err(&spec.ts_column)?);
-                    has_time_windows = true;
-                    WindowSlot::Time(TimeWindowState::new(spec.clone())?)
-                }
+                Windowing::Time(spec) => WindowSlot::Time(TimeWindowState::new(spec.clone())?),
             });
         }
+        let has_time_windows = window_ts_col.iter().any(Option::is_some);
+        // Each EE's own `Arc`s: every execution bumps a plan's count and
+        // every firing a trigger list's, and one shared across partition
+        // threads would put that count on a cache line both cores write.
+        let stmts = ids.plans().iter().map(|p| Arc::new(p.clone())).collect();
+        let ee_triggers = ids.ee_triggers().iter().map(|l| l.as_deref().map(Arc::from)).collect();
 
-        let mut stmts: Vec<Arc<BoundStatement>> = Vec::new();
-        let mut compile = |sql: &str, catalog: &Catalog| -> Result<StmtId> {
-            let bound = Planner::new(catalog).plan_sql(sql)?;
-            stmts.push(Arc::new(bound));
-            Ok(stmts.len() - 1)
-        };
-
-        let mut proc_map: ProcStmtMap = HashMap::new();
-        for p in &app.procs {
-            let mut m = HashMap::new();
-            for (name, sql) in &p.statements {
-                m.insert(name.clone(), compile(sql, &catalog)?);
-            }
-            proc_map.insert(p.name.clone(), m);
-        }
-        let mut trigger_lists: Vec<Option<Vec<StmtId>>> = vec![None; n_tables];
-        for t in &app.ee_triggers {
-            let id = ids
-                .table_id(&t.table)
-                .ok_or_else(|| Error::not_found("EE trigger target", &t.table))?;
-            let list = trigger_lists[id.index()].get_or_insert_with(Vec::new);
-            for sql in &t.sql {
-                list.push(compile(sql, &catalog)?);
-            }
-        }
-        let ee_triggers =
-            trigger_lists.into_iter().map(|l| l.map(Arc::from)).collect();
+        let proc_map: ProcStmtMap = app
+            .procs
+            .iter()
+            .zip(0..)
+            .map(|(p, i)| {
+                let names = p.statements.iter().map(|(name, _)| name.clone());
+                (p.name.clone(), names.zip(ids.proc(ProcId(i)).stmts.clone()).collect())
+            })
+            .collect();
 
         Ok((
             ExecutionEngine {
                 catalog,
-                ids,
                 streams,
                 stream_ts_col,
                 stream_high: vec![None; n_tables],
@@ -381,6 +320,7 @@ impl ExecutionEngine {
                 has_time_windows,
                 ee_triggers,
                 stmts,
+                ids,
                 metrics,
                 // Everything starts dirty: a delta taken before any
                 // base would otherwise silently miss install-time state

@@ -10,7 +10,7 @@
 //!
 //! Name resolution happens here, at the public API edge: stream and
 //! procedure names are interned to dense ids ([`crate::names`]) when
-//! the app is installed, every `&str` parameter is resolved exactly
+//! the app is compiled, every `&str` parameter is resolved exactly
 //! once per call, and everything downstream (requests, the scheduler,
 //! PE triggers, the command log) works with ids.
 //!
@@ -81,6 +81,18 @@ pub fn split_by_key(rows: Vec<Tuple>, col: usize, partitions: usize) -> Vec<Vec<
         parts[p].push(t);
     }
     parts
+}
+
+/// A per-stream counter read from a checkpoint (by stream name) as a
+/// vector indexed by [`TableId`]; names this app lacks are dropped.
+fn by_table_id(ids: &AppIds, by_name: Option<&HashMap<String, u64>>) -> Vec<u64> {
+    let mut out = vec![0u64; ids.table_count()];
+    for (name, v) in by_name.into_iter().flatten() {
+        if let Some(id) = ids.table_id(name) {
+            out[id.index()] = out[id.index()].max(*v);
+        }
+    }
+    out
 }
 
 /// Internal bootstrap data used by recovery.
@@ -214,7 +226,10 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Starts an engine for `app` under `config`.
+    /// Starts an engine for `app` under `config`. The app is compiled
+    /// first ([`AppIds::build`]), so one whose public fields were edited
+    /// after [`crate::AppBuilder::build`] fails here with the kind build
+    /// would have given.
     pub fn start(config: EngineConfig, app: App) -> Result<Engine> {
         Self::start_with(config, app, None)
     }
@@ -250,10 +265,7 @@ impl Engine {
                 peers: txs.clone(),
                 triggers_enabled,
                 resume_lsn: bootstrap.as_ref().and_then(|b| b.resume_lsn[p]),
-                exchange_floor: bootstrap
-                    .as_ref()
-                    .map(|b| b.exchange_floors[p].clone())
-                    .unwrap_or_default(),
+                exchange_applied: by_table_id(&ids, bootstrap.as_ref().map(|b| &b.exchange_floors[p])),
             };
             let join = spawn_partition(
                 seed,
@@ -268,14 +280,7 @@ impl Engine {
         }
         let images = bootstrap.as_mut().map(|b| std::mem::take(&mut b.images)).unwrap_or_default();
 
-        let mut counters = vec![0u64; ids.table_count()];
-        if let Some(b) = &bootstrap {
-            for (name, v) in &b.batch_counters {
-                if let Some(id) = ids.table_id(name) {
-                    counters[id.index()] = counters[id.index()].max(*v);
-                }
-            }
-        }
+        let counters = by_table_id(&ids, bootstrap.as_ref().map(|b| &b.batch_counters));
 
         let gates = (0..config.partitions)
             .map(|_| AdmissionGate::new(config.admission_credits))

@@ -1,6 +1,21 @@
-//! Name interning and the workflow graph: dense ids for
-//! tables/streams/windows and stored procedures, assigned once at
-//! [`App`] install time, and the workflow DAG built over them.
+//! The app's one compile step: [`AppIds::build`] turns an [`App`] into
+//! everything the engine reads of it, or refuses it with a stable error
+//! kind. It decides, once:
+//!
+//! * **names** — dense ids for tables / streams / windows (declaration
+//!   order: tables, then streams, then windows) and for stored
+//!   procedures (declaration order). Duplicate names are refused
+//!   (`AlreadyExists`), and so is every name that resolves to nothing
+//!   (`NotFound`): trigger ends, outputs, children, window owners, and
+//!   partition / timestamp columns (`Plan`);
+//! * **rules** — window scoping (§3.2.2: only the owning procedure's SQL
+//!   may touch a window; no PE triggers on windows; windows are
+//!   append-only through SQL), trigger well-formedness, and the workflow
+//!   checks below, all over ids;
+//! * **plans** — every procedure statement and EE-trigger statement is
+//!   parsed and planned here and nowhere else: one shape pass derives the
+//!   sliding windows' group indexes, then the final plans are made
+//!   against a catalog that has them.
 //!
 //! Every hot-path structure in the engine — routing, the scheduler
 //! queue, PE-trigger dispatch, stream/window bookkeeping, the command
@@ -9,16 +24,17 @@
 //! request, at the public API edge ([`crate::engine::Engine`] methods
 //! taking `&str`), never inside the partition or EE execution loop.
 //!
-//! Table ids here MUST match the ids the EE's catalog assigns; both are
-//! derived from the same declaration order (tables, then streams, then
-//! windows) and [`crate::ee::ExecutionEngine::install`] asserts the
-//! correspondence as it creates each table.
+//! The ids here are the ids of every catalog the engine builds:
+//! [`crate::ee::build_catalog`] creates the app's tables in the same
+//! declaration order and attaches the group indexes recorded here, so
+//! the plans made here run unchanged on every partition's EE and on the
+//! engine edge's ad-hoc catalog.
 //!
 //! # The workflow graph (§2.2, §2.3)
 //!
 //! A workflow is a DAG of stored procedures joined by streams: `p → q`
-//! when `p` produces a stream that a PE trigger routes to `q`.
-//! [`AppIds::build`] builds it once, from two things:
+//! when `p` produces a stream that a PE trigger routes to `q`. It is
+//! built from two things:
 //!
 //! * per procedure, the streams it *produces* ([`ProcMeta::produces`]):
 //!   its declared outputs plus, for a nested transaction, its children's
@@ -31,17 +47,24 @@
 //! order), which [`crate::workflow::check_schedule`] and recovery's
 //! dangling-batch re-fire order by; [`StreamMeta::feeds_exchange`] (one
 //! pass in reverse topological order), which decides the ingest
-//! alignment broadcast; [`crate::app::AppBuilder::build`]'s exchange and
-//! time-window checks; and each partition's exchange and alignment
-//! outputs, which are filters of the produced set.
+//! alignment broadcast; the exchange and time-window checks; and each
+//! procedure's exchange and alignment outputs, which are filters of the
+//! produced set.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use sstore_common::{Error, ProcId, Result, Schema, TableId};
-use sstore_storage::TableKind;
+use sstore_sql::ast::{Delete, Statement, Update};
+use sstore_sql::plan::{group_index_shape, BoundInsert, BoundStatement};
+use sstore_sql::Planner;
+use sstore_storage::{GroupIndexDef, TableKind};
 
-use crate::app::App;
+use crate::app::{
+    ingest_runs_one_transaction, referenced_tables, window_is_append_only, App, Windowing,
+};
+use crate::ee::{build_catalog, StmtId};
 
 /// Interned metadata for one table (base table, stream, or window).
 #[derive(Debug, Clone)]
@@ -55,6 +78,10 @@ pub struct TableMeta {
     /// Window-only: the owning procedure (slide transactions are
     /// attributed to it). `None` for tables and streams.
     pub owner_proc: Option<ProcId>,
+    /// Event-timestamp column of a timed stream or a time window (the
+    /// partition checks it to skip watermark bookkeeping for untimed
+    /// streams on the hot path).
+    pub ts_col: Option<usize>,
 }
 
 /// Interned metadata for one stream.
@@ -64,10 +91,6 @@ pub struct StreamMeta {
     pub schema: Schema,
     /// Partition-key column index, if the stream is partitioned.
     pub partition_col: Option<usize>,
-    /// Event-timestamp column index, if the stream carries event time
-    /// (the partition checks this to skip watermark bookkeeping for
-    /// untimed streams on the hot path).
-    pub ts_col: Option<usize>,
     /// True for exchange streams: batches committed here are
     /// re-partitioned by key hash and shipped to the owning partitions.
     pub exchange: bool,
@@ -88,7 +111,7 @@ impl StreamMeta {
 }
 
 /// Interned metadata for one stored procedure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProcMeta {
     /// Lower-cased name.
     pub name: Arc<str>,
@@ -97,12 +120,33 @@ pub struct ProcMeta {
     pub input_stream: Option<TableId>,
     /// Position in a fixed topological order of the workflow DAG.
     pub topo_pos: usize,
+    /// Streams the body may emit to, with their lower-cased names.
+    pub outputs: Vec<(Arc<str>, TableId)>,
+    /// For a nested transaction: its children, in run order.
+    pub children: Vec<ProcId>,
     /// Streams this procedure produces: its declared outputs, then (for
     /// a nested transaction) its children's, without repeats.
     pub produces: Vec<TableId>,
+    /// Produced exchange streams. The partition engine ships a
+    /// sub-batch for each of these on *every* commit of this procedure
+    /// — even when the body emitted nothing — so downstream exchange
+    /// merges stay aligned one-sub-batch-per-source-per-batch.
+    pub exchange_outputs: Vec<TableId>,
+    /// Produced streams on the path to an exchange (exchange streams
+    /// plus `feeds_exchange` locals). On multi-partition S-Store
+    /// engines, every streaming commit of this procedure registers a
+    /// (possibly empty) batch on each of these *before* the body runs,
+    /// so a stage that emits nothing for an empty sub-batch still
+    /// advances this partition's copy of the workflow — otherwise a
+    /// downstream exchange merge would wait forever for this
+    /// partition's sub-batch.
+    pub align_outputs: Vec<TableId>,
+    /// Ids of this procedure's statements, in declaration order.
+    pub stmts: Range<StmtId>,
 }
 
-/// Dense name ↔ id maps for one application.
+/// One compiled application: dense name ↔ id maps, the workflow graph,
+/// and the plan of every registered statement.
 #[derive(Debug, Default)]
 pub struct AppIds {
     tables: Vec<TableMeta>,
@@ -111,109 +155,453 @@ pub struct AppIds {
     proc_by_name: HashMap<String, ProcId>,
     /// PE-trigger targets per table id (empty for non-streams).
     pe_targets: Vec<Vec<ProcId>>,
-    /// True when the app declares any exchange stream.
-    has_exchange: bool,
+    /// Every registered statement's plan, indexed by [`StmtId`]: each
+    /// procedure's statements in declaration order, then each EE
+    /// trigger's.
+    plans: Vec<BoundStatement>,
+    /// EE-trigger statements per table id; `Some` (possibly empty) for
+    /// a table with a declared trigger.
+    ee_triggers: Vec<Option<Vec<StmtId>>>,
+    /// The group indexes derived for sliding windows, in derivation
+    /// order.
+    group_indexes: Vec<(TableId, GroupIndexDef)>,
+}
+
+/// The parsed SQL of an app, kept between the checks and the planning.
+struct Parsed {
+    /// Per procedure (by id), its statements in declaration order.
+    procs: Vec<Vec<Statement>>,
+    /// Per EE-trigger declaration, its table and statements.
+    triggers: Vec<(TableId, Vec<Statement>)>,
 }
 
 impl AppIds {
-    /// Interns all names of `app` and builds its workflow graph. Table
-    /// ids follow the EE catalog's creation order: declared tables, then
-    /// streams, then windows. Fails on a name that resolves to nothing
-    /// and on a cycle in the workflow.
+    /// Compiles `app`: interns every name, checks every rule and plans
+    /// every statement (see the module docs). This is the whole of
+    /// [`crate::app::AppBuilder::build`]'s validation, and
+    /// [`crate::engine::Engine::start`] runs it once more on the app it
+    /// is handed, so an app edited after build is held to the same
+    /// rules.
     pub fn build(app: &App) -> Result<AppIds> {
         let mut ids = AppIds::default();
+        ids.intern(app)?;
+        let parsed = ids.link(app)?;
+        ids.build_graph()?;
+        ids.check_workflow(&parsed)?;
+        ids.plan(app, parsed)?;
+        Ok(ids)
+    }
 
-        let add_table = |ids: &mut AppIds, name: &str, kind, stream, owner_proc| {
-            let id = TableId(ids.tables.len() as u32);
-            ids.tables.push(TableMeta { name: Arc::from(name), kind, stream, owner_proc });
-            ids.table_by_name.insert(name.to_owned(), id);
-            id
-        };
+    /// Assigns ids, refusing duplicates, and resolves what each
+    /// declaration names of itself: stream columns, window specs and
+    /// owners.
+    fn intern(&mut self, app: &App) -> Result<()> {
         for t in &app.tables {
-            add_table(&mut ids, &t.name, TableKind::Base, None, None);
+            self.add_table(&t.name, TableKind::Base, None, None, None)?;
         }
         for p in &app.procs {
-            let id = ProcId(ids.procs.len() as u32);
-            ids.procs.push(ProcMeta {
-                name: Arc::from(p.name.as_str()),
-                input_stream: None,
-                topo_pos: usize::MAX,
-                produces: Vec::new(),
-            });
-            ids.proc_by_name.insert(p.name.clone(), id);
+            let name = p.name.to_ascii_lowercase();
+            let id = ProcId(self.procs.len() as u32);
+            if self.proc_by_name.insert(name.clone(), id).is_some() {
+                return Err(Error::already_exists("procedure", name));
+            }
+            self.procs.push(ProcMeta { name: Arc::from(name), ..ProcMeta::default() });
         }
         for s in &app.streams {
-            let partition_col = s.partition_col.as_ref().and_then(|c| s.schema.index_of(c));
-            let ts_col = s.ts_col.as_ref().and_then(|c| s.schema.index_of(c));
-            add_table(
-                &mut ids,
-                &s.name,
-                TableKind::Stream,
-                Some(StreamMeta {
-                    schema: s.schema.clone(),
-                    partition_col,
-                    ts_col,
-                    exchange: s.exchange,
-                    feeds_exchange: false, // filled in below
-                }),
-                None,
-            );
-            ids.has_exchange |= s.exchange;
+            let col =
+                |c: &Option<String>| c.as_deref().map(|c| s.schema.index_of_or_err(c)).transpose();
+            let meta = StreamMeta {
+                schema: s.schema.clone(),
+                partition_col: col(&s.partition_col)?,
+                exchange: s.exchange,
+                feeds_exchange: false, // set by `build_graph`
+            };
+            self.add_table(&s.name, TableKind::Stream, Some(meta), None, col(&s.ts_col)?)?;
         }
         for w in &app.windows {
-            let owner = ids.proc_by_name.get(w.owner()).copied();
-            add_table(&mut ids, w.name(), TableKind::Window, None, owner);
+            let ts_col = w.validate()?;
+            let owner = self
+                .proc_id(w.owner())
+                .ok_or_else(|| Error::not_found("window owner procedure", w.owner()))?;
+            self.add_table(w.name(), TableKind::Window, None, Some(owner), ts_col)?;
+        }
+        // Time windows slide off the partition watermark, which is the
+        // min over event-time streams' high marks — without at least
+        // one such stream the watermark never advances and the window
+        // never fires. Catch the dead config here.
+        let timed = |kind| self.of_kind(kind).any(|(_, t)| t.ts_col.is_some());
+        if timed(TableKind::Window) && !timed(TableKind::Stream) {
+            return Err(Error::StreamViolation(
+                "app declares a time window but no event-time stream \
+                 (stream_timed / stream_partitioned_timed) to drive its watermark"
+                    .into(),
+            ));
+        }
+        self.pe_targets = vec![Vec::new(); self.tables.len()];
+        Ok(())
+    }
+
+    fn add_table(
+        &mut self,
+        name: &str,
+        kind: TableKind,
+        stream: Option<StreamMeta>,
+        owner_proc: Option<ProcId>,
+        ts_col: Option<usize>,
+    ) -> Result<()> {
+        let name = name.to_ascii_lowercase();
+        if self.table_by_name.insert(name.clone(), TableId(self.tables.len() as u32)).is_some() {
+            return Err(Error::already_exists("table/stream/window", name));
+        }
+        self.tables.push(TableMeta { name: Arc::from(name), kind, stream, owner_proc, ts_col });
+        Ok(())
+    }
+
+    /// Resolves the triggers, and each procedure's outputs, children and
+    /// statements (parsed, and checked against window scoping).
+    fn link(&mut self, app: &App) -> Result<Parsed> {
+        for t in &app.pe_triggers {
+            let stream = self.table_id(&t.stream);
+            if stream.is_some_and(|s| self.table(s).kind == TableKind::Window) {
+                return Err(Error::StreamViolation(format!(
+                    "PE triggers cannot attach to window {} (windows are procedure-private)",
+                    t.stream
+                )));
+            }
+            let stream =
+                self.stream_id(&t.stream).ok_or_else(|| Error::not_found("stream", &t.stream))?;
+            let proc =
+                self.proc_id(&t.proc).ok_or_else(|| Error::not_found("procedure", &t.proc))?;
+            let targets = &mut self.pe_targets[stream.index()];
+            if targets.contains(&proc) {
+                return Err(Error::already_exists(
+                    "PE trigger",
+                    format!("{} -> {}", t.stream, t.proc),
+                ));
+            }
+            targets.push(proc);
+            self.procs[proc.index()].input_stream.get_or_insert(stream);
         }
 
-        ids.pe_targets = vec![Vec::new(); ids.tables.len()];
-        for t in &app.pe_triggers {
-            let stream = ids
-                .table_id(&t.stream)
-                .ok_or_else(|| Error::not_found("stream", &t.stream))?;
-            let proc = ids
-                .proc_id(&t.proc)
-                .ok_or_else(|| Error::not_found("procedure", &t.proc))?;
-            ids.pe_targets[stream.index()].push(proc);
-            let meta = &mut ids.procs[proc.index()];
-            if meta.input_stream.is_none() {
-                meta.input_stream = Some(stream);
+        // Exchange streams only make sense as workflow edges: someone
+        // downstream must consume what the exchange delivers.
+        for (s, meta) in self.streams() {
+            if meta.stream.as_ref().is_some_and(|m| m.exchange) && self.pe_targets_of(s).is_empty()
+            {
+                return Err(Error::StreamViolation(format!(
+                    "exchange stream {} has no PE trigger to deliver to",
+                    meta.name
+                )));
             }
         }
 
-        // §2.3: a nested transaction produces what its children declare.
-        // Proc ids follow `app.procs`, so an id indexes its definition.
+        // EE triggers attach to streams or windows only, and a stream
+        // cannot have both EE and PE triggers (EE-triggered streams are
+        // garbage-collected inside the EE; PE-triggered batches must
+        // survive until the downstream transaction consumes them).
+        let mut triggers = Vec::with_capacity(app.ee_triggers.len());
+        for t in &app.ee_triggers {
+            let table = self
+                .table_id(&t.table)
+                .filter(|&id| self.table(id).kind != TableKind::Base)
+                .ok_or_else(|| {
+                    Error::StreamViolation(format!(
+                        "EE trigger target {} is not a stream or window",
+                        t.table
+                    ))
+                })?;
+            if !self.pe_targets_of(table).is_empty() {
+                return Err(Error::StreamViolation(format!(
+                    "stream {} has both EE and PE triggers",
+                    t.table
+                )));
+            }
+            let sql = t.sql.iter().map(|sql| {
+                sstore_sql::parse(sql)
+                    .map_err(|e| Error::Parse(format!("in EE trigger on {}: {e}", t.table)))
+            });
+            triggers.push((table, sql.collect::<Result<Vec<_>>>()?));
+        }
+
+        let mut procs = Vec::with_capacity(app.procs.len());
         for (i, p) in app.procs.iter().enumerate() {
-            for unit in std::iter::once(&p.name).chain(&p.children) {
-                let unit = ids
-                    .proc_id(unit)
-                    .ok_or_else(|| Error::not_found("nested child procedure", unit))?;
-                for o in &app.procs[unit.index()].outputs {
-                    let s = ids.table_id(o).ok_or_else(|| Error::not_found("output stream", o))?;
-                    if !ids.procs[i].produces.contains(&s) {
-                        ids.procs[i].produces.push(s);
+            let outputs = p
+                .outputs
+                .iter()
+                .map(|o| {
+                    let s =
+                        self.stream_id(o).ok_or_else(|| Error::not_found("output stream", o))?;
+                    Ok((self.table_name(s).clone(), s))
+                })
+                .collect::<Result<Vec<_>>>()?;
+            if p.body.is_none() && p.children.is_empty() {
+                return Err(Error::Plan(format!(
+                    "procedure {} has neither body nor children",
+                    p.name
+                )));
+            }
+            let children = p
+                .children
+                .iter()
+                .map(|c| {
+                    let child = self
+                        .proc_id(c)
+                        .ok_or_else(|| Error::not_found("nested child procedure", c))?;
+                    if !app.procs[child.index()].children.is_empty() {
+                        return Err(Error::Plan(format!(
+                            "nested transaction {} cannot contain another nested transaction {c}",
+                            p.name
+                        )));
+                    }
+                    Ok(child)
+                })
+                .collect::<Result<Vec<_>>>()?;
+            let mut names = HashSet::new();
+            let mut stmts = Vec::with_capacity(p.statements.len());
+            for (sname, sql) in &p.statements {
+                if !names.insert(sname) {
+                    return Err(Error::already_exists("statement", format!("{}.{sname}", p.name)));
+                }
+                let stmt = sstore_sql::parse(sql)
+                    .map_err(|e| Error::Parse(format!("in {}.{sname}: {e}", p.name)))?;
+                self.check_scope(ProcId(i as u32), &stmt)?;
+                stmts.push(stmt);
+            }
+            let meta = &mut self.procs[i];
+            (meta.outputs, meta.children) = (outputs, children);
+            procs.push(stmts);
+        }
+        Ok(Parsed { procs, triggers })
+    }
+
+    /// §3.2.2: a window is private to its owner, and its rows leave by
+    /// expiry alone.
+    fn check_scope(&self, proc: ProcId, stmt: &Statement) -> Result<()> {
+        for table in referenced_tables(stmt) {
+            let owner = self.table_id(&table).and_then(|t| self.table(t).owner_proc);
+            if let Some(owner) = owner.filter(|&o| o != proc) {
+                return Err(Error::StreamViolation(format!(
+                    "procedure {} references window {table} owned by {} (§3.2.2 scoping)",
+                    self.proc_name(proc),
+                    self.proc_name(owner)
+                )));
+            }
+        }
+        if let Statement::Update(Update { table, .. }) | Statement::Delete(Delete { table, .. }) =
+            stmt
+        {
+            if self.table_id(table).is_some_and(|t| self.table(t).kind == TableKind::Window) {
+                return Err(window_is_append_only(table));
+            }
+        }
+        Ok(())
+    }
+
+    /// Folds children's outputs into nested transactions, orders the
+    /// graph (rejecting a cycle), and marks what feeds an exchange.
+    fn build_graph(&mut self) -> Result<()> {
+        // §2.3: a nested transaction produces what its children declare.
+        for i in 0..self.procs.len() {
+            let mut produces = Vec::new();
+            for unit in std::iter::once(ProcId(i as u32)).chain(self.procs[i].children.clone()) {
+                for &(_, s) in &self.procs[unit.index()].outputs {
+                    if !produces.contains(&s) {
+                        produces.push(s);
                     }
                 }
             }
+            self.procs[i].produces = produces;
         }
 
-        let order = ids.topo_order()?;
+        let order = self.topo_order()?;
         for (pos, &p) in order.iter().enumerate() {
-            ids.procs[p.index()].topo_pos = pos;
+            self.procs[p.index()].topo_pos = pos;
         }
         // A stream feeds an exchange when one of its consumers produces a
         // stream on an exchange path; consumers come later in `order`, so
         // walking it backwards settles each stream in one pass.
         for &p in order.iter().rev() {
-            if !ids.procs[p.index()].produces.iter().any(|&s| ids.on_exchange_path(s)) {
+            if !self.procs[p.index()].produces.iter().any(|&s| self.on_exchange_path(s)) {
                 continue;
             }
-            for (t, _) in ids.pe_targets.iter().enumerate().filter(|(_, to)| to.contains(&p)) {
-                if let Some(s) = ids.tables[t].stream.as_mut() {
+            for (t, _) in self.pe_targets.iter().enumerate().filter(|(_, to)| to.contains(&p)) {
+                if let Some(s) = self.tables[t].stream.as_mut() {
                     s.feeds_exchange = true;
                 }
             }
         }
-        Ok(ids)
+
+        // Exchange sends and alignment fire once per commit of a TE, so
+        // both sets come from what it produces.
+        for i in 0..self.procs.len() {
+            let produced = |keep: fn(&StreamMeta) -> bool| -> Vec<TableId> {
+                let produces = self.procs[i].produces.iter().copied();
+                produces.filter(|&s| self.table(s).stream.as_ref().is_some_and(keep)).collect()
+            };
+            let (exchange, align) =
+                (produced(|s| s.exchange), produced(StreamMeta::on_exchange_path));
+            (self.procs[i].exchange_outputs, self.procs[i].align_outputs) = (exchange, align);
+        }
+        Ok(())
+    }
+
+    /// The rules that read the workflow graph.
+    fn check_workflow(&self, parsed: &Parsed) -> Result<()> {
+        // A stream no procedure produces is fed by ingest alone, and an
+        // ingested batch runs exactly one border transaction: with two
+        // PE triggers, every ingest into it would be refused.
+        for (s, meta) in self.streams() {
+            let produced = self.procs.iter().any(|p| p.produces.contains(&s));
+            if self.pe_targets_of(s).len() > 1 && !produced {
+                return Err(ingest_runs_one_transaction(self, s, &meta.name));
+            }
+        }
+
+        // Exchange merges are keyed by (stream, batch id), and batch
+        // ids are only unique within one border stream's counter. Two
+        // producers (or one producer fed by two border streams) would
+        // ship colliding batch ids onto the same exchange stream and
+        // silently clobber each other's sub-batches, so both are
+        // rejected here: an exchange stream needs exactly one
+        // *runnable* (PE-triggered) producer, rooted in exactly one
+        // border stream. A nested transaction produces its children's
+        // outputs, so it is the producer it runs them as.
+        let producers = |s: TableId| -> Vec<ProcId> {
+            (0..self.proc_count() as u32)
+                .map(ProcId)
+                .filter(|&p| {
+                    self.proc(p).input_stream.is_some() && self.proc(p).produces.contains(&s)
+                })
+                .collect()
+        };
+        for (x, meta) in
+            self.streams().filter(|(_, m)| m.stream.as_ref().is_some_and(|s| s.exchange))
+        {
+            let mut todo = producers(x);
+            if todo.len() != 1 {
+                return Err(Error::StreamViolation(format!(
+                    "exchange stream {} needs exactly one PE-triggered producing \
+                     procedure (found {}): batch ids from several producers would \
+                     collide",
+                    meta.name,
+                    todo.len()
+                )));
+            }
+            // Walk upstream to the border streams (streams no runnable
+            // procedure produces) whose ingest counters the batch ids
+            // come from.
+            let (mut roots, mut seen) = (Vec::new(), vec![false; self.proc_count()]);
+            while let Some(p) = todo.pop() {
+                if std::mem::replace(&mut seen[p.index()], true) {
+                    continue;
+                }
+                for (s, _) in self.streams().filter(|(s, _)| self.pe_targets_of(*s).contains(&p)) {
+                    let upstream = producers(s);
+                    if upstream.is_empty() && !roots.contains(&s) {
+                        roots.push(s);
+                    }
+                    todo.extend(upstream);
+                }
+            }
+            if roots.len() > 1 {
+                let mut names: Vec<&str> = roots.iter().map(|&s| &**self.table_name(s)).collect();
+                names.sort();
+                return Err(Error::StreamViolation(format!(
+                    "exchange stream {} is fed by several border streams ({}): \
+                     their independent batch counters would collide in the exchange",
+                    meta.name,
+                    names.join(", ")
+                )));
+            }
+        }
+
+        // Time-window slides run per partition when the local watermark
+        // crosses an extent boundary — NOT once per batch — so their
+        // triggers cannot feed an exchange edge, directly OR transitively
+        // (a slide output landing on a plain stream whose downstream
+        // procedure re-ships an exchange sub-batch would duplicate the
+        // batch id the original round already shipped, corrupting the
+        // merge). A window with a timestamp column is a time window.
+        for (window, sql) in &parsed.triggers {
+            let meta = self.table(*window);
+            if meta.kind != TableKind::Window || meta.ts_col.is_none() {
+                continue;
+            }
+            for stmt in sql {
+                let Statement::Insert(i) = stmt else { continue };
+                if self.table_id(&i.table).is_some_and(|s| self.on_exchange_path(s)) {
+                    return Err(Error::StreamViolation(format!(
+                        "time window {} trigger output {} reaches an exchange stream: \
+                         watermark-driven slides are not batch-aligned across partitions",
+                        meta.name,
+                        i.table.to_ascii_lowercase()
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Plans every registered statement. A shape pass first gives every
+    /// overlapping window (`slide < size`) one group index per distinct
+    /// grouped SELECT shape registered against it that an index can
+    /// answer ([`group_index_shape`]): every statement that can run
+    /// against a window is registered with the app (§3.2.2 scoping), so
+    /// the engine derives the indexes; nobody declares them. A tumbling
+    /// window gets none: its slide replaces every row, and maintaining
+    /// the aggregate would cost what re-reading the extent does. Then
+    /// the final plans are made against the catalog holding them.
+    fn plan(&mut self, app: &App, parsed: Parsed) -> Result<()> {
+        let mut catalog = build_catalog(app, self)?;
+        let tumbles = app.windows.iter().map(|w| match &w.windowing {
+            Windowing::Tuple(spec) => spec.is_tumbling(),
+            Windowing::Time(spec) => spec.is_tumbling(),
+        });
+        let sliding: Vec<TableId> = self
+            .of_kind(TableKind::Window)
+            .zip(tumbles)
+            .filter(|(_, t)| !t)
+            .map(|((id, _), _)| id)
+            .collect();
+        let registered =
+            || parsed.procs.iter().flatten().chain(parsed.triggers.iter().flat_map(|(_, s)| s));
+        if !sliding.is_empty() {
+            // A statement that does not plan is skipped here; the final
+            // pass reports it.
+            for stmt in registered() {
+                let select = match Planner::new(&catalog).plan(stmt) {
+                    Ok(BoundStatement::Select(s)) => s,
+                    Ok(BoundStatement::Insert(BoundInsert { select: Some(s), .. })) => *s,
+                    _ => continue,
+                };
+                let table = select.from.table;
+                if !sliding.contains(&table) {
+                    continue;
+                }
+                let Some(def) = group_index_shape(&select, catalog.get(table).schema()) else {
+                    continue;
+                };
+                if catalog.get(table).group_index(&def).is_none() {
+                    catalog.get_mut(table).create_group_index(def.clone())?;
+                    self.group_indexes.push((table, def));
+                }
+            }
+        }
+
+        let planner = Planner::new(&catalog);
+        self.plans = registered().map(|s| planner.plan(s)).collect::<Result<_>>()?;
+        let mut next = 0;
+        for (meta, stmts) in self.procs.iter_mut().zip(&parsed.procs) {
+            meta.stmts = next..next + stmts.len();
+            next += stmts.len();
+        }
+        self.ee_triggers = vec![None; self.tables.len()];
+        for (table, stmts) in &parsed.triggers {
+            let list = self.ee_triggers[table.index()].get_or_insert_with(Vec::new);
+            list.extend(next..next + stmts.len());
+            next += stmts.len();
+        }
+        Ok(())
     }
 
     /// Kahn's algorithm over `p → q` (`p` produces a stream that
@@ -255,18 +643,17 @@ impl AppIds {
         self.tables[id.index()].stream.as_ref().is_some_and(StreamMeta::on_exchange_path)
     }
 
-    /// True when the app declares any exchange stream.
-    #[inline]
-    pub fn has_exchange(&self) -> bool {
-        self.has_exchange
-    }
-
     /// Resolves a table/stream/window name (case-insensitive).
     pub fn table_id(&self, name: &str) -> Option<TableId> {
         if let Some(id) = self.table_by_name.get(name) {
             return Some(*id);
         }
         self.table_by_name.get(&name.to_ascii_lowercase()).copied()
+    }
+
+    /// Resolves a name that must be a stream.
+    fn stream_id(&self, name: &str) -> Option<TableId> {
+        self.table_id(name).filter(|&id| self.table(id).stream.is_some())
     }
 
     /// Resolves a procedure name (case-insensitive).
@@ -307,6 +694,21 @@ impl AppIds {
         &self.pe_targets[stream.index()]
     }
 
+    /// Every registered statement's plan, indexed by [`StmtId`].
+    pub(crate) fn plans(&self) -> &[BoundStatement] {
+        &self.plans
+    }
+
+    /// EE-trigger statements per table id.
+    pub(crate) fn ee_triggers(&self) -> &[Option<Vec<StmtId>>] {
+        &self.ee_triggers
+    }
+
+    /// The group indexes derived for sliding windows.
+    pub(crate) fn group_indexes(&self) -> &[(TableId, GroupIndexDef)] {
+        &self.group_indexes
+    }
+
     /// Number of interned tables.
     pub fn table_count(&self) -> usize {
         self.tables.len()
@@ -319,10 +721,19 @@ impl AppIds {
 
     /// Iterates `(TableId, &TableMeta)` for all stream tables.
     pub fn streams(&self) -> impl Iterator<Item = (TableId, &TableMeta)> + '_ {
+        self.of_kind(TableKind::Stream)
+    }
+
+    /// Iterates `(TableId, &TableMeta)` for the tables of one kind, in
+    /// declaration order.
+    pub(crate) fn of_kind(
+        &self,
+        kind: TableKind,
+    ) -> impl Iterator<Item = (TableId, &TableMeta)> + '_ {
         self.tables
             .iter()
             .enumerate()
-            .filter(|(_, t)| t.kind == TableKind::Stream)
+            .filter(move |(_, t)| t.kind == kind)
             .map(|(i, t)| (TableId(i as u32), t))
     }
 }
@@ -374,6 +785,8 @@ mod tests {
         assert_eq!(ids.proc(p1).input_stream, Some(s_in));
         assert_eq!(ids.proc(p2).input_stream, Some(s_mid));
         assert_eq!(ids.proc(p1).produces, vec![s_mid]);
+        assert_eq!(ids.proc(p1).outputs, vec![(ids.table_name(s_mid).clone(), s_mid)]);
+        assert!(ids.proc(p1).children.is_empty() && ids.proc(p1).exchange_outputs.is_empty());
         assert!(ids.proc(p1).topo_pos < ids.proc(p2).topo_pos);
         assert_eq!(ids.streams().count(), 2);
     }

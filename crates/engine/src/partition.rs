@@ -42,7 +42,7 @@ use crate::ee::ExecutionEngine;
 use crate::faults::CrashPoint;
 use crate::log::{CommandLog, LogKind};
 use crate::metrics::EngineMetrics;
-use crate::names::{AppIds, StreamMeta};
+use crate::names::AppIds;
 use crate::procedure::{CompiledProc, ProcCtx};
 use crate::scheduler::SchedulerQueue;
 use crate::workflow::TraceEvent;
@@ -325,7 +325,7 @@ pub(crate) struct PartitionRuntime {
     ee: EeHandle,
     ids: Arc<AppIds>,
     /// Compiled procedures, indexed by [`ProcId`].
-    procs: Vec<Option<Arc<CompiledProc>>>,
+    procs: Vec<CompiledProc>,
     /// Procedure bodies, indexed by [`ProcId`].
     bodies: Vec<Option<crate::app::ProcBody>>,
     queue: SchedulerQueue,
@@ -365,8 +365,8 @@ pub(crate) struct PartitionSeed {
     pub triggers_enabled: bool,
     /// Resume the command log after this LSN (recovery).
     pub resume_lsn: Option<Lsn>,
-    /// Checkpoint-restored exchange watermarks (by stream name).
-    pub exchange_floor: HashMap<String, u64>,
+    /// Checkpoint-restored exchange watermarks, indexed by [`TableId`].
+    pub exchange_applied: Vec<u64>,
 }
 
 /// Spawns a partition thread.
@@ -376,49 +376,17 @@ pub(crate) fn spawn_partition(
     app: &App,
     ids: Arc<AppIds>,
     ee: EeHandle,
-    proc_stmts: crate::ee::ProcStmtMap,
+    mut proc_stmts: crate::ee::ProcStmtMap,
     metrics: Arc<EngineMetrics>,
 ) -> Result<JoinHandle<()>> {
-    let mut procs: Vec<Option<Arc<CompiledProc>>> = vec![None; ids.proc_count()];
-    let mut bodies: Vec<Option<crate::app::ProcBody>> = vec![None; ids.proc_count()];
-    for p in &app.procs {
-        let pid = ids
-            .proc_id(&p.name)
-            .ok_or_else(|| Error::not_found("procedure", &p.name))?;
-        let stmts = proc_stmts.get(&p.name).into_iter().flatten().map(|(n, &id)| (n.clone(), id)).collect();
-        let outputs = p
-            .outputs
-            .iter()
-            .map(|o| {
-                ids.table_id(o)
-                    .map(|id| (o.clone(), id))
-                    .ok_or_else(|| Error::not_found("output stream", o))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let children = p
-            .children
-            .iter()
-            .map(|c| ids.proc_id(c).ok_or_else(|| Error::not_found("procedure", c)))
-            .collect::<Result<Vec<_>>>()?;
-        // Exchange sends and alignment fire once per commit of this TE,
-        // so both sets come from what it produces — for a nested
-        // transaction, its children's outputs too.
-        let produced = |keep: fn(&StreamMeta) -> bool| -> Vec<TableId> {
-            let produces = ids.proc(pid).produces.iter().copied();
-            produces.filter(|&s| ids.table(s).stream.as_ref().is_some_and(keep)).collect()
-        };
-        procs[pid.index()] = Some(Arc::new(CompiledProc {
-            name: ids.proc_name(pid).clone(),
-            stmts,
-            outputs,
-            exchange_outputs: produced(|s| s.exchange),
-            align_outputs: produced(StreamMeta::on_exchange_path),
-            children,
-        }));
-        if let Some(body) = &p.body {
-            bodies[pid.index()] = Some(body.clone());
-        }
-    }
+    // Proc ids follow `app.procs`; `proc_stmts` is install's map for
+    // the same app, one entry per procedure.
+    let procs = app
+        .procs
+        .iter()
+        .map(|p| CompiledProc { stmts: proc_stmts.remove(&p.name).unwrap_or_default().into_iter().collect() })
+        .collect();
+    let bodies = app.procs.iter().map(|p| p.body.clone()).collect();
 
     let log = if config.logging.enabled {
         let path = config.log_path(seed.id);
@@ -431,12 +399,6 @@ pub(crate) fn spawn_partition(
         None
     };
 
-    let mut exchange_applied = vec![0u64; ids.table_count()];
-    for (name, v) in &seed.exchange_floor {
-        if let Some(id) = ids.table_id(name) {
-            exchange_applied[id.index()] = *v;
-        }
-    }
     let slide_inflight = vec![false; ids.table_count()];
 
     let queue = SchedulerQueue::new(config.scheduler);
@@ -451,7 +413,7 @@ pub(crate) fn spawn_partition(
         rx: seed.rx,
         peers: seed.peers,
         exchange_buf: FxHashMap::default(),
-        exchange_applied,
+        exchange_applied: seed.exchange_applied,
         slide_inflight,
         log,
         metrics,
@@ -817,13 +779,6 @@ impl PartitionRuntime {
         }
     }
 
-    fn proc(&self, id: ProcId) -> Result<Arc<CompiledProc>> {
-        self.procs
-            .get(id.index())
-            .and_then(Clone::clone)
-            .ok_or_else(|| Error::not_found("procedure", id.to_string()))
-    }
-
     fn try_execute(
         &mut self,
         proc_id: ProcId,
@@ -832,15 +787,13 @@ impl PartitionRuntime {
         replay: bool,
     ) -> Result<CallOutcome> {
         // Ad-hoc SQL has no stored procedure (ADHOC_PROC is a
-        // sentinel); everything else resolves its compiled procedure.
-        let proc: Option<Arc<CompiledProc>> = match invocation {
-            Invocation::AdHoc { .. } => None,
-            _ => Some(self.proc(proc_id)?),
-        };
-        let proc_name: Arc<str> = match &proc {
-            Some(p) => p.name.clone(),
-            None => Arc::from(ADHOC_NAME),
-        };
+        // sentinel); everything else reads its compiled metadata. It is
+        // borrowed where used, never held: `self.ids` is shared by every
+        // partition, and a per-transaction `Arc` clone would make its
+        // count a line all of them write.
+        let adhoc = matches!(invocation, Invocation::AdHoc { .. });
+        let proc_name: Arc<str> =
+            if adhoc { Arc::from(ADHOC_NAME) } else { self.ids.proc_name(proc_id).clone() };
 
         self.ee.run(move |ee| ee.begin(batch))?;
 
@@ -876,12 +829,7 @@ impl PartitionRuntime {
         if let Invocation::Border { stream, .. } | Invocation::Exchange { stream, .. } =
             invocation
         {
-            let timed = self
-                .ids
-                .table(*stream)
-                .stream
-                .as_ref()
-                .is_some_and(|s| s.ts_col.is_some());
+            let timed = self.ids.table(*stream).ts_col.is_some();
             if timed && !input.is_empty() {
                 // O(1) clone per tuple — shared buffers.
                 let (stream, rows) = (*stream, input.clone());
@@ -906,11 +854,10 @@ impl PartitionRuntime {
             && self.peers.len() > 1
             && self.config.mode == EngineMode::SStore
             && !matches!(invocation, Invocation::WindowSlide { .. })
+            && !adhoc
         {
-            if let Some(proc) = &proc {
-                for &sid in &proc.align_outputs {
-                    self.ee.run(move |ee| ee.emit(sid, Vec::new()))?;
-                }
+            for &sid in &self.ids.proc(proc_id).align_outputs {
+                self.ee.run(move |ee| ee.emit(sid, Vec::new()))?;
             }
         }
 
@@ -929,14 +876,12 @@ impl PartitionRuntime {
             // discipline as a compiled procedure statement.
             let (stmt, params) = (stmt.clone(), params.clone());
             self.ee.run(move |ee| ee.exec_bound(&stmt, &params))?
-        } else if proc.as_ref().is_some_and(|p| p.children.is_empty()) {
-            let proc = proc.as_ref().expect("non-adhoc invocations carry a procedure");
-            self.run_body(proc_id, proc, input, batch, params)?
+        } else if self.ids.proc(proc_id).children.is_empty() {
+            self.run_body(proc_id, input, batch, params)?
         } else {
-            let proc = proc.as_ref().expect("non-adhoc invocations carry a procedure");
             let mut last = QueryResult::default();
-            for (i, &child_id) in proc.children.iter().enumerate() {
-                let child = self.proc(child_id)?;
+            for i in 0..self.ids.proc(proc_id).children.len() {
+                let child_id = self.ids.proc(proc_id).children[i];
                 let child_input = if i == 0 {
                     input.clone()
                 } else {
@@ -949,7 +894,7 @@ impl PartitionRuntime {
                         _ => Vec::new(),
                     }
                 };
-                last = self.run_body(child_id, &child, child_input, batch, Vec::new())?;
+                last = self.run_body(child_id, child_input, batch, Vec::new())?;
             }
             last
         };
@@ -1046,11 +991,9 @@ impl PartitionRuntime {
                 // exchange outputs — they did not run the owner's body,
                 // and an empty re-ship of an already-shipped batch
                 // would corrupt the receivers' merge accounting.
-                if !matches!(invocation, Invocation::WindowSlide { .. }) {
-                    if let Some(proc) = &proc {
-                        for &sid in &proc.exchange_outputs {
-                            send.push((sid, b));
-                        }
+                if !matches!(invocation, Invocation::WindowSlide { .. } | Invocation::AdHoc { .. }) {
+                    for &sid in &self.ids.proc(proc_id).exchange_outputs {
+                        send.push((sid, b));
                     }
                 }
                 local_outputs.retain(|&(s, ob)| {
@@ -1139,15 +1082,15 @@ impl PartitionRuntime {
     fn run_body(
         &mut self,
         proc_id: ProcId,
-        proc: &Arc<CompiledProc>,
         input: Vec<Tuple>,
         batch: Option<BatchId>,
         params: Vec<Value>,
     ) -> Result<QueryResult> {
+        let (meta, proc) = (self.ids.proc(proc_id), &self.procs[proc_id.index()]);
         let body = self.bodies[proc_id.index()]
             .clone()
-            .ok_or_else(|| Error::Plan(format!("procedure {} has no body", proc.name)))?;
-        let mut ctx = ProcCtx::new(&mut self.ee, proc.clone(), input, batch, params);
+            .ok_or_else(|| Error::Plan(format!("procedure {} has no body", meta.name)))?;
+        let mut ctx = ProcCtx::new(&mut self.ee, meta, proc, input, batch, params);
         body(&mut ctx)?;
         Ok(ctx.take_result())
     }

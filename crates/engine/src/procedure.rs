@@ -7,51 +7,31 @@
 //! the EE boundary, exactly like H-Store procedures whose Java half can
 //! touch data only via SQL.
 
-use std::sync::Arc;
-
 use sstore_common::hash::FxHashMap;
-use sstore_common::{BatchId, Error, ProcId, Result, TableId, Tuple, Value};
+use sstore_common::{BatchId, Error, Result, Tuple, Value};
 use sstore_sql::QueryResult;
 
 use crate::boundary::EeHandle;
 use crate::ee::StmtId;
+use crate::names::ProcMeta;
 
-/// A stored procedure compiled against a partition's catalog.
-#[derive(Debug, Clone)]
+/// What [`crate::ee::ExecutionEngine::install`] decides of one stored
+/// procedure: its statement ids on that EE. Everything else about it —
+/// name, outputs, children, exchange and alignment outputs — is the
+/// compile step's ([`ProcMeta`]).
+#[derive(Debug, Clone, Default)]
 pub struct CompiledProc {
-    /// Procedure name (lower-cased, shared).
-    pub name: Arc<str>,
     /// Named statements → EE statement ids, looked up on every
     /// [`ProcCtx::sql`] call.
     pub stmts: FxHashMap<String, StmtId>,
-    /// Streams this procedure is declared to emit to, with their
-    /// interned ids (resolved once at install — `emit` does no lookup).
-    pub outputs: Vec<(String, TableId)>,
-    /// Produced streams ([`crate::names::ProcMeta::produces`]: declared
-    /// outputs, and for a nested transaction its children's) that are
-    /// exchange streams. The partition engine
-    /// ships a sub-batch for each of these on *every* commit of this
-    /// procedure — even when the body emitted nothing — so downstream
-    /// exchange merges stay aligned one-sub-batch-per-source-per-batch.
-    pub exchange_outputs: Vec<TableId>,
-    /// Produced streams on the path to an exchange (exchange streams
-    /// plus `feeds_exchange` locals). On multi-partition S-Store
-    /// engines, every streaming commit of this procedure registers a
-    /// (possibly empty) batch on each of these *before* the body runs,
-    /// so a stage that emits nothing for an empty sub-batch still
-    /// advances this partition's copy of the workflow — otherwise a
-    /// downstream exchange merge would wait forever for this
-    /// partition's sub-batch.
-    pub align_outputs: Vec<TableId>,
-    /// For nested transactions: ordered child procedures.
-    pub children: Vec<ProcId>,
 }
 
 /// Execution context handed to a stored-procedure body for one
 /// transaction execution.
 pub struct ProcCtx<'a> {
     ee: &'a mut EeHandle,
-    proc: Arc<CompiledProc>,
+    meta: &'a ProcMeta,
+    proc: &'a CompiledProc,
     input: Vec<Tuple>,
     batch: Option<BatchId>,
     params: Vec<Value>,
@@ -62,12 +42,13 @@ impl<'a> ProcCtx<'a> {
     /// Builds a context (engine-internal).
     pub(crate) fn new(
         ee: &'a mut EeHandle,
-        proc: Arc<CompiledProc>,
+        meta: &'a ProcMeta,
+        proc: &'a CompiledProc,
         input: Vec<Tuple>,
         batch: Option<BatchId>,
         params: Vec<Value>,
     ) -> Self {
-        ProcCtx { ee, proc, input, batch, params, result: QueryResult::default() }
+        ProcCtx { ee, meta, proc, input, batch, params, result: QueryResult::default() }
     }
 
     /// Runs one of this procedure's named SQL statements with bound
@@ -77,7 +58,7 @@ impl<'a> ProcCtx<'a> {
             .proc
             .stmts
             .get(stmt)
-            .ok_or_else(|| Error::not_found("statement", format!("{stmt} in {}", self.proc.name)))?;
+            .ok_or_else(|| Error::not_found("statement", format!("{stmt} in {}", self.meta.name)))?;
         self.ee.exec_params(id, params)
     }
 
@@ -103,7 +84,7 @@ impl<'a> ProcCtx<'a> {
     /// outputs.
     pub fn emit(&mut self, stream: &str, rows: Vec<Tuple>) -> Result<()> {
         let id = self
-            .proc
+            .meta
             .outputs
             .iter()
             .find(|(name, _)| name.eq_ignore_ascii_case(stream))
@@ -111,7 +92,7 @@ impl<'a> ProcCtx<'a> {
             .ok_or_else(|| {
                 Error::StreamViolation(format!(
                     "procedure {} emits to undeclared stream {stream}",
-                    self.proc.name
+                    self.meta.name
                 ))
             })?;
         self.ee.run(move |ee| ee.emit(id, rows))
@@ -130,7 +111,7 @@ impl<'a> ProcCtx<'a> {
 
     /// Procedure name (for diagnostics).
     pub fn proc_name(&self) -> &str {
-        &self.proc.name
+        &self.meta.name
     }
 
     pub(crate) fn take_result(self) -> QueryResult {
@@ -145,15 +126,9 @@ mod tests {
     #[test]
     fn compiled_proc_shape() {
         let p = CompiledProc {
-            name: "validate".into(),
             stmts: FxHashMap::from_iter([("check".into(), 0usize), ("record".into(), 1usize)]),
-            outputs: vec![("validated".into(), TableId(0))],
-            exchange_outputs: Vec::new(),
-            align_outputs: Vec::new(),
-            children: Vec::new(),
         };
         assert_eq!(p.stmts.len(), 2);
         assert_eq!(p.stmts.get("record"), Some(&1), "looked up by a borrowed name");
-        assert!(p.children.is_empty());
     }
 }

@@ -13,8 +13,8 @@
 //!   (fast-tracked by the streaming scheduler) — no client round trip.
 //!
 //! Windows cannot carry PE triggers (window state is private to its
-//! owning procedure, §3.2.2); this is enforced by [`crate::app`] at
-//! build time.
+//! owning procedure, §3.2.2); this is enforced by
+//! [`crate::names::AppIds::build`] at build time.
 
 /// An EE trigger: SQL statements to run inside the EE when tuples land
 /// in `table` (stream: per batch; window: per slide).
@@ -22,7 +22,8 @@
 pub struct EeTriggerDef {
     /// Stream or window table the trigger watches.
     pub table: String,
-    /// SQL statements, run in order. Compiled once at engine start.
+    /// SQL statements, run in order. Planned once by
+    /// [`crate::names::AppIds::build`].
     pub sql: Vec<String>,
 }
 

@@ -38,8 +38,8 @@
 //!
 //! Aggregates over a window: the state machines here only say which rows
 //! enter and leave. A sliding window's grouped statements are answered
-//! from group indexes on its table (`sstore_storage::group`, attached by
-//! `ee.rs::build_catalog`), and those are maintained where every other
+//! from group indexes on its table (`sstore_storage::group`, derived by
+//! `names.rs::AppIds::build`, attached by `ee.rs::build_catalog`), and those are maintained where every other
 //! index is — inside the table's insert and delete — so activation,
 //! expiry, late merges and every undo keep them current without this
 //! module or the EE knowing they exist.
@@ -259,7 +259,7 @@ pub struct TimeWindowSpec {
     /// Owning stored procedure.
     pub owner: String,
     /// Name of the event-timestamp column in the window schema (must
-    /// be an integer column; resolved to an index at install time).
+    /// be an integer column; resolved to an index at build).
     pub ts_column: String,
     /// Window extent in event-time units.
     pub size_ms: i64,

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Pre-merge guard: release build, the whole test suite, the four
-# examples, the benchmark package's own tests, the chaos and SQL-fuzz
-# corpora, then
+# Pre-merge guard: the size ceiling, release build, the whole test
+# suite, the four examples, the benchmark package's own tests, the chaos
+# and SQL-fuzz corpora, then
 # `sstore-bench smoke` — the gated bench cases at smoke length. Every
 # bench gate is evaluated in Rust on typed values
 # (crates/bench/src/cases/mod.rs; EXPERIMENTS.md "Smoke gates" lists
@@ -30,6 +30,17 @@ run_corpus() {
             ;;
     esac
 }
+
+# The ROADMAP's tracked number, in every pre-merge run, checked first:
+# `crates/` must stay under the ROADMAP's ceiling.
+LOC_CEILING=21000
+echo "== size (scripts/loc.sh) =="
+total=$(scripts/loc.sh | awk '$1 == "total" { print $2 }')
+echo "crates/ total: $total (ceiling $LOC_CEILING)"
+if [ "$total" -ge "$LOC_CEILING" ]; then
+    echo "bench_smoke: crates/ is $total non-test lines, at or over the $LOC_CEILING ceiling" >&2
+    exit 1
+fi
 
 echo "== build (release) =="
 cargo build --release --workspace
@@ -83,8 +94,4 @@ run_corpus "sqlfuzz --large" "seeds clean in" -p sqlfuzz -- --large --seeds 200 
 
 echo "== bench smoke (hotpath, colscan, timewindow, scaling, overload, server, recovery) =="
 ./target/release/sstore-bench smoke
-
-# The ROADMAP's tracked number, in every pre-merge run.
-echo "== size (scripts/loc.sh) =="
-scripts/loc.sh | tail -1
 echo "bench_smoke: OK"
