@@ -11,8 +11,19 @@
 //! All state is addressed by dense [`TableId`]s (assigned by the app's
 //! compile step, see [`crate::names`]): stream bookkeeping, window
 //! state, and EE-trigger lists are plain vectors indexed by table id,
-//! and effects carry ids — no string hashing, lower-casing, or name
-//! cloning happens inside the execution loop.
+//! and undo entries carry ids — no string hashing, lower-casing, or
+//! name cloning happens inside the execution loop. What the compile
+//! step resolved (timestamp columns, plans, trigger lists) is read
+//! from [`AppIds`], not copied.
+//!
+//! # Undo
+//!
+//! A transaction's changes — row effects, stream bookkeeping, window
+//! staging and cursors — are one log, appended as they happen; commit
+//! clears it and abort undoes it newest-first in one loop (see
+//! [`ExecutionEngine::abort`] for why one order serves all three). The
+//! log is also the transaction's touch record for incremental
+//! checkpoints.
 //!
 //! # Trigger cascade (§3.2.3)
 //!
@@ -22,14 +33,14 @@
 //! tuples, to be *staged* (no row id, no index touch, no effect — staged
 //! tuples are invisible because they are nowhere a query looks); slides
 //! then activate and expire rows and fire the window's EE triggers.
-//! After every other statement the EE inspects the effects it produced.
+//! After every other statement the EE inspects the row effects it logged.
 //! Inserts into a stream table are labeled with the transaction's batch
 //! id; if the stream has EE triggers they run immediately (inside this
 //! same EE visit, recursively cascading), after which the consumed rows
 //! are garbage-collected automatically. Streams without EE triggers are
 //! reported to the partition engine at commit for PE-trigger firing.
 //!
-//! Internal mutations (activation/expiry/GC) append undo effects but do
+//! Internal mutations (activation/expiry/GC) are logged for undo but do
 //! not re-enter the cascade, so the cascade terminates.
 //!
 //! What is active in a window is what its table holds
@@ -38,7 +49,7 @@
 //! the storage layer inside the table's insert and delete; nothing in
 //! this file touches them. A time window's ordered `(event-ts, row)`
 //! set is the one index kept here: `table_insert`, `table_delete` and
-//! the effect-undo loop of [`ExecutionEngine::abort`] are the only
+//! the row arm of [`ExecutionEngine::abort`]'s undo are the only
 //! writers of a window table, and each tells the window.
 //!
 //! [`BoundaryMode::Inline`]: crate::config::BoundaryMode::Inline
@@ -77,11 +88,19 @@ pub struct CommitOutcome {
     pub slides: Vec<TableId>,
 }
 
-/// Undo record for stream bookkeeping: O(ops touched), not O(pending
-/// batches) — a queue backlog must not make undo (or its capture) more
-/// expensive.
+/// One entry of a transaction's undo log: a row effect or one step of
+/// stream or window bookkeeping, appended in the order the changes
+/// happen and undone newest-first by [`ExecutionEngine::abort`]. Each
+/// costs O(what it touched), not O(state): a queue backlog or a large
+/// window must not make undo (or its capture) more expensive. A
+/// window step is logged as soon as the state machine has moved and
+/// before any table mutation that could fail, so an error leaving
+/// mid-slide still aborts to the window it found.
 #[derive(Debug)]
-enum StreamUndo {
+enum Undo {
+    /// A row was inserted, deleted or updated. A time window's ordered
+    /// set follows its table's rows, so this entry undoes it too.
+    Row(Effect),
     /// `n` rows were appended to `batch` on `stream`.
     Appended {
         /// Stream table.
@@ -118,32 +137,21 @@ enum StreamUndo {
         /// High mark before this transaction's advance.
         prev: Option<i64>,
     },
-}
-
-/// Undo record for window bookkeeping: staging and the extent cursor.
-/// A window's rows — and a time window's ordered set over them — are
-/// undone effect-by-effect with the table; these operation-level records
-/// restore the rest, O(ops touched), not O(window size). A record is
-/// pushed as soon as the state machine has moved and before any table
-/// mutation that could fail, so an error leaving mid-slide still aborts
-/// to the window it found.
-#[derive(Debug)]
-enum WindowUndo {
-    /// `n` tuples were staged on `window`.
+    /// `n` tuples were staged on a tuple `window`.
     Staged {
         /// Window table.
         window: TableId,
         /// Number staged.
         n: usize,
     },
-    /// One slide was applied on `window`.
+    /// One slide was applied on a tuple `window`.
     Slid {
         /// Window table.
         window: TableId,
         /// The tuples the slide consumed from staging (to restore).
         restaged: Vec<Tuple>,
     },
-    /// One tuple was staged on a time window. Recorded per row —
+    /// One tuple was staged on a time window. Logged per row —
     /// *before* the next row is processed — so a failure later in the
     /// same arrival batch (bad timestamp, insert error) still rolls
     /// back every earlier row's staging.
@@ -156,7 +164,8 @@ enum WindowUndo {
         /// may lower it).
         prev_next_end: Option<i64>,
     },
-    /// One watermark-driven slide was applied on a time window.
+    /// The extent cursor of a time window moved: one watermark-driven
+    /// slide, or extents skipped as trivial.
     TimeSlid {
         /// Window table.
         window: TableId,
@@ -167,6 +176,25 @@ enum WindowUndo {
         /// First-fire flag before the slide.
         prev_fired: bool,
     },
+}
+
+impl Undo {
+    /// The table, stream or window this entry changed.
+    fn table(&self) -> TableId {
+        match self {
+            Undo::Row(
+                Effect::Insert { table, .. } | Effect::Delete { table, .. } | Effect::Update { table, .. },
+            ) => *table,
+            Undo::Appended { stream, .. }
+            | Undo::Consumed { stream, .. }
+            | Undo::Forgot { stream, .. }
+            | Undo::HighMark { stream, .. } => *stream,
+            Undo::Staged { window, .. }
+            | Undo::Slid { window, .. }
+            | Undo::TimeStaged { window, .. }
+            | Undo::TimeSlid { window, .. } => *window,
+        }
+    }
 }
 
 /// Per-procedure map of statement names to statement ids (the ids
@@ -181,9 +209,6 @@ pub struct ExecutionEngine {
     /// Stream bookkeeping, indexed by [`TableId`] (`None` for
     /// non-stream tables).
     streams: Vec<Option<StreamState>>,
-    /// Event-timestamp column per stream (`None` = not event-timed),
-    /// indexed by [`TableId`].
-    stream_ts_col: Vec<Option<usize>>,
     /// Per-stream event-time high mark (max timestamp ever appended),
     /// indexed by [`TableId`]. Monotone; advanced inside transactions,
     /// rewound on abort. The partition watermark is the min over the
@@ -193,9 +218,6 @@ pub struct ExecutionEngine {
     ts_streams: Vec<TableId>,
     /// Window state, indexed by [`TableId`].
     windows: Vec<Option<WindowSlot>>,
-    /// Resolved timestamp-column index per time window, indexed by
-    /// [`TableId`].
-    window_ts_col: Vec<Option<usize>>,
     /// True when any time window is installed (skip watermark work
     /// entirely otherwise).
     has_time_windows: bool,
@@ -216,11 +238,11 @@ pub struct ExecutionEngine {
     // --- transaction-scoped state ---
     in_txn: bool,
     out_batch: Option<BatchId>,
-    effects: Vec<Effect>,
-    /// Operation-level undo for stream bookkeeping.
-    stream_undo: Vec<StreamUndo>,
-    /// Operation-level undo for window bookkeeping.
-    window_undo: Vec<WindowUndo>,
+    /// Every change the open transaction made, oldest first.
+    undo: Vec<Undo>,
+    /// Where a statement's row effects land before they join `undo`
+    /// (kept for its capacity: [`execute`] takes a `Vec<Effect>`).
+    scratch: Vec<Effect>,
     outputs: Vec<(TableId, BatchId)>,
 }
 
@@ -275,23 +297,19 @@ impl ExecutionEngine {
         let catalog = build_catalog(app, &ids)?;
         let n_tables = ids.table_count();
         let mut streams: Vec<Option<StreamState>> = (0..n_tables).map(|_| None).collect();
-        let mut stream_ts_col: Vec<Option<usize>> = vec![None; n_tables];
         let mut ts_streams: Vec<TableId> = Vec::new();
         for (id, meta) in ids.streams() {
             streams[id.index()] = Some(StreamState::new());
-            stream_ts_col[id.index()] = meta.ts_col;
             ts_streams.extend(meta.ts_col.map(|_| id));
         }
         let mut windows: Vec<Option<WindowSlot>> = (0..n_tables).map(|_| None).collect();
-        let mut window_ts_col: Vec<Option<usize>> = vec![None; n_tables];
-        for (w, (id, meta)) in app.windows.iter().zip(ids.of_kind(TableKind::Window)) {
-            window_ts_col[id.index()] = meta.ts_col;
+        for (w, (id, _)) in app.windows.iter().zip(ids.of_kind(TableKind::Window)) {
             windows[id.index()] = Some(match &w.windowing {
                 Windowing::Tuple(spec) => WindowSlot::Tuple(WindowState::new(spec.clone())?),
                 Windowing::Time(spec) => WindowSlot::Time(TimeWindowState::new(spec.clone())?),
             });
         }
-        let has_time_windows = window_ts_col.iter().any(Option::is_some);
+        let has_time_windows = windows.iter().any(|w| matches!(w, Some(WindowSlot::Time(_))));
         // Each EE's own `Arc`s: every execution bumps a plan's count and
         // every firing a trigger list's, and one shared across partition
         // threads would put that count on a cache line both cores write.
@@ -303,8 +321,8 @@ impl ExecutionEngine {
             .iter()
             .zip(0..)
             .map(|(p, i)| {
-                let names = p.statements.iter().map(|(name, _)| name.clone());
-                (p.name.clone(), names.zip(ids.proc(ProcId(i)).stmts.clone()).collect())
+                let stmts = ids.proc(ProcId(i)).stmts.iter().map(|(n, &id)| (n.clone(), id));
+                (p.name.clone(), stmts.collect())
             })
             .collect();
 
@@ -312,11 +330,9 @@ impl ExecutionEngine {
             ExecutionEngine {
                 catalog,
                 streams,
-                stream_ts_col,
                 stream_high: vec![None; n_tables],
                 ts_streams,
                 windows,
-                window_ts_col,
                 has_time_windows,
                 ee_triggers,
                 stmts,
@@ -329,9 +345,8 @@ impl ExecutionEngine {
                 dirty: vec![true; n_tables],
                 in_txn: false,
                 out_batch: None,
-                effects: Vec::new(),
-                stream_undo: Vec::new(),
-                window_undo: Vec::new(),
+                undo: Vec::new(),
+                scratch: Vec::new(),
                 outputs: Vec::new(),
             },
             proc_map,
@@ -360,10 +375,8 @@ impl ExecutionEngine {
         }
         self.in_txn = true;
         self.out_batch = out_batch;
-        self.effects.clear();
+        self.undo.clear();
         self.outputs.clear();
-        self.stream_undo.clear();
-        self.window_undo.clear();
         Ok(())
     }
 
@@ -378,13 +391,11 @@ impl ExecutionEngine {
         }
         self.in_txn = false;
         self.out_batch = None;
-        // Dirty marking must read the undo lists before they clear:
-        // they are the precise record of which tables/streams/windows
-        // this transaction touched.
+        // Dirty marking must read the undo log before it clears: it is
+        // the precise record of which tables/streams/windows this
+        // transaction touched.
         self.mark_txn_dirty();
-        self.effects.clear();
-        self.stream_undo.clear();
-        self.window_undo.clear();
+        self.undo.clear();
         let mut slides = Vec::new();
         if self.has_time_windows {
             if let Some(wm) = self.partition_watermark() {
@@ -419,8 +430,17 @@ impl ExecutionEngine {
         wm
     }
 
-    /// Aborts: undoes every table effect in reverse and restores
-    /// stream/window bookkeeping.
+    /// Aborts: undoes every entry of the undo log, newest first.
+    ///
+    /// One pass serves every kind of entry because the order between
+    /// two entries matters only when they touch the same structure, and
+    /// the log keeps the order of those: stream bookkeeping, window
+    /// staging and cursors, and the tables (with a time window's
+    /// ordered set, which only row entries write) are disjoint, so
+    /// undoing the kinds one after another would give the same state.
+    /// The one arm that reads a structure it does not restore is the row
+    /// arm, and it reads only the live row it is about to delete. A new
+    /// kind of entry must keep this.
     pub fn abort(&mut self) -> Result<()> {
         if !self.in_txn {
             return Err(Error::InvalidState("abort outside transaction".into()));
@@ -429,60 +449,8 @@ impl ExecutionEngine {
         // (they never rewind) — an aborted insert leaves durable state
         // behind, so the touched tables dirty exactly as on commit.
         self.mark_txn_dirty();
-        let mut effects = std::mem::take(&mut self.effects);
-        for e in effects.drain(..).rev() {
-            self.undo_in_time_window(&e)
-                .and_then(|()| undo_effect(&mut self.catalog, e))
-                .map_err(|err| Error::Internal(format!("undo failed: {err}")))?;
-        }
-        self.effects = effects;
-        // Streams: apply operation-level undo newest-first.
-        while let Some(u) = self.stream_undo.pop() {
-            match u {
-                StreamUndo::Appended { stream, batch, n } => {
-                    if let Some(s) = self.streams[stream.index()].as_mut() {
-                        s.undo_append(batch, n);
-                    }
-                }
-                StreamUndo::Consumed { stream, batch, rows } => {
-                    if let Some(s) = self.streams[stream.index()].as_mut() {
-                        s.undo_consume(batch, rows);
-                    }
-                }
-                StreamUndo::Forgot { stream, batch, pos, row } => {
-                    if let Some(s) = self.streams[stream.index()].as_mut() {
-                        s.undo_forget(batch, pos, row);
-                    }
-                }
-                StreamUndo::HighMark { stream, prev } => {
-                    self.stream_high[stream.index()] = prev;
-                }
-            }
-        }
-        // Windows: apply operation-level undo newest-first.
-        while let Some(u) = self.window_undo.pop() {
-            match u {
-                WindowUndo::Staged { window, n } => {
-                    if let Some(WindowSlot::Tuple(w)) = self.windows[window.index()].as_mut() {
-                        w.undo_stage(n);
-                    }
-                }
-                WindowUndo::Slid { window, restaged } => {
-                    if let Some(WindowSlot::Tuple(w)) = self.windows[window.index()].as_mut() {
-                        w.undo_slide(restaged);
-                    }
-                }
-                WindowUndo::TimeStaged { window, ts, prev_next_end } => {
-                    if let Some(WindowSlot::Time(w)) = self.windows[window.index()].as_mut() {
-                        w.undo_stage(ts, prev_next_end);
-                    }
-                }
-                WindowUndo::TimeSlid { window, restaged, prev_next_end, prev_fired } => {
-                    if let Some(WindowSlot::Time(w)) = self.windows[window.index()].as_mut() {
-                        w.undo_slide(restaged, prev_next_end, prev_fired);
-                    }
-                }
-            }
+        while let Some(u) = self.undo.pop() {
+            self.undo_one(u).map_err(|err| Error::Internal(format!("undo failed: {err}")))?;
         }
         self.outputs.clear();
         self.in_txn = false;
@@ -490,36 +458,53 @@ impl ExecutionEngine {
         Ok(())
     }
 
+    /// Undoes one entry of the log; [`ExecutionEngine::abort`] calls it
+    /// newest-first.
+    fn undo_one(&mut self, u: Undo) -> Result<()> {
+        match u {
+            Undo::Row(e) => {
+                // A time window's ordered set follows its table: an
+                // undone insert leaves it, an undone delete returns.
+                match &e {
+                    Effect::Insert { table, row } => {
+                        let live = self.catalog.get(*table).get(*row);
+                        let ts = live.map(|t| self.window_ts(*table, t)).transpose()?.flatten();
+                        if let Some(ts) = ts {
+                            self.time_window(*table).row_deleted(ts, *row);
+                        }
+                    }
+                    Effect::Delete { table, row, tuple } => {
+                        if let Some(ts) = self.window_ts(*table, tuple)? {
+                            self.time_window(*table).row_inserted(ts, *row);
+                        }
+                    }
+                    Effect::Update { .. } => {}
+                }
+                undo_effect(&mut self.catalog, e)?;
+            }
+            Undo::Appended { stream, batch, n } => self.stream(stream).undo_append(batch, n),
+            Undo::Consumed { stream, batch, rows } => self.stream(stream).undo_consume(batch, rows),
+            Undo::Forgot { stream, batch, pos, row } => {
+                self.stream(stream).undo_forget(batch, pos, row)
+            }
+            Undo::HighMark { stream, prev } => self.stream_high[stream.index()] = prev,
+            Undo::Staged { window, n } => self.tuple_window(window).undo_stage(n),
+            Undo::Slid { window, restaged } => self.tuple_window(window).undo_slide(restaged),
+            Undo::TimeStaged { window, ts, prev_next_end } => {
+                self.time_window(window).undo_stage(ts, prev_next_end)
+            }
+            Undo::TimeSlid { window, restaged, prev_next_end, prev_fired } => {
+                self.time_window(window).undo_slide(restaged, prev_next_end, prev_fired)
+            }
+        }
+        Ok(())
+    }
+
     /// Marks every table/stream/window the open transaction touched as
-    /// dirty. The effect and undo lists are the precise touch record:
-    /// table mutations carry their [`TableId`], stream/window
-    /// bookkeeping ops carry theirs.
+    /// dirty: the undo log is the precise touch record.
     fn mark_txn_dirty(&mut self) {
-        for e in &self.effects {
-            let t = match e {
-                Effect::Insert { table, .. }
-                | Effect::Delete { table, .. }
-                | Effect::Update { table, .. } => *table,
-            };
-            self.dirty[t.index()] = true;
-        }
-        for u in &self.stream_undo {
-            let s = match u {
-                StreamUndo::Appended { stream, .. }
-                | StreamUndo::Consumed { stream, .. }
-                | StreamUndo::Forgot { stream, .. }
-                | StreamUndo::HighMark { stream, .. } => *stream,
-            };
-            self.dirty[s.index()] = true;
-        }
-        for u in &self.window_undo {
-            let w = match u {
-                WindowUndo::Staged { window, .. }
-                | WindowUndo::Slid { window, .. }
-                | WindowUndo::TimeStaged { window, .. }
-                | WindowUndo::TimeSlid { window, .. } => *window,
-            };
-            self.dirty[w.index()] = true;
+        for u in &self.undo {
+            self.dirty[u.table().index()] = true;
         }
     }
 
@@ -572,8 +557,12 @@ impl ExecutionEngine {
                 })
             }
             _ => {
-                let start = self.effects.len();
-                execute(&mut self.catalog, bound, params, &mut self.effects).and_then(|r| {
+                // The statement's effects join the log whether or not it
+                // failed: a failed statement may have written rows.
+                let start = self.undo.len();
+                let r = execute(&mut self.catalog, bound, params, &mut self.scratch);
+                self.undo.extend(self.scratch.drain(..).map(Undo::Row));
+                r.and_then(|r| {
                     self.cascade(start)?;
                     Ok(r)
                 })
@@ -616,7 +605,7 @@ impl ExecutionEngine {
         if !self.in_txn {
             return Err(Error::InvalidState("observe_input outside transaction".into()));
         }
-        if let Some(col) = self.stream_ts_col[stream.index()] {
+        if let Some(col) = self.ts_col(stream, TableKind::Stream) {
             let hi = self.max_event_ts(stream, col, rows.iter().map(Ok))?;
             self.raise_high_mark(stream, hi);
         }
@@ -662,7 +651,7 @@ impl ExecutionEngine {
         let prev = self.stream_high[stream.index()];
         if hi > prev {
             self.stream_high[stream.index()] = hi;
-            self.stream_undo.push(StreamUndo::HighMark { stream, prev });
+            self.undo.push(Undo::HighMark { stream, prev });
         }
     }
 
@@ -704,7 +693,7 @@ impl ExecutionEngine {
         } else {
             return Ok(Vec::new());
         };
-        self.stream_undo.push(StreamUndo::Consumed { stream, batch, rows: ids.clone() });
+        self.undo.push(Undo::Consumed { stream, batch, rows: ids.clone() });
         // A batch consumed in the same transaction that produced it
         // (nested-transaction children, §2.3) is internal: it must not
         // surface as a PE-trigger output at commit.
@@ -716,17 +705,19 @@ impl ExecutionEngine {
         Ok(rows)
     }
 
-    /// Scans effects `[start..)` for SQL-originated inserts into streams
-    /// and runs the §3.2.3 trigger cascade on them. (An insert into a
-    /// window leaves no effect: [`ExecutionEngine::exec_bound`] staged it.)
+    /// Scans the row effects one statement logged at `[start..)` for
+    /// SQL-originated inserts into streams and runs the §3.2.3 trigger
+    /// cascade on them. (An insert into a window leaves no effect:
+    /// [`ExecutionEngine::exec_bound`] staged it.)
     fn cascade(&mut self, start: usize) -> Result<()> {
-        let end = self.effects.len();
+        let end = self.undo.len();
         if start >= end {
             return Ok(());
         }
         let mut stream_groups: Vec<(TableId, Vec<RowId>)> = Vec::new();
         let mut forgotten: Vec<(TableId, RowId)> = Vec::new();
-        for e in &self.effects[start..end] {
+        for u in &self.undo[start..end] {
+            let Undo::Row(e) = u else { continue };
             match e {
                 Effect::Insert { table, row } => {
                     if self.catalog.get(*table).kind() == TableKind::Stream {
@@ -747,7 +738,7 @@ impl ExecutionEngine {
         for (table, row) in forgotten {
             if let Some(state) = self.streams[table.index()].as_mut() {
                 if let Some((batch, pos)) = state.forget_row(row) {
-                    self.stream_undo.push(StreamUndo::Forgot { stream: table, batch, pos, row });
+                    self.undo.push(Undo::Forgot { stream: table, batch, pos, row });
                 }
             }
         }
@@ -777,7 +768,7 @@ impl ExecutionEngine {
         let Some(WindowSlot::Tuple(w)) = self.windows[window.index()].as_mut() else {
             unreachable!("caller dispatched on the tuple variant");
         };
-        self.window_undo.push(WindowUndo::Staged { window, n: rows.len() });
+        self.undo.push(Undo::Staged { window, n: rows.len() });
         w.stage(rows);
         let trig = self.ee_triggers[window.index()].clone().unwrap_or_else(|| Arc::from([]));
         loop {
@@ -786,7 +777,7 @@ impl ExecutionEngine {
                 unreachable!("variant is stable");
             };
             let Some(outcome) = w.next_slide(active) else { break };
-            self.window_undo.push(WindowUndo::Slid { window, restaged: outcome.activated.clone() });
+            self.undo.push(Undo::Slid { window, restaged: outcome.activated.clone() });
             // The oldest rows are the first of the scan: ids are issued
             // in activation order.
             let expired: Vec<RowId> =
@@ -811,7 +802,8 @@ impl ExecutionEngine {
     /// lateness). No slides fire here — only the watermark fires
     /// slides, at commit.
     fn time_window_arrival(&mut self, window: TableId, rows: Vec<Tuple>) -> Result<()> {
-        let ts_col = self.window_ts_col[window.index()]
+        let ts_col = self
+            .ts_col(window, TableKind::Window)
             .ok_or_else(|| Error::Internal("time window lost its ts column".into()))?;
         for t in rows {
             let ts = self.event_ts_of(window, ts_col, &t)?;
@@ -820,7 +812,7 @@ impl ExecutionEngine {
                 TimeArrival::Staged => {
                     let prev_next_end = w.next_end();
                     w.stage(ts, t);
-                    self.window_undo.push(WindowUndo::TimeStaged { window, ts, prev_next_end });
+                    self.undo.push(Undo::TimeStaged { window, ts, prev_next_end });
                 }
                 TimeArrival::MergeIntoActive => {
                     self.table_insert(window, t)?;
@@ -848,8 +840,17 @@ impl ExecutionEngine {
                     self.ids.table_name(window).to_string(),
                 ));
             };
-            let Some(outcome) = w.next_slide() else { break };
-            self.window_undo.push(WindowUndo::TimeSlid {
+            let (prev_next_end, prev_fired) = (w.next_end(), w.fired());
+            let Some(outcome) = w.next_slide() else {
+                // Extents skipped as trivial on the way to `None` moved
+                // the cursor too.
+                if let Some(prev_next_end) = prev_next_end.filter(|&e| w.next_end() != Some(e)) {
+                    let restaged = Vec::new();
+                    self.undo.push(Undo::TimeSlid { window, restaged, prev_next_end, prev_fired });
+                }
+                break;
+            };
+            self.undo.push(Undo::TimeSlid {
                 window,
                 restaged: outcome.activated.clone(),
                 prev_next_end: outcome.prev_next_end,
@@ -883,7 +884,7 @@ impl ExecutionEngine {
         };
         // Event-timed streams advance their high mark (a watermark
         // input) as rows arrive — before any EE trigger can GC them.
-        if let Some(col) = self.stream_ts_col[stream.index()] {
+        if let Some(col) = self.ts_col(stream, TableKind::Stream) {
             let table = self.catalog.get(stream);
             let tuples = rows.iter().map(|id| {
                 table.get(*id).ok_or_else(|| {
@@ -897,7 +898,7 @@ impl ExecutionEngine {
             .as_mut()
             .ok_or_else(|| Error::not_found("stream", self.ids.table_name(stream).to_string()))?
             .append(batch, rows.iter().copied());
-        self.stream_undo.push(StreamUndo::Appended { stream, batch, n: rows.len() });
+        self.undo.push(Undo::Appended { stream, batch, n: rows.len() });
         if let Some(stmts) = self.ee_triggers[stream.index()].clone() {
             for sid in stmts.iter() {
                 EngineMetrics::bump(&self.metrics.ee_trigger_fires);
@@ -907,10 +908,8 @@ impl ExecutionEngine {
             // fully processed inside this EE visit.
             for id in rows {
                 self.table_delete(stream, id)?;
-                if let Some((b, pos)) =
-                    self.streams[stream.index()].as_mut().expect("stream exists").forget_row(id)
-                {
-                    self.stream_undo.push(StreamUndo::Forgot { stream, batch: b, pos, row: id });
+                if let Some((b, pos)) = self.stream(stream).forget_row(id) {
+                    self.undo.push(Undo::Forgot { stream, batch: b, pos, row: id });
                 }
             }
         } else if !self.outputs.iter().any(|(s, b)| *s == stream && *b == batch) {
@@ -926,7 +925,7 @@ impl ExecutionEngine {
     fn table_insert(&mut self, table: TableId, tuple: Tuple) -> Result<RowId> {
         let ts = self.window_ts(table, &tuple)?;
         let id = self.catalog.get_mut(table).insert(tuple)?;
-        self.effects.push(Effect::Insert { table, row: id });
+        self.undo.push(Undo::Row(Effect::Insert { table, row: id }));
         if let Some(ts) = ts {
             self.time_window(table).row_inserted(ts, id);
         }
@@ -935,17 +934,35 @@ impl ExecutionEngine {
 
     fn table_delete(&mut self, table: TableId, row: RowId) -> Result<Tuple> {
         let tuple = self.catalog.get_mut(table).delete(row)?;
-        self.effects.push(Effect::Delete { table, row, tuple: tuple.clone() });
+        self.undo.push(Undo::Row(Effect::Delete { table, row, tuple: tuple.clone() }));
         if let Some(ts) = self.window_ts(table, &tuple)? {
             self.time_window(table).row_deleted(ts, row);
         }
         Ok(tuple)
     }
 
+    /// The event-timestamp column of `table` if it is of `kind`: a
+    /// timed stream's or a time window's, as the compile step resolved.
+    fn ts_col(&self, table: TableId, kind: TableKind) -> Option<usize> {
+        let meta = self.ids.table(table);
+        meta.ts_col.filter(|_| meta.kind == kind)
+    }
+
     /// The event timestamp a time window's ordered set files `tuple`
     /// under; `None` when `table` is anything else.
     fn window_ts(&self, table: TableId, tuple: &Tuple) -> Result<Option<i64>> {
-        self.window_ts_col[table.index()].map(|col| tuple.event_ts(col)).transpose()
+        self.ts_col(table, TableKind::Window).map(|col| tuple.event_ts(col)).transpose()
+    }
+
+    fn stream(&mut self, stream: TableId) -> &mut StreamState {
+        self.streams[stream.index()].as_mut().expect("only streams have batches")
+    }
+
+    fn tuple_window(&mut self, window: TableId) -> &mut WindowState {
+        match self.windows[window.index()].as_mut() {
+            Some(WindowSlot::Tuple(w)) => w,
+            _ => unreachable!("only tuple windows stage by count"),
+        }
     }
 
     fn time_window(&mut self, window: TableId) -> &mut TimeWindowState {
@@ -953,27 +970,6 @@ impl ExecutionEngine {
             Some(WindowSlot::Time(w)) => w,
             _ => unreachable!("only time windows have a timestamp column"),
         }
-    }
-
-    /// Keeps a time window's ordered set in step with the undo of `e`
-    /// (which the caller applies next): an undone insert leaves the set,
-    /// an undone delete returns to it.
-    fn undo_in_time_window(&mut self, e: &Effect) -> Result<()> {
-        match e {
-            Effect::Insert { table, row } => {
-                let live = self.catalog.get(*table).get(*row);
-                if let Some(ts) = live.map(|t| self.window_ts(*table, t)).transpose()?.flatten() {
-                    self.time_window(*table).row_deleted(ts, *row);
-                }
-            }
-            Effect::Delete { table, row, tuple } => {
-                if let Some(ts) = self.window_ts(*table, tuple)? {
-                    self.time_window(*table).row_inserted(ts, *row);
-                }
-            }
-            Effect::Update { .. } => {}
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1017,7 +1013,7 @@ impl ExecutionEngine {
         match &self.windows[table.index()] {
             Some(WindowSlot::Tuple(w)) => w.check(rows.len()),
             Some(WindowSlot::Time(w)) => {
-                let col = self.window_ts_col[table.index()].expect("a time window has a timestamp column");
+                let col = self.ids.table(table).ts_col.expect("a time window has a timestamp column");
                 w.check(event_keys(rows, col)?.into_iter())
             }
             None => Ok(()),
@@ -1165,9 +1161,7 @@ impl ExecutionEngine {
 
         let mut d = Decoder::new(base);
         for frame in snapshot::catalog_frames(d.get_bytes()?)? {
-            let id = self.ids.table_id(&frame.name).ok_or_else(|| {
-                Error::Codec(format!("checkpoint image contains unknown table {}", frame.name))
-            })?;
+            let id = self.image_table(0, &frame.name)?;
             if newest[id.index()].replace(frame).is_some() {
                 return Err(Error::Codec("checkpoint image repeats a table".into()));
             }
@@ -1176,17 +1170,17 @@ impl ExecutionEngine {
             let name = self.ids.table_name(TableId(i as u32));
             return Err(Error::Codec(format!("checkpoint image is missing table {name}")));
         }
-        self.decode_sections(&mut d, &mut sections)?;
-        for delta in deltas {
+        self.decode_sections(0, &mut d, &mut sections)?;
+        for (image, delta) in (1..).zip(deltas) {
             let mut d = Decoder::new(delta);
             // A table frame is at least its u64 length.
             for _ in 0..d.get_count(8, "table")? {
                 let frame = snapshot::TableFrame::read(&mut d)?;
-                let id = self.table_id(&frame.name)?;
+                let id = self.image_table(image, &frame.name)?;
                 newest[id.index()] = Some(frame);
                 skipped += 1;
             }
-            self.decode_sections(&mut d, &mut sections)?;
+            self.decode_sections(image, &mut d, &mut sections)?;
         }
 
         // Re-install in id order so every table keeps its interned id.
@@ -1203,7 +1197,7 @@ impl ExecutionEngine {
         use std::sync::atomic::Ordering::Relaxed;
         self.metrics.restore_images_decoded.fetch_add(n as u64, Relaxed);
         self.metrics.restore_images_skipped.fetch_add(skipped, Relaxed);
-        rebuild_time_window_sets(&mut sections.windows, &self.window_ts_col, &catalog)?;
+        rebuild_time_window_sets(&mut sections.windows, &self.ids, &catalog)?;
         self.catalog = catalog;
         self.streams = sections.streams;
         self.stream_high = sections.stream_high;
@@ -1213,9 +1207,19 @@ impl ExecutionEngine {
         Ok(())
     }
 
-    /// Reads the stream section and the window section that end an
-    /// image into `into`, overwriting what an older image put there.
-    fn decode_sections(&self, d: &mut Decoder<'_>, into: &mut Sections) -> Result<()> {
+    /// The id of a table, stream or window that image `image` of a
+    /// chain (0 is the base) names: a name the app does not declare
+    /// makes the image malformed.
+    fn image_table(&self, image: usize, name: &str) -> Result<TableId> {
+        self.ids.table_id(name).ok_or_else(|| {
+            Error::Codec(format!("checkpoint image {image} of the chain names unknown table {name}"))
+        })
+    }
+
+    /// Reads the stream section and the window section that end image
+    /// `image` of a chain into `into`, overwriting what an older image
+    /// put there.
+    fn decode_sections(&self, image: usize, d: &mut Decoder<'_>, into: &mut Sections) -> Result<()> {
         // A stream entry is at least a name length, a batch count and a
         // high-mark tag; a window section at least a variant tag, two
         // name lengths, size, slide and a staging count (a tuple window).
@@ -1225,13 +1229,13 @@ impl ExecutionEngine {
             let high = d
                 .get_opt_i64()
                 .map_err(|e| Error::Codec(format!("stream {name}: high mark in checkpoint: {e}")))?;
-            let id = self.table_id(&name)?;
+            let id = self.image_table(image, &name)?;
             into.streams[id.index()] = Some(state);
             into.stream_high[id.index()] = high;
         }
         for _ in 0..d.get_count(6, "window")? {
             let w = WindowSlot::decode(d)?;
-            let id = self.table_id(w.name())?;
+            let id = self.image_table(image, w.name())?;
             into.windows[id.index()] = Some(w);
         }
         if !d.is_exhausted() {
@@ -1261,12 +1265,13 @@ fn event_keys(table: &Table, col: usize) -> Result<Vec<(i64, RowId)>> {
 /// of a table decode.
 fn rebuild_time_window_sets(
     windows: &mut [Option<WindowSlot>],
-    ts_cols: &[Option<usize>],
+    ids: &AppIds,
     catalog: &Catalog,
 ) -> Result<()> {
     for (i, slot) in windows.iter_mut().enumerate() {
-        let (Some(WindowSlot::Time(w)), Some(col)) = (slot, ts_cols[i]) else { continue };
-        let keyed = event_keys(catalog.get(TableId(i as u32)), col)
+        let id = TableId(i as u32);
+        let (Some(WindowSlot::Time(w)), Some(col)) = (slot, ids.table(id).ts_col) else { continue };
+        let keyed = event_keys(catalog.get(id), col)
             .map_err(|e| Error::Codec(format!("window {}: restored row: {e}", w.spec.name)))?;
         w.rebuild_active(keyed.into_iter());
     }
@@ -1561,7 +1566,7 @@ mod tests {
         assert_eq!(r.rows_affected, 1);
         let table = ee.catalog.get(w);
         assert_eq!((table.len(), table.tombstones(), table.peek_next_row_id()), (0, 0, RowId(0)));
-        assert!(ee.effects.is_empty(), "{:?}", ee.effects);
+        assert!(!ee.undo.iter().any(|u| matches!(u, Undo::Row(_))), "{:?}", ee.undo);
         assert_eq!(staged_len(&ee, w), 1);
         ee.commit().unwrap();
         ee.verify_window(w).unwrap();
@@ -1660,12 +1665,12 @@ mod tests {
         ee.begin(Some(BatchId(1))).unwrap();
         ee.exec(map["wproc"]["seed"], &[Value::Int(1)]).unwrap();
         ee.exec(map["wproc"]["seed"], &[Value::Null]).unwrap();
-        let effects = ee.effects.len();
+        let logged = ee.undo.len();
         for (stmt, params) in [("copy", vec![]), ("ins", vec![Value::Null]), ("ins", vec![Value::Text("x".into())])] {
             let err = ee.exec(map["wproc"][stmt], &params).unwrap_err();
             assert!(matches!(err, Error::SchemaViolation(_)), "{stmt}: {err}");
             assert_eq!(staged_len(&ee, w), 0, "{stmt}");
-            assert_eq!(ee.effects.len(), effects, "{stmt}");
+            assert_eq!(ee.undo.len(), logged, "{stmt}");
         }
         ee.abort().unwrap();
         ee.verify_window(w).unwrap();
@@ -1981,6 +1986,39 @@ mod tests {
         assert_eq!(ee.query("SELECT total FROM sums ORDER BY total", &[]).unwrap().rows, vec![tuple![3i64], tuple![7i64]]);
     }
 
+    /// A slide transaction whose only work is to skip trivial extents
+    /// still moves the extent cursor: an abort must move it back, or
+    /// the next arrival is classified against extents that never fired.
+    #[test]
+    fn an_aborted_slide_rewinds_the_extents_it_skipped() {
+        let app = time_window_app();
+        let (mut ee, map) = ee(&app);
+        let (tw, arrivals) = (ee.table_id("tw").unwrap(), ee.table_id("arrivals").unwrap());
+        let tick = |ee: &mut ExecutionEngine, batch: u64, ts: i64| {
+            ee.begin(Some(BatchId(batch))).unwrap();
+            ee.observe_input(arrivals, &[tuple![ts, 0i64]]).unwrap();
+            let slides = ee.commit().unwrap().slides;
+            run_slides(ee, batch, &slides);
+        };
+        feed(&mut ee, &map, 1, &[(5, 1)]);
+        tick(&mut ee, 2, 31); // [0, 30) activates 5
+        tick(&mut ee, 3, 65); // [30, 60) expires it: the window is empty
+        // 95 is staged for [90, 120); the watermark passes 90 but not 120.
+        ee.begin(Some(BatchId(4))).unwrap();
+        ee.observe_input(arrivals, &[tuple![93i64, 0i64]]).unwrap();
+        ee.exec(map["wproc"]["ins"], &[Value::Int(95), Value::Int(7)]).unwrap();
+        assert_eq!(ee.commit().unwrap().slides, vec![tw]);
+        let cursor = |ee: &mut ExecutionEngine| ee.time_window(tw).next_end();
+        assert_eq!(cursor(&mut ee), Some(90));
+        let before = ee.checkpoint().unwrap();
+        ee.begin(Some(BatchId(4))).unwrap();
+        ee.process_slides(tw).unwrap();
+        assert_eq!(cursor(&mut ee), Some(120), "[60, 90) was skipped as trivial");
+        ee.abort().unwrap();
+        assert_eq!(cursor(&mut ee), Some(90));
+        assert_eq!(ee.checkpoint().unwrap(), before);
+    }
+
     #[test]
     fn time_window_checkpoint_roundtrip_preserves_watermark() {
         let app = time_window_app();
@@ -2107,16 +2145,16 @@ mod tests {
             let table = decoded.drop_table(ee.ids.table_name(TableId(i as u32))).unwrap();
             catalog.install_table(table).unwrap();
         }
-        ee.decode_sections(&mut d, &mut sections).unwrap();
-        for delta in &images[1..] {
+        ee.decode_sections(0, &mut d, &mut sections).unwrap();
+        for (image, delta) in (1..).zip(&images[1..]) {
             let mut d = Decoder::new(delta);
             for _ in 0..d.get_varint().unwrap() {
                 let table = snapshot::TableFrame::read(&mut d).unwrap().decode().unwrap();
                 catalog.replace_table(table).unwrap();
             }
-            ee.decode_sections(&mut d, &mut sections).unwrap();
+            ee.decode_sections(image, &mut d, &mut sections).unwrap();
         }
-        rebuild_time_window_sets(&mut sections.windows, &ee.window_ts_col, &catalog).unwrap();
+        rebuild_time_window_sets(&mut sections.windows, &ee.ids, &catalog).unwrap();
         ee.catalog = catalog;
         ee.streams = sections.streams;
         ee.stream_high = sections.stream_high;
@@ -2219,6 +2257,55 @@ mod tests {
         }
         ee2.restore_chain(&[base, delta]).unwrap();
         assert_eq!(ee2.checkpoint().unwrap(), live.checkpoint().unwrap());
+    }
+
+    /// An image that names a table the app does not declare is
+    /// malformed wherever the name sits: a base frame, a delta frame, a
+    /// stream section or a window section.
+    #[test]
+    fn an_image_naming_an_unknown_table_is_a_codec_error() {
+        let v = || Schema::of(&[("v", DataType::Int)]);
+        let app = |extra: bool| {
+            let b = App::builder()
+                .table("t", v())
+                .proc("p", &[("ins", "INSERT INTO t (v) VALUES (?)")], &[], |_| Ok(()));
+            let b = if extra { b.table("u", v()) } else { b };
+            b.build().unwrap()
+        };
+        let (mut small, _) = ee(&app(false));
+        let (mut wide, _) = ee(&app(true));
+        let base = small.checkpoint().unwrap();
+        let wide_base = wide.checkpoint().unwrap();
+        wide.dirty.fill(true);
+        let delta = wide.checkpoint_delta().unwrap();
+        // A delta with no table frame whose sections name a stream, and
+        // one whose sections name a window.
+        let mut stream_section = Encoder::with_capacity(64);
+        stream_section.put_varint(0);
+        stream_section.put_seq([()], |e, ()| {
+            e.put_str("s");
+            StreamState::new().encode(e);
+            e.put_opt_i64(None);
+        });
+        stream_section.put_varint(0);
+        let (windowed, _) = ee(&window_app());
+        let windows: Vec<&WindowSlot> = windowed.windows.iter().flatten().collect();
+        let mut window_section = Encoder::with_capacity(64);
+        window_section.put_varint(0);
+        window_section.put_varint(0);
+        window_section.put_seq(windows, |e, w| w.encode(e));
+        for (chain, what) in [
+            (vec![wide_base], "base frame"),
+            (vec![base.clone(), delta], "delta frame"),
+            (vec![base.clone(), stream_section.finish()], "stream section"),
+            (vec![base.clone(), window_section.finish()], "window section"),
+        ] {
+            let err = small.restore_chain(&chain).unwrap_err();
+            assert!(matches!(&err, Error::Codec(m) if m.contains("unknown table")), "{what}: {err}");
+            let image = chain.len() - 1;
+            assert!(err.to_string().contains(&format!("image {image} ")), "{what}: {err}");
+        }
+        small.restore_chain(&[base]).unwrap();
     }
 
     #[test]

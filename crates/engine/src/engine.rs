@@ -254,7 +254,7 @@ impl Engine {
             rxs.push(rx);
         }
         for (p, rx) in rxs.into_iter().enumerate() {
-            let (ee, proc_stmts) = ExecutionEngine::install(&app, ids.clone(), metrics.clone())?;
+            let (ee, _) = ExecutionEngine::install(&app, ids.clone(), metrics.clone())?;
             let handle = match config.boundary {
                 BoundaryMode::Inline => EeHandle::inline(ee, metrics.clone()),
                 BoundaryMode::Channel => EeHandle::channel(ee, metrics.clone())?,
@@ -267,15 +267,8 @@ impl Engine {
                 resume_lsn: bootstrap.as_ref().and_then(|b| b.resume_lsn[p]),
                 exchange_applied: by_table_id(&ids, bootstrap.as_ref().map(|b| &b.exchange_floors[p])),
             };
-            let join = spawn_partition(
-                seed,
-                config.clone(),
-                &app,
-                ids.clone(),
-                handle,
-                proc_stmts,
-                metrics.clone(),
-            )?;
+            let join =
+                spawn_partition(seed, config.clone(), &app, ids.clone(), handle, metrics.clone())?;
             partitions.push(PartitionHandle::new(p, txs[p].clone(), join));
         }
         let images = bootstrap.as_mut().map(|b| std::mem::take(&mut b.images)).unwrap_or_default();

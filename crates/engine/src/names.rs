@@ -52,9 +52,9 @@
 //! produced set.
 
 use std::collections::{HashMap, HashSet};
-use std::ops::Range;
 use std::sync::Arc;
 
+use sstore_common::hash::FxHashMap;
 use sstore_common::{Error, ProcId, Result, Schema, TableId};
 use sstore_sql::ast::{Delete, Statement, Update};
 use sstore_sql::plan::{group_index_shape, BoundInsert, BoundStatement};
@@ -141,8 +141,9 @@ pub struct ProcMeta {
     /// downstream exchange merge would wait forever for this
     /// partition's sub-batch.
     pub align_outputs: Vec<TableId>,
-    /// Ids of this procedure's statements, in declaration order.
-    pub stmts: Range<StmtId>,
+    /// This procedure's statements: name, as declared, → id (looked
+    /// up on every [`crate::ProcCtx::sql`] call).
+    pub stmts: FxHashMap<String, StmtId>,
 }
 
 /// One compiled application: dense name ↔ id maps, the workflow graph,
@@ -591,9 +592,9 @@ impl AppIds {
         let planner = Planner::new(&catalog);
         self.plans = registered().map(|s| planner.plan(s)).collect::<Result<_>>()?;
         let mut next = 0;
-        for (meta, stmts) in self.procs.iter_mut().zip(&parsed.procs) {
-            meta.stmts = next..next + stmts.len();
-            next += stmts.len();
+        for (meta, p) in self.procs.iter_mut().zip(&app.procs) {
+            meta.stmts = p.statements.iter().map(|(name, _)| name.clone()).zip(next..).collect();
+            next += p.statements.len();
         }
         self.ee_triggers = vec![None; self.tables.len()];
         for (table, stmts) in &parsed.triggers {
@@ -770,6 +771,33 @@ mod tests {
         assert_eq!(&**ids.table_name(TableId(2)), "s_mid");
         assert_eq!(ids.table_count(), 4);
         assert_eq!(ids.proc_count(), 2);
+    }
+
+    #[test]
+    fn statement_names_map_to_ids_in_declaration_order() {
+        let v = || Schema::of(&[("v", DataType::Int)]);
+        let app = App::builder()
+            .table("base", v())
+            .stream("s", v())
+            .proc(
+                "p1",
+                &[("check", "SELECT v FROM base"), ("Record", "INSERT INTO base (v) VALUES (?)")],
+                &[],
+                |_| Ok(()),
+            )
+            .proc("p2", &[("check", "SELECT v FROM base WHERE v = ?")], &[], |_| Ok(()))
+            .ee_trigger("s", &["INSERT INTO base (v) SELECT v FROM s"])
+            .build()
+            .unwrap();
+        let ids = AppIds::build(&app).unwrap();
+        let stmts = |p: &str| &ids.proc(ids.proc_id(p).unwrap()).stmts;
+        assert_eq!(stmts("p1").len(), 2);
+        assert_eq!(stmts("p1").get("check"), Some(&0), "looked up by a borrowed name");
+        assert_eq!(stmts("p1").get("Record"), Some(&1), "under the name as declared");
+        assert_eq!(stmts("p2").get("check"), Some(&2));
+        // The EE trigger's statement follows every procedure's.
+        assert_eq!(ids.ee_triggers()[ids.table_id("s").unwrap().index()], Some(vec![3]));
+        assert_eq!(ids.plans().len(), 4);
     }
 
     #[test]

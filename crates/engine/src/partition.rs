@@ -43,7 +43,7 @@ use crate::faults::CrashPoint;
 use crate::log::{CommandLog, LogKind};
 use crate::metrics::EngineMetrics;
 use crate::names::AppIds;
-use crate::procedure::{CompiledProc, ProcCtx};
+use crate::procedure::ProcCtx;
 use crate::scheduler::SchedulerQueue;
 use crate::workflow::TraceEvent;
 
@@ -324,8 +324,6 @@ pub(crate) struct PartitionRuntime {
     config: EngineConfig,
     ee: EeHandle,
     ids: Arc<AppIds>,
-    /// Compiled procedures, indexed by [`ProcId`].
-    procs: Vec<CompiledProc>,
     /// Procedure bodies, indexed by [`ProcId`].
     bodies: Vec<Option<crate::app::ProcBody>>,
     queue: SchedulerQueue,
@@ -376,16 +374,8 @@ pub(crate) fn spawn_partition(
     app: &App,
     ids: Arc<AppIds>,
     ee: EeHandle,
-    mut proc_stmts: crate::ee::ProcStmtMap,
     metrics: Arc<EngineMetrics>,
 ) -> Result<JoinHandle<()>> {
-    // Proc ids follow `app.procs`; `proc_stmts` is install's map for
-    // the same app, one entry per procedure.
-    let procs = app
-        .procs
-        .iter()
-        .map(|p| CompiledProc { stmts: proc_stmts.remove(&p.name).unwrap_or_default().into_iter().collect() })
-        .collect();
     let bodies = app.procs.iter().map(|p| p.body.clone()).collect();
 
     let log = if config.logging.enabled {
@@ -407,7 +397,6 @@ pub(crate) fn spawn_partition(
         config,
         ee,
         ids,
-        procs,
         bodies,
         queue,
         rx: seed.rx,
@@ -1086,11 +1075,11 @@ impl PartitionRuntime {
         batch: Option<BatchId>,
         params: Vec<Value>,
     ) -> Result<QueryResult> {
-        let (meta, proc) = (self.ids.proc(proc_id), &self.procs[proc_id.index()]);
+        let meta = self.ids.proc(proc_id);
         let body = self.bodies[proc_id.index()]
             .clone()
             .ok_or_else(|| Error::Plan(format!("procedure {} has no body", meta.name)))?;
-        let mut ctx = ProcCtx::new(&mut self.ee, meta, proc, input, batch, params);
+        let mut ctx = ProcCtx::new(&mut self.ee, meta, input, batch, params);
         body(&mut ctx)?;
         Ok(ctx.take_result())
     }

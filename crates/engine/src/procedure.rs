@@ -7,31 +7,17 @@
 //! the EE boundary, exactly like H-Store procedures whose Java half can
 //! touch data only via SQL.
 
-use sstore_common::hash::FxHashMap;
 use sstore_common::{BatchId, Error, Result, Tuple, Value};
 use sstore_sql::QueryResult;
 
 use crate::boundary::EeHandle;
-use crate::ee::StmtId;
 use crate::names::ProcMeta;
-
-/// What [`crate::ee::ExecutionEngine::install`] decides of one stored
-/// procedure: its statement ids on that EE. Everything else about it —
-/// name, outputs, children, exchange and alignment outputs — is the
-/// compile step's ([`ProcMeta`]).
-#[derive(Debug, Clone, Default)]
-pub struct CompiledProc {
-    /// Named statements → EE statement ids, looked up on every
-    /// [`ProcCtx::sql`] call.
-    pub stmts: FxHashMap<String, StmtId>,
-}
 
 /// Execution context handed to a stored-procedure body for one
 /// transaction execution.
 pub struct ProcCtx<'a> {
     ee: &'a mut EeHandle,
     meta: &'a ProcMeta,
-    proc: &'a CompiledProc,
     input: Vec<Tuple>,
     batch: Option<BatchId>,
     params: Vec<Value>,
@@ -43,19 +29,18 @@ impl<'a> ProcCtx<'a> {
     pub(crate) fn new(
         ee: &'a mut EeHandle,
         meta: &'a ProcMeta,
-        proc: &'a CompiledProc,
         input: Vec<Tuple>,
         batch: Option<BatchId>,
         params: Vec<Value>,
     ) -> Self {
-        ProcCtx { ee, meta, proc, input, batch, params, result: QueryResult::default() }
+        ProcCtx { ee, meta, input, batch, params, result: QueryResult::default() }
     }
 
     /// Runs one of this procedure's named SQL statements with bound
     /// parameters. One EE boundary crossing per call.
     pub fn sql(&mut self, stmt: &str, params: &[Value]) -> Result<QueryResult> {
         let id = *self
-            .proc
+            .meta
             .stmts
             .get(stmt)
             .ok_or_else(|| Error::not_found("statement", format!("{stmt} in {}", self.meta.name)))?;
@@ -116,19 +101,5 @@ impl<'a> ProcCtx<'a> {
 
     pub(crate) fn take_result(self) -> QueryResult {
         self.result
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn compiled_proc_shape() {
-        let p = CompiledProc {
-            stmts: FxHashMap::from_iter([("check".into(), 0usize), ("record".into(), 1usize)]),
-        };
-        assert_eq!(p.stmts.len(), 2);
-        assert_eq!(p.stmts.get("record"), Some(&1), "looked up by a borrowed name");
     }
 }

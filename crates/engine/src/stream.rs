@@ -2,10 +2,12 @@
 //!
 //! A stream *is* a table (created with [`TableKind::Stream`]); what makes
 //! it a stream is this side structure tracking which live rows belong to
-//! which atomic batch, in batch order. Appending a batch and consuming a
-//! batch are the only mutations; both happen inside a transaction and
-//! are undone by restoring a pre-transaction copy of this state
-//! (see [`crate::ee`]).
+//! which atomic batch, in batch order. Appending rows to a batch,
+//! consuming a batch and forgetting one row (GC, SQL delete) are the
+//! only mutations; each happens inside a transaction, is logged in the
+//! EE's undo log as what it changed, and is undone operation by
+//! operation, newest first, by the `undo_*` methods below (see
+//! [`crate::ee`]).
 //!
 //! [`TableKind::Stream`]: sstore_storage::TableKind::Stream
 

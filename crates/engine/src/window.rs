@@ -578,6 +578,11 @@ impl TimeWindowState {
         self.next_end
     }
 
+    /// True once an extent has fired.
+    pub fn fired(&self) -> bool {
+        self.fired
+    }
+
     /// The window ↔ table invariant, given `(event-ts, row)` of the
     /// table's live rows: the ordered set is exactly those, and once an
     /// extent has fired nothing is staged below the next one's start.

@@ -11,8 +11,9 @@
 //! count and whose first ids are its oldest rows; every row that enters
 //! or leaves a time window's table is reported to the window, and an
 //! abort undoes the table's effects newest-first before the window's
-//! own records. After every transaction the window ↔ table invariant
-//! (`check`) must hold.
+//! own records (the EE's one undo log interleaves the two, to the same
+//! end: they touch disjoint state). After every transaction the window
+//! ↔ table invariant (`check`) must hold.
 
 use std::collections::BTreeMap;
 
@@ -50,8 +51,8 @@ impl RefTuple {
     }
 }
 
-/// One mutation of the emulated table, recorded for undo as the EE's
-/// effect list records them.
+/// One mutation of the emulated table, recorded for undo as the row
+/// entries of the EE's undo log record them.
 enum Effect<V> {
     Inserted(u64),
     Deleted(u64, V),
@@ -85,7 +86,7 @@ impl<V: Clone> Table<V> {
 }
 
 /// One applied window operation of a "transaction", recorded for undo —
-/// the same discipline the EE's window_undo stack uses.
+/// the window entries of the EE's undo log, undone newest-first.
 enum TupleOp {
     Staged(usize),
     Slid { restaged: Vec<Tuple> },
