@@ -88,6 +88,8 @@ const QUERIES: &[(&str, &str)] = &[
     ("group_by_100", "SELECT h, COUNT(*), SUM(v), MIN(v) FROM t GROUP BY h"),
     ("group_by_10k", "SELECT m, COUNT(*), SUM(v) FROM t GROUP BY m"),
     ("group_by_expr", "SELECT v % 10, COUNT(*), MAX(k) FROM t GROUP BY v % 10"),
+    // Two Int keys, 200 groups: `(i % 8, i * 31 % 100)` repeats every 200 rows.
+    ("group_by_pair", "SELECT g, h, MIN(v), COUNT(*), SUM(v) FROM t GROUP BY g, h"),
     ("project_expr", "SELECT v + 1 FROM t"),
     ("topk", "SELECT k, v FROM t ORDER BY v DESC, k LIMIT 10"),
 ];

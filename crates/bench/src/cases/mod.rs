@@ -92,6 +92,14 @@ pub const CASES: &[Case] = &[
             },
             Gate { num: "topk_rowwise_us", den: Some("topk_columnar_us"), bound: AtLeast(1.25) },
             Gate { num: "group_min_speedup", den: None, bound: AtLeast(1.2) },
+            // GROUP BY two Int keys over 200 groups: the typed
+            // `(i64, i64)` key reads ≈ 2.1–2.7×, a `Vec<Value>` key row
+            // per row ≈ 1.05–1.3×, so a silent fall back to it fails.
+            Gate {
+                num: "group_by_pair_rowwise_us",
+                den: Some("group_by_pair_columnar_us"),
+                bound: AtLeast(1.6),
+            },
             // What the output edge costs on top of reading the rows:
             // GROUP BY + top-3 over a 100-row window against COUNT(*)
             // over it, ORDER BY + LIMIT 3 over 500 rows against a

@@ -170,30 +170,24 @@ pub fn chaos_app() -> App {
                 let rows = ctx.input().to_vec();
                 let mut xch_rows = Vec::with_capacity(rows.len());
                 let mut loc_rows = Vec::with_capacity(rows.len());
+                let mut tw_rows = Vec::with_capacity(rows.len());
                 for r in &rows {
-                    let k = r.get(0).clone();
                     let v = r.get(1).as_int()?;
-                    let ts = r.get(2).clone();
-                    ctx.sql("ins_raw", &[k.clone(), Value::Int(v), ts.clone()])?;
-                    ctx.sql("ins_tw", &[ts, Value::Int(v)])?;
+                    tw_rows.push([r.get(2).clone(), Value::Int(v)]);
                     xch_rows.push(Tuple::new(vec![Value::Int(v.rem_euclid(GROUPS)), Value::Int(v)]));
-                    loc_rows.push(Tuple::new(vec![k, Value::Int(v)]));
+                    loc_rows.push(Tuple::new(vec![r.get(0).clone(), Value::Int(v)]));
                 }
+                ctx.sql_rows("ins_raw", &rows)?;
+                ctx.sql_rows("ins_tw", &tw_rows)?;
                 ctx.emit("xch", xch_rows)?;
                 ctx.emit("loc", loc_rows)
             },
         )
         .proc("p_agg", &[("ins", "INSERT INTO xout (g, v) VALUES (?, ?)")], &[], |ctx| {
-            for r in ctx.input().to_vec() {
-                ctx.sql("ins", &[r.get(0).clone(), r.get(1).clone()])?;
-            }
-            Ok(())
+            ctx.sql_rows("ins", &ctx.input().to_vec()).map(drop)
         })
         .proc("p_loc", &[("ins", "INSERT INTO locout (k, v) VALUES (?, ?)")], &[], |ctx| {
-            for r in ctx.input().to_vec() {
-                ctx.sql("ins", &[r.get(0).clone(), r.get(1).clone()])?;
-            }
-            Ok(())
+            ctx.sql_rows("ins", &ctx.input().to_vec()).map(drop)
         })
         .proc("p_note", &[("ins", "INSERT INTO notes (id, v) VALUES (?, ?)")], &[], |ctx| {
             let (id, v) = (ctx.params()[0].clone(), ctx.params()[1].clone());

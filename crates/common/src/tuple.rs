@@ -121,6 +121,12 @@ impl Index<usize> for Tuple {
     }
 }
 
+impl AsRef<[Value]> for Tuple {
+    fn as_ref(&self) -> &[Value] {
+        self.values()
+    }
+}
+
 impl From<Vec<Value>> for Tuple {
     fn from(values: Vec<Value>) -> Self {
         Tuple::new(values)

@@ -25,9 +25,15 @@
 //! inline transport to copy the borrowed parameters into a `Vec` every
 //! statement; it copies only when it has to cross a thread.
 //!
-//! Every crossing increments `ee_round_trips` in [`EngineMetrics`]
-//! exactly once, so experiments can report crossings alongside
-//! throughput.
+//! [`EeHandle::exec_rows`] is its many-row twin: an `INSERT … VALUES`
+//! over a batch of parameter rows, in one crossing.
+//!
+//! Every crossing counts once in `ee_round_trips` in [`EngineMetrics`],
+//! so experiments can report crossings alongside throughput. Statement
+//! crossings are counted in the handle and folded into the engine-wide
+//! counter, which every partition thread writes, at the next
+//! [`EeHandle::run`] — every transaction ends in one (its commit or
+//! abort), so the total is exact after any drain.
 //!
 //! [`BoundaryMode::Inline`]: crate::config::BoundaryMode::Inline
 //! [`BoundaryMode::Channel`]: crate::config::BoundaryMode::Channel
@@ -62,12 +68,14 @@ enum Transport {
 pub struct EeHandle {
     transport: Transport,
     metrics: Arc<EngineMetrics>,
+    /// Crossings not yet folded into `ee_round_trips`.
+    trips: u64,
 }
 
 impl EeHandle {
     /// Embeds the EE in the calling thread.
     pub fn inline(ee: ExecutionEngine, metrics: Arc<EngineMetrics>) -> Self {
-        EeHandle { transport: Transport::Inline(Box::new(ee)), metrics }
+        EeHandle { transport: Transport::Inline(Box::new(ee)), metrics, trips: 0 }
     }
 
     /// Spawns the EE on its own thread behind a rendezvous channel.
@@ -85,7 +93,7 @@ impl EeHandle {
             })
             .map_err(|e| Error::Internal(format!("spawning EE thread: {e}")))?;
         let transport = Transport::Channel { jobs: Some(jobs), replies, join: Some(join) };
-        Ok(EeHandle { transport, metrics })
+        Ok(EeHandle { transport, metrics, trips: 0 })
     }
 
     /// Runs `f` against the EE: one boundary crossing. Inline this is a
@@ -96,7 +104,8 @@ impl EeHandle {
         &mut self,
         f: impl FnOnce(&mut ExecutionEngine) -> Result<R> + Send + 'static,
     ) -> Result<R> {
-        EngineMetrics::bump(&self.metrics.ee_round_trips);
+        let trips = std::mem::take(&mut self.trips) + 1;
+        self.metrics.ee_round_trips.fetch_add(trips, std::sync::atomic::Ordering::Relaxed);
         match &mut self.transport {
             Transport::Inline(ee) => f(ee),
             Transport::Channel { jobs, replies, .. } => {
@@ -117,11 +126,24 @@ impl EeHandle {
     /// per statement); the channel transport copies once to ship it.
     pub fn exec_params(&mut self, stmt: StmtId, params: &[Value]) -> Result<QueryResult> {
         if let Transport::Inline(ee) = &mut self.transport {
-            EngineMetrics::bump(&self.metrics.ee_round_trips);
+            self.trips += 1;
             return ee.exec(stmt, params);
         }
         let params = params.to_vec();
         self.run(move |ee| ee.exec(stmt, &params))
+    }
+
+    /// Runs a compiled `INSERT … VALUES` once per parameter row
+    /// ([`ExecutionEngine::exec_rows`]) in one crossing: the inline
+    /// transport passes the rows straight through, the channel transport
+    /// copies them once to ship them.
+    pub fn exec_rows<P: AsRef<[Value]>>(&mut self, stmt: StmtId, rows: &[P]) -> Result<usize> {
+        if let Transport::Inline(ee) = &mut self.transport {
+            self.trips += 1;
+            return ee.exec_rows(stmt, rows);
+        }
+        let rows: Vec<Vec<Value>> = rows.iter().map(|r| r.as_ref().to_vec()).collect();
+        self.run(move |ee| ee.exec_rows(stmt, &rows))
     }
 
     /// Shuts down a channel EE thread (no-op inline): dropping the job

@@ -27,11 +27,13 @@
 //!
 //! # Trigger cascade (§3.2.3)
 //!
-//! Only *SQL-originated* inserts fire triggers. An `INSERT` whose target
-//! is a window never reaches the table: [`ExecutionEngine::exec_bound`]
-//! has the SQL crate build its rows and hands them to the window as
-//! tuples, to be *staged* (no row id, no index touch, no effect — staged
-//! tuples are invisible because they are nowhere a query looks); slides
+//! Only *SQL-originated* inserts fire triggers. Every `INSERT` — one
+//! parameter row from [`ExecutionEngine::exec`], many from
+//! [`ExecutionEngine::exec_rows`] — takes one path: the SQL crate builds
+//! its rows, and the EE applies them. One whose target is a window never
+//! reaches the table: its rows go to the window as tuples, to be
+//! *staged* (no row id, no index touch, no effect — staged tuples are
+//! invisible because they are nowhere a query looks); slides
 //! then activate and expire rows and fire the window's EE triggers.
 //! After every other statement the EE inspects the row effects it logged.
 //! Inserts into a stream table are labeled with the transaction's batch
@@ -61,7 +63,7 @@ use std::sync::Arc;
 use sstore_common::codec::{Decoder, Encoder};
 use sstore_common::{BatchId, Error, ProcId, Result, RowId, TableId, Tuple, Value};
 use sstore_sql::exec::{execute, insert_rows, undo_effect, Effect};
-use sstore_sql::plan::BoundStatement;
+use sstore_sql::plan::{BoundInsert, BoundStatement};
 use sstore_sql::{Planner, QueryResult};
 use sstore_storage::snapshot;
 use sstore_storage::{Catalog, Table, TableKind};
@@ -396,6 +398,7 @@ impl ExecutionEngine {
         // transaction touched.
         self.mark_txn_dirty();
         self.undo.clear();
+        self.note_columnar_batches();
         let mut slides = Vec::new();
         if self.has_time_windows {
             if let Some(wm) = self.partition_watermark() {
@@ -455,6 +458,7 @@ impl ExecutionEngine {
         self.outputs.clear();
         self.in_txn = false;
         self.out_batch = None;
+        self.note_columnar_batches();
         Ok(())
     }
 
@@ -520,12 +524,32 @@ impl ExecutionEngine {
     /// Executes a compiled statement within the current transaction,
     /// cascading EE triggers.
     pub fn exec(&mut self, stmt: StmtId, params: &[Value]) -> Result<QueryResult> {
-        let bound = self
-            .stmts
-            .get(stmt)
-            .cloned()
-            .ok_or_else(|| Error::not_found("statement id", stmt.to_string()))?;
+        let bound = self.plan(stmt)?;
         self.exec_bound(&bound, params)
+    }
+
+    /// Runs a compiled `INSERT … VALUES` once per parameter row, in
+    /// order: what as many [`ExecutionEngine::exec`] calls would do,
+    /// stopping at the first error with the earlier rows applied (see
+    /// [`ExecutionEngine::insert`]). Returns the rows affected. Any
+    /// other statement is refused with [`Error::Plan`].
+    pub fn exec_rows<P: AsRef<[Value]>>(&mut self, stmt: StmtId, rows: &[P]) -> Result<usize> {
+        match &*self.plan(stmt)? {
+            BoundStatement::Insert(i) if i.select.is_none() => {
+                if !self.in_txn {
+                    return Err(Error::InvalidState("exec outside transaction".into()));
+                }
+                self.insert(i, rows)
+            }
+            _ => Err(Error::Plan(format!(
+                "{} is not an INSERT … VALUES: only those run over parameter rows",
+                self.ids.stmt_name(stmt)
+            ))),
+        }
+    }
+
+    fn plan(&self, stmt: StmtId) -> Result<Arc<BoundStatement>> {
+        self.stmts.get(stmt).cloned().ok_or_else(|| Error::not_found("statement id", stmt.to_string()))
     }
 
     /// Executes an already-bound statement within the current
@@ -546,38 +570,60 @@ impl ExecutionEngine {
         if let Some(w) = rewritten.filter(|t| self.windows[t.index()].is_some()) {
             return Err(window_is_append_only(self.ids.table_name(w)));
         }
-        let result = match bound {
-            // An arrival: its rows go to the window as tuples, not to the
-            // table — the SQL crate builds them and knows no more.
-            BoundStatement::Insert(i) if self.windows[i.table.index()].is_some() => {
-                insert_rows(&mut self.catalog, i, params).and_then(|rows| {
-                    let rows_affected = rows.len();
-                    self.window_arrival(i.table, rows)?;
-                    Ok(QueryResult { rows_affected, ..QueryResult::default() })
-                })
+        if let BoundStatement::Insert(i) = bound {
+            let rows_affected = self.insert(i, &[params])?;
+            return Ok(QueryResult { rows_affected, ..QueryResult::default() });
+        }
+        // The statement's effects join the log whether or not it
+        // failed: a failed statement may have written rows.
+        let start = self.undo.len();
+        let r = execute(&mut self.catalog, bound, params, &mut self.scratch);
+        self.undo.extend(self.scratch.drain(..).map(Undo::Row));
+        let r = r?;
+        self.cascade(start)?;
+        Ok(r)
+    }
+
+    /// Runs an INSERT once per parameter row, in order, exactly as that
+    /// many one-row statements would: a parameter row's rows all build
+    /// (and, for a window, pass its schema) or none is applied, and the
+    /// first error stops the batch with the earlier rows applied. Every
+    /// row is built first, in one [`insert_rows`] pass. A window takes
+    /// them in one arrival; a table in one insert loop; a stream runs
+    /// its §3.2.3 cascade once per parameter row, since that many
+    /// statements would fire its EE triggers that many times.
+    fn insert<P: AsRef<[Value]>>(&mut self, i: &BoundInsert, params: &[P]) -> Result<usize> {
+        let mut rows = Vec::with_capacity(params.len() * i.row_template.len());
+        let mut built = insert_rows(&mut self.catalog, i, params, &mut rows);
+        let (table, n) = (i.table, rows.len());
+        // Rows per parameter row: a template's, or a SELECT's (one
+        // parameter row only).
+        let per = if i.select.is_some() { n.max(1) } else { i.row_template.len() };
+        let applied = if self.windows[table.index()].is_some() {
+            // A window checks rows as its table would on insert, before
+            // staging any of a parameter row's.
+            let schema = self.catalog.get(table).schema();
+            let check = |(k, t): (usize, &Tuple)| schema.validate(t.values()).map_err(|e| (k, e));
+            if let Err((k, e)) = rows.iter().enumerate().try_for_each(check) {
+                rows.truncate(k - k % per);
+                built = Err(e);
             }
-            _ => {
-                // The statement's effects join the log whether or not it
-                // failed: a failed statement may have written rows.
-                let start = self.undo.len();
-                let r = execute(&mut self.catalog, bound, params, &mut self.scratch);
-                self.undo.extend(self.scratch.drain(..).map(Undo::Row));
-                r.and_then(|r| {
-                    self.cascade(start)?;
-                    Ok(r)
-                })
-            }
+            self.window_arrival(table, rows, per)
+        } else {
+            self.table_arrival(table, rows, per)
         };
-        self.note_columnar_batches();
-        result
+        // An error applying a row comes from an earlier parameter row
+        // than the one that failed to build.
+        applied.and(built).map(|()| n)
     }
 
     /// Drains the sql crate's thread-local read-path counters (batches,
     /// windowed batches, per-reason fallbacks) into the engine metrics.
-    /// Called after every statement entry point (the counters
-    /// accumulate across the nested trigger cascade, so one drain per
-    /// top-level call collects the whole tree; draining on nested calls
-    /// too just moves the same numbers sooner).
+    /// The thread-local is the partition-local count: statements add to
+    /// it, and it is folded into the engine-wide counters — which every
+    /// partition thread writes — once a transaction, at commit or abort,
+    /// and after an ad-hoc query, so the totals are exact after any
+    /// drain. A counter is touched only when it has something to add.
     fn note_columnar_batches(&self) {
         use std::sync::atomic::Ordering::Relaxed;
         let c = sstore_sql::batch::take_path_counters();
@@ -708,7 +754,7 @@ impl ExecutionEngine {
     /// Scans the row effects one statement logged at `[start..)` for
     /// SQL-originated inserts into streams and runs the §3.2.3 trigger
     /// cascade on them. (An insert into a window leaves no effect:
-    /// [`ExecutionEngine::exec_bound`] staged it.)
+    /// [`ExecutionEngine::insert`] staged it.)
     fn cascade(&mut self, start: usize) -> Result<()> {
         let end = self.undo.len();
         if start >= end {
@@ -748,17 +794,38 @@ impl ExecutionEngine {
         Ok(())
     }
 
-    /// Stages the rows of an `INSERT INTO <window>`, each checked
-    /// against the window's schema first — as the table would on insert,
-    /// so a bad row fails at its statement, with nothing staged. Tuple
-    /// windows then process the count-driven slides the arrival unlocks,
-    /// firing on-slide EE triggers; time windows slide only when the
+    /// Inserts an INSERT's rows into a base table in one loop, or into a
+    /// stream one parameter row's `per` rows at a time, each group
+    /// cascading as its statement would.
+    fn table_arrival(&mut self, table: TableId, rows: Vec<Tuple>, per: usize) -> Result<()> {
+        let stream = self.catalog.get(table).kind() == TableKind::Stream;
+        let per = if stream { per } else { rows.len().max(1) };
+        let mut rows = rows.into_iter();
+        while rows.len() > 0 {
+            let start = self.undo.len();
+            for t in rows.by_ref().take(per) {
+                self.table_insert(table, t)?;
+            }
+            self.cascade(start)?;
+        }
+        Ok(())
+    }
+
+    /// Stages the rows of an `INSERT INTO <window>`, already checked
+    /// against the window's schema, `per` rows to a parameter row. A
+    /// tuple window takes each parameter row's rows and then processes
+    /// the count-driven slides they unlock, firing on-slide EE triggers,
+    /// as one statement would; time windows slide only when the
     /// watermark says so — see [`ExecutionEngine::process_slides`].
-    fn window_arrival(&mut self, window: TableId, rows: Vec<Tuple>) -> Result<()> {
-        let schema = self.catalog.get(window).schema();
-        rows.iter().try_for_each(|t| schema.validate(t.values()))?;
+    fn window_arrival(&mut self, window: TableId, mut rows: Vec<Tuple>, per: usize) -> Result<()> {
         match self.windows[window.index()] {
-            Some(WindowSlot::Tuple(_)) => self.tuple_window_arrival(window, rows),
+            Some(WindowSlot::Tuple(_)) => {
+                while !rows.is_empty() {
+                    let rest = rows.split_off(per.min(rows.len()));
+                    self.tuple_window_arrival(window, std::mem::replace(&mut rows, rest))?;
+                }
+                Ok(())
+            }
             Some(WindowSlot::Time(_)) => self.time_window_arrival(window, rows),
             None => Err(Error::not_found("window", self.ids.table_name(window).to_string())),
         }

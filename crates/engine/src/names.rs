@@ -689,6 +689,15 @@ impl AppIds {
         &self.procs[id.index()].name
     }
 
+    /// A procedure statement's name, `"<stmt> in <proc>"`, for errors
+    /// (EE-trigger statements have none: `"statement <id>"`).
+    pub(crate) fn stmt_name(&self, id: StmtId) -> String {
+        let named = self.procs.iter().find_map(|p| {
+            p.stmts.iter().find(|(_, &s)| s == id).map(|(n, _)| format!("{n} in {}", p.name))
+        });
+        named.unwrap_or_else(|| format!("statement {id}"))
+    }
+
     /// PE-trigger target procedures of a stream, in declaration order.
     #[inline]
     pub fn pe_targets_of(&self, stream: TableId) -> &[ProcId] {

@@ -11,6 +11,7 @@ use sstore_common::{BatchId, Error, Result, Tuple, Value};
 use sstore_sql::QueryResult;
 
 use crate::boundary::EeHandle;
+use crate::ee::StmtId;
 use crate::names::ProcMeta;
 
 /// Execution context handed to a stored-procedure body for one
@@ -39,12 +40,24 @@ impl<'a> ProcCtx<'a> {
     /// Runs one of this procedure's named SQL statements with bound
     /// parameters. One EE boundary crossing per call.
     pub fn sql(&mut self, stmt: &str, params: &[Value]) -> Result<QueryResult> {
-        let id = *self
-            .meta
-            .stmts
-            .get(stmt)
-            .ok_or_else(|| Error::not_found("statement", format!("{stmt} in {}", self.meta.name)))?;
+        let id = self.stmt_id(stmt)?;
         self.ee.exec_params(id, params)
+    }
+
+    /// Runs one of this procedure's `INSERT … VALUES` statements once
+    /// per parameter row, in order: exactly `for r in rows {
+    /// ctx.sql(stmt, r)?; }`, stopping at the first error with the
+    /// earlier rows applied, but in one EE boundary crossing. Returns
+    /// the rows affected. Any other statement is refused
+    /// ([`Error::Plan`]).
+    pub fn sql_rows<P: AsRef<[Value]>>(&mut self, stmt: &str, rows: &[P]) -> Result<usize> {
+        let id = self.stmt_id(stmt)?;
+        self.ee.exec_rows(id, rows)
+    }
+
+    fn stmt_id(&self, stmt: &str) -> Result<StmtId> {
+        let id = self.meta.stmts.get(stmt);
+        id.copied().ok_or_else(|| Error::not_found("statement", format!("{stmt} in {}", self.meta.name)))
     }
 
     /// The atomic input batch of this transaction execution (empty for

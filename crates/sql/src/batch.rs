@@ -386,7 +386,7 @@ pub enum FallbackReason {
 }
 
 /// Per-thread counters of the vectorized read path, drained by the
-/// engine after each statement (see [`take_path_counters`]).
+/// engine once a transaction (see [`take_path_counters`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SqlPathCounters {
     /// Columnar batches materialized.
@@ -403,7 +403,7 @@ pub struct SqlPathCounters {
 thread_local! {
     /// Counters accumulated by the columnar executor on this thread
     /// since last taken. The engine's EE (single-threaded per
-    /// partition) drains this after each statement and feeds the
+    /// partition) drains this at each commit or abort and feeds the
     /// engine-level `columnar_*` metrics — the SQL crate cannot
     /// depend on the engine crate, so the hand-off is a thread-local.
     static SQL_PATH: Cell<SqlPathCounters> = const {

@@ -537,10 +537,10 @@ const DIRECT_KEYS: usize = 1024;
 /// GROUP BY state: keys interned to dense slots, accumulators indexed by
 /// slot. A statement uses one interning map throughout — `direct` and
 /// `ints` when its single key is Int-typed (the columnar executor's typed
-/// key view), `any` otherwise; implicit aggregation (no GROUP BY) has no
-/// key and owns slot 0 from the start, so it yields a group over zero
-/// rows too. Slots are numbered in first-seen order whichever map holds
-/// the key.
+/// key view), `pairs` and `null_pairs` when it has two Int-typed keys,
+/// `any` otherwise; implicit aggregation (no GROUP BY) has no key and
+/// owns slot 0 from the start, so it yields a group over zero rows too.
+/// Slots are numbered in first-seen order whichever map holds the key.
 pub(crate) struct Groups<'s> {
     s: &'s BoundSelect,
     /// One entry per aggregate; the columnar executor's typed loops
@@ -555,6 +555,9 @@ pub(crate) struct Groups<'s> {
     /// Slots of the other Int keys.
     ints: FxHashMap<i64, u32>,
     null_slot: Option<u32>,
+    /// Slots of two-Int keys with no NULL, and of those with one.
+    pairs: FxHashMap<(i64, i64), u32>,
+    null_pairs: FxHashMap<(Option<i64>, Option<i64>), u32>,
     /// The map owns each group's first-seen key. [`Value`]'s `Hash`
     /// agrees with its `cmp_total`-based `Eq`, so this merges exactly
     /// the keys that compare equal.
@@ -576,6 +579,8 @@ impl<'s> Groups<'s> {
             direct: Vec::new(),
             ints: FxHashMap::default(),
             null_slot: None,
+            pairs: FxHashMap::default(),
+            null_pairs: FxHashMap::default(),
             any: FxHashMap::default(),
         };
         if s.group_by.is_empty() {
@@ -642,6 +647,27 @@ impl<'s> Groups<'s> {
         slot as usize
     }
 
+    /// [`Groups::slot_of`] for two Int-typed keys (`None` = NULL).
+    #[inline]
+    pub(crate) fn slot_of_pair(&mut self, key: (Option<i64>, Option<i64>)) -> usize {
+        let known = match key {
+            (Some(a), Some(b)) => self.pairs.get(&(a, b)),
+            _ => self.null_pairs.get(&key),
+        };
+        if let Some(&slot) = known {
+            return slot as usize;
+        }
+        if self.pairs.is_empty() {
+            self.pairs.reserve(self.reserve);
+        }
+        let slot = self.new_slot();
+        match key {
+            (Some(a), Some(b)) => self.pairs.insert((a, b), slot),
+            _ => self.null_pairs.insert(key, slot),
+        };
+        slot as usize
+    }
+
     /// Accumulates one input row into `slot`: per aggregate, evaluate
     /// the argument, skip NULL, feed.
     pub(crate) fn feed_row(&mut self, slot: usize, ctx: &EvalCtx<'_>) -> Result<()> {
@@ -662,9 +688,10 @@ impl<'s> Groups<'s> {
     /// Offers every group that passes HAVING to `edge`, in ascending key
     /// order, each evaluated against one reused aggregate-value buffer.
     pub(crate) fn finish(mut self, edge: &mut Edge<'_>) -> Result<()> {
+        let single = !(self.direct.is_empty() && self.ints.is_empty() && self.null_slot.is_none());
+        let pair = !(self.pairs.is_empty() && self.null_pairs.is_empty());
         assert!(
-            self.any.is_empty()
-                || (self.direct.is_empty() && self.ints.is_empty() && self.null_slot.is_none()),
+            u8::from(single) + u8::from(pair) + u8::from(!self.any.is_empty()) <= 1,
             "group-key kernel changed output kind across batches"
         );
         let s = self.s;
@@ -688,6 +715,13 @@ impl<'s> Groups<'s> {
         ints.sort_unstable();
         for (k, slot) in ints {
             emit(&[Value::Int(k)], slot)?;
+        }
+        // Tuple order is `cmp_total` order: NULL (`None`) sorts first.
+        let pairs = self.pairs.into_iter().map(|((a, b), slot)| ((Some(a), Some(b)), slot));
+        let mut pairs: Vec<_> = pairs.chain(self.null_pairs).collect();
+        pairs.sort_unstable();
+        for ((a, b), slot) in pairs {
+            emit(&[a.map_or(Value::Null, Value::Int), b.map_or(Value::Null, Value::Int)], slot)?;
         }
         // Interned keys are distinct under `cmp_total`, so the sort has
         // no ties to break.

@@ -99,7 +99,8 @@ pub fn execute(
             run_select(catalog, s, params)
         }
         BoundStatement::Insert(i) => {
-            let rows = insert_rows(catalog, i, params)?;
+            let mut rows = Vec::new();
+            insert_rows(catalog, i, &[params], &mut rows)?;
             let table = catalog.get_mut(i.table);
             let mut n = 0;
             for tuple in rows {
@@ -158,14 +159,33 @@ fn refresh_for_read(catalog: &mut Catalog, s: &BoundSelect) {
     }
 }
 
-/// The rows an `INSERT` would insert, in order, each a full row of the
-/// target's schema: its `VALUES` templates evaluated, or its `SELECT`
-/// run and spread over the named columns. Nothing is written and no row
-/// is checked against the schema yet — [`Table::insert`] does that for
-/// [`execute`]; a caller that puts the rows somewhere else validates
-/// them as it would.
-pub fn insert_rows(catalog: &mut Catalog, i: &BoundInsert, params: &[Value]) -> Result<Vec<Tuple>> {
-    let mut rows: Vec<Tuple> = Vec::new();
+/// The rows an `INSERT` would insert, once per parameter row in order,
+/// appended to `out`, each a full row of the target's schema: its
+/// `VALUES` templates evaluated, or its `SELECT` run and spread over the
+/// named columns. A parameter row that fails to build stops the pass
+/// with its error, leaving the rows of the parameter rows before it in
+/// `out`. Nothing is written and no row is checked against the schema
+/// yet — [`Table::insert`] does that for [`execute`]; a caller that puts
+/// the rows somewhere else validates them as it would.
+pub fn insert_rows<P: AsRef<[Value]>>(
+    catalog: &mut Catalog,
+    i: &BoundInsert,
+    params: &[P],
+    out: &mut Vec<Tuple>,
+) -> Result<()> {
+    for params in params {
+        let start = out.len();
+        insert_rows_of(catalog, i, params.as_ref(), out).inspect_err(|_| out.truncate(start))?;
+    }
+    Ok(())
+}
+
+fn insert_rows_of(
+    catalog: &mut Catalog,
+    i: &BoundInsert,
+    params: &[Value],
+    rows: &mut Vec<Tuple>,
+) -> Result<()> {
     if let Some(sel) = &i.select {
         refresh_for_read(catalog, sel);
         let schema_arity = catalog.get(i.table).schema().arity();
@@ -192,7 +212,7 @@ pub fn insert_rows(catalog: &mut Catalog, i: &BoundInsert, params: &[Value]) -> 
             }))?);
         }
     }
-    Ok(rows)
+    Ok(())
 }
 
 /// Applies one effect in reverse — the undo primitive used by the

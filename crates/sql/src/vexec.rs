@@ -809,10 +809,11 @@ fn arith_float<'a>(
 /// ([`Groups`]: dense slots, first-seen key kept) and leaves one
 /// (row, slot) pair per row in `pairs`, in ascending row order. A single
 /// Int-typed key is looked up as a raw `i64` ([`Groups::slot_of_int`]:
-/// by direct index in `[0, 1024)`, hashed otherwise); anything else
-/// hashes as a key row built in the reused `key` buffer. Which of the two a statement takes depends
-/// only on column dtypes and statement constants, so it never changes
-/// between batches ([`Groups::finish`] asserts it).
+/// by direct index in `[0, 1024)`, hashed otherwise), two Int-typed keys
+/// as an `(i64, i64)` pair ([`Groups::slot_of_pair`]); anything else
+/// hashes as a key row built in the reused `key` buffer. Which of the
+/// three a statement takes depends only on column dtypes, so it never
+/// changes between batches ([`Groups::finish`] asserts it).
 fn intern_keys(
     groups: &mut Groups<'_>,
     kouts: &[VOut<'_>],
@@ -828,6 +829,19 @@ fn intern_keys(
             pairs.push((i as u32, slot as u32));
         }
         return;
+    }
+    if let [a, b] = kouts {
+        if let (
+            Some(NumSide::Int { values: av, nulls: an }),
+            Some(NumSide::Int { values: bv, nulls: bn }),
+        ) = (num_side(a), num_side(b))
+        {
+            for i in sel.iter_ones() {
+                let key = ((!an.get(i)).then(|| av[i]), (!bn.get(i)).then(|| bv[i]));
+                pairs.push((i as u32, groups.slot_of_pair(key) as u32));
+            }
+            return;
+        }
     }
     for i in sel.iter_ones() {
         key.clear();

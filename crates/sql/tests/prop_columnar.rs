@@ -65,6 +65,7 @@ fn where_clause() -> impl Strategy<Value = String> {
 
 fn select_stmt() -> impl Strategy<Value = String> {
     (any::<u8>(), where_clause(), 0u64..12).prop_map(|(shape, w, lim)| match shape % 11 {
+        3 | 8 if shape % 3 == 0 => pair_group_by(shape / 11, &w),
         0 => format!("SELECT k, a, b, s FROM p {w} ORDER BY k LIMIT {lim}"),
         1 => format!("SELECT COUNT(*), COUNT(a), SUM(a), MIN(a), MAX(a), AVG(b) FROM p {w}"),
         2 => format!("SELECT a, COUNT(*), SUM(a), MIN(b), MAX(s) FROM p {w} GROUP BY a"),
@@ -85,6 +86,19 @@ fn select_stmt() -> impl Strategy<Value = String> {
         9 => format!("SELECT a % 3, COUNT(*), MAX(s) FROM p {w} GROUP BY a % 3"),
         _ => format!("SELECT k, s FROM p {w} ORDER BY s, b DESC LIMIT {lim}"),
     })
+}
+
+/// Two-key GROUP BY shapes: Int pairs (typed `(i64, i64)` keys) with a
+/// NULL in the first key, the second, or both, and Int × Float pairs
+/// (which stay on the `Value` path).
+fn pair_group_by(shape: u8, w: &str) -> String {
+    match shape % 5 {
+        0 => format!("SELECT a, k % 4, COUNT(*), MIN(k), MAX(b) FROM p {w} GROUP BY a, k % 4"),
+        1 => format!("SELECT k % 3, a, COUNT(*), SUM(k), MIN(s) FROM p {w} GROUP BY k % 3, a"),
+        2 => format!("SELECT a + k % 2, a, COUNT(*) FROM p {w} GROUP BY a + k % 2, a"),
+        3 => format!("SELECT b, a, COUNT(*), MAX(k) FROM p {w} GROUP BY b, a"),
+        _ => format!("SELECT a, b, MIN(k) FROM p {w} GROUP BY a, b HAVING COUNT(*) > 1"),
+    }
 }
 
 /// Runs one query through both executors and asserts they agree —
@@ -269,6 +283,54 @@ proptest! {
             _ => format!("SELECT k, a, b FROM p WHERE {w} ORDER BY b DESC, a, k LIMIT 9"),
         };
         assert_both_agree(&c, &sql)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn two_int_group_keys_match_rowwise_at_the_ends_of_i64(
+        rows in proptest::collection::vec(
+            (
+                proptest::option::of(prop_oneof![-3i64..3, Just(i64::MIN), Just(i64::MAX)]),
+                proptest::option::of(-4i64..4),
+                proptest::option::of(any::<u8>()),
+            ),
+            0..60,
+        ),
+        shape in any::<u8>(),
+        w in where_clause(),
+    ) {
+        // `a`'s extremes as keys, beside NULL and small keys; the shapes
+        // sum `k`, never `a`, so no statement overflows.
+        let c = setup(&rows);
+        assert_both_agree(&c, &pair_group_by(shape, &w))?;
+    }
+}
+
+/// Two Int keys over tables either side of a word and of a batch, with
+/// `i64::MIN` / `i64::MAX` keys: groups come out in key order, NULL
+/// first, whichever executor ran.
+#[test]
+fn two_int_group_keys_are_ordered_across_batches() {
+    let mut z = 7;
+    for len in EDGE_LENS {
+        let mut rows = word_rows(len, &mut z);
+        for (i, r) in rows.iter_mut().enumerate().filter(|(i, _)| i % 10 == 0) {
+            r.0 = Some(if i % 20 == 0 { i64::MIN } else { i64::MAX });
+        }
+        let c = setup(&rows);
+        for shape in 0..5 {
+            assert_both_agree(&c, &pair_group_by(shape, "")).unwrap();
+        }
+        let out = must_succeed(&c, "SELECT a, k % 4, COUNT(*) FROM p GROUP BY a, k % 4");
+        let keys: Vec<_> = out.iter().map(|t| (t.get(0).clone(), t.get(1).clone())).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{len}: {keys:?}");
+        let nulls = keys.iter().take_while(|k| k.0 == Value::Null).count();
+        assert_eq!(nulls > 0, rows.iter().any(|r| r.0.is_none()), "{len}");
+        assert_eq!(keys[nulls].0, Value::Int(i64::MIN));
+        assert_eq!(keys.last().unwrap().0, Value::Int(i64::MAX));
     }
 }
 
