@@ -13,9 +13,10 @@
 //!   append-only through SQL), trigger well-formedness, and the workflow
 //!   checks below, all over ids;
 //! * **plans** — every procedure statement and EE-trigger statement is
-//!   parsed and planned here and nowhere else: one shape pass derives the
-//!   sliding windows' group indexes, then the final plans are made
-//!   against a catalog that has them.
+//!   parsed and planned here and nowhere else, each once: it is bound,
+//!   the sliding windows' group indexes are derived from the bound
+//!   SELECTs, and then its access path is chosen against a catalog that
+//!   has them.
 //!
 //! Every hot-path structure in the engine — routing, the scheduler
 //! queue, PE-trigger dispatch, stream/window bookkeeping, the command
@@ -543,17 +544,24 @@ impl AppIds {
         Ok(())
     }
 
-    /// Plans every registered statement. A shape pass first gives every
-    /// overlapping window (`slide < size`) one group index per distinct
-    /// grouped SELECT shape registered against it that an index can
-    /// answer ([`group_index_shape`]): every statement that can run
-    /// against a window is registered with the app (§3.2.2 scoping), so
-    /// the engine derives the indexes; nobody declares them. A tumbling
-    /// window gets none: its slide replaces every row, and maintaining
-    /// the aggregate would cost what re-reading the extent does. Then
-    /// the final plans are made against the catalog holding them.
+    /// Plans every registered statement, each once. Every statement is
+    /// bound first; the first that does not bind, in registration order,
+    /// is the error. The bound SELECTs then give every overlapping window
+    /// (`slide < size`) one group index per distinct grouped shape
+    /// registered against it that an index can answer
+    /// ([`group_index_shape`]): every statement that can run against a
+    /// window is registered with the app (§3.2.2 scoping), so the engine
+    /// derives the indexes; nobody declares them. A tumbling window gets
+    /// none: its slide replaces every row, and maintaining the aggregate
+    /// would cost what re-reading the extent does. Last, every statement's
+    /// access path is chosen against the catalog holding them.
     fn plan(&mut self, app: &App, parsed: Parsed) -> Result<()> {
         let mut catalog = build_catalog(app, self)?;
+        let triggers = parsed.triggers.iter().flat_map(|(_, s)| s);
+        let registered = parsed.procs.iter().flatten().chain(triggers);
+        let planner = Planner::new(&catalog);
+        let mut plans = registered.map(|s| planner.bind(s)).collect::<Result<Vec<_>>>()?;
+
         let tumbles = app.windows.iter().map(|w| match &w.windowing {
             Windowing::Tuple(spec) => spec.is_tumbling(),
             Windowing::Time(spec) => spec.is_tumbling(),
@@ -564,33 +572,28 @@ impl AppIds {
             .filter(|(_, t)| !t)
             .map(|((id, _), _)| id)
             .collect();
-        let registered =
-            || parsed.procs.iter().flatten().chain(parsed.triggers.iter().flat_map(|(_, s)| s));
-        if !sliding.is_empty() {
-            // A statement that does not plan is skipped here; the final
-            // pass reports it.
-            for stmt in registered() {
-                let select = match Planner::new(&catalog).plan(stmt) {
-                    Ok(BoundStatement::Select(s)) => s,
-                    Ok(BoundStatement::Insert(BoundInsert { select: Some(s), .. })) => *s,
-                    _ => continue,
-                };
-                let table = select.from.table;
-                if !sliding.contains(&table) {
-                    continue;
-                }
-                let Some(def) = group_index_shape(&select, catalog.get(table).schema()) else {
-                    continue;
-                };
-                if catalog.get(table).group_index(&def).is_none() {
-                    catalog.get_mut(table).create_group_index(def.clone())?;
-                    self.group_indexes.push((table, def));
-                }
+        for plan in &plans {
+            let select = match plan {
+                BoundStatement::Select(s) => s,
+                BoundStatement::Insert(BoundInsert { select: Some(s), .. }) => s,
+                _ => continue,
+            };
+            let table = select.from.table;
+            if !sliding.contains(&table) {
+                continue;
+            }
+            let Some(def) = group_index_shape(select, catalog.get(table).schema()) else {
+                continue;
+            };
+            if catalog.get(table).group_index(&def).is_none() {
+                catalog.get_mut(table).create_group_index(def.clone())?;
+                self.group_indexes.push((table, def));
             }
         }
 
         let planner = Planner::new(&catalog);
-        self.plans = registered().map(|s| planner.plan(s)).collect::<Result<_>>()?;
+        plans.iter_mut().for_each(|p| planner.choose_access(p));
+        self.plans = plans;
         let mut next = 0;
         for (meta, p) in self.procs.iter_mut().zip(&app.procs) {
             meta.stmts = p.statements.iter().map(|(name, _)| name.clone()).zip(next..).collect();
@@ -705,12 +708,12 @@ impl AppIds {
     }
 
     /// Every registered statement's plan, indexed by [`StmtId`].
-    pub(crate) fn plans(&self) -> &[BoundStatement] {
+    pub fn plans(&self) -> &[BoundStatement] {
         &self.plans
     }
 
     /// EE-trigger statements per table id.
-    pub(crate) fn ee_triggers(&self) -> &[Option<Vec<StmtId>>] {
+    pub fn ee_triggers(&self) -> &[Option<Vec<StmtId>>] {
         &self.ee_triggers
     }
 

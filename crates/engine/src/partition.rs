@@ -607,7 +607,7 @@ impl PartitionRuntime {
             pending.parts.into_iter().flatten().flatten().collect();
         EngineMetrics::bump(&self.metrics.exchange_batches);
         for &target in self.ids.pe_targets_of(stream) {
-            self.queue.push_exchange(TxnRequest::internal(
+            self.queue.push_behind_round(TxnRequest::internal(
                 target,
                 Invocation::Exchange { stream, rows: merged.clone() },
                 Some(batch),
@@ -781,8 +781,6 @@ impl PartitionRuntime {
         // partition, and a per-transaction `Arc` clone would make its
         // count a line all of them write.
         let adhoc = matches!(invocation, Invocation::AdHoc { .. });
-        let proc_name: Arc<str> =
-            if adhoc { Arc::from(ADHOC_NAME) } else { self.ids.proc_name(proc_id).clone() };
 
         self.ee.run(move |ee| ee.begin(batch))?;
 
@@ -933,7 +931,8 @@ impl PartitionRuntime {
                     | Invocation::WindowSlide { .. } => None,
                 };
                 if let Some(kind) = kind {
-                    log.append(&proc_name, kind)?;
+                    let proc_name = if adhoc { ADHOC_NAME } else { self.ids.proc_name(proc_id) };
+                    log.append(proc_name, kind)?;
                     EngineMetrics::bump(&self.metrics.log_records);
                     self.metrics
                         .log_flushes
@@ -950,6 +949,7 @@ impl PartitionRuntime {
         let crate::ee::CommitOutcome { outputs, slides } = self.ee.run(ExecutionEngine::commit)?;
         EngineMetrics::bump(&self.metrics.txns_committed);
         if self.config.trace {
+            let proc_name = if adhoc { ADHOC_NAME } else { self.ids.proc_name(proc_id) };
             self.metrics.trace.lock().push(TraceEvent {
                 proc: proc_name.to_string(),
                 batch,
@@ -1058,7 +1058,7 @@ impl PartitionRuntime {
                 continue;
             };
             self.slide_inflight[window.index()] = true;
-            self.queue.push_slide(TxnRequest::internal(
+            self.queue.push_behind_round(TxnRequest::internal(
                 owner,
                 Invocation::WindowSlide { window },
                 batch,

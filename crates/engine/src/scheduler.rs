@@ -11,7 +11,7 @@
 //!   before other triggered work resumes); exchange-delivered
 //!   transactions from other partitions join at the *back* (they are
 //!   triggered work too, and arrive in batch order — see
-//!   [`SchedulerQueue::push_exchange`]).
+//!   [`SchedulerQueue::push_behind_round`]).
 //! * **normal lane** — client submissions (OLTP calls, border
 //!   ingestion), FIFO.
 //!
@@ -51,20 +51,11 @@ impl SchedulerQueue {
         self.normal.push_back(req);
     }
 
-    /// Enqueues a PE-triggered downstream transaction.
-    ///
-    /// Streaming mode fast-tracks it to the *front* of the fast lane;
-    /// FIFO mode (ablation) treats it like client work.
-    pub fn push_triggered(&mut self, req: TxnRequest) {
-        match self.mode {
-            SchedulerMode::Streaming => self.fast.push_front(req),
-            SchedulerMode::Fifo => self.normal.push_back(req),
-        }
-    }
-
-    /// Enqueues several PE-triggered requests preserving their given
-    /// order (the engine passes them in the order the streams were
-    /// emitted, so after front-insertion they still run in that order).
+    /// Enqueues a committing TE's PE-triggered successors, preserving
+    /// their given order (the engine passes them in the order the
+    /// streams were emitted). Streaming mode fast-tracks them to the
+    /// *front* of the fast lane, so they still run in that order; FIFO
+    /// mode (ablation) treats them like client work.
     pub fn push_triggered_batch(&mut self, reqs: Vec<TxnRequest>) {
         match self.mode {
             SchedulerMode::Streaming => {
@@ -76,28 +67,18 @@ impl SchedulerQueue {
         }
     }
 
-    /// Enqueues an exchange-delivered transaction: triggered work that
-    /// arrived from another partition. Streaming mode appends to the
-    /// *back* of the fast lane — ahead of all client work, but behind
-    /// the successors of whatever round is currently executing, and in
+    /// Enqueues triggered work that belongs behind the current round:
+    /// an exchange-delivered transaction from another partition, or a
+    /// watermark-driven window-slide transaction (derived work flagged
+    /// by a commit that advanced the partition watermark past a pane
+    /// boundary). Streaming mode appends it to the *back* of the fast
+    /// lane — ahead of all client work (a slide, and any stats its
+    /// triggers emit, belong to the batch whose commit crossed the
+    /// boundary), but behind the current round's own successors, and in
     /// arrival order (the exchange merge completes batches in batch
     /// order, so FIFO-within-the-lane preserves batch order). FIFO mode
     /// queues it behind client work like everything else.
-    pub fn push_exchange(&mut self, req: TxnRequest) {
-        match self.mode {
-            SchedulerMode::Streaming => self.fast.push_back(req),
-            SchedulerMode::Fifo => self.normal.push_back(req),
-        }
-    }
-
-    /// Enqueues a watermark-driven window-slide transaction: derived
-    /// work flagged by a commit that advanced the partition watermark
-    /// past a pane boundary. Rides the fast lane in batch order — the
-    /// same discipline as exchange arrivals: ahead of all client work
-    /// (the slide, and any stats the slide's triggers emit, belong to
-    /// the batch whose commit crossed the boundary), but behind the
-    /// current round's own successors.
-    pub fn push_slide(&mut self, req: TxnRequest) {
+    pub fn push_behind_round(&mut self, req: TxnRequest) {
         match self.mode {
             SchedulerMode::Streaming => self.fast.push_back(req),
             SchedulerMode::Fifo => self.normal.push_back(req),
@@ -150,7 +131,7 @@ mod tests {
         let mut q = SchedulerQueue::new(SchedulerMode::Streaming);
         q.push_client(req(CLIENT_A));
         q.push_client(req(CLIENT_B));
-        q.push_triggered(req(TRIGGERED));
+        q.push_triggered_batch(vec![req(TRIGGERED)]);
         assert_eq!(order(&mut q), vec![TRIGGERED, CLIENT_A, CLIENT_B]);
     }
 
@@ -166,7 +147,7 @@ mod tests {
     fn fifo_mode_does_not_fast_track() {
         let mut q = SchedulerQueue::new(SchedulerMode::Fifo);
         q.push_client(req(CLIENT_A));
-        q.push_triggered(req(TRIGGERED));
+        q.push_triggered_batch(vec![req(TRIGGERED)]);
         assert_eq!(order(&mut q), vec![CLIENT_A, TRIGGERED]);
     }
 
@@ -174,8 +155,8 @@ mod tests {
     fn exchange_work_outranks_clients_but_keeps_arrival_order() {
         let mut q = SchedulerQueue::new(SchedulerMode::Streaming);
         q.push_client(req(CLIENT_A));
-        q.push_exchange(req(EXCHANGE_B1));
-        q.push_exchange(req(EXCHANGE_B2));
+        q.push_behind_round(req(EXCHANGE_B1));
+        q.push_behind_round(req(EXCHANGE_B2));
         // Exchange arrivals run before client work, FIFO among
         // themselves (arrival order == batch order).
         assert_eq!(order(&mut q), vec![EXCHANGE_B1, EXCHANGE_B2, CLIENT_A]);
@@ -184,10 +165,10 @@ mod tests {
     #[test]
     fn current_round_successors_preempt_queued_exchange_work() {
         let mut q = SchedulerQueue::new(SchedulerMode::Streaming);
-        q.push_exchange(req(EXCHANGE_B2));
+        q.push_behind_round(req(EXCHANGE_B2));
         // A TE just committed and triggered its successor: it must run
         // next, before exchange work queued behind the current round.
-        q.push_triggered(req(TRIGGERED));
+        q.push_triggered_batch(vec![req(TRIGGERED)]);
         assert_eq!(order(&mut q), vec![TRIGGERED, EXCHANGE_B2]);
     }
 
@@ -197,15 +178,15 @@ mod tests {
     fn slide_work_rides_the_fast_lane_in_batch_order() {
         let mut q = SchedulerQueue::new(SchedulerMode::Streaming);
         q.push_client(req(CLIENT_A));
-        q.push_exchange(req(EXCHANGE_B1));
-        q.push_slide(req(SLIDE));
+        q.push_behind_round(req(EXCHANGE_B1));
+        q.push_behind_round(req(SLIDE));
         // A commit's own successor still preempts queued slide work.
-        q.push_triggered(req(TRIGGERED));
+        q.push_triggered_batch(vec![req(TRIGGERED)]);
         assert_eq!(order(&mut q), vec![TRIGGERED, EXCHANGE_B1, SLIDE, CLIENT_A]);
         // FIFO ablation: slides queue behind client work.
         let mut q = SchedulerQueue::new(SchedulerMode::Fifo);
         q.push_client(req(CLIENT_A));
-        q.push_slide(req(SLIDE));
+        q.push_behind_round(req(SLIDE));
         assert_eq!(order(&mut q), vec![CLIENT_A, SLIDE]);
     }
 
@@ -213,7 +194,7 @@ mod tests {
     fn fifo_mode_buries_exchange_work_behind_clients() {
         let mut q = SchedulerQueue::new(SchedulerMode::Fifo);
         q.push_client(req(CLIENT_A));
-        q.push_exchange(req(EXCHANGE_B1));
+        q.push_behind_round(req(EXCHANGE_B1));
         q.push_client(req(CLIENT_B));
         assert_eq!(order(&mut q), vec![CLIENT_A, EXCHANGE_B1, CLIENT_B]);
     }
@@ -223,7 +204,7 @@ mod tests {
         let mut q = SchedulerQueue::new(SchedulerMode::Streaming);
         assert!(q.is_empty());
         q.push_client(req(CLIENT_A));
-        q.push_exchange(req(EXCHANGE_B1));
+        q.push_behind_round(req(EXCHANGE_B1));
         assert_eq!(q.len(), 2);
         q.pop();
         q.pop();

@@ -452,7 +452,8 @@ fn query_at_reads_and_writes_shared_tables() {
     assert_eq!(r.rows_affected, 1);
     engine.query_at(0, "INSERT INTO t (k, v) VALUES (10, 10)", vec![]).unwrap();
     let r = engine.query(0, "SELECT v FROM t ORDER BY k", vec![]).unwrap();
-    assert_eq!(r.int_column(0).unwrap(), vec![0, 7, 0, 10]);
+    let got: Vec<i64> = r.rows.iter().map(|t| t.get(0).as_int().unwrap()).collect();
+    assert_eq!(got, vec![0, 7, 0, 10]);
     // Ad-hoc OLTP work is admitted and accounted under the Oltp class.
     assert!(engine.metrics().class_latency(TxnClass::Oltp).end_to_end.count >= 3);
 
@@ -541,7 +542,8 @@ fn query_at_failure_rolls_back_whole_statement() {
         .unwrap_err();
     assert!(matches!(err, Error::UniqueViolation { .. }), "got: {err}");
     let r = engine.query(0, "SELECT k FROM t ORDER BY k", vec![]).unwrap();
-    assert_eq!(r.int_column(0).unwrap(), vec![5], "partial insert leaked");
+    let got: Vec<i64> = r.rows.iter().map(|t| t.get(0).as_int().unwrap()).collect();
+    assert_eq!(got, vec![5], "partial insert leaked");
     assert_eq!(engine.admission_available(0), engine.config().admission_credits);
     engine.shutdown();
 }

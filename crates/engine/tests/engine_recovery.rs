@@ -78,13 +78,17 @@ fn state(engine: &Engine) -> (Vec<i64>, Vec<i64>) {
     let audit = engine
         .query(0, "SELECT v FROM audit ORDER BY v", vec![])
         .unwrap()
-        .int_column(0)
-        .unwrap();
+        .rows
+        .iter()
+        .map(|t| t.get(0).as_int().unwrap())
+        .collect::<Vec<i64>>();
     let totals = engine
         .query(0, "SELECT batch_sum FROM totals ORDER BY batch_sum", vec![])
         .unwrap()
-        .int_column(0)
-        .unwrap();
+        .rows
+        .iter()
+        .map(|t| t.get(0).as_int().unwrap())
+        .collect::<Vec<i64>>();
     (audit, totals)
 }
 

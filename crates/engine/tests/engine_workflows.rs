@@ -77,8 +77,10 @@ fn final_values(engine: &Engine, partition: usize) -> Vec<i64> {
     engine
         .query(partition, "SELECT v FROM final ORDER BY v", vec![])
         .unwrap()
-        .int_column(0)
-        .unwrap()
+        .rows
+        .iter()
+        .map(|t| t.get(0).as_int().unwrap())
+        .collect::<Vec<i64>>()
 }
 
 #[test]
@@ -173,7 +175,8 @@ fn abort_rolls_back_whole_te_and_skips_downstream() {
     engine.drain().unwrap();
     assert_eq!(final_values(&engine, 0), vec![7, 9]);
     let audit = engine.query(0, "SELECT v FROM audit ORDER BY v", vec![]).unwrap();
-    assert_eq!(audit.int_column(0).unwrap(), vec![3, 4]);
+    let got: Vec<i64> = audit.rows.iter().map(|t| t.get(0).as_int().unwrap()).collect();
+    assert_eq!(got, vec![3, 4]);
     let m = engine.metrics();
     assert_eq!(m.txns_aborted.load(Relaxed), 1);
     assert_eq!(m.workflows_completed.load(Relaxed), 2);
@@ -431,7 +434,8 @@ fn nested_abort_undoes_all_children() {
     engine.drain().unwrap();
     // The aborted round left no trace: validate's insert rolled back.
     let seen = engine.query(0, "SELECT v FROM seen ORDER BY v", vec![]).unwrap();
-    assert_eq!(seen.int_column(0).unwrap(), vec![1, 2]);
+    let got: Vec<i64> = seen.rows.iter().map(|t| t.get(0).as_int().unwrap()).collect();
+    assert_eq!(got, vec![1, 2]);
     assert_eq!(engine.metrics().txns_aborted.load(Relaxed), 1);
     engine.shutdown();
 }

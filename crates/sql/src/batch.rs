@@ -451,19 +451,6 @@ pub fn note_fallback(reason: FallbackReason) {
     });
 }
 
-/// Returns and clears this thread's batch count. Leaves the fallback
-/// counters alone — tests that only care about batches keep using
-/// this; the engine drains everything via [`take_path_counters`].
-pub fn take_batch_count() -> u64 {
-    SQL_PATH.with(|c| {
-        let mut v = c.get();
-        let n = v.batches;
-        v.batches = 0;
-        c.set(v);
-        n
-    })
-}
-
 /// Returns and clears every counter on this thread.
 pub fn take_path_counters() -> SqlPathCounters {
     SQL_PATH.with(|c| c.replace(SqlPathCounters::default()))
@@ -556,11 +543,10 @@ mod tests {
 
     #[test]
     fn batch_counter_takes_and_clears() {
-        let before = take_batch_count();
-        let _ = before; // drain whatever other tests on this thread left
+        let _ = take_path_counters(); // drain whatever other tests on this thread left
         note_batch();
         note_batch();
-        assert_eq!(take_batch_count(), 2);
-        assert_eq!(take_batch_count(), 0);
+        assert_eq!(take_path_counters().batches, 2);
+        assert_eq!(take_path_counters().batches, 0);
     }
 }

@@ -79,11 +79,6 @@ impl QueryResult {
     pub fn scalar(&self) -> Option<&Value> {
         self.rows.first().map(|r| r.get(0))
     }
-
-    /// First column of every row as i64s — convenience for tests.
-    pub fn int_column(&self, idx: usize) -> Result<Vec<i64>> {
-        self.rows.iter().map(|r| r.get(idx).as_int()).collect()
-    }
 }
 
 /// Executes a bound statement. Mutations are appended to `effects`.
@@ -649,7 +644,8 @@ mod tests {
     fn filter_and_projection() {
         let mut c = setup();
         let r = q(&mut c, "SELECT phone FROM votes WHERE contestant = 1 ORDER BY phone", &[]);
-        assert_eq!(r.int_column(0).unwrap(), vec![100, 102, 104]);
+        let got: Vec<i64> = r.rows.iter().map(|t| t.get(0).as_int().unwrap()).collect();
+        assert_eq!(got, vec![100, 102, 104]);
         assert_eq!(r.columns, vec!["phone"]);
     }
 
@@ -738,7 +734,7 @@ mod tests {
     fn order_by_desc_and_stability() {
         let mut c = setup();
         let r = q(&mut c, "SELECT phone, ts FROM votes ORDER BY contestant DESC, phone ASC", &[]);
-        let phones = r.int_column(0).unwrap();
+        let phones = r.rows.iter().map(|t| t.get(0).as_int().unwrap()).collect::<Vec<i64>>();
         assert_eq!(phones, vec![103, 101, 105, 100, 102, 104]);
     }
 
@@ -897,7 +893,8 @@ mod tests {
              ORDER BY phone",
             &[],
         );
-        assert_eq!(r.int_column(0).unwrap(), vec![101, 103]);
+        let got: Vec<i64> = r.rows.iter().map(|t| t.get(0).as_int().unwrap()).collect();
+        assert_eq!(got, vec![101, 103]);
     }
 
     #[test]
@@ -918,6 +915,7 @@ mod tests {
         let b = q(&mut c, "SELECT contestant, COUNT(*) FROM votes GROUP BY contestant", &[]);
         assert_eq!(a.rows, b.rows);
         // BTreeMap grouping: keys ascend.
-        assert_eq!(a.int_column(0).unwrap(), vec![1, 2, 3]);
+        let got: Vec<i64> = a.rows.iter().map(|t| t.get(0).as_int().unwrap()).collect();
+        assert_eq!(got, vec![1, 2, 3]);
     }
 }

@@ -16,8 +16,6 @@ pub struct Parser {
     pos: usize,
     /// Auto-numbering counter for bare `?` parameters.
     next_param: usize,
-    /// Highest parameter index seen (explicit or implicit), for arity.
-    max_param: usize,
     /// Current expression recursion depth (guards the stack).
     depth: usize,
 }
@@ -25,12 +23,7 @@ pub struct Parser {
 impl Parser {
     /// Tokenizes and prepares to parse.
     pub fn new(sql: &str) -> Result<Self> {
-        Ok(Parser { tokens: tokenize(sql)?, pos: 0, next_param: 0, max_param: 0, depth: 0 })
-    }
-
-    /// Number of parameters the parsed statement expects.
-    pub fn param_count(&self) -> usize {
-        self.max_param
+        Ok(Parser { tokens: tokenize(sql)?, pos: 0, next_param: 0, depth: 0 })
     }
 
     fn peek(&self) -> &Token {
@@ -441,7 +434,6 @@ impl Parser {
                         n
                     }
                 };
-                self.max_param = self.max_param.max(idx + 1);
                 Ok(Expr::Param(idx))
             }
             Token::Keyword(Keyword::COUNT) => self.parse_aggregate(AggFunc::Count),
@@ -613,10 +605,18 @@ mod tests {
 
     #[test]
     fn param_auto_numbering_mixes_with_explicit() {
-        let mut p = Parser::new("SELECT * FROM t WHERE a = ? AND b = ?5 AND c = ?").unwrap();
-        p.parse_statement().unwrap();
-        // bare params take 0 and 1; explicit ?5 forces arity 5.
-        assert_eq!(p.param_count(), 5);
+        let s = sel("SELECT * FROM t WHERE a = ? AND b = ?5 AND c = ?");
+        // Bare params take 0 and 1 in order; explicit ?5 is index 4.
+        let mut params = Vec::new();
+        let mut todo: Vec<&Expr> = s.where_clause.iter().collect();
+        while let Some(e) = todo.pop() {
+            match e {
+                Expr::Binary { lhs, rhs, .. } => todo.extend([&**rhs, &**lhs]),
+                Expr::Param(i) => params.push(*i),
+                _ => {}
+            }
+        }
+        assert_eq!(params, vec![0, 4, 1]);
     }
 
     #[test]

@@ -1,22 +1,46 @@
-//! Binding and planning: AST → executable [`BoundStatement`].
+//! Binding and planning: AST → executable [`BoundStatement`], in two
+//! steps.
 //!
-//! The planner resolves every column name against the catalog, rewrites
-//! grouped queries into (group keys, aggregate specs, post-aggregate
-//! expressions), and chooses one of four access paths for the base
-//! table:
+//! 1. **Bind** ([`Planner::bind`]) resolves every table and column name
+//!    against the catalog and rewrites grouped queries into (group keys,
+//!    aggregate specs, post-aggregate expressions). One recursive
+//!    expression binder (`Binder`) does all of it: against the input
+//!    row it resolves columns and refuses aggregates; in a grouped query
+//!    it matches whole group keys first, registers each distinct
+//!    aggregate once and refuses a bare column. It folds literal-only
+//!    subtrees as it goes (`fold`). Every scan leaves this step as
+//!    [`Access::FullScan`].
+//! 2. **Choose the access path** ([`Planner::choose_access`]) — the one
+//!    function that sets [`BoundScan::access`], for a SELECT (an INSERT
+//!    … SELECT's too), an UPDATE and a DELETE. It decides in this order:
+//!    a WHERE clause gives `IndexEq` or `FullScan`; otherwise a grouped
+//!    SELECT gives `GroupIndex` or `FullScan`; otherwise a SELECT gives
+//!    `IndexOrder` or `FullScan`. `IndexOrder` and `GroupIndex` both
+//!    require no WHERE, and one requires a plain SELECT where the other
+//!    requires a grouped one, so the order decides nothing the rules
+//!    below would not.
+//!
+//! [`Planner::plan`] is the two steps in a row. The app compile step
+//! (`engine::names`) runs them apart: it binds every registered
+//! statement, derives the sliding windows' group indexes from the bound
+//! SELECTs ([`group_index_shape`]), and then chooses every access path
+//! against a catalog that carries them.
+//!
+//! The four access paths, and where each rule lives:
 //!
 //! * [`Access::FullScan`] — every live row, in row-id order. The default,
 //!   and what every other path falls back to.
-//! * [`Access::IndexEq`] — a top-level conjunction of
-//!   `column = <row-independent expr>` predicates covering an index's
+//! * [`Access::IndexEq`] (`Planner::index_eq`) — a top-level conjunction
+//!   of `column = <row-independent expr>` predicates covering an index's
 //!   whole key becomes a point lookup, mirroring H-Store's planner
 //!   turning PK probes into index lookups — the effect the paper leans on
 //!   in §4.6.3 (vote validation is an index probe in S-Store but a scan
 //!   in Spark Streaming). The WHERE stays as a residual filter.
-//! * [`Access::IndexOrder`] — `ORDER BY <indexed columns> LIMIT k` walks
-//!   a B-tree index from one end and stops once `k` rows are certain,
-//!   O(log n + k) instead of a scan and a top-k (the leaderboard refresh
-//!   of §4.6). A SELECT qualifies when **all** of these hold:
+//! * [`Access::IndexOrder`] (`Planner::index_order`) — `ORDER BY
+//!   <indexed columns> LIMIT k` walks a B-tree index from one end and
+//!   stops once `k` rows are certain, O(log n + k) instead of a scan and
+//!   a top-k (the leaderboard refresh of §4.6). A SELECT qualifies when
+//!   **all** of these hold:
 //!   one table, no join, no GROUP BY or aggregate, no WHERE, a LIMIT;
 //!   every ORDER BY key is a bare column; every projection is a bare
 //!   column or a literal (`edge.rs`'s rule for building a row late); and the
@@ -32,11 +56,12 @@
 //!   that used to fail would now succeed. Bare columns and literals
 //!   cannot fail; proving a WHERE infallible would take a type-aware
 //!   pass over the predicate, so a WHERE disqualifies outright.
-//! * [`Access::GroupIndex`] — a grouped SELECT is read off a group index
-//!   the table maintains (`storage::group`; the engine attaches them to
-//!   sliding windows), so `GROUP BY` over a window costs the groups, not
-//!   the rows. A SELECT qualifies ([`group_index_shape`]) when **all** of
-//!   these hold, each for a reason:
+//! * [`Access::GroupIndex`] ([`group_index_shape`], `count_walk`) — a
+//!   grouped SELECT is read off a group index the table maintains
+//!   (`storage::group`; the engine attaches them to sliding windows),
+//!   so `GROUP BY` over a window costs the groups, not the rows. A
+//!   SELECT qualifies ([`group_index_shape`]) when **all** of these
+//!   hold, each for a reason:
 //!   - one table, no join, no WHERE — the index counts every live row;
 //!   - every GROUP BY key is a bare column of Int, Text or Bool type (or
 //!     there is no GROUP BY: the zero-key index, which yields its one
@@ -227,13 +252,6 @@ pub enum BoundStatement {
     Delete(BoundDelete),
 }
 
-impl BoundStatement {
-    /// True for statements that can mutate state.
-    pub fn is_mutation(&self) -> bool {
-        !matches!(self, BoundStatement::Select(_))
-    }
-}
-
 /// Name-resolution scope: the tables visible to column references, each
 /// with its alias and the offset of its first column in the
 /// concatenated row.
@@ -303,19 +321,65 @@ impl<'a> Planner<'a> {
         Planner { catalog }
     }
 
-    /// Binds a parsed statement.
+    /// Binds a parsed statement and chooses its access paths.
     pub fn plan(&self, stmt: &Statement) -> Result<BoundStatement> {
+        let mut bound = self.bind(stmt)?;
+        self.choose_access(&mut bound);
+        Ok(bound)
+    }
+
+    /// Parses and plans in one call.
+    pub fn plan_sql(&self, sql: &str) -> Result<BoundStatement> {
+        self.plan(&crate::parse(sql)?)
+    }
+
+    /// Resolves every name in `stmt` (module docs, step 1). Every scan of
+    /// the result reads [`Access::FullScan`] until
+    /// [`Planner::choose_access`] runs on it.
+    pub fn bind(&self, stmt: &Statement) -> Result<BoundStatement> {
+        Ok(match stmt {
+            Statement::Select(s) => BoundStatement::Select(self.bind_select(s)?),
+            Statement::Insert(i) => BoundStatement::Insert(self.bind_insert(i)?),
+            Statement::Update(u) => BoundStatement::Update(self.bind_update(u)?),
+            Statement::Delete(d) => BoundStatement::Delete(self.bind_delete(d)?),
+        })
+    }
+
+    /// Sets the access path of `stmt`'s scan (module docs, step 2): the
+    /// one place a [`BoundScan::access`] is assigned.
+    pub fn choose_access(&self, stmt: &mut BoundStatement) {
         match stmt {
-            Statement::Select(s) => Ok(BoundStatement::Select(self.plan_select(s)?)),
-            Statement::Insert(i) => Ok(BoundStatement::Insert(self.plan_insert(i)?)),
-            Statement::Update(u) => Ok(BoundStatement::Update(self.plan_update(u)?)),
-            Statement::Delete(d) => Ok(BoundStatement::Delete(self.plan_delete(d)?)),
+            BoundStatement::Select(s) => s.from.access = self.select_access(s),
+            BoundStatement::Insert(i) => {
+                if let Some(s) = i.select.as_deref_mut() {
+                    s.from.access = self.select_access(s);
+                }
+            }
+            BoundStatement::Update(u) => {
+                u.scan.access = self.index_eq(u.scan.table, u.where_pred.as_ref());
+            }
+            BoundStatement::Delete(d) => {
+                d.scan.access = self.index_eq(d.scan.table, d.where_pred.as_ref());
+            }
         }
     }
 
-    /// Parses and binds in one call.
-    pub fn plan_sql(&self, sql: &str) -> Result<BoundStatement> {
-        self.plan(&crate::parse(sql)?)
+    /// A SELECT's path: the WHERE rule, else the grouped rule, else the
+    /// ordered-walk rule (module docs, step 2).
+    fn select_access(&self, s: &BoundSelect) -> Access {
+        if s.where_pred.is_some() {
+            return self.index_eq(s.from.table, s.where_pred.as_ref());
+        }
+        if !s.grouped {
+            return self.index_order(s).unwrap_or(Access::FullScan);
+        }
+        let base = self.catalog.get(s.from.table);
+        match group_index_shape(s, base.schema()) {
+            Some(def) if base.group_index(&def).is_some() => {
+                Access::GroupIndex { def, by_count: count_walk(s) }
+            }
+            _ => Access::FullScan,
+        }
     }
 
     fn resolve(&self, table: &str) -> Result<TableId> {
@@ -326,7 +390,7 @@ impl<'a> Planner<'a> {
         Ok(self.catalog.table(table)?.schema().clone())
     }
 
-    fn plan_select(&self, s: &Select) -> Result<BoundSelect> {
+    fn bind_select(&self, s: &Select) -> Result<BoundSelect> {
         // Build the scope: base table then each join table.
         let base_schema = self.schema_of(&s.from.name)?;
         let mut scope = Scope::single(s.from.effective_alias(), base_schema);
@@ -336,18 +400,14 @@ impl<'a> Planner<'a> {
             let right_arity = right_schema.arity();
             let prefix_arity = scope.arity();
             scope.push(j.table.effective_alias(), right_schema)?;
-            let on = bind_scalar(&j.on, &scope)?;
-            let equi = extract_equi_pairs(&on, prefix_arity, right_arity);
+            let on = Binder::row(&scope).bind(&j.on)?;
+            let equi = equi_pairs(&on, prefix_arity, right_arity);
             joins.push(BoundJoin { table: self.resolve(&j.table.name)?, equi, on });
         }
 
-        let where_pred = s.where_clause.as_ref().map(|e| bind_scalar(e, &scope)).transpose()?;
-
-        // Choose the access path for the base table from WHERE conjuncts
-        // that constrain base-table columns with row-independent values.
-        let table_id = self.resolve(&s.from.name)?;
-        let access = self.choose_access(table_id, where_pred.as_ref());
-        let from = BoundScan { table: table_id, access };
+        let where_pred =
+            s.where_clause.as_ref().map(|e| Binder::row(&scope).bind(e)).transpose()?;
+        let table = self.resolve(&s.from.name)?;
 
         // Expand aliases referenced by ORDER BY / HAVING before binding.
         let alias_map: Vec<(String, Expr)> = s
@@ -377,97 +437,67 @@ impl<'a> Planner<'a> {
         let grouped = any_agg || !s.group_by.is_empty();
 
         let group_by: Vec<BoundExpr> =
-            s.group_by.iter().map(|e| bind_scalar(e, &scope)).collect::<Result<_>>()?;
+            s.group_by.iter().map(|e| Binder::row(&scope).bind(e)).collect::<Result<_>>()?;
 
-        let mut aggs: Vec<AggSpec> = Vec::new();
+        // Outputs, HAVING and ORDER BY bind into one space: the input row
+        // for a plain query, the groups for a grouped one.
+        let group_by_keys = grouped.then_some(&s.group_by[..]);
+        let mut binder = Binder { scope: &scope, group_by: group_by_keys, aggs: Vec::new() };
         let mut projections = Vec::with_capacity(s.items.len());
         let mut output_names = Vec::with_capacity(s.items.len());
-
-        if grouped {
-            for (i, item) in s.items.iter().enumerate() {
-                match item {
-                    SelectItem::Wildcard => {
-                        return Err(Error::Plan("SELECT * is not allowed with GROUP BY".into()));
-                    }
-                    SelectItem::Expr { expr, alias } => {
-                        let bound = bind_grouped(expr, &s.group_by, &scope, &mut aggs)?;
-                        output_names.push(alias.clone().unwrap_or_else(|| default_name(expr, i)));
-                        projections.push(bound);
-                    }
+        for (i, item) in s.items.iter().enumerate() {
+            match item {
+                SelectItem::Wildcard if grouped => {
+                    return Err(Error::Plan("SELECT * is not allowed with GROUP BY".into()));
                 }
-            }
-        } else {
-            for (i, item) in s.items.iter().enumerate() {
-                match item {
-                    SelectItem::Wildcard => {
-                        for e in &scope.entries {
-                            for (ci, col) in e.schema.columns().iter().enumerate() {
-                                projections.push(BoundExpr::Column(e.offset + ci));
-                                output_names.push(col.name.clone());
-                            }
+                SelectItem::Wildcard => {
+                    for e in &scope.entries {
+                        for (ci, col) in e.schema.columns().iter().enumerate() {
+                            projections.push(BoundExpr::Column(e.offset + ci));
+                            output_names.push(col.name.clone());
                         }
                     }
-                    SelectItem::Expr { expr, alias } => {
-                        projections.push(bind_scalar(expr, &scope)?);
-                        output_names.push(alias.clone().unwrap_or_else(|| default_name(expr, i)));
-                    }
+                }
+                SelectItem::Expr { expr, alias } => {
+                    projections.push(binder.bind(expr)?);
+                    output_names.push(alias.clone().unwrap_or_else(|| default_name(expr, i)));
                 }
             }
         }
 
-        let having = match (&s.having, grouped) {
-            (Some(h), true) => Some(bind_grouped(&substitute(h), &s.group_by, &scope, &mut aggs)?),
-            (Some(_), false) => {
+        let having = match &s.having {
+            Some(_) if !grouped => {
                 return Err(Error::Plan("HAVING requires GROUP BY or aggregates".into()));
             }
-            (None, _) => None,
+            having => having.as_ref().map(|h| binder.bind(&substitute(h))).transpose()?,
         };
 
         let mut order_by = Vec::with_capacity(s.order_by.len());
         for OrderKey { expr, order } in &s.order_by {
-            let e = substitute(expr);
-            let bound = if grouped {
-                bind_grouped(&e, &s.group_by, &scope, &mut aggs)?
-            } else {
-                bind_scalar(&e, &scope)?
-            };
-            order_by.push((bound, *order));
+            order_by.push((binder.bind(&substitute(expr))?, *order));
         }
 
-        let mut select = BoundSelect {
-            from,
+        Ok(BoundSelect {
+            from: BoundScan { table, access: Access::FullScan },
             joins,
             where_pred,
             grouped,
             group_by,
-            aggs,
+            aggs: binder.aggs,
             projections,
             output_names,
             having,
             order_by,
             limit: s.limit,
             input_arity: scope.arity(),
-        };
-        if let Some(ordered) = self.choose_index_order(&select) {
-            select.from.access = ordered;
-        }
-        let base = self.catalog.get(table_id);
-        if let Some(def) = group_index_shape(&select, base.schema()) {
-            if base.group_index(&def).is_some() {
-                select.from.access = Access::GroupIndex { def, by_count: count_walk(&select) };
-            }
-        }
-        Ok(select)
+        })
     }
 
     /// [`Access::IndexOrder`] for `s` if it qualifies (module docs).
-    fn choose_index_order(&self, s: &BoundSelect) -> Option<Access> {
-        if s.limit.is_none()
-            || s.grouped
-            || !s.joins.is_empty()
-            || s.where_pred.is_some()
-            || !crate::edge::late_projections(s)
-        {
+    /// [`Planner::select_access`] asks only of a plain SELECT without a
+    /// WHERE.
+    fn index_order(&self, s: &BoundSelect) -> Option<Access> {
+        if s.limit.is_none() || !s.joins.is_empty() || !crate::edge::late_projections(s) {
             return None;
         }
         let cols: Vec<usize> = s
@@ -499,12 +529,19 @@ impl<'a> Planner<'a> {
     /// `<base column> = <row-independent>` against the base table's
     /// indexes. The full WHERE is still applied as a residual filter, so
     /// this is purely an access-path optimization.
-    fn choose_access(&self, table: TableId, where_pred: Option<&BoundExpr>) -> Access {
+    fn index_eq(&self, table: TableId, where_pred: Option<&BoundExpr>) -> Access {
         let Some(pred) = where_pred else { return Access::FullScan };
         let table = self.catalog.get(table);
         let base_arity = table.schema().arity();
         let mut eq: Vec<(usize, BoundExpr)> = Vec::new();
-        collect_eq_constraints(pred, base_arity, &mut eq);
+        eq_conjuncts(pred, &mut |lhs, rhs| match (lhs, rhs) {
+            (BoundExpr::Column(c), e) | (e, BoundExpr::Column(c))
+                if *c < base_arity && e.is_row_independent() =>
+            {
+                eq.push((*c, e.clone()));
+            }
+            _ => {}
+        });
         if eq.is_empty() {
             return Access::FullScan;
         }
@@ -532,7 +569,7 @@ impl<'a> Planner<'a> {
         }
     }
 
-    fn plan_insert(&self, i: &Insert) -> Result<BoundInsert> {
+    fn bind_insert(&self, i: &Insert) -> Result<BoundInsert> {
         let table_id = self.resolve(&i.table)?;
         let schema = self.catalog.get(table_id).schema().clone();
         // Resolve the target column positions (schema order positions).
@@ -559,6 +596,7 @@ impl<'a> Planner<'a> {
         match &i.source {
             InsertSource::Values(rows) => {
                 let empty_scope = Scope { entries: Vec::new() };
+                let mut binder = Binder::row(&empty_scope);
                 let mut templates = Vec::with_capacity(rows.len());
                 for row in rows {
                     if row.len() != positions.len() {
@@ -570,7 +608,7 @@ impl<'a> Planner<'a> {
                     }
                     let mut template: Vec<Option<BoundExpr>> = vec![None; schema.arity()];
                     for (expr, &pos) in row.iter().zip(&positions) {
-                        let bound = bind_scalar(expr, &empty_scope)?;
+                        let bound = binder.bind(expr)?;
                         if !bound.is_row_independent() {
                             return Err(Error::Plan(
                                 "INSERT VALUES may only use literals and parameters".into(),
@@ -588,7 +626,7 @@ impl<'a> Planner<'a> {
                 })
             }
             InsertSource::Select(sel) => {
-                let bound = self.plan_select(sel)?;
+                let bound = self.bind_select(sel)?;
                 if bound.projections.len() != positions.len() {
                     return Err(Error::Plan(format!(
                         "INSERT SELECT arity mismatch: {} target columns, {} select outputs",
@@ -606,31 +644,28 @@ impl<'a> Planner<'a> {
         }
     }
 
-    fn plan_update(&self, u: &Update) -> Result<BoundUpdate> {
-        let table_id = self.resolve(&u.table)?;
-        let schema = self.catalog.get(table_id).schema().clone();
+    fn bind_update(&self, u: &Update) -> Result<BoundUpdate> {
+        let table = self.resolve(&u.table)?;
+        let schema = self.catalog.get(table).schema().clone();
         let scope = Scope::single(&u.table.to_ascii_lowercase(), schema.clone());
-        let where_pred = u.where_clause.as_ref().map(|e| bind_scalar(e, &scope)).transpose()?;
-        let access = self.choose_access(table_id, where_pred.as_ref());
+        let mut binder = Binder::row(&scope);
+        let where_pred = u.where_clause.as_ref().map(|e| binder.bind(e)).transpose()?;
         let mut assignments = Vec::with_capacity(u.assignments.len());
         for (col, expr) in &u.assignments {
             let pos = schema.index_of_or_err(col)?;
-            assignments.push((pos, bind_scalar(expr, &scope)?));
+            assignments.push((pos, binder.bind(expr)?));
         }
-        Ok(BoundUpdate {
-            scan: BoundScan { table: table_id, access },
-            assignments,
-            where_pred,
-        })
+        let scan = BoundScan { table, access: Access::FullScan };
+        Ok(BoundUpdate { scan, assignments, where_pred })
     }
 
-    fn plan_delete(&self, d: &Delete) -> Result<BoundDelete> {
-        let table_id = self.resolve(&d.table)?;
+    fn bind_delete(&self, d: &Delete) -> Result<BoundDelete> {
+        let table = self.resolve(&d.table)?;
         let scope =
-            Scope::single(&d.table.to_ascii_lowercase(), self.catalog.get(table_id).schema().clone());
-        let where_pred = d.where_clause.as_ref().map(|e| bind_scalar(e, &scope)).transpose()?;
-        let access = self.choose_access(table_id, where_pred.as_ref());
-        Ok(BoundDelete { scan: BoundScan { table: table_id, access }, where_pred })
+            Scope::single(&d.table.to_ascii_lowercase(), self.catalog.get(table).schema().clone());
+        let where_pred =
+            d.where_clause.as_ref().map(|e| Binder::row(&scope).bind(e)).transpose()?;
+        Ok(BoundDelete { scan: BoundScan { table, access: Access::FullScan }, where_pred })
     }
 }
 
@@ -684,8 +719,8 @@ fn default_name(expr: &Expr, i: usize) -> String {
 }
 
 /// Folds an expression whose operands are all literals into a single
-/// literal (e.g. `x > 2 + 3` binds as `x > 5`). The binders apply this
-/// to every node they build, so constant subtrees collapse bottom-up.
+/// literal (e.g. `x > 2 + 3` binds as `x > 5`). The binder applies this
+/// to every node it builds, so constant subtrees collapse bottom-up.
 /// Expressions that would raise a runtime error (`1 / 0`) are left
 /// unfolded: the executor only evaluates predicates for rows that
 /// exist, so the error must stay a runtime one.
@@ -711,165 +746,108 @@ fn fold(e: BoundExpr) -> BoundExpr {
     }
 }
 
-/// Binds a scalar (non-aggregate) expression against a scope, constant-
-/// folding literal-only subexpressions as it goes.
-fn bind_scalar(expr: &Expr, scope: &Scope) -> Result<BoundExpr> {
-    bind_scalar_unfolded(expr, scope).map(fold)
+/// The one expression binder (module docs, step 1). Against the input
+/// row (`group_by` is `None`) it resolves columns and refuses
+/// aggregates. In a grouped query it binds into the post-aggregation
+/// space instead: a subexpression equal to a group key becomes
+/// `Column(key index)`, an aggregate call becomes `AggRef` to the one
+/// registered copy of it, and any other column is refused.
+struct Binder<'a> {
+    scope: &'a Scope,
+    /// A grouped query's GROUP BY keys.
+    group_by: Option<&'a [Expr]>,
+    /// The aggregates registered so far, in first-use order.
+    aggs: Vec<AggSpec>,
 }
 
-fn bind_scalar_unfolded(expr: &Expr, scope: &Scope) -> Result<BoundExpr> {
-    match expr {
-        Expr::Literal(v) => Ok(BoundExpr::Literal(v.clone())),
-        Expr::Param(i) => Ok(BoundExpr::Param(*i)),
-        Expr::Column(c) => Ok(BoundExpr::Column(scope.resolve(c)?)),
-        Expr::Binary { op, lhs, rhs } => Ok(BoundExpr::Binary {
-            op: *op,
-            lhs: Box::new(bind_scalar(lhs, scope)?),
-            rhs: Box::new(bind_scalar(rhs, scope)?),
-        }),
-        Expr::Neg(e) => Ok(BoundExpr::Neg(Box::new(bind_scalar(e, scope)?))),
-        Expr::Not(e) => Ok(BoundExpr::Not(Box::new(bind_scalar(e, scope)?))),
-        Expr::Abs(e) => Ok(BoundExpr::Abs(Box::new(bind_scalar(e, scope)?))),
-        Expr::IsNull { expr, negated } => Ok(BoundExpr::IsNull {
-            expr: Box::new(bind_scalar(expr, scope)?),
-            negated: *negated,
-        }),
-        Expr::InList { expr, list, negated } => Ok(BoundExpr::InList {
-            expr: Box::new(bind_scalar(expr, scope)?),
-            list: list.iter().map(|e| bind_scalar(e, scope)).collect::<Result<_>>()?,
-            negated: *negated,
-        }),
-        Expr::Between { expr, lo, hi, negated } => Ok(BoundExpr::Between {
-            expr: Box::new(bind_scalar(expr, scope)?),
-            lo: Box::new(bind_scalar(lo, scope)?),
-            hi: Box::new(bind_scalar(hi, scope)?),
-            negated: *negated,
-        }),
-        Expr::Aggregate { .. } => {
-            Err(Error::Plan("aggregate not allowed in this context".into()))
+impl<'a> Binder<'a> {
+    fn row(scope: &'a Scope) -> Self {
+        Binder { scope, group_by: None, aggs: Vec::new() }
+    }
+
+    fn bind(&mut self, expr: &Expr) -> Result<BoundExpr> {
+        // Whole-expression match against a group key wins first.
+        let key = self.group_by.and_then(|keys| keys.iter().position(|g| g.identical(expr)));
+        if let Some(pos) = key {
+            return Ok(BoundExpr::Column(pos));
         }
+        let bound = match expr {
+            Expr::Literal(v) => BoundExpr::Literal(v.clone()),
+            Expr::Param(i) => BoundExpr::Param(*i),
+            Expr::Column(c) if self.group_by.is_some() => {
+                return Err(Error::Plan(format!(
+                    "column {} must appear in GROUP BY or inside an aggregate",
+                    c.column
+                )));
+            }
+            Expr::Column(c) => BoundExpr::Column(self.scope.resolve(c)?),
+            Expr::Aggregate { .. } if self.group_by.is_none() => {
+                return Err(Error::Plan("aggregate not allowed in this context".into()));
+            }
+            Expr::Aggregate { func, arg, distinct } => {
+                let arg = arg.as_ref().map(|a| Binder::row(self.scope).bind(a)).transpose()?;
+                let spec = AggSpec { func: *func, arg, distinct: *distinct };
+                let idx = self.aggs.iter().position(|a| a.identical(&spec)).unwrap_or_else(|| {
+                    self.aggs.push(spec);
+                    self.aggs.len() - 1
+                });
+                BoundExpr::AggRef(idx)
+            }
+            Expr::Binary { op, lhs, rhs } => BoundExpr::Binary {
+                op: *op,
+                lhs: Box::new(self.bind(lhs)?),
+                rhs: Box::new(self.bind(rhs)?),
+            },
+            Expr::Neg(e) => BoundExpr::Neg(Box::new(self.bind(e)?)),
+            Expr::Not(e) => BoundExpr::Not(Box::new(self.bind(e)?)),
+            Expr::Abs(e) => BoundExpr::Abs(Box::new(self.bind(e)?)),
+            Expr::IsNull { expr, negated } => {
+                BoundExpr::IsNull { expr: Box::new(self.bind(expr)?), negated: *negated }
+            }
+            Expr::InList { expr, list, negated } => BoundExpr::InList {
+                expr: Box::new(self.bind(expr)?),
+                list: list.iter().map(|e| self.bind(e)).collect::<Result<_>>()?,
+                negated: *negated,
+            },
+            Expr::Between { expr, lo, hi, negated } => BoundExpr::Between {
+                expr: Box::new(self.bind(expr)?),
+                lo: Box::new(self.bind(lo)?),
+                hi: Box::new(self.bind(hi)?),
+                negated: *negated,
+            },
+        };
+        Ok(fold(bound))
     }
 }
 
-/// Binds an expression of a grouped query into the post-aggregation
-/// space: group-key subexpressions become `Column(key index)`, aggregate
-/// calls become `AggRef`, anything else touching a raw column is an
-/// error.
-fn bind_grouped(
-    expr: &Expr,
-    group_by: &[Expr],
-    scope: &Scope,
-    aggs: &mut Vec<AggSpec>,
-) -> Result<BoundExpr> {
-    bind_grouped_unfolded(expr, group_by, scope, aggs).map(fold)
-}
-
-fn bind_grouped_unfolded(
-    expr: &Expr,
-    group_by: &[Expr],
-    scope: &Scope,
-    aggs: &mut Vec<AggSpec>,
-) -> Result<BoundExpr> {
-    // Whole-expression match against a group key wins first.
-    if let Some(pos) = group_by.iter().position(|g| g.identical(expr)) {
-        return Ok(BoundExpr::Column(pos));
-    }
-    match expr {
-        Expr::Literal(v) => Ok(BoundExpr::Literal(v.clone())),
-        Expr::Param(i) => Ok(BoundExpr::Param(*i)),
-        Expr::Column(c) => Err(Error::Plan(format!(
-            "column {} must appear in GROUP BY or inside an aggregate",
-            c.column
-        ))),
-        Expr::Aggregate { func, arg, distinct } => {
-            let bound_arg = arg.as_ref().map(|a| bind_scalar(a, scope)).transpose()?;
-            let spec = AggSpec { func: *func, arg: bound_arg, distinct: *distinct };
-            let idx = match aggs.iter().position(|a| a.identical(&spec)) {
-                Some(i) => i,
-                None => {
-                    aggs.push(spec);
-                    aggs.len() - 1
-                }
-            };
-            Ok(BoundExpr::AggRef(idx))
-        }
-        Expr::Binary { op, lhs, rhs } => Ok(BoundExpr::Binary {
-            op: *op,
-            lhs: Box::new(bind_grouped(lhs, group_by, scope, aggs)?),
-            rhs: Box::new(bind_grouped(rhs, group_by, scope, aggs)?),
-        }),
-        Expr::Neg(e) => Ok(BoundExpr::Neg(Box::new(bind_grouped(e, group_by, scope, aggs)?))),
-        Expr::Not(e) => Ok(BoundExpr::Not(Box::new(bind_grouped(e, group_by, scope, aggs)?))),
-        Expr::Abs(e) => Ok(BoundExpr::Abs(Box::new(bind_grouped(e, group_by, scope, aggs)?))),
-        Expr::IsNull { expr, negated } => Ok(BoundExpr::IsNull {
-            expr: Box::new(bind_grouped(expr, group_by, scope, aggs)?),
-            negated: *negated,
-        }),
-        Expr::InList { expr, list, negated } => Ok(BoundExpr::InList {
-            expr: Box::new(bind_grouped(expr, group_by, scope, aggs)?),
-            list: list
-                .iter()
-                .map(|e| bind_grouped(e, group_by, scope, aggs))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        }),
-        Expr::Between { expr, lo, hi, negated } => Ok(BoundExpr::Between {
-            expr: Box::new(bind_grouped(expr, group_by, scope, aggs)?),
-            lo: Box::new(bind_grouped(lo, group_by, scope, aggs)?),
-            hi: Box::new(bind_grouped(hi, group_by, scope, aggs)?),
-            negated: *negated,
-        }),
-    }
-}
-
-/// Walks top-level AND conjuncts collecting `Column(c) = row-independent`
-/// constraints for columns of the base table (positions < `base_arity`).
-fn collect_eq_constraints(pred: &BoundExpr, base_arity: usize, out: &mut Vec<(usize, BoundExpr)>) {
+/// Calls `f(lhs, rhs)` for every `lhs = rhs` among `pred`'s top-level AND
+/// conjuncts.
+fn eq_conjuncts<'e>(pred: &'e BoundExpr, f: &mut impl FnMut(&'e BoundExpr, &'e BoundExpr)) {
     match pred {
         BoundExpr::Binary { op: BinOp::And, lhs, rhs } => {
-            collect_eq_constraints(lhs, base_arity, out);
-            collect_eq_constraints(rhs, base_arity, out);
+            eq_conjuncts(lhs, f);
+            eq_conjuncts(rhs, f);
         }
-        BoundExpr::Binary { op: BinOp::Eq, lhs, rhs } => {
-            match (&**lhs, &**rhs) {
-                (BoundExpr::Column(c), e) if *c < base_arity && e.is_row_independent() => {
-                    out.push((*c, e.clone()));
-                }
-                (e, BoundExpr::Column(c)) if *c < base_arity && e.is_row_independent() => {
-                    out.push((*c, e.clone()));
-                }
-                _ => {}
-            }
-        }
+        BoundExpr::Binary { op: BinOp::Eq, lhs, rhs } => f(lhs, rhs),
         _ => {}
     }
 }
 
-/// Extracts hash-join key pairs from an ON predicate: top-level AND
-/// conjuncts of shape `left_col = right_col` where the two sides fall on
-/// opposite sides of the prefix/right boundary.
-fn extract_equi_pairs(on: &BoundExpr, prefix_arity: usize, right_arity: usize) -> Vec<(usize, usize)> {
+/// Hash-join key pairs `(left_pos_in_prefix, right_pos_in_table)` of an
+/// ON predicate: its top-level `left_col = right_col` conjuncts whose two
+/// sides fall on opposite sides of the prefix/right boundary.
+fn equi_pairs(on: &BoundExpr, prefix: usize, right: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
-    fn walk(e: &BoundExpr, prefix: usize, right: usize, out: &mut Vec<(usize, usize)>) {
-        match e {
-            BoundExpr::Binary { op: BinOp::And, lhs, rhs } => {
-                walk(lhs, prefix, right, out);
-                walk(rhs, prefix, right, out);
+    let in_right = |c: usize| c >= prefix && c < prefix + right;
+    eq_conjuncts(on, &mut |lhs, rhs| {
+        if let (BoundExpr::Column(a), BoundExpr::Column(b)) = (lhs, rhs) {
+            if *a < prefix && in_right(*b) {
+                out.push((*a, b - prefix));
+            } else if *b < prefix && in_right(*a) {
+                out.push((*b, a - prefix));
             }
-            BoundExpr::Binary { op: BinOp::Eq, lhs, rhs } => {
-                if let (BoundExpr::Column(a), BoundExpr::Column(b)) = (&**lhs, &**rhs) {
-                    let (a, b) = (*a, *b);
-                    if a < prefix && b >= prefix && b < prefix + right {
-                        out.push((a, b - prefix));
-                    } else if b < prefix && a >= prefix && a < prefix + right {
-                        out.push((b, a - prefix));
-                    }
-                }
-            }
-            _ => {}
         }
-    }
-    walk(on, prefix_arity, right_arity, &mut out);
+    });
     out
 }
 
@@ -1329,12 +1307,6 @@ mod tests {
     #[test]
     fn unknown_table_errors() {
         assert!(matches!(plan_err("SELECT * FROM missing"), Error::NotFound { .. }));
-    }
-
-    #[test]
-    fn is_mutation_classifies() {
-        assert!(!plan("SELECT * FROM votes").is_mutation());
-        assert!(plan("DELETE FROM votes").is_mutation());
     }
 
     #[test]

@@ -1521,10 +1521,10 @@ mod tests {
         // 5 rows: eligible shape, but below the small-table cutoff.
         assert!(eligible(s));
         assert!(!use_columnar(&c, s), "tiny scans must stay row-at-a-time");
-        let _ = batch::take_batch_count();
+        let _ = batch::take_path_counters();
         let rows = run_select_rows(&c, s, &[]).unwrap();
         assert_eq!(rows, vec![tuple![2i64]]);
-        assert_eq!(batch::take_batch_count(), 0);
+        assert_eq!(batch::take_path_counters().batches, 0);
         // Past the cutoff the same plan dispatches columnar.
         let t = c.table_mut("m").unwrap();
         for i in 0..COLUMNAR_MIN_ROWS as i64 {
@@ -1533,7 +1533,7 @@ mod tests {
         assert!(use_columnar(&c, s));
         let rows = run_select_rows(&c, s, &[]).unwrap();
         assert_eq!(rows, vec![tuple![2 + COLUMNAR_MIN_ROWS as i64]]);
-        assert!(batch::take_batch_count() >= 1, "columnar path must note its batches");
+        assert!(batch::take_path_counters().batches >= 1, "columnar path must note its batches");
         // Point lookups and joins stay on the row path.
         let ineligible =
             Planner::new(&c).plan_sql("SELECT a.k FROM m a JOIN m b ON a.k = b.k").unwrap();
@@ -1551,9 +1551,9 @@ mod tests {
         for i in 0..n {
             t.insert(tuple![i]).unwrap();
         }
-        let _ = batch::take_batch_count();
+        let _ = batch::take_path_counters();
         let (col, row) = both_ways(&c, "SELECT SUM(x), COUNT(*) FROM big WHERE x % 3 = 0");
         assert_eq!(col, row);
-        assert_eq!(batch::take_batch_count(), 3, "2*1024+7 rows → 3 batches");
+        assert_eq!(batch::take_path_counters().batches, 3, "2*1024+7 rows → 3 batches");
     }
 }

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use sstore_common::{DataType, Schema, Tuple, Value};
-use sstore_sql::batch::take_batch_count;
+use sstore_sql::batch::take_path_counters;
 use sstore_sql::exec::run_select_rows_rowwise;
 use sstore_sql::plan::BoundStatement;
 use sstore_sql::vexec::{eligible, run_select_columnar};
@@ -109,9 +109,9 @@ fn assert_both_agree(c: &Catalog, sql: &str) -> Result<u64, TestCaseError> {
     let BoundStatement::Select(s) = &stmt else { panic!("not a select: {sql}") };
     prop_assert!(eligible(s), "generated query must be columnar-eligible: {}", sql);
     let row_result = run_select_rows_rowwise(c, s, &[]);
-    let _ = take_batch_count();
+    let _ = take_path_counters();
     let col_result = run_select_columnar(c, s, &[]);
-    let batches = take_batch_count();
+    let batches = take_path_counters().batches;
     match (row_result, col_result) {
         (Ok(r), Ok(v)) => prop_assert_eq!(r, v, "executors disagree on: {}", sql),
         (Err(_), Err(_)) => {}

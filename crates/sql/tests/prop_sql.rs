@@ -82,7 +82,8 @@ proptest! {
         let mut ks: Vec<i64> = rows.iter().map(|(k, _)| *k).collect();
         ks.sort_unstable_by(|a, b| b.cmp(a));
         ks.truncate(limit as usize);
-        prop_assert_eq!(got.int_column(0).unwrap(), ks);
+        let got: Vec<i64> = got.rows.iter().map(|t| t.get(0).as_int().unwrap()).collect();
+        prop_assert_eq!(got, ks);
     }
 
     #[test]

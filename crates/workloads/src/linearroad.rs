@@ -453,8 +453,10 @@ mod tests {
             let xs = engine
                 .query(p, "SELECT xway, COUNT(*) FROM vehicles GROUP BY xway", vec![])
                 .unwrap()
-                .int_column(0)
-                .unwrap();
+                .rows
+                .iter()
+                .map(|t| t.get(0).as_int().unwrap())
+                .collect::<Vec<i64>>();
             for x in xs {
                 assert!(!seen.contains(&x), "x-way {x} appears on two partitions");
                 seen.push(x);

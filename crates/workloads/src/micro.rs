@@ -321,8 +321,10 @@ mod tests {
                 let vals = engine
                     .query(0, "SELECT v FROM sink ORDER BY v", vec![])
                     .unwrap()
-                    .int_column(0)
-                    .unwrap();
+                    .rows
+                    .iter()
+                    .map(|t| t.get(0).as_int().unwrap())
+                    .collect::<Vec<i64>>();
                 // Each value passed through n +1 stages.
                 assert_eq!(vals, (0..5i64).map(|v| v + n as i64).collect::<Vec<_>>());
                 sink_values.push(vals);
@@ -392,13 +394,12 @@ mod tests {
         }
         let mut multi_vals = Vec::new();
         for p in 0..2 {
-            multi_vals.extend(
-                multi.query(p, "SELECT v FROM sink", vec![]).unwrap().int_column(0).unwrap(),
-            );
+            let r = multi.query(p, "SELECT v FROM sink", vec![]).unwrap();
+            multi_vals.extend(r.rows.iter().map(|t| t.get(0).as_int().unwrap()));
         }
         multi_vals.sort();
-        let single_vals =
-            single.query(0, "SELECT v FROM sink ORDER BY v", vec![]).unwrap().int_column(0).unwrap();
+        let r = single.query(0, "SELECT v FROM sink ORDER BY v", vec![]).unwrap();
+        let single_vals: Vec<i64> = r.rows.iter().map(|t| t.get(0).as_int().unwrap()).collect();
         assert_eq!(multi_vals, single_vals, "partitioned chain must emit the same rows");
         single.shutdown();
         multi.shutdown();
@@ -447,13 +448,17 @@ mod tests {
         let nat = native
             .query(0, "SELECT v FROM w ORDER BY v", vec![])
             .unwrap()
-            .int_column(0)
-            .unwrap();
+            .rows
+            .iter()
+            .map(|t| t.get(0).as_int().unwrap())
+            .collect::<Vec<i64>>();
         let man = manual
             .query(0, "SELECT v FROM wtab WHERE active = 1 ORDER BY v", vec![])
             .unwrap()
-            .int_column(0)
-            .unwrap();
+            .rows
+            .iter()
+            .map(|t| t.get(0).as_int().unwrap())
+            .collect::<Vec<i64>>();
         assert_eq!(nat, man, "native and manual windows must show the same active tuples");
         assert_eq!(nat.len(), size);
         native.shutdown();

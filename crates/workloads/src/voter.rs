@@ -465,13 +465,17 @@ mod tests {
                 vec![],
             )
             .unwrap()
-            .int_column(0)
-            .unwrap();
+            .rows
+            .iter()
+            .map(|t| t.get(0).as_int().unwrap())
+            .collect::<Vec<i64>>();
         let direct = engine
             .query(0, "SELECT contestant FROM vote_counts ORDER BY cnt DESC, contestant LIMIT 3", vec![])
             .unwrap()
-            .int_column(0)
-            .unwrap();
+            .rows
+            .iter()
+            .map(|t| t.get(0).as_int().unwrap())
+            .collect::<Vec<i64>>();
         assert_eq!(lb, direct);
         // Trending window holds at most TREND_WINDOW votes.
         let trend_total = engine

@@ -58,7 +58,7 @@ fn main() -> sstore::common::Result<()> {
     println!(
         "\neliminated after {} votes: {:?}",
         2500,
-        eliminated.int_column(0)?
+        eliminated.rows.iter().map(|t| t.get(0).as_int()).collect::<Result<Vec<i64>, _>>()?
     );
     assert_eq!(eliminated.rows.len(), 2, "two eliminations in 2000+ valid votes");
 

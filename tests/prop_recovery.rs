@@ -45,8 +45,10 @@ fn observe(engine: &Engine) -> VoterState {
     let counts = engine
         .query(0, "SELECT cnt FROM vote_counts ORDER BY contestant", vec![])
         .unwrap()
-        .int_column(0)
-        .unwrap();
+        .rows
+        .iter()
+        .map(|t| t.get(0).as_int().unwrap())
+        .collect::<Vec<i64>>();
     let board = engine
         .query(0, "SELECT kind, contestant, cnt FROM leaderboard ORDER BY kind, contestant", vec![])
         .unwrap()
