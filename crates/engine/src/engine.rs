@@ -44,8 +44,8 @@ use crate::faults::CrashPoint;
 use crate::metrics::EngineMetrics;
 use crate::names::{AppIds, StreamMeta};
 use crate::partition::{
-    partition_down, spawn_partition, CallOutcome, Invocation, PartitionHandle, PartitionMsg,
-    PartitionRuntime, PartitionSeed, TxnRequest, ADHOC_NAME, ADHOC_PROC,
+    partition_down, spawn_partition, CallOutcome, ExchangeSends, Invocation, PartitionHandle,
+    PartitionMsg, PartitionRuntime, PartitionSeed, TxnRequest, ADHOC_NAME, ADHOC_PROC,
 };
 
 /// The partition a key routes to, on an `n`-partition engine.
@@ -201,6 +201,8 @@ pub struct Engine {
     ids: Arc<AppIds>,
     partitions: Vec<PartitionHandle>,
     metrics: Arc<EngineMetrics>,
+    /// Exchange sends in flight, for [`Engine::drain`].
+    exchange_sends: Arc<ExchangeSends>,
     /// Per-partition admission gates: every client-origin request
     /// (border sub-batch, OLTP call, ad-hoc SQL) holds one credit from
     /// its target partition's gate for its full lifetime. Internal
@@ -214,7 +216,7 @@ pub struct Engine {
     /// the lock keeps `Engine` shareable across client threads.
     adhoc_catalog: Mutex<Catalog>,
     /// LRU cache of bound ad-hoc plans keyed by SQL text. Recovery
-    /// replays `LogKind::AdHoc` through [`Engine::plan_adhoc`] too, so
+    /// replays `LogKind::AdHoc` through [`Engine::prepare`] too, so
     /// repeated replayed statements plan once.
     plan_cache: PlanCache,
     /// Per-stream next-batch counters, indexed by [`TableId`].
@@ -240,6 +242,7 @@ impl Engine {
         mut bootstrap: Option<Bootstrap>,
     ) -> Result<Engine> {
         let metrics = Arc::new(EngineMetrics::new());
+        let exchange_sends = Arc::new(ExchangeSends::default());
         let ids = Arc::new(AppIds::build(&app)?);
         let mut partitions = Vec::with_capacity(config.partitions);
         let triggers_enabled = bootstrap.as_ref().is_none_or(|b| b.triggers_enabled);
@@ -266,6 +269,7 @@ impl Engine {
                 triggers_enabled,
                 resume_lsn: bootstrap.as_ref().and_then(|b| b.resume_lsn[p]),
                 exchange_applied: by_table_id(&ids, bootstrap.as_ref().map(|b| &b.exchange_floors[p])),
+                exchange_sends: exchange_sends.clone(),
             };
             let join =
                 spawn_partition(seed, config.clone(), &app, ids.clone(), handle, metrics.clone())?;
@@ -286,6 +290,7 @@ impl Engine {
             ids,
             partitions,
             metrics,
+            exchange_sends,
             gates,
             adhoc_catalog,
             plan_cache: PlanCache::new(),
@@ -305,9 +310,11 @@ impl Engine {
             let Some(chain) = chain else { continue };
             restoring.push(engine.ask(p, move |rt| rt.restore(chain))?);
         }
+        let mut restore_ms = 0;
         for r in restoring {
-            r.wait()??;
+            restore_ms = restore_ms.max(r.wait()??);
         }
+        engine.metrics.recovery_restore_ms.store(restore_ms, std::sync::atomic::Ordering::Relaxed);
         Ok(engine)
     }
 
@@ -428,6 +435,19 @@ impl Engine {
     /// Free admission credits on one partition.
     pub fn admission_available(&self, partition: usize) -> usize {
         self.gates[partition].available()
+    }
+
+    /// The engine's rows of the wire's `Metrics` response:
+    /// [`EngineMetrics::entries`], then each partition's free and held
+    /// admission credits.
+    pub fn metric_entries(&self) -> Vec<(String, u64)> {
+        let mut entries = self.metrics.entries();
+        for p in 0..self.partitions() {
+            let gate = format!("engine.admission.p{p}");
+            entries.push((format!("{gate}.available"), self.admission_available(p) as u64));
+            entries.push((format!("{gate}.in_flight"), self.admitted_in_flight(p) as u64));
+        }
+        entries
     }
 
     // ------------------------------------------------------------------
@@ -711,8 +731,34 @@ impl Engine {
     /// (plan once per session, re-bind per execute). The plan is
     /// bound against the shared catalog layout, so it is valid on
     /// every partition.
+    ///
+    /// Plans are cached by SQL text ([`PlanCache`]): a hit returns the
+    /// same `Arc<BoundStatement>`. Recovery's `LogKind::AdHoc` replay
+    /// plans through here too, so repeated replayed statements plan
+    /// once.
     pub fn prepare(&self, sql: &str) -> Result<Arc<BoundStatement>> {
-        self.plan_adhoc(sql)
+        use std::sync::atomic::Ordering;
+        if let Some(hit) = self.plan_cache.entries.lock().get_mut(sql) {
+            hit.last_used = self.plan_cache.tick.fetch_add(1, Ordering::Relaxed);
+            EngineMetrics::bump(&self.metrics.adhoc_plan_hits);
+            return Ok(hit.stmt.clone());
+        }
+        let stmt = {
+            let catalog = self.adhoc_catalog.lock();
+            Arc::new(Planner::new(&catalog).plan_sql(sql)?)
+        };
+        EngineMetrics::bump(&self.metrics.adhoc_plan_misses);
+        let mut entries = self.plan_cache.entries.lock();
+        if entries.len() >= PLAN_CACHE_CAPACITY {
+            if let Some(victim) =
+                entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
+            {
+                entries.remove(&victim);
+            }
+        }
+        let last_used = self.plan_cache.tick.fetch_add(1, Ordering::Relaxed);
+        entries.insert(sql.to_owned(), CachedPlan { last_used, stmt: stmt.clone() });
+        Ok(stmt)
     }
 
     /// Executes a statement previously planned by [`Engine::prepare`]
@@ -739,37 +785,6 @@ impl Engine {
         self.submit(partition, req)?;
         let outcome = rx.recv().map_err(|_| partition_down(partition))??;
         Ok(outcome.result)
-    }
-
-    /// Plans one ad-hoc statement against the engine-edge catalog
-    /// replica (shared layout with every partition's EE, so the bound
-    /// table ids are valid everywhere). Plans are cached by SQL text
-    /// ([`PlanCache`]); a hit returns the same `Arc<BoundStatement>`
-    /// the prepare path would have produced. Recovery's `LogKind::AdHoc`
-    /// replay comes through here too and benefits identically.
-    pub(crate) fn plan_adhoc(&self, sql: &str) -> Result<Arc<BoundStatement>> {
-        use std::sync::atomic::Ordering;
-        if let Some(hit) = self.plan_cache.entries.lock().get_mut(sql) {
-            hit.last_used = self.plan_cache.tick.fetch_add(1, Ordering::Relaxed);
-            EngineMetrics::bump(&self.metrics.adhoc_plan_hits);
-            return Ok(hit.stmt.clone());
-        }
-        let stmt = {
-            let catalog = self.adhoc_catalog.lock();
-            Arc::new(Planner::new(&catalog).plan_sql(sql)?)
-        };
-        EngineMetrics::bump(&self.metrics.adhoc_plan_misses);
-        let mut entries = self.plan_cache.entries.lock();
-        if entries.len() >= PLAN_CACHE_CAPACITY {
-            if let Some(victim) =
-                entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
-            {
-                entries.remove(&victim);
-            }
-        }
-        let last_used = self.plan_cache.tick.fetch_add(1, Ordering::Relaxed);
-        entries.insert(sql.to_owned(), CachedPlan { last_used, stmt: stmt.clone() });
-        Ok(stmt)
     }
 
     /// H-Store-mode client driving: runs one interior transaction for a
@@ -850,10 +865,10 @@ impl Engine {
     /// sub-batch another partition shipped after replying, so one pass
     /// is not enough on multi-partition engines: passes repeat until a
     /// full pass observes no exchange activity at all. Senders straddle
-    /// each channel send with two counters (`exchange_sends_started`
-    /// before, `exchange_sends` after), so a pass is conclusive only
+    /// each channel send with two counters ([`ExchangeSends`]'s
+    /// `started` before, `done` after), so a pass is conclusive only
     /// when both are unchanged across it *and* equal to each other —
-    /// `started != sends` means some sub-batch was counted but may not
+    /// `started != done` means some sub-batch was counted but may not
     /// have reached its receiver's channel when that receiver drained.
     /// A send that completed before the pass began is covered by the
     /// receiver's own drain reply (its channel must be empty).
@@ -864,8 +879,8 @@ impl Engine {
         // round trips.
         let counters = || {
             (
-                self.metrics.exchange_sends_started.load(std::sync::atomic::Ordering::SeqCst),
-                self.metrics.exchange_sends.load(std::sync::atomic::Ordering::SeqCst),
+                self.exchange_sends.started.load(std::sync::atomic::Ordering::SeqCst),
+                self.exchange_sends.done.load(std::sync::atomic::Ordering::SeqCst),
             )
         };
         loop {

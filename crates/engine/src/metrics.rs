@@ -8,6 +8,15 @@
 //! per-transaction cost is two `Instant::now()` calls and three relaxed
 //! increments, and a `p50/p95/p99` snapshot is available at any time
 //! without locking the hot path.
+//!
+//! One declaration per counter: each is a field of [`EngineMetrics`]
+//! written once, with its wire name and doc, in the `engine_metrics!`
+//! table below. [`EngineMetrics::reset`], [`EngineMetrics::entries`]
+//! (the wire's `Metrics` rows) and the tests all walk
+//! [`EngineMetrics::counters`] instead of listing fields again. A
+//! counter is only ever added to; a gauge (`log_segments`, `log_bytes`,
+//! `checkpoint_bytes`, `recovery_replay_ms`, `recovery_restore_ms`) is
+//! set by one engine-level writer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -164,15 +173,6 @@ impl LatencyKind {
             LatencyKind::EndToEnd => 2,
         }
     }
-
-    /// Stable display name (benchmark JSON keys).
-    pub fn name(self) -> &'static str {
-        match self {
-            LatencyKind::QueueWait => "queue_wait",
-            LatencyKind::Execution => "execution",
-            LatencyKind::EndToEnd => "end_to_end",
-        }
-    }
 }
 
 /// Latency histograms for every ([`TxnClass`], [`LatencyKind`]) pair.
@@ -217,129 +217,132 @@ pub struct ClassLatency {
     pub end_to_end: HistogramSnapshot,
 }
 
-/// Point-in-time view of the durability subsystem's resource counters
-/// ([`EngineMetrics::log_lifecycle`]): what bench harnesses and ops
-/// checks assert bounded-resource behavior against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LogLifecycleSnapshot {
-    /// Log segments on disk (all partitions).
-    pub log_segments: u64,
-    /// Log bytes on disk (all partitions).
-    pub log_bytes: u64,
-    /// Image bytes written by the latest checkpoint (all partitions).
-    pub checkpoint_bytes: u64,
-    /// Segments deleted by GC since start/reset (cumulative).
-    pub gc_segments_deleted: u64,
-    /// Replay wall time of the last recovery (max over partitions).
-    pub recovery_replay_ms: u64,
-    /// Checkpoint-chain restore wall time of the last recovery (max
-    /// over partitions).
-    pub recovery_restore_ms: u64,
+/// Declares [`EngineMetrics`] and its counter registry in one place.
+/// A field written `name: AtomicU64 => "wire.name"` is a registered
+/// counter: [`EngineMetrics::counters`] lists it under that name, in
+/// declaration order, so `reset`, the wire's `Metrics` response and the
+/// tests cannot miss one. Every other field is declared as written.
+macro_rules! engine_metrics {
+    (
+        $(#[$meta:meta])*
+        pub struct EngineMetrics {
+            $( $(#[$fmeta:meta])* $vis:vis $field:ident : $ty:ty $(=> $wire:literal)? ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct EngineMetrics {
+            $( $(#[$fmeta])* $vis $field: $ty, )*
+        }
+
+        impl EngineMetrics {
+            /// How many counters the registry holds.
+            const COUNTERS: usize = [$($($wire,)?)*].len();
+
+            /// Every registered counter with its wire name, in
+            /// declaration order.
+            pub fn counters(&self) -> [(&'static str, &AtomicU64); Self::COUNTERS] {
+                [$($(($wire, &self.$field),)?)*]
+            }
+        }
+    };
 }
 
+engine_metrics! {
 /// Counters for one engine instance.
 #[derive(Debug, Default)]
 pub struct EngineMetrics {
     /// Committed transaction executions (OLTP + streaming).
-    pub txns_committed: AtomicU64,
+    pub txns_committed: AtomicU64 => "engine.partition.txns_committed",
     /// Aborted transaction executions.
-    pub txns_aborted: AtomicU64,
+    pub txns_aborted: AtomicU64 => "engine.partition.txns_aborted",
     /// Completed workflows (commits of sink procedures — procedures
     /// with no declared output streams).
-    pub workflows_completed: AtomicU64,
+    pub workflows_completed: AtomicU64 => "engine.partition.workflows_completed",
     /// Command-log records appended.
-    pub log_records: AtomicU64,
+    pub log_records: AtomicU64 => "engine.log.records",
     /// Command-log flushes (each is a write syscall, plus fsync when
-    /// configured) — the contended resource in §4.4.
-    pub log_flushes: AtomicU64,
+    /// configured), summed over partitions — the contended resource in
+    /// §4.4.
+    pub log_flushes: AtomicU64 => "engine.log.flushes",
     /// PE→EE boundary crossings (the resource EE triggers save, §4.1).
-    pub ee_round_trips: AtomicU64,
+    pub ee_round_trips: AtomicU64 => "engine.ee.round_trips",
     /// PE-trigger activations performed (S-Store mode only).
-    pub pe_trigger_fires: AtomicU64,
+    pub pe_trigger_fires: AtomicU64 => "engine.scheduler.pe_trigger_fires",
     /// EE-trigger executions performed inside the EE.
-    pub ee_trigger_fires: AtomicU64,
+    pub ee_trigger_fires: AtomicU64 => "engine.ee.ee_trigger_fires",
     /// Columnar batches processed by the vectorized SELECT path (one
     /// per ≤1024-row chunk streamed through a scan). Zero means every
     /// read went row-at-a-time — bench smoke asserts this is non-zero
     /// so the fast path can't silently un-wire itself.
-    pub columnar_batches: AtomicU64,
+    pub columnar_batches: AtomicU64 => "engine.sql.columnar_batches",
     /// The subset of [`EngineMetrics::columnar_batches`] scanned from
     /// Window-kind tables — slide-trigger `SELECT ... GROUP BY` over
     /// window extents. Bench smoke asserts this is non-zero for the
     /// windowed-aggregation workload.
-    pub columnar_window_batches: AtomicU64,
+    pub columnar_window_batches: AtomicU64 => "engine.sql.columnar_window_batches",
     /// SELECT dispatches that stayed row-wise because the table was
     /// below the `COLUMNAR_MIN_ROWS` cutoff (expected for trigger
     /// cascades over ~1-row stream tables).
-    pub columnar_fallback_small: AtomicU64,
+    pub columnar_fallback_small: AtomicU64 => "engine.sql.columnar_fallback_small",
     /// SELECT dispatches that stayed row-wise because the plan shape is
-    /// not vectorized (joins, index point lookups).
-    pub columnar_fallback_shape: AtomicU64,
+    /// not vectorized: joins, index point lookups (`IndexEq`) and
+    /// ordered index walks (`IndexOrder`).
+    pub columnar_fallback_shape: AtomicU64 => "engine.sql.columnar_fallback_shape",
     /// Ad-hoc plan-cache hits: `query_at`/`prepare` served an already
     /// bound `Arc<BoundStatement>` for the same SQL text.
-    pub adhoc_plan_hits: AtomicU64,
+    pub adhoc_plan_hits: AtomicU64 => "engine.sql.adhoc_plan_hits",
     /// Ad-hoc plans actually computed (cache misses, including the
     /// first sight of each statement and post-invalidation re-plans).
-    pub adhoc_plan_misses: AtomicU64,
-    /// Exchange sub-batches whose send has *begun* (bumped before the
-    /// channel send). Paired with [`EngineMetrics::exchange_sends`]:
-    /// `started == sends` means no send is in flight mid-call, which
-    /// [`crate::engine::Engine::drain`] needs to rule out a sub-batch
-    /// that was counted but not yet enqueued when a receiver drained.
-    pub exchange_sends_started: AtomicU64,
-    /// Exchange sub-batches shipped between partitions (one per
-    /// (stream, batch, target-partition); counts empty alignment
-    /// sub-batches too). Bumped *after* the channel send completes.
-    pub exchange_sends: AtomicU64,
+    pub adhoc_plan_misses: AtomicU64 => "engine.sql.adhoc_plan_misses",
     /// Exchange batches merged from all sources and handed to the
     /// scheduler on a receiving partition.
-    pub exchange_batches: AtomicU64,
+    pub exchange_batches: AtomicU64 => "engine.exchange.batches",
     /// Exchange batches dropped as duplicates by the per-partition
     /// watermark (recovery re-sends).
-    pub exchange_dups_dropped: AtomicU64,
+    pub exchange_dups_dropped: AtomicU64 => "engine.exchange.dups_dropped",
     /// Time-window slides applied (non-trivial extents fired by the
     /// partition watermark).
-    pub window_slides: AtomicU64,
+    pub window_slides: AtomicU64 => "engine.window.slides",
     /// Late tuples merged into a time window's active extent (within
     /// allowed lateness).
-    pub window_late_merged: AtomicU64,
+    pub window_late_merged: AtomicU64 => "engine.window.late_merged",
     /// Late tuples dropped by a time window (beyond allowed lateness) —
     /// the metrics hook for out-of-order overflow.
-    pub window_late_dropped: AtomicU64,
+    pub window_late_dropped: AtomicU64 => "engine.window.late_dropped",
     /// Client requests rejected at the admission border (Shed policy,
     /// or a Block timeout expiring) — total across origins. Rejected
     /// work touched no state.
-    pub shed_batches: AtomicU64,
+    pub shed_batches: AtomicU64 => "engine.admission.shed",
     /// Shed counts by origin: the stream name for ingested batches,
     /// the procedure name for OLTP calls, `"@adhoc"` for ad-hoc SQL.
     /// Cold path (only bumped on rejection), so a mutex is fine.
     shed_by_origin: Mutex<FxHashMap<String, u64>>,
     /// Log segments currently on disk, summed over partitions (gauge;
     /// refreshed after every checkpoint's GC pass).
-    pub log_segments: AtomicU64,
+    pub log_segments: AtomicU64 => "engine.log.segments",
     /// Command-log bytes currently on disk, summed over partitions
     /// (gauge; refreshed after every checkpoint's GC pass).
-    pub log_bytes: AtomicU64,
+    pub log_bytes: AtomicU64 => "engine.log.bytes",
     /// Checkpoint-image bytes written by the most recent checkpoint,
     /// summed over partitions (gauge; a delta epoch shows how much
     /// smaller incremental images are than a base).
-    pub checkpoint_bytes: AtomicU64,
+    pub checkpoint_bytes: AtomicU64 => "engine.checkpoint.bytes",
     /// Log segments deleted by checkpoint GC (cumulative).
-    pub gc_segments_deleted: AtomicU64,
+    pub gc_segments_deleted: AtomicU64 => "engine.checkpoint.gc_segments",
     /// Wall-clock milliseconds the last recovery spent replaying
     /// per-partition logs (gauge; the max over partitions, since they
     /// replay in parallel — the RTO contribution of replay).
-    pub recovery_replay_ms: AtomicU64,
+    pub recovery_replay_ms: AtomicU64 => "engine.recovery.replay_ms",
     /// Wall-clock milliseconds the last recovery spent restoring
     /// checkpoint chains (gauge; the max over partitions, which restore
     /// concurrently — the RTO contribution of restore).
-    pub recovery_restore_ms: AtomicU64,
+    pub recovery_restore_ms: AtomicU64 => "engine.recovery.restore_ms",
     /// Table images checkpoint-chain restores decoded, summed over
     /// partitions (one per table per restore: the newest in its chain).
-    pub restore_images_decoded: AtomicU64,
+    pub restore_images_decoded: AtomicU64 => "engine.recovery.images_decoded",
     /// Table images checkpoint-chain restores stepped over undecoded
     /// because a later image in the chain superseded them.
-    pub restore_images_skipped: AtomicU64,
+    pub restore_images_skipped: AtomicU64 => "engine.recovery.images_skipped",
     /// Per-class queue-wait / execution / end-to-end histograms.
     pub latency: LatencyStats,
     /// Per stored procedure, indexed by `ProcId`: executions and their
@@ -349,6 +352,7 @@ pub struct EngineMetrics {
     /// Execution trace of committed TEs, recorded only when
     /// [`crate::config::EngineConfig::trace`] is on.
     pub trace: Mutex<Vec<TraceEvent>>,
+}
 }
 
 /// One stored procedure's execution counters (relaxed, like the rest).
@@ -382,17 +386,6 @@ impl EngineMetrics {
         let p = &procs[proc.index()];
         p.count.fetch_add(1, Ordering::Relaxed);
         p.exec_ns.fetch_add(exec.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// `(name, executions, summed execution time in µs)` per stored
-    /// procedure, in declaration order; empty until one has executed.
-    pub fn proc_stats(&self) -> Vec<(String, u64, u64)> {
-        self.procs
-            .get()
-            .into_iter()
-            .flatten()
-            .map(|p| (p.name.clone(), Self::get(&p.count), Self::get(&p.exec_ns) / 1_000))
-            .collect()
     }
 
     /// Relaxed increment helper.
@@ -482,52 +475,13 @@ impl EngineMetrics {
         self.trace.lock().clone()
     }
 
-    /// One consistent-enough view of the log-lifecycle counters (each
-    /// load is relaxed; the struct is for reports, not coordination).
-    pub fn log_lifecycle(&self) -> LogLifecycleSnapshot {
-        LogLifecycleSnapshot {
-            log_segments: Self::get(&self.log_segments),
-            log_bytes: Self::get(&self.log_bytes),
-            checkpoint_bytes: Self::get(&self.checkpoint_bytes),
-            gc_segments_deleted: Self::get(&self.gc_segments_deleted),
-            recovery_replay_ms: Self::get(&self.recovery_replay_ms),
-            recovery_restore_ms: Self::get(&self.recovery_restore_ms),
-        }
-    }
-
-    /// Clears all counters, histograms, shed maps, and the trace
-    /// (between benchmark phases).
+    /// Zeroes every registered counter and clears the histograms, the
+    /// shed map, the per-procedure counters and the trace (between
+    /// benchmark phases).
     pub fn reset(&self) {
-        self.txns_committed.store(0, Ordering::Relaxed);
-        self.txns_aborted.store(0, Ordering::Relaxed);
-        self.workflows_completed.store(0, Ordering::Relaxed);
-        self.log_records.store(0, Ordering::Relaxed);
-        self.log_flushes.store(0, Ordering::Relaxed);
-        self.ee_round_trips.store(0, Ordering::Relaxed);
-        self.pe_trigger_fires.store(0, Ordering::Relaxed);
-        self.ee_trigger_fires.store(0, Ordering::Relaxed);
-        self.columnar_batches.store(0, Ordering::Relaxed);
-        self.columnar_window_batches.store(0, Ordering::Relaxed);
-        self.columnar_fallback_small.store(0, Ordering::Relaxed);
-        self.columnar_fallback_shape.store(0, Ordering::Relaxed);
-        self.adhoc_plan_hits.store(0, Ordering::Relaxed);
-        self.adhoc_plan_misses.store(0, Ordering::Relaxed);
-        self.exchange_sends_started.store(0, Ordering::Relaxed);
-        self.exchange_sends.store(0, Ordering::Relaxed);
-        self.exchange_batches.store(0, Ordering::Relaxed);
-        self.exchange_dups_dropped.store(0, Ordering::Relaxed);
-        self.window_slides.store(0, Ordering::Relaxed);
-        self.window_late_merged.store(0, Ordering::Relaxed);
-        self.window_late_dropped.store(0, Ordering::Relaxed);
-        self.shed_batches.store(0, Ordering::Relaxed);
-        self.log_segments.store(0, Ordering::Relaxed);
-        self.log_bytes.store(0, Ordering::Relaxed);
-        self.checkpoint_bytes.store(0, Ordering::Relaxed);
-        self.gc_segments_deleted.store(0, Ordering::Relaxed);
-        self.recovery_replay_ms.store(0, Ordering::Relaxed);
-        self.recovery_restore_ms.store(0, Ordering::Relaxed);
-        self.restore_images_decoded.store(0, Ordering::Relaxed);
-        self.restore_images_skipped.store(0, Ordering::Relaxed);
+        for (_, counter) in self.counters() {
+            counter.store(0, Ordering::Relaxed);
+        }
         self.shed_by_origin.lock().clear();
         for p in self.procs.get().into_iter().flatten() {
             p.count.store(0, Ordering::Relaxed);
@@ -535,6 +489,35 @@ impl EngineMetrics {
         }
         self.latency.clear();
         self.trace.lock().clear();
+    }
+
+    /// Everything this struct counts, flattened into the wire's
+    /// `(name, value)` rows: every registered counter, then per class
+    /// that recorded a sample its count and p50 / p95 / p99 in µs of
+    /// each [`LatencyKind`], the sheds by origin, and per stored
+    /// procedure its executions and summed execution time.
+    pub fn entries(&self) -> Vec<(String, u64)> {
+        let mut entries: Vec<(String, u64)> =
+            self.counters().map(|(name, c)| (name.to_owned(), Self::get(c))).into();
+        for cl in self.latency_snapshot() {
+            let class = format!("engine.class.{}", cl.class.name());
+            entries.push((format!("{class}.count"), cl.end_to_end.count));
+            let kinds = [("queue", cl.queue_wait), ("exec", cl.execution), ("e2e", cl.end_to_end)];
+            for (kind, h) in kinds {
+                for (q, d) in [("p50", h.p50), ("p95", h.p95), ("p99", h.p99)] {
+                    entries.push((format!("{class}.{kind}_{q}_us"), d.as_micros() as u64));
+                }
+            }
+        }
+        for (origin, n) in self.sheds_by_origin() {
+            entries.push((format!("engine.shed.{origin}"), n));
+        }
+        // Per stored procedure, in declaration order, once one has run.
+        for p in self.procs.get().into_iter().flatten() {
+            entries.push((format!("engine.proc.{}.count", p.name), Self::get(&p.count)));
+            entries.push((format!("engine.proc.{}.exec_us", p.name), Self::get(&p.exec_ns) / 1_000));
+        }
+        entries
     }
 }
 
@@ -619,6 +602,15 @@ mod tests {
         assert_eq!(border.queue_wait.count, 2);
         assert!(border.end_to_end.p50 >= Duration::from_micros(40));
         assert_eq!(m.class_latency(TxnClass::WindowSlide).end_to_end.count, 0);
+        // On the wire: a count and three quantiles per kind, per class
+        // that has samples.
+        let entries = m.entries();
+        let row = |k: &str| entries.iter().find(|(name, _)| name == k).expect(k).1;
+        assert_eq!(row("engine.class.border.count"), 2);
+        assert!(row("engine.class.border.queue_p50_us") >= 10);
+        assert!(row("engine.class.border.exec_p95_us") >= 30);
+        assert!(row("engine.class.border.e2e_p99_us") >= 40);
+        assert!(!entries.iter().any(|(k, _)| k.starts_with("engine.class.window_slide.")));
         // Out-of-order timestamps saturate instead of panicking.
         m.record_latency(TxnClass::Oltp, t2, t1, t0);
         m.reset();
@@ -627,7 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn log_lifecycle_snapshot_reads_and_resets() {
+    fn log_lifecycle_gauges_read_and_reset() {
         let m = EngineMetrics::new();
         m.log_segments.store(3, Ordering::Relaxed);
         m.log_bytes.store(4096, Ordering::Relaxed);
@@ -635,15 +627,21 @@ mod tests {
         m.gc_segments_deleted.fetch_add(2, Ordering::Relaxed);
         m.recovery_replay_ms.store(17, Ordering::Relaxed);
         m.recovery_restore_ms.store(5, Ordering::Relaxed);
-        let s = m.log_lifecycle();
-        assert_eq!(s.log_segments, 3);
-        assert_eq!(s.log_bytes, 4096);
-        assert_eq!(s.checkpoint_bytes, 128);
-        assert_eq!(s.gc_segments_deleted, 2);
-        assert_eq!(s.recovery_replay_ms, 17);
-        assert_eq!(s.recovery_restore_ms, 5);
+        let read = |m: &EngineMetrics| {
+            let entries = m.entries();
+            [
+                "engine.log.segments",
+                "engine.log.bytes",
+                "engine.checkpoint.bytes",
+                "engine.checkpoint.gc_segments",
+                "engine.recovery.replay_ms",
+                "engine.recovery.restore_ms",
+            ]
+            .map(|k| entries.iter().find(|(name, _)| name == k).expect(k).1)
+        };
+        assert_eq!(read(&m), [3, 4096, 128, 2, 17, 5]);
         m.reset();
-        assert_eq!(m.log_lifecycle(), LogLifecycleSnapshot::default());
+        assert_eq!(read(&m), [0; 6]);
     }
 
     #[test]
@@ -659,6 +657,9 @@ mod tests {
             m.sheds_by_origin(),
             vec![("oltp_proc".to_string(), 1), ("s1".to_string(), 2)]
         );
+        let entries = m.entries();
+        assert!(entries.contains(&("engine.admission.shed".to_string(), 3)));
+        assert!(entries.contains(&("engine.shed.s1".to_string(), 2)));
         m.reset();
         assert_eq!(EngineMetrics::get(&m.shed_batches), 0);
         assert_eq!(m.shed_for("s1"), 0);

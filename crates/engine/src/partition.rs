@@ -25,6 +25,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -345,6 +346,7 @@ pub(crate) struct PartitionRuntime {
     slide_inflight: Vec<bool>,
     log: Option<CommandLog>,
     metrics: Arc<EngineMetrics>,
+    exchange_sends: Arc<ExchangeSends>,
     triggers_enabled: bool,
     pending_drains: Vec<Sender<()>>,
 }
@@ -365,6 +367,37 @@ pub(crate) struct PartitionSeed {
     pub resume_lsn: Option<Lsn>,
     /// Checkpoint-restored exchange watermarks, indexed by [`TableId`].
     pub exchange_applied: Vec<u64>,
+    /// The engine-wide exchange sends in flight.
+    pub exchange_sends: Arc<ExchangeSends>,
+}
+
+/// Exchange sub-batch sends, shared by the engine and every partition:
+/// a sender bumps `started` before the channel send and `done` after,
+/// so `started == done` tells [`crate::engine::Engine::drain`] that no
+/// send is in flight. Synchronisation, not an observation: nothing
+/// resets it, and every access is SeqCst (see `drain`).
+#[derive(Debug, Default)]
+pub(crate) struct ExchangeSends {
+    pub started: AtomicU64,
+    pub done: AtomicU64,
+}
+
+/// Runs one operation on a partition's command log and adds the
+/// flushes it performed to the engine-wide `log_flushes`: every
+/// partition adds its own, so the cell holds their sum.
+#[inline]
+fn count_flushes<R>(
+    metrics: &EngineMetrics,
+    log: &mut CommandLog,
+    op: impl FnOnce(&mut CommandLog) -> R,
+) -> R {
+    let before = log.flushes();
+    let out = op(log);
+    let flushed = log.flushes() - before;
+    if flushed > 0 {
+        metrics.log_flushes.fetch_add(flushed, std::sync::atomic::Ordering::Relaxed);
+    }
+    out
 }
 
 /// Spawns a partition thread.
@@ -406,6 +439,7 @@ pub(crate) fn spawn_partition(
         slide_inflight,
         log,
         metrics,
+        exchange_sends: seed.exchange_sends,
         triggers_enabled: seed.triggers_enabled,
         pending_drains: Vec::new(),
     };
@@ -470,7 +504,7 @@ impl PartitionRuntime {
                 // flush/fsync surfaces to the caller instead of
                 // silently losing the tail.
                 let closed = match &mut self.log {
-                    Some(log) => log.close(),
+                    Some(log) => count_flushes(&self.metrics, log, CommandLog::close),
                     None => Ok(()),
                 };
                 self.ee.shutdown();
@@ -505,22 +539,18 @@ impl PartitionRuntime {
     }
 
     /// Restores EE state from an epoch chain — base image + deltas,
-    /// oldest first (recovery bootstrap).
-    pub(crate) fn restore(&mut self, chain: Vec<Vec<u8>>) -> Result<()> {
+    /// oldest first (recovery bootstrap) — and returns the wall-clock
+    /// milliseconds it took.
+    pub(crate) fn restore(&mut self, chain: Vec<Vec<u8>>) -> Result<u64> {
         let start = Instant::now();
-        let out = self.ee.run(move |ee| ee.restore_chain(&chain));
-        self.metrics
-            .recovery_restore_ms
-            .fetch_max(start.elapsed().as_millis() as u64, std::sync::atomic::Ordering::Relaxed);
-        out
+        self.ee.run(move |ee| ee.restore_chain(&chain))?;
+        Ok(start.elapsed().as_millis() as u64)
     }
 
     /// Flushes the command log (end of benchmark phase).
     pub(crate) fn flush_log(&mut self) -> Result<()> {
         let Some(log) = &mut self.log else { return Ok(()) };
-        let r = log.flush();
-        self.metrics.log_flushes.store(log.flushes(), std::sync::atomic::Ordering::Relaxed);
-        r
+        count_flushes(&self.metrics, log, CommandLog::flush)
     }
 
     /// Takes a checkpoint (`full` = base image, else a delta of state
@@ -536,7 +566,7 @@ impl PartitionRuntime {
                 // taken must never cover a transaction whose log
                 // record could still vanish in a crash (checkpoints
                 // must not outrun their log).
-                log.sync_for_checkpoint()?;
+                count_flushes(&self.metrics, log, CommandLog::sync_for_checkpoint)?;
                 Lsn(log.next_lsn().raw().saturating_sub(1))
             }
             None => Lsn(0),
@@ -653,13 +683,13 @@ impl PartitionRuntime {
         let parts = crate::engine::split_by_key(rows, col, n);
         for (p, rows) in parts.into_iter().enumerate() {
             // Straddle the send with two counters: `started` before,
-            // `sends` after. Engine::drain treats `started != sends`
+            // `done` after. Engine::drain treats `started != done`
             // as work in flight, closing the window where a send was
             // counted but its message had not yet reached the
             // receiver's channel when that receiver drained. SeqCst:
             // drain's correctness argument needs the counter updates
             // ordered with the channel operations across threads.
-            self.metrics.exchange_sends_started.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.exchange_sends.started.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             let sent = self.peers[p].send(PartitionMsg::Exchange {
                 stream,
                 batch,
@@ -667,8 +697,8 @@ impl PartitionRuntime {
                 rows,
             });
             // Balance the pair even on failure so drain cannot spin on
-            // started != sends; the error still surfaces below.
-            self.metrics.exchange_sends.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            // started != done; the error still surfaces below.
+            self.exchange_sends.done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             if sent.is_err() {
                 return Err(Error::InvalidState(format!(
                     "partition {p} is down: exchange sub-batch of batch {batch} on {} lost",
@@ -932,11 +962,8 @@ impl PartitionRuntime {
                 };
                 if let Some(kind) = kind {
                     let proc_name = if adhoc { ADHOC_NAME } else { self.ids.proc_name(proc_id) };
-                    log.append(proc_name, kind)?;
+                    count_flushes(&self.metrics, log, |log| log.append(proc_name, kind))?;
                     EngineMetrics::bump(&self.metrics.log_records);
-                    self.metrics
-                        .log_flushes
-                        .store(log.flushes(), std::sync::atomic::Ordering::Relaxed);
                 }
             }
         }

@@ -337,7 +337,7 @@ fn replay_record(engine: &Engine, partition: usize, rec: &LogRecord) -> Result<(
         LogKind::AdHoc { sql, params } => (
             Invocation::AdHoc {
                 sql: sql.to_string(),
-                stmt: engine.plan_adhoc(sql)?,
+                stmt: engine.prepare(sql)?,
                 params: params.to_vec(),
             },
             None,

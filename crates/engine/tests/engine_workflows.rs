@@ -9,7 +9,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use sstore_common::{tuple, DataType, Schema, Tuple, Value};
 use sstore_engine::config::SchedulerMode;
 use sstore_engine::workflow::{check_nested_contiguity, check_schedule};
-use sstore_engine::{App, BoundaryMode, Engine, EngineConfig, EngineMode};
+use sstore_engine::{App, BoundaryMode, Engine, EngineConfig, EngineMode, LoggingConfig};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -472,6 +472,46 @@ fn multi_partition_routing_and_isolation() {
     assert_eq!(total, 16);
     assert_eq!(engine.metrics().txns_committed.load(Relaxed), 16);
     engine.shutdown();
+}
+
+/// `log_flushes` is the sum of every partition's flushes, and after
+/// `reset` it counts from zero like `log_records` does.
+#[test]
+fn log_flushes_sum_over_partitions_and_restart_at_reset() {
+    let app = App::builder()
+        .stream_partitioned("input", Schema::of(&[("key", DataType::Int), ("v", DataType::Int)]), "key")
+        .table("out", Schema::of(&[("key", DataType::Int), ("v", DataType::Int)]))
+        .proc("sink", &[("ins", "INSERT INTO out (key, v) VALUES (?, ?)")], &[], |ctx| {
+            let rows = ctx.input().to_vec();
+            for r in rows {
+                ctx.sql("ins", &[r.get(0).clone(), r.get(1).clone()])?;
+            }
+            Ok(())
+        })
+        .pe_trigger("input", "sink")
+        .build()
+        .unwrap();
+    let config = EngineConfig::default()
+        .with_partitions(2)
+        .with_data_dir(test_dir("flushes"))
+        .with_logging(LoggingConfig { enabled: true, group_commit: 1, fsync: false, ..Default::default() });
+    let engine = Engine::start(config, app).unwrap();
+    for key in 0..40i64 {
+        engine.ingest_sync("input", vec![tuple![key, key]]).unwrap();
+    }
+    engine.drain().unwrap();
+    let m = engine.metrics();
+    let counts = || (m.log_records.load(Relaxed), m.log_flushes.load(Relaxed));
+    for p in 0..2 {
+        let n = engine.query(p, "SELECT COUNT(*) FROM out", vec![]).unwrap();
+        assert!(n.scalar().unwrap().as_int().unwrap() > 0, "partition {p} took no batch");
+    }
+    let before_reset = counts();
+    m.reset();
+    engine.ingest_sync("input", vec![tuple![1i64, 1i64]]).unwrap();
+    // One record a batch, and with a group of one, one flush a record.
+    assert_eq!([before_reset, counts()], [(40, 40), (1, 1)]);
+    engine.close().unwrap();
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! while recorders and resetters race stay well-formed and nothing
 //! panics or is left behind once the recorders stop.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -78,36 +78,25 @@ proptest! {
     }
 }
 
-/// `reset()` zeroes every public counter, the per-procedure counters,
-/// the latency histograms, the shed map and the trace — benchmark
-/// phases read deltas from zero and rely on it.
+/// `reset()` zeroes every registered counter, the per-procedure
+/// counters, the latency histograms, the shed map and the trace —
+/// benchmark phases read deltas from zero and rely on it. The counters
+/// come from the registry, so one added later is covered here too.
 #[test]
 fn reset_clears_every_public_counter_histogram_and_shed() {
-    fn counters(m: &EngineMetrics) -> [&AtomicU64; 30] {
-        [
-            &m.txns_committed, &m.txns_aborted, &m.workflows_completed, &m.log_records,
-            &m.log_flushes, &m.ee_round_trips, &m.pe_trigger_fires, &m.ee_trigger_fires,
-            &m.columnar_batches, &m.columnar_window_batches, &m.columnar_fallback_small,
-            &m.columnar_fallback_shape, &m.adhoc_plan_hits,
-            &m.adhoc_plan_misses, &m.exchange_sends_started, &m.exchange_sends,
-            &m.exchange_batches, &m.exchange_dups_dropped, &m.window_slides,
-            &m.window_late_merged, &m.window_late_dropped, &m.shed_batches, &m.log_segments,
-            &m.log_bytes, &m.checkpoint_bytes, &m.gc_segments_deleted, &m.recovery_replay_ms,
-            &m.recovery_restore_ms, &m.restore_images_decoded, &m.restore_images_skipped,
-        ]
-    }
     let m = EngineMetrics::new();
-    counters(&m).iter().for_each(|c| EngineMetrics::bump(c));
+    m.counters().iter().for_each(|(_, c)| EngineMetrics::bump(c));
     m.bump_shed("reqs");
     let t0 = Instant::now();
     m.record_latency(TxnClass::Border, t0, t0 + Duration::from_micros(5), t0 + Duration::from_micros(9));
-    assert!(counters(&m).iter().all(|c| EngineMetrics::get(c) >= 1));
+    assert!(m.counters().iter().all(|(_, c)| EngineMetrics::get(c) >= 1));
     assert_eq!(m.latency_snapshot().len(), 1);
     assert_eq!(m.sheds_by_origin(), vec![("reqs".to_string(), 1)]);
 
     m.reset();
-    let left: Vec<u64> = counters(&m).iter().map(|c| EngineMetrics::get(c)).collect();
-    assert!(left.iter().all(|&n| n == 0), "reset left a counter: {left:?}");
+    let left: Vec<(&str, u64)> =
+        m.counters().iter().map(|(name, c)| (*name, EngineMetrics::get(c))).collect();
+    assert!(left.iter().all(|&(_, n)| n == 0), "reset left a counter: {left:?}");
     assert!(m.latency_snapshot().is_empty(), "reset left latency samples");
     assert!(m.sheds_by_origin().is_empty(), "reset left the shed map");
     assert_eq!(m.shed_for("reqs"), 0);

@@ -203,62 +203,11 @@ impl Session<'_> {
         }
     }
 
-    /// Server counters + per-tenant percentiles + the engine-side view
-    /// (per-class latency, sheds by origin, per-partition admission
-    /// occupancy), flattened into one stable key space.
+    /// Server counters and per-tenant percentiles, then the engine's
+    /// rows ([`Engine::metric_entries`]), in one stable key space.
     fn metric_entries(&self) -> Vec<(String, u64)> {
         let mut entries = self.metrics.entries();
-        let em = self.engine.metrics();
-        for cl in em.latency_snapshot() {
-            entries.push((
-                format!("engine.class.{}.count", cl.class.name()),
-                cl.end_to_end.count,
-            ));
-            entries.push((
-                format!("engine.class.{}.e2e_p99_us", cl.class.name()),
-                cl.end_to_end.p99.as_micros() as u64,
-            ));
-        }
-        for (origin, n) in em.sheds_by_origin() {
-            entries.push((format!("engine.shed.{origin}"), n));
-        }
-        // Where a workflow's time goes, one stored procedure at a time.
-        for (name, count, exec_us) in em.proc_stats() {
-            entries.push((format!("engine.proc.{name}.count"), count));
-            entries.push((format!("engine.proc.{name}.exec_us"), exec_us));
-        }
-        // Vectorized read path: batches processed (total and over
-        // window extents), per-reason row-wise fallbacks, and the
-        // ad-hoc plan cache — so "the fast path silently un-wired" is
-        // visible to clients, not just to bench_smoke.
-        for (key, counter) in [
-            ("columnar_batches", &em.columnar_batches),
-            ("columnar_window_batches", &em.columnar_window_batches),
-            ("columnar_fallback_small", &em.columnar_fallback_small),
-            ("columnar_fallback_shape", &em.columnar_fallback_shape),
-            ("adhoc_plan_hits", &em.adhoc_plan_hits),
-            ("adhoc_plan_misses", &em.adhoc_plan_misses),
-        ] {
-            entries.push((
-                format!("engine.sql.{key}"),
-                sstore_engine::metrics::EngineMetrics::get(counter),
-            ));
-        }
-        // What the last recovery cost, by half: restoring the checkpoint
-        // chain and replaying the log suffix (zero on a fresh start).
-        let durability = em.log_lifecycle();
-        entries.push(("engine.recovery.replay_ms".to_owned(), durability.recovery_replay_ms));
-        entries.push(("engine.recovery.restore_ms".to_owned(), durability.recovery_restore_ms));
-        for p in 0..self.engine.partitions() {
-            entries.push((
-                format!("engine.admission.p{p}.available"),
-                self.engine.admission_available(p) as u64,
-            ));
-            entries.push((
-                format!("engine.admission.p{p}.in_flight"),
-                self.engine.admitted_in_flight(p) as u64,
-            ));
-        }
+        entries.extend(self.engine.metric_entries());
         entries
     }
 }

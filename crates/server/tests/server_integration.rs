@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sstore_common::{DataType, Error, Schema, Tuple, Value};
+use sstore_engine::metrics::EngineMetrics;
 use sstore_engine::{App, Engine, EngineConfig, OverloadPolicy};
 use sstore_server::protocol::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
 use sstore_server::{Client, Server};
@@ -405,4 +406,19 @@ fn tenant_metrics_are_separated_at_the_edge() {
     assert_eq!(get("engine.recovery.restore_ms"), 0);
     // Latency histograms recorded per tenant (p99 exists once counted).
     assert!(get("tenant.gold.e2e_p99_us") > 0);
+    // Every registered engine counter is on the wire exactly once, with
+    // the value the engine holds (nothing runs between the two reads).
+    let em = srv.engine().metrics();
+    for (name, counter) in em.counters() {
+        let rows: Vec<u64> = entries.iter().filter(|(k, _)| k == name).map(|(_, v)| *v).collect();
+        assert_eq!(rows, vec![EngineMetrics::get(counter)], "{name}");
+    }
+    // Eleven committed border transactions, nothing else.
+    assert_eq!(get("engine.partition.txns_committed"), 11);
+    let (p50, p95, p99) = (
+        get("engine.class.border.e2e_p50_us"),
+        get("engine.class.border.e2e_p95_us"),
+        get("engine.class.border.e2e_p99_us"),
+    );
+    assert!(p50 <= p95 && p95 <= p99, "border quantiles out of order: {p50} {p95} {p99}");
 }

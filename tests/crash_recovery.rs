@@ -618,9 +618,9 @@ fn chain_restore_decodes_each_table_once_and_recovers_the_pre_crash_state() {
         assert_eq!(report.table_images_decoded, 2 * CHAIN_TABLES, "{mode:?}");
         assert_eq!(report.table_images_skipped, 2 * (4 * EVERY_ROUND_TABLES + 1), "{mode:?}");
         assert!(report.records_replayed > 0, "{mode:?}: the tail replays");
-        let lifecycle = recovered.metrics().log_lifecycle();
-        assert_eq!(lifecycle.recovery_restore_ms, report.restore_ms);
-        assert_eq!(lifecycle.recovery_replay_ms, report.replay_ms);
+        let m = recovered.metrics();
+        assert_eq!(EngineMetrics::get(&m.recovery_restore_ms), report.restore_ms);
+        assert_eq!(EngineMetrics::get(&m.recovery_replay_ms), report.replay_ms);
 
         // Index lookups and window contents, through SQL …
         let mut seen = 0;
