@@ -229,7 +229,7 @@ pub struct ExecutionEngine {
     /// GC inside the EE visit even when its statement list is empty
     /// (an empty trigger is a discard sink).
     ee_triggers: Vec<Option<Arc<[StmtId]>>>,
-    stmts: Vec<Arc<BoundStatement>>,
+    stmts: Vec<BoundStatement>,
     metrics: Arc<EngineMetrics>,
     /// Per-table dirty flags, indexed by [`TableId`]: set at
     /// commit/abort for every table, stream, or window a transaction
@@ -312,10 +312,17 @@ impl ExecutionEngine {
             });
         }
         let has_time_windows = windows.iter().any(|w| matches!(w, Some(WindowSlot::Time(_))));
-        // Each EE's own `Arc`s: every execution bumps a plan's count and
-        // every firing a trigger list's, and one shared across partition
-        // threads would put that count on a cache line both cores write.
-        let stmts = ids.plans().iter().map(|p| Arc::new(p.clone())).collect();
+        // Each EE's own `Arc`s: every SELECT bumps its column names' count
+        // and every firing a trigger list's, and one shared across
+        // partition threads would put that count on a cache line both
+        // cores write.
+        let own_names = |mut plan: BoundStatement| {
+            if let BoundStatement::Select(s) = &mut plan {
+                s.output_names = s.output_names.iter().cloned().collect();
+            }
+            plan
+        };
+        let stmts = ids.plans().iter().cloned().map(own_names).collect();
         let ee_triggers = ids.ee_triggers().iter().map(|l| l.as_deref().map(Arc::from)).collect();
 
         let proc_map: ProcStmtMap = app
@@ -524,8 +531,7 @@ impl ExecutionEngine {
     /// Executes a compiled statement within the current transaction,
     /// cascading EE triggers.
     pub fn exec(&mut self, stmt: StmtId, params: &[Value]) -> Result<QueryResult> {
-        let bound = self.plan(stmt)?;
-        self.exec_bound(&bound, params)
+        self.exec_plan(Plan::Compiled(stmt), params)
     }
 
     /// Runs a compiled `INSERT … VALUES` once per parameter row, in
@@ -534,22 +540,19 @@ impl ExecutionEngine {
     /// [`ExecutionEngine::insert`]). Returns the rows affected. Any
     /// other statement is refused with [`Error::Plan`].
     pub fn exec_rows<P: AsRef<[Value]>>(&mut self, stmt: StmtId, rows: &[P]) -> Result<usize> {
-        match &*self.plan(stmt)? {
+        match self.stmts.get(stmt).ok_or_else(|| Error::not_found("statement id", stmt.to_string()))? {
             BoundStatement::Insert(i) if i.select.is_none() => {
                 if !self.in_txn {
                     return Err(Error::InvalidState("exec outside transaction".into()));
                 }
-                self.insert(i, rows)
+                let built = build_insert(&mut self.catalog, i, rows);
+                self.insert(i.table, built)
             }
             _ => Err(Error::Plan(format!(
                 "{} is not an INSERT … VALUES: only those run over parameter rows",
                 self.ids.stmt_name(stmt)
             ))),
         }
-    }
-
-    fn plan(&self, stmt: StmtId) -> Result<Arc<BoundStatement>> {
-        self.stmts.get(stmt).cloned().ok_or_else(|| Error::not_found("statement id", stmt.to_string()))
     }
 
     /// Executes an already-bound statement within the current
@@ -559,6 +562,19 @@ impl ExecutionEngine {
     /// against the shared catalog layout ([`build_catalog`]), so its
     /// table ids are valid here.
     pub fn exec_bound(&mut self, bound: &BoundStatement, params: &[Value]) -> Result<QueryResult> {
+        self.exec_plan(Plan::Bound(bound), params)
+    }
+
+    /// [`ExecutionEngine::exec`] and [`ExecutionEngine::exec_bound`]. A
+    /// compiled plan stays borrowed where it is, beside the catalog the
+    /// statement writes, until the statement has run.
+    fn exec_plan(&mut self, plan: Plan<'_>, params: &[Value]) -> Result<QueryResult> {
+        let bound = match plan {
+            Plan::Compiled(stmt) => {
+                self.stmts.get(stmt).ok_or_else(|| Error::not_found("statement id", stmt.to_string()))?
+            }
+            Plan::Bound(bound) => bound,
+        };
         if !self.in_txn {
             return Err(Error::InvalidState("exec outside transaction".into()));
         }
@@ -571,7 +587,8 @@ impl ExecutionEngine {
             return Err(window_is_append_only(self.ids.table_name(w)));
         }
         if let BoundStatement::Insert(i) = bound {
-            let rows_affected = self.insert(i, &[params])?;
+            let built = build_insert(&mut self.catalog, i, &[params]);
+            let rows_affected = self.insert(i.table, built)?;
             return Ok(QueryResult { rows_affected, ..QueryResult::default() });
         }
         // The statement's effects join the log whether or not it
@@ -584,21 +601,16 @@ impl ExecutionEngine {
         Ok(r)
     }
 
-    /// Runs an INSERT once per parameter row, in order, exactly as that
-    /// many one-row statements would: a parameter row's rows all build
-    /// (and, for a window, pass its schema) or none is applied, and the
-    /// first error stops the batch with the earlier rows applied. Every
-    /// row is built first, in one [`insert_rows`] pass. A window takes
+    /// Applies an INSERT's rows into `table`, built once per parameter
+    /// row in order ([`build_insert`]), exactly as that many one-row
+    /// statements would: a parameter row's rows all build (and, for a
+    /// window, pass its schema) or none is applied, and the first error
+    /// stops the batch with the earlier rows applied. A window takes
     /// them in one arrival; a table in one insert loop; a stream runs
     /// its §3.2.3 cascade once per parameter row, since that many
     /// statements would fire its EE triggers that many times.
-    fn insert<P: AsRef<[Value]>>(&mut self, i: &BoundInsert, params: &[P]) -> Result<usize> {
-        let mut rows = Vec::with_capacity(params.len() * i.row_template.len());
-        let mut built = insert_rows(&mut self.catalog, i, params, &mut rows);
-        let (table, n) = (i.table, rows.len());
-        // Rows per parameter row: a template's, or a SELECT's (one
-        // parameter row only).
-        let per = if i.select.is_some() { n.max(1) } else { i.row_template.len() };
+    fn insert(&mut self, table: TableId, (mut rows, per, mut built): Built) -> Result<usize> {
+        let n = rows.len();
         let applied = if self.windows[table.index()].is_some() {
             // A window checks rows as its table would on insert, before
             // staging any of a parameter row's.
@@ -1050,22 +1062,27 @@ impl ExecutionEngine {
     }
 
     /// Runs an ad-hoc read-only query (tests, examples, H-Store-mode
-    /// clients inspecting results). Mutating statements are rejected.
+    /// clients inspecting results): plans it, then
+    /// [`ExecutionEngine::query_bound`].
+    pub fn query(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
+        self.query_bound(&Planner::new(&self.catalog).plan_sql(sql)?, params)
+    }
+
+    /// Runs a planned ad-hoc read. Mutating statements are rejected.
     /// Debug builds check the queried table against its rows first
     /// ([`Table::verify`](sstore_storage::Table::verify)), and a window
     /// against its table ([`ExecutionEngine::verify_window`]), which is
     /// how chaos and the crash tests — every `Engine::query` lands here —
     /// would notice an index, a group index or a window that drifted;
     /// release builds just answer.
-    pub fn query(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
-        let bound = Planner::new(&self.catalog).plan_sql(sql)?;
+    pub fn query_bound(&self, bound: &BoundStatement, params: &[Value]) -> Result<QueryResult> {
         match bound {
             BoundStatement::Select(s) => {
                 if cfg!(debug_assertions) {
                     self.catalog.get(s.from.table).verify()?;
                     self.verify_window(s.from.table)?;
                 }
-                let r = sstore_sql::exec::run_select(&self.catalog, &s, params);
+                let r = sstore_sql::exec::run_select(&self.catalog, s, params);
                 self.note_columnar_batches();
                 r
             }
@@ -1323,6 +1340,28 @@ struct Sections {
 
 /// `(event-ts, row)` of `table`'s live rows, the timestamp read from
 /// column `col`: what a time window's ordered set holds.
+/// Where [`ExecutionEngine::exec_plan`] finds its plan.
+enum Plan<'a> {
+    /// The EE's own, by id.
+    Compiled(StmtId),
+    /// Planned elsewhere (ad-hoc SQL).
+    Bound(&'a BoundStatement),
+}
+
+/// An INSERT's rows, built before any is applied: every parameter row's
+/// before the first that failed, the rows per parameter row — a
+/// template's, or a SELECT's (one parameter row only) — and that failure.
+type Built = (Vec<Tuple>, usize, Result<()>);
+
+/// Builds an INSERT's rows once per parameter row, in one
+/// [`insert_rows`] pass.
+fn build_insert<P: AsRef<[Value]>>(catalog: &mut Catalog, i: &BoundInsert, params: &[P]) -> Built {
+    let mut rows = Vec::with_capacity(params.len() * i.row_template.len());
+    let built = insert_rows(catalog, i, params, &mut rows);
+    let per = if i.select.is_some() { rows.len().max(1) } else { i.row_template.len() };
+    (rows, per, built)
+}
+
 fn event_keys(table: &Table, col: usize) -> Result<Vec<(i64, RowId)>> {
     table.scan_ordered().map(|(id, t)| Ok((t.event_ts(col)?, id))).collect()
 }

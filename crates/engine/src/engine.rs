@@ -1042,10 +1042,17 @@ impl Engine {
     }
 
     /// Ad-hoc read-only query against one partition (tests, examples,
-    /// dashboards — the "OLTP side" of the hybrid workload).
+    /// dashboards — the "OLTP side" of the hybrid workload). Planned
+    /// once through [`Engine::prepare`]'s cache, so a repeated query
+    /// plans once and counts as an ad-hoc plan hit; the partition runs
+    /// the bound plan ([`ExecutionEngine::query_bound`]), which refuses
+    /// anything but a SELECT and, in debug builds, checks the queried
+    /// table and its window first.
+    ///
+    /// [`ExecutionEngine::query_bound`]: crate::ee::ExecutionEngine::query_bound
     pub fn query(&self, partition: usize, sql: &str, params: Vec<Value>) -> Result<QueryResult> {
-        let sql = sql.to_owned();
-        self.ask(partition, move |rt| rt.query(sql, params))?.wait()?
+        let stmt = self.prepare(sql)?;
+        self.ask(partition, move |rt| rt.query(stmt, params))?.wait()?
     }
 
     /// Enables or disables PE triggers on every partition (recovery

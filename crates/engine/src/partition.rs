@@ -533,9 +533,9 @@ impl PartitionRuntime {
         self.triggers_enabled = enabled;
     }
 
-    /// Ad-hoc read-only query.
-    pub(crate) fn query(&mut self, sql: String, params: Vec<Value>) -> Result<QueryResult> {
-        self.ee.run(move |ee| ee.query(&sql, &params))
+    /// Ad-hoc read-only query, planned at the engine edge.
+    pub(crate) fn query(&mut self, stmt: Arc<BoundStatement>, params: Vec<Value>) -> Result<QueryResult> {
+        self.ee.run(move |ee| ee.query_bound(&stmt, &params))
     }
 
     /// Restores EE state from an epoch chain — base image + deltas,

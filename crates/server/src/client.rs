@@ -160,7 +160,7 @@ impl Client {
 
     fn rows(&mut self, req: Request) -> Result<(Vec<String>, Vec<Tuple>, u64)> {
         match self.roundtrip(&req)? {
-            Response::Rows { columns, rows, rows_affected } => Ok((columns, rows, rows_affected)),
+            Response::Rows { columns, rows, rows_affected } => Ok((columns.to_vec(), rows, rows_affected)),
             other => Err(unexpected("Rows", &other)),
         }
     }

@@ -28,6 +28,7 @@
 //! codec offsets) never leaks to the peer.
 
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 use sstore_common::codec::{Decoder, Encoder};
 use sstore_common::{Error, Result, Tuple, Value};
@@ -99,7 +100,7 @@ pub enum Response {
     /// Ingest accepted: the assigned batch id.
     Batch { batch: u64 },
     /// Result rows (Call/Query/Execute).
-    Rows { columns: Vec<String>, rows: Vec<Tuple>, rows_affected: u64 },
+    Rows { columns: Arc<[String]>, rows: Vec<Tuple>, rows_affected: u64 },
     /// Statement planned; use this id in [`Request::Execute`].
     Prepared { stmt: u32 },
     /// Flat name→value counters (engine + server + per-tenant
@@ -227,7 +228,7 @@ impl Response {
             }
             Response::Rows { columns, rows, rows_affected } => {
                 enc.put_u8(RESP_ROWS);
-                enc.put_seq(columns, |e, c| e.put_str(c));
+                enc.put_seq(columns.iter(), |e, c| e.put_str(c));
                 enc.put_seq(rows, Encoder::put_tuple);
                 enc.put_u64(*rows_affected);
             }
@@ -265,7 +266,7 @@ impl Response {
             }
             RESP_BATCH => Response::Batch { batch: dec.get_u64()? },
             RESP_ROWS => {
-                let columns = dec.get_seq(MIN_ITEM, "column", Decoder::get_str)?;
+                let columns = dec.get_seq(MIN_ITEM, "column", Decoder::get_str)?.into();
                 let rows = dec.get_seq(MIN_ITEM, "row", Decoder::get_tuple)?;
                 Response::Rows { columns, rows, rows_affected: dec.get_u64()? }
             }
@@ -425,7 +426,7 @@ mod tests {
             Response::Welcome { version: PROTOCOL_VERSION, partitions: 4 },
             Response::Batch { batch: 99 },
             Response::Rows {
-                columns: vec!["a".into(), "b".into()],
+                columns: vec!["a".into(), "b".into()].into(),
                 rows: vec![Tuple::new(vec![Value::Int(1), Value::Bool(false)])],
                 rows_affected: 0,
             },

@@ -102,7 +102,7 @@ fn every_response_variant() {
         },
         Response::Batch { batch: 300 },
         Response::Rows {
-            columns: vec!["a".into(), "b".into()],
+            columns: vec!["a".into(), "b".into()].into(),
             rows: vec![
                 Tuple::new(vec![Value::Int(1), Value::Bool(false)]),
                 Tuple::new(vec![Value::Float(-0.5), Value::Null]),

@@ -57,7 +57,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
             any::<u64>(),
         )
             .prop_map(|(columns, rows, rows_affected)| Response::Rows {
-                columns,
+                columns: columns.into(),
                 rows,
                 rows_affected
             }),

@@ -8,7 +8,9 @@
 //! in the interning map, accumulators in one typed vector per aggregate
 //! ([`AccCol`]), sort keys of kept rows in one flat vector, and a
 //! [`Tuple`] is built only for a row that is returned — or whose
-//! projections could fail, which the statement must find out.
+//! projections could fail, which the statement must find out. Without
+//! ORDER BY the rows kept are the result, built as they arrive into the
+//! vector [`Edge::finish`] returns.
 //!
 //! **Ordering contract** (command-log replay re-executes these
 //! statements, so every clause below is load-bearing):
@@ -102,6 +104,8 @@ struct Kept<'r> {
 
 /// ORDER BY + LIMIT over offered candidates: at most `LIMIT` of them are
 /// held at any time, as a max-heap on (keys, sequence number) once full.
+/// Without ORDER BY the first `LIMIT` arrivals are the answer, so each
+/// is built as it arrives, straight into the result.
 pub(crate) struct Edge<'r> {
     s: &'r BoundSelect,
     params: &'r [Value],
@@ -113,6 +117,8 @@ pub(crate) struct Edge<'r> {
     seq: usize,
     heaped: bool,
     kept: Vec<Kept<'r>>,
+    /// The result so far, when there is no ORDER BY (`kept` stays empty).
+    rows: Vec<Tuple>,
     /// Sort keys of the kept candidates, `order_by.len()` per slot.
     keys: Vec<Value>,
     /// Reused by [`Edge::offer_ctx`].
@@ -205,6 +211,7 @@ impl<'r> Edge<'r> {
             seq: 0,
             heaped: false,
             kept: Vec::new(),
+            rows: Vec::new(),
             keys: Vec::new(),
             key_buf: Vec::new(),
         }
@@ -219,7 +226,7 @@ impl<'r> Edge<'r> {
     /// True once `LIMIT` candidates are held: from here on a candidate
     /// gets in only by ordering before one of them.
     pub(crate) fn is_full(&self) -> bool {
-        self.kept.len() >= self.limit
+        self.kept.len() + self.rows.len() >= self.limit
     }
 
     /// Once full, the held candidates as a max-heap: the root is the
@@ -276,16 +283,27 @@ impl<'r> Edge<'r> {
         keys: &K,
         out: impl FnOnce() -> Result<Out<'r>>,
     ) -> Result<()> {
+        let nk = self.s.order_by.len();
+        if nk == 0 {
+            // Every row held is returned: building it now builds nothing
+            // a late projection would have spared.
+            if !self.is_full() {
+                let row = match out()? {
+                    Out::Built(t) => t,
+                    Out::Row(row) => project(self.s, &EvalCtx { row, params: self.params, aggs: &[] })?,
+                };
+                self.rows.push(row);
+            }
+            return Ok(());
+        }
         let seq = self.seq;
         self.seq += 1;
-        let nk = self.s.order_by.len();
         if self.kept.len() < self.limit {
             self.keys.extend((0..nk).map(|j| keys.key(j)));
             self.kept.push(Kept { seq, slot: self.kept.len(), out: out()? });
             return Ok(());
         }
-        // Full. Without ORDER BY the first arrivals are the answer.
-        if nk == 0 || self.limit == 0 {
+        if self.limit == 0 {
             return Ok(());
         }
         self.heapify();
@@ -346,12 +364,13 @@ impl<'r> Edge<'r> {
 
     /// The result rows, in order.
     pub(crate) fn finish(self) -> Result<Vec<Tuple>> {
-        let Edge { s, params, keys, mut kept, .. } = self;
-        if !s.order_by.is_empty() {
-            // (keys, sequence number) is a total order, so an unstable
-            // sort yields what a stable sort by keys would.
-            kept.sort_unstable_by(|a, b| cmp_kept(s, &keys, a, b));
+        let Edge { s, params, keys, mut kept, rows, .. } = self;
+        if s.order_by.is_empty() {
+            return Ok(rows);
         }
+        // (keys, sequence number) is a total order, so an unstable sort
+        // yields what a stable sort by keys would.
+        kept.sort_unstable_by(|a, b| cmp_kept(s, &keys, a, b));
         kept.into_iter()
             .map(|k| match k.out {
                 Out::Built(t) => Ok(t),

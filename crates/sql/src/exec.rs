@@ -8,6 +8,16 @@
 //! them back, which is exactly H-Store's semantics (a failed SQL
 //! statement aborts the surrounding transaction).
 //!
+//! Point statements cost their probe. SELECT, UPDATE and DELETE reach
+//! their rows through one function (`scan_rows`): for an index point
+//! lookup a one-column key is one value on the stack, the postings are
+//! read where the index keeps them, a key with no NULL leaves only the
+//! plan's residual WHERE to check, and each row goes on as it is found —
+//! to the output edge, or to the candidates an UPDATE or DELETE gathers,
+//! the first of them outside any vector. A one-row SELECT allocates its
+//! result vector and its row, a one-row UPDATE its new image; column
+//! names are the plan's, shared.
+//!
 //! Determinism: scans iterate in row-id order (an ordered index walk
 //! feeds rows run by run, in row-id order within a run, which the edge's
 //! contract allows) and the SELECT output edge
@@ -18,6 +28,7 @@
 //! state (§3.2.5).
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use sstore_common::hash::FxHashMap;
 
@@ -64,14 +75,27 @@ pub enum Effect {
 }
 
 /// Result of executing one statement.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
-    /// Output column names (SELECT only).
-    pub columns: Vec<String>,
+    /// Output column names (SELECT only), shared with the plan.
+    pub columns: Arc<[String]>,
     /// Output rows (SELECT only).
     pub rows: Vec<Tuple>,
     /// Rows inserted/updated/deleted (mutations only).
     pub rows_affected: usize,
+}
+
+thread_local! {
+    /// The names of a result without columns. One per thread: the one
+    /// `Arc::default()` hands out is shared by every thread, and its
+    /// count would sit on a cache line every partition's mutations write.
+    static NO_COLUMNS: Arc<[String]> = Arc::from([]);
+}
+
+impl Default for QueryResult {
+    fn default() -> Self {
+        QueryResult { columns: NO_COLUMNS.with(Arc::clone), rows: Vec::new(), rows_affected: 0 }
+    }
 }
 
 impl QueryResult {
@@ -107,23 +131,20 @@ pub fn execute(
         }
         BoundStatement::Update(u) => {
             let table = catalog.get_mut(u.scan.table);
-            let ids = candidate_rows(table, &u.scan, u.where_pred.as_ref(), params)?;
             // Compute all new tuples from pre-images first, then apply:
             // assignments see a consistent snapshot even if the statement
             // touches the columns it reads.
-            let mut updates: Vec<(RowId, Tuple)> = Vec::with_capacity(ids.len());
-            for id in ids {
-                let old = table.get(id).expect("candidate row is live");
-                let ctx = EvalCtx { row: old.values(), params, aggs: &[] };
+            let updates = candidates(table, &u.scan, u.where_pred.as_ref(), params, |id, old| {
+                let ctx = EvalCtx { row: old, params, aggs: &[] };
                 // The one unavoidable copy, in the image's one allocation:
                 // the pre-image, then the assignments in their order.
-                let mut new: Tuple = old.values().iter().cloned().collect();
+                let mut new: Tuple = old.iter().cloned().collect();
                 let values = new.values_mut().expect("a fresh tuple is its own");
                 for (pos, expr) in &u.assignments {
                     values[*pos] = expr.eval(&ctx)?;
                 }
-                updates.push((id, new));
-            }
+                Ok((id, new))
+            })?;
             let mut n = 0;
             for (id, new) in updates {
                 let old = table.update(id, new)?;
@@ -134,7 +155,7 @@ pub fn execute(
         }
         BoundStatement::Delete(d) => {
             let table = catalog.get_mut(d.scan.table);
-            let ids = candidate_rows(table, &d.scan, d.where_pred.as_ref(), params)?;
+            let ids = candidates(table, &d.scan, d.where_pred.as_ref(), params, |id, _| Ok(id))?;
             let mut n = 0;
             for id in ids {
                 let tuple = table.delete(id)?;
@@ -229,49 +250,72 @@ pub fn undo_effect(catalog: &mut Catalog, effect: Effect) -> Result<()> {
     Ok(())
 }
 
-/// Evaluates an index point-lookup key. `None` means some key expression
-/// errored: the caller must degrade to a full scan so the error surfaces
-/// (or not) exactly as it would without the index — the erroring
-/// conjunct is still in the residual WHERE and fires per candidate row,
-/// so an empty table yields zero rows instead of a spurious error.
-fn eval_index_key(key_exprs: &[BoundExpr], params: &[Value]) -> Option<Vec<Value>> {
-    let ctx = EvalCtx { row: &[], params, aggs: &[] };
-    let mut key = Vec::with_capacity(key_exprs.len());
-    for e in key_exprs {
-        key.push(e.eval(&ctx).ok()?);
+/// Hands every row a scan's access path yields that passes `pred` (the
+/// WHERE, if it is to be applied here) to `f` as it is found, with its
+/// id, in row-id order (deterministic): for [`Access::IndexEq`] the rows
+/// the index holds for the key — its postings, in row-id order already,
+/// read where the index keeps them ([`Table::lookup_eq`]) — and for
+/// every other path each live row. The one IndexEq read, for SELECT,
+/// UPDATE and DELETE alike.
+///
+/// A one-column key is evaluated into one value on the stack. A key with
+/// no NULL leaves only the plan's `residual` to check: the rows found
+/// pass the conjuncts it came from. One with a NULL matches no row under
+/// SQL equality, but the rows the index holds for it are still offered
+/// to the whole WHERE, which may fail on them. A key expression that
+/// errors degrades to the full scan, so the error surfaces (or not)
+/// exactly as it would without the index: the erroring conjunct is still
+/// in the WHERE and fires per candidate row, so an empty table yields
+/// zero rows instead of a spurious error.
+fn scan_rows<'t>(
+    table: &'t Table,
+    scan: &BoundScan,
+    pred: Option<&BoundExpr>,
+    params: &[Value],
+    mut f: impl FnMut(RowId, &'t [Value]) -> Result<()>,
+) -> Result<()> {
+    let mut offer = |pred: Option<&BoundExpr>, id, row: &'t [Value]| match pred {
+        Some(p) if !p.eval_predicate(&EvalCtx { row, params, aggs: &[] })? => Ok(()),
+        _ => f(id, row),
+    };
+    if let Access::IndexEq { key_cols, key_exprs, residual } = &scan.access {
+        let ctx = EvalCtx { row: &[], params, aggs: &[] };
+        let mut probe = |key: &[Value]| {
+            let pred = if key.iter().any(Value::is_null) { pred } else { pred.and(residual.as_ref()) };
+            let ids = table.lookup_eq(key_cols, key);
+            ids.iter().try_for_each(|&id| offer(pred, id, table.get(id).expect("indexed row is live").values()))
+        };
+        let probed = match key_exprs.as_slice() {
+            [e] => e.eval(&ctx).map(|k| probe(std::slice::from_ref(&k))),
+            es => es.iter().map(|e| e.eval(&ctx)).collect::<Result<Vec<_>>>().map(|k| probe(&k)),
+        };
+        if let Ok(r) = probed {
+            return r;
+        }
     }
-    Some(key)
+    table.scan_ordered().try_for_each(|(id, t)| offer(pred, id, t.values()))
 }
 
-/// Row ids matched by a scan's access path plus residual predicate, in
-/// row-id order (deterministic).
-fn candidate_rows(
+/// What a scan's access path plus WHERE match, each mapped by `f` while
+/// the table is only read, in row-id order. The first stays out of the
+/// vector, so a point statement's one candidate allocates nothing here.
+fn candidates<T>(
     table: &Table,
     scan: &BoundScan,
-    residual: Option<&BoundExpr>,
+    pred: Option<&BoundExpr>,
     params: &[Value],
-) -> Result<Vec<RowId>> {
-    // Index postings are in row-id order already.
-    let all = || table.scan_ordered().map(|(id, _)| id).collect();
-    let mut ids: Vec<RowId> = match &scan.access {
-        Access::IndexEq { key_cols, key_exprs } => match eval_index_key(key_exprs, params) {
-            Some(key) => table.lookup_eq(key_cols, &key),
-            None => all(),
-        },
-        Access::FullScan | Access::IndexOrder { .. } | Access::GroupIndex { .. } => all(),
-    };
-    if let Some(pred) = residual {
-        let mut kept = Vec::with_capacity(ids.len());
-        for id in ids {
-            let row = table.get(id).expect("candidate row is live");
-            let ctx = EvalCtx { row: row.values(), params, aggs: &[] };
-            if pred.eval_predicate(&ctx)? {
-                kept.push(id);
-            }
+    mut f: impl FnMut(RowId, &[Value]) -> Result<T>,
+) -> Result<std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>> {
+    let (mut first, mut rest) = (None, Vec::new());
+    scan_rows(table, scan, pred, params, |id, row| {
+        let t = f(id, row)?;
+        match first {
+            None => first = Some(t),
+            Some(_) => rest.push(t),
         }
-        ids = kept;
-    }
-    Ok(ids)
+        Ok(())
+    })?;
+    Ok(first.into_iter().chain(rest))
 }
 
 /// Runs a bound SELECT.
@@ -286,8 +330,7 @@ pub fn run_select(catalog: &Catalog, s: &BoundSelect, params: &[Value]) -> Resul
 }
 
 /// Like [`run_select`] but returns only the rows — used where output
-/// column names are not needed (INSERT ... SELECT, EE triggers), saving
-/// the per-execution name clone.
+/// column names are not needed (INSERT ... SELECT, EE triggers).
 ///
 /// A statement planned to read a group index does, if the index can
 /// answer ([`read_group_index`]). Otherwise single-table full scans
@@ -324,22 +367,20 @@ pub fn run_select_rows_rowwise(
         }
     }
 
-    // 1. Base scan (borrowed rows; index postings are in row-id order).
-    let all = || base.scan_ordered().map(|(_, t)| Cow::Borrowed(t.values())).collect();
-    let mut rows: Vec<Cow<'_, [Value]>> = match &s.from.access {
-        Access::IndexEq { key_cols, key_exprs } => match eval_index_key(key_exprs, params) {
-            Some(key) => base
-                .lookup_eq(key_cols, &key)
-                .iter()
-                .map(|id| Cow::Borrowed(base.get(*id).expect("indexed row is live").values()))
-                .collect(),
-            None => all(),
-        },
-        Access::FullScan | Access::IndexOrder { .. } | Access::GroupIndex { .. } => all(),
-    };
+    // Without joins every row that passes the WHERE goes on as the scan
+    // finds it, borrowed from the table.
+    let pred = s.where_pred.as_ref();
+    if s.joins.is_empty() {
+        return group_and_edge(s, params, base.len(), |feed| scan_rows(base, &s.from, pred, params, |_, row| feed(row)));
+    }
 
-    // 2. Joins, left-deep. Only here do rows become owned (the
-    // concatenation is a new row by construction).
+    // Joins, left-deep, over the collected base rows. Only here do rows
+    // become owned (the concatenation is a new row by construction).
+    let mut rows: Vec<Cow<'_, [Value]>> = Vec::new();
+    scan_rows(base, &s.from, None, params, |_, row| {
+        rows.push(Cow::Borrowed(row));
+        Ok(())
+    })?;
     for join in &s.joins {
         let right = catalog.get(join.table);
         let right_rows: Vec<&[Value]> = right.scan_ordered().map(|(_, t)| t.values()).collect();
@@ -387,45 +428,47 @@ pub fn run_select_rows_rowwise(
         }
         rows = next;
     }
+    // Then the WHERE, over the joined rows.
+    group_and_edge(s, params, rows.len(), |feed| {
+        rows.iter().try_for_each(|row| match pred {
+            Some(p) if !p.eval_predicate(&EvalCtx { row, params, aggs: &[] })? => Ok(()),
+            _ => feed(row),
+        })
+    })
+}
 
-    // 3. WHERE (moves the surviving rows, no clones).
-    if let Some(pred) = &s.where_pred {
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
-            let ctx = EvalCtx { row: &row, params, aggs: &[] };
-            if pred.eval_predicate(&ctx)? {
-                kept.push(row);
-            }
-        }
-        rows = kept;
-    }
-
-    // 4. The output edge: grouping, ordering, limiting (`crate::edge`).
+/// The rest of the row pipeline over the rows `input` feeds it, one at a
+/// time, each past the WHERE: it folds into its group or is offered to
+/// the output edge (`crate::edge`). `rows` bounds the input, for
+/// [`Groups::new`].
+fn group_and_edge<'r>(
+    s: &'r BoundSelect,
+    params: &'r [Value],
+    rows: usize,
+    input: impl FnOnce(&mut dyn FnMut(&'r [Value]) -> Result<()>) -> Result<()>,
+) -> Result<Vec<Tuple>> {
     let mut edge = Edge::new(s, params);
-    if s.grouped {
-        let mut groups = Groups::new(s, rows.len());
-        let mut key = Vec::with_capacity(s.group_by.len());
-        for row in &rows {
-            let ctx = EvalCtx { row, params, aggs: &[] };
-            // A bare-column key is looked up in place: no clone on a hit.
-            let key: &[Value] = match s.group_by.as_slice() {
-                [BoundExpr::Column(c)] if *c < row.len() => std::slice::from_ref(&row[*c]),
-                exprs => {
-                    key.clear();
-                    for g in exprs {
-                        key.push(g.eval(&ctx)?);
-                    }
-                    &key
+    let mut groups = s.grouped.then(|| Groups::new(s, rows));
+    let mut key = Vec::new();
+    input(&mut |row| {
+        let ctx = EvalCtx { row, params, aggs: &[] };
+        let Some(groups) = &mut groups else { return edge.offer_ctx(&ctx, Some(row)) };
+        // A bare-column key is looked up in place: no clone on a hit.
+        let key: &[Value] = match s.group_by.as_slice() {
+            [BoundExpr::Column(c)] if *c < row.len() => std::slice::from_ref(&row[*c]),
+            exprs => {
+                key.clear();
+                for g in exprs {
+                    key.push(g.eval(&ctx)?);
                 }
-            };
-            let slot = groups.slot_of(key);
-            groups.feed_row(slot, &ctx)?;
-        }
+                &key
+            }
+        };
+        let slot = groups.slot_of(key);
+        groups.feed_row(slot, &ctx)
+    })?;
+    if let Some(groups) = groups {
         groups.finish(&mut edge)?;
-    } else {
-        for row in &rows {
-            edge.offer_ctx(&EvalCtx { row, params, aggs: &[] }, Some(row))?;
-        }
     }
     edge.finish()
 }
@@ -646,7 +689,7 @@ mod tests {
         let r = q(&mut c, "SELECT phone FROM votes WHERE contestant = 1 ORDER BY phone", &[]);
         let got: Vec<i64> = r.rows.iter().map(|t| t.get(0).as_int().unwrap()).collect();
         assert_eq!(got, vec![100, 102, 104]);
-        assert_eq!(r.columns, vec!["phone"]);
+        assert_eq!(*r.columns, ["phone"]);
     }
 
     #[test]

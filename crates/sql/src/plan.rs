@@ -35,7 +35,9 @@
 //!   whole key becomes a point lookup, mirroring H-Store's planner
 //!   turning PK probes into index lookups — the effect the paper leans on
 //!   in §4.6.3 (vote validation is an index probe in S-Store but a scan
-//!   in Spark Streaming). The WHERE stays as a residual filter.
+//!   in Spark Streaming). The WHERE stays as a filter; a row the index
+//!   holds for a key with no NULL is checked against the rest of it
+//!   alone (`residual`), since it passes the key's own conjuncts.
 //! * [`Access::IndexOrder`] (`Planner::index_order`) — `ORDER BY
 //!   <indexed columns> LIMIT k` walks a B-tree index from one end and
 //!   stops once `k` rows are certain, O(log n + k) instead of a scan and
@@ -100,6 +102,8 @@
 //!   bare-reference ORDER BY keys — `Access::IndexOrder`'s rule, over
 //!   groups.
 
+use std::sync::Arc;
+
 use sstore_common::{DataType, Error, Result, Schema, TableId};
 use sstore_storage::{Catalog, GroupIndexDef, IndexKind};
 
@@ -121,6 +125,12 @@ pub enum Access {
         key_cols: Vec<usize>,
         /// Key expressions, parallel to `key_cols`.
         key_exprs: Vec<BoundExpr>,
+        /// The WHERE without the conjuncts the key came from: all a row
+        /// the index holds for a key with no NULL must still pass, since
+        /// it passes those (index and SQL equality agree on non-NULL
+        /// values, and the conjuncts cannot fail once the key evaluated).
+        /// `None` if nothing is left.
+        residual: Option<BoundExpr>,
     },
     /// Walk a B-tree index in key order, feeding the output edge one run
     /// of prefix-equal rows at a time, until it holds `LIMIT` rows (the
@@ -190,8 +200,8 @@ pub struct BoundSelect {
     /// via `Column(i)` (i-th group key) and aggregates via `AggRef(k)`;
     /// for plain queries they read the input row.
     pub projections: Vec<BoundExpr>,
-    /// Output column names.
-    pub output_names: Vec<String>,
+    /// Output column names, shared with every result the plan returns.
+    pub output_names: Arc<[String]>,
     /// HAVING predicate (grouped queries only), same space as
     /// `projections` of a grouped query.
     pub having: Option<BoundExpr>,
@@ -485,7 +495,7 @@ impl<'a> Planner<'a> {
             group_by,
             aggs: binder.aggs,
             projections,
-            output_names,
+            output_names: output_names.into(),
             having,
             order_by,
             limit: s.limit,
@@ -527,18 +537,19 @@ impl<'a> Planner<'a> {
 
     /// Matches top-level WHERE conjuncts of shape
     /// `<base column> = <row-independent>` against the base table's
-    /// indexes. The full WHERE is still applied as a residual filter, so
-    /// this is purely an access-path optimization.
+    /// indexes. The WHERE is still applied, less the key's conjuncts where
+    /// the key has no NULL, so this is purely an access-path optimization.
     fn index_eq(&self, table: TableId, where_pred: Option<&BoundExpr>) -> Access {
         let Some(pred) = where_pred else { return Access::FullScan };
         let table = self.catalog.get(table);
         let base_arity = table.schema().arity();
-        let mut eq: Vec<(usize, BoundExpr)> = Vec::new();
+        // (column, key expression, the conjunct's left side — which names it)
+        let mut eq: Vec<(usize, &BoundExpr, &BoundExpr)> = Vec::new();
         eq_conjuncts(pred, &mut |lhs, rhs| match (lhs, rhs) {
             (BoundExpr::Column(c), e) | (e, BoundExpr::Column(c))
                 if *c < base_arity && e.is_row_independent() =>
             {
-                eq.push((*c, e.clone()));
+                eq.push((*c, e, lhs));
             }
             _ => {}
         });
@@ -546,26 +557,22 @@ impl<'a> Planner<'a> {
             return Access::FullScan;
         }
         // Prefer the index covering the most key columns.
-        let mut best: Option<(&[usize], Vec<BoundExpr>)> = None;
+        let mut best: Option<(&[usize], Vec<_>)> = None;
         for def in table.index_defs() {
-            let mut exprs = Vec::with_capacity(def.key_columns.len());
-            let covered = def.key_columns.iter().all(|kc| {
-                if let Some((_, e)) = eq.iter().find(|(c, _)| c == kc) {
-                    exprs.push(e.clone());
-                    true
-                } else {
-                    false
+            let covered: Option<Vec<_>> =
+                def.key_columns.iter().map(|kc| eq.iter().find(|(c, ..)| c == kc)).collect();
+            if let Some(found) = covered {
+                if best.as_ref().is_none_or(|(cols, _)| def.key_columns.len() > cols.len()) {
+                    best = Some((&def.key_columns, found));
                 }
-            });
-            if covered
-                && best.as_ref().is_none_or(|(cols, _)| def.key_columns.len() > cols.len())
-            {
-                best = Some((&def.key_columns, exprs));
             }
         }
-        match best {
-            Some((key_cols, key_exprs)) => Access::IndexEq { key_cols: key_cols.to_vec(), key_exprs },
-            None => Access::FullScan,
+        let Some((key_cols, found)) = best else { return Access::FullScan };
+        let used: Vec<&BoundExpr> = found.iter().map(|(.., lhs)| *lhs).collect();
+        Access::IndexEq {
+            key_cols: key_cols.to_vec(),
+            key_exprs: found.iter().map(|(_, e, _)| (*e).clone()).collect(),
+            residual: without(pred, &used),
         }
     }
 
@@ -830,6 +837,19 @@ fn eq_conjuncts<'e>(pred: &'e BoundExpr, f: &mut impl FnMut(&'e BoundExpr, &'e B
         }
         BoundExpr::Binary { op: BinOp::Eq, lhs, rhs } => f(lhs, rhs),
         _ => {}
+    }
+}
+
+/// `pred` without the top-level `=` conjuncts whose left side is one of
+/// `used`, its other conjuncts in their order; `None` if none is left.
+fn without(pred: &BoundExpr, used: &[&BoundExpr]) -> Option<BoundExpr> {
+    match pred {
+        BoundExpr::Binary { op: BinOp::And, lhs, rhs } => match (without(lhs, used), without(rhs, used)) {
+            (Some(l), Some(r)) => Some(BoundExpr::Binary { op: BinOp::And, lhs: Box::new(l), rhs: Box::new(r) }),
+            (l, r) => l.or(r),
+        },
+        BoundExpr::Binary { op: BinOp::Eq, lhs, .. } if used.iter().any(|u| std::ptr::eq(*u, &**lhs)) => None,
+        other => Some(other.clone()),
     }
 }
 
@@ -1161,7 +1181,7 @@ mod tests {
     fn wildcard_expands_in_scope_order() {
         match plan("SELECT * FROM votes JOIN contestants ON votes.contestant = contestants.id") {
             BoundStatement::Select(s) => {
-                assert_eq!(s.output_names, vec!["phone", "contestant", "ts", "id", "name"]);
+                assert_eq!(*s.output_names, ["phone", "contestant", "ts", "id", "name"]);
                 assert_eq!(s.input_arity, 5);
                 assert_eq!(s.joins[0].equi, vec![(1, 0)]);
             }

@@ -50,6 +50,7 @@
 //! are swept — the run compacted in place — once they outnumber the
 //! live rows (and sixteen), which keeps scans O(live) amortised.
 
+use std::borrow::Cow;
 use std::collections::{vec_deque, VecDeque};
 
 use sstore_common::{Error, Result, RowId, Schema, Tuple, Value};
@@ -533,11 +534,12 @@ impl Table {
 
     /// Point lookup through an index on `cols` if one exists, otherwise
     /// a filtered scan. Returns live row ids carrying `key` on `cols`, in
-    /// row-id order either way.
-    pub fn lookup_eq(&self, cols: &[usize], key: &[Value]) -> Vec<RowId> {
+    /// row-id order either way: an index's postings borrowed where it
+    /// keeps them, a scan's collected.
+    pub fn lookup_eq(&self, cols: &[usize], key: &[Value]) -> Cow<'_, [RowId]> {
         if let Some(ix) = self.index_on(cols) {
             self.stats.record_index_lookup();
-            return ix.get(key).to_vec();
+            return Cow::Borrowed(ix.get(key));
         }
         self.stats.record_scan();
         self.scan_ordered()
