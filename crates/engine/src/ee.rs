@@ -46,13 +46,12 @@
 //! not re-enter the cascade, so the cascade terminates.
 //!
 //! What is active in a window is what its table holds
-//! ([`crate::window`]). A window's group indexes (derived by
-//! [`AppIds::build`], attached in [`build_catalog`]) are maintained by
-//! the storage layer inside the table's insert and delete; nothing in
-//! this file touches them. A time window's ordered `(event-ts, row)`
-//! set is the one index kept here: `table_insert`, `table_delete` and
-//! the row arm of [`ExecutionEngine::abort`]'s undo are the only
-//! writers of a window table, and each tells the window.
+//! ([`crate::window`]), and nothing else records it. A window's group
+//! indexes (derived by [`AppIds::build`], attached in [`build_catalog`])
+//! are maintained by the storage layer inside the table's insert and
+//! delete; nothing in this file touches them. A time window's expiry
+//! reads its rows' timestamps when a slide fires
+//! ([`ExecutionEngine::process_slides`]).
 //!
 //! [`BoundaryMode::Inline`]: crate::config::BoundaryMode::Inline
 //! [`BoundaryMode::Channel`]: crate::config::BoundaryMode::Channel
@@ -66,7 +65,7 @@ use sstore_sql::exec::{execute, insert_rows, undo_effect, Effect};
 use sstore_sql::plan::{BoundInsert, BoundStatement};
 use sstore_sql::{Planner, QueryResult};
 use sstore_storage::snapshot;
-use sstore_storage::{Catalog, Table, TableKind};
+use sstore_storage::{Catalog, TableKind};
 
 use crate::app::{window_is_append_only, App, Windowing};
 use crate::metrics::EngineMetrics;
@@ -100,8 +99,7 @@ pub struct CommitOutcome {
 /// mid-slide still aborts to the window it found.
 #[derive(Debug)]
 enum Undo {
-    /// A row was inserted, deleted or updated. A time window's ordered
-    /// set follows its table's rows, so this entry undoes it too.
+    /// A row was inserted, deleted or updated.
     Row(Effect),
     /// `n` rows were appended to `batch` on `stream`.
     Appended {
@@ -415,7 +413,8 @@ impl ExecutionEngine {
                         // internal mark even when no pane fires, so
                         // every time window dirties here.
                         self.dirty[i] = true;
-                        if tw.advance_watermark(wm) {
+                        let rows = self.catalog.get(TableId(i as u32)).len();
+                        if tw.advance_watermark(wm, rows) {
                             slides.push(TableId(i as u32));
                         }
                     }
@@ -445,12 +444,11 @@ impl ExecutionEngine {
     /// One pass serves every kind of entry because the order between
     /// two entries matters only when they touch the same structure, and
     /// the log keeps the order of those: stream bookkeeping, window
-    /// staging and cursors, and the tables (with a time window's
-    /// ordered set, which only row entries write) are disjoint, so
-    /// undoing the kinds one after another would give the same state.
-    /// The one arm that reads a structure it does not restore is the row
-    /// arm, and it reads only the live row it is about to delete. A new
-    /// kind of entry must keep this.
+    /// staging and cursors, and the tables are disjoint, so undoing the
+    /// kinds one after another would give the same state. No arm reads
+    /// a structure it does not restore: the row arm is
+    /// [`undo_effect`] on the catalog alone. A new kind of entry must
+    /// keep this.
     pub fn abort(&mut self) -> Result<()> {
         if !self.in_txn {
             return Err(Error::InvalidState("abort outside transaction".into()));
@@ -473,26 +471,7 @@ impl ExecutionEngine {
     /// newest-first.
     fn undo_one(&mut self, u: Undo) -> Result<()> {
         match u {
-            Undo::Row(e) => {
-                // A time window's ordered set follows its table: an
-                // undone insert leaves it, an undone delete returns.
-                match &e {
-                    Effect::Insert { table, row } => {
-                        let live = self.catalog.get(*table).get(*row);
-                        let ts = live.map(|t| self.window_ts(*table, t)).transpose()?.flatten();
-                        if let Some(ts) = ts {
-                            self.time_window(*table).row_deleted(ts, *row);
-                        }
-                    }
-                    Effect::Delete { table, row, tuple } => {
-                        if let Some(ts) = self.window_ts(*table, tuple)? {
-                            self.time_window(*table).row_inserted(ts, *row);
-                        }
-                    }
-                    Effect::Update { .. } => {}
-                }
-                undo_effect(&mut self.catalog, e)?;
-            }
+            Undo::Row(e) => undo_effect(&mut self.catalog, e)?,
             Undo::Appended { stream, batch, n } => self.stream(stream).undo_append(batch, n),
             Undo::Consumed { stream, batch, rows } => self.stream(stream).undo_consume(batch, rows),
             Undo::Forgot { stream, batch, pos, row } => {
@@ -906,21 +885,22 @@ impl ExecutionEngine {
     /// Applies every pending watermark-driven slide of a time window,
     /// firing its on-slide EE triggers. Runs inside a transaction — the
     /// partition engine schedules one slide transaction per window
-    /// flagged by [`CommitOutcome::slides`].
+    /// flagged by [`CommitOutcome::slides`]. Each slide is told the
+    /// oldest timestamp the table holds at that moment, and expires the
+    /// rows below its extent's start before activating its tuples.
     pub fn process_slides(&mut self, window: TableId) -> Result<()> {
         if !self.in_txn {
             return Err(Error::InvalidState("slide outside transaction".into()));
         }
+        let Some(col) = self.ts_col(window, TableKind::Window) else {
+            return Err(Error::not_found("time window", self.ids.table_name(window).to_string()));
+        };
         let trig = self.ee_triggers[window.index()].clone().unwrap_or_else(|| Arc::from([]));
         loop {
-            let Some(WindowSlot::Time(w)) = self.windows[window.index()].as_mut() else {
-                return Err(Error::not_found(
-                    "time window",
-                    self.ids.table_name(window).to_string(),
-                ));
-            };
+            let oldest = self.oldest_event_ts(window, col)?;
+            let w = self.time_window(window);
             let (prev_next_end, prev_fired) = (w.next_end(), w.fired());
-            let Some(outcome) = w.next_slide() else {
+            let Some(outcome) = w.next_slide(oldest) else {
                 // Extents skipped as trivial on the way to `None` moved
                 // the cursor too.
                 if let Some(prev_next_end) = prev_next_end.filter(|&e| w.next_end() != Some(e)) {
@@ -935,7 +915,7 @@ impl ExecutionEngine {
                 prev_next_end: outcome.prev_next_end,
                 prev_fired: outcome.prev_fired,
             });
-            for (_, row) in outcome.expired {
+            for (_, row) in self.rows_below(window, col, outcome.start)? {
                 self.table_delete(window, row)?;
             }
             for (_, t) in outcome.activated {
@@ -1002,21 +982,14 @@ impl ExecutionEngine {
     // ------------------------------------------------------------------
 
     fn table_insert(&mut self, table: TableId, tuple: Tuple) -> Result<RowId> {
-        let ts = self.window_ts(table, &tuple)?;
         let id = self.catalog.get_mut(table).insert(tuple)?;
         self.undo.push(Undo::Row(Effect::Insert { table, row: id }));
-        if let Some(ts) = ts {
-            self.time_window(table).row_inserted(ts, id);
-        }
         Ok(id)
     }
 
     fn table_delete(&mut self, table: TableId, row: RowId) -> Result<Tuple> {
         let tuple = self.catalog.get_mut(table).delete(row)?;
         self.undo.push(Undo::Row(Effect::Delete { table, row, tuple: tuple.clone() }));
-        if let Some(ts) = self.window_ts(table, &tuple)? {
-            self.time_window(table).row_deleted(ts, row);
-        }
         Ok(tuple)
     }
 
@@ -1027,10 +1000,30 @@ impl ExecutionEngine {
         meta.ts_col.filter(|_| meta.kind == kind)
     }
 
-    /// The event timestamp a time window's ordered set files `tuple`
-    /// under; `None` when `table` is anything else.
-    fn window_ts(&self, table: TableId, tuple: &Tuple) -> Result<Option<i64>> {
-        self.ts_col(table, TableKind::Window).map(|col| tuple.event_ts(col)).transpose()
+    /// The smallest event timestamp (column `col`) among a time
+    /// window's live rows; `None` when its table is empty.
+    fn oldest_event_ts(&self, window: TableId, col: usize) -> Result<Option<i64>> {
+        let mut oldest: Option<i64> = None;
+        for (_, t) in self.catalog.get(window).scan_ordered() {
+            let ts = t.event_ts(col)?;
+            oldest = Some(oldest.map_or(ts, |o| o.min(ts)));
+        }
+        Ok(oldest)
+    }
+
+    /// `(event-ts, row)` of a time window's live rows below `start`, in
+    /// `(ts, row id)` order: the rows a slide of extent `[start, …)`
+    /// expires, oldest timestamp first and arrival order within one.
+    fn rows_below(&self, window: TableId, col: usize, start: i64) -> Result<Vec<(i64, RowId)>> {
+        let mut rows = Vec::new();
+        for (id, t) in self.catalog.get(window).scan_ordered() {
+            let ts = t.event_ts(col)?;
+            if ts < start {
+                rows.push((ts, id));
+            }
+        }
+        rows.sort_unstable();
+        Ok(rows)
     }
 
     fn stream(&mut self, stream: TableId) -> &mut StreamState {
@@ -1093,13 +1086,9 @@ impl ExecutionEngine {
     /// Checks a window against its table ([`WindowState::check`],
     /// [`TimeWindowState::check`]); any other table passes.
     pub fn verify_window(&self, table: TableId) -> Result<()> {
-        let rows = self.catalog.get(table);
         match &self.windows[table.index()] {
-            Some(WindowSlot::Tuple(w)) => w.check(rows.len()),
-            Some(WindowSlot::Time(w)) => {
-                let col = self.ids.table(table).ts_col.expect("a time window has a timestamp column");
-                w.check(event_keys(rows, col)?.into_iter())
-            }
+            Some(WindowSlot::Tuple(w)) => w.check(self.catalog.get(table).len()),
+            Some(WindowSlot::Time(w)) => w.check(),
             None => Ok(()),
         }
     }
@@ -1216,9 +1205,7 @@ impl ExecutionEngine {
     /// length; only the winners are decoded, once each. Stream and
     /// window sections are not framed (they hold bookkeeping, not
     /// rows), so they are decoded in chain order and a later one
-    /// overwrites an earlier one — the same rule. A time window's
-    /// ordered set is in no image: like every index it is rebuilt from
-    /// the rows of the table that won. The result is the
+    /// overwrites an earlier one — the same rule. The result is the
     /// state a restore of the base followed by applying each delta in
     /// turn would give. Nothing is adopted unless the whole chain
     /// decodes.
@@ -1281,7 +1268,6 @@ impl ExecutionEngine {
         use std::sync::atomic::Ordering::Relaxed;
         self.metrics.restore_images_decoded.fetch_add(n as u64, Relaxed);
         self.metrics.restore_images_skipped.fetch_add(skipped, Relaxed);
-        rebuild_time_window_sets(&mut sections.windows, &self.ids, &catalog)?;
         self.catalog = catalog;
         self.streams = sections.streams;
         self.stream_high = sections.stream_high;
@@ -1338,8 +1324,6 @@ struct Sections {
     windows: Vec<Option<WindowSlot>>,
 }
 
-/// `(event-ts, row)` of `table`'s live rows, the timestamp read from
-/// column `col`: what a time window's ordered set holds.
 /// Where [`ExecutionEngine::exec_plan`] finds its plan.
 enum Plan<'a> {
     /// The EE's own, by id.
@@ -1360,28 +1344,6 @@ fn build_insert<P: AsRef<[Value]>>(catalog: &mut Catalog, i: &BoundInsert, param
     let built = insert_rows(catalog, i, params, &mut rows);
     let per = if i.select.is_some() { rows.len().max(1) } else { i.row_template.len() };
     (rows, per, built)
-}
-
-fn event_keys(table: &Table, col: usize) -> Result<Vec<(i64, RowId)>> {
-    table.scan_ordered().map(|(id, t)| Ok((t.event_ts(col)?, id))).collect()
-}
-
-/// Rebuilds every time window's ordered set from the live rows of its
-/// table in `catalog` — the last step of a restore, as an index build is
-/// of a table decode.
-fn rebuild_time_window_sets(
-    windows: &mut [Option<WindowSlot>],
-    ids: &AppIds,
-    catalog: &Catalog,
-) -> Result<()> {
-    for (i, slot) in windows.iter_mut().enumerate() {
-        let id = TableId(i as u32);
-        let (Some(WindowSlot::Time(w)), Some(col)) = (slot, ids.table(id).ts_col) else { continue };
-        let keyed = event_keys(catalog.get(id), col)
-            .map_err(|e| Error::Codec(format!("window {}: restored row: {e}", w.spec.name)))?;
-        w.rebuild_active(keyed.into_iter());
-    }
-    Ok(())
 }
 
 fn push_group(groups: &mut Vec<(TableId, Vec<RowId>)>, table: TableId, row: RowId) {
@@ -2059,7 +2021,7 @@ mod tests {
     /// One rule for a slide that fails midway: its undo record is
     /// already on the stack when the error leaves, so the abort restores
     /// staging, the extent cursor and — through the table's effects —
-    /// the ordered set.
+    /// the rows the slide expired and activated.
     #[test]
     fn a_failed_slide_leaves_the_window_as_it_found_it() {
         let app = time_window_app();
@@ -2073,23 +2035,47 @@ mod tests {
             Some(WindowSlot::Time(w)) => w.clone(),
             _ => unreachable!(),
         };
+        let rows = |ee: &ExecutionEngine| -> Vec<(RowId, Tuple)> {
+            ee.catalog.get(tw).scan_ordered().map(|(id, t)| (id, t.clone())).collect()
+        };
         let before = state(&ee);
-        assert_eq!((before.staged_len(), before.next_end(), before.active().count()), (3, Some(60), 2));
-        // Take an active row from under the window (no SQL can): the
-        // pending slide cannot expire it.
-        let (_, oldest) = before.active().next().unwrap();
-        let gone = ee.catalog.get_mut(tw).delete(oldest).unwrap();
+        assert_eq!((before.staged_len(), before.next_end(), ee.table_len("tw").unwrap()), (3, Some(60), 2));
+        // Slip a row under the window (no SQL can) that the pending
+        // slide keeps and whose value overflows the trigger's SUM: the
+        // slide fails after its rows have moved.
+        let poison = ee.catalog.get_mut(tw).insert(tuple![45i64, i64::MAX]).unwrap();
+        let rows_before = rows(&ee);
         ee.begin(Some(BatchId(2))).unwrap();
         let err = ee.process_slides(tw).unwrap_err();
-        assert!(matches!(err, Error::NotFound { .. }), "{err}");
+        assert!(matches!(err, Error::Eval(_)), "{err}");
         ee.abort().unwrap();
-        assert_eq!(state(&ee), before, "staging, cursor and set as the failed slide found them");
-        // With the row back the same slide runs.
-        ee.catalog.get_mut(tw).insert_with_id(oldest, gone).unwrap();
+        assert_eq!(state(&ee), before, "staging and cursor as the failed slide found them");
+        assert_eq!(rows(&ee), rows_before, "and the rows");
+        // Without that row the same slide runs.
+        ee.catalog.get_mut(tw).delete(poison).unwrap();
         run_slides(&mut ee, 2, &[tw]);
         ee.verify_window(tw).unwrap();
         assert_eq!(ee.query("SELECT SUM(v) FROM tw", &[]).unwrap().rows, vec![tuple![7i64]]);
         assert_eq!(ee.query("SELECT total FROM sums ORDER BY total", &[]).unwrap().rows, vec![tuple![3i64], tuple![7i64]]);
+    }
+
+    /// A slide transaction that crosses several extents reads the
+    /// table before each: the extent after the one that activated a row
+    /// expires it, and the window, empty again, then skips ahead.
+    #[test]
+    fn a_watermark_jump_expires_what_its_own_slides_activated() {
+        let app = time_window_app();
+        let (mut ee, map) = ee(&app);
+        let (tw, arrivals) = (ee.table_id("tw").unwrap(), ee.table_id("arrivals").unwrap());
+        assert!(feed(&mut ee, &map, 1, &[(5, 1)]).is_empty());
+        ee.begin(Some(BatchId(2))).unwrap();
+        ee.observe_input(arrivals, &[tuple![200i64, 0i64]]).unwrap();
+        let slides = ee.commit().unwrap().slides;
+        run_slides(&mut ee, 2, &slides);
+        assert_eq!(ee.table_len("tw").unwrap(), 0, "[30, 60) expired what [0, 30) activated");
+        assert_eq!(EngineMetrics::get(&ee.metrics.window_slides), 2, "then nothing fired");
+        let Some(WindowSlot::Time(w)) = &ee.windows[tw.index()] else { unreachable!() };
+        assert_eq!(w.next_end(), Some(210), "the cursor stops at the watermark's pane");
     }
 
     /// A slide transaction whose only work is to skip trivial extents
@@ -2260,7 +2246,6 @@ mod tests {
             }
             ee.decode_sections(image, &mut d, &mut sections).unwrap();
         }
-        rebuild_time_window_sets(&mut sections.windows, &ee.ids, &catalog).unwrap();
         ee.catalog = catalog;
         ee.streams = sections.streams;
         ee.stream_high = sections.stream_high;

@@ -700,12 +700,8 @@ impl Engine {
     pub fn call_at(&self, partition: usize, proc: &str, params: Vec<Value>) -> Result<CallOutcome> {
         let proc_id = self.resolve_proc(proc)?;
         let permit = self.admit(partition, proc)?;
-        let (tx, rx) = bounded(1);
-        let req = TxnRequest::internal(proc_id, Invocation::Oltp { params }, None)
-            .with_reply(tx)
-            .admitted(permit);
-        self.submit(partition, req)?;
-        rx.recv().map_err(|_| partition_down(partition))?
+        let req = TxnRequest::internal(proc_id, Invocation::Oltp { params }, None).admitted(permit);
+        self.submit_wait(partition, req)
     }
 
     /// Runs one ad-hoc SQL statement as its own transaction on a
@@ -774,17 +770,9 @@ impl Engine {
         params: Vec<Value>,
     ) -> Result<QueryResult> {
         let permit = self.admit(partition, ADHOC_NAME)?;
-        let (tx, rx) = bounded(1);
-        let req = TxnRequest::internal(
-            ADHOC_PROC,
-            Invocation::AdHoc { sql: sql.to_owned(), stmt, params },
-            None,
-        )
-        .with_reply(tx)
-        .admitted(permit);
-        self.submit(partition, req)?;
-        let outcome = rx.recv().map_err(|_| partition_down(partition))??;
-        Ok(outcome.result)
+        let invocation = Invocation::AdHoc { sql: sql.to_owned(), stmt, params };
+        let req = TxnRequest::internal(ADHOC_PROC, invocation, None).admitted(permit);
+        Ok(self.submit_wait(partition, req)?.result)
     }
 
     /// H-Store-mode client driving: runs one interior transaction for a
@@ -798,15 +786,12 @@ impl Engine {
         stream: &str,
         batch: BatchId,
     ) -> Result<CallOutcome> {
-        let (tx, rx) = bounded(1);
         let req = TxnRequest::internal(
             self.resolve_proc(proc)?,
             Invocation::Interior { stream: self.resolve_stream(stream)? },
             Some(batch),
-        )
-        .with_reply(tx);
-        self.submit(partition, req)?;
-        rx.recv().map_err(|_| partition_down(partition))?
+        );
+        self.submit_wait(partition, req)
     }
 
     /// H-Store-mode client loop: drives every pending activation of an
@@ -829,6 +814,16 @@ impl Engine {
 
     pub(crate) fn submit(&self, partition: usize, req: TxnRequest) -> Result<()> {
         self.send(partition, PartitionMsg::Submit(req))
+    }
+
+    /// Submits `req` and waits for its outcome: the one synchronous
+    /// round trip behind [`Engine::call_at`], [`Engine::query_prepared`]
+    /// and [`Engine::call_interior`]. A partition that drops the reply
+    /// is reported down.
+    fn submit_wait(&self, partition: usize, req: TxnRequest) -> Result<CallOutcome> {
+        let (tx, rx) = bounded(1);
+        self.submit(partition, req.with_reply(tx))?;
+        rx.recv().map_err(|_| partition_down(partition))?
     }
 
     fn send(&self, partition: usize, msg: PartitionMsg) -> Result<()> {

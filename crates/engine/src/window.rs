@@ -27,14 +27,13 @@
 //!   (behind the extent the window has slid past) are merged into the
 //!   active extent when within `allowed_lateness_ms`, else dropped
 //!   (`EngineMetrics::window_late_{merged,dropped}` count both). Expiry
-//!   is by timestamp, not arrival, so the window keeps an ordered set
-//!   `(event-ts, RowId)` over its table's live rows. That set is an
-//!   **index on the table**, like every other index in this tree: the
-//!   EE keeps it in step wherever it inserts into, deletes from or
-//!   undoes an effect on the table, no checkpoint encodes it, and
-//!   restore rebuilds it from the restored rows. Within one timestamp
-//!   it orders by row id, which is arrival order (ids are issued as rows
-//!   are activated or merged and never reissued).
+//!   is by timestamp, not arrival, and the timestamps are the table's:
+//!   the state machine is told the table's length and its oldest event
+//!   timestamp, as the tuple window is told its length. When an extent
+//!   fires, the EE deletes every row below its start, oldest timestamp
+//!   first and, within one timestamp, by row id, which is arrival order
+//!   (ids are issued as rows are activated or merged and never
+//!   reissued).
 //!
 //! Aggregates over a window: the state machines here only say which rows
 //! enter and leave. A sliding window's grouped statements are answered
@@ -54,10 +53,10 @@
 //!
 //! [`TableKind::Window`]: sstore_storage::TableKind::Window
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use sstore_common::codec::{Decoder, Encoder};
-use sstore_common::{Error, Result, RowId, Tuple};
+use sstore_common::{Error, Result, Tuple};
 
 /// Static definition of a tuple-based sliding window.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -330,16 +329,14 @@ pub enum TimeArrival {
 
 /// What one watermark-driven slide did. Produced by
 /// [`TimeWindowState::next_slide`]; the EE applies it to the backing
-/// table and fires the window's on-slide EE triggers.
+/// table — every row below `start` expires, then `activated` enter —
+/// and fires the window's on-slide EE triggers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSlideOutcome {
     /// `(event-ts, tuple)` pairs activated by this slide, in event-time
     /// order (arrival order within equal timestamps). The EE inserts
     /// them into the window table.
     pub activated: Vec<(i64, Tuple)>,
-    /// The active rows that expire, oldest first: every `(event-ts,
-    /// row)` below the extent's start. The EE deletes them.
-    pub expired: Vec<(i64, RowId)>,
     /// Event-time extent `[start, end)` of the window that fired.
     pub start: i64,
     /// See `start`.
@@ -353,7 +350,9 @@ pub struct TimeSlideOutcome {
 }
 
 /// Runtime state of one time-based window: its staging and its extent
-/// cursor, plus the ordered set over its table's rows (module docs).
+/// cursor. The active rows are the backing table's; what the state
+/// machine needs of them — how many, and the oldest timestamp — the
+/// caller passes in (module docs).
 ///
 /// Invariant: staging only holds tuples with `ts >= next_end - size`
 /// (tuples that still belong to a future extent). Anything older is
@@ -366,11 +365,6 @@ pub struct TimeWindowState {
     /// Staged tuples keyed by event timestamp (admits out-of-order
     /// arrivals); values in arrival order.
     staging: BTreeMap<i64, Vec<Tuple>>,
-    /// `(event-ts, row)` of every live row of the backing table: an
-    /// index on it, giving timestamp-ordered expiry in O(log n). Kept
-    /// by [`TimeWindowState::row_inserted`] / [`TimeWindowState::row_deleted`],
-    /// encoded nowhere, rebuilt on restore.
-    active: BTreeSet<(i64, RowId)>,
     /// Partition watermark as of the last [`TimeWindowState::advance_watermark`].
     watermark: Option<i64>,
     /// End of the next extent to fire; `None` until the first tuple.
@@ -388,7 +382,6 @@ impl TimeWindowState {
         Ok(TimeWindowState {
             spec,
             staging: BTreeMap::new(),
-            active: BTreeSet::new(),
             watermark: None,
             next_end: None,
             fired: false,
@@ -444,58 +437,43 @@ impl TimeWindowState {
         }
     }
 
-    /// The backing table gained `row`, carrying event timestamp `ts`
-    /// (an activation, a late merge, an undone expiry).
-    pub fn row_inserted(&mut self, ts: i64, row: RowId) {
-        self.active.insert((ts, row));
-    }
-
-    /// The backing table lost `row` (an expiry, an undone insert).
-    pub fn row_deleted(&mut self, ts: i64, row: RowId) {
-        self.active.remove(&(ts, row));
-    }
-
-    /// Replaces the ordered set with the one over `rows` — the backing
-    /// table's live rows — as restore does.
-    pub fn rebuild_active(&mut self, rows: impl Iterator<Item = (i64, RowId)>) {
-        self.active = rows.collect();
-    }
-
-    /// Advances the watermark (monotone). Returns true when slide work
-    /// is now pending — the caller schedules a slide transaction. When
-    /// the watermark passes boundaries of a completely empty window,
-    /// the extent cursor fast-forwards here instead (no work to do).
-    pub fn advance_watermark(&mut self, wm: i64) -> bool {
+    /// Advances the watermark (monotone) of a window whose table holds
+    /// `active_rows` rows. Returns true when slide work is now pending
+    /// — the caller schedules a slide transaction. When the watermark
+    /// passes boundaries of a completely empty window, the extent
+    /// cursor fast-forwards here instead (no work to do).
+    pub fn advance_watermark(&mut self, wm: i64, active_rows: usize) -> bool {
         self.watermark = Some(self.watermark.map_or(wm, |w| w.max(wm)));
         let w = self.watermark.expect("just set");
         if let Some(e) = self.next_end {
-            if w >= e && self.staging.is_empty() && self.active.is_empty() {
+            if w >= e && self.staging.is_empty() && active_rows == 0 {
                 // Nothing to activate or expire anywhere: skip ahead.
                 self.next_end = Some(self.spec.first_end_for(w));
                 self.fired = true;
             }
         }
-        self.has_pending_slides()
+        self.has_pending_slides(active_rows)
     }
 
     /// True when the watermark has passed the next extent end and there
-    /// is content a slide would change.
-    pub fn has_pending_slides(&self) -> bool {
+    /// is content a slide would change, given the table's `active_rows`.
+    pub fn has_pending_slides(&self, active_rows: usize) -> bool {
         match (self.next_end, self.watermark) {
-            (Some(e), Some(w)) => {
-                w >= e && (!self.staging.is_empty() || !self.active.is_empty())
-            }
+            (Some(e), Some(w)) => w >= e && (!self.staging.is_empty() || active_rows > 0),
             _ => false,
         }
     }
 
-    /// Computes the next non-trivial slide under the current watermark:
-    /// extents the watermark has passed fire in order; extents that
-    /// would neither activate nor expire anything advance silently.
-    /// Returns `None` when the watermark has not passed the next
-    /// boundary (or the window never saw data). The expired rows stay
-    /// in the ordered set until the EE deletes them from the table.
-    pub fn next_slide(&mut self) -> Option<TimeSlideOutcome> {
+    /// Computes the next non-trivial slide under the current watermark,
+    /// given `oldest`, the smallest event timestamp among the table's
+    /// live rows (`None` when the table is empty): extents the
+    /// watermark has passed fire in order; extents that would neither
+    /// activate nor expire anything advance silently. Returns `None`
+    /// when the watermark has not passed the next boundary (or the
+    /// window never saw data). The caller expires the table's rows
+    /// below the outcome's `start`, so `oldest` must be read afresh for
+    /// every call.
+    pub fn next_slide(&mut self, oldest: Option<i64>) -> Option<TimeSlideOutcome> {
         let wm = self.watermark?;
         let entry_end = self.next_end?;
         let entry_fired = self.fired;
@@ -507,15 +485,14 @@ impl TimeWindowState {
             let s = e - self.spec.size_ms;
             self.fired = true;
             let has_activation = self.staging.range(..e).next().is_some();
-            let expired: Vec<(i64, RowId)> =
-                self.active.iter().take_while(|(ts, _)| *ts < s).copied().collect();
-            if !has_activation && expired.is_empty() {
+            let has_expiry = oldest.is_some_and(|ts| ts < s);
+            if !has_activation && !has_expiry {
                 // Trivial extent: no content change, no trigger. Jump
                 // as far as provably nothing happens — but never past
                 // the watermark's own pane: extents beyond the
                 // watermark have not fired, and skipping them would
                 // wrongly classify future arrivals in the gap as late.
-                let jump = if self.active.is_empty() {
+                let jump = if oldest.is_none() {
                     let cap = self.spec.first_end_for(wm);
                     match self.staging.keys().next() {
                         Some(&min_ts) => self.spec.first_end_for(min_ts).min(cap),
@@ -538,7 +515,6 @@ impl TimeWindowState {
             self.next_end = Some(e + self.spec.slide_ms);
             return Some(TimeSlideOutcome {
                 activated,
-                expired,
                 start: s,
                 end: e,
                 prev_next_end: entry_end,
@@ -548,8 +524,8 @@ impl TimeWindowState {
     }
 
     /// Undoes one slide: returns the consumed tuples to staging and
-    /// rewinds the extent cursor. The rows it moved — and with them the
-    /// ordered set — are restored by the transaction's effects.
+    /// rewinds the extent cursor. The rows it moved are the table's,
+    /// restored by the transaction's effects.
     pub fn undo_slide(&mut self, restaged: Vec<(i64, Tuple)>, prev_next_end: i64, prev_fired: bool) {
         for (ts, t) in restaged {
             self.staging.entry(ts).or_default().push(t);
@@ -561,11 +537,6 @@ impl TimeWindowState {
     /// Number of staged (invisible) tuples.
     pub fn staged_len(&self) -> usize {
         self.staging.values().map(Vec::len).sum()
-    }
-
-    /// `(event-ts, row)` of the active rows, in expiry order.
-    pub fn active(&self) -> impl Iterator<Item = (i64, RowId)> + '_ {
-        self.active.iter().copied()
     }
 
     /// Current watermark, if any input has flowed.
@@ -583,14 +554,11 @@ impl TimeWindowState {
         self.fired
     }
 
-    /// The window ↔ table invariant, given `(event-ts, row)` of the
-    /// table's live rows: the ordered set is exactly those, and once an
-    /// extent has fired nothing is staged below the next one's start.
-    pub fn check(&self, rows: impl Iterator<Item = (i64, RowId)>) -> Result<()> {
+    /// The staging ↔ cursor invariant: once an extent has fired,
+    /// nothing is staged below the next one's start. (The active rows
+    /// are the table's, which checks itself.)
+    pub fn check(&self) -> Result<()> {
         let broken = |what: &str| Err(Error::Internal(format!("window {}: {what}", self.spec.name)));
-        if rows.collect::<BTreeSet<_>>() != self.active {
-            return broken("the ordered set disagrees with the table's rows");
-        }
         let oldest = self.staging.keys().next();
         match (self.fired, self.next_end, oldest) {
             (true, Some(e), Some(&ts)) if ts < e - self.spec.size_ms => {
@@ -601,8 +569,7 @@ impl TimeWindowState {
     }
 
     /// Serializes staging + watermark state for checkpoints. Active
-    /// tuples live in the table snapshot; the ordered set over them is
-    /// rebuilt from it.
+    /// tuples live in the table snapshot, and nowhere else.
     pub fn encode(&self, e: &mut Encoder) {
         e.put_str(&self.spec.name);
         e.put_str(&self.spec.owner);
@@ -621,9 +588,7 @@ impl TimeWindowState {
 
     /// Deserializes from a checkpoint, with the same corruption
     /// discipline as [`WindowState::decode`]: errors name the window,
-    /// counts are bounded by minimum per-element cost. The ordered set
-    /// comes back empty: the caller rebuilds it from the restored table
-    /// ([`TimeWindowState::rebuild_active`]).
+    /// counts are bounded by minimum per-element cost.
     pub fn decode(d: &mut Decoder<'_>) -> Result<Self> {
         let name = d.get_str()?;
         let ctx = |what: &str| {
@@ -652,7 +617,7 @@ impl TimeWindowState {
         }
         let spec = TimeWindowSpec { name, owner, ts_column, size_ms, slide_ms, allowed_lateness_ms };
         spec.validate()?;
-        Ok(TimeWindowState { spec, staging, active: BTreeSet::new(), watermark, next_end, fired })
+        Ok(TimeWindowState { spec, staging, watermark, next_end, fired })
     }
 }
 
@@ -711,7 +676,7 @@ impl WindowSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sstore_common::tuple;
+    use sstore_common::{tuple, RowId};
 
     fn spec(size: usize, slide: usize) -> WindowSpec {
         WindowSpec { name: "w".into(), owner: "sp1".into(), size, slide }
@@ -887,49 +852,79 @@ mod tests {
         }
     }
 
+    /// A time window's backing table as the EE keeps it: row id → event
+    /// timestamp, ids issued ascending and never reissued.
+    #[derive(Default)]
+    struct TRows {
+        rows: BTreeMap<u64, i64>,
+        next: u64,
+    }
+
+    impl TRows {
+        fn insert(&mut self, ts: i64) {
+            self.rows.insert(self.next, ts);
+            self.next += 1;
+        }
+
+        fn oldest(&self) -> Option<i64> {
+            self.rows.values().min().copied()
+        }
+
+        /// Deletes every row below `start`, in `(ts, row id)` order, and
+        /// returns them in that order.
+        fn expire(&mut self, start: i64) -> Vec<(i64, RowId)> {
+            let mut gone: Vec<(i64, RowId)> =
+                self.rows.iter().filter(|(_, ts)| **ts < start).map(|(id, ts)| (*ts, RowId(*id))).collect();
+            gone.sort_unstable();
+            for (_, id) in &gone {
+                self.rows.remove(&id.raw());
+            }
+            gone
+        }
+
+        /// The live rows' timestamps, in expiry order.
+        fn ts(&self) -> Vec<i64> {
+            let mut ts: Vec<i64> = self.rows.values().copied().collect();
+            ts.sort_unstable();
+            ts
+        }
+    }
+
     /// What `tdrive` did with a batch besides staging it.
     #[derive(Default)]
     struct Driven {
         slides: Vec<TimeSlideOutcome>,
+        /// The rows each slide expired, in deletion order.
+        expired: Vec<Vec<(i64, RowId)>>,
         merged: usize,
         dropped: usize,
     }
 
     /// Emulates the EE: classify a batch (a merge inserts a row, which
     /// draws the next id), advance the watermark, apply all slides —
-    /// every row that enters or leaves the table is reported to the
-    /// window, as the EE's table primitives do.
-    fn tdrive(w: &mut TimeWindowState, tuples: Vec<i64>, wm: i64, next_row: &mut u64) -> Driven {
-        let mut insert = |w: &mut TimeWindowState, ts: i64| {
-            w.row_inserted(ts, RowId(*next_row));
-            *next_row += 1;
-        };
+    /// each told the table's oldest timestamp, each expiring the rows
+    /// below its start before activating its tuples.
+    fn tdrive(w: &mut TimeWindowState, tuples: Vec<i64>, wm: i64, table: &mut TRows) -> Driven {
         let mut out = Driven::default();
         for ts in tuples {
             match w.classify(ts) {
                 TimeArrival::Staged => w.stage(ts, tuple![ts]),
                 TimeArrival::MergeIntoActive => {
-                    insert(w, ts);
+                    table.insert(ts);
                     out.merged += 1;
                 }
                 TimeArrival::DroppedLate => out.dropped += 1,
             }
         }
-        w.advance_watermark(wm);
-        while let Some(o) = w.next_slide() {
-            for (ts, row) in &o.expired {
-                w.row_deleted(*ts, *row);
-            }
+        w.advance_watermark(wm, table.rows.len());
+        while let Some(o) = w.next_slide(table.oldest()) {
+            out.expired.push(table.expire(o.start));
             for (ts, _) in &o.activated {
-                insert(w, *ts);
+                table.insert(*ts);
             }
             out.slides.push(o);
         }
         out
-    }
-
-    fn active_ts(w: &TimeWindowState) -> Vec<i64> {
-        w.active().map(|(ts, _)| ts).collect()
     }
 
     #[test]
@@ -953,101 +948,107 @@ mod tests {
     #[test]
     fn tumbling_time_window_fires_on_watermark_only() {
         let mut w = TimeWindowState::new(tspec(30, 30, 0)).unwrap();
-        let mut next = 0;
+        let mut t = TRows::default();
         // Data up to ts 29, watermark 29: nothing fires.
-        let out = tdrive(&mut w, vec![5, 29, 12], 29, &mut next).slides;
+        let out = tdrive(&mut w, vec![5, 29, 12], 29, &mut t).slides;
         assert!(out.is_empty());
         assert_eq!(w.staged_len(), 3);
-        assert_eq!(w.active().count(), 0);
+        assert!(t.rows.is_empty());
         // Watermark passes 30: extent [0, 30) fires with the 3 tuples.
-        let out = tdrive(&mut w, vec![31], 31, &mut next).slides;
+        let d = tdrive(&mut w, vec![31], 31, &mut t);
+        let out = d.slides;
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].start, 0);
         assert_eq!(out[0].end, 30);
         // Out-of-order within staging: activation is in ts order.
         let ts: Vec<i64> = out[0].activated.iter().map(|(t, _)| *t).collect();
         assert_eq!(ts, vec![5, 12, 29]);
-        assert!(out[0].expired.is_empty());
-        assert_eq!(active_ts(&w), vec![5, 12, 29]);
+        assert!(d.expired[0].is_empty());
+        assert_eq!(t.ts(), vec![5, 12, 29]);
         assert_eq!(w.staged_len(), 1, "ts 31 stays staged for [30, 60)");
         // Next extent replaces everything (tumbling).
-        let out = tdrive(&mut w, vec![], 60, &mut next).slides;
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].expired.len(), 3);
-        assert_eq!(out[0].activated.len(), 1);
-        assert_eq!(active_ts(&w), vec![31]);
+        let d = tdrive(&mut w, vec![], 60, &mut t);
+        assert_eq!(d.slides.len(), 1);
+        assert_eq!(d.expired[0].len(), 3);
+        assert_eq!(d.slides[0].activated.len(), 1);
+        assert_eq!(t.ts(), vec![31]);
     }
 
     #[test]
     fn sliding_time_window_overlaps() {
         let mut w = TimeWindowState::new(tspec(20, 10, 0)).unwrap();
-        let mut next = 0;
+        let mut t = TRows::default();
         // Tuples at 5, 15, 25; watermark 30. The earliest pane-aligned
         // extent containing ts 5 is [-10, 10); then [0, 20), [10, 30)
         // fire as the ramp-up, Flink-style.
-        let out = tdrive(&mut w, vec![5, 15, 25], 30, &mut next).slides;
+        let d = tdrive(&mut w, vec![5, 15, 25], 30, &mut t);
+        let out = &d.slides;
         assert_eq!(out.len(), 3);
         assert_eq!((out[0].start, out[0].end), (-10, 10));
         assert_eq!(out[0].activated.len(), 1); // ts 5
-        assert!(out[0].expired.is_empty());
+        assert!(d.expired[0].is_empty());
         assert_eq!((out[1].start, out[1].end), (0, 20));
         assert_eq!(out[1].activated.len(), 1); // ts 15
-        assert!(out[1].expired.is_empty());
+        assert!(d.expired[1].is_empty());
         assert_eq!((out[2].start, out[2].end), (10, 30));
         assert_eq!(out[2].activated.len(), 1); // ts 25
-        assert_eq!(out[2].expired, vec![(5, RowId(0))]); // ts 5 leaves
-        assert_eq!(active_ts(&w), vec![15, 25]);
+        assert_eq!(d.expired[2], vec![(5, RowId(0))]); // ts 5 leaves
+        assert_eq!(t.ts(), vec![15, 25]);
     }
 
     #[test]
     fn late_tuples_merge_within_lateness_and_drop_beyond() {
         // Tumbling 30 with lateness 10.
         let mut w = TimeWindowState::new(tspec(30, 30, 10)).unwrap();
-        let mut next = 0;
-        tdrive(&mut w, vec![10, 20], 35, &mut next);
-        assert_eq!(active_ts(&w), vec![10, 20], "extent [0,30) active");
+        let mut t = TRows::default();
+        tdrive(&mut w, vec![10, 20], 35, &mut t);
+        assert_eq!(t.ts(), vec![10, 20], "extent [0,30) active");
         // ts 28 is behind the next extent [30, 60) but inside the
         // active one, and 35 - 28 = 7 ≤ lateness → merge.
         assert_eq!(w.classify(28), TimeArrival::MergeIntoActive);
-        assert_eq!(tdrive(&mut w, vec![28], 35, &mut next).merged, 1);
-        assert_eq!(active_ts(&w), vec![10, 20, 28]);
+        assert_eq!(tdrive(&mut w, vec![28], 35, &mut t).merged, 1);
+        assert_eq!(t.ts(), vec![10, 20, 28]);
         // Watermark far ahead: ts 29 is now beyond lateness → dropped.
-        tdrive(&mut w, vec![], 45, &mut next);
+        tdrive(&mut w, vec![], 45, &mut t);
         assert_eq!(w.classify(29), TimeArrival::DroppedLate);
-        assert_eq!(tdrive(&mut w, vec![29], 45, &mut next).dropped, 1);
-        assert_eq!(active_ts(&w), vec![10, 20, 28], "dropped tuple never lands");
+        assert_eq!(tdrive(&mut w, vec![29], 45, &mut t).dropped, 1);
+        assert_eq!(t.ts(), vec![10, 20, 28], "dropped tuple never lands");
     }
 
-    /// Equal timestamps expire in row-id order — arrival order, the
-    /// order the `(ts, seq)` keys this set replaced gave.
+    /// Equal timestamps expire in row-id order — arrival order — and an
+    /// extent expires every row below its start by timestamp, a late
+    /// merge (a newer id than the rows it is older than) first.
     #[test]
     fn equal_timestamps_order_by_row_id() {
-        let mut w = TimeWindowState::new(tspec(30, 30, 20)).unwrap();
-        let mut next = 0;
-        tdrive(&mut w, vec![20, 10, 20], 35, &mut next);
-        assert_eq!(tdrive(&mut w, vec![20], 36, &mut next).merged, 1); // the newest id
-        let got: Vec<(i64, RowId)> = w.active().collect();
-        assert_eq!(got, vec![(10, RowId(0)), (20, RowId(1)), (20, RowId(2)), (20, RowId(3))]);
-        let out = tdrive(&mut w, vec![], 60, &mut next).slides;
-        assert_eq!(out[0].expired, got);
+        let mut w = TimeWindowState::new(tspec(30, 30, 40)).unwrap();
+        let mut t = TRows::default();
+        tdrive(&mut w, vec![20, 10, 20], 35, &mut t);
+        assert_eq!(tdrive(&mut w, vec![20, 5], 36, &mut t).merged, 2); // the newest ids
+        let got = t.rows.clone();
+        assert_eq!(got.into_iter().collect::<Vec<_>>(), vec![(0, 10), (1, 20), (2, 20), (3, 20), (4, 5)]);
+        let d = tdrive(&mut w, vec![], 60, &mut t);
+        let want = [(5, 4), (10, 0), (20, 1), (20, 2), (20, 3)].map(|(ts, id)| (ts, RowId(id)));
+        assert_eq!(d.expired[0], want);
+        assert!(t.rows.is_empty());
     }
 
     #[test]
     fn empty_window_fast_forwards_without_firing() {
         let mut w = TimeWindowState::new(tspec(30, 30, 0)).unwrap();
-        let mut next = 0;
-        tdrive(&mut w, vec![5], 31, &mut next);
-        assert_eq!(active_ts(&w), vec![5]);
+        let mut t = TRows::default();
+        tdrive(&mut w, vec![5], 31, &mut t);
+        assert_eq!(t.ts(), vec![5]);
         // Jump the watermark across many empty extents: the one
         // non-trivial slide expires the active tuple; no per-extent
         // busywork for the rest.
-        let out = tdrive(&mut w, vec![], 1_000_000, &mut next).slides;
-        assert_eq!(out.len(), 1, "only the expiring extent fires");
-        assert_eq!(out[0].expired.len(), 1);
-        assert!(out[0].activated.is_empty());
-        assert_eq!(w.active().count(), 0);
+        let d = tdrive(&mut w, vec![], 1_000_000, &mut t);
+        assert_eq!(d.slides.len(), 1, "only the expiring extent fires");
+        assert_eq!(d.expired[0].len(), 1);
+        assert!(d.slides[0].activated.is_empty());
+        assert!(t.rows.is_empty());
+        assert_eq!(w.next_end(), Some(1_000_020), "the cursor stops at the watermark's pane");
         // A later tuple starts a fresh extent at its own pane.
-        let out = tdrive(&mut w, vec![1_000_010], 1_000_030, &mut next).slides;
+        let out = tdrive(&mut w, vec![1_000_010], 1_000_030, &mut t).slides;
         assert_eq!(out.len(), 1);
         assert_eq!((out[0].start, out[0].end), (999_990, 1_000_020));
     }
@@ -1055,14 +1056,14 @@ mod tests {
     #[test]
     fn time_undo_slide_restores_staging_and_extent_cursor() {
         let mut w = TimeWindowState::new(tspec(30, 30, 0)).unwrap();
-        let mut next = 0;
-        tdrive(&mut w, vec![5, 12], 20, &mut next);
+        let mut t = TRows::default();
+        tdrive(&mut w, vec![5, 12], 20, &mut t);
         let snapshot = w.clone();
         // A slide txn begins: watermark passes, one slide is computed,
         // then the txn aborts before (or after — the table's effects
         // undo those) any row moved.
-        w.advance_watermark(31);
-        let o = w.next_slide().unwrap();
+        w.advance_watermark(31, 0);
+        let o = w.next_slide(None).unwrap();
         w.undo_slide(o.activated, o.prev_next_end, o.prev_fired);
         // The watermark advance survives the abort (it is commit-derived
         // state); staging, the extent cursor AND the first-fire
@@ -1071,43 +1072,65 @@ mod tests {
         rewound.watermark = snapshot.watermark;
         assert_eq!(rewound, snapshot, "undo of the first slide restores `fired` too");
         // Retry slides cleanly.
-        let out = tdrive(&mut w, vec![], 31, &mut next).slides;
+        let out = tdrive(&mut w, vec![], 31, &mut t).slides;
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].activated.len(), 2);
     }
 
+    /// The table's length and oldest timestamp decide what the state
+    /// machine does with a passed boundary: an empty table lets the
+    /// cursor fast-forward, a row below the extent's start fires it.
     #[test]
-    fn time_check_compares_the_set_with_the_rows_and_staging_with_the_cursor() {
+    fn the_tables_rows_decide_fast_forward_and_expiry() {
         let mut w = TimeWindowState::new(tspec(30, 30, 0)).unwrap();
-        let mut next = 0;
-        tdrive(&mut w, vec![5, 12, 40], 31, &mut next);
-        let rows: Vec<(i64, RowId)> = w.active().collect();
-        w.check(rows.iter().copied()).unwrap();
-        let err = w.check(rows[1..].iter().copied()).unwrap_err();
-        assert!(err.to_string().contains("window tw"), "{err}");
-        // Something staged that every future extent has passed.
-        w.staging.insert(3, vec![tuple![3i64]]);
-        assert!(w.check(rows.iter().copied()).is_err());
+        w.stage(5, tuple![5i64]);
+        assert!(w.advance_watermark(31, 0));
+        let o = w.next_slide(None).unwrap();
+        assert_eq!((o.start, o.end, o.activated.len()), (0, 30, 1));
+        // One row, oldest ts 5, nothing staged: [30, 60) expires it.
+        let mut twin = w.clone();
+        assert!(w.advance_watermark(61, 1));
+        assert_eq!(w.next_slide(Some(5)).map(|o| (o.start, o.end)), Some((30, 60)));
+        // The same window told its table is empty skips ahead instead.
+        assert!(!twin.advance_watermark(61, 0), "nothing to activate or expire");
+        assert_eq!(twin.next_end(), Some(90));
+        assert!(twin.next_slide(None).is_none());
+        // In a sliding window a row at or past an extent's start stays:
+        // the extent is trivial, and the cursor moves on without firing.
+        let mut w = TimeWindowState::new(tspec(60, 30, 0)).unwrap();
+        w.stage(35, tuple![35i64]);
+        w.advance_watermark(61, 0);
+        assert_eq!(w.next_slide(None).map(|o| (o.start, o.end)), Some((0, 60)));
+        assert!(w.advance_watermark(91, 1));
+        let mut twin = w.clone();
+        assert!(w.next_slide(Some(35)).is_none());
+        assert_eq!(w.next_end(), Some(120));
+        assert_eq!(twin.next_slide(Some(29)).map(|o| (o.start, o.end)), Some((30, 90)));
     }
 
     #[test]
-    fn time_codec_roundtrip_tagged_leaves_the_set_to_the_rebuild() {
+    fn time_check_compares_staging_with_the_cursor() {
+        let mut w = TimeWindowState::new(tspec(30, 30, 0)).unwrap();
+        tdrive(&mut w, vec![5, 12, 40], 31, &mut TRows::default());
+        w.check().unwrap();
+        // Something staged that every future extent has passed.
+        w.staging.insert(3, vec![tuple![3i64]]);
+        let err = w.check().unwrap_err();
+        assert!(err.to_string().contains("window tw"), "{err}");
+    }
+
+    #[test]
+    fn time_codec_roundtrip_tagged() {
         let mut w = TimeWindowState::new(tspec(30, 10, 5)).unwrap();
-        let mut next = 0;
-        tdrive(&mut w, vec![3, 17, 31, 50], 33, &mut next);
-        tdrive(&mut w, vec![2], 40, &mut next); // a drop
-        let rows: Vec<(i64, RowId)> = w.active().collect();
-        assert!(!rows.is_empty() && w.staged_len() > 0);
+        let mut t = TRows::default();
+        tdrive(&mut w, vec![3, 17, 31, 50], 33, &mut t);
+        tdrive(&mut w, vec![2], 40, &mut t); // a drop
+        assert!(!t.rows.is_empty() && w.staged_len() > 0);
         let slot = WindowSlot::Time(w);
         let mut e = Encoder::new();
         slot.encode(&mut e);
         let bytes = e.finish();
-        let WindowSlot::Time(mut got) = WindowSlot::decode(&mut Decoder::new(&bytes)).unwrap() else {
-            panic!("a time window");
-        };
-        assert_eq!(got.active().count(), 0, "the set is in no image");
-        got.rebuild_active(rows.into_iter());
-        assert_eq!(WindowSlot::Time(got), slot);
+        assert_eq!(WindowSlot::decode(&mut Decoder::new(&bytes)).unwrap(), slot);
         // Tuple windows roundtrip through the same tagged wrapper.
         let mut tw = WindowState::new(spec(3, 2)).unwrap();
         drive(&mut tw, &mut Rows::new(), ints(1..=4));

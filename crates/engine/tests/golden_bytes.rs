@@ -231,7 +231,7 @@ fn stream_and_window_sections() {
     tw.stage(12, tuple![12i64, 1i64]);
     tw.stage(12, tuple![12i64, 2i64]);
     tw.stage(-4, tuple![-4i64, 3i64]);
-    tw.advance_watermark(7);
+    tw.advance_watermark(7, 0);
     let mut e = Encoder::new();
     WindowSlot::Time(tw.clone()).encode(&mut e);
     golden("time window section", e.as_bytes(), TIME_WINDOW_SECTION);

@@ -8,15 +8,16 @@
 //!
 //! The backing table is emulated as the EE uses it: an id-ordered map
 //! that issues ascending ids, whose length is the tuple window's active
-//! count and whose first ids are its oldest rows; every row that enters
-//! or leaves a time window's table is reported to the window, and an
-//! abort undoes the table's effects newest-first before the window's
-//! own records (the EE's one undo log interleaves the two, to the same
-//! end: they touch disjoint state). After every transaction the window
-//! ↔ table invariant (`check`) must hold.
+//! count and whose first ids are its oldest rows. A time window is told
+//! its table's length at each watermark advance and its oldest event
+//! timestamp before each slide, and a fired extent deletes the rows
+//! below its start in `(ts, row id)` order. An abort undoes the table's
+//! effects newest-first before the window's own records (the EE's one
+//! undo log interleaves the two, to the same end: they touch disjoint
+//! state). After every transaction the window's invariant (`check`)
+//! must hold and no slide may be left pending.
 
 use std::collections::BTreeMap;
-
 
 use proptest::prelude::*;
 use sstore_common::{tuple, RowId, Tuple};
@@ -216,9 +217,21 @@ enum TimeOp {
 /// A time window's emulated table: id → (event-ts, payload).
 type TimeTable = Table<(i64, i64)>;
 
-fn insert_time(w: &mut TimeWindowState, table: &mut TimeTable, row: (i64, i64), effects: &mut Vec<Effect<(i64, i64)>>) {
-    let id = table.insert(row, effects);
-    w.row_inserted(row.0, id);
+impl TimeTable {
+    /// The smallest event timestamp among the live rows, as the EE
+    /// reads it before each slide.
+    fn oldest(&self) -> Option<i64> {
+        self.rows.values().map(|(ts, _)| *ts).min()
+    }
+
+    /// The ids of the rows below `start`, in `(ts, row id)` order: what
+    /// a slide of extent `[start, …)` expires.
+    fn below(&self, start: i64) -> Vec<RowId> {
+        let mut rows: Vec<(i64, u64)> =
+            self.rows.iter().filter(|(_, (ts, _))| *ts < start).map(|(id, (ts, _))| (*ts, *id)).collect();
+        rows.sort_unstable();
+        rows.into_iter().map(|(_, id)| RowId(id)).collect()
+    }
 }
 
 /// Admits one batch of (ts, payload) rows into the real state machine
@@ -232,7 +245,9 @@ fn admit_time(w: &mut TimeWindowState, table: &mut TimeTable, rows: &[(i64, i64)
                 ops.push(TimeOp::Staged { ts: *ts, prev_next_end: w.next_end() });
                 w.stage(*ts, tuple![*ts, *v]);
             }
-            TimeArrival::MergeIntoActive => insert_time(w, table, (*ts, *v), &mut effects),
+            TimeArrival::MergeIntoActive => {
+                table.insert((*ts, *v), &mut effects);
+            }
             TimeArrival::DroppedLate => {}
         }
     }
@@ -241,24 +256,23 @@ fn admit_time(w: &mut TimeWindowState, table: &mut TimeTable, rows: &[(i64, i64)
     }
 }
 
-/// Applies all pending slides (the slide transaction); undoes them in
-/// reverse when `abort`.
+/// Applies all pending slides (the slide transaction), each told the
+/// table's oldest timestamp as it stands; undoes them in reverse when
+/// `abort`.
 fn slide_time(w: &mut TimeWindowState, table: &mut TimeTable, abort: bool) {
     let mut ops: Vec<TimeOp> = Vec::new();
     let mut effects = Vec::new();
-    while let Some(o) = w.next_slide() {
+    while let Some(o) = w.next_slide(table.oldest()) {
         ops.push(TimeOp::Slid {
             restaged: o.activated.clone(),
             prev_next_end: o.prev_next_end,
             prev_fired: o.prev_fired,
         });
-        for (ts, id) in o.expired {
-            let (row_ts, _) = table.delete(id, &mut effects);
-            assert_eq!(row_ts, ts, "the set files a row under its own timestamp");
-            w.row_deleted(ts, id);
+        for id in table.below(o.start) {
+            table.delete(id, &mut effects);
         }
         for (ts, t) in o.activated {
-            insert_time(w, table, (ts, t.get(1).as_int().unwrap()), &mut effects);
+            table.insert((ts, t.get(1).as_int().unwrap()), &mut effects);
         }
     }
     if abort {
@@ -269,14 +283,8 @@ fn slide_time(w: &mut TimeWindowState, table: &mut TimeTable, abort: bool) {
 fn undo_time(w: &mut TimeWindowState, table: &mut TimeTable, effects: Vec<Effect<(i64, i64)>>, ops: Vec<TimeOp>) {
     for e in effects.into_iter().rev() {
         match e {
-            Effect::Inserted(id) => {
-                let (ts, _) = table.rows.remove(&id).expect("row to undo");
-                w.row_deleted(ts, RowId(id));
-            }
-            Effect::Deleted(id, row) => {
-                assert!(table.rows.insert(id, row).is_none());
-                w.row_inserted(row.0, RowId(id));
-            }
+            Effect::Inserted(id) => assert!(table.rows.remove(&id).is_some(), "row to undo"),
+            Effect::Deleted(id, row) => assert!(table.rows.insert(id, row).is_none()),
         }
     }
     for op in ops.into_iter().rev() {
@@ -374,7 +382,7 @@ proptest! {
             }
             reference.admit_all(rows);
             wm += *wm_step;
-            let pending = w.advance_watermark(wm);
+            let pending = w.advance_watermark(wm, table.rows.len());
             if pending && *abort_slide {
                 // A slide transaction that aborts mid-flight must be
                 // fully undone — then the retry below re-derives it.
@@ -393,10 +401,10 @@ proptest! {
             got.sort();
             want.sort();
             prop_assert_eq!(&got, &want, "active rows diverged");
-            // The set is the table's rows, and expires them by timestamp.
-            let keyed = table.rows.iter().map(|(id, (ts, _))| (*ts, RowId(*id)));
-            prop_assert!(w.check(keyed).is_ok());
-            prop_assert!(w.active().is_sorted());
+            // Staging agrees with the cursor, and the slide transaction
+            // left no slide behind.
+            prop_assert!(w.check().is_ok());
+            prop_assert!(!w.has_pending_slides(table.rows.len()));
         }
     }
 }

@@ -2,8 +2,9 @@
 # The byte-equality run (examples/equality_run.rs) on <rev> and on the
 # working tree: every file the run writes and everything it prints must
 # be byte-identical. The working tree's example drives both sides, so a
-# revision older than the example can be compared too. <rev> is checked
-# out in a temporary `git worktree`, removed afterwards.
+# revision older than the example can be compared too. <rev> is
+# extracted with `git archive` into <out-dir>/tree (nothing is written
+# under .git); remove <out-dir> when done.
 # Usage: scripts/equality_run.sh <rev> [out-dir]
 set -euo pipefail
 rev=${1:?usage: scripts/equality_run.sh <rev> [out-dir]}
@@ -11,10 +12,11 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 out=${2:-$(mktemp -d)}
 mkdir -p "$out"
 out=$(cd "$out" && pwd)
-tree="$out/worktree"
+tree="$out/tree"
 
-git -C "$root" worktree add --quiet --detach "$tree" "$rev"
-trap 'git -C "$root" worktree remove --force "$tree"' EXIT
+rm -rf "$tree"
+mkdir -p "$tree"
+git -C "$root" archive "$rev" | tar -x -C "$tree"
 cp "$root/examples/equality_run.rs" "$tree/examples/equality_run.rs"
 
 run() { # <checkout> <side>

@@ -741,15 +741,16 @@ fn sliding_window_app() -> sstore::engine::App {
         .unwrap()
 }
 
-/// A time window's ordered set is in no checkpoint: restore rebuilds it
-/// from the window table's rows. The checkpoint here is taken with the
-/// set in an order no scan of the table gives — rows activated out of
-/// timestamp order across slides, equal timestamps, and a late merge
-/// (the newest row id under one of the oldest timestamps). In both
-/// recovery modes the recovered engine's next three slides must leave
-/// the same rows, in the same scan order, as an un-restarted twin's —
-/// each expired exactly the tuples the twin's did — and the extents
-/// their triggers copied must match row for row.
+/// A time window's expiry reads the timestamps of its table's rows, and
+/// a checkpoint holds those rows and nothing beside them. The checkpoint
+/// here is taken with the rows in a scan order that is not expiry order
+/// — rows activated out of timestamp order across slides, equal
+/// timestamps, and a late merge (the newest row id under one of the
+/// oldest timestamps). In both recovery modes the recovered engine's
+/// next three slides must leave the same rows, in the same scan order,
+/// as an un-restarted twin's — each expired exactly the tuples the
+/// twin's did — and the extents their triggers copied must match row
+/// for row.
 #[test]
 fn a_restored_time_window_expires_what_its_unrestarted_twin_does() {
     let history: [&[(i64, i64)]; 4] = [
@@ -782,6 +783,10 @@ fn a_restored_time_window_expires_what_its_unrestarted_twin_does() {
                 engine.checkpoint().unwrap(); // the last batch is the log's to replay
             }
         }
+        // Extent [10, 40) fired last: it expired 3 and 8, and the late
+        // merges 4 and 9 from behind rows it keeps.
+        let live: Vec<i64> = observe(&twin)[0].iter().map(|t| t.get(0).as_int().unwrap()).collect();
+        assert_eq!(live, [14, 14, 21, 27, 33, 35, 38], "{mode:?}: the twin's extent [10, 40)");
         engine.flush_logs().unwrap();
         engine.close().unwrap();
 
