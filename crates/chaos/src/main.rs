@@ -1,4 +1,4 @@
-//! Deterministic chaos runner.
+//! Deterministic chaos runner: the CLI over the `chaos` library.
 //!
 //! Generates seeded scenarios — multi-partition workloads with
 //! out-of-order event time, exchange hops, window slides, ad-hoc SQL,
@@ -19,13 +19,9 @@
 //! seed is printed, the scenario is greedily shrunk, and the minimal
 //! reproducer is dumped.
 
-mod harness;
-mod oracle;
-mod shrink;
-mod workload;
-
 use std::time::Instant;
 
+use chaos::{harness, shrink, workload};
 use sstore_engine::RecoveryMode;
 
 fn mode_name(m: RecoveryMode) -> &'static str {

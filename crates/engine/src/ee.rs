@@ -35,12 +35,15 @@
 //! *staged* (no row id, no index touch, no effect — staged tuples are
 //! invisible because they are nowhere a query looks); slides
 //! then activate and expire rows and fire the window's EE triggers.
-//! After every other statement the EE inspects the row effects it logged.
-//! Inserts into a stream table are labeled with the transaction's batch
-//! id; if the stream has EE triggers they run immediately (inside this
-//! same EE visit, recursively cascading), after which the consumed rows
-//! are garbage-collected automatically. Streams without EE triggers are
-//! reported to the partition engine at commit for PE-trigger firing.
+//! Every other target is a table: a base table takes its rows in one
+//! insert loop, and a stream one parameter row's rows at a time, whose
+//! ids go straight to the stream's arrival; only a `DELETE` on a stream
+//! reads its logged effects back, to forget the rows it removed.
+//! A stream with EE triggers runs them immediately (inside this same EE
+//! visit, recursively cascading) and then garbage-collects the rows; that
+//! batch is never entered in the stream's bookkeeping. Any other stream
+//! labels its rows with the transaction's batch id and is reported to the
+//! partition engine at commit for PE-trigger firing.
 //!
 //! Internal mutations (activation/expiry/GC) are logged for undo but do
 //! not re-enter the cascade, so the cascade terminates.
@@ -119,7 +122,7 @@ enum Undo {
         /// Its row ids, in arrival order.
         rows: Vec<RowId>,
     },
-    /// One row was dropped from `batch` at `pos` (GC / SQL delete).
+    /// One row was dropped from `batch` at `pos` (a SQL DELETE).
     Forgot {
         /// Stream table.
         stream: TableId,
@@ -570,14 +573,32 @@ impl ExecutionEngine {
             let rows_affected = self.insert(i.table, built)?;
             return Ok(QueryResult { rows_affected, ..QueryResult::default() });
         }
+        let forget = match bound {
+            BoundStatement::Delete(d) if self.streams[d.scan.table.index()].is_some() => Some(d.scan.table),
+            _ => None,
+        };
         // The statement's effects join the log whether or not it
         // failed: a failed statement may have written rows.
         let start = self.undo.len();
         let r = execute(&mut self.catalog, bound, params, &mut self.scratch);
         self.undo.extend(self.scratch.drain(..).map(Undo::Row));
         let r = r?;
-        self.cascade(start)?;
+        if let Some(stream) = forget {
+            self.forget_deleted(stream, start);
+        }
         Ok(r)
+    }
+
+    /// Drops the rows a SQL DELETE on `stream` logged at `[start..)` from
+    /// the stream's batches, so no batch names a row its table no longer
+    /// holds.
+    fn forget_deleted(&mut self, stream: TableId, start: usize) {
+        for i in start..self.undo.len() {
+            let Undo::Row(Effect::Delete { row, .. }) = self.undo[i] else { continue };
+            if let Some((batch, pos)) = self.stream(stream).forget_row(row) {
+                self.undo.push(Undo::Forgot { stream, batch, pos, row });
+            }
+        }
     }
 
     /// Applies an INSERT's rows into `table`, built once per parameter
@@ -585,9 +606,9 @@ impl ExecutionEngine {
     /// statements would: a parameter row's rows all build (and, for a
     /// window, pass its schema) or none is applied, and the first error
     /// stops the batch with the earlier rows applied. A window takes
-    /// them in one arrival; a table in one insert loop; a stream runs
-    /// its §3.2.3 cascade once per parameter row, since that many
-    /// statements would fire its EE triggers that many times.
+    /// them in one arrival; a table in one insert loop; a stream takes
+    /// one arrival per parameter row, since that many statements would
+    /// fire its EE triggers that many times.
     fn insert(&mut self, table: TableId, (mut rows, per, mut built): Built) -> Result<usize> {
         let n = rows.len();
         let applied = if self.windows[table.index()].is_some() {
@@ -693,7 +714,7 @@ impl ExecutionEngine {
     }
 
     /// Inserts tuples onto a stream (used by `ProcCtx::emit` and batch
-    /// injection), then cascades exactly like a SQL insert would.
+    /// injection), as one arrival, exactly like a SQL insert would.
     pub fn emit(&mut self, stream: TableId, rows: Vec<Tuple>) -> Result<()> {
         if !self.in_txn {
             return Err(Error::InvalidState("emit outside transaction".into()));
@@ -704,6 +725,13 @@ impl ExecutionEngine {
                 self.ids.table_name(stream)
             )));
         }
+        self.stream_insert(stream, rows.into_iter())
+    }
+
+    /// Inserts `rows` into a stream's table and hands the ids they were
+    /// given to [`ExecutionEngine::stream_arrival`]: the one way rows
+    /// enter a stream.
+    fn stream_insert(&mut self, stream: TableId, rows: impl ExactSizeIterator<Item = Tuple>) -> Result<()> {
         let mut ids = Vec::with_capacity(rows.len());
         for t in rows {
             ids.push(self.table_insert(stream, t)?);
@@ -742,62 +770,16 @@ impl ExecutionEngine {
         Ok(rows)
     }
 
-    /// Scans the row effects one statement logged at `[start..)` for
-    /// SQL-originated inserts into streams and runs the §3.2.3 trigger
-    /// cascade on them. (An insert into a window leaves no effect:
-    /// [`ExecutionEngine::insert`] staged it.)
-    fn cascade(&mut self, start: usize) -> Result<()> {
-        let end = self.undo.len();
-        if start >= end {
-            return Ok(());
-        }
-        let mut stream_groups: Vec<(TableId, Vec<RowId>)> = Vec::new();
-        let mut forgotten: Vec<(TableId, RowId)> = Vec::new();
-        for u in &self.undo[start..end] {
-            let Undo::Row(e) = u else { continue };
-            match e {
-                Effect::Insert { table, row } => {
-                    if self.catalog.get(*table).kind() == TableKind::Stream {
-                        push_group(&mut stream_groups, *table, *row);
-                    }
-                }
-                // A SQL DELETE on a stream table must drop the row from
-                // batch bookkeeping too, or the stream state would leak
-                // dangling row ids.
-                Effect::Delete { table, row, .. } => {
-                    if self.catalog.get(*table).kind() == TableKind::Stream {
-                        forgotten.push((*table, *row));
-                    }
-                }
-                Effect::Update { .. } => {}
-            }
-        }
-        for (table, row) in forgotten {
-            if let Some(state) = self.streams[table.index()].as_mut() {
-                if let Some((batch, pos)) = state.forget_row(row) {
-                    self.undo.push(Undo::Forgot { stream: table, batch, pos, row });
-                }
-            }
-        }
-        for (s, rows) in stream_groups {
-            self.stream_arrival(s, rows)?;
-        }
-        Ok(())
-    }
-
     /// Inserts an INSERT's rows into a base table in one loop, or into a
-    /// stream one parameter row's `per` rows at a time, each group
-    /// cascading as its statement would.
+    /// stream one parameter row's `per` rows at a time, each group an
+    /// arrival as its statement's would be.
     fn table_arrival(&mut self, table: TableId, rows: Vec<Tuple>, per: usize) -> Result<()> {
-        let stream = self.catalog.get(table).kind() == TableKind::Stream;
-        let per = if stream { per } else { rows.len().max(1) };
         let mut rows = rows.into_iter();
+        if self.catalog.get(table).kind() != TableKind::Stream {
+            return rows.try_for_each(|t| self.table_insert(table, t).map(drop));
+        }
         while rows.len() > 0 {
-            let start = self.undo.len();
-            for t in rows.by_ref().take(per) {
-                self.table_insert(table, t)?;
-            }
-            self.cascade(start)?;
+            self.stream_insert(table, rows.by_ref().take(per))?;
         }
         Ok(())
     }
@@ -897,6 +879,13 @@ impl ExecutionEngine {
         };
         let trig = self.ee_triggers[window.index()].clone().unwrap_or_else(|| Arc::from([]));
         loop {
+            // Below the next extent's end, `next_slide` answers `None`
+            // without reading `oldest` or moving the cursor: the last
+            // pass skips the table scan.
+            let w = self.time_window(window);
+            if !matches!((w.watermark(), w.next_end()), (Some(wm), Some(e)) if wm >= e) {
+                break;
+            }
             let oldest = self.oldest_event_ts(window, col)?;
             let w = self.time_window(window);
             let (prev_next_end, prev_fired) = (w.next_end(), w.fired());
@@ -930,9 +919,10 @@ impl ExecutionEngine {
         Ok(())
     }
 
-    /// Labels freshly inserted stream rows with the transaction's batch
-    /// id; fires EE triggers (then garbage-collects the consumed rows)
-    /// or records the batch for PE-trigger firing at commit.
+    /// Takes freshly inserted stream rows: fires the stream's EE triggers
+    /// and then garbage-collects the rows, or labels them with the
+    /// transaction's batch id and records the batch for PE-trigger firing
+    /// at commit.
     fn stream_arrival(&mut self, stream: TableId, rows: Vec<RowId>) -> Result<()> {
         let Some(batch) = self.out_batch else {
             return Err(Error::StreamViolation(format!(
@@ -953,25 +943,27 @@ impl ExecutionEngine {
             let hi = self.max_event_ts(stream, col, tuples)?;
             self.raise_high_mark(stream, hi);
         }
-        self.streams[stream.index()]
-            .as_mut()
-            .ok_or_else(|| Error::not_found("stream", self.ids.table_name(stream).to_string()))?
-            .append(batch, rows.iter().copied());
-        self.undo.push(Undo::Appended { stream, batch, n: rows.len() });
         if let Some(stmts) = self.ee_triggers[stream.index()].clone() {
             for sid in stmts.iter() {
                 EngineMetrics::bump(&self.metrics.ee_trigger_fires);
                 self.exec(*sid, &[])?;
             }
             // Automatic GC (§3.2.3): the triggering tuples have been
-            // fully processed inside this EE visit.
+            // fully processed inside this EE visit. No PE trigger can
+            // wait on the batch (a stream has EE or PE triggers, never
+            // both), so it is never entered in the stream's bookkeeping.
             for id in rows {
                 self.table_delete(stream, id)?;
-                if let Some((b, pos)) = self.stream(stream).forget_row(id) {
-                    self.undo.push(Undo::Forgot { stream, batch: b, pos, row: id });
-                }
             }
-        } else if !self.outputs.iter().any(|(s, b)| *s == stream && *b == batch) {
+            return Ok(());
+        }
+        let n = rows.len();
+        self.streams[stream.index()]
+            .as_mut()
+            .ok_or_else(|| Error::not_found("stream", self.ids.table_name(stream).to_string()))?
+            .append(batch, rows);
+        self.undo.push(Undo::Appended { stream, batch, n });
+        if !self.outputs.iter().any(|(s, b)| *s == stream && *b == batch) {
             self.outputs.push((stream, batch));
         }
         Ok(())
@@ -1344,14 +1336,6 @@ fn build_insert<P: AsRef<[Value]>>(catalog: &mut Catalog, i: &BoundInsert, param
     let built = insert_rows(catalog, i, params, &mut rows);
     let per = if i.select.is_some() { rows.len().max(1) } else { i.row_template.len() };
     (rows, per, built)
-}
-
-fn push_group(groups: &mut Vec<(TableId, Vec<RowId>)>, table: TableId, row: RowId) {
-    if let Some((_, rows)) = groups.iter_mut().find(|(t, _)| *t == table) {
-        rows.push(row);
-    } else {
-        groups.push((table, vec![row]));
-    }
 }
 
 #[cfg(test)]
@@ -1792,6 +1776,24 @@ mod tests {
         assert!(outputs.is_empty(), "discarded batch must not become a PE output");
         assert_eq!(ee.table_len("drop_me").unwrap(), 0, "rows must be GC'd");
         assert!(ee.stream_pending("drop_me").unwrap().is_empty());
+    }
+
+    #[test]
+    fn an_empty_batch_an_ee_trigger_drains_leaves_nothing_behind() {
+        // An empty emit onto an EE-triggered stream still fires its
+        // triggers, and its batch is as gone as a full one's: nothing
+        // pending, nothing for recovery to re-fire, and the image of an
+        // EE that never saw it.
+        let app = chain_app();
+        let (mut untouched, _) = ee(&app);
+        let (mut ee, _) = ee(&app);
+        let s1 = ee.table_id("s1").unwrap();
+        ee.begin(Some(BatchId(1))).unwrap();
+        ee.emit(s1, Vec::new()).unwrap();
+        assert!(ee.commit().unwrap().outputs.is_empty());
+        assert!(ee.stream_pending("s1").unwrap().is_empty());
+        assert!(ee.dangling_batches().is_empty());
+        assert_eq!(ee.checkpoint().unwrap(), untouched.checkpoint().unwrap());
     }
 
     #[test]

@@ -2,16 +2,18 @@
 //!
 //! A stream *is* a table (created with [`TableKind::Stream`]); what makes
 //! it a stream is this side structure tracking which live rows belong to
-//! which atomic batch, in batch order. Appending rows to a batch,
-//! consuming a batch and forgetting one row (GC, SQL delete) are the
-//! only mutations; each happens inside a transaction, is logged in the
-//! EE's undo log as what it changed, and is undone operation by
-//! operation, newest first, by the `undo_*` methods below (see
-//! [`crate::ee`]).
+//! which atomic batch, in batch order. Only a batch some transaction will
+//! consume is entered here: a batch a stream's EE triggers drain is
+//! garbage-collected inside the EE visit that wrote it and never appears
+//! (see [`crate::ee`]). Appending rows to a batch, consuming a batch and
+//! forgetting one row (a SQL `DELETE` on the stream) are the only
+//! mutations; each happens inside a transaction, is logged in the EE's
+//! undo log as what it changed, and is undone operation by operation,
+//! newest first, by the `undo_*` methods below.
 //!
 //! [`TableKind::Stream`]: sstore_storage::TableKind::Stream
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use sstore_common::codec::{Decoder, Encoder};
 use sstore_common::{BatchId, Error, Result, RowId};
@@ -20,10 +22,8 @@ use sstore_common::{BatchId, Error, Result, RowId};
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamState {
     /// Live batches, in batch order: batch id → row ids in arrival
-    /// order. Deques, because the EE-trigger GC path forgets rows in
-    /// arrival order — popping the front must be O(1), not a shift of
-    /// the whole batch.
-    batches: BTreeMap<BatchId, VecDeque<RowId>>,
+    /// order.
+    batches: BTreeMap<BatchId, Vec<RowId>>,
 }
 
 impl StreamState {
@@ -44,7 +44,6 @@ impl StreamState {
     pub fn consume(&mut self, batch: BatchId) -> Result<Vec<RowId>> {
         self.batches
             .remove(&batch)
-            .map(Vec::from)
             .ok_or_else(|| Error::StreamViolation(format!("batch {batch} not present in stream")))
     }
 
@@ -73,30 +72,18 @@ impl StreamState {
         self.batches.len()
     }
 
-    /// Drops a specific row from whichever batch holds it (used when an
-    /// EE-trigger GC deletes stream rows individually). Returns where it
-    /// was, so the caller can undo on abort.
+    /// Drops a specific row from whichever batch holds it (a SQL
+    /// `DELETE` on the stream). Returns where it was, so the caller can
+    /// undo on abort.
     pub fn forget_row(&mut self, row: RowId) -> Option<(BatchId, usize)> {
-        let mut found = None;
-        for (b, rows) in self.batches.iter_mut() {
-            // Fast path: the GC after an EE-trigger cascade forgets rows
-            // in arrival order, so the target is usually at the front.
-            if rows.front() == Some(&row) {
-                rows.pop_front();
-                found = Some((*b, 0, rows.is_empty()));
-                break;
-            }
-            if let Some(pos) = rows.iter().position(|r| *r == row) {
-                rows.remove(pos);
-                found = Some((*b, pos, rows.is_empty()));
-                break;
-            }
+        let (batch, pos) =
+            self.batches.iter().find_map(|(b, rows)| Some((*b, rows.iter().position(|r| *r == row)?)))?;
+        let rows = self.batches.get_mut(&batch).expect("found above");
+        rows.remove(pos);
+        if rows.is_empty() {
+            self.batches.remove(&batch);
         }
-        let (b, pos, emptied) = found?;
-        if emptied {
-            self.batches.remove(&b);
-        }
-        Some((b, pos))
+        Some((batch, pos))
     }
 
     // ------------------------------------------------------------------
@@ -116,7 +103,7 @@ impl StreamState {
 
     /// Undoes a [`StreamState::consume`]: restores the batch's rows.
     pub fn undo_consume(&mut self, batch: BatchId, rows: Vec<RowId>) {
-        self.batches.insert(batch, rows.into());
+        self.batches.insert(batch, rows);
     }
 
     /// Undoes a [`StreamState::forget_row`]: restores `row` at its old
@@ -141,7 +128,7 @@ impl StreamState {
         // A batch is at least its id and a row count; a row id is a u64.
         let batches = d.get_seq(9, "stream batch", |d| {
             let batch = BatchId(d.get_u64()?);
-            Ok((batch, d.get_seq(8, "stream row", |d| Ok(RowId(d.get_u64()?)))?.into()))
+            Ok((batch, d.get_seq(8, "stream row", |d| Ok(RowId(d.get_u64()?)))?))
         })?;
         Ok(StreamState { batches: batches.into_iter().collect() })
     }

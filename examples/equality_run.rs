@@ -11,8 +11,12 @@
 //!   checkpoint after three quarters;
 //! * `linearroad/` — 500 Linear Road ticks, shuffled with one- and
 //!   two-tick stragglers, on 2 partitions, checkpointed the same way;
-//! * `voter-recovered/`, `linearroad-recovered/` — a copy of each data
-//!   directory taken after the engine closed, then recovered in place.
+//! * `eechain/` — Fig. 5's four-stage EE-trigger chain, 10 000 batches
+//!   of one to three values, each value one INSERT that fires the chain,
+//!   checkpointed the same way;
+//! * `voter-recovered/`, `linearroad-recovered/`, `eechain-recovered/` —
+//!   a copy of each data directory taken after the engine closed, then
+//!   recovered in place.
 //!
 //! It prints, per app, every table's row count and a digest of its rows
 //! in scan order, plus a few readable results, before the close and
@@ -26,15 +30,16 @@ use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sstore::common::{Result, TableId, Tuple};
+use sstore::common::{Result, TableId, Tuple, Value};
 use sstore::engine::recovery::recover;
 use sstore::engine::{App, Engine, EngineConfig, LoggingConfig};
 use sstore::workloads::gen::{TrafficGen, VoteGen};
-use sstore::workloads::{linearroad, voter};
+use sstore::workloads::{linearroad, micro, voter};
 
 const VOTES: usize = 50_000;
 const CONTESTANTS: usize = 100;
 const TICKS: usize = 500;
+const CHAIN_BATCHES: usize = 10_000;
 
 /// One-vote batches.
 fn vote_batches() -> Vec<Vec<Tuple>> {
@@ -74,6 +79,17 @@ fn report_batches() -> Vec<Vec<Tuple>> {
         }
     }
     out
+}
+
+/// One to three values a batch.
+fn chain_batches() -> Vec<Vec<Tuple>> {
+    let mut rng = StdRng::seed_from_u64(5);
+    (0..CHAIN_BATCHES)
+        .map(|_| {
+            let n = rng.gen_range(1..4);
+            (0..n).map(|_| Tuple::new(vec![Value::Int(rng.gen_range(0..1000))])).collect()
+        })
+        .collect()
 }
 
 /// FNV-1a over a row's text: a digest that depends on nothing but the
@@ -195,6 +211,18 @@ fn main() -> Result<()> {
             stream: "reports",
             batches: report_batches(),
             queries: &["SELECT SUM(amount) FROM tolls", "SELECT COUNT(*) FROM seg_speed5"],
+        },
+    )?;
+    run(
+        dir,
+        Workload {
+            name: "eechain",
+            config: EngineConfig::default(),
+            app: || micro::ee_chain_sstore(4),
+            setup: |_| Ok(()),
+            stream: "chain_in",
+            batches: chain_batches(),
+            queries: &["SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM sink"],
         },
     )?;
     Ok(())
