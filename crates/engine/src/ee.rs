@@ -751,13 +751,10 @@ impl ExecutionEngine {
         let state = self.streams[stream.index()]
             .as_mut()
             .ok_or_else(|| Error::not_found("stream", self.ids.table_name(stream).to_string()))?;
-        let ids = if require {
-            state.consume(batch)?
-        } else if state.contains(batch) {
-            state.consume(batch)?
-        } else {
+        if !require && !state.contains(batch) {
             return Ok(Vec::new());
-        };
+        }
+        let ids = state.consume(batch)?;
         self.undo.push(Undo::Consumed { stream, batch, rows: ids.clone() });
         // A batch consumed in the same transaction that produced it
         // (nested-transaction children, §2.3) is internal: it must not
@@ -869,7 +866,9 @@ impl ExecutionEngine {
     /// partition engine schedules one slide transaction per window
     /// flagged by [`CommitOutcome::slides`]. Each slide is told the
     /// oldest timestamp the table holds at that moment, and expires the
-    /// rows below its extent's start before activating its tuples.
+    /// rows below its extent's start before activating its tuples. A
+    /// pass that leaves a slide pending is an `Internal` error naming
+    /// the window, not a slide the partition would schedule forever.
     pub fn process_slides(&mut self, window: TableId) -> Result<()> {
         if !self.in_txn {
             return Err(Error::InvalidState("slide outside transaction".into()));
@@ -915,6 +914,15 @@ impl ExecutionEngine {
                 EngineMetrics::bump(&self.metrics.ee_trigger_fires);
                 self.exec(*sid, &[])?;
             }
+        }
+        // The loop stops below `next_end` or where `next_slide` finds
+        // nothing, and neither leaves a slide pending.
+        let rows = self.catalog.get(window).len();
+        if self.time_window(window).has_pending_slides(rows) {
+            return Err(Error::Internal(format!(
+                "time window {} still has a pending slide after its slide pass",
+                self.ids.table_name(window)
+            )));
         }
         Ok(())
     }

@@ -48,9 +48,9 @@
 //! order), which [`crate::workflow::check_schedule`] and recovery's
 //! dangling-batch re-fire order by; [`StreamMeta::feeds_exchange`] (one
 //! pass in reverse topological order), which decides the ingest
-//! alignment broadcast; the exchange and time-window checks; and each
-//! procedure's exchange and alignment outputs, which are filters of the
-//! produced set.
+//! alignment broadcast; the exchange checks and the exchange-path
+//! writer rule; and each procedure's alignment outputs, the produced
+//! streams on an exchange path.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -128,19 +128,16 @@ pub struct ProcMeta {
     /// Streams this procedure produces: its declared outputs, then (for
     /// a nested transaction) its children's, without repeats.
     pub produces: Vec<TableId>,
-    /// Produced exchange streams. The partition engine ships a
-    /// sub-batch for each of these on *every* commit of this procedure
-    /// — even when the body emitted nothing — so downstream exchange
-    /// merges stay aligned one-sub-batch-per-source-per-batch.
-    pub exchange_outputs: Vec<TableId>,
     /// Produced streams on the path to an exchange (exchange streams
     /// plus `feeds_exchange` locals). On multi-partition S-Store
     /// engines, every streaming commit of this procedure registers a
     /// (possibly empty) batch on each of these *before* the body runs,
     /// so a stage that emits nothing for an empty sub-batch still
-    /// advances this partition's copy of the workflow — otherwise a
-    /// downstream exchange merge would wait forever for this
-    /// partition's sub-batch.
+    /// advances this partition's copy of the workflow, and a commit
+    /// ships every exchange stream it wrote — an empty sub-batch too.
+    /// This is the one alignment mechanism: without it a downstream
+    /// exchange merge would wait forever for this partition's
+    /// sub-batch.
     pub align_outputs: Vec<TableId>,
     /// This procedure's statements: name, as declared, → id (looked
     /// up on every [`crate::ProcCtx::sql`] call).
@@ -433,16 +430,12 @@ impl AppIds {
             }
         }
 
-        // Exchange sends and alignment fire once per commit of a TE, so
-        // both sets come from what it produces.
+        // Alignment fires once per commit of a TE, so it comes from
+        // what the TE produces.
         for i in 0..self.procs.len() {
-            let produced = |keep: fn(&StreamMeta) -> bool| -> Vec<TableId> {
-                let produces = self.procs[i].produces.iter().copied();
-                produces.filter(|&s| self.table(s).stream.as_ref().is_some_and(keep)).collect()
-            };
-            let (exchange, align) =
-                (produced(|s| s.exchange), produced(StreamMeta::on_exchange_path));
-            (self.procs[i].exchange_outputs, self.procs[i].align_outputs) = (exchange, align);
+            let produces = self.procs[i].produces.iter().copied();
+            let align = produces.filter(|&s| self.on_exchange_path(s)).collect();
+            self.procs[i].align_outputs = align;
         }
         Ok(())
     }
@@ -517,28 +510,42 @@ impl AppIds {
             }
         }
 
-        // Time-window slides run per partition when the local watermark
-        // crosses an extent boundary — NOT once per batch — so their
-        // triggers cannot feed an exchange edge, directly OR transitively
-        // (a slide output landing on a plain stream whose downstream
-        // procedure re-ships an exchange sub-batch would duplicate the
-        // batch id the original round already shipped, corrupting the
-        // merge). A window with a timestamp column is a time window.
-        for (window, sql) in &parsed.triggers {
-            let meta = self.table(*window);
-            if meta.kind != TableKind::Window || meta.ts_col.is_none() {
-                continue;
+        // Every write into a stream on an exchange path goes through a
+        // declared output. Pre-registration gives every declared one a
+        // batch on every partition, and a commit ships the exchange
+        // streams it wrote, so each source sends one sub-batch per
+        // batch; a write no declaration predicts would ship only where
+        // it happened and leave a merge short or doubled. So a
+        // procedure's INSERT must name the stream among its outputs,
+        // and an EE trigger, which runs inside whichever transaction
+        // wrote its table (a time window's inside a watermark-driven
+        // slide), may not write one at all.
+        let on_path = |stmt: &Statement| match stmt {
+            Statement::Insert(i) => self.table_id(&i.table).filter(|&s| self.on_exchange_path(s)),
+            _ => None,
+        };
+        for (meta, stmts) in self.procs.iter().zip(&parsed.procs) {
+            let undeclared = stmts
+                .iter()
+                .filter_map(on_path)
+                .find(|&s| !meta.outputs.iter().any(|&(_, o)| o == s));
+            if let Some(s) = undeclared {
+                return Err(Error::StreamViolation(format!(
+                    "procedure {} inserts into {}, which reaches an exchange stream, \
+                     without declaring it as an output",
+                    meta.name,
+                    self.table_name(s)
+                )));
             }
-            for stmt in sql {
-                let Statement::Insert(i) = stmt else { continue };
-                if self.table_id(&i.table).is_some_and(|s| self.on_exchange_path(s)) {
-                    return Err(Error::StreamViolation(format!(
-                        "time window {} trigger output {} reaches an exchange stream: \
-                         watermark-driven slides are not batch-aligned across partitions",
-                        meta.name,
-                        i.table.to_ascii_lowercase()
-                    )));
-                }
+        }
+        for (table, stmts) in &parsed.triggers {
+            if let Some(s) = stmts.iter().find_map(on_path) {
+                return Err(Error::StreamViolation(format!(
+                    "EE trigger on {}: trigger output {} reaches an exchange stream, \
+                     and trigger rows are not batch-aligned across partitions",
+                    self.table_name(*table),
+                    self.table_name(s)
+                )));
             }
         }
         Ok(())
@@ -826,7 +833,7 @@ mod tests {
         assert_eq!(ids.proc(p2).input_stream, Some(s_mid));
         assert_eq!(ids.proc(p1).produces, vec![s_mid]);
         assert_eq!(ids.proc(p1).outputs, vec![(ids.table_name(s_mid).clone(), s_mid)]);
-        assert!(ids.proc(p1).children.is_empty() && ids.proc(p1).exchange_outputs.is_empty());
+        assert!(ids.proc(p1).children.is_empty() && ids.proc(p1).align_outputs.is_empty());
         assert!(ids.proc(p1).topo_pos < ids.proc(p2).topo_pos);
         assert_eq!(ids.streams().count(), 2);
     }
@@ -851,9 +858,10 @@ mod tests {
         let (s_in, x) = (ids.table_id("s_in").unwrap(), ids.table_id("x").unwrap());
         let parent = ids.proc(ids.proc_id("parent").unwrap());
         assert!(ids.table(s_in).stream.as_ref().unwrap().feeds_exchange);
-        // A partition's exchange and alignment outputs are the produced
-        // streams that are exchanges / on an exchange path: both hold `x`.
+        // A procedure's alignment outputs are the produced streams on an
+        // exchange path: the parent's hold `x`.
         assert_eq!(parent.produces, vec![x]);
+        assert_eq!(parent.align_outputs, vec![x]);
         assert!(ids.table(x).stream.as_ref().unwrap().exchange && ids.on_exchange_path(x));
         assert!(parent.topo_pos < ids.proc(ids.proc_id("sink").unwrap()).topo_pos);
     }

@@ -311,15 +311,6 @@ impl Drop for PartitionHandle {
     }
 }
 
-/// Sub-batches of one exchange (stream, batch) collected from source
-/// partitions; the downstream transaction fires when all have arrived.
-struct ExchangePending {
-    /// Per-source rows; `None` until that source's sub-batch arrives.
-    parts: Vec<Option<Vec<Tuple>>>,
-    /// How many sources have arrived.
-    received: usize,
-}
-
 pub(crate) struct PartitionRuntime {
     partition_id: usize,
     config: EngineConfig,
@@ -331,8 +322,9 @@ pub(crate) struct PartitionRuntime {
     rx: Receiver<PartitionMsg>,
     /// Senders to every partition (including self), for exchange hops.
     peers: Vec<Sender<PartitionMsg>>,
-    /// In-progress exchange merges, keyed by (stream, batch).
-    exchange_buf: FxHashMap<(TableId, BatchId), ExchangePending>,
+    /// In-progress exchange merges, keyed by (stream, batch): one slot
+    /// per source partition, `None` until its sub-batch arrives.
+    exchange_buf: FxHashMap<(TableId, BatchId), Vec<Option<Vec<Tuple>>>>,
     /// Highest exchange batch applied per stream (by table id).
     /// Dedups recovery re-sends; persisted in checkpoints.
     exchange_applied: Vec<u64>,
@@ -614,18 +606,12 @@ impl PartitionRuntime {
     /// stream — the scheduler's exchange lane preserves that.
     fn handle_exchange(&mut self, stream: TableId, batch: BatchId, source: usize, rows: Vec<Tuple>) {
         let n = self.peers.len();
-        let entry = self
-            .exchange_buf
-            .entry((stream, batch))
-            .or_insert_with(|| ExchangePending { parts: vec![None; n], received: 0 });
-        if entry.parts[source].is_none() {
-            entry.received += 1;
-        }
-        entry.parts[source] = Some(rows);
-        if entry.received < n {
+        let parts = self.exchange_buf.entry((stream, batch)).or_insert_with(|| vec![None; n]);
+        parts[source] = Some(rows);
+        if parts.iter().any(Option::is_none) {
             return;
         }
-        let pending = self.exchange_buf.remove(&(stream, batch)).expect("entry just filled");
+        let parts = self.exchange_buf.remove(&(stream, batch)).expect("entry just filled");
         // Recovery can legitimately re-ship a batch this partition
         // already applied (a dangling upstream batch re-fired after
         // replay); the watermark makes delivery exactly-once.
@@ -633,8 +619,7 @@ impl PartitionRuntime {
             EngineMetrics::bump(&self.metrics.exchange_dups_dropped);
             return;
         }
-        let merged: Vec<Tuple> =
-            pending.parts.into_iter().flatten().flatten().collect();
+        let merged: Vec<Tuple> = parts.into_iter().flatten().flatten().collect();
         EngineMetrics::bump(&self.metrics.exchange_batches);
         for &target in self.ids.pe_targets_of(stream) {
             self.queue.push_behind_round(TxnRequest::internal(
@@ -854,24 +839,25 @@ impl PartitionRuntime {
             }
         }
 
-        // Alignment pre-registration (multi-partition workflows): every
-        // declared output on a path to an exchange gets its batch entry
-        // created up front — empty if the body then emits nothing — so
-        // this partition's copy of the workflow advances for every
-        // batch even through stages whose emission is data-dependent
-        // (e.g. per-row SQL inserts). Without this, a stage receiving
-        // an empty sub-batch would emit nothing, its successor would
-        // never run here, and a downstream exchange merge would wait
-        // forever for this partition's sub-batch. Registering *before*
-        // the body keeps nested transactions intact: a child consuming
-        // the batch internally consumes the empty entry with it.
-        // (Slide transactions skip alignment: they are per-partition
-        // derived work, not batch-aligned workflow stages.)
+        // Alignment pre-registration (multi-partition workflows), the
+        // one alignment mechanism: every produced stream on a path to an
+        // exchange gets its batch entry created up front — empty if the
+        // body then emits nothing — so this partition's copy of the
+        // workflow advances for every batch even through stages whose
+        // emission is data-dependent (e.g. per-row SQL inserts), and
+        // the commit ships every exchange output, empty or not. Without
+        // this, a stage receiving an empty sub-batch would emit nothing,
+        // its successor would never run here, and a downstream exchange
+        // merge would wait forever for this partition's sub-batch.
+        // Registering *before* the body keeps nested transactions
+        // intact: a child consuming the batch internally consumes the
+        // empty entry with it. (Slide transactions skip alignment: they
+        // are per-partition derived work, not batch-aligned workflow
+        // stages. Ad-hoc SQL carries no batch.)
         if batch.is_some()
             && self.peers.len() > 1
             && self.config.mode == EngineMode::SStore
             && !matches!(invocation, Invocation::WindowSlide { .. })
-            && !adhoc
         {
             for &sid in &self.ids.proc(proc_id).align_outputs {
                 self.ee.run(move |ee| ee.emit(sid, Vec::new()))?;
@@ -992,42 +978,27 @@ impl PartitionRuntime {
         }
 
         // Exchange hops (cross-partition workflow edges): ship one
-        // sub-batch per peer for every declared exchange output — even
-        // when the body emitted nothing, so downstream merges stay
-        // aligned — plus any exchange stream the commit reached some
-        // other way (e.g. a SQL INSERT outside the declared outputs;
-        // such data-dependent sends break alignment and are the app's
-        // responsibility — prefer declared outputs).
+        // sub-batch per peer for every exchange stream this commit
+        // wrote, and leave the rest for PE triggers. The build's writer
+        // rule sends every such write through a declared output, and
+        // pre-registration gave each of those a batch, empty or not, so
+        // every source ships each exchange batch exactly once. A batch a
+        // nested sibling consumed inside this transaction is no output
+        // and ships from no partition: each runs the same children.
         let mut shipped = 0usize;
         let mut local_outputs = outputs;
         if self.exchange_active() {
-            if let Some(b) = batch {
-                let mut send: Vec<(TableId, BatchId)> = Vec::new();
-                // Slide transactions never ship the owner's declared
-                // exchange outputs — they did not run the owner's body,
-                // and an empty re-ship of an already-shipped batch
-                // would corrupt the receivers' merge accounting.
-                if !matches!(invocation, Invocation::WindowSlide { .. } | Invocation::AdHoc { .. }) {
-                    for &sid in &self.ids.proc(proc_id).exchange_outputs {
-                        send.push((sid, b));
-                    }
+            let mut send = Vec::new();
+            local_outputs.retain(|&(s, b)| {
+                let is_exchange = self.ids.table(s).stream.as_ref().is_some_and(|m| m.exchange);
+                if is_exchange {
+                    send.push((s, b));
                 }
-                local_outputs.retain(|&(s, ob)| {
-                    let is_exchange =
-                        self.ids.table(s).stream.as_ref().is_some_and(|m| m.exchange);
-                    if is_exchange {
-                        if !send.contains(&(s, ob)) {
-                            send.push((s, ob));
-                        }
-                        false
-                    } else {
-                        true
-                    }
-                });
-                for (s, ob) in send {
-                    self.exchange_send(s, ob)?;
-                    shipped += 1;
-                }
+                !is_exchange
+            });
+            for (s, ob) in send {
+                self.exchange_send(s, ob)?;
+                shipped += 1;
             }
         }
 

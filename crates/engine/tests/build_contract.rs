@@ -88,6 +88,10 @@ fn violation() -> u16 {
     Error::StreamViolation(String::new()).wire_code()
 }
 
+const INSERT_X: &str = "INSERT INTO x (ts, k, v) VALUES (?, ?, ?)";
+const INSERT_MID: &str = "INSERT INTO mid (ts, k, v) VALUES (?, ?, ?)";
+const MID_FROM_OUT: &str = "INSERT INTO mid (ts, k, v) SELECT ts, k, v FROM out";
+
 /// One rule: the kind (wire code) its violation fails with, an invalid
 /// builder, and the same violation as an edit of [`base`]'s built app.
 struct Case {
@@ -318,6 +322,24 @@ fn cases() -> Vec<Case> {
             kind: violation(),
             build: || base().pe_trigger("out", "p1"),
             edit: |a| a.pe_triggers.push(pe("out", "p1")),
+        },
+        Case {
+            rule: "undeclared procedure INSERT into an exchange stream",
+            kind: violation(),
+            build: || noop(base(), "q2", &[("w", INSERT_X)], &[]),
+            edit: |a| a.procs[2].statements.push(stmt("w", INSERT_X)),
+        },
+        Case {
+            rule: "undeclared procedure INSERT into a stream that feeds an exchange",
+            kind: violation(),
+            build: || noop(base(), "q2", &[("w", INSERT_MID)], &[]),
+            edit: |a| a.procs[2].statements.push(stmt("w", INSERT_MID)),
+        },
+        Case {
+            rule: "stream trigger output reaching an exchange",
+            kind: violation(),
+            build: || base().ee_trigger("out", &[MID_FROM_OUT]),
+            edit: |a| a.ee_triggers.push(ee("out", &[MID_FROM_OUT])),
         },
         Case {
             rule: "time-window trigger output reaching an exchange",

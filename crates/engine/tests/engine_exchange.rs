@@ -441,6 +441,99 @@ fn a_nested_parent_ships_and_aligns_its_childs_exchange_output() {
 }
 
 #[test]
+fn a_producer_writing_its_exchange_stream_by_sql_alone_ships_every_batch() {
+    // xin → sp1 (per-row SQL INSERT into its declared xmid: it writes
+    // nothing for an empty sub-batch) → xmid (exchange) → sp2 → xout.
+    // One key per batch leaves the other partition an empty border
+    // sub-batch; only the batch pre-registered on xmid makes that
+    // partition ship its empty sub-batch, so every merge completes.
+    let app = App::builder()
+        .stream_partitioned("xin", kv_schema(), "k")
+        .exchange_stream("xmid", kv_schema(), "k")
+        .table("xout", kv_schema())
+        .proc("sp1", &[("ins", "INSERT INTO xmid (k, v) VALUES (?, ?)")], &["xmid"], |ctx| {
+            for r in ctx.input().to_vec() {
+                let (k2, v2) = rekey(r.get(1).as_int().unwrap());
+                ctx.sql("ins", &[Value::Int(k2), Value::Int(v2)])?;
+            }
+            Ok(())
+        })
+        .proc("sp2", &[("ins", "INSERT INTO xout (k, v) VALUES (?, ?)")], &[], |ctx| {
+            for r in ctx.input().to_vec() {
+                ctx.sql("ins", &[r.get(0).clone(), r.get(1).clone()])?;
+            }
+            Ok(())
+        })
+        .pe_trigger("xin", "sp1")
+        .pe_trigger("xmid", "sp2")
+        .build()
+        .unwrap();
+    let config = EngineConfig::default().with_partitions(2).with_data_dir(test_dir("sql-x"));
+    let engine = Engine::start(config, app).unwrap();
+    for b in 0..8i64 {
+        engine.ingest("xin", vec![tuple![b, b]]).unwrap();
+    }
+    engine.drain().unwrap();
+    let mut want: Vec<(i64, i64)> = (0..8i64).map(rekey).collect();
+    want.sort();
+    assert_eq!(table_union(&engine, "xout"), want, "no batch may strand in the merge");
+    engine.shutdown();
+}
+
+/// Rows of `runs (n)`, one per run of the nested app's `c2`: the size
+/// of the input it consumed.
+fn nested_consumer_runs(partitions: usize) -> Vec<i64> {
+    // xin → parent[c1, c2]: c1 emits onto the exchange stream x, and
+    // c2, x's PE target, consumes it inside the same transaction.
+    let app = App::builder()
+        .stream_partitioned("xin", kv_schema(), "k")
+        .exchange_stream("x", kv_schema(), "k")
+        .table("runs", Schema::of(&[("n", DataType::Int)]))
+        .proc("c1", &[], &["x"], |ctx| {
+            let rows = ctx.input().to_vec();
+            ctx.emit("x", rows)
+        })
+        .proc("c2", &[("ins", "INSERT INTO runs (n) VALUES (?)")], &[], |ctx| {
+            let n = ctx.input().len() as i64;
+            ctx.sql("ins", &[Value::Int(n)]).map(drop)
+        })
+        .nested("parent", &["c1", "c2"])
+        .pe_trigger("xin", "parent")
+        .pe_trigger("x", "c2")
+        .build()
+        .unwrap();
+    let config = EngineConfig::default()
+        .with_partitions(partitions)
+        .with_data_dir(test_dir("nested-consume"));
+    let engine = Engine::start(config, app).unwrap();
+    for b in mixed_batches(4) {
+        engine.ingest("xin", b).unwrap();
+    }
+    engine.drain().unwrap();
+    let mut runs = Vec::new();
+    for p in 0..partitions {
+        let got = engine.query(p, "SELECT n FROM runs", vec![]).unwrap();
+        runs.extend(got.rows.iter().map(|r| r.get(0).as_int().unwrap()));
+    }
+    engine.shutdown();
+    runs
+}
+
+#[test]
+fn a_batch_a_nested_sibling_consumes_is_never_shipped() {
+    // The batch c2 consumed inside the transaction is no commit output,
+    // so no partition ships it: c2 runs once per partition per batch,
+    // each time on what c1 emitted there, and never on an empty merge
+    // of sub-batches whose rows never left their partition.
+    let one = nested_consumer_runs(1);
+    assert_eq!(one, vec![4; 4], "one run per batch, on all four keys");
+    let two = nested_consumer_runs(2);
+    assert_eq!(two.len(), 8, "one run per partition per batch: {two:?}");
+    assert!(!two.contains(&0), "no run on an empty merged delivery: {two:?}");
+    assert_eq!(two.iter().sum::<i64>(), 16, "every row consumed once: {two:?}");
+}
+
+#[test]
 fn nested_child_exchange_producer_fed_by_two_borders_rejected() {
     // The producer declares the exchange stream through a nested
     // child; the nested parent is what the borders trigger. The

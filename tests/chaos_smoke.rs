@@ -4,20 +4,39 @@
 //! (`cargo run -p chaos --release -- --seeds 200`, and `--mode longrun`,
 //! wired into `scripts/bench_smoke.sh`).
 
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread;
+use std::time::Duration;
+
 use chaos::{generate, generate_longrun, run_scenario, Scenario};
 use sstore_engine::RecoveryMode;
 
-/// Runs `sc` in both recovery modes, failing with the line that replays
-/// the first divergence.
+/// How long one scenario may run in one mode. The whole smoke takes
+/// about a second in a debug build, so a run past this is hung, not
+/// slow: a slide that stays pending, say, is scheduled for ever.
+const BOUND: Duration = Duration::from_secs(60);
+
+/// Runs `sc` in both recovery modes, each on its own thread and one at
+/// a time, failing with the line that replays the first divergence, or
+/// the first run that panicked or did not finish within [`BOUND`].
 fn run_both(sc: &Scenario, seed: u64, longrun: bool) {
     for (mode, name) in [(RecoveryMode::Strong, "strong"), (RecoveryMode::Weak, "weak")] {
-        if let Err(d) = run_scenario(sc, mode) {
-            // `--mode longrun` runs both recovery modes.
-            let flag = if longrun { "longrun" } else { name };
-            panic!(
-                "chaos divergence at seed {seed} ({name} mode): {d}\n\
-                 replay: CHAOS_SEED={seed} cargo run -p chaos -- --mode {flag}"
-            );
+        // `--mode longrun` runs both recovery modes.
+        let flag = if longrun { "longrun" } else { name };
+        let replay = format!("replay: CHAOS_SEED={seed} cargo run -p chaos -- --mode {flag}");
+        let (tx, rx) = mpsc::channel();
+        let sc = sc.clone();
+        thread::spawn(move || tx.send(run_scenario(&sc, mode)));
+        match rx.recv_timeout(BOUND) {
+            Ok(Ok(_)) => {}
+            Ok(Err(d)) => panic!("chaos divergence at seed {seed} ({name} mode): {d}\n{replay}"),
+            Err(RecvTimeoutError::Timeout) => panic!(
+                "chaos scenario at seed {seed} ({name} mode) did not finish within {BOUND:?}\n\
+                 {replay}"
+            ),
+            Err(RecvTimeoutError::Disconnected) => {
+                panic!("chaos scenario at seed {seed} ({name} mode) panicked\n{replay}")
+            }
         }
     }
 }
