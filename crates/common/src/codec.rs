@@ -127,6 +127,19 @@ impl Encoder {
         self.buf.extend_from_slice(b);
     }
 
+    /// Writes whatever `body` encodes as [`Encoder::put_bytes`] would
+    /// write those bytes, without a second buffer: the body is encoded
+    /// in place and its varint length slid in before it once known.
+    /// Returns what `body` returns.
+    pub fn put_bytes_with<R>(&mut self, body: impl FnOnce(&mut Encoder) -> R) -> R {
+        let at = self.buf.len();
+        let out = body(self);
+        let mut len = Encoder::with_capacity(10);
+        len.put_varint((self.buf.len() - at) as u64);
+        self.buf.splice(at..at, len.buf);
+        out
+    }
+
     /// Writes a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
@@ -508,6 +521,27 @@ mod tests {
         assert!(e.is_empty());
         e.put_str("first");
         assert_eq!(e.as_bytes(), &first[..]);
+    }
+
+    #[test]
+    fn bytes_written_in_place_equal_put_bytes() {
+        // Lengths whose varint takes one, two and three bytes, nested.
+        for n in [0usize, 127, 128, 20_000] {
+            let body: Vec<u8> = (0..n).map(|i| i as u8).collect();
+            let mut got = Encoder::new();
+            got.put_u8(1);
+            let r = got.put_bytes_with(|e| {
+                e.put_u8(2);
+                e.put_bytes_with(|e| body.iter().for_each(|&b| e.put_u8(b)));
+                n
+            });
+            let (mut inner, mut want) = (Encoder::new(), Encoder::new());
+            inner.put_u8(2);
+            inner.put_bytes(&body);
+            want.put_u8(1);
+            want.put_bytes(inner.as_bytes());
+            assert_eq!((r, got.as_bytes()), (n, want.as_bytes()), "{n} bytes");
+        }
     }
 
     #[test]

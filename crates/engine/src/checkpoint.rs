@@ -6,22 +6,27 @@
 //!
 //! Since v4 a checkpoint is *incremental*: an epoch's image is either a
 //! **base** (full EE state) or a **delta** (only the tables, streams,
-//! and windows dirtied since the previous epoch). A delta is
-//! **table-granular**: a table one row of which changed is written
-//! again whole — rows, index definitions, row-id counter. So within a
-//! chain a later image of a table supersedes every earlier one
-//! outright, and recovery restores by the rule **the newest image
-//! wins**: it decodes, once, the last image of each table in the chain
-//! and never decodes the ones before it
+//! and windows dirtied since the previous epoch). Since v7 a delta is
+//! **row-granular**: a dirty table is written as a *rows frame* — its
+//! row-id counter, the ids of its older rows deleted since its last
+//! image, then the older rows updated since and every row inserted
+//! since — unless its record of updated and deleted rows outgrew its
+//! rows, when it is written whole, as in a base. Recovery restores
+//! each table from its last whole image in the chain, stepping over
+//! every frame before that one by its length, with the rows frames
+//! after it laid over its rows in chain order
 //! ([`crate::ee::ExecutionEngine::restore_chain`]).
 //!
-//! # EE image layout (v6)
+//! # EE image layout (v7)
 //!
 //! ```text
 //! base  := catalog:bytes  sections       catalog = a storage snapshot image (v2),
 //!                                        itself a sequence of table frames
-//! delta := ntables:varint  table-frame*  sections
-//! table-frame := len:u64  table-image    (sstore_storage::snapshot)
+//! delta := ntables:varint  delta-frame*  sections
+//! delta-frame := 0:u8  len:u64  table-image     whole (sstore_storage::snapshot)
+//!              | 1:u8  len:u64  rows-image      rows changed since the last image
+//! rows-image := name:str  next_row_id:u64  seq of deleted row-id:u64
+//!               nrows:varint  (row-id:u64  tuple)*            rows in row-id order
 //! sections := seq of (name:str  stream-state  high:opt-i64)
 //!             seq of window-slot                       (window.rs)
 //! stream-state := seq of (batch:u64  seq of row-id:u64)
@@ -38,12 +43,17 @@
 //! manifest   := magic:u32  version:u32  epochs:seq of u64  floors:seq of u64
 //! ```
 //!
-//! Every table image, in a base and in a delta alike, is preceded by
+//! A partition encodes its whole file in one buffer — its head, then the
+//! EE image written in place ([`Encoder::put_bytes_with`]) — and the
+//! engine writes that buffer; reading keeps the image in the buffer the
+//! file was read into.
+//!
+//! Every table frame, in a base and in a delta alike, is preceded by
 //! its byte length; that is what lets restore step over a superseded
 //! image in O(1). Stream and window sections carry bookkeeping (pending
 //! batch ids; staged tuples and a time window's watermark and extent
 //! cursor — what is *active* in a window is its table's rows, in its
-//! table frame and nowhere else), are small, and are not framed: restore
+//! table frames and nowhere else), are small, and are not framed: restore
 //! decodes them in chain order and a later one overwrites an earlier.
 //! Everything is in name order, so the bytes do not depend on id
 //! assignment.
@@ -74,7 +84,9 @@ const MAGIC: u32 = 0x5353_434B; // "SSCK"
 // v6: window sections hold staging (and a time window's cursor) only:
 // no list of active row ids, no activation or late-tuple counters. A
 // window table's row ids also differ from v5's (staged tuples draw none).
-const VERSION: u32 = 6;
+// v7: a delta's table frames carry a shape byte; a rows frame holds the
+// rows changed since the table's last image.
+const VERSION: u32 = 7;
 
 /// Whether an image is a full base or an incremental delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,13 +157,17 @@ pub fn list_images(vfs: &dyn Vfs, dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 /// Writes a checkpoint atomically (temp file + rename) on the real
 /// filesystem. Returns the encoded size in bytes.
 pub fn write_checkpoint(path: &Path, ck: &CheckpointFile) -> Result<u64> {
-    write_checkpoint_on(&StdVfs, path, ck)
+    let mut e = Encoder::with_capacity(ck.ee_image.len() + 128);
+    put_head(&mut e, ck);
+    e.put_bytes(&ck.ee_image);
+    write_file_on(&StdVfs, path, e.as_bytes())?;
+    Ok(e.len() as u64)
 }
 
-/// Writes a checkpoint atomically on an explicit [`Vfs`]. Returns the
-/// encoded size in bytes (feeds the `checkpoint_bytes` gauge).
-pub fn write_checkpoint_on(vfs: &dyn Vfs, path: &Path, ck: &CheckpointFile) -> Result<u64> {
-    let mut e = Encoder::with_capacity(ck.ee_image.len() + 128);
+/// Writes everything of a checkpoint file before its EE image, which
+/// follows as one length-prefixed byte string (`ck.ee_image` is not
+/// read).
+pub(crate) fn put_head(e: &mut Encoder, ck: &CheckpointFile) {
     e.put_u32(MAGIC);
     e.put_u32(VERSION);
     e.put_u64(ck.epoch);
@@ -160,16 +176,17 @@ pub fn write_checkpoint_on(vfs: &dyn Vfs, path: &Path, ck: &CheckpointFile) -> R
         CheckpointKind::Delta => 1,
     });
     e.put_u64(ck.last_lsn.raw());
-    put_counters(&mut e, &ck.batch_counters);
-    put_counters(&mut e, &ck.exchange_floor);
-    e.put_bytes(&ck.ee_image);
+    put_counters(e, &ck.batch_counters);
+    put_counters(e, &ck.exchange_floor);
+}
+
+/// Writes an encoded checkpoint file atomically on `vfs`, creating its
+/// directory first.
+pub(crate) fn write_file_on(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> Result<()> {
     if let Some(dir) = path.parent() {
         vfs.create_dir_all(dir)?;
     }
-    let bytes = e.finish();
-    let n = bytes.len() as u64;
-    vfs.write_atomic(path, &bytes)?;
-    Ok(n)
+    vfs.write_atomic(path, bytes)
 }
 
 /// Reads a checkpoint from the real filesystem; `Ok(None)` when the
@@ -179,9 +196,10 @@ pub fn read_checkpoint(path: &Path) -> Result<Option<CheckpointFile>> {
     read_checkpoint_on(&StdVfs, path)
 }
 
-/// Reads a checkpoint from an explicit [`Vfs`].
+/// Reads a checkpoint from an explicit [`Vfs`]. The EE image stays in
+/// the buffer the file was read into, the head moved off its front.
 pub fn read_checkpoint_on(vfs: &dyn Vfs, path: &Path) -> Result<Option<CheckpointFile>> {
-    let Some(bytes) = vfs.read(path)? else {
+    let Some(mut bytes) = vfs.read(path)? else {
         return Ok(None);
     };
     let mut d = Decoder::new(&bytes);
@@ -203,11 +221,12 @@ pub fn read_checkpoint_on(vfs: &dyn Vfs, path: &Path) -> Result<Option<Checkpoin
     let last_lsn = Lsn(d.get_u64()?);
     let batch_counters = get_counters(&mut d)?;
     let exchange_floor = get_counters(&mut d)?;
-    let ee_image = d.get_bytes()?.to_vec();
+    let len = d.get_bytes()?.len();
     if !d.is_exhausted() {
         return Err(Error::Codec("trailing bytes in checkpoint file".into()));
     }
-    Ok(Some(CheckpointFile { epoch, kind, last_lsn, batch_counters, exchange_floor, ee_image }))
+    bytes.drain(..bytes.len() - len);
+    Ok(Some(CheckpointFile { epoch, kind, last_lsn, batch_counters, exchange_floor, ee_image: bytes }))
 }
 
 const MANIFEST_MAGIC: u32 = 0x5353_4D46; // "SSMF"

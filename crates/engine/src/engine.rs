@@ -37,7 +37,7 @@ use sstore_storage::Catalog;
 use crate::admission::{AdmissionGate, AdmissionPermit};
 use crate::app::{ingest_runs_one_transaction, App};
 use crate::boundary::EeHandle;
-use crate::checkpoint::{write_checkpoint_on, CheckpointFile, CheckpointKind, Manifest};
+use crate::checkpoint::{write_file_on, Manifest};
 use crate::config::{BoundaryMode, EngineConfig, OverloadPolicy};
 use crate::ee::{build_catalog, ExecutionEngine};
 use crate::faults::CrashPoint;
@@ -955,34 +955,24 @@ impl Engine {
         epoch: u64,
     ) -> Result<()> {
         let counters = self.counters_by_name();
-        // Phase 1: cut every partition's image in memory.
-        let mut images = Vec::with_capacity(self.partitions.len());
+        // Phase 1: cut every partition's image in memory, each encoded
+        // as its whole file.
+        let mut files = Vec::with_capacity(self.partitions.len());
         for p in 0..self.partitions.len() {
-            images.push(self.ask(p, move |rt| rt.checkpoint(full))?.wait()??);
+            let counters = counters.clone();
+            files.push(self.ask(p, move |rt| rt.checkpoint(epoch, full, counters))?.wait()??);
         }
         // Crash point: every image collected, no file written yet.
         self.config.faults.hit(CrashPoint::MidCheckpointPhase1, None)?;
         // Phase 2: write the epoch's image files. Nothing references
         // them until the manifest below adopts the epoch, so a crash
         // anywhere in this loop only litters ignorable files.
-        let kind = if full { CheckpointKind::Base } else { CheckpointKind::Delta };
         let mut floors = Vec::with_capacity(self.partitions.len());
         let mut ck_bytes = 0u64;
-        for (p, (ee_image, last_lsn, exchange_floor)) in images.into_iter().enumerate() {
+        for (p, (file, last_lsn)) in files.into_iter().enumerate() {
             floors.push(last_lsn.raw());
-            let ck = CheckpointFile {
-                epoch,
-                kind,
-                last_lsn,
-                batch_counters: counters.clone(),
-                exchange_floor,
-                ee_image,
-            };
-            ck_bytes += write_checkpoint_on(
-                self.config.vfs.as_ref(),
-                &self.config.checkpoint_path(p, epoch),
-                &ck,
-            )?;
+            write_file_on(self.config.vfs.as_ref(), &self.config.checkpoint_path(p, epoch), &file)?;
+            ck_bytes += file.len() as u64;
             // Crash point: some partitions' images of this epoch are on
             // disk, but the manifest still names the old chain.
             self.config.faults.hit(CrashPoint::MidCheckpointPhase2, None)?;

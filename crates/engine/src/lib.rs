@@ -81,7 +81,8 @@
 //!  │    segments + one active tail (header: seq,   │
 //!  │    base LSN; only the tail can tear)          │
 //!  │  · checkpoint chain = base image + deltas     │
-//!  │    (EE dirty sets), compacted to a new base   │
+//!  │    (rows changed since each table's last      │
+//!  │    image), compacted to a new base            │
 //!  │    every `delta_chain_max` rounds             │
 //!  │  · durability.manifest (atomic rename) names  │
 //!  │    the live chain; GC deletes only segments   │

@@ -337,11 +337,12 @@ pub struct EngineMetrics {
     /// checkpoint chains (gauge; the max over partitions, which restore
     /// concurrently — the RTO contribution of restore).
     pub recovery_restore_ms: AtomicU64 => "engine.recovery.restore_ms",
-    /// Table images checkpoint-chain restores decoded, summed over
-    /// partitions (one per table per restore: the newest in its chain).
+    /// Table frames checkpoint-chain restores decoded, summed over
+    /// partitions: per table, its last whole image in the chain and
+    /// every rows frame after it.
     pub restore_images_decoded: AtomicU64 => "engine.recovery.images_decoded",
-    /// Table images checkpoint-chain restores stepped over undecoded
-    /// because a later image in the chain superseded them.
+    /// Table frames checkpoint-chain restores stepped over undecoded
+    /// because a later whole image of their table superseded them.
     pub restore_images_skipped: AtomicU64 => "engine.recovery.images_skipped",
     /// Per-class queue-wait / execution / end-to-end histograms.
     pub latency: LatencyStats,

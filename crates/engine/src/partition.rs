@@ -31,6 +31,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam_channel::{Receiver, Sender, TryRecvError};
+use sstore_common::codec::Encoder;
 use sstore_common::hash::FxHashMap;
 use sstore_common::{BatchId, Error, Lsn, ProcId, Result, TableId, Tuple, Value};
 use sstore_sql::{BoundStatement, QueryResult};
@@ -38,6 +39,7 @@ use sstore_sql::{BoundStatement, QueryResult};
 use crate::admission::{AdmissionPermit, TxnClass};
 use crate::app::App;
 use crate::boundary::EeHandle;
+use crate::checkpoint::{self, CheckpointFile, CheckpointKind};
 use crate::config::{EngineConfig, EngineMode};
 use crate::ee::ExecutionEngine;
 use crate::faults::CrashPoint;
@@ -546,13 +548,18 @@ impl PartitionRuntime {
     }
 
     /// Takes a checkpoint (`full` = base image, else a delta of state
-    /// dirtied since the last image): the EE image, the last LSN it
-    /// covers, and the exchange watermarks (by stream name).
+    /// changed since the last image) and encodes this partition's whole
+    /// file for epoch `epoch` in one buffer: the head — the last LSN the
+    /// image covers, `batch_counters` and the exchange watermarks (by
+    /// stream name) — then the EE image, written in place. Returns the
+    /// file's bytes and that LSN.
     pub(crate) fn checkpoint(
         &mut self,
+        epoch: u64,
         full: bool,
-    ) -> Result<(Vec<u8>, Lsn, HashMap<String, u64>)> {
-        let lsn = match &mut self.log {
+        batch_counters: HashMap<String, u64>,
+    ) -> Result<(Vec<u8>, Lsn)> {
+        let last_lsn = match &mut self.log {
             Some(log) => {
                 // Flush + unconditional fsync: the image about to be
                 // taken must never cover a transaction whose log
@@ -563,16 +570,28 @@ impl PartitionRuntime {
             }
             None => Lsn(0),
         };
-        let bytes =
-            self.ee.run(move |ee| if full { ee.checkpoint() } else { ee.checkpoint_delta() })?;
-        let floor = self
+        let exchange_floor = self
             .exchange_applied
             .iter()
             .enumerate()
             .filter(|(_, v)| **v > 0)
             .map(|(i, v)| (self.ids.table_name(TableId(i as u32)).to_string(), *v))
             .collect();
-        Ok((bytes, lsn, floor))
+        let head = CheckpointFile {
+            epoch,
+            kind: if full { CheckpointKind::Base } else { CheckpointKind::Delta },
+            last_lsn,
+            batch_counters,
+            exchange_floor,
+            ee_image: Vec::new(),
+        };
+        let mut e = Encoder::with_capacity(4096);
+        checkpoint::put_head(&mut e, &head);
+        let e = self.ee.run(move |ee| {
+            e.put_bytes_with(|e| ee.write_image(e, full))?;
+            Ok(e)
+        })?;
+        Ok((e.finish(), last_lsn))
     }
 
     /// Deletes log segments wholly covered by the durable checkpoint

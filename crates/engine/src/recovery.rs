@@ -69,11 +69,11 @@ pub struct RecoveryReport {
     /// Wall-clock milliseconds replaying the log suffix took (the
     /// slowest partition).
     pub replay_ms: u64,
-    /// Table images decoded, over all partitions: one per table, the
-    /// newest in its chain.
+    /// Table frames decoded, over all partitions: per table, its last
+    /// whole image in the chain and every rows frame after it.
     pub table_images_decoded: u64,
-    /// Table images a later image in the chain superseded, stepped
-    /// over without decoding.
+    /// Table frames a later whole image of their table superseded,
+    /// stepped over without decoding.
     pub table_images_skipped: u64,
 }
 

@@ -149,7 +149,7 @@ fn command_log_records() {
 }
 
 const CHECKPOINT: &str = "\
-    4b435353060000000300000000000000012900000000000000020273322c0100000000000008766f7465735f\
+    4b435353070000000300000000000000012900000000000000020273322c0100000000000008766f7465735f\
     696e07000000000000000104786d69640500000000000000050102030405";
 const MANIFEST: &str = "\
     464d535301000000030400000000000000050000000000000007000000000000000278000000000000006200\
@@ -291,7 +291,7 @@ fn table_image() {
 }
 
 const ENGINE_BASE: &str = "\
-    4b4353530600000001000000000000000001000000000000000101730100000000000000008703d901414e53\
+    4b4353530700000001000000000000000001000000000000000101730100000000000000008703d901414e53\
     5302000000044f00000000000000036f75740102027473000001760000020000000000000000020000000000\
     00000002010500000000000000010100000000000000010000000000000002010c0000000000000001020000\
     0000000000170000000000000001730102027473000001760000000000000000000000003300000000000000\
@@ -302,19 +302,17 @@ const ENGINE_BASE: &str = "\
     000001010c000000000000000102010c00000000000000010200000000000000000177017003010202010500\
     00000000000001010000000000000002010c00000000000000010200000000000000";
 const ENGINE_DELTA: &str = "\
-    4b435353060000000200000000000000010200000000000000010173020000000000000000f7030485000000\
-    00000000036f7574010202747300000176000004000000000000000004000000000000000002010500000000\
-    000000010100000000000000010000000000000002010c000000000000000102000000000000000200000000\
-    0000000201290000000000000001030000000000000003000000000000000201090000000000000001040000\
-    0000000000170000000000000001730102027473000001760000000000000000000000003300000000000000\
-    027477020202747300000176000003000000000000000001020000000000000002010c000000000000000102\
-    0000000000000068000000000000000177020202747300000176000004000000000000000003010000000000\
-    000002010c000000000000000102000000000000000200000000000000020129000000000000000103000000\
-    0000000003000000000000000201090000000000000001040000000000000002036f75740201000000000000\
-    0002000000000000000001000000000000000200000000000000020200000000000000030000000000000000\
-    017300012900000000000000020102747701700274731e000000000000000a00000000000000050000000000\
-    0000012900000000000000013200000000000000010129000000000000000102012900000000000000010300\
-    0000000000000001770170030100";
+    4b435353070000000200000000000000010200000000000000010173020000000000000000a1030401440000\
+    0000000000036f75740400000000000000000202000000000000000201290000000000000001030000000000\
+    0000030000000000000002010900000000000000010400000000000000010c00000000000000017300000000\
+    0000000000000130000000000000000274770300000000000000010000000000000000010200000000000000\
+    02010c00000000000000010200000000000000015d0000000000000001770400000000000000000301000000\
+    0000000002010c00000000000000010200000000000000020000000000000002012900000000000000010300\
+    00000000000003000000000000000201090000000000000001040000000000000002036f7574020100000000\
+    0000000200000000000000000100000000000000020000000000000002020000000000000003000000000000\
+    0000017300012900000000000000020102747701700274731e000000000000000a0000000000000005000000\
+    0000000001290000000000000001320000000000000001012900000000000000010201290000000000000001\
+    03000000000000000001770170030100";
 
 /// A timed border stream feeding a tuple window, a time window and an
 /// unconsumed output stream: an image with a high mark, pending stream

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Error returned by [`Sender::send`] when all receivers are gone.
 /// Carries the unsent message, like the real crate.
@@ -58,6 +58,10 @@ struct Inner<T> {
     queue: VecDeque<T>,
     senders: usize,
     receivers: usize,
+    /// Receivers parked on `not_empty` and senders parked on
+    /// `not_full`: a notify is a syscall, made only when one waits.
+    parked_receivers: usize,
+    parked_senders: usize,
 }
 
 struct Chan<T> {
@@ -107,7 +111,13 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
 
 fn make<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let chan = Arc::new(Chan {
-        inner: Mutex::new(Inner { queue: VecDeque::new(), senders: 1, receivers: 1 }),
+        inner: Mutex::new(Inner {
+            queue: VecDeque::new(),
+            senders: 1,
+            receivers: 1,
+            parked_receivers: 0,
+            parked_senders: 0,
+        }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
         cap,
@@ -119,6 +129,29 @@ fn lock<T>(chan: &Chan<T>) -> std::sync::MutexGuard<'_, Inner<T>> {
     // A panicking holder cannot leave the queue structurally broken, so
     // poison is safe to clear.
     chan.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Parks on `cond`, counted in the `parked` count `count` selects
+/// while parked.
+fn park<'a, T>(
+    cond: &Condvar,
+    mut inner: MutexGuard<'a, Inner<T>>,
+    count: fn(&mut Inner<T>) -> &mut usize,
+) -> MutexGuard<'a, Inner<T>> {
+    *count(&mut inner) += 1;
+    let mut inner = cond.wait(inner).unwrap_or_else(std::sync::PoisonError::into_inner);
+    *count(&mut inner) -= 1;
+    inner
+}
+
+/// Releases the lock, then wakes one thread parked on `cond` if
+/// `parked` counts one.
+fn release_and_wake<T>(inner: MutexGuard<'_, Inner<T>>, cond: &Condvar, parked: fn(&Inner<T>) -> usize) {
+    let wake = parked(&inner) > 0;
+    drop(inner);
+    if wake {
+        cond.notify_one();
+    }
 }
 
 impl<T> Sender<T> {
@@ -133,18 +166,13 @@ impl<T> Sender<T> {
             }
             match self.chan.cap {
                 Some(cap) if inner.queue.len() >= cap => {
-                    inner = self
-                        .chan
-                        .not_full
-                        .wait(inner)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    inner = park(&self.chan.not_full, inner, |i| &mut i.parked_senders);
                 }
                 _ => break,
             }
         }
         inner.queue.push_back(msg);
-        drop(inner);
-        self.chan.not_empty.notify_one();
+        release_and_wake(inner, &self.chan.not_empty, |i| i.parked_receivers);
         Ok(())
     }
 }
@@ -175,18 +203,13 @@ impl<T> Receiver<T> {
         let mut inner = lock(&self.chan);
         loop {
             if let Some(v) = inner.queue.pop_front() {
-                drop(inner);
-                self.chan.not_full.notify_one();
+                release_and_wake(inner, &self.chan.not_full, |i| i.parked_senders);
                 return Ok(v);
             }
             if inner.senders == 0 {
                 return Err(RecvError);
             }
-            inner = self
-                .chan
-                .not_empty
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            inner = park(&self.chan.not_empty, inner, |i| &mut i.parked_receivers);
         }
     }
 
@@ -194,8 +217,7 @@ impl<T> Receiver<T> {
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let mut inner = lock(&self.chan);
         if let Some(v) = inner.queue.pop_front() {
-            drop(inner);
-            self.chan.not_full.notify_one();
+            release_and_wake(inner, &self.chan.not_full, |i| i.parked_senders);
             return Ok(v);
         }
         if inner.senders == 0 {
@@ -297,6 +319,43 @@ mod tests {
         assert_eq!(rx.recv(), Ok(1));
         assert_eq!(rx.recv(), Ok(2));
         t.join().unwrap().unwrap();
+    }
+
+    /// Ping-pong through two one-slot channels, beside three senders
+    /// sharing a third: nearly every message finds its peer parked, so
+    /// one skipped wakeup hangs the exchange, and the bound fails it.
+    #[test]
+    fn parked_threads_always_wake() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let exchange = std::thread::spawn(move || {
+            let (ping_tx, ping_rx) = bounded::<u32>(1);
+            let (pong_tx, pong_rx) = bounded::<u32>(1);
+            let echo = std::thread::spawn(move || {
+                while let Ok(v) = ping_rx.recv() {
+                    pong_tx.send(v).unwrap();
+                }
+            });
+            let (many_tx, many_rx) = bounded::<u32>(1);
+            let senders: Vec<_> = (0..3)
+                .map(|_| {
+                    let tx = many_tx.clone();
+                    std::thread::spawn(move || (0..20_000).for_each(|v| tx.send(v).unwrap()))
+                })
+                .collect();
+            drop(many_tx);
+            let drain = std::thread::spawn(move || std::iter::from_fn(|| many_rx.recv().ok()).count());
+            for v in 0..50_000 {
+                ping_tx.send(v).unwrap();
+                assert_eq!(pong_rx.recv(), Ok(v));
+            }
+            drop(ping_tx);
+            echo.join().unwrap();
+            senders.into_iter().for_each(|t| t.join().unwrap());
+            done_tx.send(drain.join().unwrap()).unwrap();
+        });
+        let received = done_rx.recv_timeout(std::time::Duration::from_secs(60));
+        assert_eq!(received, Ok(60_000), "a parked thread was never woken");
+        exchange.join().unwrap();
     }
 
     #[test]

@@ -26,6 +26,21 @@
 //! keeps the newest image of each table — reads a frame's name
 //! ([`TableFrame`]) and steps over the rest without decoding it.
 //!
+//! An incremental checkpoint's delta carries each table it names in one
+//! of two shapes ([`encode_delta_frame`]): the whole table image, or a
+//! **rows frame** — only the rows that changed since the table's last
+//! image:
+//!
+//! ```text
+//! delta-frame := 0:u8  table-frame  |  1:u8  rows-frame
+//! rows-frame  := len:u64  name:str  next_row_id:u64
+//!                ndeleted:varint  row_id:u64*              ascending
+//!                nrows:varint  (row_id:u64  tuple)*        rows in row-id order
+//! ```
+//!
+//! [`decode_chain`] rebuilds a table from its last whole image and the
+//! rows frames written after it.
+//!
 //! Decoding trusts nothing the image says about sizes: every count is
 //! bounded by the bytes that remain over its item's minimum size before
 //! anything is reserved from it (`sstore_common::codec`'s count rule). A
@@ -33,7 +48,7 @@
 //! order, each index built in one pass — not row by row.
 
 use sstore_common::codec::{Decoder, Encoder};
-use sstore_common::{Error, Result, RowId};
+use sstore_common::{Error, Result, RowId, Tuple};
 
 use crate::catalog::Catalog;
 use crate::index::{IndexDef, IndexKind};
@@ -45,16 +60,20 @@ const VERSION: u32 = 2;
 /// Serializes a catalog to a self-contained byte image.
 pub fn encode_catalog(catalog: &Catalog) -> Vec<u8> {
     let mut e = Encoder::with_capacity(1024);
-    e.put_u32(MAGIC);
-    e.put_u32(VERSION);
-    e.put_seq(catalog.iter(), encode_table_image);
+    put_catalog(&mut e, catalog);
     e.finish()
 }
 
+/// Writes the image [`encode_catalog`] returns into an existing encoder.
+pub fn put_catalog(e: &mut Encoder, catalog: &Catalog) {
+    e.put_u32(MAGIC);
+    e.put_u32(VERSION);
+    e.put_seq(catalog.iter(), encode_table_image);
+}
+
 /// Serializes one table (name, kind, schema, indexes, rows) as a frame
-/// into an existing encoder — the unit of a catalog image and of an
-/// incremental-checkpoint delta, which carries only the tables dirtied
-/// since the previous image. Read back with [`TableFrame::read`].
+/// into an existing encoder — the unit of a catalog image and the whole
+/// shape of a delta frame. Read back with [`TableFrame::read`].
 pub fn encode_table_image(e: &mut Encoder, table: &Table) {
     e.put_framed(|e| {
         e.put_str(table.name());
@@ -80,11 +99,46 @@ pub fn encode_table_image(e: &mut Encoder, table: &Table) {
     });
 }
 
-/// One table image, located but not decoded: its name and its bytes.
+/// Serializes one table of a delta, shape byte first: the whole table
+/// image when `changed` is `None`, else a rows frame for
+/// `changed = (floor, touched)` — the table's row-id counter at its last
+/// image, and the ids below it that an update or a delete named since,
+/// ascending and without repeats. The rows frame holds the counter, the
+/// touched ids no longer live, then in id order the touched rows that
+/// are and every live row from `floor` on. Read back with
+/// [`TableFrame::read_delta`].
+pub fn encode_delta_frame(e: &mut Encoder, table: &Table, changed: Option<(RowId, &[RowId])>) {
+    let Some((floor, touched)) = changed else {
+        e.put_u8(0);
+        return encode_table_image(e, table);
+    };
+    e.put_u8(1);
+    e.put_framed(|e| {
+        e.put_str(table.name());
+        e.put_u64(table.peek_next_row_id().raw());
+        let deleted: Vec<RowId> = touched.iter().copied().filter(|&id| !table.contains(id)).collect();
+        e.put_seq(&deleted, |e, id| e.put_u64(id.raw()));
+        let kept = touched.iter().filter_map(|&id| Some((id, table.get(id)?)));
+        e.put_varint((touched.len() - deleted.len() + table.scan_from(floor).count()) as u64);
+        for (id, t) in kept.chain(table.scan_from(floor)) {
+            e.put_u64(id.raw());
+            e.put_tuple(t);
+        }
+    });
+}
+
+/// A rows frame's entries in id order: a live row as `Some`, a deleted
+/// id as `None`.
+pub type RowChanges = Vec<(RowId, Option<Tuple>)>;
+
+/// One table image, located but not decoded: its name, its shape and
+/// its bytes.
 #[derive(Debug, Clone)]
 pub struct TableFrame<'a> {
     /// The table's name (lower-cased, as stored).
     pub name: String,
+    /// A rows frame ([`encode_delta_frame`]) rather than a whole image.
+    pub rows: bool,
     image: &'a [u8],
 }
 
@@ -94,13 +148,39 @@ impl<'a> TableFrame<'a> {
     pub fn read(d: &mut Decoder<'a>) -> Result<Self> {
         let image = d.get_framed()?;
         let name = Decoder::new(image).get_str()?;
-        Ok(TableFrame { name, image })
+        Ok(TableFrame { name, rows: false, image })
     }
 
-    /// Decodes the table.
+    /// Reads the next frame written by [`encode_delta_frame`], as
+    /// [`TableFrame::read`] does.
+    pub fn read_delta(d: &mut Decoder<'a>) -> Result<Self> {
+        let rows = match d.get_u8()? {
+            0 => false,
+            1 => true,
+            t => return Err(Error::Codec(format!("unknown delta frame shape {t}"))),
+        };
+        Ok(TableFrame { rows, ..Self::read(d)? })
+    }
+
+    /// Decodes the table of a whole image.
     pub fn decode(&self) -> Result<Table> {
+        decode_chain(std::slice::from_ref(self))
+    }
+
+    /// A rows frame's row-id counter and its entries.
+    pub fn changes(&self) -> Result<(u64, RowChanges)> {
         let mut d = Decoder::new(self.image);
-        let table = decode_table(&mut d)?;
+        d.get_str()?;
+        let next_row_id = d.get_u64()?;
+        let deleted = d.get_seq(8, "deleted row", |d| Ok((RowId(d.get_u64()?), None)))?;
+        let nrows = d.get_count(9, "row")?;
+        let rows = (0..nrows).map(|_| Ok((RowId(d.get_u64()?), Some(d.get_tuple()?))));
+        let changes = overlay(rows, deleted).collect::<Result<_>>()?;
+        self.exhausted(&d)?;
+        Ok((next_row_id, changes))
+    }
+
+    fn exhausted(&self, d: &Decoder<'_>) -> Result<()> {
         if !d.is_exhausted() {
             return Err(Error::Codec(format!(
                 "{} trailing bytes in the image of table {}",
@@ -108,8 +188,36 @@ impl<'a> TableFrame<'a> {
                 self.name
             )));
         }
-        Ok(table)
+        Ok(())
     }
+}
+
+/// `older` with `newer` laid over it, both in ascending id order: an id
+/// both hold takes `newer`'s entry. An error in `older` comes out as
+/// soon as it is reached.
+fn overlay<T>(
+    older: impl Iterator<Item = Result<(RowId, T)>>,
+    newer: Vec<(RowId, T)>,
+) -> impl Iterator<Item = Result<(RowId, T)>> {
+    let (mut older, mut newer) = (older.peekable(), newer.into_iter().peekable());
+    std::iter::from_fn(move || {
+        let take_older = match (older.peek(), newer.peek()) {
+            (None, None) => return None,
+            (Some(Ok((o, _))), Some((n, _))) if o >= n => {
+                if o == n {
+                    older.next();
+                }
+                false
+            }
+            (Some(_), _) => true,
+            (None, Some(_)) => false,
+        };
+        if take_older {
+            older.next()
+        } else {
+            newer.next().map(Ok)
+        }
+    })
 }
 
 /// The table frames of an image produced by [`encode_catalog`], in
@@ -144,11 +252,29 @@ pub fn decode_catalog(bytes: &[u8]) -> Result<Catalog> {
     Ok(catalog)
 }
 
-fn decode_table(d: &mut Decoder<'_>) -> Result<Table> {
+/// Decodes a table from its frames in a checkpoint chain: its last
+/// whole image, then the rows frames written after it, oldest first.
+/// Each rows frame's entries replace or delete the rows it names, a
+/// newer frame's over an older's; the whole image's rows are read once,
+/// merged with them by id on the way into one [`Table::bulk_load`], so
+/// every index is built once.
+pub fn decode_chain(frames: &[TableFrame<'_>]) -> Result<Table> {
+    let Some((whole, later)) = frames.split_first().filter(|(whole, _)| !whole.rows) else {
+        return Err(Error::Codec("a table's frames do not start with a whole image".into()));
+    };
+    let mut changes = Vec::new();
+    let mut last_next = 0;
+    for frame in later {
+        let (next_row_id, newer) = frame.changes()?;
+        changes = overlay(changes.into_iter().map(Ok), newer).collect::<Result<_>>()?;
+        last_next = next_row_id;
+    }
+
+    let mut d = Decoder::new(whole.image);
     let name = d.get_str()?;
     let kind = TableKind::from_tag(d.get_u8()?)?;
     let schema = d.get_schema()?;
-    let next_row_id = d.get_u64()?;
+    let next_row_id = d.get_u64()?.max(last_next);
 
     // An index definition is at least a name length, two tags and a
     // column count.
@@ -166,9 +292,13 @@ fn decode_table(d: &mut Decoder<'_>) -> Result<Table> {
 
     // A row is at least eight id bytes and one arity byte.
     let nrows = d.get_count(9, "row")?;
-    let rows = (0..nrows).map(|_| Ok((RowId(d.get_u64()?), d.get_tuple()?)));
-    Table::bulk_load(name, kind, schema, next_row_id, indexes, nrows, rows)
-        .map_err(|e| Error::Codec(format!("rebuilding table failed: {e}")))
+    let count = nrows + changes.len();
+    let rows = (0..nrows).map(|_| Ok((RowId(d.get_u64()?), Some(d.get_tuple()?))));
+    let live = overlay(rows, changes).filter_map(|row| row.map(|(id, t)| t.map(|t| (id, t))).transpose());
+    let table = Table::bulk_load(name, kind, schema, next_row_id, indexes, count, live)
+        .map_err(|e| Error::Codec(format!("rebuilding table failed: {e}")))?;
+    whole.exhausted(&d)?;
+    Ok(table)
 }
 
 #[cfg(test)]

@@ -523,6 +523,13 @@ impl Table {
         live_rows(&self.rows)
     }
 
+    /// Iterates the live rows from id `from` on, in row-id order: what
+    /// inserts added since the counter stood at `from`.
+    pub(crate) fn scan_from(&self, from: RowId) -> impl Iterator<Item = (RowId, &Tuple)> + '_ {
+        let at = self.locate(from).unwrap_or_else(|at| at);
+        self.rows.range(at..).filter_map(|(id, t)| t.as_ref().map(|t| (*id, t)))
+    }
+
     /// Starts a restartable chunked cursor over live rows in row-id
     /// order — the column-extraction feed for the vectorized read path.
     /// Each [`ScanChunks::next_chunk`] call appends up to `cap` borrowed

@@ -604,7 +604,9 @@ fn crash_after_base_and_four_deltas(mode: RecoveryMode) -> (EngineConfig, Vec<Ve
 
 /// Per partition the chain holds six tables; each delta carries `a`,
 /// `feed`, `recent` and `pane` (written every round), and delta 2
-/// carries `b` as well.
+/// carries `b` as well. Every delta frame holds only the rows changed
+/// since the last image, but for delta 3's `pane`: its slides deleted
+/// more rows than it holds, so it is written whole.
 const CHAIN_TABLES: u64 = 6;
 const EVERY_ROUND_TABLES: u64 = 4;
 
@@ -613,10 +615,13 @@ fn chain_restore_decodes_each_table_once_and_recovers_the_pre_crash_state() {
     for mode in [RecoveryMode::Strong, RecoveryMode::Weak] {
         let (crashed, before) = crash_after_base_and_four_deltas(mode);
         let (recovered, report) = recover(crashed, chain_app()).unwrap();
-        // a (and the stream and the windows): decoded once, the four
-        // older images skipped; b: once, one skipped; c: once.
-        assert_eq!(report.table_images_decoded, 2 * CHAIN_TABLES, "{mode:?}");
-        assert_eq!(report.table_images_skipped, 2 * (4 * EVERY_ROUND_TABLES + 1), "{mode:?}");
+        // Every frame of a table from its last whole image on is
+        // decoded, and the table rebuilt from them once: a, the stream
+        // and `recent` five frames each, b two, c one; `pane` two, the
+        // three before its whole image in delta 3 skipped.
+        let frames = CHAIN_TABLES + 4 * EVERY_ROUND_TABLES + 1;
+        assert_eq!(report.table_images_decoded, 2 * (frames - 3), "{mode:?}");
+        assert_eq!(report.table_images_skipped, 2 * 3, "{mode:?}");
         assert!(report.records_replayed > 0, "{mode:?}: the tail replays");
         let m = recovered.metrics();
         assert_eq!(EngineMetrics::get(&m.recovery_restore_ms), report.restore_ms);
@@ -654,8 +659,10 @@ fn torn_chain_resolves_over_the_surviving_prefix() {
         let (crashed, before) = crash_after_base_and_four_deltas(mode);
         std::fs::remove_file(crashed.checkpoint_path(1, 4)).unwrap();
         let (recovered, report) = recover(crashed, chain_app()).unwrap();
-        assert_eq!(report.table_images_decoded, 2 * CHAIN_TABLES, "{mode:?}");
-        assert_eq!(report.table_images_skipped, 2 * (2 * EVERY_ROUND_TABLES + 1), "{mode:?}");
+        // Base, delta 1 and delta 2 hold rows frames only: all decoded.
+        let frames = CHAIN_TABLES + 2 * EVERY_ROUND_TABLES + 1;
+        assert_eq!(report.table_images_decoded, 2 * frames, "{mode:?}");
+        assert_eq!(report.table_images_skipped, 0, "{mode:?}");
         assert_eq!(full_state(&recovered), before, "{mode:?}: converges by log replay");
         recovered.shutdown();
     }
@@ -805,7 +812,7 @@ fn a_restored_time_window_expires_what_its_unrestarted_twin_does() {
     }
 }
 
-/// Checkpoint format 6 dropped the windows' `active` sections; an image
+/// Checkpoint format 7 gave delta frames a shape byte; an image
 /// written by an older build is refused at its header, naming both
 /// versions, rather than misread.
 #[test]
@@ -823,10 +830,10 @@ fn an_older_checkpoint_version_is_refused_naming_both() {
     let path = config.checkpoint_path(0, 1);
     let mut bytes = std::fs::read(&path).unwrap();
     // magic:u32, then version:u32 (little-endian).
-    assert_eq!(bytes[4..8], 6u32.to_le_bytes());
-    bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
+    assert_eq!(bytes[4..8], 7u32.to_le_bytes());
+    bytes[4..8].copy_from_slice(&6u32.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     let err = read_checkpoint(&path).unwrap_err().to_string();
-    assert!(err.contains("version 5") && err.contains("reads 6"), "{err}");
-    assert!(recover(config, sliding_window_app()).is_err(), "a v5 image must not restore");
+    assert!(err.contains("version 6") && err.contains("reads 7"), "{err}");
+    assert!(recover(config, sliding_window_app()).is_err(), "a v6 image must not restore");
 }
