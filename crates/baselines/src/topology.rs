@@ -19,10 +19,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use sstore_common::{Error, Result, Tuple, Value};
 
 // ---------------------------------------------------------------------
@@ -56,7 +56,7 @@ pub struct KvStore {
 impl KvStore {
     /// Spawns the store thread.
     pub fn spawn() -> KvStore {
-        let (tx, rx) = unbounded::<KvRequest>();
+        let (tx, rx) = channel::<KvRequest>();
         let join = std::thread::Builder::new()
             .name("kv-store".into())
             .spawn(move || kv_thread(rx))
@@ -71,7 +71,7 @@ impl KvStore {
 
     /// Stops the store.
     pub fn shutdown(mut self) {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = channel();
         if self.client.tx.send(KvRequest::Shutdown(tx)).is_ok() {
             let _ = rx.recv();
         }
@@ -139,7 +139,7 @@ impl KvClient {
     /// Point read (one round trip).
     pub fn get(&self, key: &str) -> Result<Option<Vec<Value>>> {
         self.bump();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = channel();
         self.tx
             .send(KvRequest::Get(key.to_owned(), tx))
             .map_err(|_| Error::InvalidState("kv store down".into()))?;
@@ -158,7 +158,7 @@ impl KvClient {
     /// round trip regardless of batch size).
     pub fn batch_put(&self, kvs: Vec<(String, Vec<Value>)>) -> Result<()> {
         self.bump();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = channel();
         self.tx
             .send(KvRequest::BatchPut(kvs, tx))
             .map_err(|_| Error::InvalidState("kv store down".into()))?;
@@ -168,7 +168,7 @@ impl KvClient {
     /// Atomic counter increment, returns the new value.
     pub fn incr(&self, key: &str, by: i64) -> Result<i64> {
         self.bump();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = channel();
         self.tx
             .send(KvRequest::Incr(key.to_owned(), by, tx))
             .map_err(|_| Error::InvalidState("kv store down".into()))?;
@@ -179,7 +179,7 @@ impl KvClient {
     /// this — the leaderboard bolt needs it).
     pub fn scan(&self, prefix: &str) -> Result<Vec<(String, Vec<Value>)>> {
         self.bump();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = channel();
         self.tx
             .send(KvRequest::Scan(prefix.to_owned(), tx))
             .map_err(|_| Error::InvalidState("kv store down".into()))?;
@@ -232,7 +232,7 @@ impl Topology {
     /// every bolt (cloned per stage).
     pub fn start(bolts: Vec<BoltFn>, kv: &KvClient) -> Topology {
         assert!(!bolts.is_empty(), "topology needs at least one bolt");
-        let (ack_tx, ack_rx) = unbounded::<AckMsg>();
+        let (ack_tx, ack_rx) = channel::<AckMsg>();
         let completed = Arc::new(AtomicU64::new(0));
         let failed = Arc::new(AtomicU64::new(0));
         let mut joins = Vec::new();
@@ -248,7 +248,7 @@ impl Topology {
         // Build stages back to front.
         let mut next_tx: Option<Sender<StageMsg>> = None;
         for (i, bolt) in bolts.into_iter().enumerate().rev() {
-            let (tx, rx) = unbounded::<StageMsg>();
+            let (tx, rx) = channel::<StageMsg>();
             let downstream = next_tx.clone();
             let ack = ack_tx.clone();
             let kv = kv.clone();

@@ -22,3 +22,35 @@ pub use ids::{BatchId, Lsn, PartitionId, ProcId, RowId, TableId, Timestamp, TxnI
 pub use schema::{Column, DataType, Schema};
 pub use tuple::Tuple;
 pub use value::Value;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, clearing poison: a lock whose holder panicked stays
+/// usable. This is the rule for every mutex in the engine and the
+/// server: a panic is reported where it happened, and does not turn
+/// into a second one in whoever locks next.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_lock_whose_holder_panicked_stays_usable() {
+        let m = Mutex::new(1);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut g = lock(&m);
+                *g += 1;
+                panic!("holder panics with the lock held");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked && m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 3);
+    }
+}

@@ -33,6 +33,8 @@ use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use sstore_common::lock;
+
 /// What kind of transaction execution a request is, for latency
 /// accounting and admission exemption. Client-origin classes
 /// ([`Border`], [`Oltp`]) are admission-controlled; engine-internal
@@ -144,12 +146,6 @@ pub struct AdmissionGate {
     handoffs: std::sync::atomic::AtomicU64,
 }
 
-fn lock(gate: &AdmissionGate) -> std::sync::MutexGuard<'_, GateState> {
-    // A panicking permit-holder cannot leave the counters structurally
-    // broken (plain usizes), so poison is safe to clear.
-    gate.state.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl AdmissionGate {
     /// A gate with `capacity` credits (clamped to at least 1 — a
     /// zero-credit gate could admit nothing, ever).
@@ -172,7 +168,7 @@ impl AdmissionGate {
     /// Credits currently free (not held by a permit; earmarked-for-a-
     /// waiter credits count as free until the waiter picks them up).
     pub fn available(&self) -> usize {
-        lock(self).free
+        lock(&self.state).free
     }
 
     /// Credits currently held by in-flight client requests.
@@ -182,7 +178,7 @@ impl AdmissionGate {
 
     /// Waiters currently parked on this gate (Block policy).
     pub fn parked(&self) -> usize {
-        lock(self).parked
+        lock(&self.state).parked
     }
 
     /// Wakeups that found no earmarked credit since the gate was
@@ -203,7 +199,7 @@ impl AdmissionGate {
     /// policy's acquire). Only the un-earmarked surplus is up for
     /// grabs: credits already handed to parked waiters are theirs.
     pub fn try_acquire(self: &Arc<Self>) -> Option<AdmissionPermit> {
-        let mut s = lock(self);
+        let mut s = lock(&self.state);
         if s.free <= s.reserved {
             return None;
         }
@@ -222,7 +218,7 @@ impl AdmissionGate {
     /// parked sessions into re-contending the lock.
     pub fn acquire_timeout(self: &Arc<Self>, timeout: Duration) -> Option<AdmissionPermit> {
         let deadline = Instant::now().checked_add(timeout);
-        let mut s = lock(self);
+        let mut s = lock(&self.state);
         if s.free > s.reserved {
             s.free -= 1;
             return Some(AdmissionPermit { gate: self.clone() });
@@ -303,7 +299,7 @@ impl fmt::Debug for AdmissionPermit {
 impl Drop for AdmissionPermit {
     fn drop(&mut self) {
         let gate = &self.gate;
-        let mut s = lock(gate);
+        let mut s = lock(&gate.state);
         s.free += 1;
         // Direct handoff: earmark the credit for one parked waiter and
         // wake exactly one thread — but only if some waiter does not
@@ -432,38 +428,45 @@ mod tests {
 
     #[test]
     fn single_waiter_wakeup_under_contention_no_thundering_herd() {
-        // 8 threads × 100 cycles over a 2-credit gate: every freed
-        // credit is handed to exactly one waiter. Under the old
-        // free-for-all wakeup each free could wake a waiter that loses
-        // the race and re-parks; under direct handoff a woken waiter
-        // always finds its earmarked credit, so spurious wakeups stay
-        // near zero (OS phantom wakeups are permitted but rare) no
-        // matter how hard the gate is hammered.
+        // Every round parks 8 waiters on a 2-credit gate whose credits
+        // the test thread holds, then frees both; each waiter holds
+        // what it wins for 1 ms. Under direct handoff each freed
+        // credit is earmarked for one waiter and wakes only it, so a
+        // woken waiter always finds its credit and spurious wakeups
+        // stay near zero (OS phantom wakeups are permitted but rare).
+        // A broadcast wakeup without earmarks wakes every parked
+        // waiter for each free, and all but one re-park empty-handed.
         const THREADS: usize = 8;
-        const CYCLES: usize = 100;
+        const ROUNDS: usize = 20;
         let gate = AdmissionGate::new(2);
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                let g = &gate;
-                s.spawn(move || {
-                    for _ in 0..CYCLES {
-                        let permit = g.acquire_timeout(Duration::MAX).expect("no deadline");
-                        std::thread::yield_now();
-                        drop(permit);
-                    }
-                });
-            }
-        });
+        for _ in 0..ROUNDS {
+            let held = [gate.try_acquire().unwrap(), gate.try_acquire().unwrap()];
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    let g = &gate;
+                    s.spawn(move || {
+                        let _permit = g.acquire_timeout(Duration::MAX).expect("no deadline");
+                        std::thread::sleep(Duration::from_millis(1));
+                    });
+                }
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while gate.parked() < THREADS {
+                    assert!(Instant::now() < deadline, "waiters never all parked");
+                    std::thread::yield_now();
+                }
+                drop(held);
+            });
+        }
         assert_eq!(gate.available(), 2, "all credits returned");
         assert_eq!(gate.parked(), 0);
-        let total = (THREADS * CYCLES) as u64;
+        let total = (THREADS * ROUNDS) as u64;
         let spurious = gate.spurious_wakeups();
         assert!(
             spurious <= total / 10,
             "spurious wakeups not bounded: {spurious} of {total} acquisitions \
              (direct handoff should keep this near zero)"
         );
-        assert!(gate.handoffs() > 0, "contention must exercise the handoff path");
+        assert_eq!(gate.handoffs(), total, "every acquisition parked, so each was a handoff");
     }
 
     #[test]

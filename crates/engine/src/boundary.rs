@@ -9,7 +9,8 @@
 //!   and calls are plain function calls (zero-cost boundary; useful for
 //!   unit tests and upper bounds);
 //! * [`BoundaryMode::Channel`] — the EE runs on its own thread; every
-//!   call is a rendezvous over crossbeam channels. This is the
+//!   call is a rendezvous over a pair of std mpsc channels: one
+//!   job out, one reply back, strictly alternating. This is the
 //!   configuration the benchmarks use: a chain of N SQL stages costs N
 //!   round trips in H-Store style but one in S-Store style (the EE
 //!   trigger cascade happens entirely on the far side).
@@ -39,10 +40,10 @@
 //! [`BoundaryMode::Channel`]: crate::config::BoundaryMode::Channel
 
 use std::any::Any;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam_channel::{bounded, Receiver, Sender};
 use sstore_common::{Error, Result, Value};
 use sstore_sql::QueryResult;
 
@@ -78,10 +79,10 @@ impl EeHandle {
         EeHandle { transport: Transport::Inline(Box::new(ee)), metrics, trips: 0 }
     }
 
-    /// Spawns the EE on its own thread behind a rendezvous channel.
+    /// Spawns the EE on its own thread behind a job and a reply channel.
     pub fn channel(mut ee: ExecutionEngine, metrics: Arc<EngineMetrics>) -> Result<Self> {
-        let (jobs, job_rx) = bounded::<Job>(1);
-        let (reply_tx, replies) = bounded::<Reply>(1);
+        let (jobs, job_rx) = channel::<Job>();
+        let (reply_tx, replies) = channel::<Reply>();
         let join = std::thread::Builder::new()
             .name("sstore-ee".into())
             .spawn(move || {

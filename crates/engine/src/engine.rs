@@ -16,21 +16,22 @@
 //!
 //! Transactions reach a partition as typed `Submit` messages. Every
 //! other operation the engine asks of a partition — checkpoint,
-//! restore, GC, flush, drain, trigger switching, ad-hoc reads — goes
-//! through one helper, `Engine::ask`: a closure run on the partition
-//! thread whose answer comes back on a receiver of its own. A partition
-//! whose thread has died answers every such request, and
-//! [`Engine::close`], with an error that names it.
+//! restore, GC, flush, trigger switching, ad-hoc reads — goes through
+//! one helper, `Engine::ask`: a closure run on the partition thread
+//! whose answer comes back on a receiver of its own. A drain is the
+//! one closure that answers later: it leaves its sender with the
+//! partition, which answers when it next goes idle. A partition whose
+//! thread has died answers every such request, and [`Engine::close`],
+//! with an error that names it.
 //!
 //! [`BoundaryMode::Channel`]: crate::config::BoundaryMode::Channel
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 
-use crossbeam_channel::{bounded, Receiver};
-use parking_lot::Mutex;
 use sstore_common::hash::{route_hash, FxHashMap};
-use sstore_common::{BatchId, Error, Lsn, ProcId, Result, TableId, Tuple, Value};
+use sstore_common::{lock, BatchId, Error, Lsn, ProcId, Result, TableId, Tuple, Value};
 use sstore_sql::{BoundStatement, Planner, QueryResult};
 use sstore_storage::Catalog;
 
@@ -252,7 +253,7 @@ impl Engine {
         let mut txs = Vec::with_capacity(config.partitions);
         let mut rxs = Vec::with_capacity(config.partitions);
         for _ in 0..config.partitions {
-            let (tx, rx) = crossbeam_channel::unbounded();
+            let (tx, rx) = channel();
             txs.push(tx);
             rxs.push(rx);
         }
@@ -557,12 +558,12 @@ impl Engine {
         &self,
         stream: &str,
         prepared: PreparedIngest,
-        mut reply_for: impl FnMut(usize) -> Option<crossbeam_channel::Sender<Result<CallOutcome>>>,
+        mut reply_for: impl FnMut(usize) -> Option<Sender<Result<CallOutcome>>>,
     ) -> Result<BatchId> {
         let PreparedIngest { stream: sid, proc, parts } = prepared;
         let permits =
             self.admit_all(parts.iter().map(|(p, _)| *p), parts.len(), stream)?;
-        let mut counters = self.batch_counters.lock();
+        let mut counters = lock(&self.batch_counters);
         let c = &mut counters[sid.index()];
         *c += 1;
         let batch = BatchId(*c);
@@ -626,9 +627,9 @@ impl Engine {
     /// caller knows exactly what landed.
     pub fn ingest_sync(&self, stream: &str, rows: Vec<Tuple>) -> Result<(BatchId, CallOutcome)> {
         let prepared = self.prepare_ingest(stream, rows)?;
-        let mut waits: Vec<(usize, crossbeam_channel::Receiver<Result<CallOutcome>>)> = Vec::new();
+        let mut waits: Vec<(usize, Receiver<Result<CallOutcome>>)> = Vec::new();
         let batch = self.ingest_admitted(stream, prepared, |p| {
-            let (tx, rx) = bounded(1);
+            let (tx, rx) = channel();
             waits.push((p, rx));
             Some(tx)
         })?;
@@ -734,17 +735,17 @@ impl Engine {
     /// once.
     pub fn prepare(&self, sql: &str) -> Result<Arc<BoundStatement>> {
         use std::sync::atomic::Ordering;
-        if let Some(hit) = self.plan_cache.entries.lock().get_mut(sql) {
+        if let Some(hit) = lock(&self.plan_cache.entries).get_mut(sql) {
             hit.last_used = self.plan_cache.tick.fetch_add(1, Ordering::Relaxed);
             EngineMetrics::bump(&self.metrics.adhoc_plan_hits);
             return Ok(hit.stmt.clone());
         }
         let stmt = {
-            let catalog = self.adhoc_catalog.lock();
+            let catalog = lock(&self.adhoc_catalog);
             Arc::new(Planner::new(&catalog).plan_sql(sql)?)
         };
         EngineMetrics::bump(&self.metrics.adhoc_plan_misses);
-        let mut entries = self.plan_cache.entries.lock();
+        let mut entries = lock(&self.plan_cache.entries);
         if entries.len() >= PLAN_CACHE_CAPACITY {
             if let Some(victim) =
                 entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
@@ -821,7 +822,7 @@ impl Engine {
     /// and [`Engine::call_interior`]. A partition that drops the reply
     /// is reported down.
     fn submit_wait(&self, partition: usize, req: TxnRequest) -> Result<CallOutcome> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = channel();
         self.submit(partition, req.with_reply(tx))?;
         rx.recv().map_err(|_| partition_down(partition))?
     }
@@ -835,7 +836,7 @@ impl Engine {
             .map_err(|_| partition_down(partition))
     }
 
-    /// The control plane's one helper: runs `f` on `partition`'s thread
+    /// The control plane's helper: runs `f` on `partition`'s thread
     /// between transactions and returns the answer still in flight, so
     /// a caller can fan one operation out to every partition before it
     /// waits on any.
@@ -844,7 +845,7 @@ impl Engine {
         partition: usize,
         f: impl FnOnce(&mut PartitionRuntime) -> R + Send + 'static,
     ) -> Result<Pending<R>> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = channel();
         self.send(partition, PartitionMsg::Run(Box::new(move |rt| drop(tx.send(f(rt))))))?;
         Ok(Pending { partition, rx })
     }
@@ -881,12 +882,13 @@ impl Engine {
         loop {
             let before = counters();
             let mut waits = Vec::new();
-            for p in 0..self.partitions.len() {
-                waits.push(self.ask(p, PartitionRuntime::drain)?);
+            for partition in 0..self.partitions.len() {
+                let (tx, rx) = channel();
+                self.send(partition, PartitionMsg::Run(Box::new(move |rt| rt.drain(tx))))?;
+                waits.push(Pending { partition, rx });
             }
             for w in waits {
-                let p = w.partition;
-                w.wait()?.recv().map_err(|_| partition_down(p))?;
+                w.wait()?;
             }
             let after = counters();
             if before == after && after.0 == after.1 {
@@ -905,7 +907,7 @@ impl Engine {
 
     /// Per-stream batch counters as a name-keyed map (checkpoint form).
     fn counters_by_name(&self) -> HashMap<String, u64> {
-        let counters = self.batch_counters.lock();
+        let counters = lock(&self.batch_counters);
         self.ids
             .streams()
             .filter(|(id, _)| counters[id.index()] > 0)
@@ -933,7 +935,7 @@ impl Engine {
     /// the new images as ignorable litter; a crash after it leaves
     /// dead files the next round's GC re-collects.
     pub fn checkpoint(&self) -> Result<()> {
-        let mut dur = self.durability.lock();
+        let mut dur = lock(&self.durability);
         let full = dur.force_full
             || dur.chain.is_empty()
             || dur.chain.len() >= self.config.delta_chain_max;
@@ -1080,5 +1082,66 @@ impl Engine {
     /// prefer [`Engine::close`] when durability matters).
     pub fn shutdown(self) {
         let _ = self.close();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc::TryRecvError;
+
+    use sstore_common::{DataType, Schema};
+
+    use super::*;
+
+    /// A drain registered while work sits behind it in the partition's
+    /// channel is answered only once that work has committed: the
+    /// partition answers where it goes idle, not where it registers.
+    #[test]
+    fn drain_waits_for_work_queued_behind_its_registration() {
+        let (started_tx, started_rx) = channel::<()>();
+        let (go_tx, go_rx) = channel::<()>();
+        let go_rx = Mutex::new(go_rx);
+        let app = App::builder()
+            .table("t", Schema::of(&[("v", DataType::Int)]))
+            .proc("put", &[("ins", "INSERT INTO t (v) VALUES (?)")], &[], move |ctx| {
+                started_tx.send(()).expect("test is waiting");
+                lock(&go_rx).recv().expect("test releases the body");
+                let v = ctx.params()[0].clone();
+                ctx.sql("ins", &[v])?;
+                Ok(())
+            })
+            .build()
+            .unwrap();
+        let engine = Engine::start(EngineConfig::default(), app).unwrap();
+
+        // Park the partition thread in a job, so the drain registration
+        // and the transaction behind it are both in its channel before
+        // it looks at either.
+        let (parked_tx, parked_rx) = channel::<()>();
+        let (release_tx, release_rx) = channel::<()>();
+        let park = move |_: &mut PartitionRuntime| {
+            parked_tx.send(()).expect("test is waiting");
+            release_rx.recv().expect("test releases the job");
+        };
+        engine.send(0, PartitionMsg::Run(Box::new(park))).unwrap();
+        parked_rx.recv().unwrap();
+        let (drained_tx, drained_rx) = channel();
+        engine.send(0, PartitionMsg::Run(Box::new(move |rt| rt.drain(drained_tx)))).unwrap();
+        let (reply_tx, reply_rx) = channel();
+        let proc = engine.resolve_proc("put").unwrap();
+        let req = TxnRequest::internal(proc, Invocation::Oltp { params: vec![Value::Int(7)] }, None);
+        engine.submit(0, req.with_reply(reply_tx)).unwrap();
+        release_tx.send(()).unwrap();
+
+        // The body has started, so the drain job ran before it: an
+        // answer given at registration would be here already. (The
+        // body is released before the check, so a failure unwinds.)
+        started_rx.recv().unwrap();
+        let early = drained_rx.try_recv();
+        go_tx.send(()).unwrap();
+        assert_eq!(early, Err(TryRecvError::Empty), "drain answered early");
+        drained_rx.recv().unwrap();
+        assert!(matches!(reply_rx.try_recv(), Ok(Ok(_))), "drain answered before the commit");
+        engine.close().unwrap();
     }
 }

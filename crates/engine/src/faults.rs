@@ -19,10 +19,9 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-use sstore_common::{Error, Result};
+use sstore_common::{lock, Error, Result};
 
 /// Where in the engine a crash can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +136,7 @@ impl fmt::Debug for FaultInjector {
         f.debug_struct("FaultInjector")
             .field("armed", &self.armed.load(Ordering::Relaxed))
             .field("crashed", &self.crashed.load(Ordering::Relaxed))
-            .field("plan", &*self.plan.lock())
+            .field("plan", &*lock(&self.plan))
             .finish()
     }
 }
@@ -159,14 +158,14 @@ impl FaultInjector {
     /// failing error is returned (the chaos harness freezes its
     /// `SimVfs` here so post-crash writes are not durable).
     pub fn on_crash(&self, f: impl Fn() + Send + Sync + 'static) {
-        *self.on_crash.lock() = Some(Box::new(f));
+        *lock(&self.on_crash) = Some(Box::new(f));
     }
 
     /// Arms one crash: the `nth` (1-based) future hit of `point` —
     /// restricted to `partition` when given — kills the engine.
     /// Replaces any previously armed crash.
     pub fn arm(&self, point: CrashPoint, partition: Option<usize>, nth: u64) {
-        *self.plan.lock() = Some(ArmedCrash { point, partition, remaining: nth.max(1) });
+        *lock(&self.plan) = Some(ArmedCrash { point, partition, remaining: nth.max(1) });
         self.armed.store(true, Ordering::Release);
     }
 
@@ -179,21 +178,21 @@ impl FaultInjector {
     /// simulated machine. Stays armed if a new crash was armed.
     pub fn reset(&self) {
         self.crashed.store(false, Ordering::Release);
-        self.armed.store(self.plan.lock().is_some(), Ordering::Release);
+        self.armed.store(lock(&self.plan).is_some(), Ordering::Release);
     }
 
     /// Drops any armed crash and clears the crashed state — the
     /// injector goes back to costing one relaxed load per hit (used
     /// before a verification recovery that must run clean).
     pub fn disarm(&self) {
-        *self.plan.lock() = None;
+        *lock(&self.plan) = None;
         self.crashed.store(false, Ordering::Release);
         self.armed.store(false, Ordering::Release);
     }
 
     /// True while an armed crash has not fired yet.
     pub fn armed_pending(&self) -> bool {
-        self.plan.lock().is_some()
+        lock(&self.plan).is_some()
     }
 
     /// Times this point has been reached while the injector was armed.
@@ -222,7 +221,7 @@ impl FaultInjector {
         }
         self.hits[point.index()].fetch_add(1, Ordering::Relaxed);
         let fire = {
-            let mut plan = self.plan.lock();
+            let mut plan = lock(&self.plan);
             match plan.as_mut() {
                 Some(a)
                     if a.point == point
@@ -243,7 +242,7 @@ impl FaultInjector {
             return Ok(());
         }
         self.crashed.store(true, Ordering::Release);
-        if let Some(f) = &*self.on_crash.lock() {
+        if let Some(f) = &*lock(&self.on_crash) {
             f();
         }
         Err(Error::Io(format!(

@@ -20,7 +20,7 @@
 //!  ║ Error::Overloaded before any state is touched. Internal  ║
 //!  ║ classes (Interior/ExchangeMerge/WindowSlide) are exempt. ║
 //!  ╚══════╤═══════════════════════════════════════════════════╝
-//!        │  crossbeam channel = the "network" round trip:
+//!        │  std mpsc channel = the "network" round trip:
 //!        │  typed Submit/Exchange per transaction; every control
 //!        │  operation (checkpoint, restore, drain, query, …) is
 //!        │  one closure run on the partition thread (Engine::ask)

@@ -19,12 +19,11 @@
 //! set by one engine-level writer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use sstore_common::hash::FxHashMap;
-use sstore_common::ProcId;
+use sstore_common::{lock, ProcId};
 
 use crate::admission::TxnClass;
 use crate::names::AppIds;
@@ -412,19 +411,19 @@ impl EngineMetrics {
     /// sub-requests.
     pub fn bump_shed_n(&self, origin: &str, n: u64) {
         self.shed_batches.fetch_add(n, Ordering::Relaxed);
-        *self.shed_by_origin.lock().entry(origin.to_owned()).or_insert(0) += n;
+        *lock(&self.shed_by_origin).entry(origin.to_owned()).or_insert(0) += n;
     }
 
     /// Shed count for one origin (stream or procedure name).
     pub fn shed_for(&self, origin: &str) -> u64 {
-        self.shed_by_origin.lock().get(origin).copied().unwrap_or(0)
+        lock(&self.shed_by_origin).get(origin).copied().unwrap_or(0)
     }
 
     /// All origins that shed at least one request, with counts,
     /// sorted by origin name.
     pub fn sheds_by_origin(&self) -> Vec<(String, u64)> {
         let mut v: Vec<(String, u64)> =
-            self.shed_by_origin.lock().iter().map(|(k, n)| (k.clone(), *n)).collect();
+            lock(&self.shed_by_origin).iter().map(|(k, n)| (k.clone(), *n)).collect();
         v.sort();
         v
     }
@@ -473,7 +472,7 @@ impl EngineMetrics {
 
     /// Snapshot of the trace.
     pub fn trace_snapshot(&self) -> Vec<TraceEvent> {
-        self.trace.lock().clone()
+        lock(&self.trace).clone()
     }
 
     /// Zeroes every registered counter and clears the histograms, the
@@ -483,13 +482,13 @@ impl EngineMetrics {
         for (_, counter) in self.counters() {
             counter.store(0, Ordering::Relaxed);
         }
-        self.shed_by_origin.lock().clear();
+        lock(&self.shed_by_origin).clear();
         for p in self.procs.get().into_iter().flatten() {
             p.count.store(0, Ordering::Relaxed);
             p.exec_ns.store(0, Ordering::Relaxed);
         }
         self.latency.clear();
-        self.trace.lock().clear();
+        lock(&self.trace).clear();
     }
 
     /// Everything this struct counts, flattened into the wire's
@@ -532,7 +531,7 @@ mod tests {
         EngineMetrics::bump(&m.txns_committed);
         EngineMetrics::bump(&m.txns_committed);
         assert_eq!(EngineMetrics::get(&m.txns_committed), 2);
-        m.trace.lock().push(TraceEvent { proc: "p".into(), batch: None, partition: 0 });
+        lock(&m.trace).push(TraceEvent { proc: "p".into(), batch: None, partition: 0 });
         assert_eq!(m.trace_snapshot().len(), 1);
         m.reset();
         assert_eq!(EngineMetrics::get(&m.txns_committed), 0);

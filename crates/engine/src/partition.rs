@@ -26,14 +26,14 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam_channel::{Receiver, Sender, TryRecvError};
 use sstore_common::codec::Encoder;
 use sstore_common::hash::FxHashMap;
-use sstore_common::{BatchId, Error, Lsn, ProcId, Result, TableId, Tuple, Value};
+use sstore_common::{lock, BatchId, Error, Lsn, ProcId, Result, TableId, Tuple, Value};
 use sstore_sql::{BoundStatement, QueryResult};
 
 use crate::admission::{AdmissionPermit, TxnClass};
@@ -280,7 +280,7 @@ impl PartitionHandle {
     /// that died before it could answer: that is an error naming the
     /// partition (and the panic, if it left a message).
     pub(crate) fn close(&mut self) -> Result<()> {
-        let (tx, rx) = crossbeam_channel::bounded(1);
+        let (tx, rx) = channel();
         let closed = self.tx.send(PartitionMsg::Shutdown(tx)).ok().and_then(|()| rx.recv().ok());
         let joined = self.join.take().map_or(Ok(()), JoinHandle::join);
         match (closed, joined) {
@@ -464,8 +464,11 @@ impl PartitionRuntime {
                 self.execute_te(req);
                 continue;
             }
-            // Idle: answer drains, then block for the next message.
-            self.flush_drains();
+            // Idle: the channel was just found empty and the queue
+            // has nothing to run, which is what a drain waits for.
+            for d in self.pending_drains.drain(..) {
+                let _ = d.send(());
+            }
             match self.rx.recv() {
                 Ok(msg) => {
                     if self.handle_msg(msg) {
@@ -473,14 +476,6 @@ impl PartitionRuntime {
                     }
                 }
                 Err(_) => return,
-            }
-        }
-    }
-
-    fn flush_drains(&mut self) {
-        if self.queue.is_empty() && self.rx.is_empty() {
-            for d in self.pending_drains.drain(..) {
-                let _ = d.send(());
             }
         }
     }
@@ -513,13 +508,10 @@ impl PartitionRuntime {
     // Control-plane operations (each runs as a `Job`)
     // ------------------------------------------------------------------
 
-    /// A signal that fires once the queue is empty and no work is in
-    /// flight — at once, if that is already so.
-    pub(crate) fn drain(&mut self) -> Receiver<()> {
-        let (tx, rx) = crossbeam_channel::bounded(1);
-        self.pending_drains.push(tx);
-        self.flush_drains();
-        rx
+    /// Registers `reply` to be answered the next time this thread
+    /// goes idle: its channel empty and its queue with nothing to run.
+    pub(crate) fn drain(&mut self, reply: Sender<()>) {
+        self.pending_drains.push(reply);
     }
 
     /// Enables or disables PE triggers (recovery protocol).
@@ -982,7 +974,7 @@ impl PartitionRuntime {
         EngineMetrics::bump(&self.metrics.txns_committed);
         if self.config.trace {
             let proc_name = if adhoc { ADHOC_NAME } else { self.ids.proc_name(proc_id) };
-            self.metrics.trace.lock().push(TraceEvent {
+            lock(&self.metrics.trace).push(TraceEvent {
                 proc: proc_name.to_string(),
                 batch,
                 partition: self.partition_id,

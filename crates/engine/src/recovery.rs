@@ -41,8 +41,8 @@
 //!   simply never re-fire downstream instead of half-applying.
 
 use std::collections::HashMap;
+use std::sync::mpsc::channel;
 
-use crossbeam_channel::bounded;
 use sstore_common::{Error, Result};
 
 use crate::app::App;
@@ -311,7 +311,7 @@ fn replay_all(engine: &Engine, replayable: &[Vec<LogRecord>]) -> Result<usize> {
 /// confirmation (this synchronous round trip is the measured cost of
 /// strong recovery in Figure 9b).
 fn replay_record(engine: &Engine, partition: usize, rec: &LogRecord) -> Result<()> {
-    let (tx, rx) = bounded(1);
+    let (tx, rx) = channel();
     // The log stores names (robust across id reassignments); resolve
     // them against the freshly installed app here at the replay edge.
     let (invocation, batch) = match &rec.kind {

@@ -33,10 +33,9 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-use sstore_common::{Error, Result};
+use sstore_common::{lock, Error, Result};
 
 /// An open append-only file (command log). Appends are buffered by the
 /// caller ([`crate::log::CommandLog`] groups records) — each `append`
@@ -274,7 +273,7 @@ pub struct SimVfs {
 
 impl fmt::Debug for SimVfs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.state.lock();
+        let s = lock(&self.state);
         f.debug_struct("SimVfs")
             .field("files", &s.files.len())
             .field("frozen", &s.frozen)
@@ -316,35 +315,35 @@ impl SimVfs {
 
     /// Installs planned I/O faults (each fires at most once).
     pub fn plan_faults(&self, faults: Vec<IoFault>) {
-        self.state.lock().faults.extend(faults);
+        lock(&self.state).faults.extend(faults);
     }
 
     /// Drops any not-yet-fired faults (e.g. before a verification
     /// recovery that must run clean).
     pub fn clear_faults(&self) {
-        self.state.lock().faults.clear();
+        lock(&self.state).faults.clear();
     }
 
     /// How many planned faults have fired so far.
     pub fn faults_fired(&self) -> u64 {
-        self.state.lock().faults_fired
+        lock(&self.state).faults_fired
     }
 
     /// Arms crash-at-byte-N: once `n` total bytes have been appended
     /// (across all files), the machine freezes mid-write.
     pub fn crash_at_byte(&self, n: u64) {
-        self.state.lock().crash_at_byte = Some(n);
+        lock(&self.state).crash_at_byte = Some(n);
     }
 
     /// Simulates the machine dying *now*: every subsequent write
     /// errors, nothing further becomes durable.
     pub fn freeze(&self) {
-        self.state.lock().frozen = true;
+        lock(&self.state).frozen = true;
     }
 
     /// True once the machine has crashed (frozen).
     pub fn crashed(&self) -> bool {
-        self.state.lock().frozen
+        lock(&self.state).frozen
     }
 
     /// Brings the machine back up after a crash: for every file, the
@@ -352,7 +351,7 @@ impl SimVfs {
     /// only up to a seeded-random cut (possibly mid-record — a torn
     /// tail). Unfreezes I/O.
     pub fn restart_after_crash(&self) {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         let mut rng = s.rng;
         for f in s.files.values_mut() {
             let unsynced = f.data.len() - f.durable;
@@ -372,7 +371,7 @@ impl SimVfs {
     /// A snapshot of one file's current bytes (tests / the chaos
     /// harness inspecting durable state).
     pub fn snapshot(&self, path: &Path) -> Option<Vec<u8>> {
-        self.state.lock().files.get(path).map(|f| f.data.clone())
+        lock(&self.state).files.get(path).map(|f| f.data.clone())
     }
 
     /// Fails the matching fault if one is due; consumed on fire.
@@ -398,7 +397,7 @@ impl fmt::Debug for SimLogFile {
 
 impl LogFile for SimLogFile {
     fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         if s.frozen {
             return Err(frozen_err());
         }
@@ -454,7 +453,7 @@ impl LogFile for SimLogFile {
     }
 
     fn sync(&mut self) -> Result<()> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         if s.frozen {
             return Err(frozen_err());
         }
@@ -474,7 +473,7 @@ impl LogFile for SimLogFile {
 
 impl Vfs for SimVfs {
     fn open_log(&self, path: &Path, truncate: bool) -> Result<(Box<dyn LogFile>, u64)> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         if s.frozen {
             return Err(frozen_err());
         }
@@ -489,11 +488,11 @@ impl Vfs for SimVfs {
     }
 
     fn read(&self, path: &Path) -> Result<Option<Vec<u8>>> {
-        Ok(self.state.lock().files.get(path).map(|f| f.data.clone()))
+        Ok(lock(&self.state).files.get(path).map(|f| f.data.clone()))
     }
 
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         if s.frozen {
             return Err(frozen_err());
         }
@@ -509,7 +508,7 @@ impl Vfs for SimVfs {
     }
 
     fn truncate(&self, path: &Path, len: u64) -> Result<()> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         if s.frozen {
             return Err(frozen_err());
         }
@@ -528,9 +527,7 @@ impl Vfs for SimVfs {
 
     fn list_dir(&self, dir: &Path) -> Result<Vec<PathBuf>> {
         // BTreeMap keys are already path-sorted.
-        Ok(self
-            .state
-            .lock()
+        Ok(lock(&self.state)
             .files
             .keys()
             .filter(|p| p.parent() == Some(dir))
@@ -539,7 +536,7 @@ impl Vfs for SimVfs {
     }
 
     fn remove_file(&self, path: &Path) -> Result<()> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         if s.frozen {
             return Err(frozen_err());
         }

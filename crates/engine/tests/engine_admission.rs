@@ -6,7 +6,7 @@
 
 use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering::Relaxed;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use sstore_common::{tuple, DataType, Error, Schema, Value};
@@ -215,7 +215,11 @@ fn oltp_calls_are_admitted_and_classed() {
 /// an earlier batch id than one admitted after it (ids are drawn only
 /// after admission, and id-assignment + send are atomic under the
 /// counter lock). A third thread on a second stream adds cross-stream
-/// contention for the same credits.
+/// contention for the same credits. A fourth makes back-to-back
+/// synchronous round trips beside them: its caller parks on a reply
+/// channel while the partition thread parks and wakes on its inbox, so
+/// a lost wakeup on either side shows as a stall past the time bound
+/// (or a hang).
 #[test]
 fn block_admission_preserves_per_stream_batch_order() {
     let config = EngineConfig::default()
@@ -224,6 +228,7 @@ fn block_admission_preserves_per_stream_batch_order() {
         .with_overload(OverloadPolicy::Block { timeout: Duration::from_secs(30) })
         .with_trace();
     let engine = Engine::start(config, app(100)).unwrap();
+    let start = Instant::now();
     std::thread::scope(|s| {
         for _ in 0..2 {
             s.spawn(|| {
@@ -237,7 +242,15 @@ fn block_admission_preserves_per_stream_batch_order() {
                 engine.ingest("s2", vec![tuple![i]]).unwrap();
             }
         });
+        s.spawn(|| {
+            for i in 0..1000i64 {
+                engine.call_at(0, "ok_call", vec![Value::Int(i)]).unwrap();
+                sink_count(&engine);
+            }
+        });
     });
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(10), "round trips stalled: {took:?}");
     engine.drain().unwrap();
     for proc in ["bp1", "bp2"] {
         let batches: Vec<u64> = engine

@@ -12,10 +12,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use sstore_common::lock;
 use sstore_engine::metrics::LatencyHistogram;
 
 /// One tenant's request accounting.
@@ -56,13 +56,13 @@ impl ServerMetrics {
 
     /// The stats cell for a tenant, created on first sight.
     pub fn tenant(&self, name: &str) -> Arc<TenantStats> {
-        let mut map = self.tenants.lock();
+        let mut map = lock(&self.tenants);
         map.entry(name.to_owned()).or_default().clone()
     }
 
     /// Tenant names seen so far, sorted.
     pub fn tenant_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tenants.lock().keys().cloned().collect();
+        let mut names: Vec<String> = lock(&self.tenants).keys().cloned().collect();
         names.sort();
         names
     }

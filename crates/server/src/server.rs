@@ -17,11 +17,10 @@
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
-use sstore_common::{Error, Result};
+use sstore_common::{lock, Error, Result};
 use sstore_engine::Engine;
 
 use crate::metrics::ServerMetrics;
@@ -107,11 +106,11 @@ impl Server {
                                     // dropped with the entry, which
                                     // detaches (never joins) this
                                     // already-finished thread.
-                                    sessions.lock().live.remove(&id);
+                                    lock(&sessions).live.remove(&id);
                                 })
                                 .expect("spawn session thread")
                         };
-                        sessions.lock().live.insert(id, (registered, handle));
+                        lock(&sessions).live.insert(id, (registered, handle));
                     }
                 })
                 .map_err(|e| Error::Io(e.to_string()))?
@@ -151,7 +150,7 @@ impl Server {
 
     /// Live session count (sessions that ended have deregistered).
     pub fn live_sessions(&self) -> usize {
-        self.sessions.lock().live.len()
+        lock(&self.sessions).live.len()
     }
 
     /// Stops accepting, force-closes every live session, joins every
@@ -170,7 +169,7 @@ impl Server {
         // self-deregistration (which takes the same lock) cannot
         // deadlock against us.
         let drained: Vec<(TcpStream, JoinHandle<()>)> = {
-            let mut table = self.sessions.lock();
+            let mut table = lock(&self.sessions);
             table.live.drain().map(|(_, v)| v).collect()
         };
         for (sock, handle) in drained {
